@@ -15,7 +15,7 @@ delay, datagram sizes, delivery lag).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.network.message import Message, NodeId
 from repro.streaming.packets import PacketId
@@ -23,7 +23,7 @@ from repro.streaming.schedule import StreamSchedule
 from repro.validation.observers import SessionObserver
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.schema import EVENT_KINDS, TraceError, TraceWriter
+from repro.telemetry.schema import EVENT_KINDS, TraceError, TraceWriter, json_text
 
 #: Bucket bounds (seconds) for the upload-serialization delay histogram:
 #: a 1 kB datagram at 700 kbps serializes in ~11 ms, so the buckets bracket
@@ -85,66 +85,80 @@ class TraceRecorder(SessionObserver):
                 f"unknown trace event kinds {sorted(unknown)}; known: {list(EVENT_KINDS)}"
             )
         wanted -= set(exclude_kinds)
-        self._writer = writer
-        self._wanted = wanted
+        # The filter is resolved here, once: every kind gets its bound
+        # ``writer.write``, or ``None`` when it is filtered out.
+        self._emit: Dict[str, Optional[Callable[..., None]]] = {
+            kind: partial(writer.write, kind) if kind in wanted else None
+            for kind in EVENT_KINDS
+        }
         self._sample_every = sample_every
         self._dispatch_seen = 0
+        self._fn_text: Dict[Any, str] = {}
         self._next_seq = 0
         self._in_flight: Dict[int, int] = {}
+
+    @property
+    def records_dispatch(self) -> bool:
+        """Whether the engine's dispatch edge is of any use to this recorder."""
+        return self._emit["dispatch"] is not None
 
     # ------------------------------------------------------------------
     # Engine edge
     # ------------------------------------------------------------------
     def on_event_dispatch(self, time: float, callback: Any, args: Tuple[Any, ...]) -> None:
-        self._dispatch_seen += 1
-        if "dispatch" not in self._wanted:
+        emit = self._emit["dispatch"]
+        if emit is None:
             return
+        self._dispatch_seen += 1
         if (self._dispatch_seen - 1) % self._sample_every:
             return
-        self._writer.append("dispatch", time, fn=callback_name(callback))
+        # Bound methods (every callback the substrates schedule) are made
+        # afresh per event; the function under them names them all.
+        function = getattr(callback, "__func__", None)
+        text = self._fn_text.get(function)
+        if text is None:
+            text = json_text(callback_name(callback))
+            if function is not None:
+                self._fn_text[function] = text
+        emit(time, text)
 
     # ------------------------------------------------------------------
     # Transport edges
     # ------------------------------------------------------------------
+    def _datagram(self, kind: str, message: Message, now: float, *tail: Any) -> None:
+        emit = self._emit[kind]
+        if emit is not None:
+            emit(
+                now, message.sender, message.receiver, json_text(message.kind),
+                message.size_bytes, *tail,
+            )
+
     def on_send_blocked(self, message: Message, now: float) -> None:
-        if "send_blocked" in self._wanted:
-            self._writer.append("send_blocked", now, **_message_fields(message))
+        self._datagram("send_blocked", message, now)
 
     def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
         seq = self._next_seq
         self._next_seq += 1
         self._in_flight[id(message)] = seq
-        if "send" in self._wanted:
-            self._writer.append(
-                "send", now, **_message_fields(message), d=seq, fin=finish_time
-            )
+        self._datagram("send", message, now, seq, json_text(finish_time))
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
-        if "drop_congestion" in self._wanted:
-            self._writer.append("drop_congestion", now, **_message_fields(message))
+        self._datagram("drop_congestion", message, now)
 
     def on_in_flight_loss(self, message: Message, now: float) -> None:
-        seq = self._in_flight.pop(id(message), -1)
-        if "loss" in self._wanted:
-            self._writer.append("loss", now, **_message_fields(message), d=seq)
+        self._datagram("loss", message, now, self._in_flight.pop(id(message), -1))
 
     def on_delivered(self, message: Message, now: float) -> None:
-        seq = self._in_flight.pop(id(message), -1)
-        if "deliver_msg" in self._wanted:
-            self._writer.append("deliver_msg", now, **_message_fields(message), d=seq)
+        self._datagram("deliver_msg", message, now, self._in_flight.pop(id(message), -1))
 
     def on_delivery_dropped(self, message: Message, now: float) -> None:
-        seq = self._in_flight.pop(id(message), -1)
-        if "drop_dead" in self._wanted:
-            self._writer.append("drop_dead", now, **_message_fields(message), d=seq)
+        self._datagram("drop_dead", message, now, self._in_flight.pop(id(message), -1))
 
     def on_node_failed(self, node_id: NodeId, now: float) -> None:
-        if "node_failed" in self._wanted:
-            self._writer.append("node_failed", now, n=node_id)
+        self._record("node_failed", now, node_id)
 
     def on_node_recovered(self, node_id: NodeId, now: float) -> None:
-        if "node_recovered" in self._wanted:
-            self._writer.append("node_recovered", now, n=node_id)
+        self._record("node_recovered", now, node_id)
 
     # ------------------------------------------------------------------
     # Delivery edge
@@ -152,8 +166,7 @@ class TraceRecorder(SessionObserver):
     def on_packet_delivered(
         self, node_id: NodeId, packet_id: PacketId, time: float, is_source: bool
     ) -> None:
-        if "packet" in self._wanted:
-            self._writer.append("packet", time, n=node_id, p=packet_id, source=is_source)
+        self._record("packet", time, node_id, packet_id, json_text(is_source))
 
     # ------------------------------------------------------------------
     # Protocol-phase edges
@@ -161,23 +174,17 @@ class TraceRecorder(SessionObserver):
     def on_gossip_round(
         self, node_id: NodeId, time: float, partners: Sequence[NodeId]
     ) -> None:
-        if "round" in self._wanted:
-            self._writer.append("round", time, n=node_id, np=len(partners))
+        self._record("round", time, node_id, len(partners))
 
     def on_feed_me_round(
         self, node_id: NodeId, time: float, targets: Sequence[NodeId]
     ) -> None:
-        if "feed_me_round" in self._wanted:
-            self._writer.append("feed_me_round", time, n=node_id, nt=len(targets))
+        self._record("feed_me_round", time, node_id, len(targets))
 
-
-def _message_fields(message: Message) -> Dict[str, Any]:
-    return {
-        "snd": message.sender,
-        "rcv": message.receiver,
-        "mk": message.kind,
-        "sz": message.size_bytes,
-    }
+    def _record(self, kind: str, time: float, *values: Any) -> None:
+        emit = self._emit[kind]
+        if emit is not None:
+            emit(time, *values)
 
 
 class MetricsObserver(SessionObserver):

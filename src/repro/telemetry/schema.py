@@ -46,13 +46,17 @@ kind                extra fields
 Python ``id()``, which would differ across runs): the same ``d`` links a
 ``send`` to its terminal fate, which is what the Perfetto exporter turns
 into flow arrows.
+
+Two ways in, one set of bytes out: :meth:`TraceWriter.append` is the general
+path (any kind, any fields, one ``json`` encode per event);
+:meth:`TraceWriter.write` renders a known kind from a pre-built template.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter as KindCounter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, IO, Iterator, Optional, Tuple, Union
 
@@ -62,21 +66,49 @@ TRACE_SCHEMA = "repro.telemetry/1"
 SCHEMA_NAME = "repro.telemetry"
 SCHEMA_MAJOR = 1
 
-EVENT_KINDS: Tuple[str, ...] = (
-    "dispatch",
-    "send",
-    "send_blocked",
-    "drop_congestion",
-    "loss",
-    "deliver_msg",
-    "drop_dead",
-    "packet",
-    "node_failed",
-    "node_recovered",
-    "round",
-    "feed_me_round",
-)
+_DATAGRAM = ("snd", "rcv", "mk", "sz")
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "dispatch": ("fn",),
+    "send": _DATAGRAM + ("d", "fin"),
+    "send_blocked": _DATAGRAM,
+    "drop_congestion": _DATAGRAM,
+    "loss": _DATAGRAM + ("d",),
+    "deliver_msg": _DATAGRAM + ("d",),
+    "drop_dead": _DATAGRAM + ("d",),
+    "packet": ("n", "p", "source"),
+    "node_failed": ("n",),
+    "node_recovered": ("n",),
+    "round": ("n", "np"),
+    "feed_me_round": ("n", "nt"),
+}
+"""The extra fields of each kind, in line order (the docstring's table, as data)."""
+
+EVENT_KINDS: Tuple[str, ...] = tuple(EVENT_FIELDS)
 """Every event kind of schema major version 1, in rough hot-path order."""
+
+#: kind -> the ``%``-template of its line over ``(i, *JSON texts of t and the fields)``.
+_LINE_TEMPLATES: Dict[str, str] = {
+    kind: '{"i":%d,"t":%s,"k":"' + kind + '"' + "".join(f',"{name}":%s' for name in fields) + "}"
+    for kind, fields in EVENT_FIELDS.items()
+}
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Strings and bools are encoded once: a run repeats a handful of message
+#: kinds and callback names on every line.
+_encode_memoised = lru_cache(maxsize=1024)(_encode)
+
+
+def json_text(value: Any) -> str:
+    """Compact ``json.dumps(value)`` of one field value, byte for byte.
+
+    Finite floats are their ``repr`` (what ``json`` emits for them); anything
+    unusual — ``NaN``, infinities, foreign types — is left to ``json`` itself.
+    """
+    kind = type(value)
+    if kind is float and value - value == 0.0:
+        return repr(value)
+    return _encode_memoised(value) if kind is str or kind is bool else _encode(value)
 
 
 class TraceError(ValueError):
@@ -119,10 +151,11 @@ class TraceWriter:
         self._flush_every = flush_every
         self._buffer: list = []
         self._count = 0
-        self._by_kind: KindCounter = KindCounter()
+        self._by_kind: Dict[str, int] = {}
+        self._time, self._time_text = None, "null"  # write()'s memo: last time and its JSON
         self._file: Optional[IO[str]] = open(self.path, "w", encoding="utf-8")
         header = {"schema": TRACE_SCHEMA, "meta": dict(meta or {})}
-        self._file.write(json.dumps(header, separators=(",", ":")) + "\n")
+        self._file.write(_encode(header) + "\n")
         self._file.flush()
 
     @property
@@ -139,10 +172,31 @@ class TraceWriter:
         """Append one event; ``i`` is assigned here."""
         event = {"i": self._count, "t": time, "k": kind}
         event.update(fields)
-        self._buffer.append(json.dumps(event, separators=(",", ":")))
+        self._store(kind, _encode(event))
+
+    def write(self, kind: str, time: float, *values) -> None:
+        """Append one event of a known kind from its field values, in order.
+
+        The recorder's path: one ``%``-template per kind instead of a dict and
+        a ``json`` encode per event.  ``values`` follow ``EVENT_FIELDS[kind]``,
+        an ``int`` as it is and anything else as its :func:`json_text`, so the
+        line is byte for byte the one :meth:`append` would write.
+        """
+        if time is not self._time:  # two lines in three repeat the last clock reading
+            # json_text(time), inlined: one call less.
+            text = repr(time) if type(time) is float and time - time == 0.0 else json_text(time)
+            self._time, self._time_text = time, text
+        self._store(kind, _LINE_TEMPLATES[kind] % (self._count, self._time_text, *values))
+
+    def _store(self, kind: str, line: str) -> None:
+        if self._file is None:
+            raise TraceError(f"trace writer for {self.path} is closed")
+        buffer = self._buffer
+        buffer.append(line)
         self._count += 1
-        self._by_kind[kind] += 1
-        if len(self._buffer) >= self._flush_every:
+        counts = self._by_kind
+        counts[kind] = counts.get(kind, 0) + 1
+        if len(buffer) >= self._flush_every:
             self.flush()
 
     def flush(self) -> None:
@@ -247,12 +301,14 @@ def validate_trace(path: Union[str, Path]) -> Tuple[TraceHeader, int]:
 
 
 __all__ = [
+    "EVENT_FIELDS",
     "EVENT_KINDS",
     "TRACE_SCHEMA",
     "TraceError",
     "TraceHeader",
     "TraceWriter",
     "iter_events",
+    "json_text",
     "read_header",
     "validate_trace",
 ]

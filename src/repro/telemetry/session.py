@@ -67,9 +67,10 @@ class SessionTelemetry:
             registry = MetricsRegistry()
             self.registry = registry
             self._wire_collectors(session, registry)
-            attach_session_observer(
-                session, MetricsObserver(registry, schedule=session.schedule)
-            )
+            metrics = MetricsObserver(registry, schedule=session.schedule)
+            attach_session_observer(session, metrics)
+            # It has no dispatch handler: off the edge that fires once per event.
+            session.simulator.remove_observer(metrics)
         if config.trace_path is not None:
             self.writer = TraceWriter(
                 config.trace_path,
@@ -83,6 +84,8 @@ class SessionTelemetry:
                 exclude_kinds=config.exclude_kinds,
             )
             attach_session_observer(session, recorder)
+            if not recorder.records_dispatch:
+                session.simulator.remove_observer(recorder)
         return self
 
     def _wire_collectors(self, session, registry: MetricsRegistry) -> None:

@@ -62,6 +62,21 @@ class TestWriterRoundTrip:
         writer.close()
         writer.close()  # idempotent
 
+    def test_append_after_close_raises_at_once(self, tmp_path):
+        """A closed writer used to buffer and count up to ``flush_every - 1``
+        events that could never reach the file, raising only on the flush."""
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path)
+        writer.append("round", 0.0, n=1, np=1)
+        writer.close()
+        with pytest.raises(TraceError, match="closed"):
+            writer.append("round", 0.1, n=2, np=1)
+        with pytest.raises(TraceError, match="closed"):
+            writer.write("round", 0.1, 2, 1)
+        assert writer.events_written == 1
+        assert writer.counts_by_kind == {"round": 1}
+        assert validate_trace(path)[1] == 1
+
     def test_validate_trace_accepts_well_formed(self, tmp_path):
         path = write_trace(
             tmp_path / "t.jsonl",
