@@ -521,14 +521,16 @@ def run_sharded_session(ctx: BenchContext) -> dict:
     """The sharded runner vs the scalar oracle: identity gated, time reported.
 
     Identity metrics (event count, delivery checksum) gate CI: the sharded
-    run must be byte-identical to the scalar run of the same config.
-    Wall-clock numbers are info-only — on the 1-core CI runner the window
-    protocol is pure overhead and the "speedup" is expected to be *below*
-    one (see docs/performance.md).
+    run must be byte-identical to the scalar run of the same config.  So do
+    the numbers that decide the runner's speed — the lookahead the placement
+    bought, the barrier windows the run took and the events per window — all
+    pure functions of the config.  Wall-clock numbers are info-only: the
+    runner still loses to the scalar loop on small sessions (see
+    docs/performance.md).
     """
     from repro.scenarios import build_scenario
     from repro.scenarios.builder import SessionBuilder
-    from repro.shard import run_sharded
+    from repro.shard import execute_sharded
     from repro.shard.wire import WIRE_STATS
 
     default_nodes, default_windows = SHARDED_SESSION_SIZES.get(
@@ -538,7 +540,6 @@ def run_sharded_session(ctx: BenchContext) -> dict:
     num_windows = ctx.option_int("windows", default_windows)
     shards = ctx.option_int("shards", 2)
     mode = ctx.options.get("mode", "thread")
-    wire = ctx.options.get("wire", "compact")
 
     overrides = {"shards": shards}
     if num_nodes is not None:
@@ -547,18 +548,20 @@ def run_sharded_session(ctx: BenchContext) -> dict:
         overrides["stream"] = StreamConfig.paper_defaults(num_windows=num_windows)
     spec = build_scenario("metropolis", **overrides)
     config = SessionBuilder.from_spec(spec).to_config()
-    ctx.log(f"    session: {spec.describe()} ({shards} shards, {mode} mode, {wire} wire)")
+    ctx.log(f"    session: {spec.describe()} ({shards} shards, {mode} mode)")
 
     WIRE_STATS.reset()
     started = time.perf_counter()
-    sharded = run_sharded(config, mode=mode, wire=wire)
+    run = execute_sharded(config, mode=mode)
     sharded_seconds = time.perf_counter() - started
+    sharded = run.result
     # Thread-mode routers all report into this process's accumulator;
     # process-mode workers accumulate in their own processes, so the parent
     # legitimately reads zeros there (and the metrics are info-kind).
     wire_stats = WIRE_STATS.snapshot()
     ctx.log(
-        f"    sharded: {sharded.events_processed:,} events in {sharded_seconds:.2f}s"
+        f"    sharded: {sharded.events_processed:,} events in {sharded_seconds:.2f}s, "
+        f"{run.windows:,} windows at a {run.plan.lookahead * 1000:.2f} ms lookahead"
     )
     if wire_stats["windows"]:
         ctx.log(
@@ -575,6 +578,9 @@ def run_sharded_session(ctx: BenchContext) -> dict:
         "delivery_checksum": _delivery_checksum(sharded),
         "delivery_ratio": sharded.delivery_ratio(),
         "shards": float(shards),
+        "lookahead_ms": run.plan.lookahead * 1000.0,
+        "windows": float(run.windows),
+        "events_per_window": sharded.events_processed / run.windows,
         "sharded_wall_seconds": sharded_seconds,
         "oracle_checked": 1.0 if run_oracle else 0.0,
         "scalar_wall_seconds": 0.0,
@@ -638,8 +644,7 @@ def run_wire(ctx: BenchContext) -> dict:
     from repro.network.transport import DatagramRouter
     from repro.scenarios import build_scenario
     from repro.scenarios.builder import SessionBuilder
-    from repro.shard.partition import shard_lookup
-    from repro.shard.session import conservative_lookahead
+    from repro.shard.partition import plan_shards
     from repro.shard.wire import decode_batch, encode_batch
 
     default_nodes, default_windows = WIRE_SIZES.get(ctx.scale_name, WIRE_SIZES["reduced"])
@@ -655,8 +660,9 @@ def run_wire(ctx: BenchContext) -> dict:
         stream=StreamConfig.paper_defaults(num_windows=num_windows),
     )
     config = SessionBuilder.from_spec(spec).to_config()
-    lookup = shard_lookup(config.num_nodes, shards)
-    lookahead = conservative_lookahead(config)
+    plan = plan_shards(config, shards)
+    lookup = plan.lookup
+    lookahead = plan.lookahead
 
     class _TapRouter(DatagramRouter):
         """Schedules locally like no router at all; records cross-shard traffic."""
@@ -913,6 +919,9 @@ def register_all(registry=None) -> None:
                 Metric("delivery_ratio", kind="identity"),
                 Metric("oracle_checked", kind="identity"),
                 Metric("shards", kind="info"),
+                Metric("lookahead_ms", kind="identity", unit="ms"),
+                Metric("windows", kind="identity", unit="windows"),
+                Metric("events_per_window", kind="identity", unit="events"),
                 Metric("sharded_wall_seconds", kind="rate", higher_is_better=False, unit="s"),
                 Metric("scalar_wall_seconds", kind="rate", higher_is_better=False, unit="s"),
                 Metric("sharded_speedup", kind="rate", unit="x"),

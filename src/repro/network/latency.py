@@ -22,10 +22,17 @@ placement-invariance is what lets the sharded runner
 (:mod:`repro.shard`) execute disjoint node sets on independent event loops
 and still reproduce the scalar run bit for bit.
 
-``min_latency()`` is the greatest lower bound a model can ever return.  It
-is the conservative lookahead of the sharded backend (a datagram sent at
-``t`` cannot arrive before ``t + min_latency()``), and is also handy
-standalone for validation checkers bounding feasible delivery times.
+Lower bounds
+------------
+``min_latency()`` is the greatest lower bound a model can ever return over
+all pairs — handy for validation checkers bounding feasible delivery times.
+``floor_between(group_a, group_b)`` is the same bound restricted to pairs
+with one end in each group; the sharded runner minimises it over shard
+pairs to get its conservative lookahead (a datagram sent across shards at
+``t`` cannot arrive before ``t + lookahead``).  For the i.i.d. models the
+two coincide; the per-node quality model knows better, and
+``floor_term(node_id)`` exposes the per-node part of that floor so the
+shard partition (:mod:`repro.shard.partition`) can place nodes to widen it.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence
+from typing import Collection, Dict, Optional, Sequence
 
 from repro.simulation.rng import RngRegistry
 
@@ -51,9 +58,27 @@ class LatencyModel(ABC):
     def min_latency(self) -> float:
         """Greatest lower bound on :meth:`sample` over all pairs and draws.
 
-        The sharded backend uses this as its conservative lookahead, so the
-        bound must hold for *every* possible draw, not just typical ones.
+        The bound must hold for *every* possible draw, not just typical ones.
         """
+
+    def floor_term(self, node_id: NodeId) -> float:
+        """The node's own contribution to its pairs' latency floor.
+
+        A model whose floor is the same for every pair has no such term and
+        returns ``0.0`` for every node.
+        """
+        return 0.0
+
+    def floor_between(
+        self, group_a: Collection[NodeId], group_b: Collection[NodeId]
+    ) -> float:
+        """Lower bound on :meth:`sample` for pairs with one end in each group.
+
+        Holds for every draw and either direction; never below
+        :meth:`min_latency`.  The sharded runner's lookahead rests on it.
+        Both groups must be non-empty.
+        """
+        return self.min_latency()
 
     def describe(self) -> str:
         """Human-readable one-line description (used in experiment reports)."""
@@ -187,6 +212,11 @@ class PerNodeQualityLatency(LatencyModel):
     low factors consistently deliver proposals earlier and therefore win the
     request race — reproducing the heterogeneous contribution the paper
     observes even under homogeneous bandwidth caps.
+
+    The quality table is fixed at construction: ``node_ids`` must name every
+    node that will ever send or receive (sessions pass late joiners too).
+    :meth:`floor_between` — and with it a sharded run's lookahead — is a
+    statement about that table, so there is no way to add a node later.
     """
 
     def __init__(
@@ -215,7 +245,6 @@ class PerNodeQualityLatency(LatencyModel):
             _SenderStreams(rng, "latency/per-node/jitter") if per_sender else None
         )
         quality_rng = rng.stream("latency/per-node/quality")
-        self._quality_rng = quality_rng
         self._quality: Dict[NodeId, float] = {
             node_id: quality_rng.lognormvariate(0.0, quality_sigma) for node_id in node_ids
         }
@@ -223,11 +252,6 @@ class PerNodeQualityLatency(LatencyModel):
     def quality(self, node_id: NodeId) -> float:
         """The node's latency factor (1.0 is average; lower is better)."""
         return self._quality[node_id]
-
-    def register_node(self, node_id: NodeId) -> None:
-        """Assign a quality factor to a node added after construction."""
-        if node_id not in self._quality:
-            self._quality[node_id] = self._quality_rng.lognormvariate(0.0, 0.3)
 
     def sample(self, sender: NodeId, receiver: NodeId) -> float:
         pair_quality = (self._quality[sender] + self._quality[receiver]) / 2.0
@@ -239,6 +263,22 @@ class PerNodeQualityLatency(LatencyModel):
 
     def min_latency(self) -> float:
         return self.minimum
+
+    def floor_term(self, node_id: NodeId) -> float:
+        return self._quality[node_id]
+
+    def floor_between(
+        self, group_a: Collection[NodeId], group_b: Collection[NodeId]
+    ) -> float:
+        quality = self._quality
+        best_a = min(quality[node_id] for node_id in group_a)
+        best_b = min(quality[node_id] for node_id in group_b)
+        # Same expression shape as sample() with the jitter draw at its lower
+        # edge (uniform(-j, j) >= -j exactly), so monotone IEEE rounding makes
+        # this a true lower bound of every draw, not an approximation of one.
+        pair_quality = (best_a + best_b) / 2.0
+        noise = 1.0 + -self.jitter
+        return max(self.minimum, self.base * pair_quality * noise)
 
     def describe(self) -> str:
         return f"per-node quality, base {self.base * 1000:.0f} ms"

@@ -1,8 +1,10 @@
 """Sharded execution: conservative time-window PDES across worker shards.
 
-A sharded run partitions a session's nodes across ``k`` workers
+A sharded run partitions a session's nodes across ``k`` workers, placing
+them so that the smallest delay a cross-shard datagram can have — the
+lookahead — is as large as the latency model allows
 (:mod:`repro.shard.partition`), advances every worker in lockstep
-conservative time windows sized by the transport's minimum latency
+conservative time windows sized by that lookahead
 (:mod:`repro.simulation.backend.sharded`), exchanges cross-shard datagrams
 at window barriers, and merges the per-shard fragments into one
 :class:`~repro.core.session.SessionResult`
@@ -15,17 +17,21 @@ config.  Sharding changes how a session executes, never what it computes.
 registered scenario at 1, 2 and 4 shards.
 """
 
-from repro.shard.partition import partition_nodes, shard_lookup, shard_of_node
-from repro.shard.runner import ShardProtocolError, merge_shard_results, run_sharded
+from repro.shard.partition import ShardPlan, partition_nodes, plan_shards
+from repro.shard.runner import (
+    ShardedRun,
+    ShardProtocolError,
+    execute_sharded,
+    merge_shard_results,
+    run_sharded,
+)
 from repro.shard.session import (
     ShardResult,
     ShardRouter,
     ShardSession,
-    conservative_lookahead,
     session_horizon,
 )
 from repro.shard.wire import (
-    WIRE_FORMATS,
     WireBatch,
     WireFormatError,
     decode_batch,
@@ -33,20 +39,20 @@ from repro.shard.wire import (
 )
 
 __all__ = [
+    "ShardPlan",
     "ShardProtocolError",
     "ShardResult",
     "ShardRouter",
     "ShardSession",
-    "WIRE_FORMATS",
+    "ShardedRun",
     "WireBatch",
     "WireFormatError",
-    "conservative_lookahead",
     "decode_batch",
     "encode_batch",
+    "execute_sharded",
     "merge_shard_results",
     "partition_nodes",
+    "plan_shards",
     "run_sharded",
     "session_horizon",
-    "shard_lookup",
-    "shard_of_node",
 ]

@@ -7,7 +7,9 @@ sharded runner — summarizes both, and exits non-zero on any field mismatch::
     python -m repro.shard run --scenario homogeneous --nodes 30 \
         --shards 2 --parity
 
-Without ``--parity`` it just runs sharded and prints the headline numbers.
+Without ``--parity`` it just runs sharded and prints the headline numbers,
+next to what decides the runner's speed: the partition sizes, the lookahead
+the placement bought, and how many barrier windows the run took.
 """
 
 from __future__ import annotations
@@ -23,10 +25,7 @@ from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import available_scenarios, build_scenario
 from repro.sweep.summary import MetricsRequest, PointSummary, summarize
 
-from repro.shard.partition import partition_nodes
-from repro.shard.runner import run_sharded
-from repro.shard.session import conservative_lookahead
-from repro.shard.wire import WIRE_FORMATS
+from repro.shard.runner import execute_sharded
 
 
 def _positive_int(value: str) -> int:
@@ -69,12 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker mode (default: thread)",
     )
     run.add_argument(
-        "--wire",
-        choices=WIRE_FORMATS,
-        default="compact",
-        help="cross-shard batch encoding (default: compact)",
-    )
-    run.add_argument(
         "--parity",
         action="store_true",
         help="also run the scalar oracle, fail on any summary mismatch, "
@@ -102,18 +95,21 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             f"needs at least one node to own"
         )
 
-    sizes = [len(group) for group in partition_nodes(config.num_nodes, args.shards)]
     print(
         f"scenario={spec.name} nodes={config.num_nodes} shards={args.shards} "
-        f"mode={args.mode} wire={args.wire} "
-        f"lookahead={conservative_lookahead(config):.4f}s partition={sizes}"
+        f"mode={args.mode}"
     )
 
     started = time.perf_counter()
-    result = run_sharded(config, mode=args.mode, wire=args.wire)
+    run = execute_sharded(config, mode=args.mode)
     sharded_wall = time.perf_counter() - started
     request = MetricsRequest()
-    sharded = summarize(result, request, cell_id=spec.name, seed=config.seed)
+    sharded = summarize(run.result, request, cell_id=spec.name, seed=config.seed)
+    print(
+        f"windows : partition={[len(group) for group in run.plan.groups]} "
+        f"lookahead={run.plan.lookahead * 1000:.2f}ms windows={run.windows} "
+        f"events/window={sharded.events_processed / run.windows:.1f}"
+    )
     print(
         f"sharded : events={sharded.events_processed} "
         f"delivery={sharded.delivery_percentage:.2f}% "

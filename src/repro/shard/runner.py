@@ -12,13 +12,21 @@ global earliest pending-event time.  That is correct but pessimistic: shard
 ``k`` cannot be influenced before
 
 * ``min_{j != k} p_j + lookahead`` — another shard's earliest pending event
-  sends a datagram that needs at least one transport hop, or
+  sends a datagram that needs at least one cross-shard hop, or
 * ``p_k + 2 * lookahead`` — shard ``k``'s *own* earliest event is reflected
   back through some other shard (one hop out, one hop back; longer chains
   arrive later and are dominated by these two terms),
 
 where ``p_j`` is shard ``j``'s earliest pending time *including* the
-datagrams routed to it this round.  Each shard therefore gets its own bound
+datagrams routed to it this round, and ``lookahead`` (``L`` below) is the
+plan's greatest lower bound on the delay of any datagram that *crosses*
+shards (:func:`repro.shard.partition.plan_shards`) — wider than the
+transport's global minimum latency, which intra-shard hops may still
+undercut.  The argument only ever counts cross-shard hops: a chain from an
+event on shard ``j`` to shard ``k`` crosses a shard boundary at least once
+(twice when ``j == k`` and it leaves at all), every crossing costs ``>= L``,
+and the intra-shard hops in between cost ``>= 0`` — so multi-hop chains stay
+dominated whatever the hops inside a shard cost.  Each shard therefore gets its own bound
 ``min(until, min_{j != k} p_j + L, p_k + 2L)`` — never smaller than the old
 common bound (both terms are ``>= t_min + L``), and strictly wider for the
 shard that holds the globally earliest work whenever the other shards are
@@ -27,10 +35,13 @@ rounds; a single-shard run needs no barriers at all and jumps straight to
 the horizon.  The coordinator records the bound it issues to each shard and
 verifies the next round's reports against them.
 
-Every quantity in the formula is derived from the config (lookahead,
-horizon) or reported by the workers (peeks, batch delivery times), so
-workers in other processes reach bit-identical window sequences with no
-shared memory.
+Every quantity in the formula is derived from the config once, before any
+worker starts (placement, lookahead, horizon), or reported by the workers
+(peeks, batch delivery times), so workers in other processes reach
+bit-identical window sequences with no shared memory.  The coordinator also
+checks the one assumption the proof rests on: a datagram due below the bound
+its destination shard has already executed means the lookahead was too wide,
+and ends the run with an error naming both shards.
 
 Once a shard's bound reaches the horizon it enters the *drain loop*: it
 executes inclusively up to ``until`` and keeps exchanging until a round
@@ -57,24 +68,23 @@ import queue
 import threading
 import traceback
 from multiprocessing import connection as mp_connection
-from dataclasses import replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.session import SessionConfig, SessionResult
 from repro.metrics.delivery import DeliveryLog
 from repro.network.stats import TrafficStats
 from repro.streaming.schedule import StreamSchedule
 
-from repro.shard.partition import shard_lookup
+from repro.shard.partition import ShardPlan, plan_shards
 from repro.shard.session import (
     ShardResult,
     WindowReply,
     WindowReport,
-    conservative_lookahead,
     run_shard_worker,
     session_horizon,
 )
-from repro.shard.wire import batch_length, check_wire_format, iter_headers
+from repro.shard.wire import WireBatch, iter_headers
 
 
 class ShardProtocolError(RuntimeError):
@@ -84,11 +94,11 @@ class ShardProtocolError(RuntimeError):
 class _Coordinator:
     """Pure window bookkeeping: reports in, replies out, no I/O."""
 
-    def __init__(self, config: SessionConfig, num_shards: int) -> None:
-        self._num_shards = num_shards
-        self._lookup = shard_lookup(config.num_nodes, num_shards)
-        self._until = session_horizon(config)
-        self._lookahead = conservative_lookahead(config)
+    def __init__(self, plan: ShardPlan, until: float) -> None:
+        self._num_shards = plan.num_shards
+        self._lookup = plan.lookup
+        self._until = until
+        self._lookahead = plan.lookahead
         #: Bounds issued last round, by shard id (``None`` until round one —
         #: the first bound is computed identically by every shard backend).
         self._issued: Optional[List[float]] = None
@@ -115,12 +125,17 @@ class _Coordinator:
                     f"bound {report.bound!r}, coordinator issued {issued!r}"
                 )
 
-    def _validate_batch(self, report: WindowReport, dest: int, batch) -> Optional[float]:
-        """Routing-check one outbound batch; return its earliest delivery time.
+    def _validate_batch(
+        self, report: WindowReport, dest: int, batch: WireBatch, executed: List[float]
+    ) -> Optional[float]:
+        """Check one outbound batch; return its earliest delivery time.
 
         A corrupted or misrouted batch must surface as a diagnosable
         :class:`ShardProtocolError` naming the shard and datagram, never as
-        a bare ``IndexError``/``KeyError`` from the lookup table.
+        a bare ``IndexError``/``KeyError`` from the lookup table — and a
+        datagram due before ``executed[dest]``, the bound its destination has
+        already run to, as a lookahead violation here rather than a
+        ``SimulationTimeError`` inside that worker.
         """
         num_nodes = len(self._lookup)
         if not isinstance(dest, int) or not 0 <= dest < self._num_shards:
@@ -133,6 +148,7 @@ class _Coordinator:
                 f"shard {report.shard_id} routed a batch to itself; local "
                 f"datagrams must never reach the coordinator"
             )
+        dest_bound = executed[dest]
         earliest: Optional[float] = None
         for index, (deliver_time, sender, _seq, receiver) in enumerate(
             iter_headers(batch)
@@ -152,6 +168,14 @@ class _Coordinator:
                 raise ShardProtocolError(
                     f"shard {report.shard_id} sent datagram #{index} from "
                     f"sender {sender!r}, which it does not own"
+                )
+            if deliver_time < dest_bound:
+                raise ShardProtocolError(
+                    f"lookahead violated: shard {report.shard_id} sent shard {dest} "
+                    f"datagram #{index} due at {deliver_time!r}, "
+                    f"{dest_bound - deliver_time!r}s before the bound {dest_bound!r} "
+                    f"shard {dest} has already executed (lookahead "
+                    f"{self._lookahead!r}s is wider than this cross-shard delay)"
                 )
             if earliest is None or deliver_time < earliest:
                 earliest = deliver_time
@@ -174,14 +198,16 @@ class _Coordinator:
         self._check_bounds(reports)
         self.rounds += 1
 
-        inbound: List[List[object]] = [[] for _ in range(self._num_shards)]
+        by_shard = sorted(reports, key=lambda report: report.shard_id)
+        executed = [report.bound for report in by_shard]
+        inbound: List[List[WireBatch]] = [[] for _ in range(self._num_shards)]
         earliest_inbound: List[Optional[float]] = [None] * self._num_shards
         moved = False
         for report in reports:
             for dest, batch in report.outbound.items():
-                if batch_length(batch) == 0:
+                if batch.count == 0:
                     continue
-                earliest = self._validate_batch(report, dest, batch)
+                earliest = self._validate_batch(report, dest, batch, executed)
                 moved = True
                 inbound[dest].append(batch)
                 if earliest is not None and (
@@ -193,7 +219,6 @@ class _Coordinator:
         # anything just routed to it.  This is the quantity the widening
         # proof (module docstring) is stated over.
         pending: List[Optional[float]] = []
-        by_shard = sorted(reports, key=lambda report: report.shard_id)
         for report in by_shard:
             candidates = [
                 time
@@ -236,7 +261,7 @@ class _Coordinator:
             # The widening proof guarantees monotonicity; the max() keeps a
             # shard that already ran its inclusive horizon stretch from ever
             # being handed a smaller bound again.
-            next_bounds.append(max(bound, by_shard[shard_id].bound))
+            next_bounds.append(max(bound, executed[shard_id]))
         self._issued = next_bounds
         return [
             WindowReply(
@@ -276,7 +301,9 @@ class _ThreadChannel:
         return reply
 
 
-def _run_threaded(config: SessionConfig, num_shards: int, wire: str) -> List[ShardResult]:
+def _run_threaded(config: SessionConfig, plan: ShardPlan) -> Tuple[List[ShardResult], int]:
+    """Run every shard as a thread; return the fragments and the round count."""
+    num_shards = plan.num_shards
     inbox: "queue.Queue" = queue.Queue()
     reply_queues: List["queue.Queue"] = [queue.Queue() for _ in range(num_shards)]
     results: List[Optional[ShardResult]] = [None] * num_shards
@@ -284,9 +311,7 @@ def _run_threaded(config: SessionConfig, num_shards: int, wire: str) -> List[Sha
     def worker(shard_id: int) -> None:
         channel = _ThreadChannel(shard_id, inbox, reply_queues[shard_id])
         try:
-            results[shard_id] = run_shard_worker(
-                config, shard_id, num_shards, channel, wire=wire
-            )
+            results[shard_id] = run_shard_worker(config, shard_id, plan, channel)
             inbox.put(("done", shard_id, None))
         except BaseException as exc:  # noqa: BLE001 — forwarded to the caller
             inbox.put(("error", shard_id, exc))
@@ -310,7 +335,7 @@ def _run_threaded(config: SessionConfig, num_shards: int, wire: str) -> List[Sha
             thread.join(timeout=_ABORT_JOIN_TIMEOUT)
         raise cause
 
-    coordinator = _Coordinator(config, num_shards)
+    coordinator = _Coordinator(plan, session_horizon(config))
     done = False
     while not done:
         reports: Dict[int, WindowReport] = {}
@@ -343,7 +368,7 @@ def _run_threaded(config: SessionConfig, num_shards: int, wire: str) -> List[Sha
         finished += 1
     for thread in threads:
         thread.join()
-    return [result for result in results if result is not None]
+    return [result for result in results if result is not None], coordinator.rounds
 
 
 # ----------------------------------------------------------------------
@@ -384,11 +409,9 @@ class _PipeChannel:
         return payload
 
 
-def _process_worker_main(config, shard_id, num_shards, connection, wire) -> None:
+def _process_worker_main(config, shard_id, plan, connection) -> None:
     try:
-        result = run_shard_worker(
-            config, shard_id, num_shards, _PipeChannel(connection), wire=wire
-        )
+        result = run_shard_worker(config, shard_id, plan, _PipeChannel(connection))
         _send(connection, ("result", result))
     except _ShardAborted:
         pass
@@ -401,13 +424,15 @@ def _process_worker_main(config, shard_id, num_shards, connection, wire) -> None
         connection.close()
 
 
-def _run_processes(config: SessionConfig, num_shards: int, wire: str) -> List[ShardResult]:
+def _run_processes(config: SessionConfig, plan: ShardPlan) -> Tuple[List[ShardResult], int]:
+    """Run every shard as a process; return the fragments and the round count."""
+    num_shards = plan.num_shards
     context = multiprocessing.get_context()
     pipes = [context.Pipe() for _ in range(num_shards)]
     workers = [
         context.Process(
             target=_process_worker_main,
-            args=(config, shard_id, num_shards, pipes[shard_id][1], wire),
+            args=(config, shard_id, plan, pipes[shard_id][1]),
             name=f"shard-{shard_id}",
         )
         for shard_id in range(num_shards)
@@ -449,7 +474,7 @@ def _run_processes(config: SessionConfig, num_shards: int, wire: str) -> List[Sh
         )
 
     try:
-        coordinator = _Coordinator(config, num_shards)
+        coordinator = _Coordinator(plan, session_horizon(config))
         done = False
         while not done:
             reports: List[WindowReport] = []
@@ -481,14 +506,14 @@ def _run_processes(config: SessionConfig, num_shards: int, wire: str) -> List[Sh
             connection.close()
     for worker in workers:
         worker.join()
-    return results
+    return results, coordinator.rounds
 
 
 # ----------------------------------------------------------------------
 # Merge
 # ----------------------------------------------------------------------
 def merge_shard_results(
-    config: SessionConfig, fragments: List[ShardResult]
+    config: SessionConfig, plan: ShardPlan, fragments: List[ShardResult]
 ) -> SessionResult:
     """Reassemble per-shard fragments into one scalar-identical result.
 
@@ -502,13 +527,13 @@ def merge_shard_results(
     if not fragments:
         raise ValueError("cannot merge an empty list of shard results")
     fragments = sorted(fragments, key=lambda fragment: fragment.shard_id)
-    num_shards = fragments[0].num_shards
+    num_shards = plan.num_shards
     if [fragment.shard_id for fragment in fragments] != list(range(num_shards)):
         raise ShardProtocolError(
             f"incomplete shard results: got ids "
             f"{[fragment.shard_id for fragment in fragments]!r} for {num_shards} shards"
         )
-    lookup = shard_lookup(config.num_nodes, num_shards)
+    lookup = plan.lookup
 
     for fragment in fragments:
         for node_id in fragment.deliveries.raw():
@@ -587,12 +612,19 @@ def merge_shard_results(
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-def run_sharded(
-    config: SessionConfig,
-    shards: Optional[int] = None,
-    mode: str = "thread",
-    wire: str = "compact",
-) -> SessionResult:
+@dataclass(frozen=True)
+class ShardedRun:
+    """A finished sharded run: the merged result and how it was windowed."""
+
+    result: SessionResult
+    plan: ShardPlan
+    #: Barrier rounds the coordinator made (every shard takes part in each).
+    windows: int
+
+
+def execute_sharded(
+    config: SessionConfig, shards: Optional[int] = None, mode: str = "thread"
+) -> ShardedRun:
     """Run ``config`` partitioned across shard workers; merge the fragments.
 
     Parameters
@@ -606,27 +638,33 @@ def run_sharded(
     mode:
         ``"thread"`` (default; no pickling, interleaved execution) or
         ``"process"`` (true parallelism, per-window wire serialization).
-    wire:
-        Cross-shard batch encoding: ``"compact"`` (default; columnar
-        :mod:`repro.shard.wire` batches) or ``"legacy"`` (plain pickled
-        ``RoutedDatagram`` lists, kept as the cross-check oracle).
 
-    Returns the same :class:`~repro.core.session.SessionResult` a scalar
-    ``StreamingSession(config).run()`` of the identical config produces —
-    byte-identical for any shard count and either wire format.
+    Placement and lookahead are derived here, once
+    (:func:`~repro.shard.partition.plan_shards`), and the same plan goes to
+    the coordinator, every worker and the merge.
     """
     num_shards = shards if shards is not None else config.shards
     if num_shards is None:
         raise ValueError("run_sharded needs a shard count (argument or config.shards)")
     if num_shards < 1:
         raise ValueError(f"shards must be >= 1, got {num_shards!r}")
-    check_wire_format(wire)
+    if mode not in ("thread", "process"):
+        raise ValueError(f"unknown sharded runner mode {mode!r} (thread/process)")
     if config.shards != num_shards:
         config = replace(config, shards=num_shards)
-    if mode == "thread":
-        fragments = _run_threaded(config, num_shards, wire)
-    elif mode == "process":
-        fragments = _run_processes(config, num_shards, wire)
-    else:
-        raise ValueError(f"unknown sharded runner mode {mode!r} (thread/process)")
-    return merge_shard_results(config, fragments)
+    plan = plan_shards(config, num_shards)
+    run_workers = _run_threaded if mode == "thread" else _run_processes
+    fragments, rounds = run_workers(config, plan)
+    return ShardedRun(merge_shard_results(config, plan, fragments), plan, rounds)
+
+
+def run_sharded(
+    config: SessionConfig, shards: Optional[int] = None, mode: str = "thread"
+) -> SessionResult:
+    """:func:`execute_sharded`, keeping only the merged result.
+
+    Returns the same :class:`~repro.core.session.SessionResult` a scalar
+    ``StreamingSession(config).run()`` of the identical config produces —
+    byte-identical for any shard count and either mode.
+    """
+    return execute_sharded(config, shards, mode).result

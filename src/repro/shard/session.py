@@ -10,7 +10,7 @@ coordination is needed for any membership decision.
 
 What is *not* replicated is the data plane: a shard instantiates, registers
 and starts only the :class:`~repro.core.node.GossipNode` objects it owns
-(:func:`repro.shard.partition.shard_of_node`).  Datagrams between owned
+(:class:`repro.shard.partition.ShardPlan`).  Datagrams between owned
 nodes stay on the local event queue; datagrams to remote nodes are diverted
 by :class:`ShardRouter` into the current time window's outbound batch and
 re-scheduled verbatim — same absolute delivery instant — on the receiving
@@ -25,7 +25,7 @@ scalar oracle, 1 shard, 2 shards and 4 shards all compute the same floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.node import NodeStats
 from repro.core.session import SessionConfig, StreamingSession
@@ -35,41 +35,15 @@ from repro.network.stats import TrafficStats
 from repro.network.transport import DatagramRouter
 from repro.simulation.backend.sharded import ShardedBackend
 from repro.simulation.engine import Simulator
-from repro.simulation.rng import RngRegistry
 
-from repro.shard.partition import shard_lookup
-from repro.shard.wire import (
-    WIRE_STATS,
-    check_wire_format,
-    encode_batch,
-    merge_inbound,
-)
+from repro.shard.partition import ShardPlan
+from repro.shard.wire import WIRE_STATS, WireBatch, encode_batch, merge_inbound
 
 #: One cross-shard datagram: ``(deliver_time, sender, seq, message)``.
 #: ``seq`` is the origin shard's monotone dispatch counter; since a sender is
 #: owned by exactly one shard, ``(sender, seq)`` is globally unique and the
 #: triple ``(deliver_time, sender, seq)`` is a total order over any batch.
 RoutedDatagram = Tuple[float, NodeId, int, Message]
-
-
-def conservative_lookahead(config: SessionConfig) -> float:
-    """The window size every shard and the coordinator must agree on.
-
-    This is the transport's minimum propagation delay: upload serialization
-    only adds to it, so no datagram sent at ``t`` can be delivered before
-    ``t + lookahead``.  Computed from the *config* (via a throwaway model
-    instance with no registered nodes) so workers in other processes derive
-    the bit-identical float without ever seeing the live network object.
-    """
-    probe = config.network.build_latency(RngRegistry(0), [])
-    lookahead = probe.min_latency()
-    if lookahead <= 0.0:
-        raise ValueError(
-            f"cannot shard this session: latency model "
-            f"{config.network.latency_model!r} has min_latency() == "
-            f"{lookahead!r}, so no conservative time window exists"
-        )
-    return lookahead
 
 
 def session_horizon(config: SessionConfig) -> float:
@@ -81,16 +55,15 @@ def session_horizon(config: SessionConfig) -> float:
 class WindowReport:
     """What one shard tells the coordinator at a window barrier.
 
-    ``outbound`` maps destination shard id to that destination's batch — a
-    :class:`~repro.shard.wire.WireBatch` in compact mode, a plain
-    ``RoutedDatagram`` list in legacy mode.  Pre-splitting by destination in
-    the router (which owns the lookup table anyway) means the coordinator
+    ``outbound`` maps destination shard id to that destination's
+    :class:`~repro.shard.wire.WireBatch`.  Pre-splitting by destination in
+    the router (which holds the lookup table anyway) means the coordinator
     only forwards batches; it never re-packs them.
     """
 
     shard_id: int
     bound: float
-    outbound: Dict[int, object]
+    outbound: Dict[int, WireBatch]
     #: Earliest pending local event after the window (``None``: empty queue).
     peek_time: Optional[float]
 
@@ -100,13 +73,13 @@ class WindowReply:
     """The coordinator's answer: merged inbound traffic plus the next bound.
 
     ``inbound`` carries one batch per source shard that sent this shard
-    traffic, in either wire format; the receiving shard decodes and sorts
-    them (:func:`repro.shard.wire.merge_inbound`).
+    traffic; the receiving shard decodes and sorts them
+    (:func:`repro.shard.wire.merge_inbound`).
     """
 
     next_bound: float
     done: bool
-    inbound: List[object] = field(default_factory=list)
+    inbound: List[WireBatch] = field(default_factory=list)
 
 
 @dataclass
@@ -119,7 +92,6 @@ class ShardResult:
     """
 
     shard_id: int
-    num_shards: int
     owned: Tuple[NodeId, ...]
     deliveries: DeliveryLog
     traffic: TrafficStats
@@ -141,23 +113,19 @@ class ShardRouter(DatagramRouter):
     seq)`` before scheduling, making delivery order independent of how the
     coordinator concatenated the batches.
 
-    At every window flush the batches are packed into the selected wire
-    format: ``"compact"`` produces :class:`~repro.shard.wire.WireBatch`
-    columns (the cheap thing to push through a process pipe), ``"legacy"``
-    keeps the plain tuple lists as the cross-check oracle.
+    At every window flush the batches are packed into
+    :class:`~repro.shard.wire.WireBatch` columns — the cheap thing to push
+    through a process pipe.
     """
 
-    __slots__ = ("_network", "_shard_id", "_lookup", "_outbound", "_seq", "_wire")
+    __slots__ = ("_network", "_shard_id", "_lookup", "_outbound", "_seq")
 
-    def __init__(
-        self, network, shard_id: int, lookup: List[int], wire: str = "compact"
-    ) -> None:
+    def __init__(self, network, shard_id: int, lookup: Sequence[int]) -> None:
         self._network = network
         self._shard_id = shard_id
         self._lookup = lookup
         self._outbound: Dict[int, List[RoutedDatagram]] = {}
         self._seq = 0
-        self._wire = check_wire_format(wire)
 
     def dispatch(self, message: Message, deliver_time: float) -> None:
         """Deliver locally or queue the message for its destination shard."""
@@ -173,13 +141,11 @@ class ShardRouter(DatagramRouter):
         else:
             batch.append(datagram)
 
-    def flush(self) -> Dict[int, object]:
+    def flush(self) -> Dict[int, WireBatch]:
         """Take (and clear) the window's outbound batches, packed for the wire."""
         raw = self._outbound
         self._outbound = {}
-        if self._wire != "compact":
-            return raw
-        batches: Dict[int, object] = {}
+        batches: Dict[int, WireBatch] = {}
         datagrams = 0
         wire_bytes = 0
         for dest, batch in raw.items():
@@ -199,40 +165,33 @@ class ShardSession(StreamingSession):
     config:
         The full session config (``config.shards`` must be set so the
         transport arms per-sender RNG streams).
-    shard_id / num_shards:
+    shard_id:
         This shard's slot in the partition.
+    plan:
+        The run's placement and lookahead
+        (:func:`repro.shard.partition.plan_shards`), the same object the
+        coordinator and every other shard were given.
     channel:
         Barrier transport to the coordinator: an object with
         ``exchange(report: WindowReport) -> WindowReply`` that blocks until
         every shard has reached its coordinator-issued window bound.
-    wire:
-        Cross-shard batch encoding, ``"compact"`` (default) or ``"legacy"``
-        (see :mod:`repro.shard.wire`).
     """
 
     def __init__(
-        self,
-        config: SessionConfig,
-        shard_id: int,
-        num_shards: int,
-        channel,
-        wire: str = "compact",
+        self, config: SessionConfig, shard_id: int, plan: ShardPlan, channel
     ) -> None:
         if config.shards is None:
             raise ValueError("ShardSession requires a config with shards set")
-        if not 0 <= shard_id < num_shards:
-            raise ValueError(f"shard_id {shard_id!r} out of range for {num_shards} shards")
+        if not 0 <= shard_id < plan.num_shards:
+            raise ValueError(
+                f"shard_id {shard_id!r} out of range for {plan.num_shards} shards"
+            )
         super().__init__(config)
         self.shard_id = shard_id
-        self.num_shards = num_shards
+        self.num_shards = plan.num_shards
         self._channel = channel
-        self._wire = check_wire_format(wire)
-        self._lookup = shard_lookup(config.num_nodes, num_shards)
-        self._owned = tuple(
-            node_id
-            for node_id in range(config.num_nodes)
-            if self._lookup[node_id] == shard_id
-        )
+        self._plan = plan
+        self._owned = plan.groups[shard_id]
         self._router: Optional[ShardRouter] = None
         self._control_events = 0
 
@@ -245,15 +204,13 @@ class ShardSession(StreamingSession):
     # Build overrides (everything else is the scalar build, replicated)
     # ------------------------------------------------------------------
     def _create_simulator(self) -> Simulator:
-        backend = ShardedBackend(
-            conservative_lookahead(self.config), barrier=self._window_barrier
-        )
+        backend = ShardedBackend(self._plan.lookahead, barrier=self._window_barrier)
         return Simulator(seed=self.config.seed, backend=backend)
 
     def _build_network(self) -> None:
         super()._build_network()
         assert self.network is not None
-        self._router = ShardRouter(self.network, self.shard_id, self._lookup, self._wire)
+        self._router = ShardRouter(self.network, self.shard_id, self._plan.lookup)
         self.network.set_router(self._router)
 
     def _nodes_to_build(self) -> List[NodeId]:
@@ -350,7 +307,6 @@ class ShardSession(StreamingSession):
         )
         return ShardResult(
             shard_id=self.shard_id,
-            num_shards=self.num_shards,
             owned=self._owned,
             deliveries=self.deliveries,
             traffic=self.network.stats,
@@ -365,7 +321,7 @@ class ShardSession(StreamingSession):
 
 
 def run_shard_worker(
-    config: SessionConfig, shard_id: int, num_shards: int, channel, wire: str = "compact"
+    config: SessionConfig, shard_id: int, plan: ShardPlan, channel
 ) -> ShardResult:
     """Worker entry point shared by the thread and process runners."""
-    return ShardSession(config, shard_id, num_shards, channel, wire=wire).run_shard()
+    return ShardSession(config, shard_id, plan, channel).run_shard()

@@ -29,13 +29,6 @@ byte-identical to what the pickled batch produced.  The shard-equivalence
 property suite pins this end to end; ``tests/properties`` pins
 ``decode(encode(batch)) == batch`` directly, over every protocol message
 kind and the pickle fallback.
-
-Two formats are selectable end to end (``run_sharded(..., wire=...)``,
-CLI ``--wire``):
-
-* ``"compact"`` (default) — this module's columnar encoding;
-* ``"legacy"`` — the original plain ``RoutedDatagram`` lists, kept as the
-  cross-check oracle (the ``shard-smoke`` CI job runs both to parity).
 """
 
 from __future__ import annotations
@@ -54,9 +47,6 @@ from repro.core.messages import (
     ServePayload,
 )
 from repro.network.message import Message
-
-#: The two registered wire formats (CLI choices, ``run_sharded`` argument).
-WIRE_FORMATS = ("compact", "legacy")
 
 #: One cross-shard datagram, as produced by the router (re-exported shape;
 #: the canonical definition lives in :mod:`repro.shard.session`).
@@ -441,37 +431,18 @@ def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
 
 
 # ----------------------------------------------------------------------
-# Format-agnostic helpers (a batch is a WireBatch or a RoutedDatagram list)
+# Batch-level views
 # ----------------------------------------------------------------------
-def batch_length(batch) -> int:
-    """Number of datagrams in a batch of either wire format."""
-    return len(batch)
-
-
-def iter_headers(batch) -> Iterator[Tuple[float, int, int, int]]:
+def iter_headers(batch: WireBatch) -> Iterator[Tuple[float, int, int, int]]:
     """Yield ``(deliver_time, sender, seq, receiver)`` per datagram.
 
-    The coordinator's routing-validation view: both formats expose it
-    without touching payloads (for a :class:`WireBatch`, a straight
-    ``struct`` scan of the head column).
+    The coordinator's routing-validation view: a straight ``struct`` scan of
+    the head column, without touching payloads.
     """
-    if isinstance(batch, WireBatch):
-        seq_base = batch.seq_base
-        node_width, seq_width, size_width = batch.widths[:3]
-        for record in _head_struct(node_width, seq_width, size_width).iter_unpack(
-            batch.head
-        ):
-            yield (record[0], record[1], seq_base + record[2], record[3])
-    else:
-        for deliver_time, sender, seq, message in batch:
-            yield (deliver_time, sender, seq, message.receiver)
-
-
-def decode_any(batch) -> List[RoutedDatagram]:
-    """Materialize a batch of either wire format as ``RoutedDatagram`` list."""
-    if isinstance(batch, WireBatch):
-        return decode_batch(batch)
-    return list(batch)
+    seq_base = batch.seq_base
+    node_width, seq_width, size_width = batch.widths[:3]
+    for record in _head_struct(node_width, seq_width, size_width).iter_unpack(batch.head):
+        yield (record[0], record[1], seq_base + record[2], record[3])
 
 
 def merge_inbound(batches: Iterable) -> List[RoutedDatagram]:
@@ -480,10 +451,11 @@ def merge_inbound(batches: Iterable) -> List[RoutedDatagram]:
     Sorting by ``(deliver_time, sender, seq)`` makes the merged order
     independent of how the coordinator concatenated the per-source batches
     (``(sender, seq)`` is globally unique, so the key is a total order).
+    A piece that is already a ``RoutedDatagram`` list merges as is.
     """
     merged: List[RoutedDatagram] = []
     for batch in batches:
-        merged.extend(decode_any(batch))
+        merged.extend(decode_batch(batch) if isinstance(batch, WireBatch) else batch)
     merged.sort(key=lambda datagram: datagram[:3])
     return merged
 
@@ -536,18 +508,3 @@ class WireStats:
 
 WIRE_STATS = WireStats()
 
-
-def batch_nbytes(batch) -> int:
-    """Serialized size estimate of a batch (exact for :class:`WireBatch`)."""
-    if isinstance(batch, WireBatch):
-        return batch.nbytes
-    return len(pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-def check_wire_format(wire: str) -> str:
-    """Validate a wire-format name; returns it for chaining."""
-    if wire not in WIRE_FORMATS:
-        raise ValueError(
-            f"unknown wire format {wire!r}; expected one of {WIRE_FORMATS}"
-        )
-    return wire

@@ -3,10 +3,12 @@
 Classic conservative PDES (Chandy–Misra lookahead): a shard may safely run
 every event with ``time < bound`` as long as no other shard can inject an
 event below ``bound``.  The transport guarantees exactly that — a datagram
-sent at ``t`` is delivered no earlier than ``t + min_latency()`` — so with
-``lookahead = min_latency()`` each window ``[W, W + lookahead)`` is closed
-under cross-shard traffic: sends *from inside* the window always land at or
-past its end, never inside it.
+sent *to another shard* at ``t`` is delivered no earlier than ``t`` plus the
+latency model's cross-shard floor — so with that floor as the ``lookahead``
+(:func:`repro.shard.partition.plan_shards` derives it together with the
+placement) each window ``[W, W + lookahead)`` is closed under cross-shard
+traffic: sends *from inside* the window always land at or past its end,
+never inside it.
 
 :class:`ShardedBackend` drives a simulator through such half-open windows,
 invoking a *barrier* callback between them.  The barrier (installed by
@@ -75,9 +77,10 @@ class ShardedBackend:
     Parameters
     ----------
     lookahead:
-        The conservative window size — the transport's minimum latency.
-        Must be positive: with a zero lower bound a remote event could land
-        at the current instant and no window is safe.
+        The conservative window size — a lower bound on the delay of every
+        datagram another shard can send this one.  Must be positive: with a
+        zero lower bound a remote event could land at the current instant
+        and no window is safe.
     barrier:
         Optional :data:`WindowBarrier` called after every window.  ``None``
         runs the chunked single-simulator mode (testing and the trivial
@@ -90,7 +93,7 @@ class ShardedBackend:
         if lookahead <= 0.0:
             raise ValueError(
                 f"sharded dispatch needs a positive lookahead, got {lookahead!r}; "
-                "a latency model with min_latency() == 0 cannot be sharded"
+                "a latency model with a zero floor cannot be sharded"
             )
         self._lookahead = float(lookahead)
         self._barrier = barrier

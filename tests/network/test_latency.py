@@ -64,8 +64,8 @@ class TestLogNormalLatency:
 
 
 class TestMinLatency:
-    """min_latency() is the sharded backend's conservative lookahead: it
-    must lower-bound *every* possible draw, not just typical ones."""
+    """min_latency() must lower-bound *every* possible draw over all pairs,
+    not just typical ones; floor_between() never goes below it."""
 
     def test_constant_floor_is_the_delay(self):
         assert ConstantLatency(0.08).min_latency() == 0.08
@@ -86,6 +86,33 @@ class TestMinLatency:
         )
         assert model.min_latency() == 0.006
         assert all(model.sample(0, 1) >= 0.006 for _ in range(500))
+
+
+class TestFloorBetween:
+    """The cross-group floor the sharded runner's lookahead is built from
+    (exactness is pinned in tests/properties/test_latency_floor.py)."""
+
+    def test_per_node_floor_uses_each_groups_best_node(self, rng):
+        model = PerNodeQualityLatency(rng, node_ids=list(range(6)), base=0.05, jitter=0.2)
+        group_a, group_b = [0, 1, 2], [3, 4, 5]
+        best_a = min(model.quality(node) for node in group_a)
+        best_b = min(model.quality(node) for node in group_b)
+        assert model.floor_between(group_a, group_b) == max(
+            model.minimum, 0.05 * ((best_a + best_b) / 2.0) * (1.0 + -0.2)
+        )
+        assert [model.floor_term(node) for node in range(6)] == [
+            model.quality(node) for node in range(6)
+        ]
+
+    def test_floor_clamps_to_the_minimum(self, rng):
+        model = PerNodeQualityLatency(rng, node_ids=[0, 1], base=0.0001, minimum=0.006)
+        assert model.floor_between([0], [1]) == 0.006
+
+    def test_quality_table_is_fixed_at_construction(self, rng):
+        model = PerNodeQualityLatency(rng, node_ids=[0, 1])
+        assert not hasattr(model, "register_node")
+        with pytest.raises(KeyError):
+            model.sample(0, 2)
 
 
 class TestPerSenderStreams:

@@ -14,20 +14,19 @@ import repro.shard.runner as runner_module
 from repro.network.message import Message
 from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import build_scenario
-from repro.shard.partition import shard_lookup
+from repro.shard.partition import plan_shards
 from repro.shard.runner import (
     ShardProtocolError,
     _Coordinator,
+    _run_processes,
     _run_threaded,
+    execute_sharded,
     merge_shard_results,
     run_sharded,
 )
-from repro.shard.session import (
-    ShardRouter,
-    WindowReport,
-    conservative_lookahead,
-    session_horizon,
-)
+from repro.shard.session import ShardRouter, WindowReport, session_horizon
+from repro.shard.wire import WireBatch, decode_batch, encode_batch
+from repro.simulation.rng import RngRegistry
 
 
 def small_config(num_nodes=8, shards=2, seed=3):
@@ -47,9 +46,13 @@ class FakeNetwork:
         self.delivered.append((deliver_time, msg))
 
 
+def decoded(batches):
+    """A flush's batches, unpacked back to ``RoutedDatagram`` lists."""
+    return {dest: decode_batch(batch) for dest, batch in batches.items()}
+
+
 class TestShardRouter:
-    # Pinned placement for 4 nodes, 2 shards: shard 0 owns {0, 1}, shard 1
-    # owns {2, 3} (see tests/shard/test_partition.py).
+    # 4 nodes, 2 shards: shard 0 owns {0, 1}, shard 1 owns {2, 3}.
     LOOKUP = [0, 0, 1, 1]
 
     def test_local_datagrams_schedule_immediately(self):
@@ -61,63 +64,56 @@ class TestShardRouter:
 
     def test_remote_datagrams_batch_with_monotone_seq(self):
         network = FakeNetwork()
-        router = ShardRouter(network, shard_id=0, lookup=self.LOOKUP, wire="legacy")
+        router = ShardRouter(network, shard_id=0, lookup=self.LOOKUP)
         first, second = message(0, 2), message(1, 3)
         router.dispatch(first, 2.0)
         router.dispatch(second, 1.0)  # earlier time, later seq: order kept
         assert network.delivered == []
-        assert router.flush() == {1: [(2.0, 0, 1, first), (1.0, 1, 2, second)]}
+        batches = router.flush()
+        assert isinstance(batches[1], WireBatch)
+        assert decoded(batches) == {1: [(2.0, 0, 1, first), (1.0, 1, 2, second)]}
 
     def test_flush_clears_but_seq_keeps_counting(self):
-        router = ShardRouter(FakeNetwork(), shard_id=0, lookup=self.LOOKUP, wire="legacy")
+        router = ShardRouter(FakeNetwork(), shard_id=0, lookup=self.LOOKUP)
         router.dispatch(message(0, 2), 1.0)
-        assert [seq for _, _, seq, _ in router.flush()[1]] == [1]
+        assert [seq for _, _, seq, _ in decoded(router.flush())[1]] == [1]
         router.dispatch(message(0, 3), 2.0)
         # Seq is a per-shard lifetime counter: uniqueness must span windows.
-        assert [seq for _, _, seq, _ in router.flush()[1]] == [2]
+        assert [seq for _, _, seq, _ in decoded(router.flush())[1]] == [2]
         assert router.flush() == {}
-
-    def test_compact_flush_packs_batches_that_decode_exactly(self):
-        from repro.shard.wire import WireBatch, decode_batch
-
-        router = ShardRouter(FakeNetwork(), shard_id=0, lookup=self.LOOKUP)
-        first, second = message(0, 2), message(1, 3)
-        router.dispatch(first, 2.0)
-        router.dispatch(second, 1.0)
-        batches = router.flush()
-        assert set(batches) == {1}
-        assert isinstance(batches[1], WireBatch)
-        assert decode_batch(batches[1]) == [(2.0, 0, 1, first), (1.0, 1, 2, second)]
 
     def test_batches_split_per_destination_shard(self):
         lookup = [0, 1, 1, 2]  # three shards, shard 0 owns only node 0
-        router = ShardRouter(FakeNetwork(), shard_id=0, lookup=lookup, wire="legacy")
+        router = ShardRouter(FakeNetwork(), shard_id=0, lookup=lookup)
         router.dispatch(message(0, 1), 1.0)
         router.dispatch(message(0, 3), 2.0)
         router.dispatch(message(0, 2), 3.0)
-        batches = router.flush()
+        batches = decoded(router.flush())
         assert set(batches) == {1, 2}
         assert [d[3].receiver for d in batches[1]] == [1, 2]
         assert [d[3].receiver for d in batches[2]] == [3]
 
 
 def owned_node(config, shard_id, index=0):
-    """The index-th node a shard owns under the config's partition."""
-    lookup = shard_lookup(config.num_nodes, config.shards)
-    owned = [n for n in range(config.num_nodes) if lookup[n] == shard_id]
-    return owned[index]
+    """The index-th node a shard owns under the config's plan."""
+    return plan_shards(config, config.shards).groups[shard_id][index]
 
 
 class TestCoordinator:
     def coordinator(self, config=None):
         config = config or small_config()
-        return _Coordinator(config, config.shards), config
+        plan = plan_shards(config, config.shards)
+        return _Coordinator(plan, session_horizon(config)), config
 
     def report(self, shard_id, bound, outbound=None, peek=None):
+        """A window report; ``outbound`` maps shard id to a datagram list."""
         return WindowReport(
             shard_id=shard_id,
             bound=bound,
-            outbound=dict(outbound or {}),
+            outbound={
+                dest: encode_batch(datagrams)
+                for dest, datagrams in (outbound or {}).items()
+            },
             peek_time=peek,
         )
 
@@ -157,7 +153,7 @@ class TestCoordinator:
 
     def test_bounds_widen_per_shard_beyond_global_minimum(self):
         coordinator, config = self.coordinator()
-        lookahead = conservative_lookahead(config)
+        lookahead = plan_shards(config, config.shards).lookahead
         until = session_horizon(config)
         replies = coordinator.replies(
             [self.report(0, 1.0, peek=7.0), self.report(1, 1.0, peek=5.0)]
@@ -174,7 +170,7 @@ class TestCoordinator:
 
     def test_in_flight_datagram_caps_the_receiver_bound(self):
         coordinator, config = self.coordinator()
-        lookahead = conservative_lookahead(config)
+        lookahead = plan_shards(config, config.shards).lookahead
         until = session_horizon(config)
         datagram = self.cross_datagram(config, deliver_time=2.0)
         replies = coordinator.replies(
@@ -189,7 +185,7 @@ class TestCoordinator:
 
     def test_single_shard_jumps_to_horizon_despite_pending_events(self):
         config = small_config(shards=1)
-        coordinator = _Coordinator(config, 1)
+        coordinator = _Coordinator(plan_shards(config, 1), session_horizon(config))
         replies = coordinator.replies([self.report(0, 1.0, peek=2.0)])
         # No other shard can ever influence it: one window to the horizon.
         assert replies[0].next_bound == session_horizon(config)
@@ -201,18 +197,13 @@ class TestCoordinator:
             [self.report(0, 1.0, outbound={1: [to_one]}), self.report(1, 1.0)]
         )
         assert replies[0].inbound == []
-        assert replies[1].inbound == [[to_one]]
+        assert [decode_batch(batch) for batch in replies[1].inbound] == [[to_one]]
 
-    def test_compact_batches_forwarded_without_decoding(self):
-        from repro.shard.wire import encode_batch
-
+    def test_batches_forwarded_without_decoding(self):
         coordinator, config = self.coordinator()
-        batch = encode_batch([self.cross_datagram(config)])
-        replies = coordinator.replies(
-            [self.report(0, 1.0, outbound={1: batch}), self.report(1, 1.0)]
-        )
-        assert replies[1].inbound == [batch]
-        assert replies[1].inbound[0] is batch
+        report = self.report(0, 1.0, outbound={1: [self.cross_datagram(config)]})
+        replies = coordinator.replies([report, self.report(1, 1.0)])
+        assert replies[1].inbound[0] is report.outbound[1]
 
     def test_unknown_receiver_named_in_error(self):
         coordinator, config = self.coordinator()
@@ -233,17 +224,37 @@ class TestCoordinator:
                 [self.report(0, 1.0, outbound={1: [misrouted]}), self.report(1, 1.0)]
             )
 
-    def test_misrouted_compact_batch_detected_too(self):
-        from repro.shard.wire import encode_batch
-
+    def test_datagram_due_inside_an_executed_window_names_both_shards(self):
+        # Both shards have already run everything below 3.0; a datagram
+        # due at 2.5 can only mean the lookahead was too wide.
         coordinator, config = self.coordinator()
-        sender = owned_node(config, 0)
-        local = owned_node(config, 0, index=1)
-        batch = encode_batch([(2.0, sender, 1, message(sender, local))])
-        with pytest.raises(ShardProtocolError, match="misrouted datagram #0"):
+        on_time = self.cross_datagram(config, deliver_time=3.0, seq=1)
+        late = self.cross_datagram(config, deliver_time=2.5, seq=2)
+        with pytest.raises(
+            ShardProtocolError,
+            match=r"lookahead violated: shard 0 sent shard 1 datagram #1 "
+            r"due at 2\.5, 0\.5s before the bound 3\.0",
+        ):
             coordinator.replies(
-                [self.report(0, 1.0, outbound={1: batch}), self.report(1, 1.0)]
+                [
+                    self.report(0, 3.0, outbound={1: [on_time, late]}),
+                    self.report(1, 3.0),
+                ]
             )
+
+    def test_datagram_due_exactly_at_the_bound_is_on_time(self):
+        # The window is half open: an event at the bound belongs to the next
+        # window, so a delivery landing exactly on it is still safe.
+        coordinator, config = self.coordinator()
+        replies = coordinator.replies(
+            [
+                self.report(
+                    0, 3.0, outbound={1: [self.cross_datagram(config, deliver_time=3.0)]}
+                ),
+                self.report(1, 3.0),
+            ]
+        )
+        assert len(replies[1].inbound) == 1
 
     def test_foreign_sender_rejected(self):
         coordinator, config = self.coordinator()
@@ -310,38 +321,40 @@ class TestMergeShardResults:
     @pytest.fixture(scope="class")
     def run(self):
         config = small_config()
-        return config, _run_threaded(config, config.shards, "compact")
+        plan = plan_shards(config, config.shards)
+        fragments, _rounds = _run_threaded(config, plan)
+        return config, plan, fragments
 
     def test_fragments_merge_cleanly(self, run):
-        config, fragments = run
-        merged = merge_shard_results(config, fragments)
+        config, plan, fragments = run
+        merged = merge_shard_results(config, plan, fragments)
         assert merged.deliveries.total_deliveries > 0
         assert merged.events_processed > 0
 
     def test_empty_fragment_list_rejected(self, run):
-        config, _ = run
+        config, plan, _ = run
         with pytest.raises(ValueError, match="empty"):
-            merge_shard_results(config, [])
+            merge_shard_results(config, plan, [])
 
     def test_incomplete_fragment_set_rejected(self, run):
-        config, fragments = run
+        config, plan, fragments = run
         with pytest.raises(ShardProtocolError, match="incomplete shard results"):
-            merge_shard_results(config, fragments[:1])
+            merge_shard_results(config, plan, fragments[:1])
         with pytest.raises(ShardProtocolError, match="incomplete shard results"):
-            merge_shard_results(config, [fragments[0], fragments[0]])
+            merge_shard_results(config, plan, [fragments[0], fragments[0]])
 
     def test_ownership_violation_rejected(self, run):
-        config, fragments = run
+        config, plan, fragments = run
         intruder = fragments[1].owned[0]
         tampered = dataclasses.replace(
             fragments[0],
             deliveries=_copy_deliveries(config, fragments[0], extra=(intruder, 0, 1.0)),
         )
         with pytest.raises(ShardProtocolError, match="owned by shard"):
-            merge_shard_results(config, [tampered, fragments[1]])
+            merge_shard_results(config, plan, [tampered, fragments[1]])
 
     def test_diverged_control_plane_rejected(self, run):
-        config, fragments = run
+        config, plan, fragments = run
         for field_name, value, match in (
             ("failed_nodes", [99], "failure history"),
             ("late_joiners", [99], "late-joiner set"),
@@ -350,12 +363,12 @@ class TestMergeShardResults:
         ):
             tampered = dataclasses.replace(fragments[1], **{field_name: value})
             with pytest.raises(ShardProtocolError, match=match):
-                merge_shard_results(config, [fragments[0], tampered])
+                merge_shard_results(config, plan, [fragments[0], tampered])
 
     def test_merge_accepts_fragments_in_any_order(self, run):
-        config, fragments = run
-        forward = merge_shard_results(config, list(fragments))
-        reverse = merge_shard_results(config, list(reversed(fragments)))
+        config, plan, fragments = run
+        forward = merge_shard_results(config, plan, list(fragments))
+        reverse = merge_shard_results(config, plan, list(reversed(fragments)))
         assert forward.events_processed == reverse.events_processed
         assert forward.deliveries.total_deliveries == reverse.deliveries.total_deliveries
 
@@ -389,22 +402,68 @@ class TestRunShardedValidation:
         with pytest.raises(ValueError, match="unknown sharded runner mode"):
             run_sharded(small_config(), mode="fiber")
 
-    def test_rejects_unknown_wire_format(self):
-        with pytest.raises(ValueError, match="unknown wire format"):
-            run_sharded(small_config(), wire="msgpack")
-
     def test_argument_overrides_config_shard_count(self):
         result = run_sharded(small_config(shards=2), shards=1)
         assert result.config.shards == 1
 
-    def test_unshardable_latency_model_fails_fast(self):
+    def test_unshardable_latency_model_fails_before_any_worker_starts(self):
         config = small_config()
         network = dataclasses.replace(
             config.network, latency_model="constant", base_latency=0.0
         )
         config = dataclasses.replace(config, network=network)
-        with pytest.raises(ValueError, match="min_latency"):
-            conservative_lookahead(config)
+        with pytest.raises(ValueError, match="cross-shard latency floor"):
+            run_sharded(config)
+
+
+def _no_shard_workers_left():
+    import multiprocessing
+    import threading
+
+    threads = [t for t in threading.enumerate() if t.name.startswith("shard-")]
+    processes = [p for p in multiprocessing.active_children() if p.is_alive()]
+    return threads == [] and processes == []
+
+
+class TestWindowCount:
+    """The mechanism the placement exists for: fewer, fuller barrier rounds."""
+
+    CONFIG = dict(num_nodes=30, shards=2, seed=42)
+
+    def test_rounds_agree_across_modes_and_undercut_the_global_floor(self):
+        config = small_config(**self.CONFIG)
+        thread = execute_sharded(config, mode="thread")
+        process = execute_sharded(config, mode="process")
+        assert thread.windows == process.windows
+        assert thread.plan == process.plan
+        assert thread.result.events_processed == process.result.events_processed
+
+        # The same placement windowed on the model's global clamp — what the
+        # runner used before the lookahead was derived per placement.
+        floor = config.network.build_latency(RngRegistry(0), []).min_latency()
+        clamped = dataclasses.replace(thread.plan, lookahead=floor)
+        fragments, clamped_rounds = _run_threaded(config, clamped)
+        merged = merge_shard_results(config, clamped, fragments)
+        assert merged.events_processed == thread.result.events_processed
+        assert thread.windows * 3 <= clamped_rounds
+
+
+class TestLookaheadGuard:
+    """A lookahead wider than a real cross-shard delay ends the run with a
+    named protocol error — in either mode, with every worker joined."""
+
+    @pytest.mark.parametrize("run_workers", [_run_threaded, _run_processes])
+    def test_over_wide_lookahead_is_named_and_workers_are_joined(self, run_workers):
+        config = small_config(num_nodes=30, shards=2, seed=42)
+        plan = plan_shards(config, 2)
+        too_wide = dataclasses.replace(plan, lookahead=plan.lookahead * 40)
+        with pytest.raises(
+            ShardProtocolError,
+            match=r"lookahead violated: shard \d sent shard \d datagram #\d+ due at "
+            r"\S+, \S+s before the bound \S+ shard \d has already executed",
+        ):
+            run_workers(config, too_wide)
+        assert _no_shard_workers_left()
 
 
 class TestWorkerFailure:
@@ -413,10 +472,10 @@ class TestWorkerFailure:
 
         real = runner_module.run_shard_worker
 
-        def explode(config, shard_id, num_shards, channel, wire="compact"):
+        def explode(config, shard_id, plan, channel):
             if shard_id == 1:
                 raise RuntimeError(f"shard {shard_id} corrupted")
-            return real(config, shard_id, num_shards, channel, wire=wire)
+            return real(config, shard_id, plan, channel)
 
         monkeypatch.setattr(runner_module, "run_shard_worker", explode)
         # The *original* worker exception surfaces, not a wrapped protocol
@@ -438,10 +497,10 @@ class TestWorkerFailure:
 
         real = runner_module.run_shard_worker
 
-        def die(config, shard_id, num_shards, channel, wire="compact"):
+        def die(config, shard_id, plan, channel):
             if shard_id == 1:
                 os._exit(17)  # simulates an OOM-kill / hard crash
-            return real(config, shard_id, num_shards, channel, wire=wire)
+            return real(config, shard_id, plan, channel)
 
         monkeypatch.setattr(runner_module, "run_shard_worker", die)
         with pytest.raises(ShardProtocolError, match="shard 1 died without reporting"):

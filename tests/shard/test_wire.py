@@ -20,14 +20,9 @@ from repro.core.messages import (
 )
 from repro.network.message import Message
 from repro.shard.wire import (
-    WIRE_FORMATS,
     WireBatch,
     WireFormatError,
     WireStats,
-    batch_length,
-    batch_nbytes,
-    check_wire_format,
-    decode_any,
     decode_batch,
     encode_batch,
 )
@@ -107,32 +102,6 @@ class TestFallbacks:
         )
         batch = [with_bytes, without]
         assert decode_batch(encode_batch(batch)) == batch
-
-
-class TestHelpers:
-    def test_batch_length_spans_both_formats(self):
-        legacy = [datagram(seq=1), datagram(seq=2)]
-        assert batch_length(legacy) == 2
-        assert batch_length(encode_batch(legacy)) == 2
-
-    def test_decode_any_spans_both_formats(self):
-        legacy = [datagram()]
-        assert decode_any(legacy) == legacy
-        assert decode_any(encode_batch(legacy)) == legacy
-
-    def test_batch_nbytes_is_exact_for_compact_and_pickle_for_legacy(self):
-        legacy = [datagram()]
-        encoded = encode_batch(legacy)
-        assert batch_nbytes(encoded) == encoded.nbytes
-        assert batch_nbytes(legacy) == len(
-            pickle.dumps(legacy, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def test_check_wire_format(self):
-        for wire in WIRE_FORMATS:
-            assert check_wire_format(wire) == wire
-        with pytest.raises(ValueError, match="unknown wire format"):
-            check_wire_format("json")
 
 
 class TestWireStats:
