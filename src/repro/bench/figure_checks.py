@@ -1,8 +1,7 @@
 """Paper-shape assertions for every figure benchmark.
 
-These checks used to live inline in the eight ``benchmarks/bench_fig*.py``
-pytest modules; they now live here so the same assertions guard both entry
-points — the legacy pytest shims *and* ``python -m repro.bench run``.  Each
+These are the assertions ``python -m repro.bench run --filter figureN``
+makes on a regenerated figure.  Each
 ``check_figureN(result, scale, cache)`` raises :class:`AssertionError` with
 a readable message when the regenerated figure loses the shape the paper
 reports, or :class:`FigureCheckSkipped` when the scale cannot express the
@@ -25,7 +24,7 @@ STATIC_X = -1.0
 
 
 class FigureCheckSkipped(Exception):
-    """The scale cannot express this check (the shims turn it into a skip)."""
+    """The scale cannot express this check."""
 
 
 def check_figure1(result: FigureResult, scale: ExperimentScale, cache=None) -> None:
@@ -250,4 +249,4 @@ FIGURE_CHECKS = {
     "figure7": check_figure7,
     "figure8": check_figure8,
 }
-"""Check function per figure id (consumed by the suite and the pytest shims)."""
+"""Check function per figure id (consumed by the suite)."""

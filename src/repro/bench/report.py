@@ -1,9 +1,8 @@
 """The versioned JSON report every benchmark run produces.
 
 One schema for everything: the combined ``python -m repro.bench run --json``
-artifact, the per-benchmark baseline files under ``benchmarks/baselines/``,
-and the legacy shims' ``--json`` flags all write the same shape, so any
-report can be compared against any baseline.
+artifact and the per-benchmark baseline files under ``benchmarks/baselines/``
+have the same shape, so any report can be compared against any baseline.
 
 Schema (``"repro.bench/1"``)::
 

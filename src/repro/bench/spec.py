@@ -97,11 +97,10 @@ class Metric:
 class BenchContext:
     """Everything a benchmark runner receives from the harness.
 
-    ``options`` carries ``--option key=value`` overrides from the CLI (and
-    the legacy shims' size flags); ``cache`` is a summary cache shared by
-    every benchmark of one ``run`` invocation, so consecutive figure
-    benchmarks reuse overlapping simulation points exactly like the old
-    pytest session did.
+    ``options`` carries ``--option key=value`` overrides from the CLI;
+    ``cache`` is a summary cache shared by every benchmark of one ``run``
+    invocation, so consecutive figure benchmarks reuse overlapping
+    simulation points.
     """
 
     scale_name: str

@@ -253,9 +253,8 @@ def _results_dir() -> Path:
 def write_figure_table(result: FigureResult) -> str:
     """Persist a figure's table under ``benchmarks/results/``; return the table.
 
-    The single writer of the ``<figure>_<scale>.txt`` artifacts — both the
-    unified runner and the pytest shims' ``record_figure`` fixture go
-    through it.  Best-effort: on a read-only checkout the table is still
+    The single writer of the ``<figure>_<scale>.txt`` artifacts.
+    Best-effort: on a read-only checkout the table is still
     returned, just not persisted (it is a convenience artifact only).
     """
     table = result.to_table()

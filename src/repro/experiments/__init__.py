@@ -12,7 +12,7 @@ length and parameter grids: ``SMOKE`` (fast, for tests), ``REDUCED`` (the
 default used by the benchmark harness and EXPERIMENTS.md), ``PAPER`` (the
 paper's full 230-node configuration, for users with patience) and
 ``XLARGE`` (1,000 nodes at the paper's stream geometry, served by the
-fast path — see ``benchmarks/bench_large_session.py``).
+fast path — see ``python -m repro.bench run --filter large-session``).
 """
 
 from repro.experiments.figures import (

@@ -14,7 +14,7 @@ in reasonable time, so experiments are parameterized by a *scale*:
 * :data:`XLARGE` — 1,000 nodes at the paper's exact stream geometry
   (600 kbps, 101 + 9 windows), the gossip literature's evaluation size.
   Single sessions are practical thanks to the fast path
-  (``benchmarks/bench_large_session.py`` runs one and reports stage
+  (``python -m repro.bench run --filter large-session`` runs one and reports stage
   timings); full figure sweeps remain multi-core territory.
 
 Besides sizes, a scale also fixes the parameter grids (fanouts, X/Y values,

@@ -11,7 +11,7 @@ Two consumers keep it alive:
 * the equivalence tests in ``tests/metrics/test_quality_fast_path.py``,
   which pin the fast one-pass analyzer against this implementation on
   randomized delivery logs, float-for-float;
-* ``benchmarks/bench_large_session.py``, which reports the measured
+* ``python -m repro.bench run --filter large-session``, which reports the measured
   speedup of the fast path over this implementation on a real session's
   delivery log.
 

@@ -19,10 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-VECTORIZE_MIN_BATCH = 32
-"""Below this many datagrams per batch the scalar loop beats numpy's call
-overhead; measured on the serve-burst distribution of the flagship session."""
-
 
 @dataclass(frozen=True)
 class BandwidthCap:
@@ -162,19 +158,7 @@ class UploadLimiter:
         counter updates — the serialization chain ``busy_until`` is carried
         through the burst element by element).  Returns one finish time or
         ``None`` (dropped) per datagram.
-
-        Large bursts on a capped link use the vectorized numpy kernel
-        (:mod:`repro.network.bandwidth_numpy`) when the numpy backend is
-        active; its floating-point operation order matches the scalar chain
-        bit for bit, and it declines (returning ``None``) on any burst it
-        cannot reproduce exactly, falling back to the scalar loop.
         """
-        if self.cap.rate_bps is not None and len(sizes) >= VECTORIZE_MIN_BATCH:
-            from repro.network.bandwidth_numpy import enqueue_many_vectorized
-
-            result = enqueue_many_vectorized(self, sizes, now)
-            if result is not None:
-                return result
         enqueue = self.enqueue
         return [enqueue(size, now) for size in sizes]
 

@@ -140,7 +140,10 @@ class DatagramRouter(ABC):
     :meth:`Network.schedule_delivery` and diverts everything else into the
     current time window's per-destination outbound batches — packed into the
     columnar wire format (:mod:`repro.shard.wire`) at the window flush — to
-    be re-scheduled verbatim on the receiver's shard at the next barrier.
+    be re-scheduled verbatim on the receiver's shard at the next barrier;
+    the real-network router (:class:`repro.realnet.net.UdpNetwork`) schedules
+    a ``sendto`` on a UDP socket and feeds what arrives back into the
+    delivery stage.
 
     Routers sit *after* the limiter and loss stages on purpose: congestion
     and in-flight loss are sender-side physics and stay on the sender's
@@ -158,7 +161,9 @@ class Network:
     Parameters
     ----------
     simulator:
-        The discrete-event simulator used for timing.
+        The discrete-event simulator used for timing — or any host with its
+        ``now`` / ``schedule_fire_and_forget[_at]`` surface (the realnet
+        subclass passes its asyncio host).
     latency_model / loss_model:
         Substrate behaviour; see :mod:`repro.network.latency` and
         :mod:`repro.network.loss`.
@@ -269,7 +274,7 @@ class Network:
         return self._latency.min_latency()
 
     # ------------------------------------------------------------------
-    # Routing (the shard seam)
+    # Routing (the shard and socket seam)
     # ------------------------------------------------------------------
     def set_router(self, router: Optional[DatagramRouter]) -> None:
         """Install (or, with ``None``, remove) a delivery router."""

@@ -7,8 +7,9 @@ The pieces:
 
 * :class:`~repro.realnet.host.AsyncioHost` — the wall-clock
   :class:`~repro.core.host.Host` implementation;
-* :class:`~repro.realnet.net.UdpNetwork` — real sockets behind the
-  simulated transport's interface, with the same observer edges;
+* :class:`~repro.realnet.net.UdpNetwork` — the simulated transport itself
+  (a :class:`~repro.network.transport.Network` subclass) with real sockets
+  as its delivery leg;
 * :class:`~repro.realnet.session.RealNetSession` — the streaming session
   on the real backend, returning an ordinary
   :class:`~repro.core.session.SessionResult`;

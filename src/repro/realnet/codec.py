@@ -119,8 +119,8 @@ def decode_message(data: bytes) -> Message:
         raise CodecError(f"unsupported wire version {version}")
     offset = _HEADER.size
     kind_bytes, offset = _take(data, offset, klen)
-    kind = kind_bytes.decode("utf-8")
     try:
+        kind = kind_bytes.decode("utf-8")
         if tag == _TAG_NONE:
             payload: object = None
         elif tag in (_TAG_PROPOSE, _TAG_REQUEST):
@@ -137,9 +137,10 @@ def decode_message(data: bytes) -> Message:
             sender=sender, receiver=receiver, kind=kind, size_bytes=size_bytes, payload=payload
         )
     except ValueError as exc:
-        # Field values a crafted datagram can reach (an empty id list, a
-        # negative size) fail the payload/message invariants — surface them
-        # as codec errors, never raw ValueErrors, to the receive path.
+        # Field values a crafted datagram can reach (a kind that is not
+        # UTF-8, an empty id list, a zero size) fail the decode or the
+        # payload/message invariants — surface them as codec errors, never
+        # raw ValueErrors, to the receive path.
         raise CodecError(f"decoded message is invalid: {exc}") from exc
 
 

@@ -1,51 +1,54 @@
-"""The UDP transport: real sockets behind the simulated network's interface.
+"""The UDP transport: real sockets as the delivery leg of the simulated network.
 
-:class:`UdpNetwork` mirrors :class:`repro.network.transport.Network` method
-for method — ``register`` / ``send`` / ``send_many`` / ``fail_node`` /
-observers / ``stats`` — but the delivery leg is an actual asyncio datagram
-endpoint per node instead of an event-queue entry.  The sender-side physics
-is *shared with the simulator by construction*:
+:class:`UdpNetwork` *is* a :class:`repro.network.transport.Network` —
+registration, liveness, observers, ``stats`` and the whole sender-side
+pipeline (upload limiter → traffic stats → in-flight loss → propagation
+latency, with an observer edge at every fate) are inherited, not restated.
+It adds only what is real: one bound UDP socket per node, the asyncio
+endpoints' ``open``/``close``, and the two ends of the wire.  It installs
+itself as the network's :class:`~repro.network.transport.DatagramRouter`,
+the same seam the sharded runner uses, so the three routers read *local
+schedule / shard batch /* ``sendto``:
 
-1. the same :class:`~repro.network.bandwidth.UploadLimiter` answers when a
-   datagram's last byte leaves the node (or drops it on a full backlog);
-2. the same loss model may discard it in flight (drawn from per-sender RNG
-   streams so real-time interleaving cannot perturb the draws);
-3. the same latency model contributes the modeled propagation delay — the
-   ``sendto`` is scheduled at the *virtual* instant the simulator would
-   have delivered the datagram, and the real localhost transit (~0.1 ms)
-   rides on top.
+* ``dispatch(message, deliver_time)`` — called by ``Network.send`` for every
+  accepted, un-lost datagram — schedules the ``sendto`` on the host at the
+  *virtual* instant the simulator would have delivered the datagram; the
+  real localhost transit (~0.1 ms) rides on top;
+* a received datagram is decoded and handed to ``Network._deliver``, which
+  owns the dead-receiver drop, the receive stats and the delivery edges.
 
-Every datagram fate fires the same observer edge at the same point in the
-pipeline as the simulated transport, so the PR 4 validation observers and
-the PR 7 trace recorder work on this backend unchanged and traces are
-schema-identical across backends.
+Loss and latency models should draw from per-sender RNG streams
+(``per_sender=True``) so real-time interleaving of sends across nodes
+cannot perturb anybody's draws.
 
 What stays genuinely *real*: the payload bytes cross the kernel (padded to
 their modeled size, see :mod:`repro.realnet.codec`), delivery order and
 socket backpressure are the operating system's, and a dropped datagram is
-gone — there is no global event queue to fall back on.
+gone — there is no global event queue to fall back on.  A socket is also
+untrusted input: a datagram that does not decode, or that names a receiver
+other than the socket's owner, is counted in ``decode_errors`` and dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.network.bandwidth import BandwidthCap, UploadLimiter
+from repro.network.bandwidth import BandwidthCap
 from repro.network.latency import LatencyModel
 from repro.network.loss import LossModel
 from repro.network.message import Message, NodeId
 from repro.network.stats import TrafficStats
-from repro.network.transport import MessageHandler
+from repro.network.transport import DatagramRouter, MessageHandler, Network
 
 from repro.realnet.codec import decode_message, encode_message
-from repro.realnet.errors import RealNetStateError
+from repro.realnet.errors import CodecError, RealNetStateError
 from repro.realnet.host import AsyncioHost
 from repro.realnet.ports import Address, PortPlan, address_of, bind_node_socket
 
 
 class _NodeProtocol(asyncio.DatagramProtocol):
-    """Datagram receiver of one node: decode and hand to the network."""
+    """Datagram receiver of one node: hands the raw bytes to the network."""
 
     def __init__(self, network: "UdpNetwork", node_id: NodeId) -> None:
         self._network = network
@@ -56,22 +59,19 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         self._network._on_datagram(self._node_id, data)
 
 
-class _UdpEndpoint:
-    """One registered node: handler, limiter, liveness, socket, transport."""
+class _NodeSocket:
+    """One node's bound socket, its address, and (once open) its transport."""
 
-    __slots__ = ("handler", "limiter", "alive", "sock", "address", "transport")
+    __slots__ = ("sock", "address", "transport")
 
-    def __init__(self, handler: MessageHandler, limiter: UploadLimiter, sock, address) -> None:
-        self.handler = handler
-        self.limiter = limiter
-        self.alive = True
+    def __init__(self, sock) -> None:
         self.sock = sock
-        self.address: Address = address
+        self.address: Address = address_of(sock)
         self.transport: Optional[asyncio.DatagramTransport] = None
 
 
-class UdpNetwork:
-    """Routes datagrams between nodes over real asyncio UDP sockets.
+class UdpNetwork(Network, DatagramRouter):
+    """A :class:`Network` whose deliveries cross real asyncio UDP sockets.
 
     Parameters
     ----------
@@ -80,9 +80,7 @@ class UdpNetwork:
         and timer scheduling.  The network registers its endpoint open and
         close coroutines as the host's startup/shutdown hooks.
     latency_model / loss_model:
-        Substrate physics, emulated sender-side exactly as the simulated
-        transport applies them.  Models should be built with
-        ``per_sender=True`` RNG streams (see module docstring).
+        Substrate physics, applied sender-side by the inherited pipeline.
     plan:
         Port allocation policy; defaults to kernel-assigned loopback ports.
     stats:
@@ -97,112 +95,32 @@ class UdpNetwork:
         plan: Optional[PortPlan] = None,
         stats: Optional[TrafficStats] = None,
     ) -> None:
-        self._host = host
-        self._latency = latency_model
-        self._loss = loss_model
+        super().__init__(host, latency_model, loss_model, stats)
         self._plan = plan if plan is not None else PortPlan()
-        self._endpoints: Dict[NodeId, _UdpEndpoint] = {}
-        self.stats = stats if stats is not None else TrafficStats()
-        self._observers: Optional[List[Any]] = None
+        self._sockets: Dict[NodeId, _NodeSocket] = {}
         self._open = False
         self.datagrams_sent = 0
         self.datagrams_received = 0
+        self.decode_errors = 0
+        self.set_router(self)
         host.add_startup_hook(self.open)
         host.add_shutdown_hook(self.close)
 
-    # ------------------------------------------------------------------
-    # Registration and liveness
-    # ------------------------------------------------------------------
     def register(
         self,
         node_id: NodeId,
         handler: MessageHandler,
         cap: Optional[BandwidthCap] = None,
     ) -> None:
-        """Attach an endpoint: binds the node's UDP socket immediately.
-
-        ``cap`` defaults to unlimited upload, as on the simulated network.
-        """
-        if node_id in self._endpoints:
-            raise ValueError(f"node {node_id} is already registered")
+        """Attach an endpoint and bind the node's UDP socket immediately."""
         if self._open:
             raise RealNetStateError("cannot register nodes after endpoints opened")
-        sock = bind_node_socket(self._plan, node_id)
-        limiter = UploadLimiter(cap if cap is not None else BandwidthCap.unlimited())
-        self._endpoints[node_id] = _UdpEndpoint(handler, limiter, sock, address_of(sock))
-
-    def is_registered(self, node_id: NodeId) -> bool:
-        """Whether ``node_id`` has been registered on this network."""
-        return node_id in self._endpoints
-
-    def is_alive(self, node_id: NodeId) -> bool:
-        """Whether ``node_id`` is registered and has not failed."""
-        endpoint = self._endpoints.get(node_id)
-        return endpoint is not None and endpoint.alive
+        super().register(node_id, handler, cap)
+        self._sockets[node_id] = _NodeSocket(bind_node_socket(self._plan, node_id))
 
     def address(self, node_id: NodeId) -> Address:
         """The ``(host, port)`` a node's socket is bound to."""
-        return self._endpoints[node_id].address
-
-    def fail_node(self, node_id: NodeId) -> None:
-        """Crash a node: it stops sending and receiving immediately.
-
-        The socket stays open so datagrams already committed to the wire
-        drain into the dead endpoint (and are observed as
-        ``on_delivery_dropped``), matching the simulated transport's
-        in-flight semantics.
-        """
-        endpoint = self._endpoints.get(node_id)
-        if endpoint is not None:
-            endpoint.alive = False
-            if self._observers is not None:
-                now = self._host.now
-                for observer in self._observers:
-                    observer.on_node_failed(node_id, now)
-
-    def recover_node(self, node_id: NodeId) -> None:
-        """Bring a previously failed node back (its state is untouched)."""
-        endpoint = self._endpoints.get(node_id)
-        if endpoint is not None:
-            endpoint.alive = True
-            if self._observers is not None:
-                now = self._host.now
-                for observer in self._observers:
-                    observer.on_node_recovered(node_id, now)
-
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    def add_observer(self, observer: Any) -> None:
-        """Register a transport observer (same edges as the simulated net)."""
-        if self._observers is None:
-            self._observers = []
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: Any) -> None:
-        """Unregister a transport observer."""
-        if self._observers is not None:
-            self._observers.remove(observer)
-            if not self._observers:
-                self._observers = None
-
-    def limiter(self, node_id: NodeId) -> UploadLimiter:
-        """The upload limiter of ``node_id`` (for inspection)."""
-        return self._endpoints[node_id].limiter
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The emulated propagation-latency model."""
-        return self._latency
-
-    @property
-    def loss_model(self) -> LossModel:
-        """The emulated in-flight loss model."""
-        return self._loss
-
-    def min_latency(self) -> float:
-        """Minimum modeled propagation delay (the real wire adds ~0.1 ms)."""
-        return self._latency.min_latency()
+        return self._sockets[node_id].address
 
     # ------------------------------------------------------------------
     # Endpoint lifecycle (host startup/shutdown hooks)
@@ -212,114 +130,55 @@ class UdpNetwork:
         if self._open:
             return
         loop = asyncio.get_running_loop()
-        for node_id, endpoint in self._endpoints.items():
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda nid=node_id: _NodeProtocol(self, nid), sock=endpoint.sock
+        for node_id, node in self._sockets.items():
+            node.transport, _ = await loop.create_datagram_endpoint(
+                lambda nid=node_id: _NodeProtocol(self, nid), sock=node.sock
             )
-            endpoint.transport = transport
         self._open = True
 
     async def close(self) -> None:
-        """Close every endpoint's transport and socket (idempotent)."""
-        for endpoint in self._endpoints.values():
-            if endpoint.transport is not None:
-                endpoint.transport.close()
-                endpoint.transport = None
+        """Close every endpoint's transport and socket (idempotent).
+
+        Until then a failed node's socket stays open, so datagrams already
+        committed to the wire drain into the dead endpoint and are observed
+        as ``on_delivery_dropped``, as on the simulated transport.
+        """
+        for node in self._sockets.values():
+            if node.transport is not None:
+                node.transport.close()
+                node.transport = None
         self._open = False
         # Yield once so transport close callbacks run before the loop dies.
         await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
-    # Sending
+    # The two ends of the wire
     # ------------------------------------------------------------------
-    def send(self, message: Message) -> bool:
-        """Send ``message`` through the sender-side physics onto the wire.
-
-        Same return contract as the simulated transport: ``True`` when the
-        upload limiter accepted the datagram (it may still be lost or reach
-        a dead node), ``False`` on a local drop.
-        """
-        sender = message.sender
-        endpoint = self._endpoints.get(sender)
-        if endpoint is None or not endpoint.alive:
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_send_blocked(message, self._host.now)
-            return False
-        now = self._host.now
-        finish_time = endpoint.limiter.enqueue(message.size_bytes, now)
-        if finish_time is None:
-            self.stats.record_congestion_drop(sender, message.kind, message.size_bytes)
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_congestion_drop(message, now)
-            return False
-        self.stats.record_sent(sender, message.kind, message.size_bytes)
-        if self._observers is not None:
-            for observer in self._observers:
-                observer.on_send_accepted(message, now, finish_time)
-
-        if self._loss.is_lost(message):
-            self.stats.record_in_flight_loss(sender, message.kind, message.size_bytes)
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_in_flight_loss(message, now)
-            return True
-
-        delay = (finish_time - now) + self._latency.sample(sender, message.receiver)
-        self._host.schedule(delay, self._transmit, message)
-        return True
-
-    def send_many(self, messages: List[Message]) -> int:
-        """Send a same-sender burst; returns how many the limiter accepted.
-
-        The real backend has no unobserved batch fast path — each datagram
-        runs the full :meth:`send` pipeline so the observer interleaving is
-        identical with and without observers.
-        """
-        if not messages:
-            return 0
-        sender = messages[0].sender
-        for message in messages:
-            if message.sender != sender:
-                raise ValueError(
-                    f"send_many requires a single sender, got {message.sender!r} "
-                    f"after {sender!r}"
-                )
-        accepted = 0
-        for message in messages:
-            if self.send(message):
-                accepted += 1
-        return accepted
+    def dispatch(self, message: Message, deliver_time: float) -> None:
+        """Put ``message`` on the wire at virtual ``deliver_time`` (the router seam)."""
+        self._simulator.schedule_fire_and_forget_at(deliver_time, self._transmit, message)
 
     def _transmit(self, message: Message) -> None:
-        """Put one datagram on the wire at its virtual delivery instant."""
-        sender = self._endpoints.get(message.sender)
-        receiver = self._endpoints.get(message.receiver)
+        sender = self._sockets.get(message.sender)
+        receiver = self._sockets.get(message.receiver)
         if sender is None or sender.transport is None or receiver is None:
             return
         sender.transport.sendto(encode_message(message), receiver.address)
         self.datagrams_sent += 1
 
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
-    def _on_datagram(self, receiver_id: NodeId, data: bytes) -> None:
-        message = decode_message(data)
-        self.datagrams_received += 1
-        endpoint = self._endpoints.get(receiver_id)
-        if endpoint is None or not endpoint.alive:
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_delivery_dropped(message, self._host.now)
+    def _on_datagram(self, node_id: NodeId, data: bytes) -> None:
+        try:
+            message = decode_message(data)
+        except CodecError:
+            self.decode_errors += 1
             return
-        self.stats.record_received(receiver_id, message.kind, message.size_bytes)
-        if self._observers is not None:
-            # Same ordering contract as the simulated transport: observers
-            # fire before the handler, so reactions observe their cause.
-            for observer in self._observers:
-                observer.on_delivered(message, self._host.now)
-        endpoint.handler(message)
+        if message.receiver != node_id:
+            # Delivery keys on ``message.receiver``: without this a crafted
+            # datagram could reach any node's handler through any port.
+            self.decode_errors += 1
+            return
+        self.datagrams_received += 1
+        self._deliver(message)
 
 
 __all__ = ["UdpNetwork"]

@@ -29,7 +29,7 @@ Shipped scenarios:
   evaluation size of the wider gossip-dissemination literature (epidemic
   broadcast trees, bandwidth-aware gossip), an order of magnitude past the
   paper's 230-node PlanetLab deployment.  One session is a few minutes of
-  single-core simulation; ``benchmarks/bench_large_session.py`` runs it
+  single-core simulation; ``python -m repro.bench run --filter large-session`` runs it
   with per-stage timings.
 """
 

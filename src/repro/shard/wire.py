@@ -11,8 +11,7 @@ This module replaces the object batch with a *columnar* encoding,
 :class:`WireBatch`: per-datagram head records packed into one ``struct``
 array (``deliver_time``, ``sender``, ``seq``, ``receiver``, ``size_bytes``,
 kind code, payload tag), tag scalars in an aux column, packet-id vectors in
-an id column, and payload bytes (served packet contents, or the pickle
-fallback for payload types the fast tags do not cover) in a blob column.
+an id column, and served packet contents in a blob column.
 Integer columns are adaptively 1/2/4 bytes wide from the batch maxima, and
 sequence numbers are delta-encoded against the batch minimum — a smoke-scale
 batch pays ~15 bytes of head per datagram, not a pickled object graph.  Four
@@ -28,12 +27,14 @@ values, same payload dataclasses — so the receiving shard's event stream is
 byte-identical to what the pickled batch produced.  The shard-equivalence
 property suite pins this end to end; ``tests/properties`` pins
 ``decode(encode(batch)) == batch`` directly, over every protocol message
-kind and the pickle fallback.
+kind.  Payloads are the four :mod:`repro.core.messages` classes or ``None``;
+anything else is refused at encode time with a :class:`WireFormatError`
+(the policy :mod:`repro.realnet.codec` has), so decoding never unpickles
+bytes that crossed a process boundary.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import threading
 from functools import lru_cache
@@ -75,9 +76,7 @@ _WIDTH_CODES = {1: "B", 2: "H", 4: "I"}
 #: NONE — nothing; PROPOSE/REQUEST — 1 aux (id count) + that many entries
 #: in the packet-id column; SERVE — 2 aux (packet id, packet size);
 #: SERVE_BLOB — 3 aux (packet id, packet size, byte length) + bytes in the
-#: blob column; FEED_ME — 1 aux (requester); PICKLE — 1 aux (byte length)
-#: + a pickle of the payload in the blob column (the generality escape
-#: hatch for payload types the fast tags do not cover).
+#: blob column; FEED_ME — 1 aux (requester).
 (
     TAG_NONE,
     TAG_PROPOSE,
@@ -85,8 +84,7 @@ _WIDTH_CODES = {1: "B", 2: "H", 4: "I"}
     TAG_SERVE,
     TAG_SERVE_BLOB,
     TAG_FEED_ME,
-    TAG_PICKLE,
-) = range(7)
+) = range(6)
 
 
 def _width_for(maximum: int) -> int:
@@ -112,12 +110,12 @@ def _scalar_struct(width: int) -> struct.Struct:
 
 
 class WireFormatError(ValueError):
-    """A batch cannot be represented in the compact head columns.
+    """A batch cannot be represented in the wire format.
 
-    Raised only for values outside the fixed-width head layout (node ids,
+    Raised for values outside the fixed-width head layout (node ids,
     sequence numbers or wire sizes beyond ``uint32``, more than 256 distinct
-    message kinds in one batch).  Payload *types* never raise — anything the
-    fast tags cannot carry rides the pickle fallback instead.
+    message kinds in one batch) and for a payload no tag carries (a foreign
+    type, or a protocol payload with a field beyond ``uint32``).
     """
 
 
@@ -234,9 +232,7 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
     """Pack a window's routed datagrams into one :class:`WireBatch`.
 
     Protocol payloads (PROPOSE / REQUEST / SERVE / FEED_ME and ``None``)
-    take the typed fast tags; any other payload object is pickled
-    individually into the blob column, so the format stays exact for
-    message types future protocols introduce.
+    take the typed tags; any other payload raises :class:`WireFormatError`.
 
     Two passes: the first stages each record and measures the column
     maxima, the second packs with the narrowest widths that fit them.
@@ -293,10 +289,11 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
         elif type(payload) is FeedMePayload and _fits_u32(payload.requester):
             tag, aux = TAG_FEED_ME, (payload.requester,)
         else:
-            tag = TAG_PICKLE
-            data = pickle.dumps(payload, protocol=5)
-            aux = (len(data),)
-            blob += data
+            raise WireFormatError(
+                f"cannot encode payload of type {type(payload).__name__}; the wire "
+                f"format carries the repro.core.messages payload classes with "
+                f"uint32 fields only"
+            )
         if sender > max_node:
             max_node = sender
         if receiver > max_node:
@@ -412,11 +409,6 @@ def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
             (requester,) = aux_unpack(batch.aux, aux_at)
             aux_at += aux_width
             payload = FeedMePayload(requester)
-        elif tag == TAG_PICKLE:
-            (length,) = aux_unpack(batch.aux, aux_at)
-            aux_at += aux_width
-            payload = pickle.loads(blob[blob_at : blob_at + length])
-            blob_at += length
         else:
             raise WireFormatError(f"corrupt wire batch: unknown payload tag {tag}")
         out.append(
@@ -445,17 +437,16 @@ def iter_headers(batch: WireBatch) -> Iterator[Tuple[float, int, int, int]]:
         yield (record[0], record[1], seq_base + record[2], record[3])
 
 
-def merge_inbound(batches: Iterable) -> List[RoutedDatagram]:
+def merge_inbound(batches: Iterable[WireBatch]) -> List[RoutedDatagram]:
     """Decode and merge a window's inbound batches into delivery order.
 
     Sorting by ``(deliver_time, sender, seq)`` makes the merged order
     independent of how the coordinator concatenated the per-source batches
     (``(sender, seq)`` is globally unique, so the key is a total order).
-    A piece that is already a ``RoutedDatagram`` list merges as is.
     """
     merged: List[RoutedDatagram] = []
     for batch in batches:
-        merged.extend(decode_batch(batch) if isinstance(batch, WireBatch) else batch)
+        merged.extend(decode_batch(batch))
     merged.sort(key=lambda datagram: datagram[:3])
     return merged
 

@@ -16,18 +16,12 @@ The kernel is deliberately small and dependency-free:
 * :class:`RngRegistry` — named, deterministically derived random streams so
   that every experiment is reproducible from a single seed.
 
-The dispatch loop behind :meth:`Simulator.run` is pluggable: see
-:mod:`repro.simulation.backend` for the scalar oracle, the batched fast
-path, and the ``REPRO_BACKEND`` selection rules.
+There is one dispatch loop, :func:`repro.simulation.backend.run_loop`; a
+:class:`SimulationBackend` (the sharded runner's) only decides which
+stretches of virtual time it runs.
 """
 
-from repro.simulation.backend import (
-    BACKEND_ENV,
-    SimulationBackend,
-    numpy_available,
-    resolve_backend,
-    resolve_backend_name,
-)
+from repro.simulation.backend import SimulationBackend
 from repro.simulation.clock import SimulationClock
 from repro.simulation.errors import SimulationError, SimulationTimeError
 from repro.simulation.event_queue import EventHandle, EventQueue, ScheduledEvent
@@ -36,7 +30,6 @@ from repro.simulation.rng import RngRegistry, derive_seed
 from repro.simulation.timers import PeriodicTimer, Timer
 
 __all__ = [
-    "BACKEND_ENV",
     "EventHandle",
     "EventQueue",
     "PeriodicTimer",
@@ -49,7 +42,4 @@ __all__ = [
     "Simulator",
     "Timer",
     "derive_seed",
-    "numpy_available",
-    "resolve_backend",
-    "resolve_backend_name",
 ]

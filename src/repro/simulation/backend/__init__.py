@@ -1,63 +1,32 @@
-"""Pluggable simulation backends: the scalar oracle and the batched fast path.
+"""The dispatch loop behind :meth:`Simulator.run`, and the seam that wraps it.
 
-The simulator's inner loop — pop the next event, advance the clock, run the
-callback — is factored behind a tiny interface so two implementations can
-share everything else (queue, clock, RNG streams, observers):
+:func:`run_loop` is the only place an event is popped and its callback
+called: discard cancelled heads, stop at the horizon or the event budget,
+pop, advance the clock, count, show the event to the observers, call.
+:meth:`Simulator.run` drives it directly, :meth:`Simulator.step` is the same
+loop with a budget of one, and the sharded backend
+(:mod:`repro.simulation.backend.sharded`) calls it once per conservative
+window.  The loop reports itself as ``"python"`` in trace headers.
 
-``python`` — :class:`~repro.simulation.backend.scalar.ScalarBackend`
-    The original per-event dispatch loop, kept verbatim.  This is the pinned
-    correctness oracle: every other backend must produce byte-identical
-    results (PointSummary, delivery logs, RNG draw order) against it.
-
-``numpy`` — :class:`~repro.simulation.backend.batched.BatchedBackend`
-    The batched fast path.  Events are drained through
-    :meth:`~repro.simulation.event_queue.EventQueue.pop_batch` and dispatched
-    from a tight merged loop that preserves the ``(time, sequence)`` total
-    order; the GF(256) codec and the serializing bandwidth limiter
-    additionally switch to vectorized numpy kernels
-    (:mod:`repro.streaming.gf256_numpy`, :mod:`repro.network.bandwidth_numpy`).
-    Requires numpy for the kernel half; the dispatch half is pure python, so
-    when numpy is absent the backend silently degrades to ``python``.
-
-Selection
----------
-The backend is chosen per :class:`~repro.simulation.engine.Simulator` at
-construction time, from (in priority order) the explicit ``backend=``
-constructor argument, the ``REPRO_BACKEND`` environment variable
-(``numpy`` | ``python`` | ``auto``), or the default ``auto`` — which picks
-``numpy`` whenever numpy is importable and falls back to pure python
-otherwise.  The same resolution drives the standalone numpy kernels, so
-``REPRO_BACKEND=python`` pins the entire process to the pure-python oracle.
-
-Observers and equivalence
--------------------------
-With dispatch observers armed (:meth:`Simulator.add_observer`) or an event
-budget set (``max_events``), the batched backend routes through the scalar
-loop: observer edges fire once per logical event with exactly the oracle's
-timing, so the validation layer (PR 4) sees an identical trace regardless of
-backend.  The equivalence property suite
-(``tests/properties/test_backend_equivalence.py``) runs every registered
-scenario under both backends and asserts identical ``PointSummary`` records.
+A :class:`SimulationBackend` passed to ``Simulator(backend=...)`` decides
+*which stretches* of virtual time the loop runs and what happens between
+them; :class:`~repro.simulation.backend.sharded.ShardedBackend` is the one
+implementation.  It is not a way to swap the loop: a second, batched loop
+selected by name or environment variable was tried and removed
+(docs/performance.md, "Tried and removed").
 """
 
 from __future__ import annotations
 
-import os
-from importlib import util as _importlib_util
-from typing import Optional, Protocol, Union, runtime_checkable
+import heapq
+from typing import Optional, Protocol, runtime_checkable
 
-BACKEND_ENV = "REPRO_BACKEND"
-"""Environment variable selecting the default backend (``numpy``/``python``/``auto``)."""
-
-BACKEND_NAMES = ("python", "numpy")
-"""The two concrete backends, in oracle-first order."""
-
-_numpy_available: Optional[bool] = None
+from repro.simulation.errors import SimulationTimeError
 
 
 @runtime_checkable
 class SimulationBackend(Protocol):
-    """The backend interface: a named event-dispatch loop.
+    """A named policy for driving :func:`run_loop` over a run.
 
     ``run_loop`` drives the simulator until the queue is exhausted, ``until``
     is reached, or ``max_events`` events ran; it returns the number of events
@@ -72,56 +41,45 @@ class SimulationBackend(Protocol):
         ...
 
 
-def numpy_available() -> bool:
-    """Whether numpy can be imported in this interpreter (cached probe)."""
-    global _numpy_available
-    if _numpy_available is None:
-        _numpy_available = _importlib_util.find_spec("numpy") is not None
-    return _numpy_available
+def run_loop(simulator, until: Optional[float], max_events: Optional[int]) -> int:
+    """Execute events with ``time <= until`` in ``(time, sequence)`` order.
 
+    ``until=None`` runs until the queue is empty; ``max_events`` caps the
+    number of events executed.  Returns that number.
 
-def resolve_backend_name(requested: Optional[str] = None) -> str:
-    """Resolve a backend request to a concrete name (``python`` or ``numpy``).
-
-    ``requested`` falls back to ``$REPRO_BACKEND``, then to ``auto``.
-    ``numpy`` and ``auto`` degrade to ``python`` when numpy is absent —
-    the documented auto-fallback that keeps no-numpy environments working.
+    :meth:`EventQueue.pop` and :meth:`SimulationClock.advance_to` are inlined
+    here — a method call each per event is 3–4 % of a session — so this
+    function shares the queue's invariants: the heap list is only ever
+    mutated in place (a callback may cancel, compact or ``clear()`` it while
+    the loop holds the reference), ``_dead`` counts the cancelled entries
+    still in it, and a popped handle is detached so a later ``cancel()``
+    cannot touch that count.
     """
-    name = requested if requested is not None else os.environ.get(BACKEND_ENV) or "auto"
-    name = name.strip().lower()
-    if name == "auto":
-        return "numpy" if numpy_available() else "python"
-    if name == "numpy":
-        return "numpy" if numpy_available() else "python"
-    if name == "python":
-        return "python"
-    raise ValueError(
-        f"unknown simulation backend {name!r}; expected one of "
-        f"{BACKEND_NAMES + ('auto',)!r}"
-    )
-
-
-def resolve_backend(
-    requested: Union[None, str, SimulationBackend] = None,
-) -> SimulationBackend:
-    """Return a backend instance for ``requested`` (name, instance, or None)."""
-    if requested is not None and not isinstance(requested, str):
-        return requested
-    name = resolve_backend_name(requested)
-    if name == "numpy":
-        from repro.simulation.backend.batched import BatchedBackend
-
-        return BatchedBackend()
-    from repro.simulation.backend.scalar import ScalarBackend
-
-    return ScalarBackend()
-
-
-def numpy_kernels_enabled() -> bool:
-    """Whether the standalone numpy kernels (codec, limiter) should engage.
-
-    Follows the same resolution as the dispatch loop so one environment
-    variable pins the whole process: ``REPRO_BACKEND=python`` disables every
-    numpy kernel, anything else enables them whenever numpy is importable.
-    """
-    return resolve_backend_name() == "numpy"
+    queue = simulator._queue
+    heap = queue._heap
+    clock = simulator._clock
+    heappop = heapq.heappop
+    executed = 0
+    while max_events is None or executed < max_events:
+        while heap and heap[0].handle._cancelled:
+            heappop(heap)
+            queue._dead -= 1
+        if not heap:
+            break
+        time = heap[0].time
+        if until is not None and time > until:
+            break
+        event = heappop(heap)
+        event.handle._queue = None
+        if time < clock._now:
+            raise SimulationTimeError(
+                f"cannot move clock backwards from {clock._now!r} to {time!r}"
+            )
+        clock._now = time
+        simulator._events_processed += 1
+        executed += 1
+        if simulator._observers is not None:
+            for observer in simulator._observers:
+                observer.on_event_dispatch(time, event.callback, event.args)
+        event.callback(*event.args)
+    return executed

@@ -24,22 +24,25 @@ other shards catch up.
 
 The final stretch is special: :meth:`Simulator.run`'s contract executes
 events *at* ``until`` inclusively, so once the bound reaches the horizon the
-backend switches to the scalar (inclusive) loop.  Deliveries landing exactly
-at ``until`` may still be in flight from other shards at that point; the
-coordinator keeps everyone in the drain loop — run inclusive, exchange —
-until a round moves no messages and no shard holds an event ``<= until``.
+backend runs the loop with its ordinary inclusive horizon.  Deliveries
+landing exactly at ``until`` may still be in flight from other shards at
+that point; the coordinator keeps everyone in the drain loop — run
+inclusive, exchange — until a round moves no messages and no shard holds an
+event ``<= until``.
 
-Without a barrier the backend is a *chunked scalar loop*: same windows, no
-exchanges — byte-identical to :func:`scalar_run_loop` by construction.  The
-window-edge unit tests pin that equivalence, which is what makes the
-windowing logic trustworthy independently of the multi-shard machinery.
+Without a barrier the backend is a *chunked plain run*: same windows, no
+exchanges — byte-identical to an unwindowed :func:`run_loop` by
+construction.  The window-edge unit tests pin that equivalence, which is
+what makes the windowing logic trustworthy independently of the multi-shard
+machinery.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Tuple
 
-from repro.simulation.backend.scalar import scalar_run_loop
+from repro.simulation.backend import run_loop
 
 WindowBarrier = Callable[[float], Tuple[float, bool]]
 """``barrier(bound) -> (next_bound, done)``: synchronize after a window.
@@ -55,20 +58,11 @@ def windowed_run_loop(simulator, bound: float, max_events: Optional[int]) -> int
 
     The strict bound is the conservative-window contract: an event exactly at
     the bound belongs to the *next* window, where cross-shard datagrams due
-    at that instant will have been merged in.
+    at that instant will have been merged in.  ``time < bound`` is
+    ``time <= the float just below bound``, so this is :func:`run_loop` with
+    that horizon.
     """
-    queue = simulator._queue
-    step = simulator.step
-    executed = 0
-    while True:
-        if max_events is not None and executed >= max_events:
-            break
-        next_time = queue.peek_time()
-        if next_time is None or next_time >= bound:
-            break
-        step()
-        executed += 1
-    return executed
+    return run_loop(simulator, math.nextafter(bound, -math.inf), max_events)
 
 
 class ShardedBackend:
@@ -110,7 +104,7 @@ class ShardedBackend:
                     "a barriered sharded run needs an explicit time horizon "
                     "(run(until=...)); run_until_idle() cannot coordinate shards"
                 )
-            return scalar_run_loop(simulator, until, max_events)
+            return run_loop(simulator, until, max_events)
         queue = simulator._queue
         lookahead = self._lookahead
         executed = 0
@@ -120,7 +114,7 @@ class ShardedBackend:
             if bound < until:
                 executed += windowed_run_loop(simulator, bound, budget)
             else:
-                executed += scalar_run_loop(simulator, until, budget)
+                executed += run_loop(simulator, until, budget)
             if max_events is not None and executed >= max_events:
                 # The event budget is a local safety valve; a budgeted stop
                 # abandons the window protocol exactly like a scalar stop

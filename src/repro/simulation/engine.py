@@ -19,14 +19,14 @@ callback runs, every observer's ``on_event_dispatch(time, callback, args)``
 is invoked.  The validation layer (:mod:`repro.validation`) uses this to
 check invariants such as event-time monotonicity on *every* run.  With no
 observers registered the dispatch loop pays a single ``is None`` test per
-event — measured in ``benchmarks/bench_observer_overhead.py``.
+event — measured by ``python -m repro.bench run --filter observer-overhead``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Union
+from typing import Any, List, Optional
 
-from repro.simulation.backend import SimulationBackend, resolve_backend
+from repro.simulation.backend import SimulationBackend, run_loop
 from repro.simulation.clock import SimulationClock
 from repro.simulation.errors import SimulationStateError, SimulationTimeError
 from repro.simulation.event_queue import EventCallback, EventHandle, EventQueue
@@ -44,26 +44,28 @@ class Simulator:
     start_time:
         Initial simulated time (seconds).
     backend:
-        Which dispatch loop drives :meth:`run`: a backend name
-        (``"python"``/``"numpy"``/``"auto"``), a
-        :class:`~repro.simulation.backend.SimulationBackend` instance, or
-        ``None`` to resolve from ``$REPRO_BACKEND`` (default ``auto``).
-        Every backend is pinned byte-identical to the ``python`` oracle;
-        see :mod:`repro.simulation.backend`.
+        ``None`` runs :func:`~repro.simulation.backend.run_loop` straight to
+        the horizon; a :class:`~repro.simulation.backend.SimulationBackend`
+        instance (the sharded runner's windowed one) drives the same loop in
+        stretches.  Names are not accepted.
     """
 
     def __init__(
         self,
         seed: int = 0,
         start_time: float = 0.0,
-        backend: Union[None, str, SimulationBackend] = None,
+        backend: Optional[SimulationBackend] = None,
     ) -> None:
+        if backend is not None and not isinstance(backend, SimulationBackend):
+            raise TypeError(
+                f"backend must be a SimulationBackend instance or None, got {backend!r}"
+            )
         self._clock = SimulationClock(start_time)
         self._queue = EventQueue()
         self._rng = RngRegistry(seed)
         self._running = False
         self._events_processed = 0
-        self._backend = resolve_backend(backend)
+        self._backend = backend
         # ``None`` (not an empty list) when nobody watches: the dispatch hot
         # path then pays exactly one attribute load + identity test per event.
         self._observers: Optional[List[Any]] = None
@@ -88,8 +90,8 @@ class Simulator:
 
     @property
     def backend_name(self) -> str:
-        """Name of the dispatch backend driving :meth:`run`."""
-        return self._backend.name
+        """What drives :meth:`run`: ``"python"`` (the plain loop) or the backend's name."""
+        return "python" if self._backend is None else self._backend.name
 
     @property
     def pending_events(self) -> int:
@@ -177,16 +179,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event.  Returns ``False`` if none remained."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._clock.advance_to(event.time)
-        self._events_processed += 1
-        if self._observers is not None:
-            for observer in self._observers:
-                observer.on_event_dispatch(event.time, event.callback, event.args)
-        event.callback(*event.args)
-        return True
+        return run_loop(self, None, 1) == 1
 
     def run(
         self,
@@ -209,15 +202,17 @@ class Simulator:
         int
             The number of events executed by this call.
 
-        The dispatch loop itself lives in the configured backend
-        (:mod:`repro.simulation.backend`); this method owns the re-entrancy
-        guard and the final clock advance, which are backend-independent.
+        The dispatch loop itself is :func:`repro.simulation.backend.run_loop`;
+        this method owns the re-entrancy guard and the final clock advance.
         """
         if self._running:
             raise SimulationStateError("Simulator.run() called re-entrantly from an event")
         self._running = True
         try:
-            executed = self._backend.run_loop(self, until, max_events)
+            if self._backend is None:
+                executed = run_loop(self, until, max_events)
+            else:
+                executed = self._backend.run_loop(self, until, max_events)
         finally:
             self._running = False
         if until is not None and self._clock.now < until:

@@ -26,19 +26,17 @@ is unique per queue, so tuple comparison always resolves within the
 millions of comparisons a long session performs run entirely in C instead
 of a Python-level ``__lt__``.
 
-Two bulk operations exist for the batched simulation backend
-(:mod:`repro.simulation.backend`): :meth:`EventQueue.pop_batch` pops a run
-of live events in one call while preserving the total order and the live
-counter, and :meth:`EventQueue.push_unhandled` schedules fire-and-forget
-events (datagram deliveries are never cancelled) without allocating a
-cancellation handle.
+:meth:`EventQueue.push_unhandled` schedules fire-and-forget events (datagram
+deliveries are never cancelled) without allocating a cancellation handle.
+The dispatch loop (:func:`repro.simulation.backend.run_loop`) inlines
+:meth:`EventQueue.pop` and relies on the invariants spelled out there.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.simulation.errors import SimulationTimeError
 
@@ -96,13 +94,12 @@ class ScheduledEvent(NamedTuple):
 class EventQueue:
     """A deterministic, cancellable min-heap of :class:`ScheduledEvent`."""
 
-    __slots__ = ("_heap", "_sequence", "_dead", "_epoch")
+    __slots__ = ("_heap", "_sequence", "_dead")
 
     def __init__(self) -> None:
         self._heap: list[ScheduledEvent] = []
         self._sequence = 0
         self._dead = 0  # cancelled entries still buried in the heap
-        self._epoch = 0  # bumped by clear(); lets bulk dispatch loops abort
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events still queued.  O(1)."""
@@ -162,36 +159,6 @@ class EventQueue:
         event.handle._queue = None
         return event
 
-    def pop_batch(self, until: float | None = None, limit: int | None = None) -> List[ScheduledEvent]:
-        """Remove and return a run of live events in ``(time, sequence)`` order.
-
-        Pops every live event with ``time <= until`` (all of them when
-        ``until`` is ``None``), up to ``limit`` entries per call.  Exactly
-        equivalent to repeated :meth:`pop` calls: cancelled entries are
-        discarded (maintaining the O(1) live counter) and every returned
-        event's handle is detached, so a cancel() issued *while the batch is
-        being executed* marks the handle without touching the queue — the
-        dispatch loop re-checks ``handle.cancelled`` per event.
-        """
-        self._discard_cancelled()
-        heap = self._heap
-        batch: List[ScheduledEvent] = []
-        append = batch.append
-        pop = heapq.heappop
-        remaining = len(heap) if limit is None else limit
-        while heap and remaining > 0:
-            if until is not None and heap[0].time > until:
-                break
-            event = pop(heap)
-            handle = event.handle
-            if handle._cancelled:
-                self._dead -= 1
-                continue
-            handle._queue = None
-            append(event)
-            remaining -= 1
-        return batch
-
     def _discard_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0].handle.cancelled:
@@ -227,4 +194,3 @@ class EventQueue:
             event.handle._queue = None
         self._heap.clear()
         self._dead = 0
-        self._epoch += 1

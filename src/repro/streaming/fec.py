@@ -95,9 +95,8 @@ class ReedSolomonCode:
         acts on each byte position independently — so concatenating shard
         ``j`` of every window into one long shard and multiplying once is
         byte-identical to ``[self.encode(w) for w in windows]`` while paying
-        the per-call overhead (big-int conversions, or the numpy kernel
-        dispatch once the stacked size crosses its threshold) once per
-        *batch* instead of once per window.
+        the per-call overhead (the big-int conversions) once per *batch*
+        instead of once per window.
 
         Windows whose shard lengths differ from each other fall back to
         per-window encoding; within each window the usual equal-length rule
@@ -245,7 +244,7 @@ def reference_encode(code: ReedSolomonCode, data: Sequence[bytes]) -> List[bytes
     """The pre-fast-path scalar encode (byte-at-a-time matrix multiply).
 
     Kept as the baseline the bulk path is pinned against (tests) and
-    measured against (``benchmarks/bench_large_session.py``).  Byte-identical
+    measured against (``python -m repro.bench run --filter large-session``).  Byte-identical
     to :meth:`ReedSolomonCode.encode` by construction.
     """
     code._check_data_shards(data)

@@ -55,15 +55,6 @@ def _build_mul_tables() -> List[bytes]:
 
 _MUL_TABLE = _build_mul_tables()
 
-_NUMPY_MIN_CELLS = 1 << 20
-"""Minimum ``num_rows * shard_length`` before the numpy codec kernel is
-consulted.  Measured result (see docs/performance.md "Backends"): ``bytes.translate`` +
-big-int XOR runs at ~1.5 ns/byte on CPython 3.11 while numpy's fancy-index
-gather costs ~3 ns/byte at the paper's (101, 9, 1400 B) window shape, so
-the scalar bulk path keeps every realistic product; the numpy kernel stays
-oracle-verified and engages only for very large products where the array
-round-trip is amortized."""
-
 
 def mul_table(coefficient: int) -> bytes:
     """The 256-byte ``bytes.translate`` table multiplying by ``coefficient``."""
@@ -245,13 +236,10 @@ class Matrix:
         Each input row is scaled through its coefficient's 256-byte
         translation table and XOR-accumulated as one big integer, so the
         per-byte work happens in C.  Produces byte-identical results to the
-        scalar path (pinned by the property tests).
-
-        When the numpy backend is active (see
-        :mod:`repro.simulation.backend`) and the product is large enough to
-        amortize the array round-trip, the multiply is delegated to the
-        vectorized kernel in :mod:`repro.streaming.gf256_numpy` — exact
-        table lookups and XOR, so the result stays byte-identical.
+        scalar path (pinned by the property tests).  ``bytes.translate`` +
+        big-int XOR runs at ~1.5 ns/byte on CPython 3.11; a numpy
+        fancy-index gather was tried at ~3 ns/byte on the paper's window
+        shape and removed (docs/performance.md, "Tried and removed").
         """
         if len(data_rows) != self.num_cols:
             raise ValueError(
@@ -264,12 +252,6 @@ class Matrix:
             if len(row) != length:
                 raise ValueError("all data rows must have the same length")
         shards = [bytes(row) for row in data_rows]
-        if len(self.rows) * length >= _NUMPY_MIN_CELLS:
-            from repro.streaming import gf256_numpy
-
-            result = gf256_numpy.matrix_multiply_vector(self.rows, shards)
-            if result is not None:
-                return result
         tables = _MUL_TABLE
         result: List[bytes] = []
         for matrix_row in self.rows:

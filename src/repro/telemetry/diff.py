@@ -1,9 +1,8 @@
 """Trace diffing: the bit-reproducibility triage primitive.
 
 Two runs of the same config and seed must produce identical traces modulo
-the header — across dispatch backends too (the ``python`` oracle, the
-batched/numpy backends, and the future sharded/asyncio ones all feed the
-same observer edges).  When they do not, the *first divergent event* is the
+the header — across substrates too (the plain loop, the sharded runner and
+the asyncio host all feed the same observer edges).  When they do not, the *first divergent event* is the
 single most useful debugging fact: everything before it is common prefix,
 so the divergence's cause sits in that event's neighbourhood.
 

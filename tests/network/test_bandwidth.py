@@ -115,10 +115,8 @@ class TestUploadLimiter:
 
 
 class TestEnqueueMany:
-    """`enqueue_many` must be indistinguishable from sequential `enqueue` —
-    including, on the vectorized numpy path, *bit-for-bit* identical float
-    finish times (the kernel relies on ``np.add.accumulate`` evaluating the
-    serialization chain left to right, exactly like the scalar loop)."""
+    """`enqueue_many` must be indistinguishable from sequential `enqueue`:
+    bit-for-bit identical float finish times, drop decisions and counters."""
 
     # Awkward sizes at an awkward rate so every finish time carries a full
     # mantissa of history; any reassociation of the sum would show up.
@@ -149,28 +147,17 @@ class TestEnqueueMany:
     def test_small_batch_uses_scalar_loop_and_matches(self):
         self._assert_equivalent(self.RATE, self.SIZES[:8], now=3.25)
 
-    def test_vectorized_batch_is_bitwise_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_batch_matches_sequential_enqueue(self):
         self._assert_equivalent(self.RATE, self.SIZES, now=3.25)
-        # A fractional pre-existing backlog exercises the `chain[0] +=
-        # first_start` seam between the old busy time and the new chain.
+        # A fractional pre-existing backlog: the burst queues behind it.
         self._assert_equivalent(self.RATE, self.SIZES, now=7.1, start_busy=11.030303)
 
-    def test_vectorized_declines_on_drops_and_still_matches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_batch_with_mid_burst_drops_matches(self):
         cap = BandwidthCap(rate_bps=714_285.0, max_backlog_seconds=0.5)
         sizes = self.SIZES[:60]  # overflows the 0.5 s backlog mid-burst
         self._assert_equivalent(cap, sizes, now=0.0)
         _, times = self._batched(cap, sizes, now=0.0)
         assert None in times  # the burst really does drop
-
-    def test_python_backend_pins_the_scalar_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        from repro.network.bandwidth_numpy import enqueue_many_vectorized
-
-        limiter = UploadLimiter(self.RATE)
-        assert enqueue_many_vectorized(limiter, self.SIZES, now=0.0) is None
-        self._assert_equivalent(self.RATE, self.SIZES, now=0.0)
 
     def test_unlimited_cap_batch_matches(self):
         self._assert_equivalent(BandwidthCap.unlimited(), self.SIZES, now=2.0)

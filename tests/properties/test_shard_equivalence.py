@@ -13,8 +13,7 @@ The oracle has ``shards`` set too: setting the field arms the per-sender
 transport RNG streams, which intentionally diverge from the historical
 shared streams (``shards=None``); the contract is that once a config is
 declared sharded, *how many* workers execute it can never change a bit of
-the outcome.  This is the sharded mirror of
-``tests/properties/test_backend_equivalence.py``.
+the outcome.
 """
 
 from dataclasses import replace

@@ -5,15 +5,17 @@ reconstruction — same delivery floats, same ``Message`` field values, same
 payload dataclasses — because the shard parity contract is byte-identity,
 not approximation.  This suite drives the claim with hypothesis over every
 protocol payload shape (PROPOSE / REQUEST / SERVE with and without payload
-bytes / FEED_ME / bare ``None``) plus the pickle fallback for foreign
-payload types, and checks the two batch-level guarantees the runner builds
-on: pickling a :class:`~repro.shard.wire.WireBatch` is lossless, and
-``merge_inbound`` reproduces the total order ``(deliver_time, sender,
-seq)`` no matter how a window's traffic was split into batches.
+bytes / FEED_ME / bare ``None``), checks that a foreign payload type is
+refused by name rather than pickled, and checks the two batch-level
+guarantees the runner builds on: pickling a
+:class:`~repro.shard.wire.WireBatch` is lossless, and ``merge_inbound``
+reproduces the total order ``(deliver_time, sender, seq)`` no matter how a
+window's traffic was split into batches.
 """
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.messages import (
@@ -30,6 +32,7 @@ from repro.core.messages import (
 from repro.network.message import Message
 from repro.shard.wire import (
     WireBatch,
+    WireFormatError,
     decode_batch,
     encode_batch,
     iter_headers,
@@ -57,8 +60,9 @@ payloads = st.one_of(
         ),
     ),
     st.builds(FeedMePayload, requester=node_ids),
-    # Foreign payload types ride the pickle fallback; they must round-trip
-    # exactly too (future protocols will introduce such messages).
+)
+
+foreign_payloads = st.one_of(
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
     st.lists(st.binary(max_size=8), max_size=3).map(tuple),
 )
@@ -118,10 +122,18 @@ class TestWireRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(batch=batches, cut=st.integers(min_value=0, max_value=24))
     def test_merge_inbound_restores_total_order_across_formats(self, batch, cut):
-        # Split one window's traffic into a compact batch and a legacy one:
-        # the merged result must equal the sorted whole — delivery order may
-        # not depend on how the coordinator concatenated the batches.
+        # Split one window's traffic into two encoded batches: the merged
+        # result must equal the sorted whole — delivery order may not depend
+        # on how the coordinator concatenated the batches.
         cut = min(cut, len(batch))
-        pieces = [encode_batch(batch[:cut]), batch[cut:]]
+        pieces = [encode_batch(batch[:cut]), encode_batch(batch[cut:])]
         merged = merge_inbound(pieces)
         assert merged == sorted(batch, key=lambda datagram: datagram[:3])
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=batches, datagram=routed_datagrams(), payload=foreign_payloads)
+    def test_foreign_payload_type_is_refused_by_name(self, batch, datagram, payload):
+        deliver_time, sender, seq, message = datagram
+        foreign = Message(sender, message.receiver, message.kind, message.size_bytes, payload)
+        with pytest.raises(WireFormatError, match=type(payload).__name__):
+            encode_batch(batch + [(deliver_time, sender, seq, foreign)])

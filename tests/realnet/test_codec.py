@@ -155,6 +155,12 @@ class TestRobustness:
         with pytest.raises(CodecError):
             decode_message(bytes(wire))
 
+    def test_invalid_utf8_kind_rejected(self):
+        wire = bytearray(encode_message(Message(sender=0, receiver=1, kind="xy", size_bytes=64)))
+        wire[17:19] = b"\xff\xfe"  # the kind tag follows the 17-byte header
+        with pytest.raises(CodecError):
+            decode_message(bytes(wire))
+
     def test_truncated_payload_rejected(self):
         msg = Message(sender=0, receiver=1, kind="propose", size_bytes=1,
                       payload=ProposePayload(tuple(range(20))))

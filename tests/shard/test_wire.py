@@ -1,9 +1,9 @@
-"""Unit tests for the compact wire format: layout limits, fallbacks, stats.
+"""Unit tests for the compact wire format: layout limits, payload tags, stats.
 
 The round-trip property suite (``tests/properties/test_wire_roundtrip``)
 pins exactness; these tests pin the edges the fuzzer rarely lands on — head
-fields that overflow the fixed-width columns, the pickle escape hatch, the
-corrupt-tag error path — and the size claim the whole tentpole exists for:
+fields that overflow the fixed-width columns, the payloads no tag carries,
+the corrupt-tag error path — and the size claim the whole tentpole exists for:
 a typical protocol batch serializes at least 2x smaller than pickling the
 equivalent ``Message`` objects.
 """
@@ -83,15 +83,18 @@ class TestLayoutLimits:
             decode_batch(corrupt)
 
 
-class TestFallbacks:
-    def test_oversized_packet_ids_fall_back_to_pickle(self):
-        payload = ProposePayload((2**40,))  # id column is u32; must still work
-        batch = [datagram(payload=payload)]
-        assert decode_batch(encode_batch(batch)) == batch
-
-    def test_foreign_payload_type_falls_back_to_pickle(self):
-        batch = [datagram(kind="custom", payload={"window": 3, "bitmap": b"\x01"})]
-        assert decode_batch(encode_batch(batch)) == batch
+class TestPayloadTags:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"window": 3, "bitmap": b"\x01"},  # a type no tag carries
+            ProposePayload((2**40,)),  # the id column is u32
+        ],
+        ids=["dict", "ProposePayload"],
+    )
+    def test_untagged_payload_is_refused_by_name(self, payload):
+        with pytest.raises(WireFormatError, match=f"payload of type {type(payload).__name__}"):
+            encode_batch([datagram(kind="custom", payload=payload)])
 
     def test_serve_with_and_without_payload_bytes(self):
         with_bytes = datagram(

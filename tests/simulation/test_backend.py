@@ -1,67 +1,41 @@
-"""Backend selection and batched-vs-scalar dispatch equivalence.
+"""The one dispatch loop: ordering, cancellation, observers, budgets.
 
-The batched backend's correctness contract is *exact* equivalence with the
-scalar oracle: same events in the same order, same clock readings inside
-callbacks, same `events_processed`.  These tests exercise the contract on
-workloads built to hit the batched loop's edges — same-instant runs,
-mid-batch scheduling, mid-batch cancellation, `clear()` from a callback —
-plus the name-resolution rules the selection layer promises.
+:func:`repro.simulation.backend.run_loop` inlines the queue pop, so its
+edges are pinned here directly — same-instant siblings cancelling each
+other, zero-delay reschedules, ``clear()`` from a callback, the observer
+edge, exact event budgets — together with the two things built on it:
+``Simulator.step()`` and the ``backend=`` argument.
 """
 
 import pytest
 
-from repro.simulation.backend import (
-    BACKEND_ENV,
-    numpy_available,
-    resolve_backend,
-    resolve_backend_name,
-)
-from repro.simulation.backend.batched import BatchedBackend
-from repro.simulation.backend.scalar import ScalarBackend
+from repro.simulation.backend import SimulationBackend
+from repro.simulation.backend.sharded import ShardedBackend
 from repro.simulation.engine import Simulator
 from repro.simulation.errors import SimulationTimeError
 
 
-class TestResolution:
-    def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend_name("python") == "python"
-
-    def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend_name() == "python"
-
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        expected = "numpy" if numpy_available() else "python"
-        assert resolve_backend_name() == expected
-        assert resolve_backend_name("auto") == expected
-
-    def test_numpy_request_degrades_without_numpy(self):
-        # The documented auto-fallback: "numpy" never errors, it degrades.
-        if numpy_available():
-            assert resolve_backend_name("numpy") == "numpy"
-        else:
-            assert resolve_backend_name("numpy") == "python"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            resolve_backend_name("fortran")
-
-    def test_resolve_backend_passes_instances_through(self):
-        backend = ScalarBackend()
-        assert resolve_backend(backend) is backend
-
-    def test_simulator_exposes_backend_name(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+class TestBackendArgument:
+    def test_simulator_exposes_backend_name(self):
         assert Simulator(seed=1).backend_name == "python"
-        assert Simulator(seed=1, backend="numpy").backend_name == "numpy"
+        assert Simulator(seed=1, backend=ShardedBackend(0.05)).backend_name == "sharded"
+
+    def test_backend_instances_satisfy_the_protocol(self):
+        assert isinstance(ShardedBackend(0.05), SimulationBackend)
+
+    @pytest.mark.parametrize("name", ["numpy", "python", "auto"])
+    def test_backend_names_are_rejected(self, name):
+        with pytest.raises(TypeError, match="SimulationBackend instance or None"):
+            Simulator(seed=1, backend=name)
+
+    def test_environment_is_not_consulted(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "fortran")
+        assert Simulator(seed=1).backend_name == "python"
 
 
-def _run_workload(backend):
-    """A workload exercising every batched-dispatch edge; returns its trace."""
-    simulator = Simulator(seed=42, backend=backend)
-    trace = []
+def _build_workload(simulator, trace):
+    """Same-instant runs, zero-delay reschedules, sibling cancellation,
+    handled and fire-and-forget events, interleaved on one queue."""
 
     def record(label):
         trace.append((label, simulator.now, simulator.events_processed))
@@ -69,99 +43,122 @@ def _run_workload(backend):
     def fan_out(label, count):
         record(label)
         for index in range(count):
-            # Same-instant events (a batch run) plus earlier-than-batch
-            # insertions once the clock has moved past their base.
             simulator.schedule(0.0, record, f"{label}/instant-{index}")
             simulator.schedule(0.25, record, f"{label}/later-{index}")
 
-    def cancel_sibling(handle, label):
+    def cancel_sibling(doomed, label):
         record(label)
-        handle.cancel()
+        doomed["handle"].cancel()
 
     for step in range(4):
         base = float(step)
         simulator.schedule_at(base + 0.5, fan_out, f"fan-{step}", 3)
-        doomed = simulator.schedule_at(base + 0.5, record, f"doomed-{step}")
+        doomed = {}
         simulator.schedule_at(base + 0.5, cancel_sibling, doomed, f"canceller-{step}")
+        doomed["handle"] = simulator.schedule_at(base + 0.5, record, f"doomed-{step}")
         simulator.schedule_fire_and_forget(base + 0.75, record, f"fire-{step}")
-    executed = simulator.run(until=10.0)
-    return trace, executed, simulator.events_processed, simulator.now
 
 
-class TestBatchedEquivalence:
-    def test_trace_identical_to_scalar(self):
-        scalar = _run_workload(ScalarBackend())
-        batched = _run_workload(BatchedBackend())
-        assert batched == scalar
+class _Watcher:
+    def __init__(self):
+        self.dispatches = []
 
-    def test_cancellation_after_batch_pop_is_honoured(self):
-        """An event cancelled by an earlier same-instant event must not run,
-        even though the batch already detached its handle."""
-        for backend in (ScalarBackend(), BatchedBackend()):
-            simulator = Simulator(seed=0, backend=backend)
-            fired = []
-            victim = {}
-            # The canceller has the smaller sequence, so it dispatches first
-            # within the same-instant batch and must suppress the victim.
-            simulator.schedule_at(1.0, lambda: victim["handle"].cancel())
-            victim["handle"] = simulator.schedule_at(1.0, fired.append, "victim")
-            simulator.run_until_idle()
-            assert fired == []
+    def on_event_dispatch(self, time, callback, args):
+        self.dispatches.append((time, args))
 
-    def test_mid_batch_scheduling_interleaves_correctly(self):
-        """Events scheduled from inside a same-instant run for that same
-        instant fire after the remaining batch entries (larger sequence)."""
 
-        def run(backend):
-            simulator = Simulator(seed=0, backend=backend)
-            order = []
+class TestRunLoop:
+    def test_cancelling_a_same_instant_sibling_is_honoured(self):
+        simulator = Simulator(seed=0)
+        fired = []
+        victim = {}
+        # The canceller has the smaller sequence, so it dispatches first and
+        # must suppress the victim queued for the same instant.
+        simulator.schedule_at(1.0, lambda: victim["handle"].cancel())
+        victim["handle"] = simulator.schedule_at(1.0, fired.append, "victim")
+        assert simulator.run_until_idle() == 1
+        assert fired == []
+        assert simulator.pending_events == 0
 
-            def first():
-                order.append("first")
-                simulator.schedule(0.0, order.append, "spawned")
+    def test_zero_delay_reschedule_runs_after_its_siblings(self):
+        simulator = Simulator(seed=0)
+        order = []
 
-            simulator.schedule_at(1.0, first)
-            simulator.schedule_at(1.0, order.append, "second")
-            simulator.run_until_idle()
-            return order
+        def first():
+            order.append("first")
+            simulator.schedule(0.0, order.append, "spawned")
 
-        assert run(BatchedBackend()) == run(ScalarBackend()) == ["first", "second", "spawned"]
+        simulator.schedule_at(1.0, first)
+        simulator.schedule_at(1.0, order.append, "second")
+        simulator.run_until_idle()
+        assert order == ["first", "second", "spawned"]
 
     def test_clear_from_callback_stops_dispatch(self):
-        for backend in (ScalarBackend(), BatchedBackend()):
-            simulator = Simulator(seed=0, backend=backend)
-            fired = []
-            simulator.schedule_at(1.0, fired.append, "kept")
-            simulator.schedule_at(1.0, simulator.clear)
-            simulator.schedule_at(1.0, fired.append, "dropped")
-            simulator.schedule_at(2.0, fired.append, "dropped-too")
-            simulator.run_until_idle()
-            assert fired == ["kept"]
+        simulator = Simulator(seed=0)
+        fired = []
+        simulator.schedule_at(1.0, fired.append, "kept")
+        simulator.schedule_at(1.0, simulator.clear)
+        simulator.schedule_at(1.0, fired.append, "dropped")
+        simulator.schedule_at(2.0, fired.append, "dropped-too")
+        assert simulator.run_until_idle() == 2
+        assert fired == ["kept"]
 
-    def test_observers_fall_back_to_scalar_semantics(self):
-        class Watcher:
-            def __init__(self):
-                self.dispatches = []
-
-            def on_event_dispatch(self, time, callback, args):
-                self.dispatches.append((time, args))
-
-        simulator = Simulator(seed=0, backend=BatchedBackend())
-        watcher = Watcher()
+    def test_observers_see_every_event_at_its_time(self):
+        simulator = Simulator(seed=0)
+        watcher = _Watcher()
         simulator.add_observer(watcher)
+        seen_by_callback = []
         for index in range(3):
-            simulator.schedule_at(1.0, lambda _index: None, index)
+            simulator.schedule_at(
+                1.0 + index, lambda _index: seen_by_callback.append(len(watcher.dispatches)), index
+            )
         simulator.run_until_idle()
-        assert watcher.dispatches == [(1.0, (0,)), (1.0, (1,)), (1.0, (2,))]
+        assert watcher.dispatches == [(1.0, (0,)), (2.0, (1,)), (3.0, (2,))]
+        # The edge fires before the callback it announces.
+        assert seen_by_callback == [1, 2, 3]
 
-    def test_max_events_budget_respected(self):
-        for backend in (ScalarBackend(), BatchedBackend()):
-            simulator = Simulator(seed=0, backend=backend)
-            for index in range(10):
-                simulator.schedule_at(1.0, lambda _index: None, index)
-            executed = simulator.run(max_events=4)
-            assert executed == 4
-            assert simulator.pending_events == 6
+    def test_observer_added_mid_run_sees_the_next_event(self):
+        simulator = Simulator(seed=0)
+        watcher = _Watcher()
+        simulator.schedule_at(1.0, simulator.add_observer, watcher)
+        simulator.schedule_at(2.0, lambda: None)
+        simulator.run_until_idle()
+        assert [time for time, _args in watcher.dispatches] == [2.0]
+
+    def test_max_events_is_exact(self):
+        simulator = Simulator(seed=0)
+        for index in range(10):
+            simulator.schedule_at(1.0, lambda _index: None, index)
+        assert simulator.run(max_events=4) == 4
+        assert simulator.pending_events == 6
+        assert simulator.run(max_events=0) == 0
+        assert simulator.events_processed == 4
+
+    def test_an_event_behind_the_clock_is_refused(self):
+        simulator = Simulator(seed=0, start_time=5.0)
+        simulator._queue.push(1.0, lambda: None)  # behind schedule_at's guard
+        with pytest.raises(SimulationTimeError, match="backwards"):
+            simulator.run_until_idle()
+
+    def test_step_is_run_with_a_budget_of_one(self):
+        def drive(advance):
+            """Advance until idle; return (what ran and what observers saw, calls made)."""
+            simulator = Simulator(seed=42)
+            watcher = _Watcher()
+            simulator.add_observer(watcher)
+            trace = []
+            _build_workload(simulator, trace)
+            calls = 0
+            while advance(simulator):
+                calls += 1
+            return (trace, simulator.now, [time for time, _args in watcher.dispatches]), calls
+
+        whole, _ = drive(lambda simulator: simulator.run() > 0)
+        stepped, steps = drive(lambda simulator: simulator.step())
+        budgeted, budgeted_runs = drive(lambda simulator: simulator.run(max_events=1) == 1)
+        assert stepped == budgeted == whole
+        assert steps == budgeted_runs == len(whole[0])  # one trace entry per event
+        assert not any(label.startswith("doomed") for label, _now, _count in whole[0])
 
 
 class TestFireAndForget:

@@ -179,80 +179,14 @@ class TestLiveCounterAndCompaction:
         assert len(queue) == 1
 
 
-class TestPopBatch:
-    def test_single_event_batch_degrades_to_pop(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        reference = EventQueue()
-        reference.push(1.0, lambda: None)
-        batch = queue.pop_batch()
-        popped = reference.pop()
-        assert [(e.time, e.sequence) for e in batch] == [(popped.time, popped.sequence)]
-        assert queue.pop() is None
-        assert len(queue) == 0
-
-    def test_batch_equals_repeated_pops(self):
-        import random
-
-        rng = random.Random(11)
-        times = [rng.uniform(0.0, 50.0) for _ in range(200)]
-        batched, popped = EventQueue(), EventQueue()
-        for time in times:
-            batched.push(time, lambda: None)
-            popped.push(time, lambda: None)
-        batch = batched.pop_batch()
-        singles = []
-        while True:
-            event = popped.pop()
-            if event is None:
-                break
-            singles.append(event)
-        assert [(e.time, e.sequence) for e in batch] == [(e.time, e.sequence) for e in singles]
-
-    def test_until_is_inclusive_and_limit_bounds_size(self):
-        queue = EventQueue()
-        for time in (1.0, 2.0, 2.0, 3.0):
-            queue.push(time, lambda: None)
-        batch = queue.pop_batch(until=2.0)
-        assert [event.time for event in batch] == [1.0, 2.0, 2.0]
-        assert len(queue) == 1
-        queue.push(0.5, lambda: None)
-        limited = queue.pop_batch(limit=1)
-        assert [event.time for event in limited] == [0.5]
-        assert len(queue) == 1
-
-    def test_cancelled_entries_are_discarded_and_counted(self):
-        queue = EventQueue()
-        handles = [queue.push(float(i), lambda: None) for i in range(6)]
-        for handle in handles[::2]:
-            handle.cancel()
-        assert queue.dead_entries == 3
-        batch = queue.pop_batch()
-        assert [event.handle for event in batch] == [handles[1], handles[3], handles[5]]
-        assert queue.dead_entries == 0
-        assert len(queue) == 0
-
-    def test_cancel_inside_batch_marks_handle_without_touching_queue(self):
-        """Handles are detached at pop: a cancel() issued while the batch is
-        being dispatched must not decrement the queue's dead counter."""
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)  # stays queued
-        batch = queue.pop_batch(until=1.0)
-        assert len(batch) == 2
-        batch[1].handle.cancel()  # e.g. batch[0]'s callback cancelling it
-        assert batch[1].handle.cancelled  # the dispatch loop's skip signal
-        assert queue.dead_entries == 0
-        assert len(queue) == 1
-
+class TestPushUnhandled:
     def test_push_unhandled_shares_order_with_push(self):
         queue = EventQueue()
         order = []
         queue.push(1.0, order.append, "handled-early")
         queue.push_unhandled(1.0, order.append, "unhandled")
         queue.push(1.0, order.append, "handled-late")
-        for event in queue.pop_batch():
+        while (event := queue.pop()) is not None:
             event.callback(*event.args)
         assert order == ["handled-early", "unhandled", "handled-late"]
 
@@ -263,27 +197,4 @@ class TestPopBatch:
         assert len(queue) == 2
         queue.clear()
         assert len(queue) == 0
-        assert queue.pop_batch() == []
-
-    def test_compaction_mid_batch_keeps_heap_reference_valid(self):
-        """The batched dispatch pattern: hold the heap list, pop a batch,
-        let a callback trigger threshold compaction, keep draining.  The
-        held reference must still be the queue's heap and pop order must
-        be unchanged."""
-        queue = EventQueue()
-        doomed = [queue.push(100.0 + i, lambda: None) for i in range(2 * COMPACTION_MIN_DEAD)]
-
-        def cancel_all():
-            for handle in doomed:
-                handle.cancel()
-
-        queue.push(1.0, cancel_all)
-        survivor_handle = queue.push(2.0, lambda: None)
-        heap = queue._heap  # what a dispatch loop would hold
-        for event in queue.pop_batch(until=1.0):
-            event.callback(*event.args)  # triggers compaction
-        assert queue._heap is heap
-        remaining = queue.pop_batch()
-        assert [event.handle for event in remaining] == [survivor_handle]
-        assert queue.dead_entries == 0
-        assert len(queue) == 0
+        assert queue.pop() is None

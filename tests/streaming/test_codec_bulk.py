@@ -194,97 +194,3 @@ class TestEncodeBatch:
         windows.append(windows[0][:3])  # wrong shard count
         with pytest.raises(ValueError, match="expected 4 data shards"):
             code.encode_batch(windows)
-
-    def test_stacked_batch_crosses_numpy_threshold_identically(self, monkeypatch):
-        """A batch large enough to cross ``_NUMPY_MIN_CELLS`` (where single
-        windows would not) must produce the same parity via the kernel."""
-        from repro.streaming import gf256_numpy
-
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        if not gf256_numpy.available():
-            pytest.skip("numpy not installed")
-        rng = random.Random(35)
-        code = ReedSolomonCode(9, 3)
-        windows = self._windows(rng, 5, 9, 30)
-        per_window = [code.encode(w) for w in windows]
-        # 3 rows x (5 * 30) bytes stacked = 450 cells: force the crossover.
-        monkeypatch.setattr(gf256, "_NUMPY_MIN_CELLS", 400)
-        assert code.encode_batch(windows) == per_window
-
-
-class TestNumpyCodecKernel:
-    """The vectorized GF(256) kernel (numpy backend) must be byte-identical
-    to both scalar paths, engage only above the measured size threshold,
-    and stay inert when the process is pinned to the python backend."""
-
-    @staticmethod
-    def _random_problem(rng, rows, cols, length):
-        matrix = Matrix([[rng.randrange(256) for _ in range(cols)] for _ in range(rows)])
-        data = [bytes(rng.randrange(256) for _ in range(length)) for _ in range(cols)]
-        return matrix, data
-
-    def test_kernel_matches_scalar_reference(self, monkeypatch):
-        from repro.streaming import gf256_numpy
-
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        if not gf256_numpy.available():
-            pytest.skip("numpy not installed")
-        rng = random.Random(21)
-        for rows, cols, length in [(1, 1, 1), (9, 101, 64), (5, 7, 1400), (12, 3, 33)]:
-            matrix, data = self._random_problem(rng, rows, cols, length)
-            expected = matrix.multiply_vector_rows([list(shard) for shard in data])
-            result = gf256_numpy.matrix_multiply_vector(matrix.rows, data)
-            assert result is not None
-            assert [list(shard) for shard in result] == expected
-
-    def test_dispatch_engages_above_threshold_and_stays_identical(self, monkeypatch):
-        from repro.streaming import gf256_numpy
-
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        if not gf256_numpy.available():
-            pytest.skip("numpy not installed")
-        # Lower the crossover so a test-sized product takes the numpy route
-        # through the public multiply_vector_bytes dispatcher.
-        monkeypatch.setattr(gf256, "_NUMPY_MIN_CELLS", 1)
-        calls = []
-        original = gf256_numpy.matrix_multiply_vector
-
-        def spying(rows, shards):
-            calls.append((len(rows), len(shards)))
-            return original(rows, shards)
-
-        monkeypatch.setattr(gf256_numpy, "matrix_multiply_vector", spying)
-        rng = random.Random(22)
-        matrix, data = self._random_problem(rng, 9, 101, 200)
-        bulk = matrix.multiply_vector_bytes(data)
-        assert calls == [(9, 101)]
-        scalar = matrix.multiply_vector_rows([list(shard) for shard in data])
-        assert [list(shard) for shard in bulk] == scalar
-
-    def test_python_backend_disables_the_kernel(self, monkeypatch):
-        from repro.streaming import gf256_numpy
-
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        rng = random.Random(23)
-        matrix, data = self._random_problem(rng, 4, 4, 50)
-        assert gf256_numpy.matrix_multiply_vector(matrix.rows, data) is None
-        # The dispatcher falls through to the big-int path and still answers.
-        monkeypatch.setattr(gf256, "_NUMPY_MIN_CELLS", 1)
-        scalar = matrix.multiply_vector_rows([list(shard) for shard in data])
-        assert [list(shard) for shard in matrix.multiply_vector_bytes(data)] == scalar
-
-    def test_paper_shape_stays_on_the_bigint_path(self, monkeypatch):
-        """At the paper's (101+9, 1400 B) window the measured winner is the
-        translate/big-int path; the default threshold must keep it."""
-        from repro.streaming import gf256_numpy
-
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-
-        def exploding(rows, shards):  # pragma: no cover - must not run
-            raise AssertionError("numpy kernel engaged below its threshold")
-
-        monkeypatch.setattr(gf256_numpy, "matrix_multiply_vector", exploding)
-        rng = random.Random(24)
-        matrix, data = self._random_problem(rng, 9, 101, 1400)
-        assert len(matrix.rows) * 1400 < gf256._NUMPY_MIN_CELLS
-        matrix.multiply_vector_bytes(data)  # does not touch the kernel
