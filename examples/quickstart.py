@@ -9,8 +9,9 @@ usage summary.
 
 Every experiment shape in this repository is a named
 :class:`~repro.scenarios.ScenarioSpec`; ``run_scenario(name, **overrides)``
-compiles it through the :class:`~repro.scenarios.SessionBuilder` and runs
-it.  List the available shapes with ``available_scenarios()``.
+compiles it with :meth:`~repro.scenarios.ScenarioSpec.session_config` and
+hands the config to :func:`~repro.run_session`.  List the available shapes
+with ``available_scenarios()``.
 
 Run with::
 

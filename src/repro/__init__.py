@@ -35,7 +35,6 @@ from repro.protocols import (
 from repro.scenarios import (
     BandwidthClass,
     ScenarioSpec,
-    SessionBuilder,
     available_scenarios,
     register_scenario,
     run_scenario,
@@ -65,7 +64,6 @@ __all__ = [
     "OFFLINE_LAG",
     "ReedSolomonCode",
     "ScenarioSpec",
-    "SessionBuilder",
     "SessionConfig",
     "SessionResult",
     "Simulator",

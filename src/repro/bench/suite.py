@@ -353,7 +353,7 @@ LARGE_SESSION_SIZES = {
 
 def run_large_session_stage(spec) -> tuple:
     """Run the large-session scenario; returns (result, session metrics)."""
-    from repro.scenarios.builder import run_spec
+    from repro.scenarios import run_spec
 
     started = time.perf_counter()
     result = run_spec(spec)
@@ -528,7 +528,6 @@ def run_sharded_session(ctx: BenchContext) -> dict:
     docs/performance.md).
     """
     from repro.scenarios import build_scenario
-    from repro.scenarios.builder import SessionBuilder
     from repro.shard import execute_sharded
     from repro.shard.wire import WIRE_STATS
 
@@ -546,7 +545,7 @@ def run_sharded_session(ctx: BenchContext) -> dict:
     if num_windows is not None:
         overrides["stream"] = StreamConfig.paper_defaults(num_windows=num_windows)
     spec = build_scenario("metropolis", **overrides)
-    config = SessionBuilder.from_spec(spec).to_config()
+    config = spec.session_config()
     ctx.log(f"    session: {spec.describe()} ({shards} shards, {mode} mode)")
 
     WIRE_STATS.reset()
@@ -642,7 +641,6 @@ def run_wire(ctx: BenchContext) -> dict:
 
     from repro.network.transport import DatagramRouter
     from repro.scenarios import build_scenario
-    from repro.scenarios.builder import SessionBuilder
     from repro.shard.partition import plan_shards
     from repro.shard.wire import decode_batch, encode_batch
 
@@ -658,7 +656,7 @@ def run_wire(ctx: BenchContext) -> dict:
         shards=shards,
         stream=StreamConfig.paper_defaults(num_windows=num_windows),
     )
-    config = SessionBuilder.from_spec(spec).to_config()
+    config = spec.session_config()
     plan = plan_shards(config, shards)
     lookup = plan.lookup
     lookahead = plan.lookahead

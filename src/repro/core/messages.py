@@ -94,3 +94,106 @@ class FeedMePayload:
     def __post_init__(self) -> None:
         if self.requester < 0:
             raise ValueError("requester id must be non-negative")
+
+
+# ----------------------------------------------------------------------
+# Wire schema
+# ----------------------------------------------------------------------
+# Both binary formats — the UDP datagram codec (repro.realnet.codec) and the
+# columnar cross-shard batch (repro.shard.wire) — carry a payload as a tag,
+# a few uint32 scalars, an optional packet-id vector and an optional byte
+# blob.  What each tag carries is decided here, beside the classes; the
+# formats only frame those four parts (header and padding there, adaptive
+# column widths here).
+
+U32_MAX = 0xFFFFFFFF
+
+(
+    TAG_NONE,
+    TAG_PROPOSE,
+    TAG_REQUEST,
+    TAG_SERVE,
+    TAG_SERVE_BLOB,
+    TAG_FEED_ME,
+) = range(6)
+
+PAYLOAD_LAYOUT = {
+    TAG_NONE: (0, False, False),
+    TAG_PROPOSE: (0, True, False),
+    TAG_REQUEST: (0, True, False),
+    TAG_SERVE: (2, False, False),  # packet id, packet size
+    TAG_SERVE_BLOB: (2, False, True),  # packet id, packet size + content
+    TAG_FEED_ME: (1, False, False),  # requester
+}
+"""Per tag: ``(uint32 scalar count, has packet-id vector, has byte blob)``."""
+
+
+class EncodeError(ValueError):
+    """A message field or payload that neither wire format can carry."""
+
+
+def check_u32(name: str, value: int) -> int:
+    """``value`` if it is an ``int`` a uint32 field holds, else :class:`EncodeError`."""
+    if type(value) is not int or not 0 <= value <= U32_MAX:
+        raise EncodeError(f"{name} {value!r} does not fit uint32")
+    return value
+
+
+def pack_payload(payload: object) -> Tuple[int, Tuple[int, ...], Tuple[int, ...], Optional[bytes]]:
+    """Split a payload into ``(tag, scalars, packet_ids, blob)``.
+
+    Raises :class:`EncodeError`, naming the payload type, for a type no tag
+    carries and for a field beyond uint32.
+    """
+    if payload is None:
+        return TAG_NONE, (), (), None
+    kind = type(payload)
+    try:
+        if kind is ProposePayload or kind is RequestPayload:
+            packet_ids = payload.packet_ids
+            check_u32("id count", len(packet_ids))
+            for packet_id in packet_ids:
+                check_u32("packet id", packet_id)
+            return (TAG_PROPOSE if kind is ProposePayload else TAG_REQUEST), (), packet_ids, None
+        if kind is ServePayload and type(payload.packet) is ServedPacket:
+            packet = payload.packet
+            scalars = (
+                check_u32("served packet id", packet.packet_id),
+                check_u32("served packet size_bytes", packet.size_bytes),
+            )
+            blob = packet.payload
+            if blob is None:
+                return TAG_SERVE, scalars, (), None
+            if type(blob) is not bytes:
+                raise EncodeError(f"served packet content is {type(blob).__name__}, not bytes")
+            check_u32("served packet content length", len(blob))
+            return TAG_SERVE_BLOB, scalars, (), blob
+        if kind is FeedMePayload:
+            return TAG_FEED_ME, (check_u32("requester", payload.requester),), (), None
+    except EncodeError as exc:
+        raise EncodeError(f"payload of type {kind.__name__}: {exc}") from None
+    raise EncodeError(
+        f"payload of type {kind.__name__} is not one of the repro.core.messages payload classes"
+    )
+
+
+def unpack_payload(
+    tag: int, scalars: Tuple[int, ...], packet_ids: Tuple[int, ...], blob: Optional[bytes]
+) -> object:
+    """Inverse of :func:`pack_payload`; the parts must follow ``PAYLOAD_LAYOUT[tag]``.
+
+    Raises ``ValueError`` for an unknown tag and for parts that break a
+    payload invariant (an empty id vector, a zero packet size).
+    """
+    if tag == TAG_NONE:
+        return None
+    if tag == TAG_PROPOSE:
+        return ProposePayload(packet_ids)
+    if tag == TAG_REQUEST:
+        return RequestPayload(packet_ids)
+    if tag == TAG_SERVE or tag == TAG_SERVE_BLOB:
+        packet_id, size_bytes = scalars
+        return ServePayload(ServedPacket(packet_id, size_bytes, blob))
+    if tag == TAG_FEED_ME:
+        return FeedMePayload(*scalars)
+    raise ValueError(f"unknown payload tag {tag}")

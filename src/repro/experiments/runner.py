@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.core.session import SessionResult
+from repro.core.session import SessionConfig, SessionResult, run_session
 from repro.membership.partners import INFINITE
-from repro.scenarios.builder import SessionBuilder
 
 from repro.experiments.scale import ExperimentScale
 
@@ -76,9 +75,13 @@ class ExperimentPoint:
         return ", ".join(parts)
 
 
-def run_point(scale: ExperimentScale, point: ExperimentPoint) -> SessionResult:
-    """Run one experiment point from scratch (no caching)."""
-    config = scale.session_config(
+def point_config(scale: ExperimentScale, point: ExperimentPoint) -> SessionConfig:
+    """The session configuration of ``point``, which must name ``scale``."""
+    if point.scale_name != scale.name:
+        raise ValueError(
+            f"point was built for scale {point.scale_name!r}, not {scale.name!r}"
+        )
+    return scale.session_config(
         fanout=point.fanout,
         cap_kbps=point.cap_kbps,
         refresh_every=point.refresh_every,
@@ -87,7 +90,11 @@ def run_point(scale: ExperimentScale, point: ExperimentPoint) -> SessionResult:
         seed_offset=point.seed_offset,
         protocol=point.protocol,
     )
-    return SessionBuilder.from_config(config).run()
+
+
+def run_point(scale: ExperimentScale, point: ExperimentPoint) -> SessionResult:
+    """Run one experiment point from scratch (no caching)."""
+    return run_session(point_config(scale, point))
 
 
 class RunCache:
@@ -120,10 +127,6 @@ class RunCache:
 
     def get(self, scale: ExperimentScale, point: ExperimentPoint) -> SessionResult:
         """Return the result for ``point``, running the simulation if needed."""
-        if point.scale_name != scale.name:
-            raise ValueError(
-                f"point was built for scale {point.scale_name!r}, not {scale.name!r}"
-            )
         cached = self._results.get(point)
         if cached is not None:
             self._hits += 1

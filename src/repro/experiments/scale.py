@@ -34,7 +34,6 @@ from repro.core.session import SessionConfig
 from repro.membership.churn import CatastrophicChurn, ChurnSchedule
 from repro.membership.partners import INFINITE
 from repro.network.transport import NetworkConfig
-from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import large_session, metropolis
 from repro.streaming.schedule import StreamConfig
 
@@ -189,28 +188,21 @@ class ExperimentScale:
         seed_offset: int = 0,
         protocol: str = "three-phase",
     ) -> SessionConfig:
-        """A full session configuration for one experiment point.
-
-        Composed through the scenario layer's :class:`SessionBuilder`, the
-        same funnel the named scenarios use, so scale-derived and
-        scenario-derived sessions cannot drift apart.
-        """
+        """A full session configuration for one experiment point."""
         churn: Optional[ChurnSchedule] = None
         if churn_fraction > 0.0:
             churn = CatastrophicChurn(time=self.churn_time, fraction=churn_fraction)
-        return (
-            SessionBuilder()
-            .nodes(self.num_nodes)
-            .seed(self.seed + seed_offset)
-            .protocol(protocol)
-            .gossip(self.gossip_config(fanout, refresh_every, feed_me_every))
-            .stream(self.stream_config())
-            .network(self.network_config(cap_kbps))
-            .source_uncapped(True)
-            .churn(churn)
-            .failure_detection_delay(self.failure_detection_delay)
-            .extra_time(self.extra_time)
-            .to_config()
+        return SessionConfig(
+            num_nodes=self.num_nodes,
+            seed=self.seed + seed_offset,
+            gossip=self.gossip_config(fanout, refresh_every, feed_me_every),
+            stream=self.stream_config(),
+            network=self.network_config(cap_kbps),
+            protocol=protocol,
+            source_uncapped=True,
+            churn=churn,
+            failure_detection_delay=self.failure_detection_delay,
+            extra_time=self.extra_time,
         )
 
     @property

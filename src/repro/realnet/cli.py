@@ -35,7 +35,6 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import available_scenarios, build_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.telemetry.config import TelemetryConfig
@@ -198,7 +197,7 @@ def _run(args: argparse.Namespace) -> int:
             telemetry = spec.telemetry if spec.telemetry is not None else TelemetryConfig()
             spec = spec.with_overrides(telemetry=replace(telemetry, trace_path=trace_path))
 
-    config = SessionBuilder.from_spec(spec).to_config()
+    config = spec.session_config()
     print(
         f"scenario={spec.name} nodes={config.num_nodes} seed={config.seed} "
         f"protocol={config.protocol} time_scale={args.time_scale} "
@@ -232,7 +231,7 @@ def _run(args: argparse.Namespace) -> int:
 
 def _compare(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    config = SessionBuilder.from_spec(spec).to_config()
+    config = spec.session_config()
     report = compare_backends(
         config, realnet=_realnet_config(args), tolerance=args.tolerance
     )

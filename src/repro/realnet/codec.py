@@ -11,27 +11,20 @@ upload limiter charged.
 Layout (network byte order)::
 
     magic   2s   b"RN"
-    version B    1
-    ptag    B    payload tag (see below)
+    version B    2
+    ptag    B    payload tag (:data:`repro.core.messages.PAYLOAD_LAYOUT`)
     sender  I
     receiver I
     size    I    modeled size_bytes (also the padded datagram length)
     klen    B    length of the kind tag
     kind    {klen}s
-    ...payload fields, then zero padding up to ``size``
+    ...payload parts, then zero padding up to ``size``
 
-Payload encodings by tag:
-
-===  ====================  ==============================================
-tag  payload type          fields
-===  ====================  ==============================================
-0    ``None``              —
-1    ``ProposePayload``    count ``H``, then count × packet id ``I``
-2    ``RequestPayload``    count ``H``, then count × packet id ``I``
-3    ``ServePayload``      packet id ``I``, size ``I``, flag ``B``
-                           (+ length-prefixed raw bytes when flag is 1)
-4    ``FeedMePayload``     requester ``I``
-===  ====================  ==============================================
+What a tag carries is the one payload table beside the payload classes
+(:func:`repro.core.messages.pack_payload`); this module only frames the
+parts, in table order: each scalar ``I``; for a tag with a packet-id vector,
+count ``H`` then count × ``I``; for a tag with a blob, length ``I`` then the
+raw bytes.
 
 A message whose encoding is *larger* than its modeled size (tiny modeled
 sizes with huge id lists — not produced by the shipped protocols) is sent
@@ -45,59 +38,58 @@ import struct
 from typing import Tuple
 
 from repro.core.messages import (
-    FeedMePayload,
-    ProposePayload,
-    RequestPayload,
-    ServePayload,
-    ServedPacket,
+    PAYLOAD_LAYOUT,
+    EncodeError,
+    check_u32,
+    pack_payload,
+    unpack_payload,
 )
 from repro.network.message import Message
 
 from repro.realnet.errors import CodecError
 
 MAGIC = b"RN"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("!2sBBIIIB")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_SERVE = struct.Struct("!IIB")
-
-_TAG_NONE = 0
-_TAG_PROPOSE = 1
-_TAG_REQUEST = 2
-_TAG_SERVE = 3
-_TAG_FEED_ME = 4
 
 MAX_DATAGRAM_BYTES = 65507
 """Hard IPv4 UDP payload ceiling; encodings beyond this cannot be sent."""
 
 
 def encode_message(message: Message) -> bytes:
-    """Encode one message to its wire datagram (padded to ``size_bytes``)."""
+    """Encode one message to its wire datagram (padded to ``size_bytes``).
+
+    Raises :class:`CodecError`, naming the field, for anything the layout
+    cannot hold — never a bare ``struct.error`` (the caller is an event-loop
+    callback).
+    """
     kind = message.kind.encode("utf-8")
     if len(kind) > 255:
         raise CodecError(f"kind tag too long to encode: {message.kind!r}")
-    payload = message.payload
-    if payload is None:
-        tag, body = _TAG_NONE, b""
-    elif isinstance(payload, ProposePayload):
-        tag, body = _TAG_PROPOSE, _encode_id_list(payload.packet_ids)
-    elif isinstance(payload, RequestPayload):
-        tag, body = _TAG_REQUEST, _encode_id_list(payload.packet_ids)
-    elif isinstance(payload, ServePayload):
-        tag, body = _TAG_SERVE, _encode_serve(payload)
-    elif isinstance(payload, FeedMePayload):
-        tag, body = _TAG_FEED_ME, _U32.pack(payload.requester)
-    else:
-        raise CodecError(
-            f"cannot encode payload of type {type(payload).__name__}; the realnet "
-            f"codec supports the repro.core.messages payload classes only"
+    try:
+        tag, scalars, packet_ids, blob = pack_payload(message.payload)
+        header = _HEADER.pack(
+            MAGIC,
+            VERSION,
+            tag,
+            check_u32("sender", message.sender),
+            check_u32("receiver", message.receiver),
+            check_u32("size_bytes", message.size_bytes),
+            len(kind),
         )
-    header = _HEADER.pack(
-        MAGIC, VERSION, tag, message.sender, message.receiver, message.size_bytes, len(kind)
-    )
-    wire = header + kind + body
+    except EncodeError as exc:
+        raise CodecError(f"cannot encode datagram: {exc}") from exc
+    parts = [header, kind, struct.pack(f"!{len(scalars)}I", *scalars)]
+    _, has_ids, has_blob = PAYLOAD_LAYOUT[tag]
+    if has_ids:
+        if len(packet_ids) > 0xFFFF:
+            raise CodecError(f"id count {len(packet_ids)} exceeds the u16 count field")
+        parts.append(struct.pack(f"!H{len(packet_ids)}I", len(packet_ids), *packet_ids))
+    if has_blob:
+        parts.append(struct.pack("!I", len(blob)))
+        parts.append(blob)
+    wire = b"".join(parts)
     if len(wire) < message.size_bytes:
         wire = wire + b"\x00" * (message.size_bytes - len(wire))
     if len(wire) > MAX_DATAGRAM_BYTES:
@@ -117,80 +109,36 @@ def decode_message(data: bytes) -> Message:
         raise CodecError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CodecError(f"unsupported wire version {version}")
-    offset = _HEADER.size
-    kind_bytes, offset = _take(data, offset, klen)
+    layout = PAYLOAD_LAYOUT.get(tag)
+    if layout is None:
+        raise CodecError(f"unknown payload tag {tag}")
+    scalar_count, has_ids, has_blob = layout
+    packet_ids: Tuple[int, ...] = ()
+    blob = None
     try:
-        kind = kind_bytes.decode("utf-8")
-        if tag == _TAG_NONE:
-            payload: object = None
-        elif tag in (_TAG_PROPOSE, _TAG_REQUEST):
-            ids, offset = _decode_id_list(data, offset)
-            payload = ProposePayload(ids) if tag == _TAG_PROPOSE else RequestPayload(ids)
-        elif tag == _TAG_SERVE:
-            payload, offset = _decode_serve(data, offset)
-        elif tag == _TAG_FEED_ME:
-            (requester,), offset = _unpack(_U32, data, offset)
-            payload = FeedMePayload(requester)
-        else:
-            raise CodecError(f"unknown payload tag {tag}")
+        (kind_bytes,) = struct.unpack_from(f"!{klen}s", data, _HEADER.size)
+        offset = _HEADER.size + klen
+        scalars = struct.unpack_from(f"!{scalar_count}I", data, offset)
+        offset += 4 * scalar_count
+        if has_ids:
+            (count,) = struct.unpack_from("!H", data, offset)
+            packet_ids = struct.unpack_from(f"!{count}I", data, offset + 2)
+            offset += 2 + 4 * count
+        if has_blob:
+            (length,) = struct.unpack_from("!I", data, offset)
+            (blob,) = struct.unpack_from(f"!{length}s", data, offset + 4)
         return Message(
-            sender=sender, receiver=receiver, kind=kind, size_bytes=size_bytes, payload=payload
+            sender=sender,
+            receiver=receiver,
+            kind=kind_bytes.decode("utf-8"),
+            size_bytes=size_bytes,
+            payload=unpack_payload(tag, scalars, packet_ids, blob),
         )
-    except ValueError as exc:
-        # Field values a crafted datagram can reach (a kind that is not
-        # UTF-8, an empty id list, a zero size) fail the decode or the
-        # payload/message invariants — surface them as codec errors, never
-        # raw ValueErrors, to the receive path.
-        raise CodecError(f"decoded message is invalid: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Field helpers
-# ----------------------------------------------------------------------
-def _encode_id_list(packet_ids: Tuple[int, ...]) -> bytes:
-    if len(packet_ids) > 0xFFFF:
-        raise CodecError(f"id list of {len(packet_ids)} entries exceeds the u16 count")
-    return _U16.pack(len(packet_ids)) + b"".join(_U32.pack(pid) for pid in packet_ids)
-
-
-def _encode_serve(payload: ServePayload) -> bytes:
-    packet = payload.packet
-    raw = packet.payload
-    body = _SERVE.pack(packet.packet_id, packet.size_bytes, 0 if raw is None else 1)
-    if raw is not None:
-        body += _U32.pack(len(raw)) + raw
-    return body
-
-
-def _decode_id_list(data: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
-    (count,), offset = _unpack(_U16, data, offset)
-    ids = []
-    for _ in range(count):
-        (pid,), offset = _unpack(_U32, data, offset)
-        ids.append(pid)
-    return tuple(ids), offset
-
-
-def _decode_serve(data: bytes, offset: int) -> Tuple[ServePayload, int]:
-    (packet_id, size_bytes, flag), offset = _unpack(_SERVE, data, offset)
-    raw = None
-    if flag:
-        (length,), offset = _unpack(_U32, data, offset)
-        raw, offset = _take(data, offset, length)
-    packet = ServedPacket(packet_id=packet_id, size_bytes=size_bytes, payload=raw)
-    return ServePayload(packet=packet), offset
-
-
-def _unpack(fmt: struct.Struct, data: bytes, offset: int):
-    if offset + fmt.size > len(data):
-        raise CodecError("datagram truncated mid-field")
-    return fmt.unpack_from(data, offset), offset + fmt.size
-
-
-def _take(data: bytes, offset: int, length: int) -> Tuple[bytes, int]:
-    if offset + length > len(data):
-        raise CodecError("datagram truncated mid-field")
-    return data[offset : offset + length], offset + length
+    except (struct.error, ValueError) as exc:
+        # What a crafted datagram can reach — a field running off the end, a
+        # kind that is not UTF-8, an empty id list, a zero size — surfaces as
+        # a codec error, never a raw exception, to the receive path.
+        raise CodecError(f"cannot decode datagram: {exc}") from exc
 
 
 __all__ = ["MAX_DATAGRAM_BYTES", "decode_message", "encode_message"]

@@ -2,8 +2,8 @@
 
 The scenario layer separates *what an experiment looks like* (a
 :class:`ScenarioSpec`: protocol, swarm size, capacity mix, churn, joins,
-loss) from *how a session is wired* (:class:`SessionBuilder`), and gives the
-common shapes names::
+loss) from *how a session is wired* (:meth:`ScenarioSpec.session_config`),
+and gives the common shapes names::
 
     from repro.scenarios import available_scenarios, run_scenario
 
@@ -21,7 +21,6 @@ Custom scenarios are plain spec factories::
                             latency_model="constant", random_loss=0.0)
 """
 
-from repro.scenarios.builder import SessionBuilder, build_session, run_spec
 from repro.scenarios.registry import (
     available_scenarios,
     build_scenario,
@@ -30,12 +29,17 @@ from repro.scenarios.registry import (
     scenario_by_name,
     scenario_session,
 )
-from repro.scenarios.spec import BandwidthClass, ScenarioSpec, assign_bandwidth_classes
+from repro.scenarios.spec import (
+    BandwidthClass,
+    ScenarioSpec,
+    assign_bandwidth_classes,
+    build_session,
+    run_spec,
+)
 
 __all__ = [
     "BandwidthClass",
     "ScenarioSpec",
-    "SessionBuilder",
     "assign_bandwidth_classes",
     "available_scenarios",
     "build_scenario",

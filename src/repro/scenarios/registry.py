@@ -42,8 +42,7 @@ from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
 from repro.streaming.schedule import StreamConfig
 
-from repro.scenarios.builder import SessionBuilder
-from repro.scenarios.spec import BandwidthClass, ScenarioSpec
+from repro.scenarios.spec import BandwidthClass, ScenarioSpec, build_session, run_spec
 
 ScenarioFactory = Callable[[], ScenarioSpec]
 
@@ -99,12 +98,12 @@ def build_scenario(name: str, **overrides) -> ScenarioSpec:
 
 def scenario_session(name: str, **overrides) -> StreamingSession:
     """An unbuilt session for the named scenario."""
-    return SessionBuilder.from_spec(build_scenario(name, **overrides)).build()
+    return build_session(build_scenario(name, **overrides))
 
 
 def run_scenario(name: str, **overrides) -> SessionResult:
     """Build and run the named scenario to completion."""
-    return scenario_session(name, **overrides).run()
+    return run_spec(build_scenario(name, **overrides))
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +223,8 @@ def large_session() -> ScenarioSpec:
     Stream ratios are the paper's exact 101 + 9 windows at 600 kbps; only
     the stream *length* (12 windows ≈ 18 s) is trimmed so one session stays
     a few minutes of single-core simulation.  Override ``num_nodes`` or the
-    stream to scale further — the spec flows through the same
-    :class:`~repro.scenarios.builder.SessionBuilder` funnel as every other
+    stream to scale further — the spec compiles through the same
+    :meth:`~repro.scenarios.spec.ScenarioSpec.session_config` as every other
     scenario.
     """
     return ScenarioSpec(

@@ -6,8 +6,8 @@ stream looks like, how the network behaves, and which perturbations (churn,
 flash crowds, bandwidth classes) apply.  It deliberately stays at a higher
 altitude than :class:`~repro.core.session.SessionConfig`: a spec names
 *intents* ("30 % strong peers at 2 Mbps", "half the audience joins at
-t = 8 s") and :class:`~repro.scenarios.builder.SessionBuilder` compiles them
-into the concrete per-node wiring.
+t = 8 s") and :meth:`ScenarioSpec.session_config` compiles them into the
+concrete per-node wiring.
 
 Specs are frozen dataclasses, so variations are cheap::
 
@@ -23,10 +23,17 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import GossipConfig
+from repro.core.session import (
+    SessionConfig,
+    SessionResult,
+    StreamingSession,
+    run_session,
+)
 from repro.membership.churn import ChurnSchedule
 from repro.membership.join import JoinSchedule
 from repro.membership.partners import INFINITE
 from repro.network.message import NodeId
+from repro.network.transport import NetworkConfig
 from repro.streaming.schedule import StreamConfig
 from repro.telemetry.config import TelemetryConfig
 
@@ -204,6 +211,31 @@ class ScenarioSpec:
         receivers = tuple(range(1, self.num_nodes))
         return assign_bandwidth_classes(self.bandwidth_classes, receivers)
 
+    def session_config(self) -> SessionConfig:
+        """The spec compiled into the :class:`SessionConfig` that runs it."""
+        return SessionConfig(
+            num_nodes=self.num_nodes,
+            seed=self.seed,
+            gossip=self.gossip_config(),
+            stream=self.stream,
+            network=NetworkConfig(
+                upload_cap_kbps=self.upload_cap_kbps,
+                max_backlog_seconds=self.max_backlog_seconds,
+                latency_model=self.latency_model,
+                base_latency=self.base_latency,
+                random_loss=self.random_loss,
+                per_node_caps_kbps=self.per_node_caps(),
+            ),
+            protocol=self.protocol,
+            source_uncapped=self.source_uncapped,
+            churn=self.churn,
+            join=self.join,
+            failure_detection_delay=self.failure_detection_delay,
+            extra_time=self.extra_time,
+            telemetry=self.telemetry,
+            shards=self.shards,
+        )
+
     def with_overrides(self, **changes) -> "ScenarioSpec":
         """A copy of this spec with the given fields replaced."""
         return replace(self, **changes)
@@ -232,3 +264,13 @@ class ScenarioSpec:
         if self.join is not None:
             parts.append(self.join.describe())
         return f"{self.name}: " + ", ".join(parts)
+
+
+def build_session(spec: ScenarioSpec) -> StreamingSession:
+    """Spec → unbuilt session, for callers that attach observers before it runs."""
+    return StreamingSession(spec.session_config())
+
+
+def run_spec(spec: ScenarioSpec) -> SessionResult:
+    """Spec → completed result, on the sharded runner when ``spec.shards`` is set."""
+    return run_session(spec.session_config())

@@ -21,7 +21,6 @@ from dataclasses import fields
 from typing import List, Optional
 
 from repro.core.session import StreamingSession
-from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import available_scenarios, build_scenario
 from repro.sweep.summary import MetricsRequest, PointSummary, summarize
 
@@ -87,7 +86,7 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     spec = build_scenario(args.scenario, shards=args.shards, **overrides)
-    config = SessionBuilder.from_spec(spec).to_config()
+    config = spec.session_config()
     if args.shards > config.num_nodes:
         parser.error(
             f"--shards {args.shards} exceeds the node count "

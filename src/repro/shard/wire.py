@@ -27,10 +27,11 @@ values, same payload dataclasses — so the receiving shard's event stream is
 byte-identical to what the pickled batch produced.  The shard-equivalence
 property suite pins this end to end; ``tests/properties`` pins
 ``decode(encode(batch)) == batch`` directly, over every protocol message
-kind.  Payloads are the four :mod:`repro.core.messages` classes or ``None``;
-anything else is refused at encode time with a :class:`WireFormatError`
-(the policy :mod:`repro.realnet.codec` has), so decoding never unpickles
-bytes that crossed a process boundary.
+kind.  Payloads are the four :mod:`repro.core.messages` classes or ``None``,
+split into tag, scalars, id vector and blob by that module's one payload
+table (which :mod:`repro.realnet.codec` frames too); anything else is
+refused at encode time with a :class:`WireFormatError`, so decoding never
+unpickles bytes that crossed a process boundary.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.messages import (
-    FeedMePayload,
-    ProposePayload,
-    RequestPayload,
-    ServedPacket,
-    ServePayload,
+    PAYLOAD_LAYOUT,
+    EncodeError,
+    check_u32,
+    pack_payload,
+    unpack_payload,
 )
 from repro.network.message import Message
 
@@ -69,22 +70,13 @@ RoutedDatagram = Tuple[float, int, int, Message]
 # kind code (u8), payload tag (u8).  Tag-specific scalars live in the aux
 # column, not the head, so a tag pays only for what it uses.
 
-_U32_MAX = 0xFFFFFFFF
 _WIDTH_CODES = {1: "B", 2: "H", 4: "I"}
 
-#: Payload tags and their aux-column footprint:
-#: NONE — nothing; PROPOSE/REQUEST — 1 aux (id count) + that many entries
-#: in the packet-id column; SERVE — 2 aux (packet id, packet size);
-#: SERVE_BLOB — 3 aux (packet id, packet size, byte length) + bytes in the
-#: blob column; FEED_ME — 1 aux (requester).
-(
-    TAG_NONE,
-    TAG_PROPOSE,
-    TAG_REQUEST,
-    TAG_SERVE,
-    TAG_SERVE_BLOB,
-    TAG_FEED_ME,
-) = range(6)
+# What each payload tag carries is :data:`repro.core.messages.PAYLOAD_LAYOUT`
+# (shared with :mod:`repro.realnet.codec`).  Its aux-column footprint is the
+# tag's scalars, then the id count if it has a packet-id vector (the ids go
+# to the id column), then the byte length if it has a blob (the bytes go to
+# the blob column).
 
 
 def _width_for(maximum: int) -> int:
@@ -104,18 +96,24 @@ def _head_struct(node_width: int, seq_width: int, size_width: int) -> struct.Str
     )
 
 
-@lru_cache(maxsize=8)
-def _scalar_struct(width: int) -> struct.Struct:
-    return struct.Struct(f"<{_WIDTH_CODES[width]}")
+#: ``_AUX_STRUCTS[width][n]`` packs one datagram's ``n`` aux scalars.
+_AUX_STRUCTS = {
+    width: tuple(
+        struct.Struct(f"<{n}{code}")
+        for n in range(1 + max(map(sum, PAYLOAD_LAYOUT.values())))
+    )
+    for width, code in _WIDTH_CODES.items()
+}
 
 
 class WireFormatError(ValueError):
-    """A batch cannot be represented in the wire format.
+    """A batch cannot be represented in, or rebuilt from, the wire format.
 
-    Raised for values outside the fixed-width head layout (node ids,
-    sequence numbers or wire sizes beyond ``uint32``, more than 256 distinct
-    message kinds in one batch) and for a payload no tag carries (a foreign
-    type, or a protocol payload with a field beyond ``uint32``).
+    Raised at encode time for values outside the fixed-width head layout
+    (node ids, sequence numbers or wire sizes beyond ``uint32``, more than
+    256 distinct message kinds in one batch) and for a payload no tag
+    carries (a foreign type, or a protocol payload with a field beyond
+    ``uint32``); at decode time for columns that do not decode.
     """
 
 
@@ -215,107 +213,54 @@ class WireBatch:
         )
 
 
-def _fits_u32(value: int) -> bool:
-    return type(value) is int and 0 <= value <= _U32_MAX
-
-
-def _check_head_field(name: str, value: int) -> int:
-    if not _fits_u32(value):
-        raise WireFormatError(
-            f"cannot encode datagram: {name} {value!r} does not fit the "
-            f"uint32 head column"
-        )
-    return value
-
-
 def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
     """Pack a window's routed datagrams into one :class:`WireBatch`.
 
     Protocol payloads (PROPOSE / REQUEST / SERVE / FEED_ME and ``None``)
-    take the typed tags; any other payload raises :class:`WireFormatError`.
+    take the typed tags; any other payload, and any field beyond uint32,
+    raises :class:`WireFormatError` naming it.
 
     Two passes: the first stages each record and measures the column
     maxima, the second packs with the narrowest widths that fit them.
     """
-    if not datagrams:
-        return WireBatch(0, (), 0, (1, 1, 1, 1, 1), b"", b"", b"", b"")
-
     kind_codes: Dict[str, int] = {}
     staged = []  # (deliver_time, sender, seq, receiver, size, kind, tag, aux_tuple, pids)
-    blob = bytearray()
+    blob_column = bytearray()
     max_node = max_size = max_aux = max_id = 0
-    seq_base = min(datagram[2] for datagram in datagrams)
+    seq_base = min((datagram[2] for datagram in datagrams), default=0)
     max_seq_delta = 0
-    for deliver_time, sender, seq, message in datagrams:
-        kind_code = kind_codes.setdefault(message.kind, len(kind_codes))
-        if kind_code > 0xFF:
-            raise WireFormatError(
-                f"cannot encode batch: more than 256 distinct message kinds "
-                f"(offender: {message.kind!r})"
-            )
-        receiver = message.receiver
-        size_bytes = message.size_bytes
-        _check_head_field("sender", sender)
-        _check_head_field("receiver", receiver)
-        _check_head_field("size_bytes", size_bytes)
-        delta = _check_head_field("seq delta", seq - seq_base)
-        payload = message.payload
-        tag = TAG_NONE
-        aux: Tuple[int, ...] = ()
-        pids: Tuple[int, ...] = ()
-        if payload is None:
-            pass
-        elif type(payload) is ProposePayload and _ids_encodable(payload.packet_ids):
-            tag, pids = TAG_PROPOSE, payload.packet_ids
-            aux = (len(pids),)
-        elif type(payload) is RequestPayload and _ids_encodable(payload.packet_ids):
-            tag, pids = TAG_REQUEST, payload.packet_ids
-            aux = (len(pids),)
-        elif (
-            type(payload) is ServePayload
-            and type(payload.packet) is ServedPacket
-            and _fits_u32(payload.packet.packet_id)
-            and _fits_u32(payload.packet.size_bytes)
-            and (payload.packet.payload is None or type(payload.packet.payload) is bytes)
-        ):
-            packet = payload.packet
-            if packet.payload is None:
-                tag = TAG_SERVE
-                aux = (packet.packet_id, packet.size_bytes)
-            else:
-                tag = TAG_SERVE_BLOB
-                aux = (packet.packet_id, packet.size_bytes, len(packet.payload))
-                blob += packet.payload
-        elif type(payload) is FeedMePayload and _fits_u32(payload.requester):
-            tag, aux = TAG_FEED_ME, (payload.requester,)
-        else:
-            raise WireFormatError(
-                f"cannot encode payload of type {type(payload).__name__}; the wire "
-                f"format carries the repro.core.messages payload classes with "
-                f"uint32 fields only"
-            )
-        if sender > max_node:
-            max_node = sender
-        if receiver > max_node:
-            max_node = receiver
-        if size_bytes > max_size:
-            max_size = size_bytes
-        if delta > max_seq_delta:
-            max_seq_delta = delta
-        for value in aux:
-            if not _fits_u32(value):
+    try:
+        for deliver_time, sender, seq, message in datagrams:
+            kind_code = kind_codes.setdefault(message.kind, len(kind_codes))
+            if kind_code > 0xFF:
                 raise WireFormatError(
-                    f"cannot encode datagram: payload scalar {value!r} does "
-                    f"not fit the aux column"
+                    f"cannot encode batch: more than 256 distinct message kinds "
+                    f"(offender: {message.kind!r})"
                 )
-            if value > max_aux:
-                max_aux = value
-        for packet_id in pids:
-            if packet_id > max_id:
-                max_id = packet_id
-        staged.append(
-            (deliver_time, sender, delta, receiver, size_bytes, kind_code, tag, aux, pids)
-        )
+            check_u32("sender", sender)
+            receiver = check_u32("receiver", message.receiver)
+            size_bytes = check_u32("size_bytes", message.size_bytes)
+            delta = check_u32("seq delta", seq - seq_base)
+            tag, aux, pids, blob = pack_payload(message.payload)
+            _, has_ids, has_blob = PAYLOAD_LAYOUT[tag]
+            if has_ids:
+                aux += (len(pids),)
+                max_id = max(max_id, *pids)
+            if has_blob:
+                aux += (len(blob),)
+                blob_column += blob
+            if aux:
+                max_aux = max(max_aux, *aux)
+            max_node = max(max_node, sender, receiver)
+            if size_bytes > max_size:
+                max_size = size_bytes
+            if delta > max_seq_delta:
+                max_seq_delta = delta
+            staged.append(
+                (deliver_time, sender, delta, receiver, size_bytes, kind_code, tag, aux, pids)
+            )
+    except EncodeError as exc:
+        raise WireFormatError(f"cannot encode datagram: {exc}") from exc
 
     widths = (
         _width_for(max_node),
@@ -325,17 +270,17 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
         _width_for(max_id),
     )
     head_pack = _head_struct(widths[0], widths[1], widths[2]).pack
-    aux_pack = _scalar_struct(widths[3]).pack
-    ids_pack = _scalar_struct(widths[4]).pack
+    aux_structs = _AUX_STRUCTS[widths[3]]
+    ids_code = _WIDTH_CODES[widths[4]]
     head = bytearray()
     aux_column = bytearray()
     ids_column = bytearray()
     for deliver_time, sender, delta, receiver, size_bytes, kind_code, tag, aux, pids in staged:
         head += head_pack(deliver_time, sender, delta, receiver, size_bytes, kind_code, tag)
-        for value in aux:
-            aux_column += aux_pack(value)
-        for packet_id in pids:
-            ids_column += ids_pack(packet_id)
+        if aux:
+            aux_column += aux_structs[len(aux)].pack(*aux)
+        if pids:
+            ids_column += struct.pack(f"<{len(pids)}{ids_code}", *pids)
     kinds = tuple(sorted(kind_codes, key=kind_codes.__getitem__))
     return WireBatch(
         len(datagrams),
@@ -345,12 +290,8 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
         bytes(head),
         bytes(aux_column),
         bytes(ids_column),
-        bytes(blob),
+        bytes(blob_column),
     )
-
-
-def _ids_encodable(packet_ids: Tuple[int, ...]) -> bool:
-    return len(packet_ids) <= _U32_MAX and all(_fits_u32(pid) for pid in packet_ids)
 
 
 def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
@@ -358,67 +299,60 @@ def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
 
     Reconstructs each ``RoutedDatagram`` with field-identical ``Message``
     and payload values — the decoded batch compares equal to the encoded
-    one, tuple for tuple, in the original order.
+    one, tuple for tuple, in the original order.  Columns that do not
+    decode (an unknown tag, a record running off a column, parts that break
+    a payload invariant) raise :class:`WireFormatError`.
     """
     out: List[RoutedDatagram] = []
     kinds = batch.kinds
     seq_base = batch.seq_base
     node_width, seq_width, size_width, aux_width, ids_width = batch.widths
-    blob = batch.blob
-    aux_unpack = _scalar_struct(aux_width).unpack_from
+    aux_column = batch.aux
+    aux_structs = _AUX_STRUCTS[aux_width]
     ids_code = _WIDTH_CODES[ids_width]
     aux_at = 0
     ids_at = 0
     blob_at = 0
-    for (
-        deliver_time,
-        sender,
-        delta,
-        receiver,
-        size_bytes,
-        kind_code,
-        tag,
-    ) in _head_struct(node_width, seq_width, size_width).iter_unpack(batch.head):
-        if tag == TAG_NONE:
-            payload = None
-        elif tag == TAG_PROPOSE or tag == TAG_REQUEST:
-            (count,) = aux_unpack(batch.aux, aux_at)
-            aux_at += aux_width
-            packet_ids = struct.unpack_from(f"<{count}{ids_code}", batch.ids, ids_at)
-            ids_at += ids_width * count
-            payload = (
-                ProposePayload(packet_ids)
-                if tag == TAG_PROPOSE
-                else RequestPayload(packet_ids)
+    try:
+        for (
+            deliver_time,
+            sender,
+            delta,
+            receiver,
+            size_bytes,
+            kind_code,
+            tag,
+        ) in _head_struct(node_width, seq_width, size_width).iter_unpack(batch.head):
+            layout = PAYLOAD_LAYOUT.get(tag)
+            if layout is None:
+                raise ValueError(f"unknown payload tag {tag}")
+            scalar_count, has_ids, has_blob = layout
+            aux_count = scalar_count + has_ids + has_blob
+            aux = aux_structs[aux_count].unpack_from(aux_column, aux_at)
+            aux_at += aux_count * aux_width
+            packet_ids: Tuple[int, ...] = ()
+            blob = None
+            if has_ids:
+                count = aux[scalar_count]
+                packet_ids = struct.unpack_from(f"<{count}{ids_code}", batch.ids, ids_at)
+                ids_at += ids_width * count
+            if has_blob:
+                blob_end = blob_at + aux[-1]
+                if blob_end > len(batch.blob):
+                    raise ValueError("blob column shorter than the declared lengths")
+                blob = batch.blob[blob_at:blob_end]
+                blob_at = blob_end
+            payload = unpack_payload(tag, aux[:scalar_count], packet_ids, blob)
+            out.append(
+                (
+                    deliver_time,
+                    sender,
+                    seq_base + delta,
+                    Message(sender, receiver, kinds[kind_code], size_bytes, payload),
+                )
             )
-        elif tag == TAG_SERVE:
-            (packet_id,) = aux_unpack(batch.aux, aux_at)
-            (packet_size,) = aux_unpack(batch.aux, aux_at + aux_width)
-            aux_at += 2 * aux_width
-            payload = ServePayload(ServedPacket(packet_id, packet_size))
-        elif tag == TAG_SERVE_BLOB:
-            (packet_id,) = aux_unpack(batch.aux, aux_at)
-            (packet_size,) = aux_unpack(batch.aux, aux_at + aux_width)
-            (length,) = aux_unpack(batch.aux, aux_at + 2 * aux_width)
-            aux_at += 3 * aux_width
-            payload = ServePayload(
-                ServedPacket(packet_id, packet_size, blob[blob_at : blob_at + length])
-            )
-            blob_at += length
-        elif tag == TAG_FEED_ME:
-            (requester,) = aux_unpack(batch.aux, aux_at)
-            aux_at += aux_width
-            payload = FeedMePayload(requester)
-        else:
-            raise WireFormatError(f"corrupt wire batch: unknown payload tag {tag}")
-        out.append(
-            (
-                deliver_time,
-                sender,
-                seq_base + delta,
-                Message(sender, receiver, kinds[kind_code], size_bytes, payload),
-            )
-        )
+    except (struct.error, IndexError, ValueError) as exc:
+        raise WireFormatError(f"corrupt wire batch: {exc}") from exc
     return out
 
 

@@ -31,9 +31,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.session import SessionConfig, SessionResult
+from repro.core.session import SessionConfig, SessionResult, run_session
+from repro.experiments.runner import point_config
 from repro.experiments.scale import ExperimentScale
-from repro.scenarios.builder import SessionBuilder
 from repro.telemetry.config import TelemetryConfig
 
 from repro.sweep.spec import ConfigPatch, SweepTask, dedupe_tasks
@@ -75,25 +75,12 @@ def run_task(
     applied after the patch so a sweep-wide metrics request cannot be
     silently overridden by a per-task patch.
     """
-    point = task.point
-    if point.scale_name != scale.name:
-        raise ValueError(
-            f"task was built for scale {point.scale_name!r}, not {scale.name!r}"
-        )
-    config = scale.session_config(
-        fanout=point.fanout,
-        cap_kbps=point.cap_kbps,
-        refresh_every=point.refresh_every,
-        feed_me_every=point.feed_me_every,
-        churn_fraction=point.churn_fraction,
-        seed_offset=point.seed_offset,
-        protocol=point.protocol,
-    )
+    config = point_config(scale, task.point)
     if task.patch:
         config = apply_patch(config, task.patch)
     if telemetry is not None:
         config = dataclasses.replace(config, telemetry=telemetry)
-    return SessionBuilder.from_config(config).run()
+    return run_session(config)
 
 
 def compute_summary(

@@ -21,8 +21,7 @@ The subsystem has four faces:
 Arm it by putting a :class:`TelemetryConfig` on a
 :class:`~repro.core.session.SessionConfig` (or a scenario spec)::
 
-    from repro.scenarios import build_scenario
-    from repro.scenarios.builder import run_spec
+    from repro.scenarios import build_scenario, run_spec
     from repro.telemetry import TelemetryConfig
 
     spec = build_scenario("homogeneous").with_overrides(

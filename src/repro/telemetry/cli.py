@@ -138,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_record(args) -> int:
     # Imported here: the scenario/experiment layers pull in the whole
     # simulation stack, which summarize/export/diff runs don't need.
-    from repro.scenarios import available_scenarios, build_scenario
-    from repro.scenarios.builder import run_spec
+    from repro.scenarios import available_scenarios, build_scenario, run_spec
 
     if args.scenario not in available_scenarios():
         print(

@@ -28,8 +28,7 @@ from typing import Callable, List, Optional
 from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
 from repro.membership.partners import INFINITE
-from repro.scenarios.builder import build_session
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, build_session
 from repro.streaming.schedule import StreamConfig
 from repro.sweep.store import code_fingerprint
 

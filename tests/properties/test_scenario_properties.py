@@ -11,7 +11,7 @@ fuzzer's repro bundles all stand on.
 from hypothesis import given, settings, strategies as st
 
 from repro.scenarios import available_scenarios, build_scenario
-from repro.scenarios.builder import run_spec
+from repro.scenarios import run_spec
 from repro.sweep.summary import MetricsRequest, summarize
 
 REQUEST = MetricsRequest(

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.session import StreamingSession
 from repro.scenarios import available_scenarios, build_scenario
-from repro.scenarios.builder import SessionBuilder
 from repro.shard import run_sharded
 from repro.sweep.summary import MetricsRequest, summarize
 
@@ -55,7 +54,7 @@ def _small_config(name, seed, shards):
     overrides["seed"] = seed
     overrides["shards"] = shards
     spec = build_scenario(name, **overrides)
-    return SessionBuilder.from_spec(spec).to_config()
+    return spec.session_config()
 
 
 def _summarized(result, config):
@@ -103,7 +102,7 @@ class TestShardEquivalence:
         from repro.shard.partition import partition_nodes
 
         spec = build_scenario("homogeneous", num_nodes=2, seed=1, shards=4)
-        config = SessionBuilder.from_spec(spec).to_config()
+        config = spec.session_config()
         assert any(not group for group in partition_nodes(config.num_nodes, 4))
         oracle = StreamingSession(replace(config, shards=4)).run()
         sharded = run_sharded(config)

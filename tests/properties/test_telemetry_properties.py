@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.network.message import Message
 from repro.scenarios import available_scenarios, build_scenario
-from repro.scenarios.builder import run_spec
+from repro.scenarios import run_spec
 from repro.sweep.summary import MetricsRequest, summarize
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.recorder import TraceRecorder

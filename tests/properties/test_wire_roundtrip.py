@@ -1,4 +1,4 @@
-"""Wire-format exactness: ``decode(encode(batch))`` is the identity.
+"""Wire-format exactness: ``decode(encode(x))`` is the identity, in both formats.
 
 The compact cross-shard encoding (:mod:`repro.shard.wire`) claims *exact*
 reconstruction — same delivery floats, same ``Message`` field values, same
@@ -11,25 +11,22 @@ guarantees the runner builds on: pickling a
 :class:`~repro.shard.wire.WireBatch` is lossless, and ``merge_inbound``
 reproduces the total order ``(deliver_time, sender, seq)`` no matter how a
 window's traffic was split into batches.
+
+The UDP datagram codec (:mod:`repro.realnet.codec`) frames the same payload
+table, so the same strategies drive its round trip, and one fuzz covers both
+decoders: arbitrary or corrupted input yields a decoded value or the format's
+named error, never anything else.
 """
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.messages import (
-    FEED_ME,
-    PROPOSE,
-    REQUEST,
-    SERVE,
-    FeedMePayload,
-    ProposePayload,
-    RequestPayload,
-    ServedPacket,
-    ServePayload,
-)
 from repro.network.message import Message
+from repro.realnet.codec import MAX_DATAGRAM_BYTES, decode_message, encode_message
+from repro.realnet.errors import CodecError
 from repro.shard.wire import (
     WireBatch,
     WireFormatError,
@@ -38,59 +35,13 @@ from repro.shard.wire import (
     iter_headers,
     merge_inbound,
 )
-
-U32_MAX = 0xFFFFFFFF
-node_ids = st.integers(min_value=0, max_value=U32_MAX)
-sizes = st.integers(min_value=1, max_value=U32_MAX)
-seqs = st.integers(min_value=0, max_value=U32_MAX)
-times = st.floats(allow_nan=False)
-packet_id_tuples = st.lists(node_ids, min_size=1, max_size=8).map(tuple)
-
-payloads = st.one_of(
-    st.none(),
-    st.builds(ProposePayload, packet_ids=packet_id_tuples),
-    st.builds(RequestPayload, packet_ids=packet_id_tuples),
-    st.builds(
-        ServePayload,
-        st.builds(
-            ServedPacket,
-            packet_id=node_ids,
-            size_bytes=sizes,
-            payload=st.one_of(st.none(), st.binary(max_size=64)),
-        ),
-    ),
-    st.builds(FeedMePayload, requester=node_ids),
+from tests.wire_strategies import (
+    batches,
+    foreign_payloads,
+    messages,
+    mutate,
+    routed_datagrams,
 )
-
-foreign_payloads = st.one_of(
-    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
-    st.lists(st.binary(max_size=8), max_size=3).map(tuple),
-)
-
-kinds = st.one_of(
-    st.sampled_from((PROPOSE, REQUEST, SERVE, FEED_ME)),
-    st.text(min_size=1, max_size=12),
-)
-
-messages = st.builds(
-    Message,
-    sender=node_ids,
-    receiver=node_ids,
-    kind=kinds,
-    size_bytes=sizes,
-    payload=payloads,
-)
-
-
-@st.composite
-def routed_datagrams(draw):
-    # The router invariant: the datagram's sender column is the message's
-    # sender (it sets ``(deliver_time, message.sender, seq, message)``).
-    message = draw(messages)
-    return (draw(times), message.sender, draw(seqs), message)
-
-
-batches = st.lists(routed_datagrams(), max_size=24)
 
 
 class TestWireRoundTrip:
@@ -137,3 +88,55 @@ class TestWireRoundTrip:
         foreign = Message(sender, message.receiver, message.kind, message.size_bytes, payload)
         with pytest.raises(WireFormatError, match=type(payload).__name__):
             encode_batch(batch + [(deliver_time, sender, seq, foreign)])
+
+
+class TestDatagramRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(message=messages(max_size_bytes=MAX_DATAGRAM_BYTES))
+    def test_decode_encode_is_identity(self, message):
+        assert decode_message(encode_message(message)) == message
+
+
+class TestHostileInput:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=96))
+    def test_arbitrary_bytes_decode_or_raise_codec_error(self, data):
+        try:
+            assert isinstance(decode_message(data), Message)
+        except CodecError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        message=messages(max_size_bytes=256),
+        seed=st.integers(0, 2**32),
+        rounds=st.integers(1, 4),
+    )
+    def test_corrupted_datagram_decodes_or_raises_codec_error(self, message, seed, rounds):
+        rng = random.Random(seed)
+        data = encode_message(message)
+        for _ in range(rounds):
+            data = mutate(data, rng)
+        try:
+            assert isinstance(decode_message(data), Message)
+        except CodecError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=batches,
+        column=st.sampled_from(("head", "aux", "ids", "blob")),
+        seed=st.integers(0, 2**32),
+        rounds=st.integers(1, 4),
+    )
+    def test_corrupted_batch_decodes_or_raises_wire_format_error(self, batch, column, seed, rounds):
+        rng = random.Random(seed)
+        encoded = encode_batch(batch)
+        data = getattr(encoded, column)
+        for _ in range(rounds):
+            data = mutate(data, rng)
+        setattr(encoded, column, data)
+        try:
+            assert isinstance(decode_batch(encoded), list)
+        except WireFormatError as error:
+            assert str(error).startswith("corrupt wire batch: ")

@@ -1,5 +1,7 @@
 """Round-trip and robustness tests for the realnet wire codec."""
 
+import random
+
 import pytest
 
 from repro.core.messages import (
@@ -12,6 +14,7 @@ from repro.core.messages import (
 from repro.network.message import Message
 from repro.realnet.codec import MAX_DATAGRAM_BYTES, decode_message, encode_message
 from repro.realnet.errors import CodecError
+from tests.wire_strategies import OVERFLOWING_MESSAGES, mutate, six_kind_batch
 
 
 def roundtrip(message: Message) -> Message:
@@ -167,3 +170,27 @@ class TestRobustness:
         wire = encode_message(msg)
         with pytest.raises(CodecError):
             decode_message(wire[: len(wire) // 2])
+
+    @pytest.mark.parametrize(("field", "message"), OVERFLOWING_MESSAGES)
+    def test_field_beyond_its_wire_width_is_named(self, field, message):
+        # encode runs inside an event-loop callback: the failure must be the
+        # codec's own error naming the field, never a bare struct.error.
+        with pytest.raises(CodecError, match=field):
+            encode_message(message)
+
+    def test_id_count_beyond_u16_is_named(self):
+        payload = ProposePayload(tuple(range(0x10000)))
+        with pytest.raises(CodecError, match="id count 65536"):
+            encode_message(Message(0, 1, "propose", 100, payload))
+
+    def test_mutated_datagrams_raise_only_codec_error(self):
+        rng = random.Random(2009)
+        datagrams = [encode_message(message) for *_, message in six_kind_batch()]
+        for _ in range(5000):
+            data = rng.choice(datagrams)
+            for _ in range(rng.randrange(1, 4)):
+                data = mutate(data, rng)
+            try:
+                assert isinstance(decode_message(data), Message)
+            except CodecError:
+                pass

@@ -1,19 +1,15 @@
-"""Unit tests for scenario specs and the SessionBuilder."""
+"""Unit tests for scenario specs and their compilation to session configs."""
 
 import pytest
 
-from repro.core.config import GossipConfig
 from repro.core.session import SessionConfig
 from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
-from repro.network.transport import NetworkConfig
 from repro.scenarios import (
     BandwidthClass,
     ScenarioSpec,
-    SessionBuilder,
     assign_bandwidth_classes,
 )
-from repro.streaming.schedule import StreamConfig
 
 
 class TestScenarioSpec:
@@ -90,48 +86,29 @@ class TestBandwidthClasses:
             BandwidthClass(fraction=0.5, cap_kbps=-1.0)
 
 
-class TestSessionBuilder:
-    def test_fluent_builder_produces_config(self):
-        config = (
-            SessionBuilder()
-            .nodes(12)
-            .seed(5)
-            .protocol("eager-push")
-            .gossip(fanout=4)
-            .network(upload_cap_kbps=None, random_loss=0.0)
-            .extra_time(10.0)
-            .to_config()
-        )
+class TestSessionConfig:
+    def test_spec_fields_reach_the_config(self):
+        config = ScenarioSpec(
+            name="x",
+            num_nodes=12,
+            seed=5,
+            protocol="eager-push",
+            fanout=4,
+            upload_cap_kbps=None,
+            random_loss=0.0,
+            extra_time=10.0,
+            shards=2,
+        ).session_config()
         assert isinstance(config, SessionConfig)
-        assert config.num_nodes == 12
+        assert config.num_nodes == 12 and config.seed == 5
         assert config.protocol == "eager-push"
         assert config.gossip.fanout == 4
         assert config.network.upload_cap_kbps is None
+        assert config.network.random_loss == 0.0
+        assert config.extra_time == 10.0
+        assert config.shards == 2
 
-    def test_from_config_round_trips(self):
-        original = SessionConfig(
-            num_nodes=14,
-            seed=3,
-            gossip=GossipConfig(fanout=6),
-            stream=StreamConfig.scaled_down(),
-            network=NetworkConfig(upload_cap_kbps=900.0),
-            protocol="three-phase",
-            extra_time=12.0,
-        )
-        rebuilt = SessionBuilder.from_config(original).to_config()
-        # The config is carried whole, never decomposed — a SessionConfig
-        # field added later cannot be silently reset to its default.
-        assert rebuilt is original
-
-    def test_from_config_with_overrides(self):
-        original = SessionConfig(num_nodes=14, seed=3, extra_time=12.0)
-        tweaked = SessionBuilder.from_config(original).seed(9).gossip(fanout=4).to_config()
-        assert tweaked.seed == 9
-        assert tweaked.gossip.fanout == 4
-        assert tweaked.num_nodes == 14 and tweaked.extra_time == 12.0
-        assert original.seed == 3  # base untouched
-
-    def test_from_spec_applies_bandwidth_classes(self):
+    def test_session_config_applies_bandwidth_classes(self):
         spec = ScenarioSpec(
             name="mix",
             num_nodes=21,
@@ -140,10 +117,10 @@ class TestSessionBuilder:
                 BandwidthClass(0.7, 500.0),
             ),
         )
-        config = SessionBuilder.from_spec(spec).to_config()
+        config = spec.session_config()
         assert config.network.per_node_caps_kbps == spec.per_node_caps()
         assert set(config.network.per_node_caps_kbps) == set(range(1, 21))
 
     def test_unknown_protocol_fails_fast(self):
         with pytest.raises(ValueError):
-            SessionBuilder().protocol("carrier-pigeon").to_config()
+            ScenarioSpec(name="x", protocol="carrier-pigeon").session_config()

@@ -15,7 +15,6 @@ import sys
 import pytest
 
 import repro
-from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import build_scenario
 from repro.shard.partition import ShardPlan, partition_nodes, plan_shards
 from repro.simulation.rng import RngRegistry
@@ -23,7 +22,7 @@ from repro.simulation.rng import RngRegistry
 
 def config_for(latency_model="per-node", num_nodes=40, shards=2, seed=3):
     spec = build_scenario("homogeneous", num_nodes=num_nodes, seed=seed, shards=shards)
-    config = SessionBuilder.from_spec(spec).to_config()
+    config = spec.session_config()
     network = dataclasses.replace(config.network, latency_model=latency_model)
     return dataclasses.replace(config, network=network)
 
@@ -166,11 +165,10 @@ class TestPlanShards:
         # Python's per-process string-hash randomisation.
         script = (
             "import dataclasses\n"
-            "from repro.scenarios.builder import SessionBuilder\n"
             "from repro.scenarios.registry import build_scenario\n"
             "from repro.shard.partition import plan_shards\n"
             "spec = build_scenario('homogeneous', num_nodes=40, seed=3, shards=4)\n"
-            "plan = plan_shards(SessionBuilder.from_spec(spec).to_config(), 4)\n"
+            "plan = plan_shards(spec.session_config(), 4)\n"
             "print(repr((plan.groups, plan.lookup, plan.lookahead)))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

@@ -12,7 +12,6 @@ import pytest
 
 import repro.shard.runner as runner_module
 from repro.network.message import Message
-from repro.scenarios.builder import SessionBuilder
 from repro.scenarios.registry import build_scenario
 from repro.shard.partition import plan_shards
 from repro.shard.runner import (
@@ -31,7 +30,7 @@ from repro.simulation.rng import RngRegistry
 
 def small_config(num_nodes=8, shards=2, seed=3):
     spec = build_scenario("homogeneous", num_nodes=num_nodes, seed=seed, shards=shards)
-    return SessionBuilder.from_spec(spec).to_config()
+    return spec.session_config()
 
 
 def message(sender, receiver):

@@ -9,6 +9,7 @@ equivalent ``Message`` objects.
 """
 
 import pickle
+import random
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.shard.wire import (
     decode_batch,
     encode_batch,
 )
+from tests.wire_strategies import OVERFLOWING_MESSAGES, mutate, six_kind_batch
 
 
 def datagram(deliver_time=1.0, sender=0, seq=1, receiver=1, kind="propose", payload=None):
@@ -81,6 +83,27 @@ class TestLayoutLimits:
         )
         with pytest.raises(WireFormatError, match="unknown payload tag"):
             decode_batch(corrupt)
+
+    def test_mutated_columns_raise_only_wire_format_error(self):
+        rng = random.Random(2009)
+        batch = six_kind_batch()
+        assert decode_batch(encode_batch(batch)) == batch
+        for _ in range(5000):
+            encoded = encode_batch(batch)
+            column = rng.choice(("head", "aux", "ids", "blob"))
+            data = getattr(encoded, column)
+            for _ in range(rng.randrange(1, 4)):
+                data = mutate(data, rng)
+            setattr(encoded, column, data)
+            try:
+                assert isinstance(decode_batch(encoded), list)
+            except WireFormatError as error:
+                assert str(error).startswith("corrupt wire batch: ")
+
+    @pytest.mark.parametrize(("field", "message"), OVERFLOWING_MESSAGES)
+    def test_field_beyond_uint32_is_named(self, field, message):
+        with pytest.raises(WireFormatError, match=field):
+            encode_batch([(1.0, message.sender, 1, message)])
 
 
 class TestPayloadTags:

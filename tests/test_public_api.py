@@ -79,3 +79,19 @@ class TestPublicApi:
         assert callable(telemetry.MetricsRegistry)
         assert callable(telemetry.diff_traces)
         assert callable(telemetry.SessionTelemetry)
+
+    def test_scenarios_package_has_one_funnel_and_no_builder(self):
+        import importlib
+
+        import pytest
+
+        from repro import scenarios
+
+        for name in scenarios.__all__:
+            assert hasattr(scenarios, name), f"repro.scenarios.__all__ lists {name} but it is missing"
+        assert callable(scenarios.ScenarioSpec.session_config)
+        assert callable(scenarios.run_spec) and callable(scenarios.build_session)
+        assert not hasattr(repro, "SessionBuilder")
+        assert not hasattr(scenarios, "SessionBuilder")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.scenarios.builder")

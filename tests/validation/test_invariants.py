@@ -6,7 +6,7 @@ from repro.core.messages import SERVE, ServePayload, ServedPacket
 from repro.network.bandwidth import UploadLimiter
 from repro.network.message import Message
 from repro.scenarios import build_scenario
-from repro.scenarios.builder import build_session
+from repro.scenarios import build_session
 from repro.validation import (
     EventTimeMonotonicity,
     InvariantSuite,

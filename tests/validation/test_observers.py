@@ -9,7 +9,7 @@ from repro.network.loss import UniformLoss
 from repro.network.message import Message
 from repro.network.transport import Network
 from repro.scenarios import build_scenario
-from repro.scenarios.builder import build_session
+from repro.scenarios import build_session
 from repro.simulation.engine import Simulator
 from repro.sweep.summary import MetricsRequest, summarize
 from repro.validation import (

@@ -10,8 +10,12 @@ Checks, over ``README.md`` and ``docs/*.md``:
 1. every fenced ```` ```python ```` code block compiles (syntax check via
    ``compile()`` — blocks are never executed, so they may reference
    optional scale or name their own files);
-2. every relative markdown link points at a file that exists in the tree;
-3. every anchored link (``docs/foo.md#section`` or ``#section``) matches a
+2. every ``import repro…`` / ``from repro… import name`` inside those blocks
+   resolves against the real package (``importlib`` + ``getattr``; needs
+   ``src`` on ``PYTHONPATH``), so an example naming a deleted module or
+   symbol fails here instead of for the reader;
+3. every relative markdown link points at a file that exists in the tree;
+4. every anchored link (``docs/foo.md#section`` or ``#section``) matches a
    heading in the target document, using GitHub's slugging rules.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
@@ -19,6 +23,8 @@ Exit status 0 when clean; 1 with one line per problem otherwise.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -83,20 +89,43 @@ def heading_slugs(path: Path) -> set:
     return slugs
 
 
+def unresolved_repro_imports(tree: ast.AST) -> Iterator[str]:
+    """Yield every ``repro`` module or name the block imports that does not exist."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            targets = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        for module_name, name in targets:
+            if module_name.split(".")[0] != "repro":
+                continue
+            try:
+                module = importlib.import_module(module_name)
+                if name is not None and name != "*" and not hasattr(module, name):
+                    importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                yield module_name if name is None else f"{module_name}.{name}"
+
+
 def check_code_blocks(path: Path, problems: List[str]) -> int:
-    """Compile every python block; returns how many were checked."""
+    """Compile every python block, resolve its repro imports; returns how many were checked."""
     checked = 0
     for line_number, language, source in iter_code_blocks(path.read_text(encoding="utf-8")):
         if language != "python":
             continue
         checked += 1
+        where = f"{path.relative_to(ROOT)}:{line_number}"
         try:
             compile(source, f"{path.name}:{line_number}", "exec")
         except SyntaxError as exc:
             problems.append(
-                f"{path.relative_to(ROOT)}:{line_number}: python block does not "
-                f"parse: {exc.msg} (block line {exc.lineno})"
+                f"{where}: python block does not parse: {exc.msg} (block line {exc.lineno})"
             )
+            continue
+        for missing in unresolved_repro_imports(ast.parse(source)):
+            problems.append(f"{where}: python block imports {missing}, which does not exist")
     return checked
 
 
