@@ -31,8 +31,11 @@ time anything reproducibly.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.bench.baseline import default_baseline_root
@@ -79,6 +82,31 @@ def run_once(config: SessionConfig) -> SessionResult:
     return StreamingSession(config).run()
 
 
+def frames_per_event(config: SessionConfig) -> float:
+    """Named-function frames executed under ``src/repro`` per simulated event.
+
+    A work counter: a function of the code and the config alone, identical on
+    every host and interpreter (comprehension, lambda and generated
+    ``<string>`` frames are left out — 3.12 inlines the first).
+    """
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+    frames = 0
+
+    def on_profile_event(frame, event, arg) -> None:
+        nonlocal frames
+        code = frame.f_code
+        if event == "call" and code.co_name[0] != "<" and code.co_filename.startswith(package_root):
+            frames += 1
+
+    def counted_run() -> int:
+        sys.setprofile(on_profile_event)  # this thread only, and it ends with the run
+        return run_once(config).events_processed
+
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a ``run --profile`` keeps its profiler
+        events = pool.submit(counted_run).result()
+    return frames / events
+
+
 def _engine_size(ctx: BenchContext) -> tuple:
     default_nodes, default_windows = ENGINE_SIZES.get(ctx.scale_name, ENGINE_SIZES["reduced"])
     return (
@@ -103,6 +131,7 @@ def run_engine_throughput(ctx: BenchContext) -> dict:
         "events_processed": float(result.events_processed),
         "delivery_ratio": result.delivery_ratio(),
         "events_per_second": rate,
+        "frames_per_event": frames_per_event(config),  # a second, untimed pass
     }
 
 
@@ -819,6 +848,7 @@ def register_all(registry=None) -> None:
                 Metric("events_processed", kind="identity", unit="events"),
                 Metric("delivery_ratio", kind="identity"),
                 Metric("events_per_second", kind="rate", unit="events/s"),
+                Metric("frames_per_event", kind="counter", higher_is_better=False),
             ),
         )
     )

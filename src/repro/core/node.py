@@ -117,10 +117,12 @@ class GossipNode:
         self.node_id = node_id
         self.is_source = is_source
         self.config = config
-        self._simulator = simulator
+        # Exposed for protocol strategies.  A Simulator in simulated runs, an
+        # AsyncioHost on the real backend: only the core.host.Host surface is used.
+        self.simulator = simulator
         self._network = network
         self._directory = directory
-        self._schedule = schedule
+        self.schedule = schedule  # packet sizes and publish times
         self._delivery_listener = delivery_listener
         self.state = NodeState()
         self.stats = NodeStats()
@@ -134,7 +136,7 @@ class GossipNode:
         self.protocol = protocol
 
         self._partner_rng = simulator.rng.node_stream("partners", node_id)
-        self._partners = PartnerSelector(
+        self.partners = PartnerSelector(  # exposed for strategies, tests and experiments
             node_id=node_id,
             directory=directory,
             fanout=config.fanout,
@@ -177,6 +179,7 @@ class GossipNode:
         # Bind last: strategies may inspect the full ProtocolHost surface
         # (partners, timers) from an overridden bind().
         protocol.bind(self)
+        self._message_handlers = protocol.message_handlers()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -187,29 +190,9 @@ class GossipNode:
         return self._alive
 
     @property
-    def partners(self) -> PartnerSelector:
-        """This node's partner selector (exposed for tests and experiments)."""
-        return self._partners
-
-    @property
-    def simulator(self) -> Host:
-        """The host this node runs on (exposed for protocol strategies).
-
-        A :class:`~repro.simulation.engine.Simulator` in simulated runs, an
-        :class:`~repro.realnet.host.AsyncioHost` on the real backend — the
-        node only relies on the :class:`~repro.core.host.Host` surface.
-        """
-        return self._simulator
-
-    @property
     def now(self) -> float:
         """Current time on the host's time axis."""
-        return self._simulator.now
-
-    @property
-    def schedule(self) -> StreamSchedule:
-        """The stream schedule (packet sizes and publish times)."""
-        return self._schedule
+        return self.simulator.now
 
     def start(self) -> None:
         """Start the node's timers.  Must be called once per experiment."""
@@ -237,7 +220,7 @@ class GossipNode:
         """
         if not self._alive:
             return
-        now = self._simulator.now
+        now = self.simulator.now
         self.deliver(descriptor.packet_id, now)
         targets = self._pick_source_targets(now)
         self.protocol.on_publish(descriptor, targets, now)
@@ -257,9 +240,9 @@ class GossipNode:
     def _on_gossip_round(self) -> None:
         if not self._alive:
             return
-        now = self._simulator.now
+        now = self.simulator.now
         self.stats.gossip_rounds += 1
-        partners = self._partners.partners_for_round(now)
+        partners = self.partners.partners_for_round(now)
         if self._observers is not None:
             for observer in self._observers:
                 observer.on_gossip_round(self.node_id, now, partners)
@@ -268,8 +251,8 @@ class GossipNode:
     def _on_feed_me_round(self) -> None:
         if not self._alive:
             return
-        now = self._simulator.now
-        targets = self._partners.pick_feed_me_targets(now)
+        now = self.simulator.now
+        targets = self.partners.pick_feed_me_targets(now)
         if self._observers is not None:
             for observer in self._observers:
                 observer.on_feed_me_round(self.node_id, now, targets)
@@ -279,10 +262,18 @@ class GossipNode:
     # Message handling
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        """Entry point called by the network when a datagram is delivered."""
+        """Entry point called by the network when a datagram is delivered.
+
+        Calls the protocol's handler for ``message.kind``
+        (:meth:`~repro.protocols.base.DisseminationProtocol.message_handlers`).
+        """
         if not self._alive:
             return
-        self.protocol.on_message(message)
+        try:
+            handler = self._message_handlers[message.kind]
+        except KeyError:
+            raise ValueError(f"node {self.node_id}: unknown message kind {message.kind!r}") from None
+        handler(message)
 
     # ------------------------------------------------------------------
     # Services offered to the protocol strategy
@@ -312,8 +303,10 @@ class GossipNode:
 
     def deliver(self, packet_id: PacketId, time: float) -> None:
         """Record a first-time delivery and notify the delivery listener."""
-        if not self.state.deliver(packet_id, time):
+        delivered = self.state.delivered
+        if packet_id in delivered:
             return
+        delivered[packet_id] = time
         if self._observers is not None:
             for observer in self._observers:
                 observer.on_packet_delivered(self.node_id, packet_id, time, self.is_source)
@@ -322,14 +315,7 @@ class GossipNode:
 
     def send(self, receiver: NodeId, kind: str, size_bytes: int, payload: object) -> None:
         """Send a datagram from this node through the network substrate."""
-        message = Message(
-            sender=self.node_id,
-            receiver=receiver,
-            kind=kind,
-            size_bytes=size_bytes,
-            payload=payload,
-        )
-        self._network.send(message)
+        self._network.send_many((Message(self.node_id, receiver, kind, size_bytes, payload),))
 
     def send_many(self, datagrams: Sequence[Tuple[NodeId, str, int, object]]) -> None:
         """Send several datagrams at this instant in one transport batch.
@@ -343,8 +329,7 @@ class GossipNode:
         sender = self.node_id
         self._network.send_many(
             [
-                Message(sender=sender, receiver=receiver, kind=kind,
-                        size_bytes=size_bytes, payload=payload)
+                Message(sender, receiver, kind, size_bytes, payload)
                 for receiver, kind, size_bytes, payload in datagrams
             ]
         )
@@ -355,11 +340,7 @@ class GossipNode:
         """Fan one payload out to every target in a single transport batch."""
         sender = self.node_id
         self._network.send_many(
-            [
-                Message(sender=sender, receiver=target, kind=kind,
-                        size_bytes=size_bytes, payload=payload)
-                for target in targets
-            ]
+            [Message(sender, target, kind, size_bytes, payload) for target in targets]
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -380,7 +380,7 @@ class StreamingSession:
                 directory=self.directory,
                 schedule=self.schedule,
                 config=config.gossip,
-                delivery_listener=self.deliveries,
+                delivery_listener=self.deliveries.record,
                 is_source=is_source,
                 protocol=create_protocol(config.protocol),
             )

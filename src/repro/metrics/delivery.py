@@ -76,18 +76,11 @@ class DeliveryLog:
             "d", (descriptor.publish_time for descriptor in schedule.packets())
         )
         self._window_lags = {}
-        for node_id, node_log in self._by_node.items():
+        # Back-fill by re-recording: record() is the one place lags accrue.
+        recorded, self._by_node, self._total_deliveries = self._by_node, {}, 0
+        for node_id, node_log in recorded.items():
             for packet_id, delivered_at in node_log.items():
-                self._accumulate_lag(node_id, packet_id, delivered_at)
-
-    def _accumulate_lag(self, node_id: NodeId, packet_id: PacketId, time: float) -> None:
-        if not 0 <= packet_id < self._num_packets:
-            return
-        lags = self._window_lags.get(node_id)
-        if lags is None:
-            lags = [array("d") for _ in range(self._num_windows)]
-            self._window_lags[node_id] = lags
-        lags[packet_id // self._per_window].append(time - self._publish_times[packet_id])
+                self.record(node_id, packet_id, delivered_at)
 
     def window_lags_of(self, node_id: NodeId) -> Optional[List[array]]:
         """Per-window lag arrays of one node (unsorted, delivery order).
@@ -107,18 +100,24 @@ class DeliveryLog:
     # Recording (used as a GossipNode delivery listener)
     # ------------------------------------------------------------------
     def record(self, node_id: NodeId, packet_id: PacketId, time: float) -> None:
-        """Record one first-time delivery.  Duplicate records are ignored."""
-        node_log = self._by_node.setdefault(node_id, {})
+        """Record one first-time delivery (the nodes' listener); duplicates are ignored."""
+        try:
+            node_log = self._by_node[node_id]
+        except KeyError:
+            node_log = self._by_node[node_id] = {}
         if packet_id in node_log:
             return
         node_log[packet_id] = time
         self._total_deliveries += 1
-        if self._publish_times is not None:
-            self._accumulate_lag(node_id, packet_id, time)
+        if self._publish_times is None or not 0 <= packet_id < self._num_packets:
+            return
+        try:
+            lags = self._window_lags[node_id]
+        except KeyError:
+            lags = self._window_lags[node_id] = [array("d") for _ in range(self._num_windows)]
+        lags[packet_id // self._per_window].append(time - self._publish_times[packet_id])
 
-    def __call__(self, node_id: NodeId, packet_id: PacketId, time: float) -> None:
-        """Alias for :meth:`record`, so the log can be passed as a listener."""
-        self.record(node_id, packet_id, time)
+    __call__ = record  # the log itself is a valid delivery listener
 
     # ------------------------------------------------------------------
     # Queries

@@ -17,7 +17,7 @@ the configured capacity, the datagram is dropped (congestion loss).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -149,18 +149,6 @@ class UploadLimiter:
         self.bytes_accepted += size_bytes
         self.messages_accepted += 1
         return finish
-
-    def enqueue_many(self, sizes: Sequence[int], now: float) -> List[Optional[float]]:
-        """Accept a burst of datagrams offered at the same instant.
-
-        Exactly equivalent to calling :meth:`enqueue` once per entry of
-        ``sizes`` in order (same finish times, same drop decisions, same
-        counter updates — the serialization chain ``busy_until`` is carried
-        through the burst element by element).  Returns one finish time or
-        ``None`` (dropped) per datagram.
-        """
-        enqueue = self.enqueue
-        return [enqueue(size, now) for size in sizes]
 
     def reset_counters(self) -> None:
         """Zero the byte/message counters (keeps the current backlog)."""

@@ -85,26 +85,23 @@ class LatencyModel(ABC):
         return type(self).__name__
 
 
-class _SenderStreams:
+class _SenderStreams(dict):
     """Per-sender ``random.Random`` streams under ``<purpose>/node-<id>``.
 
-    A tiny cache in front of :meth:`RngRegistry.node_stream`: the registry
-    keys by formatted string, which costs an f-string per call; datagram
-    sampling is hot enough that an int-keyed dict is worth keeping here.
+    ``streams[sender]`` is a plain dict lookup once the sender has drawn; the
+    first draw derives the stream through :meth:`RngRegistry.node_stream`
+    (which keys by formatted string — an f-string per call, too much for
+    per-datagram sampling).
     """
 
-    __slots__ = ("_registry", "_purpose", "_streams")
+    __slots__ = ("_registry", "_purpose")
 
     def __init__(self, registry: RngRegistry, purpose: str) -> None:
         self._registry = registry
         self._purpose = purpose
-        self._streams: Dict[NodeId, random.Random] = {}
 
-    def for_sender(self, sender: NodeId) -> random.Random:
-        stream = self._streams.get(sender)
-        if stream is None:
-            stream = self._registry.node_stream(self._purpose, sender)
-            self._streams[sender] = stream
+    def __missing__(self, sender: NodeId) -> random.Random:
+        stream = self[sender] = self._registry.node_stream(self._purpose, sender)
         return stream
 
 
@@ -150,7 +147,7 @@ class UniformLatency(LatencyModel):
     def sample(self, sender: NodeId, receiver: NodeId) -> float:
         rng = self._rng
         if rng is None:
-            rng = self._sender_streams.for_sender(sender)
+            rng = self._sender_streams[sender]
         return rng.uniform(self.low, self.high)
 
     def min_latency(self) -> float:
@@ -189,7 +186,7 @@ class LogNormalLatency(LatencyModel):
     def sample(self, sender: NodeId, receiver: NodeId) -> float:
         rng = self._rng
         if rng is None:
-            rng = self._sender_streams.for_sender(sender)
+            rng = self._sender_streams[sender]
         value = rng.lognormvariate(math.log(self.median), self.sigma)
         return max(self.minimum, value)
 
@@ -257,9 +254,13 @@ class PerNodeQualityLatency(LatencyModel):
         pair_quality = (self._quality[sender] + self._quality[receiver]) / 2.0
         rng = self._sample_rng
         if rng is None:
-            rng = self._sender_streams.for_sender(sender)
-        noise = 1.0 + rng.uniform(-self.jitter, self.jitter)
-        return max(self.minimum, self.base * pair_quality * noise)
+            rng = self._sender_streams[sender]
+        # rng.uniform(-jitter, jitter) and max(minimum, value) written out as the
+        # stdlib computes them (a + (b - a) * random()): same floats, two calls less.
+        jitter = self.jitter
+        noise = 1.0 + (-jitter + (jitter - -jitter) * rng.random())
+        value = self.base * pair_quality * noise
+        return value if value > self.minimum else self.minimum
 
     def min_latency(self) -> float:
         return self.minimum

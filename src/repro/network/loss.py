@@ -65,7 +65,7 @@ class UniformLoss(LossModel):
             return False
         rng = self._rng
         if rng is None:
-            rng = self._sender_streams.for_sender(message.sender)
+            rng = self._sender_streams[message.sender]
         return rng.random() < self.probability
 
     def describe(self) -> str:
@@ -107,7 +107,7 @@ class PerNodeLoss(LossModel):
             return False
         rng = self._rng
         if rng is None:
-            rng = self._sender_streams.for_sender(message.sender)
+            rng = self._sender_streams[message.sender]
         return rng.random() < probability
 
     def describe(self) -> str:

@@ -16,13 +16,15 @@ NodeId = int
 """Nodes are identified by small non-negative integers."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
     """An application datagram with explicit wire size.
 
-    The class is slotted: one :class:`Message` is allocated per datagram on
-    the simulation hot path, and dropping the per-instance ``__dict__``
-    measurably reduces allocator pressure in large sessions.
+    Slotted and frozen; one is allocated per datagram on the simulation hot
+    path, so the constructor is written by hand: it validates inline and fills
+    the slots through their own descriptors, about half the cost of the
+    generated ``__init__`` + ``__post_init__`` pair (docs/performance.md,
+    "Frame diet").  Equality, hashing, ``repr`` and pickling are the dataclass's.
 
     Attributes
     ----------
@@ -47,12 +49,28 @@ class Message:
     size_bytes: int
     payload: Any = field(default=None)
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"message size must be positive, got {self.size_bytes!r}")
-        if self.sender < 0 or self.receiver < 0:
+    def __init__(
+        self, sender: NodeId, receiver: NodeId, kind: str, size_bytes: int, payload: Any = None
+    ) -> None:
+        if size_bytes <= 0:
+            raise ValueError(f"message size must be positive, got {size_bytes!r}")
+        if sender < 0 or receiver < 0:
             raise ValueError("node ids must be non-negative")
+        _set_sender(self, sender)
+        _set_receiver(self, receiver)
+        _set_kind(self, kind)
+        _set_size_bytes(self, size_bytes)
+        _set_payload(self, payload)
 
     def size_bits(self) -> int:
         """Wire size in bits (used by the bandwidth limiter)."""
         return self.size_bytes * 8
+
+
+# The slot descriptors' own setters: ``Message.__setattr__`` raises (frozen),
+# and ``object.__setattr__(self, name, value)`` re-resolves the name per store.
+_set_sender = Message.sender.__set__
+_set_receiver = Message.receiver.__set__
+_set_kind = Message.kind.__set__
+_set_size_bytes = Message.size_bytes.__set__
+_set_payload = Message.payload.__set__

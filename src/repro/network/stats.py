@@ -92,7 +92,7 @@ class TrafficStats:
     # Recording
     # ------------------------------------------------------------------
     def record_sent(self, node_id: NodeId, kind: str, size_bytes: int) -> None:
-        """Record a datagram accepted by ``node_id``'s upload limiter."""
+        """Record a datagram accepted by ``node_id``'s limiter (the transport inlines this)."""
         if not self._measuring:
             return
         traffic = self._per_node[node_id]
@@ -101,7 +101,7 @@ class TrafficStats:
         traffic.sent_bytes_by_kind[kind] += size_bytes
 
     def record_received(self, node_id: NodeId, kind: str, size_bytes: int) -> None:
-        """Record a datagram delivered to ``node_id``."""
+        """Record a datagram delivered to ``node_id`` (the transport inlines this)."""
         if not self._measuring:
             return
         traffic = self._per_node[node_id]

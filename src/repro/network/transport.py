@@ -20,7 +20,7 @@ Every fate a datagram can meet is exposed as an observer edge
 congestion, lost in flight, delivered to a live handler, or dropped at a
 dead/unregistered receiver — plus node failure/recovery transitions.  The
 validation layer (:mod:`repro.validation`) registers invariant checkers on
-these edges; with no observers registered each send pays one ``is None``
+these edges; with no observers registered each edge costs one ``is None``
 test, keeping the hot path at its pre-observer cost.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RngRegistry
@@ -300,68 +300,22 @@ class Network:
         limiter (it may still be lost in flight or arrive at a dead node),
         ``False`` if it was dropped locally (dead sender or congestion).
         """
-        sender = message.sender
-        endpoint = self._endpoints.get(sender)
-        if endpoint is None or not endpoint.alive:
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_send_blocked(message, self._simulator.now)
-            return False
-        now = self._simulator.now
-        finish_time = endpoint.limiter.enqueue(message.size_bytes, now)
-        if finish_time is None:
-            self.stats.record_congestion_drop(sender, message.kind, message.size_bytes)
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_congestion_drop(message, now)
-            return False
-        self.stats.record_sent(sender, message.kind, message.size_bytes)
-        if self._observers is not None:
-            for observer in self._observers:
-                observer.on_send_accepted(message, now, finish_time)
+        return self.send_many((message,)) == 1
 
-        if self._loss.is_lost(message):
-            self.stats.record_in_flight_loss(sender, message.kind, message.size_bytes)
-            if self._observers is not None:
-                for observer in self._observers:
-                    observer.on_in_flight_loss(message, now)
-            return True
-
-        delay = (finish_time - now) + self._latency.sample(sender, message.receiver)
-        if self._router is not None:
-            # ``now`` is the clock value schedule_fire_and_forget would add
-            # ``delay`` to, so the router sees the exact delivery instant.
-            self._router.dispatch(message, now + delay)
-            return True
-        # Deliveries are scheduled by the million and never cancelled:
-        # fire-and-forget scheduling skips the per-event handle allocation.
-        self._simulator.schedule_fire_and_forget(delay, self._deliver, message)
-        return True
-
-    def send_many(self, messages: List[Message]) -> int:
+    def send_many(self, messages: Sequence[Message]) -> int:
         """Send a same-sender burst offered at the current instant.
 
-        Exactly equivalent to calling :meth:`send` once per message in
-        order — same limiter serialization chain, same per-message loss and
-        latency draws (the RNG consumption order is preserved), same
-        delivery event ordering — but the sender endpoint is resolved once
-        and the upload limiter processes the burst through
-        :meth:`~repro.network.bandwidth.UploadLimiter.enqueue_many`.
-        Protocol fan-outs (PROPOSE to every partner, a SERVE burst answering
-        one request) are the intended callers.
+        The one send pipeline: each datagram in order goes through the
+        sender's upload limiter, the loss model and the latency model (RNG
+        draws and delivery events are ordered as if sent one by one) and
+        fires its observer edges; the sender endpoint, its liveness, its
+        traffic cell and the clock are resolved once for the burst.
 
-        Returns the number of datagrams accepted by the upload limiter.
+        Returns the number of datagrams accepted by the upload limiter;
+        raises :class:`ValueError`, before anything is sent, on mixed senders.
         """
         if not messages:
             return 0
-        if self._observers is not None:
-            # Observer edges must fire per datagram in the exact scalar
-            # interleaving; the batch fast path is for unobserved runs.
-            accepted = 0
-            for message in messages:
-                if self.send(message):
-                    accepted += 1
-            return accepted
         sender = messages[0].sender
         for message in messages:
             if message.sender != sender:
@@ -369,31 +323,55 @@ class Network:
                     f"send_many requires a single sender, got {message.sender!r} "
                     f"after {sender!r}"
                 )
+        observers = self._observers
+        now = self._simulator.now
         endpoint = self._endpoints.get(sender)
         if endpoint is None or not endpoint.alive:
+            if observers is not None:
+                for message in messages:
+                    for observer in observers:
+                        observer.on_send_blocked(message, now)
             return 0
-        now = self._simulator.now
-        finish_times = endpoint.limiter.enqueue_many(
-            [message.size_bytes for message in messages], now
-        )
         stats = self.stats
-        loss = self._loss
+        # The sender's NodeTraffic cell, updated in place per accepted
+        # datagram: what TrafficStats.record_sent does, minus a call each.
+        traffic = stats._per_node[sender] if stats._measuring else None
+        enqueue = endpoint.limiter.enqueue
+        is_lost = self._loss.is_lost
         latency_sample = self._latency.sample
         router = self._router
+        # Deliveries are scheduled by the million and never cancelled:
+        # fire-and-forget scheduling skips the per-event handle allocation.
         schedule = self._simulator.schedule_fire_and_forget
         deliver = self._deliver
         accepted = 0
-        for message, finish_time in zip(messages, finish_times):
+        for message in messages:
+            size = message.size_bytes
+            finish_time = enqueue(size, now)
             if finish_time is None:
-                stats.record_congestion_drop(sender, message.kind, message.size_bytes)
+                stats.record_congestion_drop(sender, message.kind, size)
+                if observers is not None:
+                    for observer in observers:
+                        observer.on_congestion_drop(message, now)
                 continue
             accepted += 1
-            stats.record_sent(sender, message.kind, message.size_bytes)
-            if loss.is_lost(message):
-                stats.record_in_flight_loss(sender, message.kind, message.size_bytes)
+            if traffic is not None:
+                traffic.bytes_sent += size
+                traffic.messages_sent += 1
+                traffic.sent_bytes_by_kind[message.kind] += size
+            if observers is not None:
+                for observer in observers:
+                    observer.on_send_accepted(message, now, finish_time)
+            if is_lost(message):
+                stats.record_in_flight_loss(sender, message.kind, size)
+                if observers is not None:
+                    for observer in observers:
+                        observer.on_in_flight_loss(message, now)
                 continue
             delay = (finish_time - now) + latency_sample(sender, message.receiver)
             if router is not None:
+                # ``now`` is the clock value schedule_fire_and_forget would
+                # add ``delay`` to, so the router sees the exact instant.
                 router.dispatch(message, now + delay)
             else:
                 schedule(delay, deliver, message)
@@ -407,7 +385,13 @@ class Network:
                 for observer in self._observers:
                     observer.on_delivery_dropped(message, self._simulator.now)
             return
-        self.stats.record_received(receiver, message.kind, message.size_bytes)
+        stats = self.stats
+        if stats._measuring:  # TrafficStats.record_received, minus the call
+            traffic = stats._per_node[receiver]
+            size = message.size_bytes
+            traffic.bytes_received += size
+            traffic.messages_received += 1
+            traffic.received_bytes_by_kind[message.kind] += size
         if self._observers is not None:
             # Observers fire before the handler: anything the handler sends
             # in reaction (e.g. a SERVE answering this REQUEST) must observe

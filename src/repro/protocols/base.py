@@ -21,7 +21,7 @@ exposes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, ClassVar, List, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Protocol, runtime_checkable
 
 from repro.network.message import Message, NodeId
 from repro.streaming.packets import PacketDescriptor
@@ -79,7 +79,8 @@ class DisseminationProtocol(ABC):
       this round's partner set (already refreshed per the ``X`` policy);
     * :meth:`on_feed_me_round` — ``Y`` periods elapsed; ``targets`` are the
       uniformly random feed-me recipients;
-    * :meth:`on_message` — a datagram arrived for this node;
+    * the handlers of :meth:`message_handlers` — a datagram of that kind
+      arrived for this node (an unknown kind is the host's ``ValueError``);
     * :meth:`on_fail` — the node crashed (release protocol-owned timers).
     """
 
@@ -112,8 +113,12 @@ class DisseminationProtocol(ABC):
         """``Y`` gossip periods elapsed.  Default: the mechanism is unused."""
 
     @abstractmethod
-    def on_message(self, message: Message) -> None:
-        """A datagram arrived.  Dispatch on ``message.kind``."""
+    def message_handlers(self) -> Dict[str, Callable[[Message], None]]:
+        """The datagram kinds this strategy understands, each with its handler.
+
+        Read once, after :meth:`bind`; while the node is alive the host calls
+        ``handlers[message.kind](message)`` for every datagram that arrives.
+        """
 
     def on_fail(self) -> None:
         """The node crashed.  Default: nothing beyond the host's cleanup."""

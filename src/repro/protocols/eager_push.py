@@ -23,7 +23,7 @@ conformance invariants of the metrics layer apply unchanged.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List
 
 from repro.core.messages import ServePayload, ServedPacket
 from repro.network.message import Message, NodeId
@@ -70,11 +70,10 @@ class EagerPush(DisseminationProtocol):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def on_message(self, message: Message) -> None:
-        if message.kind != PUSH:
-            raise ValueError(
-                f"node {self.host.node_id} received unknown message kind {message.kind!r}"
-            )
+    def message_handlers(self) -> Dict[str, Callable[[Message], None]]:
+        return {PUSH: self._handle_push}
+
+    def _handle_push(self, message: Message) -> None:
         host = self.host
         packet = message.payload.packet
         if host.state.has_delivered(packet.packet_id):

@@ -22,7 +22,7 @@ to the pre-refactor engine (pinned by ``tests/protocols/test_regression.py``).
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.messages import (
     FEED_ME,
@@ -85,42 +85,38 @@ class ThreePhaseGossip(DisseminationProtocol):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def on_message(self, message: Message) -> None:
-        kind = message.kind
-        if kind == PROPOSE:
-            self._handle_propose(message.sender, message.payload)
-        elif kind == REQUEST:
-            self._handle_request(message.sender, message.payload)
-        elif kind == SERVE:
-            self._handle_serve(message.sender, message.payload)
-        elif kind == FEED_ME:
-            self._handle_feed_me(message.payload)
-        else:
-            raise ValueError(
-                f"node {self.host.node_id} received unknown message kind {kind!r}"
-            )
+    def message_handlers(self) -> Dict[str, Callable[[Message], None]]:
+        return {
+            PROPOSE: self._handle_propose,
+            REQUEST: self._handle_request,
+            SERVE: self._handle_serve,
+            FEED_ME: self._handle_feed_me,
+        }
 
     # Phase 2: request missing packets ---------------------------------
-    def _handle_propose(self, sender: NodeId, payload: ProposePayload) -> None:
+    # The handlers test Algorithm 1's sets (``state.delivered``,
+    # ``state.request_attempts``) by membership, not through NodeState's
+    # one-line accessors: the tests run once per advertised id.
+    def _handle_propose(self, message: Message) -> None:
         host = self.host
         host.stats.proposals_received += 1
-        state = host.state
-        has_delivered = state.has_delivered
-        never_requested = state.never_requested
-        wanted: List[PacketId] = []
-        for packet_id in payload.packet_ids:
-            if has_delivered(packet_id):
-                continue
-            if never_requested(packet_id):
-                wanted.append(packet_id)
+        sender = message.sender
+        packet_ids = message.payload.packet_ids
+        delivered = host.state.delivered
+        attempts = host.state.request_attempts
+        wanted = [
+            packet_id
+            for packet_id in packet_ids
+            if packet_id not in delivered and packet_id not in attempts
+        ]
         if wanted:
-            record_request = state.record_request
             for packet_id in wanted:
-                record_request(packet_id)
+                # An id advertised twice in one PROPOSE is requested twice.
+                attempts[packet_id] = attempts[packet_id] + 1 if packet_id in attempts else 1
             self._send_request(sender, wanted)
 
         if host.config.retransmission_enabled:
-            self._arm_retransmission(sender, payload.packet_ids)
+            self._arm_retransmission(sender, packet_ids)
 
     def _send_request(self, proposer: NodeId, packet_ids: List[PacketId]) -> None:
         host = self.host
@@ -129,15 +125,21 @@ class ThreePhaseGossip(DisseminationProtocol):
         host.send(proposer, REQUEST, size, payload)
         host.stats.requests_sent += 1
 
+    def _retryable(self, packet_ids: Tuple[PacketId, ...]) -> List[PacketId]:
+        """Ids still missing that the ``K`` bound allows requesting again."""
+        delivered = self.host.state.delivered
+        attempts = self.host.state.request_attempts
+        max_attempts = self.host.config.max_request_attempts
+        return [
+            packet_id
+            for packet_id in packet_ids
+            if packet_id not in delivered
+            and (packet_id not in attempts or attempts[packet_id] < max_attempts)
+        ]
+
     def _arm_retransmission(self, proposer: NodeId, packet_ids: Tuple[PacketId, ...]) -> None:
         host = self.host
-        missing = host.state.missing_from(packet_ids)
-        retryable = [
-            packet_id
-            for packet_id in missing
-            if host.state.may_request_again(packet_id, host.config.max_request_attempts)
-        ]
-        if not retryable:
+        if not self._retryable(packet_ids):
             return
         pending = PendingRequest(proposer=proposer, packet_ids=tuple(packet_ids))
         timer = Timer(host.simulator, partial(self._on_retransmit_timeout, pending))
@@ -150,11 +152,7 @@ class ThreePhaseGossip(DisseminationProtocol):
         host.state.remove_pending(pending)
         if not host.alive:
             return
-        missing = [
-            packet_id
-            for packet_id in host.state.missing_from(pending.packet_ids)
-            if host.state.may_request_again(packet_id, host.config.max_request_attempts)
-        ]
+        missing = self._retryable(pending.packet_ids)
         if not missing:
             return
         for packet_id in missing:
@@ -166,36 +164,36 @@ class ThreePhaseGossip(DisseminationProtocol):
         self._arm_retransmission(pending.proposer, pending.packet_ids)
 
     # Phase 3: serve requested packets ----------------------------------
-    def _handle_request(self, sender: NodeId, payload: RequestPayload) -> None:
+    def _handle_request(self, message: Message) -> None:
         host = self.host
         host.stats.requests_received += 1
-        has_delivered = host.state.has_delivered
+        sender = message.sender
+        delivered = host.state.delivered
         packet_of = host.schedule.packet
         serve_size = host.config.sizes.serve_size
         burst: List[Tuple[NodeId, str, int, object]] = []
-        for packet_id in payload.packet_ids:
-            if not has_delivered(packet_id):
+        for packet_id in message.payload.packet_ids:
+            if packet_id not in delivered:
                 continue
             descriptor = packet_of(packet_id)
-            served = ServedPacket(packet_id=packet_id, size_bytes=descriptor.size_bytes)
+            served = ServedPacket(packet_id, descriptor.size_bytes)
             size = serve_size(descriptor.size_bytes)
-            burst.append((sender, SERVE, size, ServePayload(packet=served)))
+            burst.append((sender, SERVE, size, ServePayload(served)))
         if burst:
             host.send_many(burst)
             host.stats.serves_sent += len(burst)
             host.stats.packets_served += len(burst)
 
-    def _handle_serve(self, sender: NodeId, payload: ServePayload) -> None:
+    def _handle_serve(self, message: Message) -> None:
         host = self.host
-        packet = payload.packet
-        now = host.now
-        if host.state.has_delivered(packet.packet_id):
+        packet_id = message.payload.packet.packet_id
+        if packet_id in host.state.delivered:
             host.stats.duplicate_serves_received += 1
             return
-        host.deliver(packet.packet_id, now)
-        host.state.queue_for_proposal(packet.packet_id)
+        host.deliver(packet_id, host.simulator.now)
+        host.state.events_to_propose.append(packet_id)
 
-    def _handle_feed_me(self, payload: FeedMePayload) -> None:
+    def _handle_feed_me(self, message: Message) -> None:
         host = self.host
         host.stats.feed_me_received += 1
-        host.partners.insert_requester(payload.requester, host.now)
+        host.partners.insert_requester(message.payload.requester, host.now)

@@ -24,12 +24,14 @@ event — measured by ``python -m repro.bench run --filter observer-overhead``.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, List, Optional
 
 from repro.simulation.backend import SimulationBackend, run_loop
 from repro.simulation.clock import SimulationClock
 from repro.simulation.errors import SimulationStateError, SimulationTimeError
-from repro.simulation.event_queue import EventCallback, EventHandle, EventQueue
+from repro.simulation.event_queue import EventCallback, EventHandle, EventQueue, ScheduledEvent
+from repro.simulation.event_queue import _NEVER_CANCELLED, _new_event  # push, inlined below
 from repro.simulation.rng import RngRegistry
 
 
@@ -109,13 +111,20 @@ class Simulator:
         """
         if delay < 0.0:
             raise SimulationTimeError(f"cannot schedule with negative delay {delay!r}")
-        return self._queue.push(self._clock.now + delay, callback, *args)
+        # EventQueue.push inlined, as run_loop inlines pop (now + delay >= 0).
+        queue = self._queue
+        time = self._clock._now + delay
+        handle = EventHandle(time=time, sequence=queue._sequence, _queue=queue)
+        entry = (time, queue._sequence, callback, args, handle)
+        heapq.heappush(queue._heap, _new_event(ScheduledEvent, entry))
+        queue._sequence += 1
+        return handle
 
     def schedule_at(self, time: float, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._clock.now:
+        if time < self._clock._now:
             raise SimulationTimeError(
-                f"cannot schedule at {time!r}, which is before now ({self._clock.now!r})"
+                f"cannot schedule at {time!r}, which is before now ({self._clock._now!r})"
             )
         return self._queue.push(time, callback, *args)
 
@@ -129,7 +138,11 @@ class Simulator:
         """
         if delay < 0.0:
             raise SimulationTimeError(f"cannot schedule with negative delay {delay!r}")
-        self._queue.push_unhandled(self._clock.now + delay, callback, *args)
+        # EventQueue.push_unhandled inlined, like push in schedule().
+        queue = self._queue
+        entry = (self._clock._now + delay, queue._sequence, callback, args, _NEVER_CANCELLED)
+        heapq.heappush(queue._heap, _new_event(ScheduledEvent, entry))
+        queue._sequence += 1
 
     def schedule_fire_and_forget_at(
         self, time: float, callback: EventCallback, *args: Any
@@ -141,9 +154,9 @@ class Simulator:
         a round trip through a relative delay (which would not survive float
         arithmetic bit-exactly).
         """
-        if time < self._clock.now:
+        if time < self._clock._now:
             raise SimulationTimeError(
-                f"cannot schedule at {time!r}, which is before now ({self._clock.now!r})"
+                f"cannot schedule at {time!r}, which is before now ({self._clock._now!r})"
             )
         self._queue.push_unhandled(time, callback, *args)
 
@@ -215,7 +228,7 @@ class Simulator:
                 executed = self._backend.run_loop(self, until, max_events)
         finally:
             self._running = False
-        if until is not None and self._clock.now < until:
+        if until is not None and self._clock._now < until:
             self._clock.advance_to(until)
         return executed
 

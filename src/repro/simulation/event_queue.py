@@ -6,19 +6,23 @@ determinism matters: gossip experiments are compared across parameter sweeps
 and must not depend on hash ordering or heap tie-breaking accidents.
 
 Cancellation is *lazy*: cancelling an event marks its handle and the event is
-skipped when it reaches the top of the heap.  This makes cancellation O(1),
-which the gossip protocol relies on (retransmission timers are cancelled for
-every packet that is served in time — the common case).
+skipped when it reaches the top of the heap, which makes cancellation O(1).
+What gets cancelled is churn, not served requests: a failing node stops its
+gossip timers and disarms its pending retransmissions
+(:meth:`~repro.core.state.NodeState.cancel_all_pending`).  The protocol does
+**not** cancel a retransmission timer when the packets it guards arrive: every
+armed timer of a live node fires and re-requests what is still missing,
+usually nothing (at the paper's operating point 23,333 of 23,333 fire, 15.5 %
+of all events, and 652 re-request anything; docs/performance.md records
+cancel-on-serve as a measured follow-up).
 
-Lazy cancellation alone, however, lets long sessions drag a heap full of
-dead retransmission timers: every packet served in time leaves a cancelled
-entry buried in the heap until its (far-future) timestamp surfaces, and each
-of those dead entries taxes every subsequent push and pop with extra sift
-work.  The queue therefore keeps a **live counter** — cancelled handles
-report back, making ``len()`` O(1) — and **compacts** the heap (filters the
-dead entries out and re-heapifies) once they outnumber the live ones.
-Compaction never changes pop order: the heap order is the *total* order
-``(time, sequence)``, so rebuilding from any subset pops identically.
+A mass failure leaves its dead entries buried in the heap until their
+timestamps surface, each taxing every push and pop with extra sift work, so
+the queue keeps a **live counter** — cancelled handles report back, making
+``len()`` O(1) — and **compacts** the heap (filters the dead entries out and
+re-heapifies) once they outnumber the live ones; without churn neither ever
+runs.  Compaction never changes pop order: the heap order is the *total*
+order ``(time, sequence)``, so rebuilding from any subset pops identically.
 
 Heap entries are :class:`ScheduledEvent` named tuples.  The sequence number
 is unique per queue, so tuple comparison always resolves within the
@@ -29,7 +33,9 @@ of a Python-level ``__lt__``.
 :meth:`EventQueue.push_unhandled` schedules fire-and-forget events (datagram
 deliveries are never cancelled) without allocating a cancellation handle.
 The dispatch loop (:func:`repro.simulation.backend.run_loop`) inlines
-:meth:`EventQueue.pop` and relies on the invariants spelled out there.
+:meth:`EventQueue.pop`, and the simulator's relative-delay scheduling verbs
+inline :meth:`EventQueue.push` / :meth:`EventQueue.push_unhandled`; both
+rely on the invariants spelled out there.
 """
 
 from __future__ import annotations
@@ -91,6 +97,12 @@ class ScheduledEvent(NamedTuple):
     handle: EventHandle = None  # type: ignore[assignment]
 
 
+#: ``_new_event(ScheduledEvent, (time, sequence, callback, args, handle))``
+#: builds a heap entry in one C call; ``ScheduledEvent(...)`` itself is a
+#: generated Python ``__new__`` wrapping this same call, one frame per event.
+_new_event = tuple.__new__
+
+
 class EventQueue:
     """A deterministic, cancellable min-heap of :class:`ScheduledEvent`."""
 
@@ -122,9 +134,9 @@ class EventQueue:
             raise SimulationTimeError(f"cannot schedule event at negative time {time!r}")
         time = float(time)
         handle = EventHandle(time=time, sequence=self._sequence, _queue=self)
-        event = ScheduledEvent(time, self._sequence, callback, args, handle)
+        entry = (time, self._sequence, callback, args, handle)
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
         self._sequence += 1
-        heapq.heappush(self._heap, event)
         return handle
 
     def push_unhandled(self, time: float, callback: EventCallback, *args: Any) -> None:
@@ -137,9 +149,9 @@ class EventQueue:
         """
         if time < 0.0:
             raise SimulationTimeError(f"cannot schedule event at negative time {time!r}")
-        event = ScheduledEvent(float(time), self._sequence, callback, args, _NEVER_CANCELLED)
+        entry = (float(time), self._sequence, callback, args, _NEVER_CANCELLED)
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
         self._sequence += 1
-        heapq.heappush(self._heap, event)
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or ``None`` if the queue is empty."""

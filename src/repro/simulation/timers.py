@@ -5,7 +5,9 @@ The gossip protocol uses two kinds of timers:
 * the **gossip timer** — a fixed-period tick on every node that triggers a
   gossip round (``PeriodicTimer``);
 * **retransmission timers** — one-shot timers armed when a node requests
-  packets and cancelled when the packets arrive (``Timer``).
+  packets (``Timer``).  They are not cancelled when the packets arrive:
+  each fires once and re-requests whatever is still missing (usually
+  nothing); only a node failure cancels them.
 
 Both are written against the :class:`~repro.core.host.Host` surface
 (``schedule`` returning a cancellable handle, plus ``rng`` for jitter), so

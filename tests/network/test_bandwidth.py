@@ -112,56 +112,3 @@ class TestUploadLimiter:
         limiter = UploadLimiter(BandwidthCap.unlimited())
         with pytest.raises(ValueError):
             limiter.enqueue(0, now=0.0)
-
-
-class TestEnqueueMany:
-    """`enqueue_many` must be indistinguishable from sequential `enqueue`:
-    bit-for-bit identical float finish times, drop decisions and counters."""
-
-    # Awkward sizes at an awkward rate so every finish time carries a full
-    # mantissa of history; any reassociation of the sum would show up.
-    SIZES = [997 + 13 * (i % 57) + (i % 7) for i in range(200)]
-    RATE = BandwidthCap(rate_bps=714_285.0, max_backlog_seconds=500.0)
-
-    @staticmethod
-    def _sequential(cap, sizes, now, start_busy=0.0):
-        limiter = UploadLimiter(cap)
-        limiter._busy_until = start_busy
-        return limiter, [limiter.enqueue(size, now) for size in sizes]
-
-    def _batched(self, cap, sizes, now, start_busy=0.0):
-        limiter = UploadLimiter(cap)
-        limiter._busy_until = start_busy
-        return limiter, limiter.enqueue_many(sizes, now)
-
-    def _assert_equivalent(self, cap, sizes, now, start_busy=0.0):
-        scalar_limiter, scalar_times = self._sequential(cap, sizes, now, start_busy)
-        batch_limiter, batch_times = self._batched(cap, sizes, now, start_busy)
-        assert batch_times == scalar_times  # exact, not approx
-        assert batch_limiter._busy_until == scalar_limiter._busy_until
-        assert batch_limiter.bytes_accepted == scalar_limiter.bytes_accepted
-        assert batch_limiter.bytes_dropped == scalar_limiter.bytes_dropped
-        assert batch_limiter.messages_accepted == scalar_limiter.messages_accepted
-        assert batch_limiter.messages_dropped == scalar_limiter.messages_dropped
-
-    def test_small_batch_uses_scalar_loop_and_matches(self):
-        self._assert_equivalent(self.RATE, self.SIZES[:8], now=3.25)
-
-    def test_batch_matches_sequential_enqueue(self):
-        self._assert_equivalent(self.RATE, self.SIZES, now=3.25)
-        # A fractional pre-existing backlog: the burst queues behind it.
-        self._assert_equivalent(self.RATE, self.SIZES, now=7.1, start_busy=11.030303)
-
-    def test_batch_with_mid_burst_drops_matches(self):
-        cap = BandwidthCap(rate_bps=714_285.0, max_backlog_seconds=0.5)
-        sizes = self.SIZES[:60]  # overflows the 0.5 s backlog mid-burst
-        self._assert_equivalent(cap, sizes, now=0.0)
-        _, times = self._batched(cap, sizes, now=0.0)
-        assert None in times  # the burst really does drop
-
-    def test_unlimited_cap_batch_matches(self):
-        self._assert_equivalent(BandwidthCap.unlimited(), self.SIZES, now=2.0)
-
-    def test_empty_batch(self):
-        limiter = UploadLimiter(self.RATE)
-        assert limiter.enqueue_many([], now=0.0) == []

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.network.bandwidth import BandwidthCap
-from repro.network.latency import ConstantLatency
+from repro.network.latency import ConstantLatency, PerNodeQualityLatency
 from repro.network.loss import UniformLoss
 from repro.network.message import Message
-from repro.network.transport import Network, NetworkConfig
+from repro.network.transport import DatagramRouter, Network, NetworkConfig
+from repro.simulation.engine import Simulator
 from repro.simulation.rng import RngRegistry
+from repro.validation.observers import TransportObserver
 
 
 class Recorder:
@@ -311,3 +313,120 @@ class TestSendMany:
         ]
         assert network.send_many(burst) == 2
         assert edges.accepted == [1, 2]  # one edge per logical datagram
+
+    def test_mixed_senders_rejected_when_observed(self, simulator):
+        """One sender rule: an observer does not turn the error into a silent
+        datagram-by-datagram send (it did before the pipeline was one body)."""
+
+        class Edges(TransportObserver):
+            def __init__(self):
+                self.accepted = []
+
+            def on_send_accepted(self, message, now, finish_time):
+                self.accepted.append(message)
+
+        network = build_network(simulator)
+        network.register(0, lambda m: None)
+        network.register(1, lambda m: None)
+        edges = Edges()
+        network.add_observer(edges)
+        with pytest.raises(ValueError, match="single sender"):
+            network.send_many(
+                [
+                    Message(sender=0, receiver=1, kind="propose", size_bytes=10),
+                    Message(sender=1, receiver=0, kind="propose", size_bytes=10),
+                ]
+            )
+        assert edges.accepted == []  # rejected before anything is sent
+        assert simulator.pending_events == 0
+
+
+class TestOneSendPipeline:
+    """`Network.send_many` is the only send body: observed, unobserved and
+    datagram-by-datagram sends of one burst are the same run — same delivery
+    events, same RNG stream positions, same counters — whether draws are
+    shared or per sender, and whether or not a router takes the deliveries."""
+
+    NODES = list(range(6))
+
+    class Router(DatagramRouter):
+        def __init__(self, network):
+            self.network = network
+            self.dispatched = []
+
+        def dispatch(self, message, deliver_time):
+            self.dispatched.append((message.receiver, deliver_time))
+            self.network.schedule_delivery(message, deliver_time)
+
+    class Edges(TransportObserver):
+        def __init__(self):
+            self.seen = []
+
+        def on_send_accepted(self, message, now, finish_time):
+            self.seen.append(("accepted", message.receiver, finish_time))
+
+        def on_congestion_drop(self, message, now):
+            self.seen.append(("congestion", message.receiver))
+
+        def on_in_flight_loss(self, message, now):
+            self.seen.append(("lost", message.receiver))
+
+    def _run(self, mode, per_sender, routed):
+        simulator = Simulator(seed=11)
+        rng = simulator.rng
+        network = Network(
+            simulator,
+            latency_model=PerNodeQualityLatency(rng, self.NODES, base=0.05, per_sender=per_sender),
+            loss_model=UniformLoss(rng, probability=0.25, per_sender=per_sender),
+        )
+        for node in self.NODES:
+            # A tight cap on the sender: the burst overflows its 0.15 s backlog.
+            cap = BandwidthCap(rate_bps=700_000.0, max_backlog_seconds=0.15) if node == 0 else None
+            network.register(node, lambda message: None, cap=cap)
+        router = self.Router(network) if routed else None
+        network.set_router(router)
+        edges = self.Edges() if mode == "observed" else None
+        if edges is not None:
+            network.add_observer(edges)
+        burst = [
+            Message(sender=0, receiver=1 + (i % 5), kind="serve", size_bytes=350 + 41 * i)
+            for i in range(40)
+        ]
+        if mode == "one-by-one":
+            accepted = sum(network.send(message) for message in burst)
+        else:
+            accepted = network.send_many(burst)
+        suffix = "/node-0" if per_sender else ""
+        limiter = network.limiter(0)
+        cell = network.stats.node(0)
+        return {
+            "accepted": accepted,
+            "deliveries": sorted(
+                (event.time, event.sequence, event.args[0].receiver)
+                for event in simulator._queue._heap
+            ),
+            "dispatched": router.dispatched if routed else None,
+            "loss_stream": rng.stream("loss/uniform" + suffix).getstate(),
+            "jitter_stream": rng.stream("latency/per-node/jitter" + suffix).getstate(),
+            "traffic": (
+                cell.bytes_sent, cell.messages_sent, dict(cell.sent_bytes_by_kind),
+                cell.messages_dropped_congestion, cell.messages_lost_in_flight,
+            ),
+            "limiter": (
+                limiter.bytes_accepted, limiter.messages_accepted,
+                limiter.bytes_dropped, limiter.messages_dropped, limiter._busy_until,
+            ),
+        }, edges
+
+    @pytest.mark.parametrize("routed", [False, True], ids=["local", "routed"])
+    @pytest.mark.parametrize("per_sender", [False, True], ids=["shared-stream", "per-sender"])
+    def test_observed_unobserved_and_sequential_sends_agree(self, per_sender, routed):
+        unobserved, _ = self._run("unobserved", per_sender, routed)
+        observed, edges = self._run("observed", per_sender, routed)
+        sequential, _ = self._run("one-by-one", per_sender, routed)
+        assert observed == unobserved == sequential
+        # The burst really exercises all three fates, and the edges saw them.
+        fates = [edge[0] for edge in edges.seen]
+        assert fates.count("accepted") == unobserved["accepted"] < 40
+        assert "congestion" in fates and "lost" in fates
+        assert len(unobserved["deliveries"]) == fates.count("accepted") - fates.count("lost")
