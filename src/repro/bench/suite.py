@@ -198,8 +198,8 @@ def run_observer_overhead(ctx: BenchContext) -> dict:
 TELEMETRY_MODES = ("disabled", "disarmed", "metrics", "traced")
 
 
-def run_telemetry_session(num_nodes: int, num_windows: int, mode: str, trace_dir) -> tuple:
-    """One full session in the given telemetry mode; (result, seconds)."""
+def telemetry_session_config(num_nodes: int, num_windows: int, mode: str, trace_dir):
+    """The throughput session with telemetry armed as ``mode`` says."""
     import dataclasses
 
     from repro.telemetry.config import TelemetryConfig
@@ -212,10 +212,15 @@ def run_telemetry_session(num_nodes: int, num_windows: int, mode: str, trace_dir
             metrics=True, trace_path=str(Path(trace_dir) / f"bench_{mode}.jsonl")
         ),
     }[mode]
-    config = dataclasses.replace(
+    return dataclasses.replace(
         throughput_config(num_nodes=num_nodes, num_windows=num_windows),
         telemetry=telemetry,
     )
+
+
+def run_telemetry_session(num_nodes: int, num_windows: int, mode: str, trace_dir) -> tuple:
+    """One full session in the given telemetry mode; (result, seconds)."""
+    config = telemetry_session_config(num_nodes, num_windows, mode, trace_dir)
     started = time.perf_counter()
     result = run_once(config)
     elapsed = time.perf_counter() - started
@@ -244,6 +249,12 @@ def run_telemetry_overhead(ctx: BenchContext) -> dict:
             if mode == "traced":
                 trace_events = result.telemetry.trace_events
             ctx.log(f"    {mode:12s} {rates[mode]:>10,.0f} events/s")
+        frames = {  # a second, untimed pass, by which every lazy import has happened
+            mode: frames_per_event(
+                telemetry_session_config(num_nodes, num_windows, mode, trace_dir)
+            )
+            for mode in ("metrics", "traced")
+        }
     if len(set(events_by_mode.values())) != 1:
         raise AssertionError(
             f"telemetry modes changed the event trace: {events_by_mode} "
@@ -268,6 +279,8 @@ def run_telemetry_overhead(ctx: BenchContext) -> dict:
         "idle_overhead": overhead("disarmed"),
         "metrics_overhead": overhead("metrics"),
         "trace_overhead": overhead("traced"),
+        "metrics_frames_per_event": frames["metrics"],
+        "traced_frames_per_event": frames["traced"],
     }
 
 
@@ -880,7 +893,8 @@ def register_all(registry=None) -> None:
             warmup=_warmup_session,
             tags=("engine", "telemetry", "observability"),
             repeats=3,
-            smoke_repeats=1,
+            # One 0.1 s run per mode moves +-10 % on its own: best-of-five.
+            smoke_repeats=5,
             metrics=(
                 Metric("events_processed", kind="identity", unit="events"),
                 Metric("trace_events", kind="identity", unit="events"),
@@ -891,6 +905,8 @@ def register_all(registry=None) -> None:
                 Metric("idle_overhead", kind="rate", higher_is_better=False),
                 Metric("metrics_overhead", kind="rate", higher_is_better=False),
                 Metric("trace_overhead", kind="rate", higher_is_better=False),
+                Metric("metrics_frames_per_event", kind="counter", higher_is_better=False),
+                Metric("traced_frames_per_event", kind="counter", higher_is_better=False),
             ),
         )
     )

@@ -453,12 +453,16 @@ class StreamingSession:
         self.emitter.start()
 
         end_time = self.schedule.config.end_time + self.config.extra_time
-        self.simulator.run(until=end_time)
+        try:
+            self.simulator.run(until=end_time)
+        finally:
+            # A run that dies half-way still leaves a whole, closed trace: its
+            # last buffered lines are the ones that explain the failure.
+            telemetry_snapshot = (
+                self.telemetry.finalize() if self.telemetry is not None else None
+            )
 
         assert self.network is not None
-        telemetry_snapshot = (
-            self.telemetry.finalize() if self.telemetry is not None else None
-        )
         return SessionResult(
             config=self.config,
             schedule=self.schedule,

@@ -300,11 +300,12 @@ class ShardSession(StreamingSession):
         if self.emitter is not None:
             self.emitter.start()
 
-        self.simulator.run(until=session_horizon(self.config))
-
-        telemetry_snapshot = (
-            self.telemetry.finalize() if self.telemetry is not None else None
-        )
+        try:
+            self.simulator.run(until=session_horizon(self.config))
+        finally:  # as in StreamingSession.run: a failed shard still closes its trace
+            telemetry_snapshot = (
+                self.telemetry.finalize() if self.telemetry is not None else None
+            )
         return ShardResult(
             shard_id=self.shard_id,
             owned=self._owned,

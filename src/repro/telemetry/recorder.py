@@ -14,6 +14,7 @@ delay, datagram sizes, delivery lag).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -22,8 +23,8 @@ from repro.streaming.packets import PacketId
 from repro.streaming.schedule import StreamSchedule
 from repro.validation.observers import SessionObserver
 
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.schema import EVENT_KINDS, TraceError, TraceWriter, json_text
+from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.schema import _LINE_TEMPLATES, EVENT_KINDS, TraceError, TraceWriter, json_text
 
 #: Bucket bounds (seconds) for the upload-serialization delay histogram:
 #: a 1 kB datagram at 700 kbps serializes in ~11 ms, so the buckets bracket
@@ -37,6 +38,10 @@ DATAGRAM_SIZE_BOUNDS = (64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 #: Bucket bounds (seconds) for delivery lag behind publish time, spanning
 #: the paper's playout lags (10 s / 20 s / offline).
 DELIVERY_LAG_BOUNDS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
+
+#: Callback names memoised per recorder: a session schedules a few dozen
+#: functions, but closures made afresh per event must not pile up.
+_FN_TEXT_LIMIT = 1024
 
 
 def callback_name(callback: Any) -> str:
@@ -57,6 +62,40 @@ def callback_name(callback: Any) -> str:
     return type(callback).__name__
 
 
+class _JsonTexts(dict):
+    """``value -> json_text(value)``: a run repeats a few message kinds and two bools."""
+
+    def __missing__(self, value: Any) -> str:
+        text = self[value] = json_text(value)
+        return text
+
+
+def _fate_edge(kind: str) -> Callable[..., None]:
+    """The handler of one terminal datagram fate (``snd rcv mk sz d``)."""
+
+    def on_fate(self: "TraceRecorder", message: Message, now: float) -> None:
+        seq = self._in_flight.pop(id(message), -1)
+        template = self._templates[kind]
+        if template is None:
+            return
+        writer = self._writer
+        if now is not writer.time:
+            finite = type(now) is float and now - now == 0.0
+            writer.time, writer.time_text = now, repr(now) if finite else json_text(now)
+        buffer = writer.buffer
+        held = len(buffer)
+        line = template % (
+            writer.flushed + held, writer.time_text, message.sender, message.receiver,
+            self._text[message.kind], message.size_bytes, seq,
+        )
+        buffer.append(line)
+        writer.counts[kind] += 1
+        if held >= self._flush_at:
+            writer.flush()
+
+    return on_fate
+
+
 class TraceRecorder(SessionObserver):
     """Streams every selected instrumentation edge into a trace writer.
 
@@ -67,6 +106,11 @@ class TraceRecorder(SessionObserver):
     ids cannot alias.  Sequence numbers are assigned even when ``send``
     events are filtered out, keeping ``d`` stable under any filter
     combination.
+
+    The frequent edges (``dispatch``, ``send``, the three fates, ``packet``)
+    render their line where they stand, doing on the writer's state what
+    ``TraceWriter.write`` does, so a line costs one Python frame from the
+    substrate's observer loop; the rare edges call ``write`` itself.
     """
 
     def __init__(
@@ -85,80 +129,109 @@ class TraceRecorder(SessionObserver):
                 f"unknown trace event kinds {sorted(unknown)}; known: {list(EVENT_KINDS)}"
             )
         wanted -= set(exclude_kinds)
-        # The filter is resolved here, once: every kind gets its bound
-        # ``writer.write``, or ``None`` when it is filtered out.
-        self._emit: Dict[str, Optional[Callable[..., None]]] = {
-            kind: partial(writer.write, kind) if kind in wanted else None
-            for kind in EVENT_KINDS
+        # The filter is resolved here, once: every kind gets its line
+        # template, or ``None`` when it is filtered out.
+        self._templates: Dict[str, Optional[str]] = {
+            kind: _LINE_TEMPLATES[kind] if kind in wanted else None for kind in EVENT_KINDS
         }
+        self._writer = writer
+        self._flush_at = writer.flush_every - 1  # lines held when the next one fills the buffer
         self._sample_every = sample_every
         self._dispatch_seen = 0
         self._fn_text: Dict[Any, str] = {}
+        self._text = _JsonTexts()
         self._next_seq = 0
         self._in_flight: Dict[int, int] = {}
 
     @property
     def records_dispatch(self) -> bool:
         """Whether the engine's dispatch edge is of any use to this recorder."""
-        return self._emit["dispatch"] is not None
+        return self._templates["dispatch"] is not None
 
     # ------------------------------------------------------------------
     # Engine edge
     # ------------------------------------------------------------------
     def on_event_dispatch(self, time: float, callback: Any, args: Tuple[Any, ...]) -> None:
-        emit = self._emit["dispatch"]
-        if emit is None:
+        template = self._templates["dispatch"]
+        if template is None:
             return
         self._dispatch_seen += 1
         if (self._dispatch_seen - 1) % self._sample_every:
             return
         # Bound methods (every callback the substrates schedule) are made
-        # afresh per event; the function under them names them all.
-        function = getattr(callback, "__func__", None)
-        text = self._fn_text.get(function)
+        # afresh per event; the function under them names them all.  Any
+        # other callable is its own key, if it can be one.
+        function = getattr(callback, "__func__", callback)
+        try:
+            text = self._fn_text.get(function)
+        except TypeError:  # unhashable
+            function = text = None
         if text is None:
             text = json_text(callback_name(callback))
-            if function is not None:
+            if function is not None and len(self._fn_text) < _FN_TEXT_LIMIT:
                 self._fn_text[function] = text
-        emit(time, text)
+        writer = self._writer
+        if time is not writer.time:
+            finite = type(time) is float and time - time == 0.0
+            writer.time, writer.time_text = time, repr(time) if finite else json_text(time)
+        buffer = writer.buffer
+        held = len(buffer)
+        buffer.append(template % (writer.flushed + held, writer.time_text, text))
+        writer.counts["dispatch"] += 1
+        if held >= self._flush_at:
+            writer.flush()
 
     # ------------------------------------------------------------------
     # Transport edges
     # ------------------------------------------------------------------
-    def _datagram(self, kind: str, message: Message, now: float, *tail: Any) -> None:
-        emit = self._emit[kind]
-        if emit is not None:
-            emit(
-                now, message.sender, message.receiver, json_text(message.kind),
-                message.size_bytes, *tail,
+    def _unsent(self, kind: str, message: Message, now: float) -> None:
+        if self._templates[kind] is not None:
+            kind_text = self._text[message.kind]
+            self._writer.write(
+                kind, now, message.sender, message.receiver, kind_text, message.size_bytes
             )
 
     def on_send_blocked(self, message: Message, now: float) -> None:
-        self._datagram("send_blocked", message, now)
+        self._unsent("send_blocked", message, now)
 
     def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq = seq + 1
         self._in_flight[id(message)] = seq
-        self._datagram("send", message, now, seq, json_text(finish_time))
+        template = self._templates["send"]
+        if template is None:
+            return
+        writer = self._writer
+        if now is not writer.time:
+            finite = type(now) is float and now - now == 0.0
+            writer.time, writer.time_text = now, repr(now) if finite else json_text(now)
+        fin = finish_time
+        buffer = writer.buffer
+        held = len(buffer)
+        line = template % (
+            writer.flushed + held, writer.time_text, message.sender, message.receiver,
+            self._text[message.kind], message.size_bytes, seq,
+            repr(fin) if type(fin) is float and fin - fin == 0.0 else json_text(fin),
+        )
+        buffer.append(line)
+        writer.counts["send"] += 1
+        if held >= self._flush_at:
+            writer.flush()
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
-        self._datagram("drop_congestion", message, now)
+        self._unsent("drop_congestion", message, now)
 
-    def on_in_flight_loss(self, message: Message, now: float) -> None:
-        self._datagram("loss", message, now, self._in_flight.pop(id(message), -1))
-
-    def on_delivered(self, message: Message, now: float) -> None:
-        self._datagram("deliver_msg", message, now, self._in_flight.pop(id(message), -1))
-
-    def on_delivery_dropped(self, message: Message, now: float) -> None:
-        self._datagram("drop_dead", message, now, self._in_flight.pop(id(message), -1))
+    on_in_flight_loss = _fate_edge("loss")
+    on_delivered = _fate_edge("deliver_msg")
+    on_delivery_dropped = _fate_edge("drop_dead")
 
     def on_node_failed(self, node_id: NodeId, now: float) -> None:
-        self._record("node_failed", now, node_id)
+        if self._templates["node_failed"] is not None:
+            self._writer.write("node_failed", now, node_id)
 
     def on_node_recovered(self, node_id: NodeId, now: float) -> None:
-        self._record("node_recovered", now, node_id)
+        if self._templates["node_recovered"] is not None:
+            self._writer.write("node_recovered", now, node_id)
 
     # ------------------------------------------------------------------
     # Delivery edge
@@ -166,7 +239,20 @@ class TraceRecorder(SessionObserver):
     def on_packet_delivered(
         self, node_id: NodeId, packet_id: PacketId, time: float, is_source: bool
     ) -> None:
-        self._record("packet", time, node_id, packet_id, json_text(is_source))
+        template = self._templates["packet"]
+        if template is None:
+            return
+        writer = self._writer
+        if time is not writer.time:
+            finite = type(time) is float and time - time == 0.0
+            writer.time, writer.time_text = time, repr(time) if finite else json_text(time)
+        buffer = writer.buffer
+        held = len(buffer)
+        index, source = writer.flushed + held, self._text[is_source]
+        buffer.append(template % (index, writer.time_text, node_id, packet_id, source))
+        writer.counts["packet"] += 1
+        if held >= self._flush_at:
+            writer.flush()
 
     # ------------------------------------------------------------------
     # Protocol-phase edges
@@ -174,17 +260,14 @@ class TraceRecorder(SessionObserver):
     def on_gossip_round(
         self, node_id: NodeId, time: float, partners: Sequence[NodeId]
     ) -> None:
-        self._record("round", time, node_id, len(partners))
+        if self._templates["round"] is not None:
+            self._writer.write("round", time, node_id, len(partners))
 
     def on_feed_me_round(
         self, node_id: NodeId, time: float, targets: Sequence[NodeId]
     ) -> None:
-        self._record("feed_me_round", time, node_id, len(targets))
-
-    def _record(self, kind: str, time: float, *values: Any) -> None:
-        emit = self._emit[kind]
-        if emit is not None:
-            emit(time, *values)
+        if self._templates["feed_me_round"] is not None:
+            self._writer.write("feed_me_round", time, node_id, len(targets))
 
 
 class MetricsObserver(SessionObserver):
@@ -194,12 +277,18 @@ class MetricsObserver(SessionObserver):
     (everything the session counts anyway — traffic cells, protocol
     counters, events dispatched — is exported through snapshot-time
     collectors instead, keeping a single accounting code path).
+
+    The per-datagram edges write the handles' slots in place — what
+    ``Counter.inc`` and ``Histogram.observe`` do, without the calls.
     """
 
     def __init__(
         self, registry: MetricsRegistry, schedule: Optional[StreamSchedule] = None
     ) -> None:
-        self._schedule = schedule
+        # Packet ids are positions in publication order.
+        self._publish_times = (
+            None if schedule is None else [packet.publish_time for packet in schedule.packets()]
+        )
         self._fates = {
             fate: registry.counter("net.datagrams", fate=fate)
             for fate in (
@@ -220,33 +309,38 @@ class MetricsObserver(SessionObserver):
         self._failures = registry.counter("membership.failures")
         self._recoveries = registry.counter("membership.recoveries")
         self._registry = registry
-        self._size_by_kind: Dict[str, Any] = {}
+        self._size_by_kind: Dict[str, Histogram] = {}
 
-    def _size_histogram(self, kind: str):
-        histogram = self._size_by_kind.get(kind)
-        if histogram is None:
-            histogram = self._registry.histogram(
-                "net.datagram_bytes", DATAGRAM_SIZE_BOUNDS, kind=kind
-            )
-            self._size_by_kind[kind] = histogram
+    def _size_histogram(self, kind: str) -> Histogram:
+        histogram = self._size_by_kind[kind] = self._registry.histogram(
+            "net.datagram_bytes", DATAGRAM_SIZE_BOUNDS, kind=kind
+        )
         return histogram
 
     def on_send_blocked(self, message: Message, now: float) -> None:
         self._fates["blocked"].inc()
 
     def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
-        self._fates["accepted"].inc()
-        self._serialization.observe(finish_time - now)
-        self._size_histogram(message.kind).observe(float(message.size_bytes))
+        self._fates["accepted"].value += 1.0
+        delay = finish_time - now
+        histogram = self._serialization
+        histogram.counts[bisect_left(histogram.bounds, delay)] += 1
+        histogram.total += 1
+        histogram.sum += delay
+        size = float(message.size_bytes)
+        histogram = self._size_by_kind.get(message.kind) or self._size_histogram(message.kind)
+        histogram.counts[bisect_left(histogram.bounds, size)] += 1
+        histogram.total += 1
+        histogram.sum += size
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
         self._fates["congestion_drop"].inc()
 
     def on_in_flight_loss(self, message: Message, now: float) -> None:
-        self._fates["loss"].inc()
+        self._fates["loss"].value += 1.0
 
     def on_delivered(self, message: Message, now: float) -> None:
-        self._fates["delivered"].inc()
+        self._fates["delivered"].value += 1.0
 
     def on_delivery_dropped(self, message: Message, now: float) -> None:
         self._fates["dropped_dead"].inc()
@@ -260,10 +354,13 @@ class MetricsObserver(SessionObserver):
     def on_packet_delivered(
         self, node_id: NodeId, packet_id: PacketId, time: float, is_source: bool
     ) -> None:
-        if is_source or self._schedule is None:
+        if is_source or self._publish_times is None:
             return
-        publish_time = self._schedule.packet(packet_id).publish_time
-        self._lag.observe(time - publish_time)
+        lag = time - self._publish_times[packet_id]
+        histogram = self._lag
+        histogram.counts[bisect_left(histogram.bounds, lag)] += 1
+        histogram.total += 1
+        histogram.sum += lag
 
 
 __all__ = [

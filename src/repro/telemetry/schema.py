@@ -49,14 +49,17 @@ into flow arrows.
 
 Two ways in, one set of bytes out: :meth:`TraceWriter.append` is the general
 path (any kind, any fields, one ``json`` encode per event);
-:meth:`TraceWriter.write` renders a known kind from a pre-built template.
+:meth:`TraceWriter.write` renders a known kind from a pre-built template, and
+the recorder's frequent edges fill that same template themselves.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, IO, Iterator, Optional, Tuple, Union
 
@@ -94,21 +97,17 @@ _LINE_TEMPLATES: Dict[str, str] = {
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-#: Strings and bools are encoded once: a run repeats a handful of message
-#: kinds and callback names on every line.
-_encode_memoised = lru_cache(maxsize=1024)(_encode)
-
 
 def json_text(value: Any) -> str:
     """Compact ``json.dumps(value)`` of one field value, byte for byte.
 
     Finite floats are their ``repr`` (what ``json`` emits for them); anything
-    unusual — ``NaN``, infinities, foreign types — is left to ``json`` itself.
+    else — strings, bools, ``NaN``, infinities, foreign types — is left to
+    ``json`` itself.
     """
-    kind = type(value)
-    if kind is float and value - value == 0.0:
+    if type(value) is float and value - value == 0.0:
         return repr(value)
-    return _encode_memoised(value) if kind is str or kind is bool else _encode(value)
+    return _encode(value)
 
 
 class TraceError(ValueError):
@@ -128,6 +127,17 @@ class TraceHeader:
         return int(self.schema.rpartition("/")[2])
 
 
+class _ClosedBuffer(list):
+    """A closed writer's buffer: empty for good, and the first append raises."""
+
+    def __init__(self, path: Path) -> None:
+        super().__init__()
+        self._path = path
+
+    def append(self, line: str) -> None:
+        raise TraceError(f"trace writer for {self._path} is closed")
+
+
 class TraceWriter:
     """Streams events to a JSONL trace with bounded memory.
 
@@ -136,6 +146,12 @@ class TraceWriter:
     long session holds at most ``flush_every`` encoded lines in memory.
     The writer assigns the contiguous ``i`` index — callers supply events
     without it.
+
+    The recorder's hot handlers do what :meth:`write` does without calling
+    it, on the same state: the next index is ``flushed + len(buffer)``,
+    ``time`` / ``time_text`` memoise the last clock reading and its JSON,
+    a stored line bumps ``counts[kind]``, and the writer is flushed once
+    ``buffer`` holds ``flush_every`` lines.
     """
 
     def __init__(
@@ -148,73 +164,96 @@ class TraceWriter:
             raise TraceError(f"flush_every must be >= 1, got {flush_every!r}")
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._flush_every = flush_every
-        self._buffer: list = []
-        self._count = 0
-        self._by_kind: Dict[str, int] = {}
-        self._time, self._time_text = None, "null"  # write()'s memo: last time and its JSON
-        self._file: Optional[IO[str]] = open(self.path, "w", encoding="utf-8")
-        header = {"schema": TRACE_SCHEMA, "meta": dict(meta or {})}
-        self._file.write(_encode(header) + "\n")
+        self.flush_every = flush_every
+        self.buffer: list = []
+        self.flushed = 0  # event lines on disk
+        self.counts: Dict[str, int] = defaultdict(int)
+        self.time, self.time_text = None, "null"
+        self._file: Optional[IO[bytes]] = open(self.path, "wb")
+        header = (_encode({"schema": TRACE_SCHEMA, "meta": dict(meta or {})}) + "\n").encode()
+        self._file.write(header)
         self._file.flush()
+        self._whole_bytes = len(header)  # where the last whole flush ended
 
     @property
     def events_written(self) -> int:
         """Events appended so far (header excluded)."""
-        return self._count
+        return self.flushed + len(self.buffer)
 
     @property
     def counts_by_kind(self) -> Dict[str, int]:
         """Per-kind event counts so far."""
-        return dict(self._by_kind)
+        return {kind: count for kind, count in self.counts.items() if count}
 
     def append(self, kind: str, time: float, **fields) -> None:
         """Append one event; ``i`` is assigned here."""
-        event = {"i": self._count, "t": time, "k": kind}
+        buffer = self.buffer
+        event = {"i": self.flushed + len(buffer), "t": time, "k": kind}
         event.update(fields)
-        self._store(kind, _encode(event))
+        buffer.append(_encode(event))
+        self.counts[kind] += 1
+        if len(buffer) >= self.flush_every:
+            self.flush()
 
     def write(self, kind: str, time: float, *values) -> None:
         """Append one event of a known kind from its field values, in order.
 
-        The recorder's path: one ``%``-template per kind instead of a dict and
-        a ``json`` encode per event.  ``values`` follow ``EVENT_FIELDS[kind]``,
-        an ``int`` as it is and anything else as its :func:`json_text`, so the
-        line is byte for byte the one :meth:`append` would write.
+        One ``%``-template per kind instead of a dict and a ``json`` encode
+        per event.  ``values`` follow ``EVENT_FIELDS[kind]``, an ``int`` as it
+        is and anything else as its :func:`json_text`, so the line is byte for
+        byte the one :meth:`append` would write.  The recorder's rare kinds
+        come through here; its frequent ones render the same template inline.
         """
-        if time is not self._time:  # two lines in three repeat the last clock reading
-            # json_text(time), inlined: one call less.
-            text = repr(time) if type(time) is float and time - time == 0.0 else json_text(time)
-            self._time, self._time_text = time, text
-        self._store(kind, _LINE_TEMPLATES[kind] % (self._count, self._time_text, *values))
-
-    def _store(self, kind: str, line: str) -> None:
-        if self._file is None:
-            raise TraceError(f"trace writer for {self.path} is closed")
-        buffer = self._buffer
-        buffer.append(line)
-        self._count += 1
-        counts = self._by_kind
-        counts[kind] = counts.get(kind, 0) + 1
-        if len(buffer) >= self._flush_every:
+        if time is not self.time:  # two lines in three repeat the last clock reading
+            self.time, self.time_text = time, json_text(time)
+        buffer = self.buffer
+        buffer.append(
+            _LINE_TEMPLATES[kind] % (self.flushed + len(buffer), self.time_text, *values)
+        )
+        self.counts[kind] += 1
+        if len(buffer) >= self.flush_every:
             self.flush()
 
     def flush(self) -> None:
-        """Write buffered lines through to disk (so a live trace is tailable)."""
+        """Write buffered lines through to disk (so a live trace is tailable).
+
+        A flush that fails with ``OSError`` (a full disk) **drops its buffer
+        and closes the writer**: the file is cut back to the end of the last
+        whole flush, ``events_written`` / ``counts_by_kind`` fall back to what
+        is on disk, and the error is raised once — a later :meth:`close` is a
+        no-op, not a second failure over the same lines.
+        """
         if self._file is None:
             raise TraceError(f"trace writer for {self.path} is closed")
-        if self._buffer:
-            self._file.write("\n".join(self._buffer) + "\n")
-            self._buffer.clear()
-            self._file.flush()
+        buffer = self.buffer
+        if buffer:
+            data = ("\n".join(buffer) + "\n").encode("utf-8")
+            try:
+                self._file.write(data)
+                self._file.flush()
+            except OSError:
+                self._abandon()
+                raise
+            self._whole_bytes += len(data)
+            self.flushed += len(buffer)
+            buffer.clear()
+
+    def _abandon(self) -> None:
+        for line in self.buffer:
+            self.counts[json.loads(line)["k"]] -= 1
+        file, self._file, self.buffer = self._file, None, _ClosedBuffer(self.path)
+        with suppress(OSError):  # bytes of the failed write may still be pending
+            file.close()
+        with suppress(OSError):
+            os.truncate(self.path, self._whole_bytes)
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""
         if self._file is None:
             return
-        self.flush()
+        self.flush()  # a flush that fails has closed the writer itself
         self._file.close()
-        self._file = None
+        self._file, self.buffer = None, _ClosedBuffer(self.path)
 
     def __enter__(self) -> "TraceWriter":
         return self

@@ -1,0 +1,78 @@
+"""One count, four readings: the writer, its per-kind counts, ``i`` and the file."""
+
+import pytest
+
+from repro.core.session import SessionConfig, StreamingSession, run_session
+from repro.telemetry import recorder as recorder_module
+from repro.telemetry.config import TelemetryConfig
+from repro.telemetry.schema import iter_events
+
+#: Every filter / sampling combination ``test_recorder.py`` drives.
+COMBINATIONS = [
+    {},
+    {"metrics": True},
+    {"include_kinds": ("packet", "round")},
+    {"exclude_kinds": ("dispatch",)},
+    {"exclude_kinds": ("send",)},
+    {"sample_every": 10},
+    {"sample_every": 10, "exclude_kinds": ("packet",), "flush_every": 7},
+]
+FATES = ("deliver_msg", "loss", "drop_dead")
+
+
+@pytest.mark.parametrize("options", COMBINATIONS, ids=repr)
+def test_every_count_of_a_trace_is_the_same_number(options, tmp_path):
+    path = tmp_path / "t.jsonl"
+    config = SessionConfig(
+        num_nodes=8, seed=11, telemetry=TelemetryConfig(trace_path=str(path), **options)
+    )
+    snapshot = run_session(config).telemetry
+    events = list(iter_events(path))
+    assert events, "an empty trace would make every equality below vacuous"
+    event_lines = len(path.read_text().splitlines()) - 1  # less the header
+    assert (
+        snapshot.trace_events
+        == sum(snapshot.trace_events_by_kind.values())
+        == events[-1]["i"] + 1
+        == event_lines
+    )
+    by_kind = {}
+    for event in events:
+        by_kind[event["k"]] = by_kind.get(event["k"], 0) + 1
+    assert snapshot.trace_events_by_kind == by_kind
+
+    sent = [event["d"] for event in events if event["k"] == "send"]
+    fates = [event["d"] for event in events if event["k"] in FATES]
+    assert len(set(fates)) == len(fates), "one terminal fate per datagram"
+    assert all(seq >= 0 for seq in fates), "every fate found its send's seq"
+    if sent:
+        assert sent == list(range(len(sent))), "d is the acceptance order"
+        assert set(fates) <= set(sent)
+
+
+def tick(simulator, left):
+    if left:
+        simulator.schedule(0.01, tick, simulator, left - 1)
+
+
+def test_a_module_level_function_is_named_once(tmp_path, monkeypatch):
+    """The callback memo used to key on ``__func__`` alone, so plain functions
+    were named and JSON-encoded again on every event they fired."""
+    named = []
+    real = recorder_module.callback_name
+
+    def counting(callback):
+        named.append(callback)
+        return real(callback)
+
+    monkeypatch.setattr(recorder_module, "callback_name", counting)
+    path = tmp_path / "t.jsonl"
+    config = SessionConfig(num_nodes=8, seed=11, telemetry=TelemetryConfig(trace_path=str(path)))
+    session = StreamingSession(config)
+    session.build()
+    session.simulator.schedule(0.0, tick, session.simulator, 50)
+    session.run()
+    ticks = [event for event in iter_events(path) if event.get("fn") == "tick"]
+    assert len(ticks) == 51
+    assert named.count(tick) == 1
+    assert len(named) == len(set(named)), "nothing the session schedules is named twice"

@@ -1,9 +1,13 @@
 """Trace schema round-trip, structural validation and version gating."""
 
+import errno
 import json
 
 import pytest
 
+from repro.core.session import SessionConfig, StreamingSession
+from repro.telemetry.cli import main
+from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import (
     EVENT_KINDS,
     TRACE_SCHEMA,
@@ -85,6 +89,47 @@ class TestWriterRoundTrip:
         header, count = validate_trace(path)
         assert count == 2
         assert header.schema == TRACE_SCHEMA
+
+
+class _FullDisk:
+    """A trace file that accepts ``good_flushes`` writes, then half of one."""
+
+    def __init__(self, file, good_flushes):
+        self._file = file
+        self._left = good_flushes
+
+    def write(self, data):
+        if self._left == 0:
+            self._file.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._left -= 1
+        return self._file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+class TestDiskFull:
+    def test_run_ends_with_the_flush_error_and_a_whole_trace(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        telemetry = TelemetryConfig(metrics=True, trace_path=str(path))
+        session = StreamingSession(SessionConfig(num_nodes=8, seed=11, telemetry=telemetry))
+        session.build()
+        writer = session.telemetry.writer
+        writer._file = _FullDisk(writer._file, good_flushes=3)
+        with pytest.raises(OSError) as caught:
+            session.run()
+        # The flush's own error, raised once: close() did not re-flush the
+        # same lines into a second failure chained onto it.
+        assert caught.value.errno == errno.ENOSPC
+        assert caught.value.__context__ is None
+        # Three whole flushes on disk, the torn fourth cut away, nothing more counted.
+        assert validate_trace(path)[1] == 3000
+        assert writer.events_written == 3000 == sum(writer.counts_by_kind.values())
+        assert path.read_bytes().endswith(b"}\n")
+        with pytest.raises(TraceError, match="closed"):
+            writer.append("round", 9.0, n=1, np=1)
+        assert main(["summarize", str(path)]) == 0
 
 
 class TestVersioning:
