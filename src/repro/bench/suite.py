@@ -30,10 +30,12 @@ time anything reproducibly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import random
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -227,6 +229,13 @@ def run_telemetry_session(num_nodes: int, num_windows: int, mode: str, trace_dir
     return result, elapsed
 
 
+@functools.lru_cache(maxsize=None)
+def armed_frames_per_event(num_nodes: int, num_windows: int, mode: str) -> float:
+    """``frames_per_event`` with telemetry armed: a counter, so one untimed pass per process."""
+    with tempfile.TemporaryDirectory(prefix="bench-telemetry-") as trace_dir:
+        return frames_per_event(telemetry_session_config(num_nodes, num_windows, mode, trace_dir))
+
+
 def run_telemetry_overhead(ctx: BenchContext) -> dict:
     """The telemetry layer's price in its four arming modes.
 
@@ -235,8 +244,6 @@ def run_telemetry_overhead(ctx: BenchContext) -> dict:
     overhead is the idle cost of merely *having* the layer — pinned near
     zero.  ``metrics`` and ``traced`` record what arming actually costs.
     """
-    import tempfile
-
     num_nodes, num_windows = _engine_size(ctx)
     rates = {}
     events_by_mode = {}
@@ -249,12 +256,6 @@ def run_telemetry_overhead(ctx: BenchContext) -> dict:
             if mode == "traced":
                 trace_events = result.telemetry.trace_events
             ctx.log(f"    {mode:12s} {rates[mode]:>10,.0f} events/s")
-        frames = {  # a second, untimed pass, by which every lazy import has happened
-            mode: frames_per_event(
-                telemetry_session_config(num_nodes, num_windows, mode, trace_dir)
-            )
-            for mode in ("metrics", "traced")
-        }
     if len(set(events_by_mode.values())) != 1:
         raise AssertionError(
             f"telemetry modes changed the event trace: {events_by_mode} "
@@ -279,8 +280,8 @@ def run_telemetry_overhead(ctx: BenchContext) -> dict:
         "idle_overhead": overhead("disarmed"),
         "metrics_overhead": overhead("metrics"),
         "trace_overhead": overhead("traced"),
-        "metrics_frames_per_event": frames["metrics"],
-        "traced_frames_per_event": frames["traced"],
+        "metrics_frames_per_event": armed_frames_per_event(num_nodes, num_windows, "metrics"),
+        "traced_frames_per_event": armed_frames_per_event(num_nodes, num_windows, "traced"),
     }
 
 

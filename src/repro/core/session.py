@@ -455,9 +455,7 @@ class StreamingSession:
         end_time = self.schedule.config.end_time + self.config.extra_time
         try:
             self.simulator.run(until=end_time)
-        finally:
-            # A run that dies half-way still leaves a whole, closed trace: its
-            # last buffered lines are the ones that explain the failure.
+        finally:  # a run that dies keeps its last buffered trace lines: they say why
             telemetry_snapshot = (
                 self.telemetry.finalize() if self.telemetry is not None else None
             )

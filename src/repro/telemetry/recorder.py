@@ -40,7 +40,8 @@ DATAGRAM_SIZE_BOUNDS = (64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 DELIVERY_LAG_BOUNDS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0)
 
 #: Callback names memoised per recorder: a session schedules a few dozen
-#: functions, but closures made afresh per event must not pile up.
+#: functions, but closures and partials made afresh per event must not pile
+#: up — the memo keeps each key, and what it binds, alive as long as it lives.
 _FN_TEXT_LIMIT = 1024
 
 
@@ -70,11 +71,18 @@ class _JsonTexts(dict):
         return text
 
 
-def _fate_edge(kind: str) -> Callable[..., None]:
-    """The handler of one terminal datagram fate (``snd rcv mk sz d``)."""
+def _datagram_edge(kind: str, terminal: bool = True) -> Callable[..., None]:
+    """The handler of one terminal fate (``snd rcv mk sz d``), or of ``send`` (plus ``fin``)."""
 
-    def on_fate(self: "TraceRecorder", message: Message, now: float) -> None:
-        seq = self._in_flight.pop(id(message), -1)
+    def on_datagram(
+        self: "TraceRecorder", message: Message, now: float, finish_time: Any = None
+    ) -> None:
+        if terminal:
+            seq = self._in_flight.pop(id(message), -1)
+        else:
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            self._in_flight[id(message)] = seq
         template = self._templates[kind]
         if template is None:
             return
@@ -84,16 +92,19 @@ def _fate_edge(kind: str) -> Callable[..., None]:
             writer.time, writer.time_text = now, repr(now) if finite else json_text(now)
         buffer = writer.buffer
         held = len(buffer)
-        line = template % (
+        values = (
             writer.flushed + held, writer.time_text, message.sender, message.receiver,
             self._text[message.kind], message.size_bytes, seq,
         )
-        buffer.append(line)
+        if not terminal:
+            finite = type(finish_time) is float and finish_time - finish_time == 0.0
+            values += (repr(finish_time) if finite else json_text(finish_time),)
+        buffer.append(template % values)
         writer.counts[kind] += 1
-        if held >= self._flush_at:
+        if held + 1 >= writer.flush_every:
             writer.flush()
 
-    return on_fate
+    return on_datagram
 
 
 class TraceRecorder(SessionObserver):
@@ -108,9 +119,9 @@ class TraceRecorder(SessionObserver):
     combination.
 
     The frequent edges (``dispatch``, ``send``, the three fates, ``packet``)
-    render their line where they stand, doing on the writer's state what
-    ``TraceWriter.write`` does, so a line costs one Python frame from the
-    substrate's observer loop; the rare edges call ``write`` itself.
+    render their line where they stand (see :class:`TraceWriter`), so it costs
+    one Python frame from the substrate's observer loop; the rare edges call
+    ``TraceWriter.write``.  A second frame per line is what the copies buy off.
     """
 
     def __init__(
@@ -135,7 +146,6 @@ class TraceRecorder(SessionObserver):
             kind: _LINE_TEMPLATES[kind] if kind in wanted else None for kind in EVENT_KINDS
         }
         self._writer = writer
-        self._flush_at = writer.flush_every - 1  # lines held when the next one fills the buffer
         self._sample_every = sample_every
         self._dispatch_seen = 0
         self._fn_text: Dict[Any, str] = {}
@@ -178,7 +188,7 @@ class TraceRecorder(SessionObserver):
         held = len(buffer)
         buffer.append(template % (writer.flushed + held, writer.time_text, text))
         writer.counts["dispatch"] += 1
-        if held >= self._flush_at:
+        if held + 1 >= writer.flush_every:
             writer.flush()
 
     # ------------------------------------------------------------------
@@ -194,36 +204,14 @@ class TraceRecorder(SessionObserver):
     def on_send_blocked(self, message: Message, now: float) -> None:
         self._unsent("send_blocked", message, now)
 
-    def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._in_flight[id(message)] = seq
-        template = self._templates["send"]
-        if template is None:
-            return
-        writer = self._writer
-        if now is not writer.time:
-            finite = type(now) is float and now - now == 0.0
-            writer.time, writer.time_text = now, repr(now) if finite else json_text(now)
-        fin = finish_time
-        buffer = writer.buffer
-        held = len(buffer)
-        line = template % (
-            writer.flushed + held, writer.time_text, message.sender, message.receiver,
-            self._text[message.kind], message.size_bytes, seq,
-            repr(fin) if type(fin) is float and fin - fin == 0.0 else json_text(fin),
-        )
-        buffer.append(line)
-        writer.counts["send"] += 1
-        if held >= self._flush_at:
-            writer.flush()
+    on_send_accepted = _datagram_edge("send", terminal=False)
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
         self._unsent("drop_congestion", message, now)
 
-    on_in_flight_loss = _fate_edge("loss")
-    on_delivered = _fate_edge("deliver_msg")
-    on_delivery_dropped = _fate_edge("drop_dead")
+    on_in_flight_loss = _datagram_edge("loss")
+    on_delivered = _datagram_edge("deliver_msg")
+    on_delivery_dropped = _datagram_edge("drop_dead")
 
     def on_node_failed(self, node_id: NodeId, now: float) -> None:
         if self._templates["node_failed"] is not None:
@@ -251,7 +239,7 @@ class TraceRecorder(SessionObserver):
         index, source = writer.flushed + held, self._text[is_source]
         buffer.append(template % (index, writer.time_text, node_id, packet_id, source))
         writer.counts["packet"] += 1
-        if held >= self._flush_at:
+        if held + 1 >= writer.flush_every:
             writer.flush()
 
     # ------------------------------------------------------------------
@@ -285,10 +273,9 @@ class MetricsObserver(SessionObserver):
     def __init__(
         self, registry: MetricsRegistry, schedule: Optional[StreamSchedule] = None
     ) -> None:
-        # Packet ids are positions in publication order.
-        self._publish_times = (
-            None if schedule is None else [packet.publish_time for packet in schedule.packets()]
-        )
+        self._publish_times = None if schedule is None else {
+            packet.packet_id: packet.publish_time for packet in schedule.packets()
+        }
         self._fates = {
             fate: registry.counter("net.datagrams", fate=fate)
             for fate in (

@@ -147,11 +147,10 @@ class TraceWriter:
     The writer assigns the contiguous ``i`` index — callers supply events
     without it.
 
-    The recorder's hot handlers do what :meth:`write` does without calling
-    it, on the same state: the next index is ``flushed + len(buffer)``,
-    ``time`` / ``time_text`` memoise the last clock reading and its JSON,
-    a stored line bumps ``counts[kind]``, and the writer is flushed once
-    ``buffer`` holds ``flush_every`` lines.
+    The recorder's frequent edges do what :meth:`write` does, on the same
+    state and without the call: the next index is ``flushed + len(buffer)``,
+    ``time`` / ``time_text`` memoise the last clock reading and its JSON, a
+    stored line bumps ``counts[kind]``, and ``flush_every`` held lines flush.
     """
 
     def __init__(
@@ -173,7 +172,6 @@ class TraceWriter:
         header = (_encode({"schema": TRACE_SCHEMA, "meta": dict(meta or {})}) + "\n").encode()
         self._file.write(header)
         self._file.flush()
-        self._whole_bytes = len(header)  # where the last whole flush ended
 
     @property
     def events_written(self) -> int:
@@ -217,35 +215,35 @@ class TraceWriter:
     def flush(self) -> None:
         """Write buffered lines through to disk (so a live trace is tailable).
 
-        A flush that fails with ``OSError`` (a full disk) **drops its buffer
-        and closes the writer**: the file is cut back to the end of the last
-        whole flush, ``events_written`` / ``counts_by_kind`` fall back to what
-        is on disk, and the error is raised once — a later :meth:`close` is a
-        no-op, not a second failure over the same lines.
+        A flush that fails — ``OSError`` from a full disk, an interrupt in the
+        middle of the write — **drops its buffer and closes the writer**: the
+        file is cut back to the end of the last whole flush, ``events_written``
+        / ``counts_by_kind`` fall back to what is on disk, and the error is
+        raised once — a later :meth:`close` is a no-op, not a second failure
+        (or a second copy) of the same lines.
         """
         if self._file is None:
             raise TraceError(f"trace writer for {self.path} is closed")
         buffer = self.buffer
         if buffer:
-            data = ("\n".join(buffer) + "\n").encode("utf-8")
+            whole = self._file.tell()  # nothing is pending: every write is flushed
             try:
-                self._file.write(data)
+                self._file.write(("\n".join(buffer) + "\n").encode("utf-8"))
                 self._file.flush()
-            except OSError:
-                self._abandon()
+            except BaseException:
+                self._abandon(whole)
                 raise
-            self._whole_bytes += len(data)
             self.flushed += len(buffer)
             buffer.clear()
 
-    def _abandon(self) -> None:
+    def _abandon(self, whole: int) -> None:
         for line in self.buffer:
             self.counts[json.loads(line)["k"]] -= 1
         file, self._file, self.buffer = self._file, None, _ClosedBuffer(self.path)
         with suppress(OSError):  # bytes of the failed write may still be pending
             file.close()
         with suppress(OSError):
-            os.truncate(self.path, self._whole_bytes)
+            os.truncate(self.path, whole)
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""

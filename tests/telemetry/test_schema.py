@@ -94,14 +94,15 @@ class TestWriterRoundTrip:
 class _FullDisk:
     """A trace file that accepts ``good_flushes`` writes, then half of one."""
 
-    def __init__(self, file, good_flushes):
+    def __init__(self, file, good_flushes, error):
         self._file = file
         self._left = good_flushes
+        self._error = error
 
     def write(self, data):
         if self._left == 0:
             self._file.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+            raise self._error
         self._left -= 1
         return self._file.write(data)
 
@@ -110,18 +111,23 @@ class _FullDisk:
 
 
 class TestDiskFull:
-    def test_run_ends_with_the_flush_error_and_a_whole_trace(self, tmp_path):
+    @pytest.mark.parametrize(
+        "error",
+        [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk-full", "interrupted"],
+    )
+    def test_run_ends_with_the_flush_error_and_a_whole_trace(self, tmp_path, error):
         path = tmp_path / "t.jsonl"
         telemetry = TelemetryConfig(metrics=True, trace_path=str(path))
         session = StreamingSession(SessionConfig(num_nodes=8, seed=11, telemetry=telemetry))
         session.build()
         writer = session.telemetry.writer
-        writer._file = _FullDisk(writer._file, good_flushes=3)
-        with pytest.raises(OSError) as caught:
+        writer._file = _FullDisk(writer._file, good_flushes=3, error=error)
+        with pytest.raises(type(error)) as caught:
             session.run()
         # The flush's own error, raised once: close() did not re-flush the
-        # same lines into a second failure chained onto it.
-        assert caught.value.errno == errno.ENOSPC
+        # same lines into a second failure (or a second copy) chained onto it.
+        assert caught.value is error
         assert caught.value.__context__ is None
         # Three whole flushes on disk, the torn fourth cut away, nothing more counted.
         assert validate_trace(path)[1] == 3000
