@@ -1,15 +1,15 @@
 """Unified benchmark subsystem: registry, runner, baselines, CI gate.
 
-The twelve standalone ``benchmarks/bench_*.py`` scripts register here as
-:class:`Benchmark` specs; one runner executes any subset
+Every benchmark registers here as a :class:`Benchmark` spec; one runner
+executes any subset
 (``python -m repro.bench run --filter engine --scale smoke --json out.json``),
 every run writes the same versioned JSON report schema, and a committed
 :class:`BaselineStore` under ``benchmarks/baselines/`` turns reports into a
 regression verdict (``python -m repro.bench compare <report>``).
 
 Designed for noisy 1-core CI runners: only deterministic counters and
-in-process fast-path/reference ratios gate; wall-clock rates are recorded as
-trend information.  See :mod:`repro.bench.spec` for the policy.
+in-process ratios are recorded, and all of them gate; wall clock is
+``benchmarks/e2e/``'s.  See :mod:`repro.bench.spec` for the policy.
 """
 
 from repro.bench.baseline import (

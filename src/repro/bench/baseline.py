@@ -11,10 +11,9 @@ combined report (the documented workflow after an *intentional* behaviour
 or performance change, exactly like regenerating golden files).
 
 Comparison walks every record of a fresh report against its baseline and
-produces one :class:`MetricVerdict` per declared metric.  Only metrics whose
-spec gates (deterministic counters and in-process ratios — see
-:mod:`repro.bench.spec`) can yield ``regressed``; wall-clock rates are
-reported but cannot fail CI on a noisy runner.
+produces one :class:`MetricVerdict` per declared metric.  Every metric gates:
+deterministic ones exactly, in-process ratios within their relative band (see
+:mod:`repro.bench.spec`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.bench.spec import EXACT_KINDS, Benchmark, BenchmarkRegistry, Metric
 #: Verdict statuses, from best to worst.
 IMPROVED = "improved"
 OK = "ok"
-INFO = "info"
 NEW = "new"
 REGRESSED = "regressed"
 
@@ -145,8 +143,6 @@ class BaselineStore:
 
 def _verdict_for(metric: Metric, benchmark: str, value: float, baseline: Optional[float]):
     """Compare one metric value against its baseline under the spec's band."""
-    if not metric.gated:
-        return MetricVerdict(benchmark, metric.name, INFO, value, baseline, None)
     if baseline is None:
         return MetricVerdict(
             benchmark, metric.name, NEW, value, None, metric.band, "no baseline metric"
@@ -170,7 +166,7 @@ def _verdict_for(metric: Metric, benchmark: str, value: float, baseline: Optiona
         return MetricVerdict(
             benchmark, metric.name, IMPROVED if improved else REGRESSED, value, baseline, 0.0
         )
-    band = metric.band or 0.0
+    band = metric.band
     scale = abs(baseline) if baseline != 0 else 1.0
     delta = value - baseline
     if not metric.higher_is_better:

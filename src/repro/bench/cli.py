@@ -72,14 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", default="smoke", help="experiment scale (default: smoke)")
     run.add_argument("--json", metavar="PATH", help="write the combined report to PATH")
     run.add_argument(
-        "--repeat", type=int, metavar="N", help="override every benchmark's repeat policy"
-    )
-    run.add_argument(
         "--option",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="benchmark-specific override (e.g. nodes=40, jobs=4); repeatable",
+        help="benchmark-specific override (e.g. nodes=40, windows=4); repeatable",
     )
     run.add_argument(
         "--record-baseline",
@@ -143,7 +140,6 @@ def _cmd_run(args) -> int:
         patterns=args.filter,
         scale_name=args.scale,
         options=_parse_options(args.option),
-        repeats_override=args.repeat,
         verbose=not args.quiet,
         profile_dir=args.profile_dir if args.profile else None,
         profile_sort=args.profile_sort,
@@ -166,7 +162,7 @@ def _cmd_compare(args) -> int:
     print(outcome.table())
     if not outcome.has_regressions:
         gated = sum(1 for v in outcome.verdicts if v.status in ("ok", "improved"))
-        print(f"\nverdict: no regressions ({gated} gated metric(s) within band)")
+        print(f"\nverdict: no regressions ({gated} metric(s) within band)")
         return 0
     names = ", ".join(f"{v.benchmark}:{v.metric}" for v in outcome.regressions)
     if os.environ.get(NO_GATE_ENV):
@@ -193,11 +189,10 @@ def _cmd_list(args) -> int:
         return 1
     width = max(len(benchmark.name) for benchmark in selected)
     for benchmark in selected:
-        gated = sum(1 for metric in benchmark.metrics if metric.gated)
         tags = ",".join(benchmark.tags)
         print(
             f"{benchmark.name:<{width}}  [{tags}]  "
-            f"{gated}/{len(benchmark.metrics)} gated metrics — {benchmark.description}"
+            f"{len(benchmark.metrics)} metrics — {benchmark.description}"
         )
     return 0
 

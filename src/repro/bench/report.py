@@ -13,7 +13,6 @@ Schema (``"repro.bench/1"``)::
       "host": {"cpu_count": 1, "platform": "...", "python": "3.11.7"},
       "results": [
         {"benchmark": "engine-throughput",
-         "repeats": 2,
          "wall_seconds": 3.21,
          "metrics": {"events_processed": 23176.0, ...}},
         ...
@@ -24,8 +23,10 @@ Schema (``"repro.bench/1"``)::
 that keys the sweep result store — so a report always says which code
 produced it.  Comparison never *requires* fingerprint equality (a baseline
 necessarily predates the code it gates), but the verdict records staleness.
-``host`` carries hints for interpreting wall-clock numbers; nothing in the
-comparison logic reads it.
+``host`` carries hints for interpreting the ``ratio`` metrics; nothing in
+the comparison logic reads it.  Reports written before benchmarks ran once
+per invocation also carry a per-record ``"repeats"`` count; the loader
+ignores it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ReportError(ValueError):
 
 
 def host_hints() -> Dict[str, object]:
-    """Context for interpreting the wall-clock numbers of a report."""
+    """Context for interpreting the timed (``ratio``) numbers of a report."""
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
@@ -59,13 +60,11 @@ class BenchmarkRecord:
 
     benchmark: str
     metrics: Dict[str, float]
-    repeats: int = 1
     wall_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
             "benchmark": self.benchmark,
-            "repeats": self.repeats,
             "wall_seconds": round(self.wall_seconds, 3),
             "metrics": {name: value for name, value in sorted(self.metrics.items())},
         }
@@ -75,7 +74,6 @@ class BenchmarkRecord:
         try:
             return cls(
                 benchmark=str(data["benchmark"]),
-                repeats=int(data["repeats"]),
                 wall_seconds=float(data["wall_seconds"]),
                 metrics={str(k): float(v) for k, v in data["metrics"].items()},
             )

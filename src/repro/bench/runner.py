@@ -1,15 +1,9 @@
 """Executes registered benchmarks and assembles the unified report.
 
-The harness owns the warmup/repeat policy so individual benchmarks only
-measure once: a benchmark's ``run`` is called ``repeats_for(scale)`` times
-and the per-repeat metric dicts are combined per the metric spec —
-
-* ``identity`` and ``counter`` metrics must be **identical** across repeats
-  (they are deterministic by contract; a drifting counter is a real bug and
-  fails the run immediately rather than producing a lying report);
-* every other kind keeps its best value (max when higher is better, min
-  otherwise) — the classic best-of-N defence against one-off scheduler
-  noise on a busy runner.
+Each selected benchmark's ``run`` is called exactly once and must return
+exactly the metrics it declares.  Deterministic metrics need no repeat, and a
+benchmark that times something takes its own best-of-N over the same data
+(see :mod:`repro.bench.suite`).
 """
 
 from __future__ import annotations
@@ -18,7 +12,7 @@ import cProfile
 import pstats
 import time
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.bench.report import BenchmarkRecord, BenchReport, current_fingerprint
 from repro.bench.spec import Benchmark, BenchContext, BenchmarkRegistry
@@ -44,35 +38,18 @@ class BenchmarkSelectionError(KeyError):
         return self.args[0] if self.args else "no benchmark selected"
 
 
-def _combine_repeats(benchmark: Benchmark, repeats: List[Mapping[str, float]]) -> Dict[str, float]:
-    """Fold per-repeat metric dicts into one record per the metric specs."""
+def _checked_metrics(benchmark: Benchmark, sample: Mapping[str, float]) -> Dict[str, float]:
+    """``sample`` as floats, once it reports exactly the declared metrics."""
     declared = {metric.name for metric in benchmark.metrics}
-    combined: Dict[str, float] = {}
-    for index, sample in enumerate(repeats):
-        extra = set(sample) - declared
-        if extra:
-            raise BenchmarkRunError(
-                f"benchmark {benchmark.name!r} reported undeclared metrics: {sorted(extra)}"
-            )
-        missing = declared - set(sample)
-        if missing:
-            raise BenchmarkRunError(
-                f"benchmark {benchmark.name!r} repeat {index} omitted metrics: {sorted(missing)}"
-            )
-    for metric in benchmark.metrics:
-        values = [float(sample[metric.name]) for sample in repeats]
-        if metric.kind in ("identity", "counter"):
-            if any(value != values[0] for value in values[1:]):
-                raise BenchmarkRunError(
-                    f"deterministic metric {benchmark.name}:{metric.name} varied across "
-                    f"repeats: {values}"
-                )
-            combined[metric.name] = values[0]
-        elif metric.higher_is_better:
-            combined[metric.name] = max(values)
-        else:
-            combined[metric.name] = min(values)
-    return combined
+    extra = set(sample) - declared
+    if extra:
+        raise BenchmarkRunError(
+            f"benchmark {benchmark.name!r} reported undeclared metrics: {sorted(extra)}"
+        )
+    missing = declared - set(sample)
+    if missing:
+        raise BenchmarkRunError(f"benchmark {benchmark.name!r} omitted metrics: {sorted(missing)}")
+    return {name: float(value) for name, value in sample.items()}
 
 
 def run_benchmark(
@@ -81,34 +58,26 @@ def run_benchmark(
     profile_dir: Optional[str] = None,
     profile_sort: str = "cumulative",
 ) -> BenchmarkRecord:
-    """Warm up, repeat, combine: one benchmark to one record.
+    """Run one benchmark once and check it into one record.
 
-    With ``profile_dir`` set, the timed repetitions (warmup excluded) run
-    under :mod:`cProfile` and the stats are written to
-    ``<profile_dir>/PROFILE_<name>.pstats`` — load them with
-    ``pstats.Stats`` or ``snakeviz`` to find the hot path.  The dump path
-    and a short hot-path summary (top rows sorted by ``profile_sort``)
-    are printed unconditionally, ``--quiet`` included: a profiling run's
-    whole point is that output.  Profiling slows the run, so the record's
-    timed metrics are not comparable to unprofiled baselines; gate runs
-    never profile.
+    With ``profile_dir`` set, the run executes under :mod:`cProfile` and
+    the stats are written to ``<profile_dir>/PROFILE_<name>.pstats`` —
+    load them with ``pstats.Stats`` or ``snakeviz`` to find the hot path.
+    The dump path and a short hot-path summary (top rows sorted by
+    ``profile_sort``) are printed unconditionally, ``--quiet`` included: a
+    profiling run's whole point is that output.  Profiling slows the run
+    unevenly, so the record's ``ratio`` metrics are not comparable to
+    unprofiled baselines; gate runs never profile.
     """
     if profile_sort not in PROFILE_SORTS:
         raise BenchmarkRunError(
             f"unknown profile sort {profile_sort!r}; expected one of {PROFILE_SORTS}"
         )
-    repeats = benchmark.repeats_for(ctx.scale_name)
-    if repeats < 1:
-        raise BenchmarkRunError(f"benchmark {benchmark.name!r} requests {repeats} repeats")
-    if benchmark.warmup is not None:
-        benchmark.warmup(ctx)
-    samples: List[Mapping[str, float]] = []
     profiler = cProfile.Profile() if profile_dir is not None else None
     started = time.perf_counter()
     if profiler is not None:
         profiler.enable()
-    for _ in range(repeats):
-        samples.append(dict(benchmark.run(ctx)))
+    sample = benchmark.run(ctx)
     if profiler is not None:
         profiler.disable()
     wall_seconds = time.perf_counter() - started
@@ -122,8 +91,7 @@ def run_benchmark(
         stats.sort_stats(profile_sort).print_stats(PROFILE_TOP_LINES)
     record = BenchmarkRecord(
         benchmark=benchmark.name,
-        metrics=_combine_repeats(benchmark, samples),
-        repeats=repeats,
+        metrics=_checked_metrics(benchmark, sample),
         wall_seconds=wall_seconds,
     )
     if benchmark.drop_cache_after and ctx.cache is not None:
@@ -136,7 +104,6 @@ def run_selected(
     patterns: Sequence[str] = (),
     scale_name: str = "smoke",
     options: Optional[Dict[str, str]] = None,
-    repeats_override: Optional[int] = None,
     verbose: bool = True,
     profile_dir: Optional[str] = None,
     profile_sort: str = "cumulative",
@@ -150,17 +117,12 @@ def run_selected(
     ctx = BenchContext(scale_name=scale_name, options=dict(options or {}), verbose=verbose)
     report = BenchReport(scale=scale_name, fingerprint=current_fingerprint())
     for benchmark in selected:
-        runnable = benchmark
-        if repeats_override is not None:
-            from repro.bench.spec import scaled
-
-            runnable = scaled(benchmark, repeats=repeats_override, smoke_repeats=repeats_override)
-        ctx.log(f"[{runnable.name}] {runnable.description} (scale={scale_name})")
+        ctx.log(f"[{benchmark.name}] {benchmark.description} (scale={scale_name})")
         record = run_benchmark(
-            runnable, ctx, profile_dir=profile_dir, profile_sort=profile_sort
+            benchmark, ctx, profile_dir=profile_dir, profile_sort=profile_sort
         )
         for name in sorted(record.metrics):
             ctx.log(f"    {name} = {record.metrics[name]:,.6g}")
-        ctx.log(f"    ({record.repeats} repeat(s), {record.wall_seconds:.2f}s)")
+        ctx.log(f"    ({record.wall_seconds:.2f}s)")
         report.results.append(record)
     return report

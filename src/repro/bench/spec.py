@@ -1,12 +1,12 @@
 """Benchmark specifications and the registry that discovers them.
 
 A :class:`Benchmark` declares everything the unified runner needs to execute
-and *gate* it: a name, tags for ``--filter`` selection, a warmup/repeat
-policy, and — centrally — the list of :class:`Metric` specs describing what
-the runner function reports and how each number may be compared against a
-recorded baseline.
+and *gate* it: a name, tags for ``--filter`` selection and — centrally — the
+list of :class:`Metric` specs describing what the runner function reports and
+how each number is compared against a recorded baseline.  The runner calls a
+benchmark once; one that times something takes its own best-of-N.
 
-The comparison policy is the subsystem's answer to noisy 1-core CI runners:
+Only numbers that repeat are recorded, so every metric gates:
 
 * ``identity`` metrics are **deterministic** quantities (events dispatched,
   figure-table checksums, delivery ratios of a seeded simulation).  They do
@@ -14,32 +14,28 @@ The comparison policy is the subsystem's answer to noisy 1-core CI runners:
   drift means the simulation's behaviour changed and the baseline must be
   consciously re-recorded.
 * ``counter`` metrics are deterministic too, but carry a direction (a
-  figure's headline viewing percentage): an exact comparison still applies,
-  yet a change in the good direction reads as an improvement rather than a
-  regression.
-* ``ratio`` metrics are **in-process comparisons** — a fast path timed
-  against its pinned reference implementation *in the same process on the
-  same data*.  The quotient is far more stable than either wall-clock
-  number, so ratios are gated with a wide relative band.
-* ``rate`` and ``info`` metrics are wall-clock quantities (events/s, wall
-  seconds).  On shared runners they can swing by integer factors for
-  reasons that have nothing to do with the code, so they are recorded for
-  trend-watching but **never gated** unless a benchmark opts in with an
-  explicit tolerance.
+  figure's headline viewing percentage, frames per event): an exact
+  comparison still applies, yet a change in the good direction reads as an
+  improvement rather than a regression.
+* ``ratio`` metrics are **in-process comparisons** — two timings of the same
+  work on the same data in the same process (a fast path against its pinned
+  reference, an armed session against a plain one).  The quotient is far
+  more stable than either wall-clock number, so ratios are gated with a
+  relative band.
+
+Wall-clock rates are not recorded here: ``benchmarks/e2e/`` owns them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Default relative tolerance band per metric kind (``None`` = never gated).
-DEFAULT_TOLERANCES: Mapping[str, Optional[float]] = {
+#: Default relative tolerance band per metric kind.
+DEFAULT_TOLERANCES: Mapping[str, float] = {
     "identity": 0.0,
     "counter": 0.0,
     "ratio": 0.5,
-    "rate": None,
-    "info": None,
 }
 
 METRIC_KINDS = tuple(DEFAULT_TOLERANCES)
@@ -58,14 +54,11 @@ class Metric:
     name:
         Key in the runner's returned metrics dict.
     kind:
-        ``identity`` / ``counter`` / ``ratio`` / ``rate`` / ``info``
-        (see module docstring).
+        ``identity`` / ``counter`` / ``ratio`` (see module docstring).
     higher_is_better:
-        Direction used both to combine repeats (best-of keeps the max or the
-        min) and to orient the regression band.
+        Direction that orients the regression band.
     tolerance:
-        Relative band overriding the kind default.  Setting a tolerance on a
-        ``rate`` metric opts it into gating.
+        Relative band overriding the kind default.
     unit:
         Display hint only.
     """
@@ -81,16 +74,11 @@ class Metric:
             raise ValueError(f"unknown metric kind {self.kind!r}; expected one of {METRIC_KINDS}")
 
     @property
-    def band(self) -> Optional[float]:
-        """The effective relative tolerance (``None`` = not gated)."""
+    def band(self) -> float:
+        """The effective relative tolerance."""
         if self.tolerance is not None:
             return self.tolerance
         return DEFAULT_TOLERANCES[self.kind]
-
-    @property
-    def gated(self) -> bool:
-        """Whether a baseline comparison of this metric can fail the gate."""
-        return self.kind != "info" and self.band is not None
 
 
 @dataclass
@@ -143,17 +131,10 @@ class Benchmark:
     name:
         Stable identifier; baselines live in ``BENCH_<name>.json``.
     run:
-        ``run(ctx) -> {metric name: float}`` — one measurement repetition.
+        ``run(ctx) -> {metric name: float}``, called once per run.
     metrics:
         Specs for every metric ``run`` returns (extra keys are rejected, so
         reports cannot silently drift from their declared schema).
-    repeats / smoke_repeats:
-        Measurement repetitions at full / smoke scale.  Repeats are combined
-        per metric: best-of for timed kinds, required-identical for
-        ``counter`` metrics (a deterministic quantity that varies across
-        repeats is a bug worth failing loudly on).
-    warmup:
-        Optional callable executed once before the timed repetitions.
     drop_cache_after:
         Clear the shared summary cache once this benchmark finishes (bounds
         memory between figure groups, mirroring the old pytest fixtures).
@@ -164,14 +145,7 @@ class Benchmark:
     run: Callable[[BenchContext], Mapping[str, float]]
     metrics: Tuple[Metric, ...]
     tags: Tuple[str, ...] = ()
-    repeats: int = 1
-    smoke_repeats: int = 1
-    warmup: Optional[Callable[[BenchContext], None]] = None
     drop_cache_after: bool = False
-
-    def repeats_for(self, scale_name: str) -> int:
-        """The repeat policy at the given scale."""
-        return self.smoke_repeats if scale_name == "smoke" else self.repeats
 
     def metric(self, name: str) -> Metric:
         """The spec of one declared metric."""
@@ -264,8 +238,3 @@ _DEFAULT_REGISTRY = BenchmarkRegistry()
 def default_registry() -> BenchmarkRegistry:
     """The process-wide registry the suite module populates on import."""
     return _DEFAULT_REGISTRY
-
-
-def scaled(benchmark: Benchmark, **changes) -> Benchmark:
-    """A copy of ``benchmark`` with fields replaced (test helper)."""
-    return replace(benchmark, **changes)

@@ -27,7 +27,7 @@ from repro.experiments.figures import (
     figure7_churn_unaffected,
     figure8_churn_windows,
 )
-from repro.experiments.runner import ExperimentPoint, RunCache, format_rate, run_point
+from repro.experiments.runner import ExperimentPoint, format_rate, run_point
 from repro.experiments.scale import (
     METROPOLIS,
     PAPER,
@@ -45,7 +45,6 @@ __all__ = [
     "METROPOLIS",
     "PAPER",
     "REDUCED",
-    "RunCache",
     "SMOKE",
     "XLARGE",
     "figure1_fanout_700",

@@ -1,11 +1,9 @@
 """Running individual experiment points.
 
 An :class:`ExperimentPoint` names one cell of a parameter sweep;
-:func:`run_point` executes it from scratch.  :class:`RunCache` memoizes full
-:class:`~repro.core.session.SessionResult` objects by point for analyses
-that need result-level access (delivery logs, traffic counters).
+:func:`run_point` executes it from scratch.
 
-The figure generators no longer cache results here: they consume compact
+The figure generators do not cache full results: they consume compact
 :class:`~repro.sweep.PointSummary` records through
 :class:`repro.sweep.SummaryCache`, which the :mod:`repro.sweep` subsystem
 can fill from a multiprocess executor and persist in a resumable
@@ -15,7 +13,7 @@ can fill from a multiprocess executor and persist in a resumable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.session import SessionConfig, SessionResult, run_session
 from repro.membership.partners import INFINITE
@@ -95,47 +93,3 @@ def point_config(scale: ExperimentScale, point: ExperimentPoint) -> SessionConfi
 def run_point(scale: ExperimentScale, point: ExperimentPoint) -> SessionResult:
     """Run one experiment point from scratch (no caching)."""
     return run_session(point_config(scale, point))
-
-
-class RunCache:
-    """Memoizes :func:`run_point` results by experiment point.
-
-    Useful for analyses that need the full :class:`SessionResult` of
-    overlapping points (e.g. the paper-claims test-suite inspects traffic
-    counters).  The figure generators use the lighter
-    :class:`repro.sweep.SummaryCache` instead, whose entries are compact,
-    picklable and persistable.
-    """
-
-    def __init__(self) -> None:
-        self._results: Dict[ExperimentPoint, SessionResult] = {}
-        self._hits = 0
-        self._misses = 0
-
-    @property
-    def hits(self) -> int:
-        """Number of cache hits so far."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of simulations actually run."""
-        return self._misses
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def get(self, scale: ExperimentScale, point: ExperimentPoint) -> SessionResult:
-        """Return the result for ``point``, running the simulation if needed."""
-        cached = self._results.get(point)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        self._misses += 1
-        result = run_point(scale, point)
-        self._results[point] = result
-        return result
-
-    def clear(self) -> None:
-        """Drop all cached results (frees a lot of memory after a sweep)."""
-        self._results.clear()

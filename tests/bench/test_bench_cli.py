@@ -29,8 +29,6 @@ def run_report_path(tmp_path_factory):
             "nodes=12",
             "--option",
             "windows=2",
-            "--repeat",
-            "1",
             "--quiet",
             "--json",
             str(path),
@@ -130,18 +128,36 @@ class TestCommittedBaselines:
             declared = {metric.name for metric in benchmark.metrics}
             assert set(record.metrics) == declared, path.name
 
+    def test_every_baseline_file_is_a_registered_benchmark_at_its_scale(self):
+        """No stale file and no stale key under any scale's baseline directory."""
+        from repro.bench import default_baseline_root, default_registry
+
+        registry = default_registry()
+        paths = sorted(default_baseline_root().glob("*/BENCH_*.json"))
+        assert paths
+        for path in paths:
+            report = BenchReport.load(path)
+            record = report.single()
+            assert report.scale == path.parent.name, path
+            assert path.name == f"BENCH_{record.benchmark}.json", path
+            assert record.benchmark in registry.names(), f"{path}: unregistered benchmark"
+            declared = {metric.name for metric in registry.get(record.benchmark).metrics}
+            stale = set(record.metrics) - declared
+            assert not stale, f"{path}: undeclared metrics {sorted(stale)}"
+
 
 class TestList:
     def test_list_shows_all(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in ("engine-throughput", "figure8", "large-session", "sweep-parallel"):
+        for name in ("engine-throughput", "figure8", "large-session", "wire"):
             assert name in out
 
     def test_list_filter(self, capsys):
-        assert main(["list", "--filter", "sweep"]) == 0
+        assert main(["list", "--filter", "overhead"]) == 0
         out = capsys.readouterr().out
-        assert "sweep-parallel" in out
+        assert "observer-overhead" in out
+        assert "telemetry-overhead" in out
         assert "figure1" not in out
 
     def test_list_no_match(self, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.baseline import (
     IMPROVED,
-    INFO,
     NEW,
     OK,
     REGRESSED,
@@ -25,8 +24,6 @@ def toy_benchmark() -> Benchmark:
             Metric("quality", kind="counter", higher_is_better=True),
             Metric("speedup", kind="ratio", tolerance=0.5),
             Metric("latency", kind="ratio", tolerance=0.2, higher_is_better=False),
-            Metric("events_per_second", kind="rate"),
-            Metric("jobs", kind="info"),
         ),
     )
 
@@ -50,8 +47,6 @@ BASE = {
     "quality": 90.0,
     "speedup": 4.0,
     "latency": 2.0,
-    "events_per_second": 50_000.0,
-    "jobs": 2.0,
 }
 
 
@@ -74,9 +69,6 @@ class TestVerdicts:
         assert verdicts["quality"].status == OK
         assert verdicts["speedup"].status == OK
         assert verdicts["latency"].status == OK
-        # Wall-clock and config echoes never gate.
-        assert verdicts["events_per_second"].status == INFO
-        assert verdicts["jobs"].status == INFO
 
     def test_identity_flags_any_drift_as_regression(self, store):
         up = verdicts_for({**BASE, "checksum": BASE["checksum"] + 1}, store)
@@ -103,10 +95,6 @@ class TestVerdicts:
         assert verdicts_for({**BASE, "latency": 2.3}, store)["latency"].status == OK
         assert verdicts_for({**BASE, "latency": 2.5}, store)["latency"].status == REGRESSED
         assert verdicts_for({**BASE, "latency": 1.5}, store)["latency"].status == IMPROVED
-
-    def test_rate_never_regresses_however_bad(self, store):
-        verdicts = verdicts_for({**BASE, "events_per_second": 5.0}, store)
-        assert verdicts["events_per_second"].status == INFO
 
     def test_missing_metric_in_report_is_a_regression(self, store):
         metrics = dict(BASE)

@@ -22,8 +22,7 @@ def sample_report() -> BenchReport:
         results=[
             BenchmarkRecord(
                 benchmark="engine-throughput",
-                metrics={"events_processed": 10280.0, "events_per_second": 81234.5},
-                repeats=2,
+                metrics={"events_processed": 10280.0, "frames_per_event": 12.830739299610894},
                 wall_seconds=0.25,
             ),
             BenchmarkRecord(
@@ -45,7 +44,6 @@ class TestRoundTrip:
             # Floats must survive bit-for-bit: the comparison gate relies on
             # exact equality for identity metrics.
             assert mine.metrics == theirs.metrics
-            assert mine.repeats == theirs.repeats
 
     def test_file_round_trip(self, tmp_path):
         report = sample_report()
@@ -53,6 +51,12 @@ class TestRoundTrip:
         assert path.exists()
         rebuilt = BenchReport.load(path)
         assert rebuilt.to_json_dict() == report.to_json_dict()
+
+    def test_old_report_with_repeats_still_loads(self):
+        data = sample_report().to_json_dict()
+        data["results"][0]["repeats"] = 5
+        rebuilt = BenchReport.from_json_dict(data)
+        assert rebuilt.results[0].metrics == sample_report().results[0].metrics
 
     def test_schema_field_is_versioned(self):
         data = sample_report().to_json_dict()

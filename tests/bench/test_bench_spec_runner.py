@@ -1,4 +1,4 @@
-"""Benchmark specs, registry selection, and the warmup/repeat harness."""
+"""Benchmark specs, registry selection, and the run-once harness."""
 
 import pytest
 
@@ -16,8 +16,7 @@ def counting_benchmark(samples, name="count", **kwargs) -> Benchmark:
         run=lambda ctx: next(iterator),
         metrics=(
             Metric("det", kind="identity"),
-            Metric("best_high", kind="rate", higher_is_better=True),
-            Metric("best_low", kind="rate", higher_is_better=False),
+            Metric("speedup", kind="ratio"),
         ),
         **kwargs,
     )
@@ -28,16 +27,15 @@ class TestMetricSpec:
         with pytest.raises(ValueError, match="unknown metric kind"):
             Metric("x", kind="wallclock")
 
-    def test_kind_defaults_drive_gating(self):
-        assert Metric("a", kind="identity").gated
-        assert Metric("a", kind="counter").gated
-        assert Metric("a", kind="ratio").gated
-        assert not Metric("a", kind="rate").gated
-        assert not Metric("a", kind="info").gated
-        # An explicit tolerance opts a rate into gating.
-        assert Metric("a", kind="rate", tolerance=0.5).gated
+    def test_wall_clock_kinds_are_gone(self):
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            Metric("events_per_second", kind="rate")
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            Metric("jobs", kind="info")
 
-    def test_ratio_default_band(self):
+    def test_default_bands(self):
+        assert Metric("a", kind="identity").band == 0.0
+        assert Metric("a", kind="counter").band == 0.0
         assert Metric("a", kind="ratio").band == 0.5
         assert Metric("a", kind="ratio", tolerance=0.25).band == 0.25
 
@@ -81,11 +79,11 @@ class TestRegistry:
         assert [b.name for b in registry.select(["tag:figure"])] == ["real"]
         assert [b.name for b in registry.select(["tag:figure,wide"])] == ["real", "wide"]
 
-    def test_default_suite_registers_all_fifteen(self):
+    def test_default_suite_registers_all_fourteen(self):
         from repro.bench import default_registry
 
         names = default_registry().names()
-        assert len(names) == 15
+        assert len(names) == 14
         assert names[:3] == [
             "engine-throughput",
             "observer-overhead",
@@ -96,39 +94,12 @@ class TestRegistry:
             "large-session",
             "sharded-session",
             "wire",
-            "sweep-parallel",
         ]
 
 
-class TestRepeatHarness:
-    def test_best_of_combines_by_direction(self):
-        samples = [
-            {"det": 5.0, "best_high": 10.0, "best_low": 3.0},
-            {"det": 5.0, "best_high": 12.0, "best_low": 2.0},
-            {"det": 5.0, "best_high": 11.0, "best_low": 4.0},
-        ]
-        benchmark = counting_benchmark(samples, repeats=3)
-        record = run_benchmark(benchmark, BenchContext("reduced", verbose=False))
-        assert record.repeats == 3
-        assert record.metrics == {"det": 5.0, "best_high": 12.0, "best_low": 2.0}
-
-    def test_smoke_scale_uses_smoke_repeats(self):
-        samples = [{"det": 1.0, "best_high": 1.0, "best_low": 1.0}]
-        benchmark = counting_benchmark(samples, repeats=3, smoke_repeats=1)
-        record = run_benchmark(benchmark, BenchContext("smoke", verbose=False))
-        assert record.repeats == 1
-
-    def test_drifting_deterministic_metric_fails_loudly(self):
-        samples = [
-            {"det": 5.0, "best_high": 1.0, "best_low": 1.0},
-            {"det": 6.0, "best_high": 1.0, "best_low": 1.0},
-        ]
-        benchmark = counting_benchmark(samples, repeats=2)
-        with pytest.raises(BenchmarkRunError, match="varied across"):
-            run_benchmark(benchmark, BenchContext("reduced", verbose=False))
-
+class TestHarness:
     def test_undeclared_metric_is_rejected(self):
-        benchmark = counting_benchmark([{"det": 1.0, "best_high": 1.0, "best_low": 1.0, "x": 1.0}])
+        benchmark = counting_benchmark([{"det": 1.0, "speedup": 1.0, "x": 1.0}])
         with pytest.raises(BenchmarkRunError, match="undeclared"):
             run_benchmark(benchmark, BenchContext("smoke", verbose=False))
 
@@ -137,25 +108,10 @@ class TestRepeatHarness:
         with pytest.raises(BenchmarkRunError, match="omitted"):
             run_benchmark(benchmark, BenchContext("smoke", verbose=False))
 
-    def test_warmup_runs_once_before_repeats(self):
-        calls = []
-        samples = [{"det": 1.0, "best_high": 1.0, "best_low": 1.0} for _ in range(3)]
-        benchmark = counting_benchmark(samples, repeats=3)
-        benchmark = Benchmark(
-            name=benchmark.name,
-            description=benchmark.description,
-            run=lambda ctx: (calls.append("run"), samples[0])[1],
-            metrics=benchmark.metrics,
-            repeats=3,
-            warmup=lambda ctx: calls.append("warmup"),
-        )
-        run_benchmark(benchmark, BenchContext("reduced", verbose=False))
-        assert calls == ["warmup", "run", "run", "run"]
-
     def test_profile_dir_writes_loadable_pstats(self, tmp_path):
         import pstats
 
-        benchmark = counting_benchmark([{"det": 1.0, "best_high": 1.0, "best_low": 1.0}])
+        benchmark = counting_benchmark([{"det": 1.0, "speedup": 1.0}])
         record = run_benchmark(
             benchmark, BenchContext("smoke", verbose=False), profile_dir=str(tmp_path)
         )
@@ -166,7 +122,7 @@ class TestRepeatHarness:
 
     def test_no_profile_by_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        benchmark = counting_benchmark([{"det": 1.0, "best_high": 1.0, "best_low": 1.0}])
+        benchmark = counting_benchmark([{"det": 1.0, "speedup": 1.0}])
         run_benchmark(benchmark, BenchContext("smoke", verbose=False))
         assert list(tmp_path.rglob("*.pstats")) == []
 
@@ -182,22 +138,34 @@ class TestRunSelected:
         from repro.sweep import code_fingerprint
 
         registry = BenchmarkRegistry()
-        registry.register(
-            counting_benchmark([{"det": 1.0, "best_high": 1.0, "best_low": 1.0}])
-        )
+        registry.register(counting_benchmark([{"det": 1.0, "speedup": 1.0}]))
         report = run_selected(registry, scale_name="smoke", verbose=False)
         assert isinstance(report, BenchReport)
         assert report.scale == "smoke"
         assert report.fingerprint == code_fingerprint()
         assert report.results[0].benchmark == "count"
 
-    def test_repeat_override_applies(self):
-        samples = [{"det": 1.0, "best_high": float(i), "best_low": 1.0} for i in range(4)]
+    def test_each_selected_benchmark_runs_exactly_once(self):
+        calls = []
+
+        def once(name):
+            def run(ctx):
+                calls.append(name)
+                return {"det": 1.0, "speedup": 2.0}
+
+            return Benchmark(
+                name=name,
+                description="synthetic",
+                run=run,
+                metrics=counting_benchmark([]).metrics,
+            )
+
         registry = BenchmarkRegistry()
-        registry.register(counting_benchmark(samples, repeats=1))
-        report = run_selected(registry, scale_name="reduced", repeats_override=4, verbose=False)
-        assert report.results[0].repeats == 4
-        assert report.results[0].metrics["best_high"] == 3.0
+        for name in ("alpha", "beta", "gamma"):
+            registry.register(once(name))
+        report = run_selected(registry, patterns=["alpha,gamma"], verbose=False)
+        assert calls == ["alpha", "gamma"]
+        assert [r.metrics for r in report.results] == [{"det": 1.0, "speedup": 2.0}] * 2
 
 
 class TestContextOptions:

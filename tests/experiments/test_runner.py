@@ -1,8 +1,6 @@
-"""Unit tests for experiment points and the run cache."""
+"""Unit tests for experiment points and :func:`run_point`."""
 
-import pytest
-
-from repro.experiments.runner import ExperimentPoint, RunCache, format_rate, run_point
+from repro.experiments.runner import ExperimentPoint, format_rate, run_point
 from repro.membership.partners import INFINITE
 
 
@@ -52,32 +50,3 @@ class TestRunPoint:
         result = run_point(tiny_scale, ExperimentPoint(scale_name="tiny", fanout=4))
         assert result.schedule.num_windows == tiny_scale.num_windows
         assert result.delivery_ratio() > 0.8
-
-
-class TestRunCache:
-    def test_cache_avoids_reruns(self, tiny_scale):
-        cache = RunCache()
-        point = ExperimentPoint(scale_name="tiny", fanout=4)
-        first = cache.get(tiny_scale, point)
-        second = cache.get(tiny_scale, point)
-        assert first is second
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert len(cache) == 1
-
-    def test_distinct_points_run_separately(self, tiny_scale):
-        cache = RunCache()
-        cache.get(tiny_scale, ExperimentPoint(scale_name="tiny", fanout=4))
-        cache.get(tiny_scale, ExperimentPoint(scale_name="tiny", fanout=6))
-        assert cache.misses == 2
-
-    def test_scale_mismatch_rejected(self, tiny_scale):
-        cache = RunCache()
-        with pytest.raises(ValueError):
-            cache.get(tiny_scale, ExperimentPoint(scale_name="reduced", fanout=4))
-
-    def test_clear_empties_cache(self, tiny_scale):
-        cache = RunCache()
-        cache.get(tiny_scale, ExperimentPoint(scale_name="tiny", fanout=4))
-        cache.clear()
-        assert len(cache) == 0

@@ -65,6 +65,8 @@ class TestHostileInput:
         )
         session.build()
         host, network = session.simulator, session.network
+        horizon = session.schedule.config.end_time + session.config.extra_time
+        period = 0.25
         rng = random.Random(5)
         sprayed = []
 
@@ -74,9 +76,13 @@ class TestHostileInput:
                     data = rng.randbytes(rng.randrange(1, 200))
                     outsider.sendto(data, network.address(node_id))
                     sprayed.append(data)
-            host.schedule(0.25, spray)
+            # The last burst goes out a full period before the horizon, so
+            # every sprayed datagram is read (and counted) before the loop
+            # stops and the endpoints close.
+            if host.now + 2 * period <= horizon:
+                host.schedule(period, spray)
 
-        host.schedule(0.25, spray)
+        host.schedule(period, spray)
         result = session.run()
         assert sprayed
         assert network.decode_errors == len(sprayed)

@@ -16,7 +16,10 @@ Checks, over ``README.md`` and ``docs/*.md``:
    symbol fails here instead of for the reader;
 3. every relative markdown link points at a file that exists in the tree;
 4. every anchored link (``docs/foo.md#section`` or ``#section``) matches a
-   heading in the target document, using GitHub's slugging rules.
+   heading in the target document, using GitHub's slugging rules;
+5. every ``repro.bench run|list --filter X`` inside a fenced block selects at
+   least one registered benchmark (``default_registry().select``), so a
+   command naming a deleted benchmark fails here instead of for the reader.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -36,6 +39,8 @@ FENCE = re.compile(r"^```(\w*)\s*$")
 # Inline markdown links; images excluded via the negative lookbehind.
 LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
+BENCH_COMMAND = re.compile(r"repro\.bench\s+(?:run|list)\b(.*)")
+BENCH_FILTER = re.compile(r"--filter[=\s]+(\S+)")
 
 
 def doc_files() -> List[Path]:
@@ -160,19 +165,40 @@ def check_links(path: Path, problems: List[str]) -> int:
     return checked
 
 
+def check_bench_filters(path: Path, problems: List[str]) -> int:
+    """Select every documented ``--filter``; returns how many were checked."""
+    from repro.bench import default_registry
+
+    registry = default_registry()
+    checked = 0
+    for line_number, _, source in iter_code_blocks(path.read_text(encoding="utf-8")):
+        # A command continued with a trailing backslash is one line.
+        for command in BENCH_COMMAND.findall(source.replace("\\\n", " ")):
+            for pattern in BENCH_FILTER.findall(command):
+                checked += 1
+                if not registry.select([pattern]):
+                    problems.append(
+                        f"{path.relative_to(ROOT)}:{line_number}: block filters benchmarks "
+                        f"by {pattern!r}, which selects none"
+                    )
+    return checked
+
+
 def main() -> int:
     problems: List[str] = []
-    blocks = links = 0
+    blocks = links = filters = 0
     files = doc_files()
     for path in files:
         blocks += check_code_blocks(path, problems)
         links += check_links(path, problems)
+        filters += check_bench_filters(path, problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     status = "FAILED" if problems else "ok"
     print(
         f"docs check {status}: {len(files)} files, {blocks} python blocks "
-        f"compiled, {links} links resolved, {len(problems)} problem(s)"
+        f"compiled, {links} links resolved, {filters} bench filters selected, "
+        f"{len(problems)} problem(s)"
     )
     return 1 if problems else 0
 
