@@ -19,9 +19,9 @@ paper-versus-measured comparison.
 from repro.core.config import GossipConfig, MessageSizeModel
 from repro.core.node import GossipNode, NodeStats
 from repro.core.session import SessionConfig, SessionResult, StreamingSession, run_session
-from repro.membership.churn import CatastrophicChurn, NoChurn, StaggeredChurn
+from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
-from repro.membership.partners import INFINITE, recommended_fanout
+from repro.membership.partners import INFINITE
 from repro.metrics.quality import OFFLINE_LAG, StreamQualityAnalyzer
 from repro.network.bandwidth import BandwidthCap
 from repro.network.transport import Network, NetworkConfig
@@ -59,7 +59,6 @@ __all__ = [
     "MessageSizeModel",
     "Network",
     "NetworkConfig",
-    "NoChurn",
     "NodeStats",
     "OFFLINE_LAG",
     "ReedSolomonCode",
@@ -67,7 +66,6 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "Simulator",
-    "StaggeredChurn",
     "StreamConfig",
     "StreamQualityAnalyzer",
     "StreamSchedule",
@@ -77,7 +75,6 @@ __all__ = [
     "WindowCodec",
     "available_protocols",
     "available_scenarios",
-    "recommended_fanout",
     "register_protocol",
     "register_scenario",
     "run_scenario",

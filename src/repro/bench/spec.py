@@ -205,9 +205,6 @@ class BenchmarkRegistry:
     def __len__(self) -> int:
         return len(self._benchmarks)
 
-    def __iter__(self):
-        return iter(self._benchmarks.values())
-
     def select(self, patterns: Sequence[str] = ()) -> List[Benchmark]:
         """Benchmarks matching *any* pattern (all of them for no patterns).
 

@@ -28,6 +28,7 @@ over the same data and keeps each side's best; wall clock itself is owned by
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import sys
@@ -318,7 +319,8 @@ def _figure_headline(figure_id: str, result: FigureResult, scale) -> float:
         return result.series_by_label("20s lag, X=1").y_at(min(scale.churn_grid) * 100.0)
     if figure_id == "figure8":
         series = result.series_by_label("20s lag, X=1")
-        return sum(series.ys()) / len(series.ys())
+        # fsum: sum() rounds differently from 3.12 on (compensated summation).
+        return math.fsum(series.ys()) / len(series.ys())
     raise KeyError(f"no headline metric defined for {figure_id!r}")
 
 

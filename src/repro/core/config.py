@@ -24,7 +24,6 @@ use conventional UDP/IPv4 figures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.membership.partners import INFINITE
@@ -117,39 +116,7 @@ class GossipConfig:
         if self.source_fanout < 1:
             raise ValueError(f"source_fanout must be >= 1, got {self.source_fanout!r}")
 
-    # ------------------------------------------------------------------
-    # Convenience constructors and helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def paper_baseline(cls, fanout: int = 7) -> "GossipConfig":
-        """The configuration used in most of the paper's experiments."""
-        return cls(fanout=fanout)
-
-    def with_fanout(self, fanout: int) -> "GossipConfig":
-        """A copy of this configuration with a different fanout."""
-        return self._replace(fanout=fanout)
-
-    def with_refresh_every(self, refresh_every: float) -> "GossipConfig":
-        """A copy with a different view refresh rate ``X``."""
-        return self._replace(refresh_every=refresh_every)
-
-    def with_feed_me_every(self, feed_me_every: float) -> "GossipConfig":
-        """A copy with a different feed-me request rate ``Y``."""
-        return self._replace(feed_me_every=feed_me_every)
-
-    def _replace(self, **changes) -> "GossipConfig":
-        from dataclasses import replace
-
-        return replace(self, **changes)
-
     @property
     def retransmission_enabled(self) -> bool:
         """Whether packets may be requested more than once."""
         return self.max_request_attempts > 1
-
-    @staticmethod
-    def theoretical_minimum_fanout(system_size: int) -> float:
-        """``ln(n)``: the reliability threshold for infect-and-die gossip."""
-        if system_size < 2:
-            raise ValueError(f"system size must be >= 2, got {system_size!r}")
-        return math.log(system_size)

@@ -294,13 +294,6 @@ class GossipNode:
             self._observers = []
         self._observers.append(observer)
 
-    def remove_observer(self, observer: Any) -> None:
-        """Unregister a delivery observer (restores the zero-cost path)."""
-        if self._observers is not None:
-            self._observers.remove(observer)
-            if not self._observers:
-                self._observers = None
-
     def deliver(self, packet_id: PacketId, time: float) -> None:
         """Record a first-time delivery and notify the delivery listener."""
         delivered = self.state.delivered
@@ -341,11 +334,4 @@ class GossipNode:
         sender = self.node_id
         self._network.send_many(
             [Message(sender, target, kind, size_bytes, payload) for target in targets]
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        role = "source" if self.is_source else "node"
-        return (
-            f"GossipNode({role} {self.node_id}, protocol={self.protocol.name}, "
-            f"delivered={self.state.delivered_count}, alive={self._alive})"
         )

@@ -150,25 +150,6 @@ class SessionConfig:
         """Ids of all non-source nodes."""
         return list(range(1, self.num_nodes))
 
-    def late_joiner_ids(self) -> List[NodeId]:
-        """Receivers that join late under the configured join schedule.
-
-        Convenience for inspection: this re-evaluates ``join.events()``, so
-        it only matches a session's actual partition for deterministic
-        schedules (the session itself evaluates the schedule exactly once).
-        """
-        if self.join is None:
-            return []
-        return self.join.late_joiners(self.receiver_ids())
-
-    def initial_member_ids(self) -> List[NodeId]:
-        """Nodes present in the directory from the start (always the source).
-
-        Same caveat as :meth:`late_joiner_ids`: inspection-only.
-        """
-        late = set(self.late_joiner_ids())
-        return [node_id for node_id in range(self.num_nodes) if node_id not in late]
-
 
 @dataclass
 class SessionResult:

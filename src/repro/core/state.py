@@ -54,13 +54,6 @@ class NodeState:
         """Whether the packet has already been delivered to this node."""
         return packet_id in self.delivered
 
-    def deliver(self, packet_id: PacketId, time: float) -> bool:
-        """Record delivery; returns ``False`` if it was a duplicate."""
-        if packet_id in self.delivered:
-            return False
-        self.delivered[packet_id] = time
-        return True
-
     def delivery_time(self, packet_id: PacketId) -> Optional[float]:
         """When the packet was delivered, or ``None`` if it never was."""
         return self.delivered.get(packet_id)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.membership.partners import INFINITE
 from repro.metrics.quality import OFFLINE_LAG
@@ -391,12 +391,3 @@ def figure_points(figure_id: str, scale: ExperimentScale) -> List[ExperimentPoin
     recorder = RecordingCache()
     ALL_FIGURES[figure_id](scale, recorder)
     return recorder.points()
-
-
-def generate_all(
-    scale: ExperimentScale = REDUCED,
-    cache: Optional[SummaryCache] = None,
-) -> Dict[str, FigureResult]:
-    """Regenerate every figure at the given scale (shares runs via the cache)."""
-    cache = cache if cache is not None else _default_cache()
-    return {figure_id: generator(scale, cache) for figure_id, generator in ALL_FIGURES.items()}

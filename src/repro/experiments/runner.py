@@ -54,24 +54,6 @@ class ExperimentPoint:
     seed_offset: int = 0
     protocol: str = "three-phase"
 
-    def describe(self) -> str:
-        """Short human-readable description of this point."""
-        parts = [f"scale={self.scale_name}"]
-        if self.protocol != "three-phase":
-            parts.append(f"protocol={self.protocol}")
-        if self.fanout is not None:
-            parts.append(f"fanout={self.fanout}")
-        if self.cap_kbps is not None:
-            parts.append(f"cap={self.cap_kbps:.0f}kbps")
-        parts.append(f"X={format_rate(self.refresh_every)}")
-        if self.feed_me_every != INFINITE:
-            parts.append(f"Y={format_rate(self.feed_me_every)}")
-        if self.churn_fraction > 0.0:
-            parts.append(f"churn={self.churn_fraction:.0%}")
-        if self.seed_offset:
-            parts.append(f"seed+{self.seed_offset}")
-        return ", ".join(parts)
-
 
 def point_config(scale: ExperimentScale, point: ExperimentPoint) -> SessionConfig:
     """The session configuration of ``point``, which must name ``scale``."""

@@ -11,8 +11,8 @@ the paper studies and the churn injector used in Section 4.3:
 * :class:`PartnerSelector` — per-node partner set with the *view refresh
   rate* ``X`` (refresh ``selectNodes`` output every ``X`` gossip periods) and
   support for *feed-me* insertions (the ``Y`` mechanism).
-* :class:`CatastrophicChurn` / :class:`StaggeredChurn` — churn schedules that
-  fail a fraction of nodes at once (the paper's scenario) or progressively.
+* :class:`CatastrophicChurn` — the churn schedule that fails a fraction of
+  nodes at once (the paper's scenario).
 * :class:`FlashCrowdJoin` — the mirror perturbation: a burst of nodes
   *joining* mid-stream, kept out of the directory until their join time.
 """
@@ -22,12 +22,10 @@ from repro.membership.churn import (
     ChurnEvent,
     ChurnInjector,
     ChurnSchedule,
-    NoChurn,
-    StaggeredChurn,
 )
 from repro.membership.directory import MembershipDirectory
 from repro.membership.join import FlashCrowdJoin, JoinEvent, JoinInjector, JoinSchedule
-from repro.membership.partners import INFINITE, PartnerSelector, recommended_fanout
+from repro.membership.partners import INFINITE, PartnerSelector
 
 __all__ = [
     "CatastrophicChurn",
@@ -40,8 +38,5 @@ __all__ = [
     "JoinInjector",
     "JoinSchedule",
     "MembershipDirectory",
-    "NoChurn",
     "PartnerSelector",
-    "StaggeredChurn",
-    "recommended_fanout",
 ]

@@ -2,8 +2,7 @@
 
 Section 4.3 of the paper evaluates a *catastrophic* churn scenario: at a
 given instant, a randomly chosen percentage of the nodes (10 % to 80 %) fail
-simultaneously.  :class:`CatastrophicChurn` reproduces it.  A staggered
-variant is provided as an extension for sensitivity studies.
+simultaneously.  :class:`CatastrophicChurn` reproduces it.
 
 A churn schedule only *decides* who fails and when; applying the failure
 (stopping the node, telling the network and the directory) is done by the
@@ -42,20 +41,6 @@ class ChurnSchedule(ABC):
     def events(self, candidates: Sequence[NodeId], rng: random.Random) -> List[ChurnEvent]:
         """Compute the churn events given the killable nodes."""
 
-    def describe(self) -> str:
-        """Human-readable one-line description for experiment reports."""
-        return type(self).__name__
-
-
-class NoChurn(ChurnSchedule):
-    """Baseline: nobody ever fails."""
-
-    def events(self, candidates: Sequence[NodeId], rng: random.Random) -> List[ChurnEvent]:
-        return []
-
-    def describe(self) -> str:
-        return "no churn"
-
 
 class CatastrophicChurn(ChurnSchedule):
     """The paper's scenario: a fraction of nodes fail simultaneously.
@@ -85,52 +70,6 @@ class CatastrophicChurn(ChurnSchedule):
 
     def describe(self) -> str:
         return f"catastrophic churn: {self.fraction:.0%} of nodes at t={self.time:.0f}s"
-
-
-class StaggeredChurn(ChurnSchedule):
-    """Extension: the same total fraction of failures spread over a period.
-
-    Victims fail one batch per ``interval`` seconds starting at ``start``.
-    Useful to study whether gossip's resilience depends on failures being
-    simultaneous (the paper's worst case) or gradual.
-    """
-
-    def __init__(self, start: float, fraction: float, batches: int, interval: float) -> None:
-        if start < 0.0 or interval <= 0.0 or batches < 1:
-            raise ValueError("invalid staggered churn parameters")
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction!r}")
-        self.start = float(start)
-        self.fraction = float(fraction)
-        self.batches = int(batches)
-        self.interval = float(interval)
-
-    def events(self, candidates: Sequence[NodeId], rng: random.Random) -> List[ChurnEvent]:
-        total = int(round(len(candidates) * self.fraction))
-        if total == 0:
-            return []
-        victims = rng.sample(list(candidates), total)
-        per_batch = max(1, total // self.batches)
-        events: List[ChurnEvent] = []
-        for batch_index in range(self.batches):
-            batch = victims[batch_index * per_batch : (batch_index + 1) * per_batch]
-            if batch_index == self.batches - 1:
-                batch = victims[batch_index * per_batch :]
-            if not batch:
-                continue
-            events.append(
-                ChurnEvent(
-                    time=self.start + batch_index * self.interval,
-                    victims=tuple(sorted(batch)),
-                )
-            )
-        return events
-
-    def describe(self) -> str:
-        return (
-            f"staggered churn: {self.fraction:.0%} of nodes in {self.batches} batches "
-            f"every {self.interval:.0f}s from t={self.start:.0f}s"
-        )
 
 
 class ChurnInjector:

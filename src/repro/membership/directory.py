@@ -58,13 +58,6 @@ class MembershipDirectory:
         """Seconds between a node's crash and its system-wide undetectability."""
         return self._detection_delay
 
-    @detection_delay.setter
-    def detection_delay(self, value: float) -> None:
-        if value < 0.0:
-            raise ValueError(f"detection_delay must be >= 0, got {value!r}")
-        self._detection_delay = float(value)
-        self._version += 1
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -86,11 +79,6 @@ class MembershipDirectory:
         if node_id not in self._member_set:
             raise KeyError(f"node {node_id} is not a member")
         self._failed_at.setdefault(node_id, time)
-        self._version += 1
-
-    def mark_recovered(self, node_id: NodeId) -> None:
-        """Clear a failure record (the node is selectable again)."""
-        self._failed_at.pop(node_id, None)
         self._version += 1
 
     # ------------------------------------------------------------------

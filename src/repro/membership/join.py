@@ -43,14 +43,6 @@ class JoinSchedule(ABC):
     def events(self, candidates: Sequence[NodeId]) -> List[JoinEvent]:
         """Compute the join events given the joinable (non-source) nodes."""
 
-    def late_joiners(self, candidates: Sequence[NodeId]) -> List[NodeId]:
-        """All nodes that join late (must stay out of the initial directory)."""
-        return [node_id for event in self.events(candidates) for node_id in event.joiners]
-
-    def describe(self) -> str:
-        """Human-readable one-line description for experiment reports."""
-        return type(self).__name__
-
 
 class FlashCrowdJoin(JoinSchedule):
     """A fraction of the nodes joins in one burst at a given instant.
@@ -92,17 +84,6 @@ class JoinInjector:
         self._schedule = schedule
         self._on_join = on_join
         self._planned: List[JoinEvent] = []
-        self._joined: List[NodeId] = []
-
-    @property
-    def planned_events(self) -> List[JoinEvent]:
-        """The join events computed by :meth:`arm`."""
-        return list(self._planned)
-
-    @property
-    def joined_nodes(self) -> List[NodeId]:
-        """Joiners whose arrival has already been applied."""
-        return list(self._joined)
 
     def arm_events(self, events: Sequence[JoinEvent]) -> List[JoinEvent]:
         """Schedule an already-computed join plan.
@@ -119,6 +100,4 @@ class JoinInjector:
         return list(self._planned)
 
     def _apply(self, event: JoinEvent) -> None:
-        joiners = list(event.joiners)
-        self._joined.extend(joiners)
-        self._on_join(joiners)
+        self._on_join(list(event.joiners))

@@ -151,19 +151,3 @@ class PartnerSelector:
             return []
         count = min(self.fanout, len(candidates))
         return self._rng.sample(candidates, count)
-
-    def reset(self) -> None:
-        """Forget the current partner set (next round resamples)."""
-        self._partners = None
-        self._rounds_since_refresh = 0
-
-
-def recommended_fanout(system_size: int, margin: int = 2) -> int:
-    """The paper's rule of thumb: ``f = ln(n) + c`` rounded up.
-
-    For 230 nodes and ``margin = 2`` this gives 8, close to the empirically
-    optimal 7–15 window reported in Figure 1.
-    """
-    if system_size < 2:
-        raise ValueError(f"system size must be >= 2, got {system_size!r}")
-    return int(math.ceil(math.log(system_size))) + margin

@@ -12,7 +12,7 @@ statistics and the measured duration.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.network.message import NodeId
 from repro.network.stats import TrafficStats
@@ -43,7 +43,7 @@ class BandwidthUsage:
             raise ValueError(f"duration must be positive, got {duration_seconds!r}")
         self._stats = stats
         self.duration_seconds = float(duration_seconds)
-        self._nodes: List[NodeId] = list(nodes) if nodes is not None else list(stats.nodes())
+        self._nodes: List[NodeId] = list(nodes) if nodes is not None else list(stats.raw())
 
     def node_upload_kbps(self, node_id: NodeId) -> float:
         """Average upload rate of one node over the measurement duration."""
@@ -96,7 +96,3 @@ class BandwidthUsage:
             return 0.0
         top_count = max(1, int(round(len(usage) * top_fraction)))
         return sum(usage[:top_count]) / total
-
-    def filtered(self, nodes: Iterable[NodeId]) -> "BandwidthUsage":
-        """A new view restricted to ``nodes`` (e.g. survivors only)."""
-        return BandwidthUsage(self._stats, self.duration_seconds, list(nodes))

@@ -112,8 +112,3 @@ def format_series_table(
                 row.append("-")
         rows.append(row)
     return format_table(headers, rows, precision=precision)
-
-
-def percentage(fraction: float) -> float:
-    """Convert a 0–1 fraction to a 0–100 percentage."""
-    return fraction * 100.0

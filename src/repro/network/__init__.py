@@ -20,7 +20,6 @@ This package reproduces that substrate in simulation:
 """
 
 from repro.network.bandwidth import BandwidthCap, UploadLimiter
-from repro.network.endpoints import Endpoint
 from repro.network.latency import (
     ConstantLatency,
     LatencyModel,
@@ -28,16 +27,14 @@ from repro.network.latency import (
     PerNodeQualityLatency,
     UniformLatency,
 )
-from repro.network.loss import CompositeLoss, LossModel, NoLoss, PerNodeLoss, UniformLoss
+from repro.network.loss import LossModel, NoLoss, UniformLoss
 from repro.network.message import Message
 from repro.network.stats import NodeTraffic, TrafficStats
 from repro.network.transport import Network, NetworkConfig
 
 __all__ = [
     "BandwidthCap",
-    "CompositeLoss",
     "ConstantLatency",
-    "Endpoint",
     "LatencyModel",
     "LogNormalLatency",
     "LossModel",
@@ -46,7 +43,6 @@ __all__ = [
     "NetworkConfig",
     "NoLoss",
     "NodeTraffic",
-    "PerNodeLoss",
     "PerNodeQualityLatency",
     "TrafficStats",
     "UniformLatency",

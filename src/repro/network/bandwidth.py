@@ -149,10 +149,3 @@ class UploadLimiter:
         self.bytes_accepted += size_bytes
         self.messages_accepted += 1
         return finish
-
-    def reset_counters(self) -> None:
-        """Zero the byte/message counters (keeps the current backlog)."""
-        self.bytes_accepted = 0
-        self.bytes_dropped = 0
-        self.messages_accepted = 0
-        self.messages_dropped = 0

@@ -80,10 +80,6 @@ class LatencyModel(ABC):
         """
         return self.min_latency()
 
-    def describe(self) -> str:
-        """Human-readable one-line description (used in experiment reports)."""
-        return type(self).__name__
-
 
 class _SenderStreams(dict):
     """Per-sender ``random.Random`` streams under ``<purpose>/node-<id>``.
@@ -119,9 +115,6 @@ class ConstantLatency(LatencyModel):
     def min_latency(self) -> float:
         return self.delay
 
-    def describe(self) -> str:
-        return f"constant {self.delay * 1000:.0f} ms"
-
 
 class UniformLatency(LatencyModel):
     """Latency drawn i.i.d. from ``[low, high]`` for every datagram.
@@ -152,9 +145,6 @@ class UniformLatency(LatencyModel):
 
     def min_latency(self) -> float:
         return self.low
-
-    def describe(self) -> str:
-        return f"uniform [{self.low * 1000:.0f}, {self.high * 1000:.0f}] ms"
 
 
 class LogNormalLatency(LatencyModel):
@@ -192,9 +182,6 @@ class LogNormalLatency(LatencyModel):
 
     def min_latency(self) -> float:
         return self.minimum
-
-    def describe(self) -> str:
-        return f"lognormal median {self.median * 1000:.0f} ms sigma {self.sigma:.2f}"
 
 
 class PerNodeQualityLatency(LatencyModel):
@@ -280,6 +267,3 @@ class PerNodeQualityLatency(LatencyModel):
         pair_quality = (best_a + best_b) / 2.0
         noise = 1.0 + -self.jitter
         return max(self.minimum, self.base * pair_quality * noise)
-
-    def describe(self) -> str:
-        return f"per-node quality, base {self.base * 1000:.0f} ms"

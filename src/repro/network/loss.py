@@ -17,13 +17,13 @@ rationale).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Optional
 import random
 
 from repro.simulation.rng import RngRegistry
 
 from repro.network.latency import _SenderStreams
-from repro.network.message import Message, NodeId
+from repro.network.message import Message
 
 
 class LossModel(ABC):
@@ -33,19 +33,12 @@ class LossModel(ABC):
     def is_lost(self, message: Message) -> bool:
         """Return ``True`` if this datagram should be dropped in flight."""
 
-    def describe(self) -> str:
-        """Human-readable one-line description (used in experiment reports)."""
-        return type(self).__name__
-
 
 class NoLoss(LossModel):
     """Ideal network: nothing is ever lost in flight."""
 
     def is_lost(self, message: Message) -> bool:
         return False
-
-    def describe(self) -> str:
-        return "no random loss"
 
 
 class UniformLoss(LossModel):
@@ -67,63 +60,3 @@ class UniformLoss(LossModel):
         if rng is None:
             rng = self._sender_streams[message.sender]
         return rng.random() < self.probability
-
-    def describe(self) -> str:
-        return f"uniform loss p={self.probability:.3f}"
-
-
-class PerNodeLoss(LossModel):
-    """Per-receiver loss probabilities (lossy last miles).
-
-    Nodes missing from the mapping use ``default`` probability.
-    """
-
-    def __init__(
-        self,
-        rng: RngRegistry,
-        probabilities: Mapping[NodeId, float],
-        default: float = 0.0,
-        per_sender: bool = False,
-    ) -> None:
-        for node_id, probability in probabilities.items():
-            if not 0.0 <= probability <= 1.0:
-                raise ValueError(
-                    f"loss probability for node {node_id} must be in [0, 1], got {probability!r}"
-                )
-        if not 0.0 <= default <= 1.0:
-            raise ValueError(f"default loss probability must be in [0, 1], got {default!r}")
-        self._probabilities: Dict[NodeId, float] = dict(probabilities)
-        self.default = float(default)
-        self._rng: Optional[random.Random] = None if per_sender else rng.stream("loss/per-node")
-        self._sender_streams = _SenderStreams(rng, "loss/per-node") if per_sender else None
-
-    def probability_for(self, node_id: NodeId) -> float:
-        """The loss probability applied to datagrams destined to ``node_id``."""
-        return self._probabilities.get(node_id, self.default)
-
-    def is_lost(self, message: Message) -> bool:
-        probability = self.probability_for(message.receiver)
-        if probability == 0.0:
-            return False
-        rng = self._rng
-        if rng is None:
-            rng = self._sender_streams[message.sender]
-        return rng.random() < probability
-
-    def describe(self) -> str:
-        return f"per-node loss ({len(self._probabilities)} nodes configured)"
-
-
-class CompositeLoss(LossModel):
-    """A datagram is lost if *any* of the component models loses it."""
-
-    def __init__(self, models: Iterable[LossModel]) -> None:
-        self.models = tuple(models)
-        if not self.models:
-            raise ValueError("CompositeLoss requires at least one component model")
-
-    def is_lost(self, message: Message) -> bool:
-        return any(model.is_lost(message) for model in self.models)
-
-    def describe(self) -> str:
-        return " + ".join(model.describe() for model in self.models)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 from repro.network.message import NodeId
 
@@ -45,82 +45,28 @@ class NodeTraffic:
             raise ValueError(f"duration must be positive, got {duration_seconds!r}")
         return self.bytes_sent * 8.0 / duration_seconds / 1000.0
 
-    def congestion_drop_ratio(self) -> float:
-        """Fraction of offered messages dropped by the upload limiter."""
-        offered = self.messages_sent + self.messages_dropped_congestion
-        if offered == 0:
-            return 0.0
-        return self.messages_dropped_congestion / offered
-
 
 class TrafficStats:
-    """Per-node traffic counters with an optional measurement window.
+    """Per-node traffic counters.
 
-    The measurement window (``start_measurement`` / ``stop_measurement``)
-    lets experiments exclude warm-up traffic from bandwidth-usage figures.
+    The transport updates a node's sent and received counters in its cell
+    directly; drops and losses go through the two ``record_*`` methods.
     """
 
     def __init__(self) -> None:
         self._per_node: Dict[NodeId, NodeTraffic] = defaultdict(NodeTraffic)
-        self._window_start: Optional[float] = None
-        self._window_end: Optional[float] = None
-        self._measuring = True
-
-    # ------------------------------------------------------------------
-    # Measurement window
-    # ------------------------------------------------------------------
-    def start_measurement(self, now: float) -> None:
-        """Begin the measurement window: clears all counters."""
-        self._per_node.clear()
-        self._window_start = now
-        self._window_end = None
-        self._measuring = True
-
-    def stop_measurement(self, now: float) -> None:
-        """End the measurement window; later traffic is not recorded."""
-        self._window_end = now
-        self._measuring = False
-
-    @property
-    def window_duration(self) -> Optional[float]:
-        """Length of the measurement window, if both ends were marked."""
-        if self._window_start is None or self._window_end is None:
-            return None
-        return self._window_end - self._window_start
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_sent(self, node_id: NodeId, kind: str, size_bytes: int) -> None:
-        """Record a datagram accepted by ``node_id``'s limiter (the transport inlines this)."""
-        if not self._measuring:
-            return
-        traffic = self._per_node[node_id]
-        traffic.bytes_sent += size_bytes
-        traffic.messages_sent += 1
-        traffic.sent_bytes_by_kind[kind] += size_bytes
-
-    def record_received(self, node_id: NodeId, kind: str, size_bytes: int) -> None:
-        """Record a datagram delivered to ``node_id`` (the transport inlines this)."""
-        if not self._measuring:
-            return
-        traffic = self._per_node[node_id]
-        traffic.bytes_received += size_bytes
-        traffic.messages_received += 1
-        traffic.received_bytes_by_kind[kind] += size_bytes
-
     def record_congestion_drop(self, node_id: NodeId, kind: str, size_bytes: int) -> None:
         """Record a datagram dropped by ``node_id``'s upload limiter."""
-        if not self._measuring:
-            return
         traffic = self._per_node[node_id]
         traffic.bytes_dropped_congestion += size_bytes
         traffic.messages_dropped_congestion += 1
 
     def record_in_flight_loss(self, node_id: NodeId, kind: str, size_bytes: int) -> None:
         """Record a datagram from ``node_id`` lost by the network after sending."""
-        if not self._measuring:
-            return
         traffic = self._per_node[node_id]
         traffic.bytes_lost_in_flight += size_bytes
         traffic.messages_lost_in_flight += 1
@@ -131,10 +77,6 @@ class TrafficStats:
     def node(self, node_id: NodeId) -> NodeTraffic:
         """Counters for ``node_id`` (zeros if it never appeared)."""
         return self._per_node[node_id]
-
-    def nodes(self) -> Iterable[NodeId]:
-        """Ids of all nodes that have recorded any traffic."""
-        return tuple(self._per_node)
 
     def raw(self) -> Dict[NodeId, NodeTraffic]:
         """Direct (read-only by convention) access to the per-node cells.
@@ -155,13 +97,6 @@ class TrafficStats:
         if node_id in self._per_node:
             raise ValueError(f"traffic cell for node {node_id} is already populated")
         self._per_node[node_id] = cell
-
-    def upload_usage_kbps(self, duration_seconds: float) -> Dict[NodeId, float]:
-        """Average upload rate per node over ``duration_seconds`` in kbps."""
-        return {
-            node_id: traffic.upload_kbps(duration_seconds)
-            for node_id, traffic in self._per_node.items()
-        }
 
     def total_bytes_sent(self) -> int:
         """Total bytes accepted by all upload limiters."""

@@ -243,35 +243,9 @@ class Network:
             self._observers = []
         self._observers.append(observer)
 
-    def remove_observer(self, observer: Any) -> None:
-        """Unregister a transport observer (restores the zero-cost path)."""
-        if self._observers is not None:
-            self._observers.remove(observer)
-            if not self._observers:
-                self._observers = None
-
     def limiter(self, node_id: NodeId) -> UploadLimiter:
         """The upload limiter of ``node_id`` (for inspection in experiments)."""
         return self._endpoints[node_id].limiter
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The latency model in use."""
-        return self._latency
-
-    @property
-    def loss_model(self) -> LossModel:
-        """The in-flight loss model in use."""
-        return self._loss
-
-    def min_latency(self) -> float:
-        """Minimum possible propagation delay of this substrate.
-
-        The transport's contribution to the sharded backend's conservative
-        lookahead: serialization delay is non-negative, so no datagram sent
-        at ``t`` can be delivered before ``t + min_latency()``.
-        """
-        return self._latency.min_latency()
 
     # ------------------------------------------------------------------
     # Routing (the shard and socket seam)
@@ -333,9 +307,8 @@ class Network:
                         observer.on_send_blocked(message, now)
             return 0
         stats = self.stats
-        # The sender's NodeTraffic cell, updated in place per accepted
-        # datagram: what TrafficStats.record_sent does, minus a call each.
-        traffic = stats._per_node[sender] if stats._measuring else None
+        # The sender's NodeTraffic cell, updated in place per accepted datagram.
+        traffic = stats._per_node[sender]
         enqueue = endpoint.limiter.enqueue
         is_lost = self._loss.is_lost
         latency_sample = self._latency.sample
@@ -355,10 +328,9 @@ class Network:
                         observer.on_congestion_drop(message, now)
                 continue
             accepted += 1
-            if traffic is not None:
-                traffic.bytes_sent += size
-                traffic.messages_sent += 1
-                traffic.sent_bytes_by_kind[message.kind] += size
+            traffic.bytes_sent += size
+            traffic.messages_sent += 1
+            traffic.sent_bytes_by_kind[message.kind] += size
             if observers is not None:
                 for observer in observers:
                     observer.on_send_accepted(message, now, finish_time)
@@ -385,13 +357,11 @@ class Network:
                 for observer in self._observers:
                     observer.on_delivery_dropped(message, self._simulator.now)
             return
-        stats = self.stats
-        if stats._measuring:  # TrafficStats.record_received, minus the call
-            traffic = stats._per_node[receiver]
-            size = message.size_bytes
-            traffic.bytes_received += size
-            traffic.messages_received += 1
-            traffic.received_bytes_by_kind[message.kind] += size
+        traffic = self.stats._per_node[receiver]
+        size = message.size_bytes
+        traffic.bytes_received += size
+        traffic.messages_received += 1
+        traffic.received_bytes_by_kind[message.kind] += size
         if self._observers is not None:
             # Observers fire before the handler: anything the handler sends
             # in reaction (e.g. a SERVE answering this REQUEST) must observe

@@ -122,7 +122,3 @@ class DisseminationProtocol(ABC):
 
     def on_fail(self) -> None:
         """The node crashed.  Default: nothing beyond the host's cleanup."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        bound = f"node {self.host.node_id}" if self.host is not None else "unbound"
-        return f"{type(self).__name__}({bound})"

@@ -29,7 +29,6 @@ from repro.realnet.session import (
     RealNetConfig,
     RealNetSession,
     make_run_id,
-    run_realnet_session,
     write_delivery_log,
 )
 
@@ -47,6 +46,5 @@ __all__ = [
     "WallClockHandle",
     "compare_backends",
     "make_run_id",
-    "run_realnet_session",
     "write_delivery_log",
 ]

@@ -150,11 +150,6 @@ class AsyncioHost:
         return self._rng
 
     @property
-    def time_scale(self) -> float:
-        """Wall seconds per virtual second."""
-        return self._time_scale
-
-    @property
     def events_processed(self) -> int:
         """Total number of scheduled callbacks executed so far."""
         return self._events_processed
@@ -168,11 +163,6 @@ class AsyncioHost:
     def backend_name(self) -> str:
         """Identifies this host in trace headers and session results."""
         return "realnet-asyncio"
-
-    @property
-    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
-        """The running event loop (``None`` outside :meth:`run`)."""
-        return self._loop
 
     # ------------------------------------------------------------------
     # Host surface: scheduling

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.network.message import NodeId
 
@@ -61,23 +61,10 @@ def bind_node_socket(plan: PortPlan, node_id: NodeId) -> socket.socket:
     return sock
 
 
-def bind_fleet(plan: PortPlan, node_ids: Sequence[NodeId]) -> Dict[NodeId, socket.socket]:
-    """Bind one socket per node, closing everything on partial failure."""
-    sockets: Dict[NodeId, socket.socket] = {}
-    try:
-        for node_id in node_ids:
-            sockets[node_id] = bind_node_socket(plan, node_id)
-    except OSError:
-        for sock in sockets.values():
-            sock.close()
-        raise
-    return sockets
-
-
 def address_of(sock: socket.socket) -> Address:
     """The ``(host, port)`` a bound socket actually listens on."""
     host, port = sock.getsockname()[:2]
     return (host, port)
 
 
-__all__ = ["Address", "PortPlan", "address_of", "bind_fleet", "bind_node_socket"]
+__all__ = ["Address", "PortPlan", "address_of", "bind_node_socket"]

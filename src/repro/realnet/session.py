@@ -107,13 +107,6 @@ class RealNetSession(StreamingSession):
         )
 
 
-def run_realnet_session(
-    config: SessionConfig, realnet: Optional[RealNetConfig] = None
-) -> SessionResult:
-    """Build and run one real-network session to completion."""
-    return RealNetSession(config, realnet).run()
-
-
 # ----------------------------------------------------------------------
 # Run identity and artifacts (the Snippet-2 harness shape)
 # ----------------------------------------------------------------------
@@ -178,7 +171,6 @@ __all__ = [
     "RealNetSession",
     "make_run_id",
     "prepare_run_dir",
-    "run_realnet_session",
     "write_delivery_log",
     "write_run_summary",
 ]

@@ -27,7 +27,6 @@ from repro.scenarios.registry import (
     register_scenario,
     run_scenario,
     scenario_by_name,
-    scenario_session,
 )
 from repro.scenarios.spec import (
     BandwidthClass,
@@ -48,5 +47,4 @@ __all__ = [
     "run_scenario",
     "run_spec",
     "scenario_by_name",
-    "scenario_session",
 ]

@@ -37,12 +37,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.core.session import SessionResult, StreamingSession
+from repro.core.session import SessionResult
 from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
 from repro.streaming.schedule import StreamConfig
 
-from repro.scenarios.spec import BandwidthClass, ScenarioSpec, build_session, run_spec
+from repro.scenarios.spec import BandwidthClass, ScenarioSpec, run_spec
 
 ScenarioFactory = Callable[[], ScenarioSpec]
 
@@ -94,11 +94,6 @@ def build_scenario(name: str, **overrides) -> ScenarioSpec:
     if overrides:
         spec = spec.with_overrides(**overrides)
     return spec
-
-
-def scenario_session(name: str, **overrides) -> StreamingSession:
-    """An unbuilt session for the named scenario."""
-    return build_session(build_scenario(name, **overrides))
 
 
 def run_scenario(name: str, **overrides) -> SessionResult:

@@ -277,6 +277,10 @@ class _Coordinator:
 #: Seconds to wait for worker threads/processes to wind down after an abort.
 _ABORT_JOIN_TIMEOUT = 5.0
 
+#: Seconds the thread-mode coordinator waits on its inbox between checks
+#: that every unfinished worker thread is still alive.
+_LIVENESS_POLL_SECONDS = 0.5
+
 
 class _ThreadChannel:
     """Worker-side barrier endpoint backed by queue pairs.
@@ -335,12 +339,32 @@ def _run_threaded(config: SessionConfig, plan: ShardPlan) -> Tuple[List[ShardRes
             thread.join(timeout=_ABORT_JOIN_TIMEOUT)
         raise cause
 
+    finished: List[int] = []
+
+    def receive() -> Tuple[str, int, object]:
+        # A thread that dies before its ``try`` (a raising profile hook, say)
+        # never reports; the process-mode sentinel has no thread equivalent,
+        # so poll.  Liveness is read before emptiness: a thread's last
+        # message is queued before it exits, so a dead thread and an empty
+        # inbox mean that message will never come.
+        while True:
+            try:
+                return inbox.get(timeout=_LIVENESS_POLL_SECONDS)
+            except queue.Empty:
+                dead = [
+                    shard_id
+                    for shard_id, thread in enumerate(threads)
+                    if shard_id not in finished and not thread.is_alive()
+                ]
+                if dead and inbox.empty():
+                    abort(ShardProtocolError(f"shard {dead[0]} died without reporting"))
+
     coordinator = _Coordinator(plan, session_horizon(config))
     done = False
     while not done:
         reports: Dict[int, WindowReport] = {}
         while len(reports) < num_shards:
-            tag, shard_id, payload = inbox.get()
+            tag, shard_id, payload = receive()
             if tag == "error":
                 abort(payload)
             if tag != "window":
@@ -358,14 +382,13 @@ def _run_threaded(config: SessionConfig, plan: ShardPlan) -> Tuple[List[ShardRes
             reply_queues[shard_id].put(reply)
         done = round_replies[0].done
 
-    finished = 0
-    while finished < num_shards:
-        tag, shard_id, payload = inbox.get()
+    while len(finished) < num_shards:
+        tag, shard_id, payload = receive()
         if tag == "error":
             abort(payload)
         if tag == "window":
             abort(ShardProtocolError(f"shard {shard_id} kept running after completion"))
-        finished += 1
+        finished.append(shard_id)
     for thread in threads:
         thread.join()
     return [result for result in results if result is not None], coordinator.rounds

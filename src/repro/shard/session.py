@@ -195,11 +195,6 @@ class ShardSession(StreamingSession):
         self._router: Optional[ShardRouter] = None
         self._control_events = 0
 
-    @property
-    def owned_nodes(self) -> Tuple[NodeId, ...]:
-        """Ascending ids of the nodes this shard instantiates."""
-        return self._owned
-
     # ------------------------------------------------------------------
     # Build overrides (everything else is the scalar build, replicated)
     # ------------------------------------------------------------------

@@ -193,9 +193,6 @@ class WireBatch:
             return NotImplemented
         return self.__getstate__() == other.__getstate__()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WireBatch(count={self.count}, nbytes={self.nbytes})"
-
     @property
     def nbytes(self) -> int:
         """Serialized payload size: the four columns, kind table and header.
@@ -432,4 +429,3 @@ class WireStats:
 
 
 WIRE_STATS = WireStats()
-

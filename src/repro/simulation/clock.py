@@ -46,12 +46,3 @@ class SimulationClock:
                 f"cannot move clock backwards from {self._now!r} to {time!r}"
             )
         self._now = float(time)
-
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds (must be >= 0)."""
-        if delta < 0.0:
-            raise SimulationTimeError(f"cannot advance clock by negative delta {delta!r}")
-        self._now += float(delta)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SimulationClock(now={self._now:.6f})"

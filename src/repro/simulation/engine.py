@@ -236,13 +236,3 @@ class Simulator:
     def run_until_idle(self, max_events: Optional[int] = None) -> int:
         """Run until no events remain (or ``max_events`` is hit)."""
         return self.run(until=None, max_events=max_events)
-
-    def clear(self) -> None:
-        """Drop all pending events (used when tearing down an experiment)."""
-        self._queue.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Simulator(now={self.now:.3f}, pending={self.pending_events}, "
-            f"processed={self._events_processed})"
-        )

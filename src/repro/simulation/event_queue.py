@@ -199,10 +199,3 @@ class EventQueue:
         heap[:] = [event for event in heap if not event.handle.cancelled]
         heapq.heapify(heap)
         self._dead = 0
-
-    def clear(self) -> None:
-        """Drop every queued event (used when tearing an experiment down)."""
-        for event in self._heap:
-            event.handle._queue = None
-        self._heap.clear()
-        self._dead = 0

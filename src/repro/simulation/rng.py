@@ -63,11 +63,3 @@ class RngRegistry:
     def names(self) -> Iterable[str]:
         """Names of the streams created so far (for diagnostics)."""
         return tuple(self._streams)
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a sub-registry whose root seed is derived from ``name``.
-
-        Useful when a component (e.g. the workload generator) wants its own
-        namespace of streams isolated from the simulator's.
-        """
-        return RngRegistry(derive_seed(self._root_seed, f"fork/{name}"))

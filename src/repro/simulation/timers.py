@@ -124,11 +124,6 @@ class PeriodicTimer:
         self._running = False
 
     @property
-    def period(self) -> float:
-        """Seconds between fires."""
-        return self._period
-
-    @property
     def fire_count(self) -> int:
         """Number of times the timer has fired since :meth:`start`."""
         return self._fire_count

@@ -88,40 +88,6 @@ class ReedSolomonCode:
         """Return the full codeword: the data shards followed by parity shards."""
         return list(data) + self.encode(data)
 
-    def encode_batch(self, windows: Sequence[Sequence[bytes]]) -> List[List[bytes]]:
-        """Compute parity shards for many windows in one matrix pass.
-
-        Every window shares the same generator matrix, and GF(256) scaling
-        acts on each byte position independently — so concatenating shard
-        ``j`` of every window into one long shard and multiplying once is
-        byte-identical to ``[self.encode(w) for w in windows]`` while paying
-        the per-call overhead (the big-int conversions) once per *batch*
-        instead of once per window.
-
-        Windows whose shard lengths differ from each other fall back to
-        per-window encoding; within each window the usual equal-length rule
-        applies.
-        """
-        for data in windows:
-            self._check_data_shards(data)
-        if not windows:
-            return []
-        if self.parity_shards == 0:
-            return [[] for _ in windows]
-        lengths = {len(shard) for data in windows for shard in data}
-        if len(lengths) != 1:
-            return [self.encode(data) for data in windows]
-        length = lengths.pop()
-        stacked = [
-            b"".join(bytes(window[j]) for window in windows)
-            for j in range(self.data_shards)
-        ]
-        parity_rows = self._cauchy.multiply_vector_bytes(stacked)
-        return [
-            [row[w * length : (w + 1) * length] for row in parity_rows]
-            for w in range(len(windows))
-        ]
-
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
@@ -170,11 +136,6 @@ class ReedSolomonCode:
 
         decode_matrix = Matrix(generator_rows).inverted()
         return decode_matrix.multiply_vector_bytes(received_rows)
-
-    def reconstruct_all(self, shards: Mapping[int, bytes]) -> List[bytes]:
-        """Reconstruct the complete codeword (data + parity) from any ``k`` shards."""
-        data = self.decode(shards)
-        return self.encode_window(data)
 
     def _generator_row(self, shard_index: int) -> List[int]:
         if shard_index < self.data_shards:
@@ -268,11 +229,3 @@ def reference_decode(code: ReedSolomonCode, shards: Mapping[int, bytes]) -> List
     decode_matrix = Matrix(generator_rows).inverted()
     data_rows = decode_matrix.multiply_vector_rows(received_rows)
     return [bytes(row) for row in data_rows]
-
-
-def overhead_ratio(source_packets: int, fec_packets: int) -> float:
-    """FEC overhead as a fraction of window traffic (9/110 ≈ 8.2 % in the paper)."""
-    total = source_packets + fec_packets
-    if total <= 0:
-        raise ValueError("window must contain at least one packet")
-    return fec_packets / total

@@ -56,40 +56,6 @@ def _build_mul_tables() -> List[bytes]:
 _MUL_TABLE = _build_mul_tables()
 
 
-def mul_table(coefficient: int) -> bytes:
-    """The 256-byte ``bytes.translate`` table multiplying by ``coefficient``."""
-    return _MUL_TABLE[coefficient]
-
-
-def scale_bytes(coefficient: int, data: bytes | bytearray) -> bytes:
-    """Multiply every byte of ``data`` by ``coefficient`` (bulk vector scaling)."""
-    if coefficient == 1:
-        return bytes(data)
-    return bytes(data).translate(_MUL_TABLE[coefficient])
-
-
-def xor_bytes(a: bytes | bytearray, b: bytes | bytearray) -> bytes:
-    """Element-wise XOR of two equal-length byte strings (bulk field addition)."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    length = len(a)
-    return (
-        int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-    ).to_bytes(length, "little")
-
-
-def addmul_bytes(target: bytearray, coefficient: int, row: bytes | bytearray) -> None:
-    """In-place ``target ^= coefficient * row`` on whole shards (bulk MAC)."""
-    if len(target) != len(row):
-        raise ValueError(f"length mismatch: {len(target)} vs {len(row)}")
-    if coefficient == 0:
-        return
-    scaled = bytes(row) if coefficient == 1 else bytes(row).translate(_MUL_TABLE[coefficient])
-    target[:] = (
-        int.from_bytes(target, "little") ^ int.from_bytes(scaled, "little")
-    ).to_bytes(len(target), "little")
-
-
 def add(a: int, b: int) -> int:
     """Field addition (XOR); identical to subtraction in GF(2^8)."""
     return a ^ b

@@ -14,7 +14,6 @@ window compositions, which both the source (to emit) and the metrics layer
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -211,25 +210,3 @@ class StreamSchedule:
     def num_windows(self) -> int:
         """Total number of windows in the schedule."""
         return len(self._windows)
-
-    def packets_published_by(self, time: float) -> int:
-        """How many packets have been published at or before ``time``.
-
-        Publish instants are ``start + k * interval``; dividing such a float
-        back by ``interval`` can land a few ulps *below* ``k`` (at paper
-        rates this bites ~6 % of all publish instants), so a plain
-        ``floor(elapsed / interval)`` undercounts by one exactly at publish
-        times.  Near-integer ratios are therefore snapped to the integer —
-        the tolerance is orders of magnitude below half an interval, so no
-        genuinely-earlier time can be miscounted.
-        """
-        if time < self.config.start_time:
-            return 0
-        elapsed = time - self.config.start_time
-        ratio = elapsed / self.config.packet_interval
-        nearest = round(ratio)
-        if abs(ratio - nearest) < 1e-9 * max(1.0, nearest):
-            count = int(nearest) + 1
-        else:
-            count = int(math.floor(ratio)) + 1
-        return min(count, self.num_packets)

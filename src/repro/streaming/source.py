@@ -13,7 +13,7 @@ plugged in without touching the gossip code.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.streaming.packets import PacketDescriptor
 from repro.streaming.schedule import StreamSchedule
@@ -35,11 +35,6 @@ class StreamEmitter:
         The packet schedule to emit.
     on_publish:
         Callback invoked with each :class:`PacketDescriptor` at publish time.
-    payload_factory:
-        Optional callable producing the raw payload bytes for a packet; used
-        by end-to-end examples that exercise the real FEC codec.  The
-        simulator-only experiments leave it ``None`` to avoid allocating
-        megabytes of payload.
     """
 
     def __init__(
@@ -47,20 +42,12 @@ class StreamEmitter:
         simulator: "Host",
         schedule: StreamSchedule,
         on_publish: PublishCallback,
-        payload_factory: Optional[Callable[[PacketDescriptor], bytes]] = None,
     ) -> None:
         self._simulator = simulator
         self._schedule = schedule
         self._on_publish = on_publish
-        self._payload_factory = payload_factory
         self._started = False
         self._published_count = 0
-        self._stopped = False
-
-    @property
-    def schedule(self) -> StreamSchedule:
-        """The schedule being emitted."""
-        return self._schedule
 
     @property
     def published_count(self) -> int:
@@ -80,18 +67,6 @@ class StreamEmitter:
         for descriptor in self._schedule.packets():
             self._simulator.schedule_at(descriptor.publish_time, self._publish, descriptor)
 
-    def stop(self) -> None:
-        """Stop publishing any further packets (source crash scenarios)."""
-        self._stopped = True
-
     def _publish(self, descriptor: PacketDescriptor) -> None:
-        if self._stopped:
-            return
         self._published_count += 1
         self._on_publish(descriptor)
-
-    def make_payload(self, descriptor: PacketDescriptor) -> Optional[bytes]:
-        """Produce the payload for a packet if a payload factory is set."""
-        if self._payload_factory is None:
-            return None
-        return self._payload_factory(descriptor)

@@ -48,7 +48,6 @@ from repro.sweep.executor import (
 from repro.sweep.spec import ConfigPatch, SweepGrid, SweepSpec, SweepTask, dedupe_tasks
 from repro.sweep.store import (
     ResultStore,
-    clear_fingerprint_cache,
     code_fingerprint,
     run_fingerprint,
     scale_fingerprint,
@@ -73,7 +72,6 @@ __all__ = [
     "aggregate",
     "aggregate_table",
     "apply_patch",
-    "clear_fingerprint_cache",
     "code_fingerprint",
     "compute_summary",
     "dedupe_tasks",

@@ -169,9 +169,6 @@ class SweepOutcome:
     executed: int
     reused: int
 
-    def __len__(self) -> int:
-        return len(self.results)
-
     def summaries(self, tasks: Iterable[SweepTask]) -> List[PointSummary]:
         """Summaries for ``tasks``, in the given order."""
         return [self.results[task] for task in tasks]

@@ -81,17 +81,6 @@ class SweepTask:
             parts.append(f"patch[{overrides}]")
         return "|".join(parts)
 
-    @property
-    def replica(self) -> int:
-        """The seed replica index (the point's seed offset)."""
-        return self.point.seed_offset
-
-    def describe(self) -> str:
-        """Human-readable one-liner (cell id plus replica)."""
-        if self.replica:
-            return f"{self.cell_id} (seed+{self.replica})"
-        return self.cell_id
-
 
 @dataclass(frozen=True)
 class SweepGrid:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.sweep.summary import PointSummary
 
@@ -31,16 +31,6 @@ RecordKey = Tuple[str, int, str]
 """(cell id, seed, code fingerprint)."""
 
 _FINGERPRINT_CACHE: Dict[str, str] = {}
-
-
-def clear_fingerprint_cache() -> None:
-    """Forget the cached code fingerprint (tests that fake sources use this).
-
-    The fingerprint also stamps every ``repro.bench`` report; anything that
-    swaps the package sources under a running process (test fixtures, hot
-    reloads) must clear the cache or the stamp would lie.
-    """
-    _FINGERPRINT_CACHE.clear()
 
 
 def code_fingerprint() -> str:
@@ -151,11 +141,6 @@ class ResultStore:
         """The stored summary for the key, or ``None``."""
         self._ensure_loaded()
         return self._records.get((cell_id, seed, fingerprint))
-
-    def records(self) -> Iterator[Tuple[RecordKey, PointSummary]]:
-        """All (key, summary) pairs currently loaded."""
-        self._ensure_loaded()
-        return iter(tuple(self._records.items()))
 
     # ------------------------------------------------------------------
     # Appending

@@ -47,7 +47,7 @@ class MetricsRequest:
         Whether to extract the sorted per-node upload usage (Figure 4).
     include_metrics:
         Whether to run the point with the telemetry metrics registry armed
-        and persist its snapshot into the summary (counter/gauge values per
+        and persist its snapshot into the summary (the value of every
         rendered metric name).  Off by default: metrics add rows to every
         store record and most sweeps only need the figure-facing numbers.
     """

@@ -2,8 +2,8 @@
 
 The subsystem has four faces:
 
-* **metrics** (:mod:`repro.telemetry.metrics`) — a registry of counters /
-  gauges / fixed-bucket histograms with stable rendered names
+* **metrics** (:mod:`repro.telemetry.metrics`) — a registry of counters and
+  fixed-bucket histograms with stable rendered names
   (``net.bytes_sent{kind=serve}``, ``proto.requests_received``,
   ``engine.events_dispatched``), fed by cheap observer-held handles and by
   snapshot-time collectors over the simulation's existing accounting;
@@ -49,7 +49,6 @@ from repro.telemetry.export import export_perfetto, perfetto_events
 from repro.telemetry.metrics import (
     Collector,
     Counter,
-    Gauge,
     Histogram,
     MetricsError,
     MetricsRegistry,
@@ -89,7 +88,6 @@ __all__ = [
     "Collector",
     "Counter",
     "EVENT_KINDS",
-    "Gauge",
     "Histogram",
     "MetricsError",
     "MetricsObserver",

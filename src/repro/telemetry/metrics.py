@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges and fixed-bucket histograms.
+"""The metrics registry: counters and fixed-bucket histograms.
 
 Metric names follow a Prometheus-flavoured convention: a dotted base name
 plus optional ``{label=value}`` labels, rendered with sorted label keys so
@@ -8,9 +8,9 @@ the same (name, labels) pair always produces the same string —
 
 Two update paths feed a registry, chosen by cost:
 
-* **handles** — :meth:`MetricsRegistry.counter` / :meth:`gauge` /
-  :meth:`histogram` return small mutable objects whose ``inc`` / ``set`` /
-  ``observe`` are a couple of attribute writes.  Observers hold handles and
+* **handles** — :meth:`MetricsRegistry.counter` / :meth:`histogram`
+  return small mutable objects whose ``inc`` / ``observe`` are a couple of
+  attribute writes.  Observers hold handles and
   update them per event; the simulation hot paths never see them (the same
   host-keeps-``None`` contract as the observer edges, so a disabled
   registry costs literally nothing).
@@ -70,26 +70,6 @@ class Counter:
             raise MetricsError(f"counter {self.name!r} cannot decrease (got {amount!r})")
         self.value += amount
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Counter({self.name}={self.value:g})"
-
-
-class Gauge:
-    """A point-in-time value behind a cheap handle."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the current value."""
-        self.value = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Gauge({self.name}={self.value:g})"
-
 
 class Histogram:
     """Fixed-bucket histogram with upper-inclusive bounds.
@@ -137,9 +117,6 @@ class Histogram:
         out.append((float("inf"), self.total))
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Histogram({self.name}, n={self.total}, sum={self.sum:g})"
-
 
 Collector = Callable[[], Mapping[str, float]]
 """A snapshot-time exporter returning ``{rendered metric name: value}``."""
@@ -177,11 +154,6 @@ class MetricsRegistry:
         """Get or create a counter handle."""
         rendered = render_metric_name(name, labels)
         return self._get_or_create(rendered, lambda: Counter(rendered), Counter)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        """Get or create a gauge handle."""
-        rendered = render_metric_name(name, labels)
-        return self._get_or_create(rendered, lambda: Gauge(rendered), Gauge)
 
     def histogram(self, name: str, bounds: Sequence[float], **labels) -> Histogram:
         """Get or create a fixed-bucket histogram handle.
@@ -221,7 +193,7 @@ class MetricsRegistry:
         """
         out: Dict[str, float] = {}
         for rendered, metric in self._metrics.items():
-            if isinstance(metric, (Counter, Gauge)):
+            if isinstance(metric, Counter):
                 out[rendered] = metric.value
             else:
                 assert isinstance(metric, Histogram)
@@ -240,14 +212,6 @@ class MetricsRegistry:
                     )
                 out[name] = float(value)
         return dict(sorted(out.items()))
-
-    def table(self) -> str:
-        """A human-readable snapshot, one aligned ``name value`` per line."""
-        snap = self.snapshot()
-        if not snap:
-            return "(no metrics)"
-        width = max(len(name) for name in snap)
-        return "\n".join(f"{name:<{width}}  {value:g}" for name, value in snap.items())
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -268,7 +232,6 @@ def _split_rendered(rendered: str) -> Tuple[str, Dict[str, str]]:
 __all__ = [
     "Collector",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsError",
     "MetricsRegistry",

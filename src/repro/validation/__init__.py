@@ -48,7 +48,6 @@ from repro.validation.observers import (
     SimulationObserver,
     TransportObserver,
     attach_session_observer,
-    detach_session_observer,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "SimulationObserver",
     "TransportObserver",
     "attach_session_observer",
-    "detach_session_observer",
     "replay_bundle",
     "run_fuzz_case",
     "spec_from_dict",

@@ -11,9 +11,9 @@ reported, not trusted).
 Spec serialization here is deliberately explicit rather than generic
 pickling: bundles are meant to be read by humans, attached to bug reports,
 and uploaded as CI artifacts, so every field is plain JSON.  Only the
-schedule types the fuzzer generates (catastrophic/staggered churn, flash
-crowd joins) are supported; serializing a spec holding an exotic schedule
-raises instead of silently dropping the perturbation.
+schedule types the fuzzer generates (catastrophic churn, flash crowd joins)
+are supported; serializing a spec holding an exotic schedule raises instead
+of silently dropping the perturbation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.membership.churn import CatastrophicChurn, ChurnSchedule, StaggeredChurn
+from repro.membership.churn import CatastrophicChurn, ChurnSchedule
 from repro.membership.join import FlashCrowdJoin, JoinSchedule
 from repro.scenarios.spec import BandwidthClass, ScenarioSpec
 from repro.streaming.schedule import StreamConfig
@@ -40,14 +40,6 @@ def _churn_to_dict(schedule: Optional[ChurnSchedule]) -> Optional[Dict[str, Any]
         return None
     if isinstance(schedule, CatastrophicChurn):
         return {"type": "catastrophic", "time": schedule.time, "fraction": schedule.fraction}
-    if isinstance(schedule, StaggeredChurn):
-        return {
-            "type": "staggered",
-            "start": schedule.start,
-            "fraction": schedule.fraction,
-            "batches": schedule.batches,
-            "interval": schedule.interval,
-        }
     raise ValueError(f"cannot serialize churn schedule {type(schedule).__name__}")
 
 
@@ -57,13 +49,6 @@ def _churn_from_dict(data: Optional[Dict[str, Any]]) -> Optional[ChurnSchedule]:
     kind = data["type"]
     if kind == "catastrophic":
         return CatastrophicChurn(time=data["time"], fraction=data["fraction"])
-    if kind == "staggered":
-        return StaggeredChurn(
-            start=data["start"],
-            fraction=data["fraction"],
-            batches=data["batches"],
-            interval=data["interval"],
-        )
     raise ValueError(f"unknown churn schedule type {kind!r}")
 
 

@@ -53,10 +53,6 @@ class FuzzCase:
     index: int
     spec: ScenarioSpec
 
-    @property
-    def case_id(self) -> str:
-        return f"fuzz-{self.campaign_seed}-{self.index}"
-
 
 @dataclass(frozen=True)
 class FuzzOutcome:
@@ -144,10 +140,6 @@ class ScenarioFuzzer:
             extra_time=rng.uniform(10.0, 20.0),
         )
         return FuzzCase(campaign_seed=self.campaign_seed, index=index, spec=spec)
-
-    def cases(self, count: int) -> List[FuzzCase]:
-        """The campaign's first ``count`` cases, in index order."""
-        return [self.derive_case(index) for index in range(count)]
 
     # ------------------------------------------------------------------
     # Execution

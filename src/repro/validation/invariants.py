@@ -410,11 +410,6 @@ class InvariantSuite:
         return cls([factory() for factory in DEFAULT_INVARIANTS])
 
     @property
-    def invariants(self) -> List[Invariant]:
-        """The suite's checkers (attached or not)."""
-        return list(self._invariants)
-
-    @property
     def attached(self) -> List[Invariant]:
         """The checkers actually armed by :meth:`attach`."""
         return list(self._attached)

@@ -132,13 +132,3 @@ def attach_session_observer(session, observer: SessionObserver) -> None:
     session.network.add_observer(observer)
     for node in session.nodes.values():
         node.add_observer(observer)
-
-
-def detach_session_observer(session, observer: SessionObserver) -> None:
-    """Remove ``observer`` from every substrate it was attached to."""
-    if session.simulator is None or session.network is None:
-        return
-    session.simulator.remove_observer(observer)
-    session.network.remove_observer(observer)
-    for node in session.nodes.values():
-        node.remove_observer(observer)

@@ -145,6 +145,21 @@ class TestCommittedBaselines:
             stale = set(record.metrics) - declared
             assert not stale, f"{path}: undeclared metrics {sorted(stale)}"
 
+    def test_figure8_headline_is_the_same_on_every_interpreter(self):
+        """``sum()`` of these ys is ...842 on 3.10/3.11 and ...839 from 3.12 on."""
+        from repro.bench import default_baseline_root
+        from repro.bench.suite import _figure_headline
+        from repro.experiments.figures import FigureResult
+        from repro.experiments.scale import SMOKE
+        from repro.metrics.report import Series
+
+        points = [(20.0, 98.47826086956522), (50.0, 95.33333333333333), (80.0, 79.16666666666666)]
+        result = FigureResult("figure8", "", "", "", "smoke", [Series("20s lag, X=1", points)])
+        headline = _figure_headline("figure8", result, SMOKE)
+        assert headline == 90.99275362318839
+        baseline = BenchReport.load(default_baseline_root() / "smoke" / "BENCH_figure8.json")
+        assert baseline.single().metrics["headline"] == headline
+
 
 class TestList:
     def test_list_shows_all(self, capsys):

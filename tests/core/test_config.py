@@ -1,7 +1,5 @@
 """Unit tests for the gossip configuration and message size model."""
 
-import math
-
 import pytest
 
 from repro.core.config import GossipConfig, MessageSizeModel
@@ -28,34 +26,17 @@ class TestMessageSizeModel:
 
 
 class TestGossipConfig:
-    def test_paper_baseline(self):
-        config = GossipConfig.paper_baseline()
+    def test_defaults_are_the_paper_baseline(self):
+        config = GossipConfig()
         assert config.fanout == 7
         assert config.gossip_period == pytest.approx(0.2)
         assert config.refresh_every == 1
         assert config.feed_me_every == INFINITE
         assert config.source_fanout == 7
 
-    def test_with_fanout_returns_modified_copy(self):
-        base = GossipConfig()
-        changed = base.with_fanout(20)
-        assert changed.fanout == 20
-        assert base.fanout == 7
-        assert changed.gossip_period == base.gossip_period
-
-    def test_with_refresh_and_feedme(self):
-        config = GossipConfig().with_refresh_every(INFINITE).with_feed_me_every(5)
-        assert config.refresh_every == INFINITE
-        assert config.feed_me_every == 5
-
     def test_retransmission_enabled_flag(self):
         assert GossipConfig(max_request_attempts=2).retransmission_enabled
         assert not GossipConfig(max_request_attempts=1).retransmission_enabled
-
-    def test_theoretical_minimum_fanout(self):
-        assert GossipConfig.theoretical_minimum_fanout(230) == pytest.approx(math.log(230))
-        with pytest.raises(ValueError):
-            GossipConfig.theoretical_minimum_fanout(1)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):

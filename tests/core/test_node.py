@@ -141,7 +141,7 @@ class TestThreePhaseExchange:
     def test_request_is_served_only_for_held_packets(self):
         harness = Harness()
         holder = harness.nodes[1]
-        holder.state.deliver(3, 0.0)
+        holder.deliver(3, 0.0)
         from repro.core.messages import RequestPayload
 
         holder.on_message(Message(2, 1, REQUEST, 56, RequestPayload(packet_ids=(3, 4))))
@@ -270,7 +270,7 @@ class TestFailure:
         node = harness.nodes[1]
         node.start()
         node.state.queue_for_proposal(3)
-        node.state.deliver(3, 0.0)
+        node.deliver(3, 0.0)
         node.fail()
         harness.simulator.run(until=2.0)
         assert node.stats.proposes_sent == 0

@@ -4,26 +4,20 @@ from repro.core.state import NodeState, PendingRequest
 
 
 class TestDelivery:
-    def test_deliver_records_time(self):
+    def test_accessors_read_the_delivered_map(self):
         state = NodeState()
-        assert state.deliver(1, 2.5)
+        state.delivered[1] = 2.5
         assert state.has_delivered(1)
         assert state.delivery_time(1) == 2.5
         assert state.delivered_count == 1
-
-    def test_duplicate_delivery_is_rejected(self):
-        state = NodeState()
-        state.deliver(1, 2.5)
-        assert not state.deliver(1, 3.5)
-        assert state.delivery_time(1) == 2.5
 
     def test_delivery_time_of_unknown_packet(self):
         assert NodeState().delivery_time(9) is None
 
     def test_delivered_set_snapshot(self):
         state = NodeState()
-        state.deliver(1, 0.1)
-        state.deliver(2, 0.2)
+        state.delivered[1] = 0.1
+        state.delivered[2] = 0.2
         snapshot = state.delivered_set()
         assert snapshot == {1, 2}
         snapshot.add(3)
@@ -41,7 +35,7 @@ class TestProposalQueue:
     def test_infect_and_die_semantics(self):
         """Each delivered packet is proposed in exactly one round."""
         state = NodeState()
-        state.deliver(7, 0.0)
+        state.delivered[7] = 0.0
         state.queue_for_proposal(7)
         first_round = state.drain_proposals()
         second_round = state.drain_proposals()
@@ -71,8 +65,8 @@ class TestRequestBookkeeping:
 
     def test_missing_from(self):
         state = NodeState()
-        state.deliver(1, 0.0)
-        state.deliver(3, 0.0)
+        state.delivered[1] = 0.0
+        state.delivered[3] = 0.0
         assert state.missing_from((1, 2, 3, 4)) == [2, 4]
 
 

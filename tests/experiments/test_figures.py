@@ -9,7 +9,6 @@ shape checks against the paper live in ``test_paper_claims.py``.
 import pytest
 
 from repro.experiments.figures import (
-    generate_all,
     figure1_fanout_700,
     figure2_lag_cdf,
     figure3_fanout_relaxed_caps,
@@ -125,11 +124,3 @@ class TestFigure7And8:
         result = figure8_churn_windows(tiny_scale, cache)
         for series in result.series:
             assert all(0.0 <= y <= 100.0 for y in series.ys())
-
-
-class TestGenerateAll:
-    def test_generates_every_figure_once(self, tiny_scale, cache):
-        results = generate_all(tiny_scale, cache)
-        assert sorted(results) == [f"figure{i}" for i in range(1, 9)]
-        for result in results.values():
-            assert result.series, f"{result.figure_id} has no series"

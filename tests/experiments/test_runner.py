@@ -18,26 +18,6 @@ class TestFormatRate:
 
 
 class TestExperimentPoint:
-    def test_describe_includes_relevant_fields(self):
-        point = ExperimentPoint(
-            scale_name="tiny", fanout=7, cap_kbps=700.0, refresh_every=INFINITE,
-            feed_me_every=5, churn_fraction=0.2, seed_offset=3,
-        )
-        text = point.describe()
-        assert "fanout=7" in text
-        assert "cap=700kbps" in text
-        assert "X=inf" in text
-        assert "Y=5" in text
-        assert "churn=20%" in text
-        assert "seed+3" in text
-
-    def test_describe_keeps_fractional_rates(self):
-        """Regression: X=0.5 used to be truncated to X=0 (int(0.5) == 0)."""
-        point = ExperimentPoint(scale_name="tiny", refresh_every=0.5, feed_me_every=2.5)
-        text = point.describe()
-        assert "X=0.5" in text
-        assert "Y=2.5" in text
-
     def test_points_are_hashable_and_comparable(self):
         first = ExperimentPoint(scale_name="tiny", fanout=4)
         second = ExperimentPoint(scale_name="tiny", fanout=4)

@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from repro.membership.churn import (
-    CatastrophicChurn,
-    ChurnEvent,
-    ChurnInjector,
-    NoChurn,
-    StaggeredChurn,
-)
+from repro.membership.churn import CatastrophicChurn, ChurnEvent, ChurnInjector
 from repro.simulation.engine import Simulator
 
 
@@ -18,11 +12,6 @@ class TestChurnEvent:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ChurnEvent(time=-1.0, victims=(1,))
-
-
-class TestNoChurn:
-    def test_produces_no_events(self):
-        assert NoChurn().events(list(range(10)), random.Random(1)) == []
 
 
 class TestCatastrophicChurn:
@@ -60,26 +49,6 @@ class TestCatastrophicChurn:
         first = schedule.events(list(range(40)), random.Random(7))
         second = schedule.events(list(range(40)), random.Random(7))
         assert first == second
-
-
-class TestStaggeredChurn:
-    def test_spreads_failures_over_batches(self):
-        schedule = StaggeredChurn(start=10.0, fraction=0.5, batches=5, interval=2.0)
-        events = schedule.events(list(range(100)), random.Random(1))
-        assert len(events) == 5
-        assert [event.time for event in events] == [10.0, 12.0, 14.0, 16.0, 18.0]
-        total_victims = sum(len(event.victims) for event in events)
-        assert total_victims == 50
-
-    def test_no_overlap_between_batches(self):
-        schedule = StaggeredChurn(start=0.0, fraction=0.6, batches=3, interval=1.0)
-        events = schedule.events(list(range(30)), random.Random(2))
-        all_victims = [victim for event in events for victim in event.victims]
-        assert len(all_victims) == len(set(all_victims))
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            StaggeredChurn(start=0.0, fraction=0.5, batches=0, interval=1.0)
 
 
 class TestChurnInjector:

@@ -54,13 +54,6 @@ class TestFailures:
         directory.mark_failed(1, time=9.0)
         assert directory.failed_at(1) == 5.0
 
-    def test_mark_recovered_clears_failure(self):
-        directory = MembershipDirectory()
-        directory.add(1)
-        directory.mark_failed(1, time=5.0)
-        directory.mark_recovered(1)
-        assert not directory.is_failed(1)
-
     def test_alive_members_excludes_failed(self):
         directory = MembershipDirectory()
         directory.add_all(range(4))
@@ -151,8 +144,6 @@ class TestSelectableCache:
         for now in (1.0, 3.0, 5.999, 6.0, 6.5, 7.0, 10.0):  # crosses both deadlines
             self._assert_matches_scan(directory, now, excludes)
 
-        directory.mark_recovered(2)
-        self._assert_matches_scan(directory, 10.0, excludes)
         directory.add(8)
         self._assert_matches_scan(directory, 10.0, excludes + [8])
 
@@ -164,14 +155,6 @@ class TestSelectableCache:
         directory.mark_failed(1, time=0.0)
         assert directory.selectable(5.0) == self._fresh_scan(directory, 5.0)  # 1 detected
         assert directory.selectable(3.0) == self._fresh_scan(directory, 3.0)  # 1 visible again
-
-    def test_detection_delay_change_invalidates(self):
-        directory = MembershipDirectory(detection_delay=100.0)
-        directory.add_all(range(4))
-        directory.mark_failed(0, time=0.0)
-        assert 0 in directory.selectable(50.0)
-        directory.detection_delay = 10.0
-        assert 0 not in directory.selectable(50.0)
 
     def test_exclusion_preserves_order_and_content(self):
         directory = MembershipDirectory(detection_delay=5.0)

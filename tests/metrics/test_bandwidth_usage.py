@@ -9,7 +9,7 @@ from repro.network.stats import TrafficStats
 def stats_with_usage(usage_bytes: dict) -> TrafficStats:
     stats = TrafficStats()
     for node_id, total in usage_bytes.items():
-        stats.record_sent(node_id, "serve", total)
+        stats.node(node_id).bytes_sent = total
     return stats
 
 
@@ -51,12 +51,6 @@ class TestBandwidthUsage:
         per_node = usage.per_node()
         assert per_node[2] == 0.0
         assert len(per_node) == 2
-
-    def test_filtered_view(self):
-        stats = stats_with_usage({1: 1000, 2: 2000, 3: 3000})
-        usage = BandwidthUsage(stats, duration_seconds=1.0)
-        filtered = usage.filtered([1, 2])
-        assert set(filtered.per_node()) == {1, 2}
 
     def test_invalid_duration_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics.report import Series, format_series_table, format_table, percentage
+from repro.metrics.report import Series, format_series_table, format_table
 
 
 class TestSeries:
@@ -55,6 +55,3 @@ class TestFormatting:
         # Missing combinations render as '-'.
         assert "-" in text
         assert text.splitlines()[0].startswith("x")
-
-    def test_percentage(self):
-        assert percentage(0.25) == 25.0

@@ -101,13 +101,6 @@ class TestUploadLimiter:
         assert limiter.bytes_accepted == 900
         assert limiter.messages_dropped == 1
 
-    def test_reset_counters_keeps_backlog(self):
-        limiter = UploadLimiter(BandwidthCap(rate_bps=8000.0, max_backlog_seconds=10.0))
-        limiter.enqueue(4000, now=0.0)
-        limiter.reset_counters()
-        assert limiter.bytes_accepted == 0
-        assert limiter.backlog_seconds(0.0) == pytest.approx(4.0)
-
     def test_invalid_size_rejected(self):
         limiter = UploadLimiter(BandwidthCap.unlimited())
         with pytest.raises(ValueError):

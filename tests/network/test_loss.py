@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.loss import CompositeLoss, NoLoss, PerNodeLoss, UniformLoss
+from repro.network.loss import NoLoss, UniformLoss
 from repro.network.message import Message
 from repro.simulation.rng import RngRegistry
 
@@ -41,47 +41,6 @@ class TestUniformLoss:
             UniformLoss(rng, probability=1.5)
 
 
-class TestPerNodeLoss:
-    def test_uses_per_node_probability(self, rng):
-        model = PerNodeLoss(rng, probabilities={1: 1.0, 2: 0.0}, default=0.0)
-        assert model.is_lost(make_message(receiver=1))
-        assert not model.is_lost(make_message(receiver=2))
-
-    def test_default_applies_to_unknown_nodes(self, rng):
-        model = PerNodeLoss(rng, probabilities={}, default=1.0)
-        assert model.is_lost(make_message(receiver=99))
-
-    def test_probability_for(self, rng):
-        model = PerNodeLoss(rng, probabilities={3: 0.25}, default=0.05)
-        assert model.probability_for(3) == 0.25
-        assert model.probability_for(4) == 0.05
-
-    def test_invalid_probability_rejected(self, rng):
-        with pytest.raises(ValueError):
-            PerNodeLoss(rng, probabilities={1: 2.0})
-
-
-class TestCompositeLoss:
-    def test_lost_if_any_component_loses(self, rng):
-        always = UniformLoss(rng, probability=1.0)
-        never = NoLoss()
-        model = CompositeLoss([never, always])
-        assert model.is_lost(make_message())
-
-    def test_not_lost_if_no_component_loses(self):
-        model = CompositeLoss([NoLoss(), NoLoss()])
-        assert not model.is_lost(make_message())
-
-    def test_empty_composite_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeLoss([])
-
-    def test_describe_concatenates(self, rng):
-        model = CompositeLoss([NoLoss(), UniformLoss(rng, 0.1)])
-        assert "no random loss" in model.describe()
-        assert "0.100" in model.describe()
-
-
 class TestPerSenderLossStreams:
     """per_sender=True keys loss draws by the sending node — a sender's
     outcomes depend only on its own send history (placement invariance for
@@ -103,14 +62,6 @@ class TestPerSenderLossStreams:
         message = Message(sender=1, receiver=2, kind="serve", size_bytes=100)
         expected = [solo.is_lost(message) for _ in range(32)]
         mixed = UniformLoss(RngRegistry(9), probability=0.5, per_sender=True)
-        assert self._interleaved(mixed, sender=1, count=32) == expected
-
-    def test_per_node_loss_draws_survive_interleaving(self):
-        probabilities = {1: 0.5, 2: 0.5}
-        solo = PerNodeLoss(RngRegistry(9), probabilities, default=0.5, per_sender=True)
-        message = Message(sender=1, receiver=2, kind="serve", size_bytes=100)
-        expected = [solo.is_lost(message) for _ in range(32)]
-        mixed = PerNodeLoss(RngRegistry(9), probabilities, default=0.5, per_sender=True)
         assert self._interleaved(mixed, sender=1, count=32) == expected
 
     def test_certain_outcomes_need_no_stream(self):

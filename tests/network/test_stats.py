@@ -15,31 +15,8 @@ class TestNodeTraffic:
         with pytest.raises(ValueError):
             NodeTraffic().upload_kbps(0.0)
 
-    def test_congestion_drop_ratio(self):
-        traffic = NodeTraffic(messages_sent=8, messages_dropped_congestion=2)
-        assert traffic.congestion_drop_ratio() == pytest.approx(0.2)
-
-    def test_congestion_drop_ratio_with_no_traffic(self):
-        assert NodeTraffic().congestion_drop_ratio() == 0.0
-
 
 class TestTrafficStats:
-    def test_record_sent_accumulates(self):
-        stats = TrafficStats()
-        stats.record_sent(1, "propose", 100)
-        stats.record_sent(1, "serve", 1000)
-        node = stats.node(1)
-        assert node.bytes_sent == 1100
-        assert node.messages_sent == 2
-        assert node.sent_bytes_by_kind["propose"] == 100
-        assert node.sent_bytes_by_kind["serve"] == 1000
-
-    def test_record_received(self):
-        stats = TrafficStats()
-        stats.record_received(2, "serve", 1000)
-        assert stats.node(2).bytes_received == 1000
-        assert stats.node(2).received_bytes_by_kind["serve"] == 1000
-
     def test_record_congestion_drop(self):
         stats = TrafficStats()
         stats.record_congestion_drop(1, "serve", 500)
@@ -52,35 +29,11 @@ class TestTrafficStats:
         assert stats.node(1).messages_lost_in_flight == 1
         assert stats.total_in_flight_losses() == 1
 
-    def test_upload_usage_kbps(self):
-        stats = TrafficStats()
-        stats.record_sent(1, "serve", 125_000)
-        stats.record_sent(2, "serve", 250_000)
-        usage = stats.upload_usage_kbps(10.0)
-        assert usage[1] == pytest.approx(100.0)
-        assert usage[2] == pytest.approx(200.0)
-
     def test_total_bytes_sent(self):
         stats = TrafficStats()
-        stats.record_sent(1, "a", 10)
-        stats.record_sent(2, "b", 20)
+        stats.node(1).bytes_sent = 10
+        stats.node(2).bytes_sent = 20
         assert stats.total_bytes_sent() == 30
-
-    def test_measurement_window_excludes_outside_traffic(self):
-        stats = TrafficStats()
-        stats.record_sent(1, "serve", 100)
-        stats.start_measurement(now=10.0)
-        stats.record_sent(1, "serve", 200)
-        stats.stop_measurement(now=20.0)
-        stats.record_sent(1, "serve", 400)
-        assert stats.node(1).bytes_sent == 200
-        assert stats.window_duration == pytest.approx(10.0)
-
-    def test_nodes_lists_active_nodes(self):
-        stats = TrafficStats()
-        stats.record_sent(3, "a", 1)
-        stats.record_received(5, "a", 1)
-        assert set(stats.nodes()) == {3, 5}
 
 
 class TestMetricsView:
@@ -88,9 +41,20 @@ class TestMetricsView:
 
     def _populated(self):
         stats = TrafficStats()
-        stats.record_sent(1, "propose", 100)
-        stats.record_sent(2, "serve", 1000)
-        stats.record_received(2, "serve", 1000)
+        stats.adopt_cell(
+            1, NodeTraffic(bytes_sent=100, messages_sent=1, sent_bytes_by_kind={"propose": 100})
+        )
+        stats.adopt_cell(
+            2,
+            NodeTraffic(
+                bytes_sent=1000,
+                messages_sent=1,
+                sent_bytes_by_kind={"serve": 1000},
+                bytes_received=1000,
+                messages_received=1,
+                received_bytes_by_kind={"serve": 1000},
+            ),
+        )
         stats.record_congestion_drop(1, "serve", 500)
         stats.record_in_flight_loss(2, "serve", 700)
         return stats
@@ -114,7 +78,7 @@ class TestMetricsView:
     def test_view_is_live_not_a_copy(self):
         stats = self._populated()
         before = stats.metrics_view()["net.bytes_sent"]
-        stats.record_sent(1, "serve", 900)
+        stats.node(1).bytes_sent += 900
         assert stats.metrics_view()["net.bytes_sent"] == before + 900.0
 
     def test_bind_registry_exports_through_snapshot(self):

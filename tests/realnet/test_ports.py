@@ -4,7 +4,7 @@ import socket
 
 import pytest
 
-from repro.realnet.ports import PortPlan, address_of, bind_fleet, bind_node_socket
+from repro.realnet.ports import PortPlan, address_of, bind_node_socket
 
 
 def _close_all(sockets):
@@ -28,13 +28,13 @@ class TestPortPlan:
 class TestKernelAssigned:
     def test_binds_distinct_ephemeral_ports(self):
         plan = PortPlan()
-        sockets = bind_fleet(plan, range(5))
+        sockets = [bind_node_socket(plan, node_id) for node_id in range(5)]
         try:
-            ports = {address_of(sock)[1] for sock in sockets.values()}
+            ports = {address_of(sock)[1] for sock in sockets}
             assert len(ports) == 5
             assert all(port > 0 for port in ports)
         finally:
-            _close_all(sockets.values())
+            _close_all(sockets)
 
     def test_socket_is_nonblocking(self):
         sock = bind_node_socket(PortPlan(), 0)
@@ -57,21 +57,3 @@ class TestExplicitBase:
             assert address_of(sock)[1] == base
         finally:
             sock.close()
-
-    def test_fleet_bind_is_all_or_nothing(self):
-        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        probe.bind(("127.0.0.1", 0))
-        base = address_of(probe)[1]
-        probe.close()
-
-        # Occupy base+1 so a two-node fleet cannot complete.
-        blocker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        blocker.bind(("127.0.0.1", base + 1))
-        try:
-            with pytest.raises(OSError):
-                bind_fleet(PortPlan(base_port=base), [0, 1])
-            # Node 0's socket must have been released by the failed bind.
-            retry = bind_node_socket(PortPlan(base_port=base), 0)
-            retry.close()
-        finally:
-            blocker.close()

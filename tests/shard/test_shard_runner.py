@@ -487,6 +487,41 @@ class TestWorkerFailure:
         leaked = [t for t in threading.enumerate() if t.name.startswith("shard-")]
         assert leaked == []
 
+    def test_thread_that_dies_before_its_try_is_named_and_joined(self, monkeypatch):
+        import sys
+        import threading
+
+        def raise_in_shard_1(frame, event, arg):
+            if threading.current_thread().name == "shard-1":
+                raise RuntimeError("profile hook raised in shard-1")
+
+        outcome = []
+
+        def call():
+            try:
+                run_sharded(small_config(), mode="thread")
+            except BaseException as exc:  # noqa: BLE001 — inspected below
+                outcome.append(exc)
+
+        # The hook's error is reported through excepthook (3.11) or, raised
+        # inside the thread bootstrap itself, unraisablehook (3.12 and later).
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: None)
+        # A watchdog thread, not a bare call: a coordinator with no liveness
+        # check blocks in its inbox forever.
+        caller = threading.Thread(target=call, name="runner", daemon=True)
+        threading.setprofile(raise_in_shard_1)
+        try:
+            caller.start()
+            caller.join(timeout=8.0)
+        finally:
+            threading.setprofile(None)
+        assert not caller.is_alive(), "run_sharded hung on a dead shard thread"
+        assert len(outcome) == 1 and isinstance(outcome[0], ShardProtocolError)
+        assert str(outcome[0]) == "shard 1 died without reporting"
+        leaked = [t for t in threading.enumerate() if t.name.startswith("shard-")]
+        assert leaked == []
+
     def test_process_worker_death_raises_clean_protocol_error(self, monkeypatch):
         import multiprocessing
         import os

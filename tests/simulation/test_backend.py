@@ -93,16 +93,6 @@ class TestRunLoop:
         simulator.run_until_idle()
         assert order == ["first", "second", "spawned"]
 
-    def test_clear_from_callback_stops_dispatch(self):
-        simulator = Simulator(seed=0)
-        fired = []
-        simulator.schedule_at(1.0, fired.append, "kept")
-        simulator.schedule_at(1.0, simulator.clear)
-        simulator.schedule_at(1.0, fired.append, "dropped")
-        simulator.schedule_at(2.0, fired.append, "dropped-too")
-        assert simulator.run_until_idle() == 2
-        assert fired == ["kept"]
-
     def test_observers_see_every_event_at_its_time(self):
         simulator = Simulator(seed=0)
         watcher = _Watcher()

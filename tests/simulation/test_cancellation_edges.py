@@ -66,14 +66,6 @@ class TestCancelAfterFire:
         assert simulator._queue.dead_entries == 0
         assert simulator.run_until_idle() == 1
 
-    def test_cancel_after_clear_is_harmless(self):
-        simulator = Simulator(seed=1)
-        handle = simulator.schedule(1.0, lambda: None)
-        simulator.clear()
-        simulator.cancel(handle)
-        assert simulator.pending_events == 0
-        assert simulator._queue.dead_entries == 0
-
 
 class TestCancelDuringDispatch:
     def test_event_cancels_a_later_event_mid_dispatch(self):

@@ -31,14 +31,3 @@ class TestSimulationClock:
         clock = SimulationClock(start_time=5.0)
         with pytest.raises(SimulationTimeError):
             clock.advance_to(4.999)
-
-    def test_advance_by_accumulates(self):
-        clock = SimulationClock()
-        clock.advance_by(1.5)
-        clock.advance_by(0.5)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_advance_by_negative_raises(self):
-        clock = SimulationClock()
-        with pytest.raises(SimulationTimeError):
-            clock.advance_by(-0.001)

@@ -72,14 +72,6 @@ class TestEventQueue:
         handles[3].cancel()
         assert len(queue) == 3
 
-    def test_clear_empties_queue(self):
-        queue = EventQueue()
-        for i in range(4):
-            queue.push(float(i), lambda: None)
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None
-
 
 class TestLiveCounterAndCompaction:
     def test_len_is_constant_time_counter(self):
@@ -190,11 +182,8 @@ class TestPushUnhandled:
             event.callback(*event.args)
         assert order == ["handled-early", "unhandled", "handled-late"]
 
-    def test_unhandled_events_count_and_clear(self):
+    def test_unhandled_events_count(self):
         queue = EventQueue()
         queue.push_unhandled(1.0, lambda: None)
         queue.push_unhandled(2.0, lambda: None)
         assert len(queue) == 2
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None

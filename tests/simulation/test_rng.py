@@ -45,12 +45,6 @@ class TestRngRegistry:
         draws_b = [registry.node_stream("partners", 2).random() for _ in range(5)]
         assert draws_a != draws_b
 
-    def test_fork_creates_independent_namespace(self):
-        registry = RngRegistry(7)
-        fork = registry.fork("workload")
-        assert fork.root_seed != registry.root_seed
-        assert fork.stream("a").random() != registry.stream("a").random()
-
     def test_names_lists_created_streams(self):
         registry = RngRegistry(7)
         registry.stream("x")

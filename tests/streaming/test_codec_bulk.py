@@ -1,10 +1,10 @@
 """Pin the bulk (translate-table) codec path against the scalar reference.
 
-The fast path — ``scale_bytes`` / ``xor_bytes`` / ``addmul_bytes`` /
-``Matrix.multiply_vector_bytes`` — must agree byte-for-byte with the
-original scalar functions (``multiply_row`` / ``add_rows`` /
-``multiply_accumulate`` / ``Matrix.multiply_vector_rows``) that the seed
-codec was built from, and the whole RS codec must round-trip
+The fast path — ``Matrix.multiply_vector_bytes`` over the per-coefficient
+``bytes.translate`` tables — must agree byte-for-byte with the original
+scalar functions (``multiply`` / ``multiply_accumulate`` /
+``Matrix.multiply_vector_rows``) that the seed codec was built from, and
+the whole RS codec must round-trip
 encode → erase → decode at the paper's real window geometry (101 + 9).
 
 All sampling is fixed-seed so failures reproduce exactly.
@@ -47,45 +47,11 @@ class TestFieldAxiomsSampled:
 
 
 class TestBulkMatchesScalar:
-    def test_mul_table_matches_scalar_multiply(self):
+    def test_every_coefficient_scales_like_scalar_multiply(self):
+        every_byte = bytes(range(256))
         for coefficient in range(256):
-            table = gf256.mul_table(coefficient)
-            assert list(table) == [gf256.multiply(coefficient, x) for x in range(256)]
-
-    def test_scale_bytes_matches_multiply_row(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            coefficient = rng.randrange(256)
-            row = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 64)))
-            assert list(gf256.scale_bytes(coefficient, row)) == gf256.multiply_row(coefficient, list(row))
-
-    def test_xor_bytes_matches_add_rows(self):
-        rng = random.Random(12)
-        for _ in range(50):
-            length = rng.randrange(0, 64)
-            a = bytes(rng.randrange(256) for _ in range(length))
-            b = bytes(rng.randrange(256) for _ in range(length))
-            assert list(gf256.xor_bytes(a, b)) == [x ^ y for x, y in zip(a, b)]
-
-    def test_xor_bytes_length_mismatch(self):
-        with pytest.raises(ValueError):
-            gf256.xor_bytes(b"ab", b"a")
-
-    def test_addmul_bytes_matches_multiply_accumulate(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            length = rng.randrange(1, 64)
-            coefficient = rng.randrange(256)
-            target_scalar = [rng.randrange(256) for _ in range(length)]
-            row = bytes(rng.randrange(256) for _ in range(length))
-            target_bulk = bytearray(target_scalar)
-            gf256.multiply_accumulate(target_scalar, coefficient, list(row))
-            gf256.addmul_bytes(target_bulk, coefficient, row)
-            assert list(target_bulk) == target_scalar
-
-    def test_addmul_bytes_length_mismatch(self):
-        with pytest.raises(ValueError):
-            gf256.addmul_bytes(bytearray(3), 5, b"ab")
+            (scaled,) = Matrix([[coefficient]]).multiply_vector_bytes([every_byte])
+            assert list(scaled) == [gf256.multiply(coefficient, x) for x in range(256)]
 
     def test_multiply_vector_bytes_matches_scalar_rows(self):
         rng = random.Random(14)
@@ -154,43 +120,3 @@ class TestPaperGeometryRoundTrips:
         codeword = code.encode_window(data)
         received = {i: codeword[i] for i in (0, 3, 5, 6, 7, 8)}
         assert code.decode(received) == data
-
-
-class TestEncodeBatch:
-    """Multi-window batched encode: one stacked matrix pass, byte-identical
-    to encoding each window on its own."""
-
-    @staticmethod
-    def _windows(rng, count, data_shards, length):
-        return [
-            [bytes(rng.randrange(256) for _ in range(length)) for _ in range(data_shards)]
-            for _ in range(count)
-        ]
-
-    def test_batch_matches_per_window_encode(self):
-        rng = random.Random(31)
-        for count, k, m, length in [(1, 4, 2, 16), (6, 9, 3, 40), (3, 101, 9, 64)]:
-            code = ReedSolomonCode(k, m)
-            windows = self._windows(rng, count, k, length)
-            assert code.encode_batch(windows) == [code.encode(w) for w in windows]
-
-    def test_empty_batch_and_zero_parity(self):
-        code = ReedSolomonCode(3, 0)
-        assert code.encode_batch([]) == []
-        rng = random.Random(32)
-        windows = self._windows(rng, 4, 3, 8)
-        assert code.encode_batch(windows) == [[], [], [], []]
-
-    def test_mixed_lengths_fall_back_per_window(self):
-        rng = random.Random(33)
-        code = ReedSolomonCode(4, 2)
-        windows = self._windows(rng, 2, 4, 10) + self._windows(rng, 2, 4, 24)
-        assert code.encode_batch(windows) == [code.encode(w) for w in windows]
-
-    def test_bad_window_is_rejected_before_any_work(self):
-        rng = random.Random(34)
-        code = ReedSolomonCode(4, 2)
-        windows = self._windows(rng, 2, 4, 10)
-        windows.append(windows[0][:3])  # wrong shard count
-        with pytest.raises(ValueError, match="expected 4 data shards"):
-            code.encode_batch(windows)

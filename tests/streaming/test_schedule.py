@@ -97,55 +97,8 @@ class TestStreamSchedule:
         assert window.publish_start == schedule.packet(window.packet_ids[0]).publish_time
         assert window.publish_end == schedule.packet(window.packet_ids[-1]).publish_time
 
-    def test_packets_published_by(self, schedule):
-        config = schedule.config
-        assert schedule.packets_published_by(-1.0) == 0
-        assert schedule.packets_published_by(0.0) == 1
-        assert schedule.packets_published_by(config.packet_interval * 3.5) == 4
-        assert schedule.packets_published_by(1e9) == schedule.num_packets
-
     def test_start_time_offsets_publish_times(self):
         schedule = StreamSchedule(
             StreamConfig(source_packets_per_window=2, fec_packets_per_window=0, num_windows=1, start_time=5.0)
         )
         assert schedule.packet(0).publish_time == pytest.approx(5.0)
-
-
-class TestPacketsPublishedByBoundaries:
-    """Exact counting at every publish instant of a paper-ratio schedule.
-
-    The paper's 75-packets/s interval (1/75 s) is not float-representable:
-    for ~6 % of all k, ``(k * interval) / interval`` lands a few ulps below
-    ``k``, so the seed's plain ``floor(elapsed / interval) + 1`` undercounted
-    by one exactly at those publish instants (k = 49 is the first).
-    """
-
-    @pytest.fixture(scope="class")
-    def paper_schedule(self) -> StreamSchedule:
-        return StreamSchedule(StreamConfig.paper_defaults(num_windows=3))
-
-    def test_exact_count_at_every_publish_instant(self, paper_schedule):
-        for descriptor in paper_schedule.packets():
-            count = paper_schedule.packets_published_by(descriptor.publish_time)
-            assert count == descriptor.packet_id + 1, (
-                f"packet {descriptor.packet_id} published at "
-                f"t={descriptor.publish_time!r} must count itself"
-            )
-
-    def test_count_just_before_each_publish_instant(self, paper_schedule):
-        interval = paper_schedule.config.packet_interval
-        for descriptor in paper_schedule.packets():
-            just_before = descriptor.publish_time - interval / 2.0
-            assert paper_schedule.packets_published_by(just_before) == descriptor.packet_id
-
-    def test_boundaries_with_offset_start_time(self):
-        schedule = StreamSchedule(StreamConfig.paper_defaults(num_windows=1, start_time=3.7))
-        for descriptor in schedule.packets():
-            assert schedule.packets_published_by(descriptor.publish_time) == descriptor.packet_id + 1
-
-    def test_mid_interval_times_are_unaffected(self):
-        schedule = StreamSchedule(StreamConfig.paper_defaults(num_windows=1))
-        interval = schedule.config.packet_interval
-        for packet_id in (0, 49, 85, 98):  # includes seed-era failing instants
-            mid = schedule.packet(packet_id).publish_time + 0.4 * interval
-            assert schedule.packets_published_by(mid) == packet_id + 1

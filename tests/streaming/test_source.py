@@ -43,32 +43,8 @@ class TestStreamEmitter:
         with pytest.raises(RuntimeError):
             emitter.start()
 
-    def test_stop_halts_publication(self, simulator, schedule):
-        published = []
-        emitter = StreamEmitter(simulator, schedule, lambda d: published.append(d.packet_id))
-        emitter.start()
-        simulator.run(until=schedule.config.packet_interval * 3.5)
-        emitter.stop()
-        simulator.run_until_idle()
-        assert len(published) == 4
-        assert not emitter.finished
-
     def test_published_count_tracks_progress(self, simulator, schedule):
         emitter = StreamEmitter(simulator, schedule, lambda d: None)
         emitter.start()
         simulator.run(until=schedule.config.packet_interval * 2.5)
         assert emitter.published_count == 3
-
-    def test_payload_factory_is_used(self, simulator, schedule):
-        emitter = StreamEmitter(
-            simulator,
-            schedule,
-            lambda d: None,
-            payload_factory=lambda d: bytes([d.packet_id % 256]) * 4,
-        )
-        descriptor = schedule.packet(3)
-        assert emitter.make_payload(descriptor) == b"\x03\x03\x03\x03"
-
-    def test_payload_none_without_factory(self, simulator, schedule):
-        emitter = StreamEmitter(simulator, schedule, lambda d: None)
-        assert emitter.make_payload(schedule.packet(0)) is None

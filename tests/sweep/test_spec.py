@@ -88,10 +88,6 @@ class TestCellIds:
         )
         assert "X=inf" in task.cell_id
 
-    def test_describe_mentions_replica(self):
-        task = SweepTask(point=ExperimentPoint(scale_name="smoke", seed_offset=2))
-        assert "seed+2" in task.describe()
-
 
 class TestDedupe:
     def test_dedupe_preserves_first_seen_order(self):

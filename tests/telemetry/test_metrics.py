@@ -4,7 +4,6 @@ import pytest
 
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsError,
     MetricsRegistry,
@@ -25,7 +24,7 @@ class TestRenderMetricName:
             render_metric_name("")
 
 
-class TestCounterAndGauge:
+class TestCounter:
     def test_counter_accumulates(self):
         counter = Counter("c")
         counter.inc()
@@ -35,12 +34,6 @@ class TestCounterAndGauge:
     def test_counter_rejects_negative(self):
         with pytest.raises(MetricsError):
             Counter("c").inc(-1.0)
-
-    def test_gauge_replaces(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
 
 
 class TestHistogramBuckets:
@@ -98,7 +91,7 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(MetricsError):
-            registry.gauge("x")
+            registry.histogram("x", (1.0,))
 
     def test_histogram_bounds_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -142,16 +135,7 @@ class TestMetricsRegistry:
         with pytest.raises(MetricsError):
             registry.snapshot()
 
-    def test_table_renders_every_metric(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(2.0)
-        registry.gauge("b").set(0.5)
-        table = registry.table()
-        assert "a" in table and "2" in table
-        assert "b" in table and "0.5" in table
-
     def test_empty_registry(self):
         registry = MetricsRegistry()
         assert len(registry) == 0
         assert registry.snapshot() == {}
-        assert registry.table() == "(no metrics)"

@@ -23,11 +23,6 @@ class TestPublicApi:
         assert callable(repro.CatastrophicChurn)
         assert callable(repro.StreamConfig)
 
-    def test_recommended_fanout_matches_membership_helper(self):
-        from repro.membership.partners import recommended_fanout
-
-        assert repro.recommended_fanout is recommended_fanout
-
     def test_infinite_sentinel_is_float_inf(self):
         import math
 

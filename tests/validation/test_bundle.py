@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.membership.churn import CatastrophicChurn, StaggeredChurn
+from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
 from repro.membership.partners import INFINITE
 from repro.scenarios import build_scenario
@@ -22,11 +22,6 @@ def _specs():
         name="with-churn",
         stream=stream,
         churn=CatastrophicChurn(time=stream.duration * 0.5, fraction=0.3),
-    )
-    yield base.with_overrides(
-        name="with-staggered-churn",
-        stream=stream,
-        churn=StaggeredChurn(start=1.0, fraction=0.4, batches=3, interval=0.5),
     )
     yield base.with_overrides(
         name="with-join",

@@ -16,7 +16,6 @@ from repro.validation import (
     InvariantSuite,
     SessionObserver,
     attach_session_observer,
-    detach_session_observer,
     validate_session,
 )
 
@@ -192,15 +191,6 @@ class TestNodeObserver:
         session = build_session(build_scenario("homogeneous", num_nodes=12, seed=3))
         with pytest.raises(ValueError, match="not built"):
             attach_session_observer(session, RecordingObserver())
-
-    def test_detach_restores_silence(self):
-        session = build_session(build_scenario("homogeneous", num_nodes=12, seed=3))
-        session.build()
-        observer = RecordingObserver()
-        attach_session_observer(session, observer)
-        detach_session_observer(session, observer)
-        session.run()
-        assert observer.events == []
 
 
 class TestObserversDoNotPerturb:
