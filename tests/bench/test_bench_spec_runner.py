@@ -180,3 +180,10 @@ class TestContextOptions:
         assert ctx.cache is None
         cache = ctx.summary_cache()
         assert ctx.summary_cache() is cache
+
+    def test_scale_resolves_the_scale_name(self):
+        from repro.experiments.scale import SMOKE
+
+        assert BenchContext("smoke").scale is SMOKE
+        with pytest.raises(ValueError, match="unknown scale 'huge'"):
+            BenchContext("huge").scale

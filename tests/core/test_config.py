@@ -26,7 +26,7 @@ class TestMessageSizeModel:
 
 
 class TestGossipConfig:
-    def test_defaults_are_the_paper_baseline(self):
+    def test_paper_baseline(self):
         config = GossipConfig()
         assert config.fanout == 7
         assert config.gossip_period == pytest.approx(0.2)

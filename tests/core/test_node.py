@@ -107,6 +107,25 @@ class TestSourcePublish:
         assert not source.state.has_delivered(0)
 
 
+class TestDelivery:
+    def test_deliver_records_time(self):
+        harness = Harness()
+        node = harness.nodes[1]
+        node.deliver(1, 2.5)
+        assert node.state.has_delivered(1)
+        assert node.state.delivery_time(1) == 2.5
+        assert harness.deliveries == [(1, 1, 2.5)]
+
+    def test_duplicate_delivery_is_rejected(self):
+        harness = Harness()
+        node = harness.nodes[1]
+        node.deliver(1, 2.5)
+        node.deliver(1, 3.5)
+        assert node.state.delivery_time(1) == 2.5
+        assert node.state.delivered_count == 1
+        assert harness.deliveries == [(1, 1, 2.5)]
+
+
 class TestThreePhaseExchange:
     def test_propose_request_serve_delivers_packet(self):
         harness = Harness()

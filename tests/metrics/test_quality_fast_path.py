@@ -56,6 +56,7 @@ def test_fast_analyzer_matches_reference(schedule, seed, bound):
     log = random_log(schedule, nodes[:-1], seed, bound)  # node 5: no deliveries
     fast = StreamQualityAnalyzer(schedule, log, nodes)
     reference = ReferenceQualityAnalyzer(schedule, log, nodes)
+    assert fast.nodes == reference.nodes == nodes
 
     for node_id in nodes:
         for window_index in range(schedule.num_windows):

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.network.latency import ConstantLatency
+from repro.network.message import Message
 from repro.network.stats import NodeTraffic, TrafficStats
+from repro.network.transport import Network
+from repro.simulation.engine import Simulator
 
 
 class TestNodeTraffic:
@@ -16,7 +20,38 @@ class TestNodeTraffic:
             NodeTraffic().upload_kbps(0.0)
 
 
+def sent_through_network(*datagrams):
+    """The stats of a network that carried ``(sender, receiver, kind, size)`` datagrams."""
+    simulator = Simulator(seed=1)
+    network = Network(simulator, latency_model=ConstantLatency(0.01))
+    for node_id in sorted({node for datagram in datagrams for node in datagram[:2]}):
+        network.register(node_id, lambda message: None)
+    for sender, receiver, kind, size in datagrams:
+        network.send(Message(sender=sender, receiver=receiver, kind=kind, size_bytes=size))
+    simulator.run_until_idle()
+    return network.stats
+
+
 class TestTrafficStats:
+    def test_record_sent_accumulates(self):
+        stats = sent_through_network((1, 2, "propose", 100), (1, 2, "serve", 1000))
+        node = stats.node(1)
+        assert node.bytes_sent == 1100
+        assert node.messages_sent == 2
+        assert node.sent_bytes_by_kind["propose"] == 100
+        assert node.sent_bytes_by_kind["serve"] == 1000
+
+    def test_record_received(self):
+        stats = sent_through_network((1, 2, "serve", 1000))
+        assert stats.node(2).bytes_received == 1000
+        assert stats.node(2).messages_received == 1
+        assert stats.node(2).received_bytes_by_kind["serve"] == 1000
+        assert stats.node(1).bytes_received == 0
+
+    def test_nodes_lists_active_nodes(self):
+        stats = sent_through_network((3, 5, "propose", 1))
+        assert set(stats.raw()) == {3, 5}
+
     def test_record_congestion_drop(self):
         stats = TrafficStats()
         stats.record_congestion_drop(1, "serve", 500)

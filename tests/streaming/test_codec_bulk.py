@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.streaming import gf256
-from repro.streaming.fec import ReedSolomonCode, WindowCodec
+from repro.streaming.fec import ReedSolomonCode, WindowCodec, reference_decode, reference_encode
 from repro.streaming.gf256 import Matrix
 
 
@@ -120,3 +120,48 @@ class TestPaperGeometryRoundTrips:
         codeword = code.encode_window(data)
         received = {i: codeword[i] for i in (0, 3, 5, 6, 7, 8)}
         assert code.decode(received) == data
+
+
+class TestScalarReferenceCodec:
+    """The codec against ``reference_encode`` / ``reference_decode``.
+
+    The references are the seed's byte-at-a-time codec; the
+    ``large-session`` benchmark times the codec against them and requires
+    identical output, so they must stay byte-identical here too.
+    """
+
+    @staticmethod
+    def _data(rng, data_shards, length):
+        return [bytes(rng.randrange(256) for _ in range(length)) for _ in range(data_shards)]
+
+    @pytest.mark.parametrize("data_shards,parity_shards", [(4, 2), (20, 2), (101, 9)])
+    def test_encode_and_decode_match_the_reference(self, data_shards, parity_shards):
+        rng = random.Random(data_shards * 100 + parity_shards)
+        code = ReedSolomonCode(data_shards, parity_shards)
+        data = self._data(rng, data_shards, 24)
+        parity = code.encode(data)
+        assert reference_encode(code, data) == parity
+        codeword = list(data) + parity
+        for _ in range(4):
+            erased = set(rng.sample(range(code.total_shards), parity_shards))
+            received = {i: s for i, s in enumerate(codeword) if i not in erased}
+            assert reference_decode(code, received) == code.decode(received) == data
+
+    def test_reference_decode_of_intact_data_shards_is_the_data(self):
+        code = ReedSolomonCode(3, 2)
+        data = self._data(random.Random(41), 3, 8)
+        received = dict(enumerate(data + code.encode(data)))
+        assert reference_decode(code, received) == data
+
+    def test_zero_parity_reference_encode_is_empty(self):
+        code = ReedSolomonCode(3, 0)
+        assert reference_encode(code, self._data(random.Random(42), 3, 8)) == []
+
+    def test_references_reject_what_the_codec_rejects(self):
+        code = ReedSolomonCode(4, 2)
+        with pytest.raises(ValueError, match="expected 4 data shards"):
+            reference_encode(code, [b"ab"] * 3)
+        with pytest.raises(ValueError, match="same length"):
+            reference_encode(code, [b"ab", b"ab", b"ab", b"a"])
+        with pytest.raises(ValueError, match="need at least 4 shards"):
+            reference_decode(code, {0: b"ab", 1: b"ab", 5: b"ab"})

@@ -48,3 +48,36 @@ class TestStreamEmitter:
         emitter.start()
         simulator.run(until=schedule.config.packet_interval * 2.5)
         assert emitter.published_count == 3
+
+
+class TestPublishInstants:
+    """Exact counts at every publish instant of a paper-ratio schedule.
+
+    The paper's 75-packets/s interval (1/75 s) is not float-representable,
+    so a count derived from ``elapsed / interval`` misses some instants by
+    an ulp.  The emitter schedules each packet at its descriptor's own
+    ``publish_time``, so running up to that instant always includes it.
+    """
+
+    @pytest.mark.parametrize("start_time", [0.0, 3.7])
+    def test_count_at_every_publish_instant_includes_that_packet(self, simulator, start_time):
+        schedule = StreamSchedule(StreamConfig.paper_defaults(num_windows=2, start_time=start_time))
+        emitter = StreamEmitter(simulator, schedule, lambda d: None)
+        emitter.start()
+        for descriptor in schedule.packets():
+            simulator.run(until=descriptor.publish_time)
+            assert emitter.published_count == descriptor.packet_id + 1, (
+                f"packet {descriptor.packet_id} published at "
+                f"t={descriptor.publish_time!r} must count itself"
+            )
+        assert emitter.finished
+
+    def test_count_just_before_each_publish_instant_excludes_that_packet(self, simulator):
+        schedule = StreamSchedule(StreamConfig.paper_defaults(num_windows=2, start_time=1.0))
+        half_interval = schedule.config.packet_interval / 2.0
+        emitter = StreamEmitter(simulator, schedule, lambda d: None)
+        emitter.start()
+        for descriptor in schedule.packets():
+            simulator.run(until=descriptor.publish_time - half_interval)
+            assert emitter.published_count == descriptor.packet_id
+            simulator.run(until=descriptor.publish_time)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.figures import figure_points, figure1_fanout_700
+from repro.experiments.figures import ALL_FIGURES, figure_points, figure1_fanout_700
 from repro.experiments.runner import ExperimentPoint
 from repro.sweep.cache import RecordingCache, SummaryCache
 from repro.sweep.executor import SerialExecutor, run_sweep
@@ -87,3 +87,13 @@ class TestRecordingCache:
         assert set(figure_points("figure7", sweep_scale)) == set(
             figure_points("figure8", sweep_scale)
         )
+
+    @pytest.mark.parametrize("figure_id", sorted(ALL_FIGURES))
+    def test_every_figure_dry_runs_on_zero_metrics(self, figure_id, sweep_scale):
+        """The planning pass of ``--jobs N``: every metric reads as zero or empty."""
+        recorder = RecordingCache()
+        result = ALL_FIGURES[figure_id](sweep_scale, recorder)
+        assert all(y == 0.0 for series in result.series for y in series.ys())
+        points = recorder.points()
+        assert points and len(set(points)) == len(points)
+        assert recorder.misses == len(recorder) == len(points)
