@@ -41,6 +41,10 @@ class ChurnSchedule(ABC):
     def events(self, candidates: Sequence[NodeId], rng: random.Random) -> List[ChurnEvent]:
         """Compute the churn events given the killable nodes."""
 
+    @abstractmethod
+    def describe(self) -> str:
+        """Human-readable one-line description for experiment reports."""
+
 
 class CatastrophicChurn(ChurnSchedule):
     """The paper's scenario: a fraction of nodes fail simultaneously.

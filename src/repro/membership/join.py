@@ -43,6 +43,10 @@ class JoinSchedule(ABC):
     def events(self, candidates: Sequence[NodeId]) -> List[JoinEvent]:
         """Compute the join events given the joinable (non-source) nodes."""
 
+    @abstractmethod
+    def describe(self) -> str:
+        """Human-readable one-line description for experiment reports."""
+
 
 class FlashCrowdJoin(JoinSchedule):
     """A fraction of the nodes joins in one burst at a given instant.

@@ -150,6 +150,11 @@ class AsyncioHost:
         return self._rng
 
     @property
+    def time_scale(self) -> float:
+        """Wall seconds per virtual second."""
+        return self._time_scale
+
+    @property
     def events_processed(self) -> int:
         """Total number of scheduled callbacks executed so far."""
         return self._events_processed

@@ -97,15 +97,6 @@ class TestShardEquivalence:
         assert _summarized(thread, config) == _summarized(process, config)
         assert thread.events_processed == process.events_processed
 
-    def test_flash_crowd_joiners_match_scalar_oracle(self):
-        """Joiners are started only on their owning shard, at the oracle's instant."""
-        config = _small_config("flash-crowd", seed=4, shards=2)
-        oracle_result = StreamingSession(config).run()
-        result = run_sharded(config)
-        assert result.late_joiners and result.late_joiners == oracle_result.late_joiners
-        assert _summarized(result, config) == _summarized(oracle_result, config)
-        assert result.events_processed == oracle_result.events_processed
-
     def test_empty_shards_still_reach_parity(self):
         """More shards than hash buckets in use: some workers own no nodes."""
         from repro.shard.partition import partition_nodes

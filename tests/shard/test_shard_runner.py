@@ -405,6 +405,21 @@ class TestRunShardedValidation:
         result = run_sharded(small_config(shards=2), shards=1)
         assert result.config.shards == 1
 
+    def test_flash_crowd_joiners_match_scalar_oracle(self):
+        """Joiners are started only on their owning shard, at the oracle's instant."""
+        from repro.core.session import StreamingSession
+        from repro.sweep.summary import MetricsRequest, summarize
+
+        config = build_scenario("flash-crowd", num_nodes=16, seed=4, shards=2).session_config()
+        oracle = StreamingSession(config).run()
+        result = run_sharded(config)
+        request = MetricsRequest(viewing_lags=(10.0, float("inf")), include_usage=True)
+        assert result.late_joiners and result.late_joiners == oracle.late_joiners
+        assert summarize(result, request, cell_id="flash", seed=4) == summarize(
+            oracle, request, cell_id="flash", seed=4
+        )
+        assert result.events_processed == oracle.events_processed
+
     def test_unshardable_latency_model_fails_before_any_worker_starts(self):
         config = small_config()
         network = dataclasses.replace(

@@ -27,8 +27,9 @@ with its line span and its verdict: the verdict of the :data:`KEEP` entry
 that covers it, or ``delete``.  A definition nested in one the product
 never started is counted inside its parent and not listed.  The totals and
 the kept entries, as markdown table rows, close the report.  Exit status 1
-means a command failed, an unkept definition of :data:`MIN_LINES` or more
-lines is left, or a :data:`KEEP` entry covers nothing.
+means a product command failed, an unkept definition of :data:`MIN_LINES`
+or more lines is left, or a :data:`KEEP` entry covers nothing; tier-1's
+status is printed and not counted.
 """
 
 from __future__ import annotations
@@ -136,11 +137,18 @@ PRODUCT_COMMANDS: Tuple[str, ...] = (
     "python -m repro.bench record {tmp}/BENCH_smoke.json --baseline-dir {tmp}/baselines",
     "python -m repro.bench run --scale smoke --filter engine-throughput --profile"
     " --profile-dir {tmp}/profiles --json {tmp}/BENCH_profiled.json",
-    # Every example, then every end-to-end workload untraced.
+    # Every example, then every end-to-end workload untraced and with its
+    # per-layer ledger.  ``shard2``'s ledger profiles each shard thread,
+    # which a 3.12 cProfile cannot do (one monitoring tool per process).
     *(f"python {path.relative_to(ROOT)}" for path in sorted((ROOT / "examples").glob("*.py"))),
     *(
         f"python benchmarks/e2e/run.py --workload {workload} --quick"
         for workload in _E2E_WORKLOADS
+    ),
+    *(
+        f"python benchmarks/e2e/run.py --workload {workload} --quick --trace 1"
+        for workload in _E2E_WORKLOADS
+        if workload != "shard2"
     ),
 )
 
@@ -281,8 +289,7 @@ KEEP: Tuple[Keep, ...] = (
     Keep(_ACCESSOR, "network/latency.py", ("PerNodeQualityLatency.quality",), "latency tests"),
     Keep(_ACCESSOR, "network/message.py", ("Message.size_bits",),
          "message tests; the telemetry property test names it as a dispatch callback"),
-    Keep(_ACCESSOR, "network/stats.py",
-         ("TrafficStats.total_bytes_sent", "TrafficStats.total_in_flight_losses"),
+    Keep(_ACCESSOR, "network/stats.py", ("TrafficStats.total_bytes_sent",),
          "traffic, protocol and realnet tests"),
     Keep(_ACCESSOR, "network/transport.py", ("Network.is_registered", "Network.is_alive"),
          "transport tests"),
@@ -552,8 +559,10 @@ def main() -> int:
         tmp = Path(scratch)
         print(f"== product: {len(PRODUCT_COMMANDS)} commands ==", flush=True)
         failed = recorded_run(PRODUCT_COMMANDS, tmp / "product.tsv", tmp)
+        # Tier-1 runs without -x, so its recording is whole even when a test
+        # fails; whether tests pass is CI's verdict, not the audit's.
         print("== tier-1 ==", flush=True)
-        failed += recorded_run([TIER1], tmp / "tests.tsv", tmp)
+        recorded_run([TIER1], tmp / "tests.tsv", tmp)
         product = read_records(tmp / "product.tsv")
         tests = read_records(tmp / "tests.tsv")
     definitions = tree_definitions(PACKAGE)
