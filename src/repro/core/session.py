@@ -289,18 +289,12 @@ class StreamingSession:
         self._build_membership()
         self._build_network()
         self._build_nodes()
-        self._build_source()
         self._build_churn()
         self._build_join()
         self._build_telemetry()
 
     def _create_simulator(self) -> Simulator:
-        """The simulator driving this session.
-
-        Overridden by the sharded runner's per-shard session, which installs
-        a windowed dispatch backend; everything else about :meth:`build` is
-        shared between the scalar and sharded paths.
-        """
+        """The host driving this session; the real-network session swaps in a wall clock."""
         return Simulator(seed=self.config.seed)
 
     def _build_membership(self) -> None:
@@ -367,11 +361,11 @@ class StreamingSession:
             )
             self.nodes[node_id] = node
             self.network.register(node_id, node.on_message, cap)
-
-    def _build_source(self) -> None:
-        assert self.simulator is not None and self.schedule is not None
-        source = self.nodes[self.config.source_id]
-        self.emitter = StreamEmitter(self.simulator, self.schedule, source.publish)
+        # Only the session holding the source drives the stream (in a sharded
+        # run, the shard owning it): its publications must exist exactly once.
+        source = self.nodes.get(config.source_id)
+        if source is not None:
+            self.emitter = StreamEmitter(self.simulator, self.schedule, source.publish)
 
     def _build_churn(self) -> None:
         assert self.simulator is not None and self.directory is not None
@@ -396,10 +390,15 @@ class StreamingSession:
         assert self.network is not None and self.directory is not None and self.simulator is not None
         now = self.simulator.now
         for node_id in victims:
+            # The directory and failure bookkeeping cover every node; a shard
+            # session holds (and crashes) only the nodes it owns, and
+            # fail_node is a no-op for an id the transport never registered.
             self._failed_nodes.append(node_id)
             self.directory.mark_failed(node_id, now)
             self.network.fail_node(node_id)
-            self.nodes[node_id].fail()
+            node = self.nodes.get(node_id)
+            if node is not None:
+                node.fail()
 
     def _build_telemetry(self) -> None:
         config = self.config
@@ -415,7 +414,9 @@ class StreamingSession:
         assert self.directory is not None
         for node_id in joiners:
             self.directory.add(node_id)
-            self.nodes[node_id].start()
+            node = self.nodes.get(node_id)  # a shard starts only the joiners it owns
+            if node is not None:
+                node.start()
 
     # ------------------------------------------------------------------
     # Execution
@@ -425,17 +426,16 @@ class StreamingSession:
         if not self._built:
             self.build()
         assert self.simulator is not None and self.schedule is not None
-        assert self.emitter is not None
 
         late = set(self._late_joiners)
         for node_id, node in self.nodes.items():
             if node_id not in late:
                 node.start()
-        self.emitter.start()
+        if self.emitter is not None:  # a shard without the source has none
+            self.emitter.start()
 
-        end_time = self.schedule.config.end_time + self.config.extra_time
         try:
-            self.simulator.run(until=end_time)
+            self._run_to(self.schedule.config.end_time + self.config.extra_time)
         finally:  # a run that dies keeps its last buffered trace lines: they say why
             telemetry_snapshot = (
                 self.telemetry.finalize() if self.telemetry is not None else None
@@ -454,6 +454,11 @@ class StreamingSession:
             late_joiners=list(self._late_joiners),
             telemetry=telemetry_snapshot,
         )
+
+    def _run_to(self, until: float) -> None:
+        """Run the event queue to ``until``; a shard session runs it in windows."""
+        assert self.simulator is not None
+        self.simulator.run(until=until)
 
 
 def run_session(config: SessionConfig) -> SessionResult:

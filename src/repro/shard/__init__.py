@@ -5,7 +5,7 @@ them so that the smallest delay a cross-shard datagram can have — the
 lookahead — is as large as the latency model allows
 (:mod:`repro.shard.partition`), advances every worker in lockstep
 conservative time windows sized by that lookahead
-(:mod:`repro.simulation.backend.sharded`), exchanges cross-shard datagrams
+(:class:`~repro.shard.session.ShardSession`), exchanges cross-shard datagrams
 at window barriers, and merges the per-shard fragments into one
 :class:`~repro.core.session.SessionResult`
 (:func:`~repro.shard.runner.merge_shard_results`).

@@ -48,16 +48,18 @@ executes inclusively up to ``until`` and keeps exchanging until a round
 moves no datagrams, every shard is at the horizon, and no shard holds an
 event at or below it.
 
-Two runner modes share all of this logic through a channel object with one
-method (``exchange(report) -> reply``):
+One coordinator loop (``_run_workers``) drives both runner modes: collect
+a report from every shard, answer each with its reply, repeat until the
+round is done, then collect the results; any failure aborts and joins every
+worker before it propagates.  The modes differ only in the *link* the loop
+talks through — start the workers, receive from a shard, send to it,
+translate a worker's error, join:
 
-* ``thread`` — workers are daemon threads, channels are queue pairs.  The
-  default: Python threads interleave rather than parallelize, but they add
-  no pickling or process-spawn cost, which keeps the equivalence suite and
-  small sessions fast.
-* ``process`` — workers are OS processes, channels are pipes carrying
-  pickle-protocol-5 frames.  Real parallelism; the per-window serialization
-  cost is the compact wire format's to keep down (:mod:`repro.shard.wire`).
+* ``thread`` — workers are daemon threads, each shard a queue pair, polled
+  for liveness; a worker's exception is re-raised as is.
+* ``process`` — workers are OS processes, each shard a pipe carrying
+  pickle-protocol-5 frames, watched with the process sentinel; a worker's
+  exception arrives as a :class:`ShardProtocolError` carrying its traceback.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ import threading
 import traceback
 from multiprocessing import connection as mp_connection
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.session import SessionConfig, SessionResult
 from repro.metrics.delivery import DeliveryLog
@@ -100,7 +102,7 @@ class _Coordinator:
         self._until = until
         self._lookahead = plan.lookahead
         #: Bounds issued last round, by shard id (``None`` until round one —
-        #: the first bound is computed identically by every shard backend).
+        #: the first bound is computed identically by every shard).
         self._issued: Optional[List[float]] = None
         self.rounds = 0
 
@@ -272,263 +274,241 @@ class _Coordinator:
 
 
 # ----------------------------------------------------------------------
-# Thread mode
+# Links: how the coordinator reaches its workers
 # ----------------------------------------------------------------------
 #: Seconds to wait for worker threads/processes to wind down after an abort.
 _ABORT_JOIN_TIMEOUT = 5.0
 
-#: Seconds the thread-mode coordinator waits on its inbox between checks
-#: that every unfinished worker thread is still alive.
+#: Seconds a thread-mode receive waits on a shard's queue between checks
+#: that the worker thread is still alive.
 _LIVENESS_POLL_SECONDS = 0.5
 
 
-class _ThreadChannel:
-    """Worker-side barrier endpoint backed by queue pairs.
-
-    Every message on the coordinator's inbox has the same shape —
-    ``(tag, shard_id, payload)`` — whether it is a window report, a
-    completion notice or a worker error.  (An earlier revision sent
-    2-tuples for reports and 3-tuples for everything else; the dual shape
-    hid a malformed-message class once and is gone for good.)
-    """
-
-    def __init__(self, shard_id: int, inbox: "queue.Queue", replies: "queue.Queue") -> None:
-        self._shard_id = shard_id
-        self._inbox = inbox
-        self._replies = replies
-
-    def exchange(self, report: WindowReport) -> WindowReply:
-        self._inbox.put(("window", self._shard_id, report))
-        reply = self._replies.get()
-        if reply is None:  # poison pill: another shard failed
-            raise ShardProtocolError("sharded run aborted")
-        return reply
-
-
-def _run_threaded(config: SessionConfig, plan: ShardPlan) -> Tuple[List[ShardResult], int]:
-    """Run every shard as a thread; return the fragments and the round count."""
-    num_shards = plan.num_shards
-    inbox: "queue.Queue" = queue.Queue()
-    reply_queues: List["queue.Queue"] = [queue.Queue() for _ in range(num_shards)]
-    results: List[Optional[ShardResult]] = [None] * num_shards
-
-    def worker(shard_id: int) -> None:
-        channel = _ThreadChannel(shard_id, inbox, reply_queues[shard_id])
-        try:
-            results[shard_id] = run_shard_worker(config, shard_id, plan, channel)
-            inbox.put(("done", shard_id, None))
-        except BaseException as exc:  # noqa: BLE001 — forwarded to the caller
-            inbox.put(("error", shard_id, exc))
-
-    threads = [
-        threading.Thread(target=worker, args=(shard_id,), daemon=True, name=f"shard-{shard_id}")
-        for shard_id in range(num_shards)
-    ]
-    for thread in threads:
-        thread.start()
-
-    def abort(cause: BaseException) -> "NoReturn":  # noqa: F821 — doc only
-        # Poison-pill every reply queue so blocked workers wake and exit,
-        # then join them: a failed run must not leak daemon threads stuck in
-        # queue.get() for the life of a pytest or sweep process.  The
-        # original worker exception is re-raised, not wrapped — the caller
-        # debugs the actual failure, not a generic protocol error.
-        for reply_queue in reply_queues:
-            reply_queue.put(None)
-        for thread in threads:
-            thread.join(timeout=_ABORT_JOIN_TIMEOUT)
-        raise cause
-
-    finished: List[int] = []
-
-    def receive() -> Tuple[str, int, object]:
-        # A thread that dies before its ``try`` (a raising profile hook, say)
-        # never reports; the process-mode sentinel has no thread equivalent,
-        # so poll.  Liveness is read before emptiness: a thread's last
-        # message is queued before it exits, so a dead thread and an empty
-        # inbox mean that message will never come.
-        while True:
-            try:
-                return inbox.get(timeout=_LIVENESS_POLL_SECONDS)
-            except queue.Empty:
-                dead = [
-                    shard_id
-                    for shard_id, thread in enumerate(threads)
-                    if shard_id not in finished and not thread.is_alive()
-                ]
-                if dead and inbox.empty():
-                    abort(ShardProtocolError(f"shard {dead[0]} died without reporting"))
-
-    coordinator = _Coordinator(plan, session_horizon(config))
-    done = False
-    while not done:
-        reports: Dict[int, WindowReport] = {}
-        while len(reports) < num_shards:
-            tag, shard_id, payload = receive()
-            if tag == "error":
-                abort(payload)
-            if tag != "window":
-                abort(
-                    ShardProtocolError(
-                        f"shard {shard_id} finished before the coordinator released it"
-                    )
-                )
-            reports[payload.shard_id] = payload
-        try:
-            round_replies = coordinator.replies([reports[i] for i in range(num_shards)])
-        except ShardProtocolError as exc:
-            abort(exc)
-        for shard_id, reply in enumerate(round_replies):
-            reply_queues[shard_id].put(reply)
-        done = round_replies[0].done
-
-    while len(finished) < num_shards:
-        tag, shard_id, payload = receive()
-        if tag == "error":
-            abort(payload)
-        if tag == "window":
-            abort(ShardProtocolError(f"shard {shard_id} kept running after completion"))
-        finished.append(shard_id)
-    for thread in threads:
-        thread.join()
-    return [result for result in results if result is not None], coordinator.rounds
-
-
-# ----------------------------------------------------------------------
-# Process mode
-# ----------------------------------------------------------------------
 class _ShardAborted(BaseException):
     """Internal: coordinator told this worker to stop (peer failure)."""
 
 
-def _send(connection, obj) -> None:
-    """Ship one protocol message as a pickle-protocol-5 frame.
+class _Channel:
+    """A worker's end of its link: ``put`` and ``get`` one message each.
+
+    Every message either way is ``(tag, payload)``: a worker sends
+    ``window`` reports and then its ``result`` or an ``error``; the
+    coordinator answers each report with ``reply`` or ``abort``.
+    """
+
+    def serve(self, config: SessionConfig, shard_id: int, plan: ShardPlan) -> None:
+        """Run one shard to completion and report how it ended."""
+        try:
+            self.put(("result", run_shard_worker(config, shard_id, plan, self)))
+        except _ShardAborted:
+            pass
+        except BaseException as exc:  # noqa: BLE001 — forwarded to the coordinator
+            self.put(("error", self.failure(exc)))
+
+    @staticmethod
+    def failure(exc: BaseException) -> object:
+        return exc  # the exception object itself crosses a thread
+
+    def exchange(self, report: WindowReport) -> WindowReply:
+        """Send one window report and block for the coordinator's reply."""
+        self.put(("window", report))
+        tag, payload = self.get()
+        if tag == "abort":  # another shard failed
+            raise _ShardAborted()
+        return payload
+
+
+class _QueueChannel(_Channel):
+    """Thread mode's worker end: the shard's report queue and reply queue."""
+
+    def __init__(self, reports: "queue.Queue", replies: "queue.Queue") -> None:
+        self.put = reports.put
+        self.get = replies.get
+
+
+class _PipeChannel(_Channel):
+    """Either end of a process-mode pipe, framed as pickle protocol 5.
 
     ``Connection.send`` pickles at the interpreter's default protocol;
     framing explicitly at protocol 5 keeps the compact wire batches' flat
     buffers on the cheapest (out-of-band-capable) encoding on every
     supported Python version.
     """
-    connection.send_bytes(pickle.dumps(obj, protocol=5))
-
-
-def _recv(connection):
-    return pickle.loads(connection.recv_bytes())
-
-
-class _PipeChannel:
-    """Worker-side barrier endpoint backed by one end of a pipe."""
 
     def __init__(self, connection) -> None:
-        self._connection = connection
+        self.connection = connection
 
-    def exchange(self, report: WindowReport) -> WindowReply:
-        _send(self._connection, ("window", report))
-        tag, payload = _recv(self._connection)
-        if tag == "abort":
-            raise _ShardAborted()
-        if tag != "reply":
-            raise ShardProtocolError(f"unexpected coordinator message {tag!r}")
+    def put(self, message) -> None:
+        self.connection.send_bytes(pickle.dumps(message, protocol=5))
+
+    def get(self):
+        return pickle.loads(self.connection.recv_bytes())
+
+    @staticmethod
+    def failure(exc: BaseException) -> str:
+        return traceback.format_exc()  # an exception need not pickle
+
+
+class _ThreadLink:
+    """Thread mode: daemon worker threads, a queue pair per shard.
+
+    The default: Python threads interleave rather than parallelize, but they
+    add no pickling or process-spawn cost, which keeps the equivalence suite
+    and small sessions fast.
+    """
+
+    def __init__(self, config: SessionConfig, plan: ShardPlan) -> None:
+        self._reports = [queue.Queue() for _ in range(plan.num_shards)]
+        self._replies = [queue.Queue() for _ in range(plan.num_shards)]
+        self._threads = [
+            threading.Thread(
+                target=_QueueChannel(self._reports[shard_id], self._replies[shard_id]).serve,
+                args=(config, shard_id, plan),
+                daemon=True,
+                name=f"shard-{shard_id}",
+            )
+            for shard_id in range(plan.num_shards)
+        ]
+
+    def start(self) -> None:
+        for thread in self._threads:
+            thread.start()
+
+    def receive(self, shard_id: int) -> Tuple[str, object]:
+        # A thread that dies before its ``try`` (a raising profile hook, say)
+        # never reports; the process-mode sentinel has no thread equivalent,
+        # so poll.  Liveness is read before emptiness: a thread's last
+        # message is queued before it exits, so a dead thread and an empty
+        # queue mean that message will never come.
+        reports = self._reports[shard_id]
+        while True:
+            try:
+                return reports.get(timeout=_LIVENESS_POLL_SECONDS)
+            except queue.Empty:
+                if not self._threads[shard_id].is_alive() and reports.empty():
+                    raise ShardProtocolError(f"shard {shard_id} died without reporting")
+
+    def send(self, shard_id: int, message) -> None:
+        self._replies[shard_id].put(message)
+
+    @staticmethod
+    def error(shard_id: int, payload: BaseException) -> BaseException:
+        # The original worker exception, not a wrapped protocol error: the
+        # caller debugs the actual failure.
         return payload
 
-
-def _process_worker_main(config, shard_id, plan, connection) -> None:
-    try:
-        result = run_shard_worker(config, shard_id, plan, _PipeChannel(connection))
-        _send(connection, ("result", result))
-    except _ShardAborted:
-        pass
-    except BaseException:  # noqa: BLE001 — serialized back to the parent
-        try:
-            _send(connection, ("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        connection.close()
+    def join(self, timeout: Optional[float] = None) -> None:
+        for thread in self._threads:
+            thread.join(timeout)
 
 
-def _run_processes(config: SessionConfig, plan: ShardPlan) -> Tuple[List[ShardResult], int]:
-    """Run every shard as a process; return the fragments and the round count."""
-    num_shards = plan.num_shards
-    context = multiprocessing.get_context()
-    pipes = [context.Pipe() for _ in range(num_shards)]
-    workers = [
-        context.Process(
-            target=_process_worker_main,
-            args=(config, shard_id, plan, pipes[shard_id][1]),
-            name=f"shard-{shard_id}",
-        )
-        for shard_id in range(num_shards)
-    ]
-    for worker, (_, child_end) in zip(workers, pipes):
-        worker.start()
-        child_end.close()  # parent keeps only its end
-    connections = [parent_end for parent_end, _ in pipes]
+class _ProcessLink:
+    """Process mode: one OS process and one pipe per shard.
 
-    def abort(detail: str) -> "NoReturn":  # noqa: F821 — doc only
-        for connection in connections:
-            try:
-                _send(connection, ("abort", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in workers:
-            worker.join(timeout=_ABORT_JOIN_TIMEOUT)
-            if worker.is_alive():  # pragma: no cover - stuck worker
-                worker.terminate()
-                worker.join(timeout=_ABORT_JOIN_TIMEOUT)
-        raise ShardProtocolError(f"sharded run failed: {detail}")
+    Real parallelism; the per-window serialization cost is the compact wire
+    format's to keep down (:mod:`repro.shard.wire`).
+    """
 
-    def receive(shard_id: int):
+    def __init__(self, config: SessionConfig, plan: ShardPlan) -> None:
+        context = multiprocessing.get_context()
+        pipes = [context.Pipe() for _ in range(plan.num_shards)]
+        self._ends = [_PipeChannel(parent_end) for parent_end, _ in pipes]
+        self._child_ends = [child_end for _, child_end in pipes]
+        self._workers = [
+            context.Process(
+                target=_PipeChannel(child_end).serve,
+                args=(config, shard_id, plan),
+                name=f"shard-{shard_id}",
+            )
+            for shard_id, child_end in enumerate(self._child_ends)
+        ]
+
+    def start(self) -> None:
+        for worker, child_end in zip(self._workers, self._child_ends):
+            worker.start()
+            child_end.close()  # parent keeps only its end
+
+    def receive(self, shard_id: int) -> Tuple[str, object]:
         # Wait on the worker's exit sentinel alongside its pipe: EOF alone
         # cannot be trusted to surface a dead worker, because with the fork
         # start method sibling workers inherit (and keep open) this pipe's
         # write end, so the parent's recv would block forever.
-        connection = connections[shard_id]
-        worker = workers[shard_id]
-        ready = mp_connection.wait([connection, worker.sentinel])
-        if connection in ready or connection.poll(0):
+        end = self._ends[shard_id]
+        worker = self._workers[shard_id]
+        ready = mp_connection.wait([end.connection, worker.sentinel])
+        if end.connection in ready or end.connection.poll(0):
             try:
-                return _recv(connection)
+                return end.get()
             except EOFError:
-                abort(f"shard {shard_id} died without reporting")
+                raise ShardProtocolError(f"shard {shard_id} died without reporting") from None
         # Sentinel only: the process exited without leaving a message.
-        abort(
+        raise ShardProtocolError(
             f"shard {shard_id} died without reporting (exit code {worker.exitcode})"
         )
 
+    def send(self, shard_id: int, message) -> None:
+        self._ends[shard_id].put(message)
+
+    @staticmethod
+    def error(shard_id: int, payload: str) -> BaseException:
+        return ShardProtocolError(f"shard {shard_id} raised:\n{payload}")
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        for end in self._ends:
+            end.connection.close()
+        for worker in self._workers:
+            worker.join(timeout)
+            if worker.is_alive():  # pragma: no cover - stuck worker
+                worker.terminate()
+                worker.join(timeout)
+
+
+_LINKS = {"thread": _ThreadLink, "process": _ProcessLink}
+
+
+def _receive(link, shard_id: int, expected: str):
+    """The payload of the shard's next message, which must be tagged ``expected``."""
+    tag, payload = link.receive(shard_id)
+    if tag == "error":
+        raise link.error(shard_id, payload)
+    if tag != expected:
+        raise ShardProtocolError(f"shard {shard_id} sent {tag!r} where {expected!r} was due")
+    return payload
+
+
+def _run_workers(
+    config: SessionConfig, plan: ShardPlan, mode: str
+) -> Tuple[List[ShardResult], int]:
+    """Run every shard in ``mode``; return the fragments and the round count.
+
+    The one coordinator loop: collect a report from every shard, answer
+    each with its reply, repeat until a round is done, then collect the
+    results.  Any failure — a worker error, a dead worker, a protocol
+    violation — aborts every worker and joins them before it propagates, so
+    a failed run leaks no thread or process into a long-lived caller.
+    """
+    num_shards = plan.num_shards
+    coordinator = _Coordinator(plan, session_horizon(config))
+    link = _LINKS[mode](config, plan)
+    link.start()
     try:
-        coordinator = _Coordinator(plan, session_horizon(config))
         done = False
         while not done:
-            reports: List[WindowReport] = []
-            for shard_id in range(num_shards):
-                tag, payload = receive(shard_id)
-                if tag == "error":
-                    abort(f"shard {shard_id} raised:\n{payload}")
-                if tag != "window":
-                    abort(f"shard {shard_id} sent {tag!r} mid-run")
-                reports.append(payload)
-            try:
-                round_replies = coordinator.replies(reports)
-            except ShardProtocolError as exc:
-                abort(str(exc))
+            reports = [_receive(link, shard_id, "window") for shard_id in range(num_shards)]
+            round_replies = coordinator.replies(reports)
             for shard_id, reply in enumerate(round_replies):
-                _send(connections[shard_id], ("reply", reply))
+                link.send(shard_id, ("reply", reply))
             done = round_replies[0].done
-
-        results: List[ShardResult] = []
+        results = [_receive(link, shard_id, "result") for shard_id in range(num_shards)]
+    except BaseException:
         for shard_id in range(num_shards):
-            tag, payload = receive(shard_id)
-            if tag == "error":
-                abort(f"shard {shard_id} raised:\n{payload}")
-            if tag != "result":
-                abort(f"shard {shard_id} sent {tag!r} instead of its result")
-            results.append(payload)
-    finally:
-        for connection in connections:
-            connection.close()
-    for worker in workers:
-        worker.join()
+            try:
+                link.send(shard_id, ("abort", None))
+            except OSError:  # that worker's pipe is already gone
+                pass
+        link.join(_ABORT_JOIN_TIMEOUT)
+        raise
+    link.join()
     return results, coordinator.rounds
 
 
@@ -671,13 +651,12 @@ def execute_sharded(
         raise ValueError("run_sharded needs a shard count (argument or config.shards)")
     if num_shards < 1:
         raise ValueError(f"shards must be >= 1, got {num_shards!r}")
-    if mode not in ("thread", "process"):
+    if mode not in _LINKS:
         raise ValueError(f"unknown sharded runner mode {mode!r} (thread/process)")
     if config.shards != num_shards:
         config = replace(config, shards=num_shards)
     plan = plan_shards(config, num_shards)
-    run_workers = _run_threaded if mode == "thread" else _run_processes
-    fragments, rounds = run_workers(config, plan)
+    fragments, rounds = _run_workers(config, plan, mode)
     return ShardedRun(merge_shard_results(config, plan, fragments), plan, rounds)
 
 

@@ -14,7 +14,7 @@ and starts only the :class:`~repro.core.node.GossipNode` objects it owns
 nodes stay on the local event queue; datagrams to remote nodes are diverted
 by :class:`ShardRouter` into the current time window's outbound batch and
 re-scheduled verbatim — same absolute delivery instant — on the receiving
-shard at the next window barrier (:mod:`repro.simulation.backend.sharded`).
+shard at the next window barrier (:meth:`ShardSession._run_to`).
 
 Because the transport's per-datagram randomness runs in per-sender streams
 when :attr:`~repro.core.session.SessionConfig.shards` is set, a datagram's
@@ -24,7 +24,8 @@ scalar oracle, 1 shard, 2 shards and 4 shards all compute the same floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.node import NodeStats
@@ -33,17 +34,15 @@ from repro.metrics.delivery import DeliveryLog
 from repro.network.message import Message, NodeId
 from repro.network.stats import TrafficStats
 from repro.network.transport import DatagramRouter
-from repro.simulation.backend.sharded import ShardedBackend
-from repro.simulation.engine import Simulator
 
 from repro.shard.partition import ShardPlan
-from repro.shard.wire import WIRE_STATS, WireBatch, encode_batch, merge_inbound
-
-#: One cross-shard datagram: ``(deliver_time, sender, seq, message)``.
-#: ``seq`` is the origin shard's monotone dispatch counter; since a sender is
-#: owned by exactly one shard, ``(sender, seq)`` is globally unique and the
-#: triple ``(deliver_time, sender, seq)`` is a total order over any batch.
-RoutedDatagram = Tuple[float, NodeId, int, Message]
+from repro.shard.wire import (
+    WIRE_STATS,
+    RoutedDatagram,
+    WireBatch,
+    encode_batch,
+    merge_inbound,
+)
 
 
 def session_horizon(config: SessionConfig) -> float:
@@ -198,10 +197,6 @@ class ShardSession(StreamingSession):
     # ------------------------------------------------------------------
     # Build overrides (everything else is the scalar build, replicated)
     # ------------------------------------------------------------------
-    def _create_simulator(self) -> Simulator:
-        backend = ShardedBackend(self._plan.lookahead, barrier=self._window_barrier)
-        return Simulator(seed=self.config.seed, backend=backend)
-
     def _build_network(self) -> None:
         super()._build_network()
         assert self.network is not None
@@ -211,19 +206,11 @@ class ShardSession(StreamingSession):
     def _nodes_to_build(self) -> List[NodeId]:
         return list(self._owned)
 
-    def _build_source(self) -> None:
-        # Only the shard owning node 0 drives the stream; the emitter's
-        # publication events must exist exactly once across the fleet.
-        if self.config.source_id in self.nodes:
-            super()._build_source()
-
     def _build_telemetry(self) -> None:
         # Each shard traces into its own file (suffix ``.shardK``); the trace
         # header carries (shard_id, num_shards) so tools can align tracks.
         telemetry = self.config.telemetry
         if telemetry is not None and telemetry.trace_path is not None:
-            from dataclasses import replace
-
             self.config = replace(
                 self.config,
                 telemetry=telemetry.with_overrides(
@@ -233,38 +220,42 @@ class ShardSession(StreamingSession):
         super()._build_telemetry()
 
     # ------------------------------------------------------------------
-    # Perturbation callbacks: replicated decisions, owned-only application
+    # Perturbation callbacks: replicated decisions, counted for the merge
     # ------------------------------------------------------------------
     def _apply_failures(self, victims: List[NodeId]) -> None:
-        assert self.network is not None and self.directory is not None
-        assert self.simulator is not None
         self._control_events += 1
-        now = self.simulator.now
-        for node_id in victims:
-            # Directory and failure bookkeeping are replicated on every
-            # shard (partner selection must exclude the victim everywhere);
-            # only the owner has a live node object and endpoint to crash
-            # (fail_node is a no-op for unregistered ids).
-            self._failed_nodes.append(node_id)
-            self.directory.mark_failed(node_id, now)
-            self.network.fail_node(node_id)
-            node = self.nodes.get(node_id)
-            if node is not None:
-                node.fail()
+        super()._apply_failures(victims)
 
     def _apply_joins(self, joiners: List[NodeId]) -> None:
-        assert self.directory is not None
         self._control_events += 1
-        for node_id in joiners:
-            self.directory.add(node_id)
-            node = self.nodes.get(node_id)
-            if node is not None:
-                node.start()
+        super()._apply_joins(joiners)
 
     # ------------------------------------------------------------------
-    # Window barrier (installed on the sharded dispatch backend)
+    # Execution: conservative windows, a barrier after each
     # ------------------------------------------------------------------
+    def _run_to(self, until: float) -> None:
+        """Run to ``until`` in the coordinator's windows (Chandy–Misra lookahead).
+
+        A window runs every event strictly below its bound — ``time < bound``
+        is ``time <= the float just below bound`` — so an event exactly at
+        the bound waits for the next window, where cross-shard datagrams due
+        at that instant will have been merged in.  Once the bound reaches
+        the horizon the stretch is inclusive at ``until``, as in a scalar
+        run; a repeated bound runs nothing and barriers again while the
+        other shards catch up.  The first bound, one lookahead from now, is
+        the same on every shard; the coordinator issues the rest.
+        """
+        assert self.simulator is not None
+        simulator = self.simulator
+        bound = min(until, simulator.now + self._plan.lookahead)
+        while True:
+            simulator.run(until=until if bound >= until else math.nextafter(bound, -math.inf))
+            bound, done = self._window_barrier(bound)
+            if done:
+                return
+
     def _window_barrier(self, bound: float) -> Tuple[float, bool]:
+        """Report the window run to ``bound``; return the reply's ``(next_bound, done)``."""
         assert self.simulator is not None and self.network is not None
         assert self._router is not None
         report = WindowReport(
@@ -278,41 +269,21 @@ class ShardSession(StreamingSession):
             self.network.schedule_delivery(message, deliver_time)
         return reply.next_bound, reply.done
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def run_shard(self) -> ShardResult:
         """Run this shard to the session horizon; return its fragment."""
-        if not self._built:
-            self.build()
-        assert self.simulator is not None and self.schedule is not None
-        assert self.network is not None
-
-        late = set(self._late_joiners)
-        for node_id, node in self.nodes.items():
-            if node_id not in late:
-                node.start()
-        if self.emitter is not None:
-            self.emitter.start()
-
-        try:
-            self.simulator.run(until=session_horizon(self.config))
-        finally:  # as in StreamingSession.run: a failed shard still closes its trace
-            telemetry_snapshot = (
-                self.telemetry.finalize() if self.telemetry is not None else None
-            )
+        result = self.run()
         return ShardResult(
             shard_id=self.shard_id,
             owned=self._owned,
-            deliveries=self.deliveries,
-            traffic=self.network.stats,
-            node_stats={node_id: node.stats for node_id, node in self.nodes.items()},
-            failed_nodes=list(self._failed_nodes),
-            late_joiners=list(self._late_joiners),
-            events_processed=self.simulator.events_processed,
+            deliveries=result.deliveries,
+            traffic=result.traffic,
+            node_stats=result.node_stats,
+            failed_nodes=result.failed_nodes,
+            late_joiners=result.late_joiners,
+            events_processed=result.events_processed,
             control_events=self._control_events,
-            end_time=self.simulator.now,
-            telemetry=telemetry_snapshot,
+            end_time=result.end_time,
+            telemetry=result.telemetry,
         )
 
 

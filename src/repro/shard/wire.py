@@ -5,7 +5,7 @@ original runner pickled each window's ``RoutedDatagram`` list — one
 :class:`~repro.network.message.Message` object per datagram, each dragging
 its dataclass machinery, ``kind`` string and payload object graph through
 the pickler.  At metropolis scale that tax dominated the cross-shard path
-(docs/performance.md, ROADMAP item 1).
+(docs/performance.md).
 
 This module replaces the object batch with a *columnar* encoding,
 :class:`WireBatch`: per-datagram head records packed into one ``struct``
@@ -16,8 +16,8 @@ Integer columns are adaptively 1/2/4 bytes wide from the batch maxima, and
 sequence numbers are delta-encoded against the batch minimum — a smoke-scale
 batch pays ~15 bytes of head per datagram, not a pickled object graph.  Four
 flat ``bytes`` objects cross the process boundary per batch — pickling them
-is a length-prefixed memcpy.  The process channel ships them with
-pickle protocol 5 framing (:func:`repro.shard.runner._send`); the buffers
+is a length-prefixed memcpy.  The process link ships them with pickle
+protocol 5 framing (:class:`repro.shard.runner._PipeChannel`); the buffers
 stay in-band because a multiprocessing pipe serializes regardless — the
 compact columns, not out-of-band plumbing, are where the bytes go away.
 
@@ -50,8 +50,10 @@ from repro.core.messages import (
 )
 from repro.network.message import Message
 
-#: One cross-shard datagram, as produced by the router (re-exported shape;
-#: the canonical definition lives in :mod:`repro.shard.session`).
+#: One cross-shard datagram: ``(deliver_time, sender, seq, message)``.
+#: ``seq`` is the origin shard's monotone dispatch counter; since a sender is
+#: owned by exactly one shard, ``(sender, seq)`` is globally unique and the
+#: triple ``(deliver_time, sender, seq)`` is a total order over any batch.
 RoutedDatagram = Tuple[float, int, int, Message]
 
 # ----------------------------------------------------------------------

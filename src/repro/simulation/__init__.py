@@ -17,11 +17,10 @@ The kernel is deliberately small and dependency-free:
   that every experiment is reproducible from a single seed.
 
 There is one dispatch loop, :func:`repro.simulation.backend.run_loop`; a
-:class:`SimulationBackend` (the sharded runner's) only decides which
-stretches of virtual time it runs.
+sharded run drives it through :meth:`Simulator.run`, one conservative
+window at a time.
 """
 
-from repro.simulation.backend import SimulationBackend
 from repro.simulation.clock import SimulationClock
 from repro.simulation.errors import SimulationError, SimulationTimeError
 from repro.simulation.event_queue import EventHandle, EventQueue, ScheduledEvent
@@ -35,7 +34,6 @@ __all__ = [
     "PeriodicTimer",
     "RngRegistry",
     "ScheduledEvent",
-    "SimulationBackend",
     "SimulationClock",
     "SimulationError",
     "SimulationTimeError",

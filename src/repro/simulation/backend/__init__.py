@@ -1,44 +1,23 @@
-"""The dispatch loop behind :meth:`Simulator.run`, and the seam that wraps it.
+"""The dispatch loop behind :meth:`Simulator.run`.
 
 :func:`run_loop` is the only place an event is popped and its callback
 called: discard cancelled heads, stop at the horizon or the event budget,
 pop, advance the clock, count, show the event to the observers, call.
-:meth:`Simulator.run` drives it directly, :meth:`Simulator.step` is the same
-loop with a budget of one, and the sharded backend
-(:mod:`repro.simulation.backend.sharded`) calls it once per conservative
-window.  The loop reports itself as ``"python"`` in trace headers.
-
-A :class:`SimulationBackend` passed to ``Simulator(backend=...)`` decides
-*which stretches* of virtual time the loop runs and what happens between
-them; :class:`~repro.simulation.backend.sharded.ShardedBackend` is the one
-implementation.  It is not a way to swap the loop: a second, batched loop
-selected by name or environment variable was tried and removed
-(docs/performance.md, "Tried and removed").
+:meth:`Simulator.run` drives it directly and :meth:`Simulator.step` is the
+same loop with a budget of one; a shard of a sharded run reaches it through
+``Simulator.run``, once per conservative window
+(:class:`repro.shard.session.ShardSession`).  The loop reports itself as
+``"python"`` in trace headers.  A second, batched loop selected by name or
+environment variable was tried and removed (docs/performance.md, "Tried
+and removed").
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from repro.simulation.errors import SimulationTimeError
-
-
-@runtime_checkable
-class SimulationBackend(Protocol):
-    """A named policy for driving :func:`run_loop` over a run.
-
-    ``run_loop`` drives the simulator until the queue is exhausted, ``until``
-    is reached, or ``max_events`` events ran; it returns the number of events
-    executed.  The caller (:meth:`Simulator.run`) owns the re-entrancy guard
-    and the final clock advance to ``until``.
-    """
-
-    name: str
-
-    def run_loop(self, simulator, until: Optional[float], max_events: Optional[int]) -> int:
-        """Execute due events in ``(time, sequence)`` order; return the count."""
-        ...
 
 
 def run_loop(simulator, until: Optional[float], max_events: Optional[int]) -> int:

@@ -9,7 +9,11 @@ hold a reference to the simulator and interact with it through three verbs:
 * ``schedule_at(time, callback, *args)`` — run at an absolute instant;
 * ``now`` — the current simulated time.
 
-Running the simulation is ``run(until=...)`` or ``run_until_idle()``.
+Running the simulation is ``run(until=...)`` or ``run_until_idle()``; both
+drive the one dispatch loop, :func:`repro.simulation.backend.run_loop`.  A
+shard of a sharded run (:class:`repro.shard.session.ShardSession`) calls
+``run`` once per conservative time window, with ``until`` just below the
+window's bound.
 
 Observers
 ---------
@@ -28,7 +32,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, List, Optional
 
-from repro.simulation.backend import SimulationBackend, run_loop
+from repro.simulation.backend import run_loop
 from repro.simulation.clock import SimulationClock
 from repro.simulation.errors import SimulationStateError, SimulationTimeError
 from repro.simulation.event_queue import EventCallback, EventHandle, EventQueue, ScheduledEvent
@@ -46,29 +50,14 @@ class Simulator:
         descends from this seed, making runs reproducible.
     start_time:
         Initial simulated time (seconds).
-    backend:
-        ``None`` runs :func:`~repro.simulation.backend.run_loop` straight to
-        the horizon; a :class:`~repro.simulation.backend.SimulationBackend`
-        instance (the sharded runner's windowed one) drives the same loop in
-        stretches.  Names are not accepted.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        start_time: float = 0.0,
-        backend: Optional[SimulationBackend] = None,
-    ) -> None:
-        if backend is not None and not isinstance(backend, SimulationBackend):
-            raise TypeError(
-                f"backend must be a SimulationBackend instance or None, got {backend!r}"
-            )
+    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self._clock = SimulationClock(start_time)
         self._queue = EventQueue()
         self._rng = RngRegistry(seed)
         self._running = False
         self._events_processed = 0
-        self._backend = backend
         # ``None`` (not an empty list) when nobody watches: the dispatch hot
         # path then pays exactly one attribute load + identity test per event.
         self._observers: Optional[List[Any]] = None
@@ -93,8 +82,8 @@ class Simulator:
 
     @property
     def backend_name(self) -> str:
-        """What drives :meth:`run`: ``"python"`` (the plain loop) or the backend's name."""
-        return "python" if self._backend is None else self._backend.name
+        """What drives :meth:`run`: always ``"python"``, the one dispatch loop."""
+        return "python"
 
     @property
     def pending_events(self) -> int:
@@ -223,10 +212,7 @@ class Simulator:
             raise SimulationStateError("Simulator.run() called re-entrantly from an event")
         self._running = True
         try:
-            if self._backend is None:
-                executed = run_loop(self, until, max_events)
-            else:
-                executed = self._backend.run_loop(self, until, max_events)
+            executed = run_loop(self, until, max_events)
         finally:
             self._running = False
         if until is not None and self._clock._now < until:

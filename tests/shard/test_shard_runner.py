@@ -17,13 +17,12 @@ from repro.shard.partition import plan_shards
 from repro.shard.runner import (
     ShardProtocolError,
     _Coordinator,
-    _run_processes,
-    _run_threaded,
+    _run_workers,
     execute_sharded,
     merge_shard_results,
     run_sharded,
 )
-from repro.shard.session import ShardRouter, WindowReport, session_horizon
+from repro.shard.session import ShardRouter, ShardSession, WindowReport, session_horizon
 from repro.shard.wire import WireBatch, decode_batch, encode_batch
 from repro.simulation.rng import RngRegistry
 
@@ -321,7 +320,7 @@ class TestMergeShardResults:
     def run(self):
         config = small_config()
         plan = plan_shards(config, config.shards)
-        fragments, _rounds = _run_threaded(config, plan)
+        fragments, _rounds = _run_workers(config, plan, "thread")
         return config, plan, fragments
 
     def test_fragments_merge_cleanly(self, run):
@@ -456,7 +455,7 @@ class TestWindowCount:
         # runner used before the lookahead was derived per placement.
         floor = config.network.build_latency(RngRegistry(0), []).min_latency()
         clamped = dataclasses.replace(thread.plan, lookahead=floor)
-        fragments, clamped_rounds = _run_threaded(config, clamped)
+        fragments, clamped_rounds = _run_workers(config, clamped, "thread")
         merged = merge_shard_results(config, clamped, fragments)
         assert merged.events_processed == thread.result.events_processed
         assert thread.windows * 3 <= clamped_rounds
@@ -466,8 +465,8 @@ class TestLookaheadGuard:
     """A lookahead wider than a real cross-shard delay ends the run with a
     named protocol error — in either mode, with every worker joined."""
 
-    @pytest.mark.parametrize("run_workers", [_run_threaded, _run_processes])
-    def test_over_wide_lookahead_is_named_and_workers_are_joined(self, run_workers):
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_over_wide_lookahead_is_named_and_workers_are_joined(self, mode):
         config = small_config(num_nodes=30, shards=2, seed=42)
         plan = plan_shards(config, 2)
         too_wide = dataclasses.replace(plan, lookahead=plan.lookahead * 40)
@@ -476,7 +475,7 @@ class TestLookaheadGuard:
             match=r"lookahead violated: shard \d sent shard \d datagram #\d+ due at "
             r"\S+, \S+s before the bound \S+ shard \d has already executed",
         ):
-            run_workers(config, too_wide)
+            _run_workers(config, too_wide, mode)
         assert _no_shard_workers_left()
 
 
@@ -556,3 +555,58 @@ class TestWorkerFailure:
             run_sharded(small_config(), mode="process")
         # No zombie workers left behind.
         assert not [p for p in multiprocessing.active_children() if p.is_alive()]
+
+
+def _fail_on_third_barrier(monkeypatch, fail):
+    """Make shard 1 call ``fail()`` inside its third ``_window_barrier``."""
+    real = ShardSession._window_barrier
+
+    def barrier(self, bound):
+        self.barriers = getattr(self, "barriers", 0) + 1
+        if self.shard_id == 1 and self.barriers == 3:
+            fail()
+        return real(self, bound)
+
+    monkeypatch.setattr(ShardSession, "_window_barrier", barrier)
+
+
+def _needs_fork(mode):
+    import multiprocessing
+
+    if mode == "process" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("a monkeypatched process worker needs the fork start method")
+
+
+class TestMidWindowFailure:
+    """A worker failing between windows ends the run through the one abort
+    path: the other worker is parked in its barrier and must be released."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_raising_worker_is_reported_and_every_worker_joined(self, mode, monkeypatch):
+        _needs_fork(mode)
+
+        def fail():
+            raise RuntimeError("shard 1 corrupted mid-run")
+
+        _fail_on_third_barrier(monkeypatch, fail)
+        if mode == "thread":
+            expected = pytest.raises(RuntimeError, match="shard 1 corrupted mid-run")
+        else:
+            expected = pytest.raises(
+                ShardProtocolError,
+                match=r"(?s)shard 1 raised:.*RuntimeError: shard 1 corrupted mid-run",
+            )
+        with expected:
+            run_sharded(small_config(), mode=mode)
+        assert _no_shard_workers_left()
+
+    def test_process_that_exits_mid_run_is_named_and_every_worker_joined(self, monkeypatch):
+        import os
+
+        _needs_fork("process")
+        _fail_on_third_barrier(monkeypatch, lambda: os._exit(17))
+        with pytest.raises(
+            ShardProtocolError, match=r"shard 1 died without reporting \(exit code 17\)"
+        ):
+            run_sharded(small_config(), mode="process")
+        assert _no_shard_workers_left()

@@ -1,17 +1,41 @@
-"""Window-edge unit tests for the conservative sharded dispatch backend.
+"""Window-edge unit tests for a shard's conservative window loop.
 
 The multi-shard machinery is only trustworthy if the windowing itself is:
-these tests pin the strict-bound contract (an event exactly at a window
-bound belongs to the *next* window), the inclusive final stretch at
-``until``, and the barrier-free chunked mode's byte-identity with the
-scalar loop — all on a bare :class:`~repro.simulation.engine.Simulator`,
-no network or session involved.
+these tests pin :meth:`ShardSession._run_to` on a bare
+:class:`~repro.simulation.engine.Simulator` with scripted coordinator
+replies, no network or session build involved — the strict-bound contract
+(an event exactly at a window bound belongs to the *next* window), the
+inclusive final stretch at ``until``, and a repeated bound that runs nothing.
 """
 
-import pytest
+from types import SimpleNamespace
 
-from repro.simulation.backend.sharded import ShardedBackend, windowed_run_loop
+from repro.shard.session import ShardSession
 from repro.simulation.engine import Simulator
+
+
+class ScriptedShard(ShardSession):
+    """The window loop alone: a bare simulator, replies from ``coordinator``.
+
+    ``coordinator(bound)`` returns ``(next_bound, done)`` like a window
+    reply; each barrier records the bound and the events processed so far.
+    """
+
+    def __init__(self, simulator, lookahead, coordinator):
+        self.simulator = simulator
+        self._plan = SimpleNamespace(lookahead=lookahead)
+        self._coordinator = coordinator
+        self.barriers = []
+
+    def _window_barrier(self, bound):
+        self.barriers.append((bound, self.simulator.events_processed))
+        return self._coordinator(bound)
+
+
+def replies(*scripted):
+    """A coordinator answering with ``scripted`` replies in turn."""
+    answers = iter(scripted)
+    return lambda bound: next(answers)
 
 
 def _cascade(simulator, trace):
@@ -39,130 +63,68 @@ class TestWindowedRunLoop:
         ran = []
         simulator.schedule_at(1.0, ran.append, "before")
         simulator.schedule_at(2.0, ran.append, "at-bound")
-        executed = windowed_run_loop(simulator, bound=2.0, max_events=None)
-        assert executed == 1
-        assert ran == ["before"]
-        # The bound event is still pending, due for the next window (where
-        # cross-shard datagrams landing at that instant will have merged in).
-        assert simulator._queue.peek_time() == 2.0
 
-    def test_respects_event_budget(self):
-        simulator = Simulator(seed=1)
-        for i in range(5):
-            simulator.schedule_at(float(i), lambda: None)
-        assert windowed_run_loop(simulator, bound=10.0, max_events=3) == 3
-        assert simulator.pending_events == 2
+        def coordinator(bound):
+            if bound == 2.0:
+                # The bound event is still pending, due for the next window...
+                assert ran == ["before"]
+                assert simulator._queue.peek_time() == 2.0
+                # ...where a cross-shard datagram due at that very instant
+                # can still be merged in.
+                simulator.schedule_fire_and_forget_at(2.0, ran.append, "inbound")
+                return 5.0, False
+            return 5.0, True
 
-    def test_empty_queue_executes_nothing(self):
-        simulator = Simulator(seed=1)
-        assert windowed_run_loop(simulator, bound=5.0, max_events=None) == 0
-
-
-class TestChunkedMode:
-    """Without a barrier the backend is a chunked scalar loop — identical."""
-
-    def test_chunked_trace_is_byte_identical_to_scalar(self):
-        scalar_sim = Simulator(seed=7)
-        scalar_trace = []
-        _cascade(scalar_sim, scalar_trace)
-        scalar_executed = scalar_sim.run(until=0.5)
-
-        chunked_sim = Simulator(seed=7, backend=ShardedBackend(lookahead=0.05))
-        chunked_trace = []
-        _cascade(chunked_sim, chunked_trace)
-        chunked_executed = chunked_sim.run(until=0.5)
-
-        assert chunked_trace == scalar_trace
-        assert chunked_executed == scalar_executed
-        assert chunked_sim.now == scalar_sim.now == 0.5
+        ScriptedShard(simulator, 2.0, coordinator)._run_to(5.0)
+        assert ran == ["before", "at-bound", "inbound"]
+        assert simulator.now == 5.0
 
     def test_final_stretch_is_inclusive_at_until(self):
-        simulator = Simulator(seed=1, backend=ShardedBackend(lookahead=0.1))
-        trace = []
-        _cascade(simulator, trace)
-        simulator.run(until=0.5)
-        tags = [tag for _, tag in trace]
-        assert "at-horizon" in tags  # Simulator.run executes events at until
-        assert "past-horizon" not in tags
-        assert simulator.pending_events == 1  # the past-horizon event survives
-
-    def test_chunked_jumps_over_empty_stretches(self):
-        # Two events 100 lookaheads apart: the chunked loop must not crawl
-        # window by window through the gap (that is what peek-jumping is
-        # for).  Pin it by bounding executed events, which would be the same
-        # either way, and asserting both events ran after one run() call.
-        simulator = Simulator(seed=1, backend=ShardedBackend(lookahead=0.01))
-        ran = []
-        simulator.schedule_at(0.0, ran.append, "early")
-        simulator.schedule_at(1.0, ran.append, "late")
-        assert simulator.run(until=2.0) == 2
-        assert ran == ["early", "late"]
-
-    def test_until_none_degrades_to_scalar_idle_run(self):
-        simulator = Simulator(seed=1, backend=ShardedBackend(lookahead=0.05))
-        ran = []
-        simulator.schedule_at(0.25, ran.append, "x")
-        assert simulator.run_until_idle() == 1
-        assert ran == ["x"]
-
-
-class TestBarrieredBackend:
-    def test_barrier_drives_bounds_and_done(self):
-        lookahead = 0.1
-        until = 0.35
-        barrier_bounds = []
-
+        until, lookahead = 0.5, 0.1
         simulator = Simulator(seed=1)
 
-        def barrier(bound):
-            barrier_bounds.append(bound)
+        def coordinator(bound):
             # Single-shard coordinator logic: jump past the next pending
             # event, cap at the horizon, finish once drained at the horizon.
             peek = simulator._queue.peek_time()
             if bound < until:
-                next_bound = until if peek is None else min(until, peek + lookahead)
-                return next_bound, False
+                return (until if peek is None else min(until, peek + lookahead)), False
             return until, peek is None or peek > until
 
-        simulator._backend = ShardedBackend(lookahead, barrier=barrier)
+        shard = ScriptedShard(simulator, lookahead, coordinator)
         trace = []
         _cascade(simulator, trace)
-        executed = simulator.run(until=until)
+        shard._run_to(until)
 
         oracle = Simulator(seed=1)
         oracle_trace = []
         _cascade(oracle, oracle_trace)
-        assert executed == oracle.run(until=until)
+        assert simulator.events_processed == oracle.run(until=until)
         assert trace == oracle_trace
+        tags = [tag for _, tag in trace]
+        assert "at-horizon" in tags  # Simulator.run executes events at until
+        assert "past-horizon" not in tags
+        assert simulator.pending_events == 1  # the past-horizon event survives
+        assert simulator.now == oracle.now == until
         # Bounds are monotone non-decreasing and end at the horizon.
-        assert barrier_bounds == sorted(barrier_bounds)
-        assert barrier_bounds[-1] == until
+        bounds = [bound for bound, _ in shard.barriers]
+        assert bounds == sorted(bounds) and bounds[-1] == until
 
-    def test_barriered_run_requires_horizon(self):
-        backend = ShardedBackend(0.1, barrier=lambda bound: (bound, True))
-        simulator = Simulator(seed=1, backend=backend)
-        with pytest.raises(ValueError, match="explicit time horizon"):
-            simulator.run_until_idle()
+    def test_repeated_bound_runs_zero_events(self):
+        simulator = Simulator(seed=1)
+        for time in (0.5, 1.5, 2.5):
+            simulator.schedule_at(time, lambda: None)
+        shard = ScriptedShard(
+            simulator, 1.0, replies((1.0, False), (2.0, False), (2.0, False), (2.0, True))
+        )
+        shard._run_to(2.0)
+        # A shard parked on a repeated bound barriers again without running.
+        assert shard.barriers == [(1.0, 1), (1.0, 1), (2.0, 2), (2.0, 2)]
+        assert simulator.pending_events == 1
 
-    def test_event_budget_stops_mid_protocol(self):
-        # The budget is a local safety valve: it may abandon the window
-        # protocol without calling the barrier again.
-        calls = []
-        backend = ShardedBackend(10.0, barrier=lambda bound: (calls.append(bound), (bound, True))[1])
-        simulator = Simulator(seed=1, backend=backend)
-        for i in range(6):
-            simulator.schedule_at(0.1 * i, lambda: None)
-        assert simulator.run(until=1.0, max_events=4) == 4
-
-
-class TestBackendValidation:
-    def test_zero_lookahead_rejected(self):
-        with pytest.raises(ValueError, match="positive lookahead"):
-            ShardedBackend(0.0)
-
-    def test_negative_lookahead_rejected(self):
-        with pytest.raises(ValueError, match="positive lookahead"):
-            ShardedBackend(-0.01)
-
-    def test_lookahead_property(self):
-        assert ShardedBackend(0.025).lookahead == 0.025
+    def test_empty_queue_executes_nothing(self):
+        simulator = Simulator(seed=1)
+        shard = ScriptedShard(simulator, 1.0, replies((5.0, False), (5.0, True)))
+        shard._run_to(5.0)
+        assert shard.barriers == [(1.0, 0), (5.0, 0)]
+        assert simulator.now == 5.0

@@ -3,34 +3,14 @@
 :func:`repro.simulation.backend.run_loop` inlines the queue pop, so its
 edges are pinned here directly — same-instant siblings cancelling each
 other, zero-delay reschedules, ``clear()`` from a callback, the observer
-edge, exact event budgets — together with the two things built on it:
-``Simulator.step()`` and the ``backend=`` argument.
+edge, exact event budgets — together with what is built on it:
+``Simulator.step()`` and the loop's name in trace headers.
 """
 
 import pytest
 
-from repro.simulation.backend import SimulationBackend
-from repro.simulation.backend.sharded import ShardedBackend
 from repro.simulation.engine import Simulator
 from repro.simulation.errors import SimulationTimeError
-
-
-class TestBackendArgument:
-    def test_simulator_exposes_backend_name(self):
-        assert Simulator(seed=1).backend_name == "python"
-        assert Simulator(seed=1, backend=ShardedBackend(0.05)).backend_name == "sharded"
-
-    def test_backend_instances_satisfy_the_protocol(self):
-        assert isinstance(ShardedBackend(0.05), SimulationBackend)
-
-    @pytest.mark.parametrize("name", ["numpy", "python", "auto"])
-    def test_backend_names_are_rejected(self, name):
-        with pytest.raises(TypeError, match="SimulationBackend instance or None"):
-            Simulator(seed=1, backend=name)
-
-    def test_environment_is_not_consulted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
-        assert Simulator(seed=1).backend_name == "python"
 
 
 def _build_workload(simulator, trace):
@@ -68,6 +48,10 @@ class _Watcher:
 
 
 class TestRunLoop:
+    def test_the_loop_is_python_whatever_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "fortran")
+        assert Simulator(seed=1).backend_name == "python"
+
     def test_cancelling_a_same_instant_sibling_is_honoured(self):
         simulator = Simulator(seed=0)
         fired = []

@@ -1,4 +1,4 @@
-"""``tools/check_docs.py``: the documented bench filters must select something."""
+"""``tools/check_docs.py``: documented bench filters select something, named code exists."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +51,27 @@ class TestBenchFilters:
     def test_repository_docs_pass_every_check(self, check_docs, capsys):
         assert check_docs.main() == 0
         assert "docs check ok" in capsys.readouterr().out
+
+
+class TestDottedNames:
+    def test_stale_name_is_reported(self, check_docs, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+        doc = tmp_path / "doc.md"
+        doc.write_text(
+            "The loop is `repro.simulation.backend.run_loop`; a host is a\n"
+            "`repro.core.host.Host`.  Windows ran in `repro.simulation.backend.sharded`.\n",
+            encoding="utf-8",
+        )
+        problems = []
+        assert check_docs.check_dotted_names(doc, problems) == 3
+        assert problems == [
+            "doc.md:2: names repro.simulation.backend.sharded, which does not exist"
+        ]
+
+    def test_committed_docs_name_only_code_that_exists(self, check_docs):
+        problems = []
+        checked = sum(
+            check_docs.check_dotted_names(path, problems) for path in check_docs.doc_files()
+        )
+        assert checked > 0
+        assert problems == []

@@ -19,7 +19,12 @@ Checks, over ``README.md`` and ``docs/*.md``:
    heading in the target document, using GitHub's slugging rules;
 5. every ``repro.bench run|list --filter X`` inside a fenced block selects at
    least one registered benchmark (``default_registry().select``), so a
-   command naming a deleted benchmark fails here instead of for the reader.
+   command naming a deleted benchmark fails here instead of for the reader;
+6. every dotted ``repro.…`` name that is a whole markdown code span (say
+   ``repro.shard.partition.plan_shards`` in single backticks) resolves: its
+   longest importable module prefix is imported and the rest looked up with
+   ``getattr``, so prose naming a deleted module or symbol fails here
+   instead of for the reader.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -41,6 +46,7 @@ LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
 BENCH_COMMAND = re.compile(r"repro\.bench\s+(?:run|list)\b(.*)")
 BENCH_FILTER = re.compile(r"--filter[=\s]+(\S+)")
+DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def doc_files() -> List[Path]:
@@ -184,21 +190,51 @@ def check_bench_filters(path: Path, problems: List[str]) -> int:
     return checked
 
 
+def resolves(name: str) -> bool:
+    """Whether a dotted name is its longest importable module prefix plus attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_dotted_names(path: Path, problems: List[str]) -> int:
+    """Resolve every backticked ``repro.…`` name; returns how many were checked."""
+    checked = 0
+    for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for name in DOTTED_NAME.findall(line):
+            checked += 1
+            if not resolves(name):
+                problems.append(
+                    f"{path.relative_to(ROOT)}:{line_number}: names {name}, which does not exist"
+                )
+    return checked
+
+
 def main() -> int:
     problems: List[str] = []
-    blocks = links = filters = 0
+    blocks = links = filters = names = 0
     files = doc_files()
     for path in files:
         blocks += check_code_blocks(path, problems)
         links += check_links(path, problems)
         filters += check_bench_filters(path, problems)
+        names += check_dotted_names(path, problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     status = "FAILED" if problems else "ok"
     print(
         f"docs check {status}: {len(files)} files, {blocks} python blocks "
         f"compiled, {links} links resolved, {filters} bench filters selected, "
-        f"{len(problems)} problem(s)"
+        f"{names} repro names resolved, {len(problems)} problem(s)"
     )
     return 1 if problems else 0
 

@@ -199,8 +199,8 @@ KEEP: Tuple[Keep, ...] = (
     Keep(_ORACLE, "simulation/event_queue.py", ("EventQueue.pop",),
          "the reference pop that run_loop inlines"),
     Keep(_ORACLE, "shard/runner.py",
-         ("_run_threaded.<locals>.abort", "_run_processes.<locals>.abort"),
-         "runs only when a shard fails: ends the run with a named error, joins the workers"),
+         ("_Channel.failure", "_PipeChannel.failure", "_ThreadLink.error", "_ProcessLink.error"),
+         "runs only when a shard fails: carries the worker's error to the one abort path"),
     Keep(_ORACLE, "bench/runner.py", ("BenchmarkSelectionError.__str__",),
          "the CLI's message for a filter that selects nothing"),
     Keep(_ORACLE, "protocols/registry.py", ("available_protocols",),
@@ -297,8 +297,6 @@ KEEP: Tuple[Keep, ...] = (
          "asyncio host tests"),
     Keep(_ACCESSOR, "realnet/net.py", ("UdpNetwork.address",), "UDP transport tests"),
     Keep(_ACCESSOR, "shard/wire.py", ("WireBatch.__len__", "WireBatch.__eq__"), "wire tests"),
-    Keep(_ACCESSOR, "simulation/backend/sharded.py", ("ShardedBackend.lookahead",),
-         "sharded backend tests"),
     Keep(_ACCESSOR, "simulation/clock.py", ("SimulationClock.now",), "clock tests"),
     Keep(_ACCESSOR, "simulation/event_queue.py", ("EventQueue.__bool__", "EventQueue.dead_entries"),
          "event-queue and cancellation tests"),
