@@ -1,4 +1,5 @@
-"""Unit tests for the shard runner: router, coordinator, merge, entry point.
+"""Unit tests for the shard runner: router, barrier, coordinator, links,
+merge, entry point.
 
 The equivalence property suite (``tests/properties/test_shard_equivalence``)
 pins the end-to-end contract; these tests pin the individual moving parts
@@ -7,6 +8,9 @@ exercises: protocol violations, diverged control planes, worker crashes.
 """
 
 import dataclasses
+import pickle
+import queue
+import threading
 
 import pytest
 
@@ -15,15 +19,27 @@ from repro.network.message import Message
 from repro.scenarios.registry import build_scenario
 from repro.shard.partition import plan_shards
 from repro.shard.runner import (
+    _LINKS,
     ShardProtocolError,
+    _Channel,
     _Coordinator,
+    _PipeChannel,
+    _QueueChannel,
+    _receive,
     _run_workers,
     execute_sharded,
     merge_shard_results,
     run_sharded,
 )
-from repro.shard.session import ShardRouter, ShardSession, WindowReport, session_horizon
+from repro.shard.session import (
+    ShardRouter,
+    ShardSession,
+    WindowReply,
+    WindowReport,
+    session_horizon,
+)
 from repro.shard.wire import WireBatch, decode_batch, encode_batch
+from repro.simulation.engine import Simulator
 from repro.simulation.rng import RngRegistry
 
 
@@ -90,6 +106,46 @@ class TestShardRouter:
         assert set(batches) == {1, 2}
         assert [d[3].receiver for d in batches[1]] == [1, 2]
         assert [d[3].receiver for d in batches[2]] == [3]
+
+
+class TestWindowBarrier:
+    """One barrier: report the window just run, schedule the reply's inbound."""
+
+    class FakeChannel:
+        def __init__(self, reply):
+            self.reply = reply
+            self.reports = []
+
+        def exchange(self, report):
+            self.reports.append(report)
+            return self.reply
+
+    def test_report_describes_the_window_and_inbound_lands_in_merge_order(self):
+        # Shard 0 of [0, 0, 1, 1], with a bare simulator, router and network
+        # in place of a session build.
+        network = FakeNetwork()
+        shard = ShardSession.__new__(ShardSession)
+        shard.shard_id = 0
+        shard.simulator = Simulator(seed=1)
+        shard.simulator.schedule_at(2.5, lambda: None)
+        shard.network = network
+        shard._router = ShardRouter(network, shard_id=0, lookup=[0, 0, 1, 1])
+        outbound = message(0, 2)
+        shard._router.dispatch(outbound, 2.25)
+        early, tie, late = message(3, 1), message(2, 1), message(2, 0)
+        inbound = [
+            encode_batch([(3.0, 2, 5, late)]),
+            encode_batch([(3.0, 2, 4, tie), (2.75, 3, 1, early)]),
+        ]
+        shard._channel = self.FakeChannel(WindowReply(next_bound=4.0, done=False, inbound=inbound))
+
+        assert shard._window_barrier(2.0) == (4.0, False)
+        (report,) = shard._channel.reports
+        assert (report.shard_id, report.bound, report.peek_time) == (0, 2.0, 2.5)
+        assert decoded(report.outbound) == {1: [(2.25, 0, 1, outbound)]}
+        # (deliver_time, sender, seq) order, whatever order the batches came in.
+        assert network.delivered == [(2.75, early), (3.0, tie), (3.0, late)]
+        assert shard._router.flush() == {}
 
 
 def owned_node(config, shard_id, index=0):
@@ -610,3 +666,133 @@ class TestMidWindowFailure:
         ):
             run_sharded(small_config(), mode="process")
         assert _no_shard_workers_left()
+
+
+class ScriptedChannel(_Channel):
+    """A worker's end of a link whose coordinator answers from a script."""
+
+    def __init__(self, *answers):
+        self.sent = []
+        self._answers = iter(answers)
+
+    def put(self, message):
+        self.sent.append(message)
+
+    def get(self):
+        return next(self._answers)
+
+
+class FakeLink:
+    """A coordinator's end of a link that receives scripted messages."""
+
+    def __init__(self, *messages):
+        self._messages = iter(messages)
+
+    def receive(self, shard_id):
+        return next(self._messages)
+
+    @staticmethod
+    def error(shard_id, payload):
+        return ShardProtocolError(f"shard {shard_id} failed: {payload}")
+
+
+def _worker(monkeypatch, body):
+    """Make every shard worker run ``body(channel)`` instead of a session."""
+    monkeypatch.setattr(
+        runner_module, "run_shard_worker", lambda config, shard_id, plan, channel: body(channel)
+    )
+
+
+REPORT = WindowReport(shard_id=0, bound=1.0, outbound={}, peek_time=None)
+
+
+class TestLinks:
+    """Both ends of a link, one message at a time, with no session run."""
+
+    def test_exchange_sends_the_report_and_returns_the_reply(self):
+        reply = WindowReply(next_bound=2.0, done=False)
+        channel = ScriptedChannel(("reply", reply))
+        assert channel.exchange(REPORT) is reply
+        assert channel.sent == [("window", REPORT)]
+
+    def test_a_finished_worker_sends_its_result(self, monkeypatch):
+        _worker(monkeypatch, lambda channel: "fragment")
+        channel = ScriptedChannel()
+        channel.serve(None, 0, None)
+        assert channel.sent == [("result", "fragment")]
+
+    def test_an_aborted_worker_stops_without_another_message(self, monkeypatch):
+        _worker(monkeypatch, lambda channel: channel.exchange(REPORT))
+        channel = ScriptedChannel(("abort", None))
+        channel.serve(None, 0, None)
+        assert channel.sent == [("window", REPORT)]
+
+    def test_a_thread_worker_forwards_its_exception_itself(self, monkeypatch):
+        error = RuntimeError("boom")
+
+        def body(channel):
+            raise error
+
+        _worker(monkeypatch, body)
+        reports = queue.Queue()
+        _QueueChannel(reports, queue.Queue()).serve(None, 0, None)
+        tag, payload = reports.get_nowait()
+        assert tag == "error" and payload is error
+        assert reports.empty()
+
+    def test_a_process_worker_forwards_a_traceback_even_of_an_unpicklable_error(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        def body(channel):
+            raise RuntimeError("boom", threading.Lock())
+
+        _worker(monkeypatch, body)
+        coordinator_end, worker_end = multiprocessing.Pipe()
+        try:
+            _PipeChannel(worker_end).serve(None, 0, None)
+            tag, payload = _PipeChannel(coordinator_end).get()
+        finally:
+            coordinator_end.close()
+            worker_end.close()
+        assert tag == "error"
+        assert payload.startswith("Traceback (most recent call last):")
+        assert "RuntimeError: ('boom', <unlocked _thread.lock object" in payload
+
+    def test_pipe_frames_are_pickle_protocol_5(self):
+        import multiprocessing
+
+        datagram = (2.0, 0, 1, message(0, 2))
+        coordinator_end, worker_end = multiprocessing.Pipe()
+        try:
+            reply = WindowReply(next_bound=4.0, done=False, inbound=[encode_batch([datagram])])
+            _PipeChannel(coordinator_end).put(("reply", reply))
+            frame = worker_end.recv_bytes()
+        finally:
+            coordinator_end.close()
+            worker_end.close()
+        assert frame[:2] == b"\x80\x05"  # PROTO opcode, protocol 5
+        tag, received = pickle.loads(frame)
+        assert tag == "reply" and (received.next_bound, received.done) == (4.0, False)
+        assert [decode_batch(batch) for batch in received.inbound] == [[datagram]]
+
+    def test_thread_link_reraises_the_worker_exception_itself(self):
+        error = RuntimeError("boom")
+        assert _LINKS["thread"].error(1, error) is error
+
+    def test_process_link_wraps_the_traceback_naming_the_shard(self):
+        translated = _LINKS["process"].error(1, "Traceback ...\nRuntimeError: boom\n")
+        assert isinstance(translated, ShardProtocolError)
+        assert str(translated) == "shard 1 raised:\nTraceback ...\nRuntimeError: boom\n"
+
+    def test_a_message_out_of_turn_is_a_protocol_error(self):
+        assert _receive(FakeLink(("window", REPORT)), 0, "window") is REPORT
+        with pytest.raises(
+            ShardProtocolError, match=r"^shard 1 sent 'result' where 'window' was due$"
+        ):
+            _receive(FakeLink(("result", "fragment")), 1, "window")
+
+    def test_an_error_message_raises_the_links_translation(self):
+        with pytest.raises(ShardProtocolError, match=r"^shard 1 failed: boom$"):
+            _receive(FakeLink(("error", "boom")), 1, "window")

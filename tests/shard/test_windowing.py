@@ -8,6 +8,7 @@ replies, no network or session build involved — the strict-bound contract
 inclusive final stretch at ``until``, and a repeated bound that runs nothing.
 """
 
+import math
 from types import SimpleNamespace
 
 from repro.shard.session import ShardSession
@@ -78,6 +79,53 @@ class TestWindowedRunLoop:
         ScriptedShard(simulator, 2.0, coordinator)._run_to(5.0)
         assert ran == ["before", "at-bound", "inbound"]
         assert simulator.now == 5.0
+
+    def test_event_just_below_the_bound_runs_in_its_window(self):
+        # The window stops at the float just below its bound, not one ulp
+        # earlier: the last representable instant before the bound still runs.
+        simulator = Simulator(seed=1)
+        ran = []
+        simulator.schedule_at(math.nextafter(2.0, -math.inf), ran.append, "just-below")
+        simulator.schedule_at(2.0, ran.append, "at-bound")
+        shard = ScriptedShard(simulator, 2.0, replies((4.0, False), (4.0, True)))
+        shard._run_to(4.0)
+        assert shard.barriers == [(2.0, 1), (4.0, 2)]
+        assert ran == ["just-below", "at-bound"]
+
+    def test_an_event_spawned_at_the_bound_waits_for_the_next_window(self):
+        simulator = Simulator(seed=1)
+        ran = []
+
+        def spawn():
+            ran.append("parent")
+            simulator.schedule_at(1.5, ran.append, "child-below")
+            simulator.schedule_at(2.0, ran.append, "child-at-bound")
+
+        simulator.schedule_at(1.0, spawn)
+        shard = ScriptedShard(simulator, 2.0, replies((3.0, False), (3.0, True)))
+        shard._run_to(3.0)
+        assert shard.barriers == [(2.0, 2), (3.0, 3)]
+        assert ran == ["parent", "child-below", "child-at-bound"]
+
+    def test_first_bound_is_one_lookahead_from_now(self):
+        # Every shard computes its first bound alone, from the clock it
+        # starts the run at and the plan's lookahead.
+        simulator = Simulator(seed=1)
+        simulator.run(until=3.0)
+        shard = ScriptedShard(simulator, 0.25, replies((5.0, False), (5.0, True)))
+        shard._run_to(5.0)
+        assert [bound for bound, _ in shard.barriers] == [3.25, 5.0]
+
+    def test_lookahead_past_the_horizon_makes_one_inclusive_window(self):
+        simulator = Simulator(seed=1)
+        ran = []
+        simulator.schedule_at(1.0, ran.append, "at-horizon")
+        simulator.schedule_at(1.5, ran.append, "past-horizon")
+        shard = ScriptedShard(simulator, 10.0, replies((1.0, True)))
+        shard._run_to(1.0)
+        assert shard.barriers == [(1.0, 1)]
+        assert ran == ["at-horizon"]
+        assert simulator.pending_events == 1
 
     def test_final_stretch_is_inclusive_at_until(self):
         until, lookahead = 0.5, 0.1
