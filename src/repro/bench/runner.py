@@ -94,8 +94,6 @@ def run_benchmark(
         metrics=_checked_metrics(benchmark, sample),
         wall_seconds=wall_seconds,
     )
-    if benchmark.drop_cache_after and ctx.cache is not None:
-        ctx.cache.clear()
     return record
 
 

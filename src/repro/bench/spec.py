@@ -135,9 +135,6 @@ class Benchmark:
     metrics:
         Specs for every metric ``run`` returns (extra keys are rejected, so
         reports cannot silently drift from their declared schema).
-    drop_cache_after:
-        Clear the shared summary cache once this benchmark finishes (bounds
-        memory between figure groups, mirroring the old pytest fixtures).
     """
 
     name: str
@@ -145,7 +142,6 @@ class Benchmark:
     run: Callable[[BenchContext], Mapping[str, float]]
     metrics: Tuple[Metric, ...]
     tags: Tuple[str, ...] = ()
-    drop_cache_after: bool = False
 
     def metric(self, name: str) -> Metric:
         """The spec of one declared metric."""

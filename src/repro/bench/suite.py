@@ -346,7 +346,7 @@ def run_figure(figure_id: str, ctx: BenchContext) -> dict:
     }
 
 
-def _figure_benchmark(figure_id: str, description: str, drop_cache_after: bool) -> Benchmark:
+def _figure_benchmark(figure_id: str, description: str) -> Benchmark:
     def run(ctx: BenchContext, figure_id=figure_id) -> dict:
         return run_figure(figure_id, ctx)
 
@@ -362,7 +362,6 @@ def _figure_benchmark(figure_id: str, description: str, drop_cache_after: bool) 
             Metric("headline", kind="counter", unit="% / kbps"),
             Metric("checks_run", kind="identity"),
         ),
-        drop_cache_after=drop_cache_after,
     )
 
 
@@ -757,13 +756,8 @@ def register_all(registry=None) -> None:
         "figure7": "% of survivors unaffected by catastrophic churn",
         "figure8": "average % of complete windows for survivors vs churn",
     }
-    # Cache clears mirror the old pytest module boundaries: figures that
-    # share runs (1+2, 7+8) stay grouped; the boundary figure drops them.
-    cache_boundaries = {"figure2", "figure4", "figure5", "figure6", "figure8"}
     for figure_id, description in figure_descriptions.items():
-        registry.register(
-            _figure_benchmark(figure_id, description, figure_id in cache_boundaries)
-        )
+        registry.register(_figure_benchmark(figure_id, description))
 
     registry.register(
         Benchmark(

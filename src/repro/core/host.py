@@ -1,8 +1,8 @@
 """The host abstraction: what protocol-layer code needs from its runtime.
 
 Everything above the engine — :class:`~repro.core.node.GossipNode`, the
-timers, the stream emitter, the churn/join injectors — interacts with its
-execution substrate through a deliberately narrow surface: a clock, named
+timers, the stream emitter, the session's churn and join callbacks —
+interacts with its execution substrate through a deliberately narrow surface: a clock, named
 deterministic RNG streams, and cancellable timer scheduling.  :class:`Host`
 names that surface as a structural :class:`~typing.Protocol`, so two very
 different runtimes satisfy it without sharing any code:

@@ -32,11 +32,11 @@ which composes a :class:`SessionConfig` from a named spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.membership.churn import ChurnInjector, ChurnSchedule
+from repro.membership.churn import CatastrophicChurn
 from repro.membership.directory import MembershipDirectory
-from repro.membership.join import JoinEvent, JoinInjector, JoinSchedule
+from repro.membership.join import FlashCrowdJoin
 from repro.metrics.bandwidth import BandwidthUsage
 from repro.metrics.delivery import DeliveryLog
 from repro.metrics.quality import OFFLINE_LAG, StreamQualityAnalyzer
@@ -80,9 +80,9 @@ class SessionConfig:
         can sustain; the paper's source is a well-provisioned node, so this
         defaults to ``True``.
     churn:
-        Optional churn schedule (e.g. :class:`CatastrophicChurn`).
+        Optional :class:`CatastrophicChurn`.
     join:
-        Optional join schedule (e.g. :class:`FlashCrowdJoin`): the selected
+        Optional :class:`FlashCrowdJoin`: the selected
         nodes stay outside the membership directory, with their timers
         stopped, until their join time.
     failure_detection_delay:
@@ -121,8 +121,8 @@ class SessionConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     protocol: str = "three-phase"
     source_uncapped: bool = True
-    churn: Optional[ChurnSchedule] = None
-    join: Optional[JoinSchedule] = None
+    churn: Optional[CatastrophicChurn] = None
+    join: Optional[FlashCrowdJoin] = None
     failure_detection_delay: float = 5.0
     extra_time: float = 30.0
     telemetry: Optional[TelemetryConfig] = None
@@ -260,12 +260,12 @@ class StreamingSession:
         self.schedule: Optional[StreamSchedule] = None
         self.nodes: Dict[NodeId, GossipNode] = {}
         self.emitter: Optional[StreamEmitter] = None
-        self.deliveries = DeliveryLog()
-        self._churn_injector: Optional[ChurnInjector] = None
-        self._join_injector: Optional[JoinInjector] = None
+        self.deliveries: Optional[DeliveryLog] = None
         self._failed_nodes: List[NodeId] = []
-        self._join_events: List[JoinEvent] = []
-        self._late_joiners: List[NodeId] = []
+        self._late_joiners: Tuple[NodeId, ...] = ()
+        # Churn and join firings: a sharded run replicates them on every
+        # shard, and the merge subtracts the copies from the event count.
+        self._control_events = 0
         self.telemetry = None  # SessionTelemetry once built with an armed config
 
     # ------------------------------------------------------------------
@@ -281,10 +281,7 @@ class StreamingSession:
         simulator = self._create_simulator()
         self.simulator = simulator
         self.schedule = StreamSchedule(config.stream)
-        # Bind the delivery log to the schedule: every recorded delivery then
-        # also accumulates into per-(node, window) lag arrays, which is what
-        # lets the quality analyzer skip the per-delivery pass entirely.
-        self.deliveries.bind_schedule(self.schedule)
+        self.deliveries = DeliveryLog(self.schedule)
 
         self._build_membership()
         self._build_network()
@@ -300,14 +297,10 @@ class StreamingSession:
     def _build_membership(self) -> None:
         config = self.config
         directory = MembershipDirectory(detection_delay=config.failure_detection_delay)
-        # Evaluate the join schedule exactly once: this event list decides
-        # both who stays out of the initial directory and what _build_join
-        # arms, so a stateful/randomized schedule cannot desync the two.
+        # Evaluated once: the same tuple keeps the joiners out of the initial
+        # directory here and is what _build_join schedules.
         if config.join is not None:
-            self._join_events = config.join.events(config.receiver_ids())
-            self._late_joiners = [
-                node_id for event in self._join_events for node_id in event.joiners
-            ]
+            self._late_joiners = config.join.joiners(config.receiver_ids())
         late = set(self._late_joiners)
         directory.add_all(
             node_id for node_id in range(config.num_nodes) if node_id not in late
@@ -341,6 +334,7 @@ class StreamingSession:
     def _build_nodes(self) -> None:
         assert self.simulator is not None and self.network is not None
         assert self.directory is not None and self.schedule is not None
+        assert self.deliveries is not None
         config = self.config
         for node_id in self._nodes_to_build():
             is_source = node_id == config.source_id
@@ -372,22 +366,22 @@ class StreamingSession:
         config = self.config
         if config.churn is None:
             return
-        self._churn_injector = ChurnInjector(self.simulator, config.churn, self._apply_failures)
-        self._churn_injector.arm(
+        victims = config.churn.victims(
             self.directory.churn_candidates(protected=[config.source_id]),
             self.simulator.rng.stream("churn"),
         )
+        if victims:
+            self.simulator.schedule_at(config.churn.time, self._apply_failures, victims)
 
     def _build_join(self) -> None:
         assert self.simulator is not None
         config = self.config
-        if config.join is None:
-            return
-        self._join_injector = JoinInjector(self.simulator, config.join, self._apply_joins)
-        self._join_injector.arm_events(self._join_events)
+        if config.join is not None and self._late_joiners:
+            self.simulator.schedule_at(config.join.time, self._apply_joins, self._late_joiners)
 
-    def _apply_failures(self, victims: List[NodeId]) -> None:
+    def _apply_failures(self, victims: Tuple[NodeId, ...]) -> None:
         assert self.network is not None and self.directory is not None and self.simulator is not None
+        self._control_events += 1
         now = self.simulator.now
         for node_id in victims:
             # The directory and failure bookkeeping cover every node; a shard
@@ -410,8 +404,9 @@ class StreamingSession:
 
         self.telemetry = SessionTelemetry(config.telemetry).attach(self)
 
-    def _apply_joins(self, joiners: List[NodeId]) -> None:
+    def _apply_joins(self, joiners: Tuple[NodeId, ...]) -> None:
         assert self.directory is not None
+        self._control_events += 1
         for node_id in joiners:
             self.directory.add(node_id)
             node = self.nodes.get(node_id)  # a shard starts only the joiners it owns
@@ -441,7 +436,7 @@ class StreamingSession:
                 self.telemetry.finalize() if self.telemetry is not None else None
             )
 
-        assert self.network is not None
+        assert self.network is not None and self.deliveries is not None
         return SessionResult(
             config=self.config,
             schedule=self.schedule,

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.config import GossipConfig
 from repro.core.session import SessionConfig
-from repro.membership.churn import CatastrophicChurn, ChurnSchedule
+from repro.membership.churn import CatastrophicChurn
 from repro.membership.partners import INFINITE
 from repro.network.transport import NetworkConfig
 from repro.scenarios.registry import large_session, metropolis
@@ -55,12 +55,10 @@ class ExperimentScale:
         Upload-throttling queue capacity.
     extra_time:
         Drain time after the last packet is published.
-    retransmit_timeout / max_request_attempts:
-        Retransmission behaviour.
-    default_cap_kbps:
-        Upload cap used when an experiment does not override it (700 kbps).
-    base_latency / random_loss:
-        Network substrate parameters.
+    retransmit_timeout:
+        Retransmission timeout.
+    random_loss:
+        In-flight loss probability.
     seed:
         Base seed; individual experiment points derive their own seeds.
     fanout_grid:
@@ -96,14 +94,8 @@ class ExperimentScale:
     max_backlog_seconds: float
     extra_time: float
     retransmit_timeout: float = 2.0
-    max_request_attempts: int = 2
-    default_cap_kbps: float = 700.0
-    base_latency: float = 0.05
     random_loss: float = 0.01
     seed: int = 42
-    gossip_period: float = 0.2
-    source_fanout: int = 7
-    failure_detection_delay: float = 5.0
     fanout_grid: Tuple[int, ...] = (4, 5, 6, 7, 10, 15, 20, 30, 40, 50)
     lag_values: Tuple[float, ...] = (10.0, 20.0, math.inf)
     refresh_grid: Tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, INFINITE)
@@ -153,13 +145,14 @@ class ExperimentScale:
 
     def network_config(self, cap_kbps: Optional[float] = None) -> NetworkConfig:
         """Network substrate with the given upload cap (default 700 kbps)."""
-        return NetworkConfig(
-            upload_cap_kbps=self.default_cap_kbps if cap_kbps is None else cap_kbps,
+        network = NetworkConfig(
             max_backlog_seconds=self.max_backlog_seconds,
             latency_model="per-node",
-            base_latency=self.base_latency,
             random_loss=self.random_loss,
         )
+        if cap_kbps is not None:
+            network.upload_cap_kbps = cap_kbps
+        return network
 
     def gossip_config(
         self,
@@ -170,12 +163,9 @@ class ExperimentScale:
         """Protocol knobs with this scale's timing defaults."""
         return GossipConfig(
             fanout=self.optimal_fanout if fanout is None else fanout,
-            gossip_period=self.gossip_period,
             refresh_every=refresh_every,
             feed_me_every=feed_me_every,
             retransmit_timeout=self.retransmit_timeout,
-            max_request_attempts=self.max_request_attempts,
-            source_fanout=self.source_fanout,
         )
 
     def session_config(
@@ -189,7 +179,7 @@ class ExperimentScale:
         protocol: str = "three-phase",
     ) -> SessionConfig:
         """A full session configuration for one experiment point."""
-        churn: Optional[ChurnSchedule] = None
+        churn: Optional[CatastrophicChurn] = None
         if churn_fraction > 0.0:
             churn = CatastrophicChurn(time=self.churn_time, fraction=churn_fraction)
         return SessionConfig(
@@ -201,7 +191,6 @@ class ExperimentScale:
             protocol=protocol,
             source_uncapped=True,
             churn=churn,
-            failure_detection_delay=self.failure_detection_delay,
             extra_time=self.extra_time,
         )
 

@@ -3,7 +3,7 @@
 The paper deliberately avoids any structured overlay: every node knows the
 full membership and ``selectNodes(f)`` returns ``f`` uniformly random nodes.
 This package provides that substrate plus the two proactiveness mechanisms
-the paper studies and the churn injector used in Section 4.3:
+the paper studies and the churn schedule used in Section 4.3:
 
 * :class:`MembershipDirectory` — the full-membership list with a configurable
   failure-detection delay (failed nodes linger in views for a while, which is
@@ -17,26 +17,15 @@ the paper studies and the churn injector used in Section 4.3:
   *joining* mid-stream, kept out of the directory until their join time.
 """
 
-from repro.membership.churn import (
-    CatastrophicChurn,
-    ChurnEvent,
-    ChurnInjector,
-    ChurnSchedule,
-)
+from repro.membership.churn import CatastrophicChurn
 from repro.membership.directory import MembershipDirectory
-from repro.membership.join import FlashCrowdJoin, JoinEvent, JoinInjector, JoinSchedule
+from repro.membership.join import FlashCrowdJoin
 from repro.membership.partners import INFINITE, PartnerSelector
 
 __all__ = [
     "CatastrophicChurn",
-    "ChurnEvent",
-    "ChurnInjector",
-    "ChurnSchedule",
     "FlashCrowdJoin",
     "INFINITE",
-    "JoinEvent",
-    "JoinInjector",
-    "JoinSchedule",
     "MembershipDirectory",
     "PartnerSelector",
 ]

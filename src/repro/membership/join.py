@@ -2,11 +2,10 @@
 
 The paper's deployment starts all 230 nodes before the stream; real live
 streaming systems instead see *flash crowds* — a burst of viewers joining
-once the stream is already running.  A :class:`JoinSchedule` decides which
+once the stream is already running.  :class:`FlashCrowdJoin` decides which
 nodes are late joiners and when they come up; applying the join (adding the
-node to the membership directory and starting its timers) is done by a
-callback supplied by the session, mirroring how churn schedules stay
-independent of the protocol wiring.
+node to the membership directory and starting its timers) is the session's
+job, mirroring how churn schedules stay independent of the protocol wiring.
 
 A late joiner only receives packets proposed after its join time: gossip is
 a live dissemination protocol, not a catch-up protocol, so the stream-lag
@@ -15,40 +14,12 @@ metrics naturally report the joiner's truncated view.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Sequence
 
 from repro.network.message import NodeId
 
-JoinCallback = Callable[[List[NodeId]], None]
 
-
-@dataclass(frozen=True)
-class JoinEvent:
-    """A single join step: at ``time``, all of ``joiners`` come online."""
-
-    time: float
-    joiners: tuple[NodeId, ...]
-
-    def __post_init__(self) -> None:
-        if self.time < 0.0:
-            raise ValueError(f"join time must be >= 0, got {self.time!r}")
-
-
-class JoinSchedule(ABC):
-    """Base class: partitions nodes into initial members and late joiners."""
-
-    @abstractmethod
-    def events(self, candidates: Sequence[NodeId]) -> List[JoinEvent]:
-        """Compute the join events given the joinable (non-source) nodes."""
-
-    @abstractmethod
-    def describe(self) -> str:
-        """Human-readable one-line description for experiment reports."""
-
-
-class FlashCrowdJoin(JoinSchedule):
+class FlashCrowdJoin:
     """A fraction of the nodes joins in one burst at a given instant.
 
     Parameters
@@ -69,39 +40,13 @@ class FlashCrowdJoin(JoinSchedule):
         self.time = float(time)
         self.fraction = float(fraction)
 
-    def events(self, candidates: Sequence[NodeId]) -> List[JoinEvent]:
+    def joiners(self, candidates: Sequence[NodeId]) -> tuple[NodeId, ...]:
+        """The ids that stay out until :attr:`time`: the last ``fraction`` of them."""
         count = int(round(len(candidates) * self.fraction))
         if count == 0:
-            return []
-        joiners = tuple(sorted(candidates)[-count:])
-        return [JoinEvent(time=self.time, joiners=joiners)]
+            return ()
+        return tuple(sorted(candidates)[-count:])
 
     def describe(self) -> str:
+        """Human-readable one-line description for experiment reports."""
         return f"flash crowd: {self.fraction:.0%} of nodes join at t={self.time:.0f}s"
-
-
-class JoinInjector:
-    """Schedules a join plan on a simulator and applies it via a callback."""
-
-    def __init__(self, simulator, schedule: JoinSchedule, on_join: JoinCallback) -> None:
-        self._simulator = simulator
-        self._schedule = schedule
-        self._on_join = on_join
-        self._planned: List[JoinEvent] = []
-
-    def arm_events(self, events: Sequence[JoinEvent]) -> List[JoinEvent]:
-        """Schedule an already-computed join plan.
-
-        Deliberately the *only* arming entry point: the caller evaluates
-        ``schedule.events()`` exactly once and derives both the initial
-        directory membership and this plan from it — an ``arm(candidates)``
-        convenience that re-evaluated the schedule would let a stateful or
-        randomized schedule produce two different partitions.
-        """
-        self._planned = list(events)
-        for event in self._planned:
-            self._simulator.schedule_at(event.time, self._apply, event)
-        return list(self._planned)
-
-    def _apply(self, event: JoinEvent) -> None:
-        self._on_join(list(event.joiners))

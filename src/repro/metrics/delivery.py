@@ -5,17 +5,16 @@ the :class:`DeliveryLog` is the listener used by
 :class:`repro.core.session.StreamingSession` and is the single source of
 truth for all quality and lag metrics.
 
-Fast path
----------
-When the log is *bound to a schedule* (``bind_schedule``, done automatically
-by the streaming session), every :meth:`record` call also appends the
-delivery's **lag** — delivery time minus publish time — to a compact
-per-(node, window) ``array('d')``.  The quality analyzer then consumes those
-arrays directly instead of re-walking hundreds of thousands of per-delivery
-dictionary entries per analysis pass, which is what makes 1,000-node
-sessions analyzable in milliseconds.  The per-delivery mapping is still kept
-(it backs :meth:`delivery_time`, :meth:`raw` and duplicate suppression), so
-binding changes nothing observable — only the analysis cost.
+Lag accumulators
+----------------
+A log is built for one stream schedule.  Every :meth:`record` call also
+appends the delivery's **lag** — delivery time minus publish time — to a
+compact per-(node, window) ``array('d')``.  The quality analyzer consumes
+those arrays directly instead of re-walking hundreds of thousands of
+per-delivery dictionary entries per analysis pass, which is what makes
+1,000-node sessions analyzable in milliseconds.  The per-delivery mapping is
+still kept: it backs :meth:`delivery_time`, :meth:`raw` (the reference
+analyzer's input) and duplicate suppression.
 """
 
 from __future__ import annotations
@@ -34,63 +33,34 @@ class DeliveryLog:
     Parameters
     ----------
     schedule:
-        Optional stream schedule to bind immediately (see
-        :meth:`bind_schedule`).  Unbound logs behave exactly as before and
-        can be bound later — existing entries are back-filled.
+        The stream schedule whose packets are recorded: its publish times
+        and window layout shape the lag accumulators.
     """
 
-    def __init__(self, schedule: Optional[StreamSchedule] = None) -> None:
+    def __init__(self, schedule: StreamSchedule) -> None:
         self._by_node: Dict[NodeId, Dict[PacketId, float]] = {}
         self._total_deliveries = 0
-        self._schedule: Optional[StreamSchedule] = None
-        self._publish_times: Optional[array] = None
-        self._per_window = 0
-        self._num_windows = 0
-        self._num_packets = 0
-        # Per node: one array('d') of lags per window, in delivery order.
-        self._window_lags: Dict[NodeId, List[array]] = {}
-        if schedule is not None:
-            self.bind_schedule(schedule)
-
-    # ------------------------------------------------------------------
-    # Schedule binding (the fast path)
-    # ------------------------------------------------------------------
-    @property
-    def schedule(self) -> Optional[StreamSchedule]:
-        """The bound stream schedule, or ``None`` for a plain log."""
-        return self._schedule
-
-    def bind_schedule(self, schedule: StreamSchedule) -> None:
-        """Bind a schedule: future (and past) deliveries accumulate lags.
-
-        Re-binding replaces the previous binding; deliveries already
-        recorded are back-filled against the new schedule, so a log can be
-        bound at any point without losing information.
-        """
-        config = schedule.config
         self._schedule = schedule
-        self._per_window = config.packets_per_window
+        self._per_window = schedule.config.packets_per_window
         self._num_windows = schedule.num_windows
         self._num_packets = schedule.num_packets
         self._publish_times = array(
             "d", (descriptor.publish_time for descriptor in schedule.packets())
         )
-        self._window_lags = {}
-        # Back-fill by re-recording: record() is the one place lags accrue.
-        recorded, self._by_node, self._total_deliveries = self._by_node, {}, 0
-        for node_id, node_log in recorded.items():
-            for packet_id, delivered_at in node_log.items():
-                self.record(node_id, packet_id, delivered_at)
+        # Per node: one array('d') of lags per window, in delivery order.
+        self._window_lags: Dict[NodeId, List[array]] = {}
 
-    def window_lags_of(self, node_id: NodeId) -> Optional[List[array]]:
+    @property
+    def schedule(self) -> StreamSchedule:
+        """The stream schedule this log records against."""
+        return self._schedule
+
+    def window_lags_of(self, node_id: NodeId) -> List[array]:
         """Per-window lag arrays of one node (unsorted, delivery order).
 
-        ``None`` when the log is unbound; an empty-window list is returned
-        for bound logs whose node never delivered anything.  The arrays are
-        the log's own accumulators — treat them as read-only.
+        A node that never delivered anything gets empty windows.  The arrays
+        are the log's own accumulators — treat them as read-only.
         """
-        if self._publish_times is None:
-            return None
         lags = self._window_lags.get(node_id)
         if lags is None:
             return [array("d") for _ in range(self._num_windows)]
@@ -109,7 +79,7 @@ class DeliveryLog:
             return
         node_log[packet_id] = time
         self._total_deliveries += 1
-        if self._publish_times is None or not 0 <= packet_id < self._num_packets:
+        if not 0 <= packet_id < self._num_packets:
             return
         try:
             lags = self._window_lags[node_id]
@@ -166,16 +136,12 @@ class DeliveryLog:
         schedule), so they are rebuilt on unpickle instead of being copied
         across the process boundary.
         """
-        return {
-            "by_node": self._by_node,
-            "total_deliveries": self._total_deliveries,
-            "schedule": self._schedule,
-        }
+        return {"by_node": self._by_node, "schedule": self._schedule}
 
     def __setstate__(self, state) -> None:
-        self.__init__()
-        self._by_node = state["by_node"]
-        self._total_deliveries = state["total_deliveries"]
-        schedule = state["schedule"]
-        if schedule is not None:
-            self.bind_schedule(schedule)
+        self.__init__(state["schedule"])
+        # Re-recording in the pickled (chronological per node) order keeps
+        # record() the one place lags accrue.
+        for node_id, node_log in state["by_node"].items():
+            for packet_id, delivered_at in node_log.items():
+                self.record(node_id, packet_id, delivered_at)

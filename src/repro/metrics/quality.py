@@ -26,9 +26,8 @@ packets ever arrived) is ≤ ``L``.  The analyzer therefore precomputes, per
 node, the **sorted array of finite window-critical lags** (plus a count of
 never-decodable windows) exactly once; every jitter / viewing /
 complete-window / CDF query over any number of lag values then reduces to
-one ``bisect`` per (node, lag) instead of a scan over all windows.  When the
-delivery log is bound to the analyzed schedule (sessions do this), the
-per-window lag arrays are taken straight from the log's incremental
+one ``bisect`` per (node, lag) instead of a scan over all windows.  The
+per-window lag arrays are taken straight from the delivery log's incremental
 accumulators, so the analyzer never iterates per-delivery dictionaries at
 all.  Results are float-for-float identical to
 :class:`repro.metrics.reference.ReferenceQualityAnalyzer` — pinned by test.
@@ -57,7 +56,8 @@ class StreamQualityAnalyzer:
     schedule:
         The stream schedule of the run (windows, publish times, thresholds).
     deliveries:
-        The run's delivery log.
+        The run's delivery log, built for the same stream (``ValueError``
+        otherwise).
     nodes:
         The node ids to analyze (typically all non-source nodes, or the
         survivors of a churn experiment).  Nodes with no deliveries at all
@@ -80,44 +80,18 @@ class StreamQualityAnalyzer:
         self._critical_inf: Dict[NodeId, int] = {}
         self._precompute()
 
-    def _node_window_lags(
-        self, node_id: NodeId, publish_times: Optional[List[float]]
-    ) -> List[array]:
-        """One node's per-window lag arrays (from the log's accumulators when
-        the log is bound to this analyzer's stream, rebuilt otherwise)."""
-        deliveries = self._deliveries
-        if publish_times is None:
-            return deliveries.window_lags_of(node_id)
-
-        schedule = self._schedule
-        per_window = schedule.config.packets_per_window
-        num_packets = schedule.num_packets
-        lags: List[array] = [array("d") for _ in range(schedule.num_windows)]
-        for packet_id, delivered_at in deliveries.raw().get(node_id, {}).items():
-            if packet_id >= num_packets:
-                continue
-            lags[packet_id // per_window].append(
-                delivered_at - publish_times[packet_id]
-            )
-        return lags
-
     def _precompute(self) -> None:
+        deliveries = self._deliveries
+        if deliveries.schedule.config != self._schedule.config:
+            raise ValueError(
+                "the delivery log records a different stream than the analyzed schedule"
+            )
         required = self.required_packets
-        bound = self._deliveries.schedule
-        publish_times: Optional[List[float]] = None
-        if bound is None or bound.config != self._schedule.config:
-            # Unbound (or differently-bound) log: fall back to scanning the
-            # raw per-delivery mapping, hoisting the publish-time table out
-            # of the per-node loop.
-            publish_times = [
-                descriptor.publish_time for descriptor in self._schedule.packets()
-            ]
         for node_id in self._nodes:
-            window_lags = self._node_window_lags(node_id, publish_times)
             finite = array("d")
             inf_count = 0
             sorted_windows: List[array] = []
-            for lags in window_lags:
+            for lags in deliveries.window_lags_of(node_id):
                 ordered = array("d", sorted(lags))
                 sorted_windows.append(ordered)
                 if len(ordered) < required:

@@ -173,9 +173,7 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
         overrides["extra_time"] = args.extra_time
     spec = build_scenario(args.scenario, **overrides)
     if args.windows is not None:
-        spec = spec.with_overrides(
-            stream=replace(spec.stream, num_windows=args.windows)
-        )
+        spec = replace(spec, stream=replace(spec.stream, num_windows=args.windows))
     return spec
 
 
@@ -195,7 +193,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.trace:
             trace_path = os.path.join(run_dir, "trace.jsonl")
             telemetry = spec.telemetry if spec.telemetry is not None else TelemetryConfig()
-            spec = spec.with_overrides(telemetry=replace(telemetry, trace_path=trace_path))
+            spec = replace(spec, telemetry=replace(telemetry, trace_path=trace_path))
 
     config = spec.session_config()
     print(

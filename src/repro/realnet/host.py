@@ -4,7 +4,7 @@
 — ``now`` / ``rng`` / ``schedule`` / ``schedule_at`` / ``cancel`` plus the
 observer and accounting extras the telemetry layer reads — on top of a real
 asyncio event loop, so :class:`~repro.core.node.GossipNode`, the timers,
-the stream emitter and the churn injector run on it *unchanged*.
+the stream emitter and the churn and join callbacks run on it *unchanged*.
 
 Time model
 ----------

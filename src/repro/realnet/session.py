@@ -4,7 +4,7 @@
 :class:`~repro.core.session.StreamingSession` and swaps exactly two build
 steps — the execution host and the transport.  Everything else (membership
 directory, node construction, the stream emitter, churn and join
-injectors, telemetry attachment, the result assembly) is *inherited
+scheduling, telemetry attachment, the result assembly) is *inherited
 verbatim*: the point of the :class:`~repro.core.host.Host` refactor is
 that a :class:`~repro.core.node.GossipNode` cannot tell which backend it
 is running on.

@@ -35,6 +35,7 @@ Shipped scenarios:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Dict, List, Optional
 
 from repro.core.session import SessionResult
@@ -92,7 +93,7 @@ def build_scenario(name: str, **overrides) -> ScenarioSpec:
     """The named spec with any field overridden by keyword."""
     spec = scenario_by_name(name)()
     if overrides:
-        spec = spec.with_overrides(**overrides)
+        spec = dataclasses.replace(spec, **overrides)
     return spec
 
 

@@ -19,7 +19,7 @@ Specs are frozen dataclasses, so variations are cheap::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import GossipConfig
@@ -29,8 +29,8 @@ from repro.core.session import (
     StreamingSession,
     run_session,
 )
-from repro.membership.churn import ChurnSchedule
-from repro.membership.join import JoinSchedule
+from repro.membership.churn import CatastrophicChurn
+from repro.membership.join import FlashCrowdJoin
 from repro.membership.partners import INFINITE
 from repro.network.message import NodeId
 from repro.network.transport import NetworkConfig
@@ -120,7 +120,8 @@ class ScenarioSpec:
         Optional heterogeneous capacity classes (fractions summing to 1);
         compiled into per-node caps.
     churn / join:
-        Optional perturbation schedules.
+        Optional perturbations (:class:`CatastrophicChurn`,
+        :class:`FlashCrowdJoin`).
     source_uncapped / failure_detection_delay / extra_time:
         Session-level knobs, forwarded verbatim.
     telemetry:
@@ -153,8 +154,8 @@ class ScenarioSpec:
     base_latency: float = 0.05
     random_loss: float = 0.01
     bandwidth_classes: Tuple[BandwidthClass, ...] = ()
-    churn: Optional[ChurnSchedule] = None
-    join: Optional[JoinSchedule] = None
+    churn: Optional[CatastrophicChurn] = None
+    join: Optional[FlashCrowdJoin] = None
     source_uncapped: bool = True
     failure_detection_delay: float = 5.0
     extra_time: float = 30.0
@@ -172,18 +173,12 @@ class ScenarioSpec:
         # churn no longer disturbs dissemination and joiners receive nothing
         # (gossip is not a catch-up protocol).  This bites in practice when a
         # caller overrides the stream of a registered scenario without also
-        # moving the churn/join time, so fail fast at spec level.  Because
-        # ``with_overrides`` goes through ``dataclasses.replace``, overridden
-        # specs are re-validated here too.
+        # moving the churn/join time, so fail fast at spec level
+        # (``dataclasses.replace`` re-runs this on every overridden spec).
         for label, schedule in (("churn", self.churn), ("join", self.join)):
-            if schedule is None:
-                continue
-            start = getattr(schedule, "time", None)
-            if start is None:
-                start = getattr(schedule, "start", None)
-            if start is not None and start >= self.stream.end_time:
+            if schedule is not None and schedule.time >= self.stream.end_time:
                 raise ValueError(
-                    f"{label} schedule starts at t={start:.2f}s but the stream's "
+                    f"{label} schedule starts at t={schedule.time:.2f}s but the stream's "
                     f"last packet is published at t={self.stream.end_time:.2f}s, "
                     f"making the perturbation inert; override the {label} time "
                     f"together with the stream"
@@ -235,10 +230,6 @@ class ScenarioSpec:
             telemetry=self.telemetry,
             shards=self.shards,
         )
-
-    def with_overrides(self, **changes) -> "ScenarioSpec":
-        """A copy of this spec with the given fields replaced."""
-        return replace(self, **changes)
 
     def describe(self) -> str:
         """One-line human-readable description."""

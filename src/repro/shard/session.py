@@ -85,8 +85,8 @@ class WindowReply:
 class ShardResult:
     """The picklable fragment one shard contributes to the merged result.
 
-    ``control_events`` counts the perturbation-injector firings (churn and
-    join events), which every shard replicates; the merge subtracts the
+    ``control_events`` counts the churn and join firings, which every
+    shard replicates; the merge subtracts the
     duplicates so the combined ``events_processed`` matches the scalar run.
     """
 
@@ -192,7 +192,6 @@ class ShardSession(StreamingSession):
         self._plan = plan
         self._owned = plan.groups[shard_id]
         self._router: Optional[ShardRouter] = None
-        self._control_events = 0
 
     # ------------------------------------------------------------------
     # Build overrides (everything else is the scalar build, replicated)
@@ -213,22 +212,11 @@ class ShardSession(StreamingSession):
         if telemetry is not None and telemetry.trace_path is not None:
             self.config = replace(
                 self.config,
-                telemetry=telemetry.with_overrides(
-                    trace_path=f"{telemetry.trace_path}.shard{self.shard_id}"
+                telemetry=replace(
+                    telemetry, trace_path=f"{telemetry.trace_path}.shard{self.shard_id}"
                 ),
             )
         super()._build_telemetry()
-
-    # ------------------------------------------------------------------
-    # Perturbation callbacks: replicated decisions, counted for the merge
-    # ------------------------------------------------------------------
-    def _apply_failures(self, victims: List[NodeId]) -> None:
-        self._control_events += 1
-        super()._apply_failures(victims)
-
-    def _apply_joins(self, joiners: List[NodeId]) -> None:
-        self._control_events += 1
-        super()._apply_joins(joiners)
 
     # ------------------------------------------------------------------
     # Execution: conservative windows, a barrier after each

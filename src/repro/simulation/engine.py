@@ -1,7 +1,7 @@
 """The simulation event loop.
 
 :class:`Simulator` owns the clock, the event queue and the RNG registry.  All
-other components (transport, gossip nodes, churn injectors, metric probes)
+other components (transport, gossip nodes, churn and join callbacks, probes)
 hold a reference to the simulator and interact with it through three verbs:
 
 * ``schedule(delay, callback, *args)`` — run ``callback`` after ``delay``

@@ -10,9 +10,9 @@ The gossip protocol uses two kinds of timers:
   nothing); only a node failure cancels them.
 
 Both are written against the :class:`~repro.core.host.Host` surface
-(``schedule`` returning a cancellable handle, plus ``rng`` for jitter), so
-the same timer objects drive nodes on the discrete-event simulator and on
-the real-network asyncio backend (:mod:`repro.realnet`) unchanged.
+(``schedule`` returning a cancellable handle), so the same timer objects
+drive nodes on the discrete-event simulator and on the real-network asyncio
+backend (:mod:`repro.realnet`) unchanged.
 """
 
 from __future__ import annotations
@@ -84,11 +84,6 @@ class PeriodicTimer:
         Delay before the first fire.  Defaults to one full period, matching
         the behaviour of a timer started "now" that first ticks after its
         period elapses.  Pass 0.0 to fire immediately.
-    jitter:
-        Optional ±fraction of the period added as uniform jitter to each
-        interval, drawn from the named RNG stream ``"timer-jitter"``.  The
-        paper's implementation has no jitter; it is exposed for sensitivity
-        experiments.
     """
 
     __slots__ = (
@@ -96,7 +91,6 @@ class PeriodicTimer:
         "_period",
         "_callback",
         "_start_delay",
-        "_jitter",
         "_handle",
         "_fire_count",
         "_running",
@@ -108,17 +102,13 @@ class PeriodicTimer:
         period: float,
         callback: Callable[[], None],
         start_delay: Optional[float] = None,
-        jitter: float = 0.0,
     ) -> None:
         if period <= 0.0:
             raise ValueError(f"period must be positive, got {period!r}")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter!r}")
         self._simulator = simulator
         self._period = float(period)
         self._callback = callback
         self._start_delay = period if start_delay is None else float(start_delay)
-        self._jitter = float(jitter)
         self._handle: Optional["ScheduledHandle"] = None
         self._fire_count = 0
         self._running = False
@@ -147,17 +137,10 @@ class PeriodicTimer:
             self._handle.cancel()
             self._handle = None
 
-    def _next_interval(self) -> float:
-        if self._jitter == 0.0:
-            return self._period
-        rng = self._simulator.rng.stream("timer-jitter")
-        spread = self._period * self._jitter
-        return self._period + rng.uniform(-spread, spread)
-
     def _fire(self) -> None:
         if not self._running:
             return
         self._fire_count += 1
         self._callback()
         if self._running:
-            self._handle = self._simulator.schedule(self._next_interval(), self._fire)
+            self._handle = self._simulator.schedule(self._period, self._fire)

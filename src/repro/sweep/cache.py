@@ -77,10 +77,6 @@ class SummaryCache:
             installed += 1
         return installed
 
-    def clear(self) -> None:
-        """Drop all cached summaries."""
-        self._summaries.clear()
-
 
 class _PlanningSummary(PointSummary):
     """A summary stand-in whose every metric is zero (plan collection only)."""

@@ -24,8 +24,8 @@ Arm it by putting a :class:`TelemetryConfig` on a
     from repro.scenarios import build_scenario, run_spec
     from repro.telemetry import TelemetryConfig
 
-    spec = build_scenario("homogeneous").with_overrides(
-        telemetry=TelemetryConfig(trace_path="session.trace.jsonl"))
+    spec = build_scenario(
+        "homogeneous", telemetry=TelemetryConfig(trace_path="session.trace.jsonl"))
     result = run_spec(spec)
     print(result.telemetry.metrics["proto.requests_received"])
 

@@ -15,7 +15,7 @@ JSON for repro bundles (:mod:`repro.validation.bundle`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -70,10 +70,6 @@ class TelemetryConfig:
     def armed(self) -> bool:
         """Whether this config makes the session build any telemetry at all."""
         return self.metrics or self.trace_path is not None
-
-    def with_overrides(self, **changes) -> "TelemetryConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # JSON round-trip (repro bundles persist specs with telemetry configs)

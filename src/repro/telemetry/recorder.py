@@ -261,19 +261,21 @@ class TraceRecorder(SessionObserver):
 class MetricsObserver(SessionObserver):
     """Updates registry handles from the observer edges.
 
-    Only quantities *not* already counted by the simulation live here
-    (everything the session counts anyway — traffic cells, protocol
-    counters, events dispatched — is exported through snapshot-time
-    collectors instead, keeping a single accounting code path).
+    What the session counts anyway — traffic bytes, protocol counters,
+    events dispatched — is exported through snapshot-time collectors
+    instead.  Four fate counters are the exception: ``net.datagrams`` with
+    ``fate`` ``accepted``, ``congestion_drop``, ``loss`` and ``delivered``
+    count the same datagrams as the traffic cells ``net.messages_sent``,
+    ``net.messages_dropped_congestion``, ``net.messages_lost_in_flight`` and
+    ``net.messages_received`` (``tests/telemetry/test_accounting.py`` holds
+    each pair equal).
 
     The per-datagram edges write the handles' slots in place — what
     ``Counter.inc`` and ``Histogram.observe`` do, without the calls.
     """
 
-    def __init__(
-        self, registry: MetricsRegistry, schedule: Optional[StreamSchedule] = None
-    ) -> None:
-        self._publish_times = None if schedule is None else {
+    def __init__(self, registry: MetricsRegistry, schedule: StreamSchedule) -> None:
+        self._publish_times = {
             packet.packet_id: packet.publish_time for packet in schedule.packets()
         }
         self._fates = {
@@ -341,7 +343,7 @@ class MetricsObserver(SessionObserver):
     def on_packet_delivered(
         self, node_id: NodeId, packet_id: PacketId, time: float, is_source: bool
     ) -> None:
-        if is_source or self._publish_times is None:
+        if is_source:
             return
         lag = time - self._publish_times[packet_id]
         histogram = self._lag

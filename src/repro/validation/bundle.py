@@ -19,23 +19,36 @@ of silently dropping the perturbation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Optional
 
-from repro.membership.churn import CatastrophicChurn, ChurnSchedule
-from repro.membership.join import FlashCrowdJoin, JoinSchedule
+from repro.membership.churn import CatastrophicChurn
+from repro.membership.join import FlashCrowdJoin
 from repro.scenarios.spec import BandwidthClass, ScenarioSpec
 from repro.streaming.schedule import StreamConfig
 from repro.telemetry.config import TelemetryConfig
 
 BUNDLE_FORMAT = "repro.validation.bundle/v1"
 
+#: Spec fields holding a float, any of which may be infinite: the static
+#: mesh's ``refresh_every``, a disabled ``feed_me_every``, a failure
+#: detector that never fires.
+_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioSpec) if "float" in str(f.type))
+
 
 # ----------------------------------------------------------------------
 # Spec <-> JSON
 # ----------------------------------------------------------------------
-def _churn_to_dict(schedule: Optional[ChurnSchedule]) -> Optional[Dict[str, Any]]:
+def _json_float(value: Any) -> Any:
+    """``value``, with an infinite float spelled ``"inf"`` / ``"-inf"``: JSON has no ∞."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _churn_to_dict(schedule: Optional[CatastrophicChurn]) -> Optional[Dict[str, Any]]:
     if schedule is None:
         return None
     if isinstance(schedule, CatastrophicChurn):
@@ -43,7 +56,7 @@ def _churn_to_dict(schedule: Optional[ChurnSchedule]) -> Optional[Dict[str, Any]
     raise ValueError(f"cannot serialize churn schedule {type(schedule).__name__}")
 
 
-def _churn_from_dict(data: Optional[Dict[str, Any]]) -> Optional[ChurnSchedule]:
+def _churn_from_dict(data: Optional[Dict[str, Any]]) -> Optional[CatastrophicChurn]:
     if data is None:
         return None
     kind = data["type"]
@@ -52,7 +65,7 @@ def _churn_from_dict(data: Optional[Dict[str, Any]]) -> Optional[ChurnSchedule]:
     raise ValueError(f"unknown churn schedule type {kind!r}")
 
 
-def _join_to_dict(schedule: Optional[JoinSchedule]) -> Optional[Dict[str, Any]]:
+def _join_to_dict(schedule: Optional[FlashCrowdJoin]) -> Optional[Dict[str, Any]]:
     if schedule is None:
         return None
     if isinstance(schedule, FlashCrowdJoin):
@@ -60,7 +73,7 @@ def _join_to_dict(schedule: Optional[JoinSchedule]) -> Optional[Dict[str, Any]]:
     raise ValueError(f"cannot serialize join schedule {type(schedule).__name__}")
 
 
-def _join_from_dict(data: Optional[Dict[str, Any]]) -> Optional[JoinSchedule]:
+def _join_from_dict(data: Optional[Dict[str, Any]]) -> Optional[FlashCrowdJoin]:
     if data is None:
         return None
     kind = data["type"]
@@ -77,28 +90,28 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
     data["churn"] = _churn_to_dict(spec.churn)
     data["join"] = _join_to_dict(spec.join)
     data["telemetry"] = None if spec.telemetry is None else spec.telemetry.to_json_dict()
-    # JSON has no inf; feed_me_every may be the INFINITE sentinel.
-    if data["feed_me_every"] == float("inf"):
-        data["feed_me_every"] = "inf"
+    for name in _FLOAT_FIELDS:
+        data[name] = _json_float(data[name])
     return data
 
 
 def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
     """Rebuild a :class:`ScenarioSpec` from :func:`spec_to_dict` output."""
-    fields = dict(data)
-    fields["stream"] = StreamConfig(**fields["stream"])
-    fields["bandwidth_classes"] = tuple(
-        BandwidthClass(**cls) for cls in fields.get("bandwidth_classes", ())
+    values = dict(data)
+    values["stream"] = StreamConfig(**values["stream"])
+    values["bandwidth_classes"] = tuple(
+        BandwidthClass(**cls) for cls in values.get("bandwidth_classes", ())
     )
-    fields["churn"] = _churn_from_dict(fields.get("churn"))
-    fields["join"] = _join_from_dict(fields.get("join"))
-    telemetry = fields.get("telemetry")
-    fields["telemetry"] = (
+    values["churn"] = _churn_from_dict(values.get("churn"))
+    values["join"] = _join_from_dict(values.get("join"))
+    telemetry = values.get("telemetry")
+    values["telemetry"] = (
         None if telemetry is None else TelemetryConfig.from_json_dict(telemetry)
     )
-    if fields.get("feed_me_every") == "inf":
-        fields["feed_me_every"] = float("inf")
-    return ScenarioSpec(**fields)
+    for name in _FLOAT_FIELDS:
+        if values.get(name) in ("inf", "-inf"):
+            values[name] = float(values[name])
+    return ScenarioSpec(**values)
 
 
 # ----------------------------------------------------------------------
@@ -156,7 +169,7 @@ class ReproBundle:
         target = Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n",
             encoding="utf-8",
         )
         return target

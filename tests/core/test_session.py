@@ -104,6 +104,25 @@ class TestChurnSession:
         assert result.source_id not in result.failed_nodes
         assert set(result.survivors()).isdisjoint(result.failed_nodes)
 
+    def test_failures_apply_at_the_churn_time(self):
+        config = small_session_config(
+            num_nodes=20, num_windows=10, churn=CatastrophicChurn(time=3.0, fraction=0.3)
+        )
+        session = StreamingSession(config)
+        result = session.run()
+        assert [session.directory.failed_at(node) for node in result.failed_nodes] == [3.0] * 6
+
+    def test_zero_fraction_churn_runs_the_same_events_as_no_churn(self):
+        plain = run_session(small_session_config(num_nodes=12, num_windows=4))
+        zero = run_session(
+            small_session_config(
+                num_nodes=12, num_windows=4, churn=CatastrophicChurn(time=1.0, fraction=0.0)
+            )
+        )
+        assert zero.failed_nodes == []
+        assert zero.events_processed == plain.events_processed
+        assert zero.deliveries.raw() == plain.deliveries.raw()
+
     def test_survivors_keep_receiving_with_dynamic_views(self):
         config = small_session_config(
             num_nodes=20, num_windows=12, churn=CatastrophicChurn(time=3.0, fraction=0.3)

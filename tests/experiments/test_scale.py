@@ -42,8 +42,9 @@ class TestPresets:
         assert stream.rate_kbps == 600.0
         assert stream.packets_per_window == 110
         assert stream.fec_packets_per_window == 9
-        assert PAPER.gossip_period == pytest.approx(0.2)
-        assert PAPER.source_fanout == 7
+        gossip = PAPER.session_config().gossip
+        assert gossip.gossip_period == pytest.approx(0.2)
+        assert gossip.source_fanout == 7
 
     def test_smoke_scale_is_smaller_than_reduced(self):
         assert SMOKE.num_nodes < REDUCED.num_nodes

@@ -1,48 +1,51 @@
 """Unit tests for the delivery log."""
 
 from repro.metrics.delivery import DeliveryLog
+from repro.streaming.schedule import StreamConfig, StreamSchedule
+
+SCHEDULE = StreamSchedule(StreamConfig.scaled_down())
 
 
 class TestDeliveryLog:
     def test_record_and_query(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         log.record(1, 10, 2.5)
         assert log.delivery_time(1, 10) == 2.5
         assert log.packets_delivered(1) == 1
         assert log.total_deliveries == 1
 
     def test_duplicate_records_ignored(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         log.record(1, 10, 2.5)
         log.record(1, 10, 9.9)
         assert log.delivery_time(1, 10) == 2.5
         assert log.total_deliveries == 1
 
     def test_callable_interface(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         log(2, 5, 1.0)
         assert log.delivery_time(2, 5) == 1.0
 
     def test_unknown_queries_return_none_or_zero(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         assert log.delivery_time(1, 1) is None
         assert log.packets_delivered(1) == 0
 
     def test_nodes_listing(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         log.record(1, 0, 0.0)
         log.record(3, 0, 0.0)
         assert set(log.nodes()) == {1, 3}
 
     def test_deliveries_of_returns_copy(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         log.record(1, 0, 0.0)
         copy = log.deliveries_of(1)
         copy[99] = 1.0
         assert log.delivery_time(1, 99) is None
 
     def test_raw_reflects_all_entries(self):
-        log = DeliveryLog()
+        log = DeliveryLog(SCHEDULE)
         for node in range(3):
             for packet in range(4):
                 log.record(node, packet, node + packet * 0.1)

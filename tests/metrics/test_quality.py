@@ -28,7 +28,7 @@ def schedule() -> StreamSchedule:
 
 
 def log_with_uniform_lag(schedule, node_id, lag, log=None):
-    log = log if log is not None else DeliveryLog()
+    log = log if log is not None else DeliveryLog(schedule)
     for packet in schedule.packets():
         log.record(node_id, packet.packet_id, packet.publish_time + lag)
     return log
@@ -42,7 +42,7 @@ class TestWindowLevel:
         assert not analyzer.window_viewable(1, 0, lag=0.4)
 
     def test_window_viewable_with_fec_margin(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         window = schedule.window(0)
         for packet_id in window.packet_ids[1:]:  # lose packet 0
             log.record(1, packet_id, schedule.packet(packet_id).publish_time + 0.1)
@@ -50,7 +50,7 @@ class TestWindowLevel:
         assert analyzer.window_viewable(1, 0, lag=1.0)
 
     def test_window_not_viewable_with_two_losses(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         window = schedule.window(0)
         for packet_id in window.packet_ids[2:]:  # lose two packets
             log.record(1, packet_id, schedule.packet(packet_id).publish_time + 0.1)
@@ -58,7 +58,7 @@ class TestWindowLevel:
         assert not analyzer.window_viewable(1, 0, lag=OFFLINE_LAG)
 
     def test_window_critical_lag_is_kth_smallest(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         window = schedule.window(0)
         lags = [0.1, 0.2, 0.3, 0.4, 50.0]
         for packet_id, lag in zip(window.packet_ids, lags):
@@ -68,7 +68,7 @@ class TestWindowLevel:
         assert analyzer.window_critical_lag(1, 0) == pytest.approx(0.4)
 
     def test_window_critical_lag_infinite_when_undecodable(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         log.record(1, 0, 0.1)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
         assert math.isinf(analyzer.window_critical_lag(1, 0))
@@ -83,12 +83,12 @@ class TestNodeLevel:
         assert analyzer.node_complete_window_ratio(1, lag=1.0) == 1.0
 
     def test_full_jitter_when_nothing_delivered(self, schedule):
-        analyzer = StreamQualityAnalyzer(schedule, DeliveryLog(), nodes=[1])
+        analyzer = StreamQualityAnalyzer(schedule, DeliveryLog(schedule), nodes=[1])
         assert analyzer.node_jitter(1, lag=OFFLINE_LAG) == 1.0
         assert not analyzer.node_views_stream(1, lag=OFFLINE_LAG)
 
     def test_partial_jitter(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         # Windows 0 and 1 fully on time; windows 2 and 3 missing entirely.
         for window_index in (0, 1):
             for packet_id in schedule.window(window_index).packet_ids:
@@ -103,7 +103,7 @@ class TestNodeLevel:
         assert analyzer.node_critical_lag(1) == pytest.approx(3.0)
 
     def test_node_critical_lag_dominated_by_worst_needed_window(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         for window_index in range(4):
             delay = 1.0 if window_index < 3 else 30.0
             for packet_id in schedule.window(window_index).packet_ids:
@@ -117,7 +117,7 @@ class TestNodeLevel:
 
 class TestAggregates:
     def test_viewing_ratio_counts_good_nodes(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         log_with_uniform_lag(schedule, 1, lag=0.5, log=log)
         log_with_uniform_lag(schedule, 2, lag=50.0, log=log)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
@@ -125,14 +125,14 @@ class TestAggregates:
         assert analyzer.viewing_ratio(lag=OFFLINE_LAG) == pytest.approx(1.0)
 
     def test_viewing_ratio_with_node_subset(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         log_with_uniform_lag(schedule, 1, lag=0.5, log=log)
         log_with_uniform_lag(schedule, 2, lag=50.0, log=log)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
         assert analyzer.viewing_ratio(lag=1.0, nodes=[1]) == pytest.approx(1.0)
 
     def test_average_complete_window_ratio(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         log_with_uniform_lag(schedule, 1, lag=0.1, log=log)  # all 4 windows
         # Node 2: only windows 0-1 delivered.
         for window_index in (0, 1):
@@ -142,7 +142,7 @@ class TestAggregates:
         assert analyzer.average_complete_window_ratio(lag=1.0) == pytest.approx(0.75)
 
     def test_lag_cdf_is_monotone_and_bounded(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         log_with_uniform_lag(schedule, 1, lag=2.0, log=log)
         log_with_uniform_lag(schedule, 2, lag=8.0, log=log)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
@@ -152,14 +152,14 @@ class TestAggregates:
         assert all(later >= earlier for earlier, later in zip(cdf, cdf[1:]))
 
     def test_delivery_ratio(self, schedule):
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         log_with_uniform_lag(schedule, 1, lag=0.1, log=log)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
         assert analyzer.delivery_ratio(1) == pytest.approx(1.0)
         assert analyzer.delivery_ratio(2) == 0.0
 
     def test_empty_node_list(self, schedule):
-        analyzer = StreamQualityAnalyzer(schedule, DeliveryLog(), nodes=[])
+        analyzer = StreamQualityAnalyzer(schedule, DeliveryLog(schedule), nodes=[])
         assert analyzer.viewing_ratio(lag=1.0) == 0.0
         assert analyzer.average_complete_window_ratio(lag=1.0) == 0.0
         assert analyzer.lag_cdf([1.0, 2.0]) == [0.0, 0.0]

@@ -4,12 +4,13 @@ The fast :class:`~repro.metrics.quality.StreamQualityAnalyzer` precomputes
 per-node sorted window-critical lags; the pre-fast-path
 :class:`~repro.metrics.reference.ReferenceQualityAnalyzer` re-derives every
 quantity by scanning windows per call.  Both must agree *float-for-float* on
-every public quantity, for bound and unbound delivery logs, including the
-degenerate cases (empty nodes, undecodable windows, offline lag).
+every public quantity, including the degenerate cases (empty nodes,
+undecodable windows, offline lag).
 """
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,10 +33,10 @@ def schedule() -> StreamSchedule:
     )
 
 
-def random_log(schedule, nodes, seed, bound):
+def random_log(schedule, nodes, seed):
     """A randomized partial delivery log: per-packet loss and random lag."""
     rng = random.Random(seed)
-    log = DeliveryLog(schedule) if bound else DeliveryLog()
+    log = DeliveryLog(schedule)
     for node_id in nodes:
         for packet in schedule.packets():
             roll = rng.random()
@@ -49,11 +50,10 @@ def random_log(schedule, nodes, seed, bound):
 LAG_PROBES = [0.0, 0.5, 1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 399.0, OFFLINE_LAG]
 
 
-@pytest.mark.parametrize("bound", [True, False], ids=["bound-log", "unbound-log"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fast_analyzer_matches_reference(schedule, seed, bound):
+def test_fast_analyzer_matches_reference(schedule, seed):
     nodes = [1, 2, 3, 4, 5]
-    log = random_log(schedule, nodes[:-1], seed, bound)  # node 5: no deliveries
+    log = random_log(schedule, nodes[:-1], seed)  # node 5: no deliveries
     fast = StreamQualityAnalyzer(schedule, log, nodes)
     reference = ReferenceQualityAnalyzer(schedule, log, nodes)
     assert fast.nodes == reference.nodes == nodes
@@ -87,7 +87,7 @@ def test_fast_analyzer_matches_reference(schedule, seed, bound):
 
 
 def test_curves_match_pointwise_queries(schedule):
-    log = random_log(schedule, [1, 2, 3], seed=7, bound=True)
+    log = random_log(schedule, [1, 2, 3], seed=7)
     analyzer = StreamQualityAnalyzer(schedule, log, [1, 2, 3])
     lags = [0.0, 2.0, 10.0, OFFLINE_LAG]
     assert analyzer.viewing_ratio_curve(lags) == [
@@ -98,27 +98,10 @@ def test_curves_match_pointwise_queries(schedule):
     ]
 
 
-def test_bound_log_backfills_existing_entries(schedule):
-    """bind_schedule after recording must equal binding before recording."""
-    early = DeliveryLog(schedule)
-    late = DeliveryLog()
-    rng = random.Random(3)
-    for node_id in (1, 2):
-        for packet in schedule.packets():
-            if rng.random() < 0.3:
-                continue
-            time = packet.publish_time + rng.uniform(0.0, 9.0)
-            early.record(node_id, packet.packet_id, time)
-            late.record(node_id, packet.packet_id, time)
-    late.bind_schedule(schedule)
-    for node_id in (1, 2):
-        assert [list(w) for w in early.window_lags_of(node_id)] == [
-            list(w) for w in late.window_lags_of(node_id)
-        ]
-
-
-def test_unbound_log_has_no_window_lags():
-    assert DeliveryLog().window_lags_of(1) is None
+def test_a_log_of_another_stream_is_rejected(schedule):
+    other = StreamSchedule(replace(schedule.config, num_windows=schedule.num_windows + 1))
+    with pytest.raises(ValueError, match="different stream"):
+        StreamQualityAnalyzer(schedule, DeliveryLog(other), [1])
 
 
 def test_out_of_schedule_packets_are_ignored_by_the_fast_path(schedule):

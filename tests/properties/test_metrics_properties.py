@@ -22,7 +22,7 @@ def random_delivery_scenario(draw):
             num_windows=num_windows,
         )
     )
-    log = DeliveryLog()
+    log = DeliveryLog(schedule)
     nodes = [1, 2, 3]
     for node in nodes:
         for packet in schedule.packets():

@@ -27,12 +27,6 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", num_nodes=1)
 
-    def test_with_overrides_returns_new_spec(self):
-        spec = ScenarioSpec(name="x", num_nodes=10)
-        bigger = spec.with_overrides(num_nodes=50, seed=9)
-        assert bigger.num_nodes == 50 and bigger.seed == 9
-        assert spec.num_nodes == 10
-
     def test_describe_mentions_perturbations(self):
         spec = ScenarioSpec(
             name="x",

@@ -11,7 +11,7 @@ path moves it; see docs/performance.md, "Frame diet".
 from repro.bench.suite import frames_per_event
 from repro.experiments.scale import SMOKE
 
-#: ``frames_per_event(SMOKE.session_config())`` is 12.827289 (73,012
+#: ``frames_per_event(SMOKE.session_config())`` is 12.751822 (73,012
 #: events); it was 25.600888 before the frame diet.  Rounded up to one
 #: decimal so a stray frame per hundred events still fits, a frame per
 #: PROPOSE id or per datagram does not.

@@ -89,19 +89,12 @@ class TestPeriodicTimer:
         with pytest.raises(ValueError):
             PeriodicTimer(simulator, 0.0, lambda: None)
 
-    def test_invalid_jitter_rejected(self, simulator):
-        with pytest.raises(ValueError):
-            PeriodicTimer(simulator, 1.0, lambda: None, jitter=1.5)
-
-    def test_jittered_timer_keeps_firing(self, simulator):
+    def test_fires_at_exact_multiples_of_its_period(self, simulator):
         fired = []
-        timer = PeriodicTimer(simulator, 1.0, lambda: fired.append(simulator.now), jitter=0.3)
+        timer = PeriodicTimer(simulator, 0.25, lambda: fired.append(simulator.now))
         timer.start()
-        simulator.run(until=20.0)
-        assert 14 <= len(fired) <= 28
-        # Intervals stay within the configured jitter band.
-        intervals = [b - a for a, b in zip(fired, fired[1:])]
-        assert all(0.69 <= interval <= 1.31 for interval in intervals)
+        simulator.run(until=10.0)
+        assert fired == [0.25 * k for k in range(1, 41)]
 
     def test_stop_and_restart(self, simulator):
         fired = []

@@ -47,7 +47,7 @@ class TestPlayerQualityConsistency:
         trace = random_trace(schedule, seed)
 
         buffer = PlaybackBuffer(schedule, lag=lag)
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         for packet_id, arrival in trace.items():
             buffer.on_packet(packet_id, arrival)
             log.record(7, packet_id, arrival)
@@ -62,7 +62,7 @@ class TestPlayerQualityConsistency:
     def test_views_stream_agrees(self, schedule):
         trace = random_trace(schedule, seed=9, loss_probability=0.05, max_delay=2.0)
         buffer = PlaybackBuffer(schedule, lag=5.0)
-        log = DeliveryLog()
+        log = DeliveryLog(schedule)
         for packet_id, arrival in trace.items():
             buffer.on_packet(packet_id, arrival)
             log.record(1, packet_id, arrival)

@@ -25,12 +25,6 @@ class TestSummaryCache:
         with pytest.raises(ValueError):
             cache.get(sweep_scale, ExperimentPoint(scale_name="reduced", fanout=4))
 
-    def test_clear_empties_cache(self, sweep_scale):
-        cache = SummaryCache()
-        cache.get(sweep_scale, ExperimentPoint(scale_name=sweep_scale.name, fanout=4))
-        cache.clear()
-        assert len(cache) == 0
-
     def test_primed_results_serve_without_running(self, sweep_scale):
         tasks = [
             SweepTask(point=ExperimentPoint(scale_name=sweep_scale.name, fanout=f))

@@ -1,8 +1,13 @@
 """One count, four readings: the writer, its per-kind counts, ``i`` and the file."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.session import SessionConfig, StreamingSession, run_session
+from repro.experiments.scale import SMOKE
+from repro.membership.churn import CatastrophicChurn
+from repro.shard import run_sharded
 from repro.telemetry import recorder as recorder_module
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import iter_events
@@ -48,6 +53,45 @@ def test_every_count_of_a_trace_is_the_same_number(options, tmp_path):
     if sent:
         assert sent == list(range(len(sent))), "d is the acceptance order"
         assert set(fates) <= set(sent)
+
+
+#: ``MetricsObserver`` fate counter -> the ``TrafficStats`` cell counting the same datagrams.
+DUPLICATED_FATES = {
+    "net.datagrams{fate=accepted}": "net.messages_sent",
+    "net.datagrams{fate=congestion_drop}": "net.messages_dropped_congestion",
+    "net.datagrams{fate=loss}": "net.messages_lost_in_flight",
+    "net.datagrams{fate=delivered}": "net.messages_received",
+}
+
+
+def _lossy_congested_churned_config():
+    scale = dataclasses.replace(
+        SMOKE, seed=5, num_nodes=20, num_windows=4, fanout_grid=(10,), optimal_fanout=10,
+        max_backlog_seconds=0.25, random_loss=0.05, extra_time=4.0,
+    )
+    config = scale.session_config(refresh_every=2)
+    return dataclasses.replace(
+        config,
+        churn=CatastrophicChurn(time=config.stream.duration / 2.0, fraction=0.35),
+        telemetry=TelemetryConfig(metrics=True),
+    )
+
+
+@pytest.mark.parametrize("shards", [None, 2], ids=["scalar", "2-shard-threads"])
+def test_duplicated_fate_counters_equal_their_traffic_cells(shards):
+    config = _lossy_congested_churned_config()
+    if shards is None:
+        snapshots = (run_session(config).telemetry,)
+    else:
+        snapshots = run_sharded(config, shards=shards, mode="thread").telemetry
+    for snapshot in snapshots:
+        for fate, cell in DUPLICATED_FATES.items():
+            assert snapshot.metrics[fate] == snapshot.metrics[cell], (fate, cell)
+    totals = {
+        name: sum(snapshot.metrics[name] for snapshot in snapshots)
+        for name in ("net.datagrams{fate=congestion_drop}", "net.datagrams{fate=loss}")
+    }
+    assert all(totals.values()), f"the session must exercise every fate: {totals}"
 
 
 def tick(simulator, left):

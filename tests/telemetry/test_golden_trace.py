@@ -27,7 +27,7 @@ from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import EVENT_KINDS, validate_trace
 
 GOLDEN_EVENTS = 18739
-GOLDEN_SHA256 = "39c1351bda010a00698c03b16d049cd4f4f4db9465a94f31ea9ef88131bc6071"
+GOLDEN_SHA256 = "62c3899e463e3f498cc479ad4cbea4af61bbc8fc70f88130b9850b00d72f12ab"
 
 #: Endpoint-only outage of one receiver (it is never ``fail()``-ed, so it
 #: keeps trying to send: ``send_blocked``), then its recovery.

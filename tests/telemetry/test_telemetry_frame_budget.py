@@ -13,11 +13,11 @@ from repro.core.session import SessionConfig, run_session
 from repro.experiments.scale import SMOKE
 from repro.telemetry.config import TelemetryConfig
 
-#: Metrics alone: 15.464444 (19.836917 before the handlers wrote the metric
-#: slots themselves); untraced it is 12.827289.
+#: Metrics alone: 15.388977 (19.836917 before the handlers wrote the metric
+#: slots themselves); untraced it is 12.751822.
 METRICS_BUDGET = 16.2
 
-#: Metrics and a full trace: 19.177437 (33.759053 when a line travelled five
+#: Metrics and a full trace: 19.101970 (33.759053 when a line travelled five
 #: frames to the buffer).
 TRACED_BUDGET = 20.5
 

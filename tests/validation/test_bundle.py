@@ -1,6 +1,8 @@
 """Repro bundles: spec serialization round-trips and bundle IO."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,18 +20,18 @@ def _specs():
     base = build_scenario("homogeneous")
     yield base
     yield build_scenario("heterogeneous-bandwidth")
-    yield base.with_overrides(
+    yield replace(base, 
         name="with-churn",
         stream=stream,
         churn=CatastrophicChurn(time=stream.duration * 0.5, fraction=0.3),
     )
-    yield base.with_overrides(
+    yield replace(base, 
         name="with-join",
         stream=stream,
         join=FlashCrowdJoin(time=stream.duration * 0.4, fraction=0.3),
     )
-    yield base.with_overrides(name="with-feed-me", feed_me_every=5)
-    yield base.with_overrides(name="uncapped", upload_cap_kbps=None)
+    yield replace(base, name="with-feed-me", feed_me_every=5)
+    yield replace(base, name="uncapped", upload_cap_kbps=None)
 
 
 class TestSpecSerialization:
@@ -46,6 +48,25 @@ class TestSpecSerialization:
         data = spec_to_dict(spec)
         assert data["feed_me_every"] == "inf"
         assert spec_from_dict(data).feed_me_every == INFINITE
+
+    def test_static_mesh_bundle_is_strict_json(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        spec = replace(
+            build_scenario("homogeneous"),
+            name="static-mesh",
+            refresh_every=INFINITE,
+            failure_detection_delay=math.inf,
+        )
+        bundle = ReproBundle(
+            campaign_seed=1, case_index=0, spec=spec, invariant="x", event_index=0, message=""
+        )
+        path = bundle.write(tmp_path / "bundle.json")
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+        assert data["spec"]["refresh_every"] == "inf"
+        assert data["spec"]["failure_detection_delay"] == "inf"
+        assert ReproBundle.load(path).spec == spec
 
     def test_fuzzer_specs_all_round_trip(self):
         fuzzer = ScenarioFuzzer(5)

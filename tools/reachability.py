@@ -249,8 +249,6 @@ KEEP: Tuple[Keep, ...] = (
          "the update method of the registry's histograms (docs/observability.md)"),
     Keep(_API, "telemetry/__init__.py", ("__getattr__",),
          "the lazy exports of repro.telemetry (TraceRecorder, MetricsObserver, ...)"),
-    Keep(_API, "telemetry/config.py", ("TelemetryConfig.with_overrides",),
-         "a sharded run with tracing armed stamps each shard's trace path with it"),
     Keep(_API, "shard/wire.py", ("WireStats.snapshot",),
          "benchmarks/e2e/workloads.py reads it"),
     Keep(_ACCESSOR, "bench/report.py", ("BenchReport.record_for",), "report round-trip tests"),
@@ -265,8 +263,6 @@ KEEP: Tuple[Keep, ...] = (
           "NodeState.never_requested", "NodeState.may_request_again", "NodeState.missing_from",
           "NodeState.delivered_set"),
          "node-state and protocol tests"),
-    Keep(_ACCESSOR, "membership/churn.py",
-         ("ChurnInjector.planned_events", "ChurnInjector.failed_nodes"), "churn tests"),
     Keep(_ACCESSOR, "membership/directory.py",
          ("MembershipDirectory.members", "MembershipDirectory.__contains__",
           "MembershipDirectory.is_failed", "MembershipDirectory.failed_at"),
