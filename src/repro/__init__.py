@@ -16,7 +16,7 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-versus-measured comparison.
 """
 
-from repro.core.config import GossipConfig, MessageSizeModel
+from repro.core.config import GossipConfig
 from repro.core.node import GossipNode, NodeStats
 from repro.core.session import SessionConfig, SessionResult, StreamingSession, run_session
 from repro.membership.churn import CatastrophicChurn
@@ -56,7 +56,6 @@ __all__ = [
     "GossipConfig",
     "GossipNode",
     "INFINITE",
-    "MessageSizeModel",
     "Network",
     "NetworkConfig",
     "NodeStats",

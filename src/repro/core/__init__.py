@@ -17,7 +17,7 @@ Public API sketch::
     print(result.quality.viewing_ratio(lag=10.0))
 """
 
-from repro.core.config import GossipConfig, MessageSizeModel
+from repro.core.config import GossipConfig
 from repro.core.host import Host, ScheduledHandle
 from repro.core.messages import (
     FEED_ME,
@@ -40,7 +40,6 @@ __all__ = [
     "GossipConfig",
     "GossipNode",
     "Host",
-    "MessageSizeModel",
     "NodeState",
     "NodeStats",
     "PROPOSE",

@@ -3,7 +3,6 @@
 Every knob the paper discusses is a field of :class:`GossipConfig`:
 
 * ``fanout`` — partners contacted per gossip period (the paper sweeps 4–100);
-* ``gossip_period`` — 200 ms in all of the paper's experiments;
 * ``refresh_every`` — the view refresh rate ``X`` (1 = new partners every
   round, :data:`~repro.membership.partners.INFINITE` = static mesh);
 * ``feed_me_every`` — the request rate ``Y`` (∞ = disabled, the default);
@@ -17,55 +16,20 @@ Every knob the paper discusses is a field of :class:`GossipConfig`:
 * ``source_fanout`` — the source proposes each packet to 7 nodes in all of
   the paper's experiments.
 
-:class:`MessageSizeModel` translates protocol messages into wire bytes so the
-upload limiter can charge them; the paper never itemizes header sizes, so we
-use conventional UDP/IPv4 figures.
+The gossip period is not a knob: it is 200 ms in every experiment the paper
+runs, so it is the constant :data:`GOSSIP_PERIOD`.  Every node starts its
+rounds at its own random phase within one period.  Wire sizes are constants
+too, next to the message kinds in :mod:`repro.core.messages`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.membership.partners import INFINITE
 
-
-@dataclass(frozen=True)
-class MessageSizeModel:
-    """Wire-size accounting for protocol messages.
-
-    Attributes
-    ----------
-    header_bytes:
-        Fixed per-datagram overhead (IP + UDP + application header).
-    id_bytes:
-        Bytes needed to name one packet id inside PROPOSE / REQUEST messages.
-    per_packet_overhead_bytes:
-        Application framing added to each stream packet inside a SERVE.
-    """
-
-    header_bytes: int = 40
-    id_bytes: int = 8
-    per_packet_overhead_bytes: int = 16
-
-    def __post_init__(self) -> None:
-        if self.header_bytes < 1 or self.id_bytes < 1 or self.per_packet_overhead_bytes < 0:
-            raise ValueError("message size parameters must be positive")
-
-    def propose_size(self, num_ids: int) -> int:
-        """Size of a PROPOSE datagram advertising ``num_ids`` packet ids."""
-        return self.header_bytes + num_ids * self.id_bytes
-
-    def request_size(self, num_ids: int) -> int:
-        """Size of a REQUEST datagram asking for ``num_ids`` packet ids."""
-        return self.header_bytes + num_ids * self.id_bytes
-
-    def serve_size(self, payload_bytes: int) -> int:
-        """Size of a SERVE datagram carrying one stream packet."""
-        return self.header_bytes + self.per_packet_overhead_bytes + payload_bytes
-
-    def feed_me_size(self) -> int:
-        """Size of a FEED_ME datagram (header only)."""
-        return self.header_bytes
+GOSSIP_PERIOD = 0.2
+"""Seconds between two gossip rounds of a node (200 ms in all of the paper's experiments)."""
 
 
 @dataclass(frozen=True)
@@ -73,26 +37,20 @@ class GossipConfig:
     """All protocol-level knobs of Algorithm 1.
 
     The defaults reproduce the paper's baseline configuration: fanout 7,
-    200 ms gossip period, partner refresh every round (``X = 1``), feed-me
-    disabled (``Y = ∞``), retransmission with two attempts per packet, and a
-    source fanout of 7.
+    partner refresh every round (``X = 1``), feed-me disabled (``Y = ∞``),
+    retransmission with two attempts per packet, and a source fanout of 7.
     """
 
     fanout: int = 7
-    gossip_period: float = 0.2
     refresh_every: float = 1
     feed_me_every: float = INFINITE
     retransmit_timeout: float = 2.0
     max_request_attempts: int = 2
     source_fanout: int = 7
-    desynchronize_rounds: bool = True
-    sizes: MessageSizeModel = field(default_factory=MessageSizeModel)
 
     def __post_init__(self) -> None:
         if self.fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {self.fanout!r}")
-        if self.gossip_period <= 0.0:
-            raise ValueError(f"gossip_period must be positive, got {self.gossip_period!r}")
         if self.refresh_every != INFINITE and (
             self.refresh_every < 1 or int(self.refresh_every) != self.refresh_every
         ):

@@ -9,7 +9,10 @@ used by the ``Y`` proactiveness mechanism:
 * ``[FEED_ME]`` — a request to be inserted into the receiver's partner set.
 
 The network layer only sees opaque payloads with a ``kind`` string and a wire
-size; these dataclasses are the typed payloads the protocol puts inside.
+size; these dataclasses are the typed payloads the protocol puts inside, and
+the four ``*_size`` functions give the wire size the upload limiter charges.
+The paper never itemizes header sizes, so they are conventional UDP/IPv4
+figures.
 """
 
 from __future__ import annotations
@@ -30,6 +33,35 @@ SERVE = "serve"
 
 FEED_ME = "feed-me"
 """Message kind tag for the Y-mechanism view-insertion requests."""
+
+HEADER_BYTES = 40
+"""Fixed per-datagram overhead (IP + UDP + application header)."""
+
+ID_BYTES = 8
+"""Bytes naming one packet id inside a PROPOSE or REQUEST."""
+
+SERVED_PACKET_OVERHEAD_BYTES = 16
+"""Application framing added to the stream packet inside a SERVE."""
+
+
+def propose_size(num_ids: int) -> int:
+    """Size of a PROPOSE datagram advertising ``num_ids`` packet ids."""
+    return HEADER_BYTES + num_ids * ID_BYTES
+
+
+def request_size(num_ids: int) -> int:
+    """Size of a REQUEST datagram asking for ``num_ids`` packet ids."""
+    return HEADER_BYTES + num_ids * ID_BYTES
+
+
+def serve_size(payload_bytes: int) -> int:
+    """Size of a SERVE datagram carrying one stream packet of ``payload_bytes``."""
+    return HEADER_BYTES + SERVED_PACKET_OVERHEAD_BYTES + payload_bytes
+
+
+def feed_me_size() -> int:
+    """Size of a FEED_ME datagram (header only)."""
+    return HEADER_BYTES
 
 
 @dataclass(frozen=True, slots=True)

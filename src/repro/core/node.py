@@ -37,7 +37,7 @@ from repro.simulation.timers import PeriodicTimer
 from repro.streaming.packets import PacketDescriptor, PacketId
 from repro.streaming.schedule import StreamSchedule
 
-from repro.core.config import GossipConfig
+from repro.core.config import GOSSIP_PERIOD, GossipConfig
 from repro.core.host import Host
 from repro.core.state import NodeState
 
@@ -88,7 +88,7 @@ class GossipNode:
     simulator / network / directory / schedule:
         The substrates the node runs on.
     config:
-        Protocol knobs (fanout, period, X, Y, retransmission, sizes).
+        Protocol knobs (fanout, X, Y, retransmission).
     delivery_listener:
         Optional callback invoked at every first-time packet delivery; the
         metrics layer uses it to build the delivery log.
@@ -158,20 +158,16 @@ class GossipNode:
                 rng=simulator.rng.node_stream("source-targets", node_id),
             )
 
-        start_delay: Optional[float]
-        if config.desynchronize_rounds:
-            start_delay = simulator.rng.node_stream("round-phase", node_id).uniform(
-                0.0, config.gossip_period
-            )
-        else:
-            start_delay = config.gossip_period
+        start_delay = simulator.rng.node_stream("round-phase", node_id).uniform(
+            0.0, GOSSIP_PERIOD
+        )
         self._gossip_timer = PeriodicTimer(
-            simulator, config.gossip_period, self._on_gossip_round, start_delay=start_delay
+            simulator, GOSSIP_PERIOD, self._on_gossip_round, start_delay=start_delay
         )
 
         self._feed_me_timer: Optional[PeriodicTimer] = None
         if config.feed_me_every != INFINITE:
-            feed_me_period = config.feed_me_every * config.gossip_period
+            feed_me_period = config.feed_me_every * GOSSIP_PERIOD
             self._feed_me_timer = PeriodicTimer(
                 simulator, feed_me_period, self._on_feed_me_round, start_delay=feed_me_period
             )
@@ -228,7 +224,7 @@ class GossipNode:
     def _pick_source_targets(self, now: float) -> List[NodeId]:
         if self._source_selector is None:
             return []
-        round_index = int(now / self.config.gossip_period)
+        round_index = int(now / GOSSIP_PERIOD)
         if round_index != self._source_round_index:
             self._source_round_index = round_index
             self._source_targets = self._source_selector.partners_for_round(now)

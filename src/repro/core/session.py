@@ -58,6 +58,9 @@ from repro.core.node import GossipNode, NodeStats
 class SessionConfig:
     """Everything needed to run one streaming session.
 
+    The source (node 0) always uploads without a cap, like the paper's
+    well-provisioned source; ``network`` caps the receivers.
+
     Attributes
     ----------
     num_nodes:
@@ -65,7 +68,7 @@ class SessionConfig:
     seed:
         Root seed; two sessions with equal configs and seeds are identical.
     gossip:
-        Protocol knobs (fanout, period, X, Y, retransmission).
+        Protocol knobs (fanout, X, Y, retransmission).
     stream:
         Stream rate, packet size, FEC window layout and length.
     network:
@@ -74,11 +77,6 @@ class SessionConfig:
         Name of the dissemination protocol every node runs (resolved through
         :mod:`repro.protocols.registry`).  ``"three-phase"`` is the paper's
         Algorithm 1; ``"eager-push"`` is the one-phase baseline.
-    source_uncapped:
-        Whether the source's upload is unlimited.  The source must serve
-        ``source_fanout`` full copies of the stream, which no 700 kbps cap
-        can sustain; the paper's source is a well-provisioned node, so this
-        defaults to ``True``.
     churn:
         Optional :class:`CatastrophicChurn`.
     join:
@@ -120,7 +118,6 @@ class SessionConfig:
     stream: StreamConfig = field(default_factory=StreamConfig.scaled_down)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     protocol: str = "three-phase"
-    source_uncapped: bool = True
     churn: Optional[CatastrophicChurn] = None
     join: Optional[FlashCrowdJoin] = None
     failure_detection_delay: float = 5.0
@@ -338,10 +335,9 @@ class StreamingSession:
         config = self.config
         for node_id in self._nodes_to_build():
             is_source = node_id == config.source_id
-            if is_source and config.source_uncapped:
-                cap = BandwidthCap.unlimited()
-            else:
-                cap = config.network.build_cap(node_id)
+            # The source is a well-provisioned node: no 700 kbps cap can carry
+            # the ``source_fanout`` copies of the stream it serves.
+            cap = BandwidthCap.unlimited() if is_source else config.network.build_cap(node_id)
             node = GossipNode(
                 node_id=node_id,
                 simulator=self.simulator,

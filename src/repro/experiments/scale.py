@@ -189,7 +189,6 @@ class ExperimentScale:
             stream=self.stream_config(),
             network=self.network_config(cap_kbps),
             protocol=protocol,
-            source_uncapped=True,
             churn=churn,
             extra_time=self.extra_time,
         )

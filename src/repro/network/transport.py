@@ -167,8 +167,6 @@ class Network:
     latency_model / loss_model:
         Substrate behaviour; see :mod:`repro.network.latency` and
         :mod:`repro.network.loss`.
-    stats:
-        Optional shared :class:`TrafficStats`; one is created if omitted.
     """
 
     def __init__(
@@ -176,13 +174,12 @@ class Network:
         simulator: Simulator,
         latency_model: Optional[LatencyModel] = None,
         loss_model: Optional[LossModel] = None,
-        stats: Optional[TrafficStats] = None,
     ) -> None:
         self._simulator = simulator
         self._latency = latency_model if latency_model is not None else ConstantLatency()
         self._loss = loss_model if loss_model is not None else NoLoss()
         self._endpoints: Dict[NodeId, _Endpoint] = {}
-        self.stats = stats if stats is not None else TrafficStats()
+        self.stats = TrafficStats()
         self._observers: Optional[List[Any]] = None
         # ``None`` when deliveries are scheduled locally (the scalar path):
         # like observers, the hot path then pays one identity test per send.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.core.messages import ServePayload, ServedPacket
+from repro.core.messages import ServePayload, ServedPacket, serve_size
 from repro.network.message import Message, NodeId
 from repro.protocols.base import DisseminationProtocol
 from repro.streaming.packets import PacketDescriptor, PacketId
@@ -62,7 +62,7 @@ class EagerPush(DisseminationProtocol):
         descriptor = host.schedule.packet(packet_id)
         served = ServedPacket(packet_id=packet_id, size_bytes=descriptor.size_bytes)
         payload = ServePayload(packet=served)
-        size = host.config.sizes.serve_size(descriptor.size_bytes)
+        size = serve_size(descriptor.size_bytes)
         host.send_to_all(targets, PUSH, size, payload)
         host.stats.serves_sent += len(targets)
         host.stats.packets_served += len(targets)

@@ -19,16 +19,15 @@ ProtocolFactory = Callable[[], DisseminationProtocol]
 _PROTOCOLS: Dict[str, ProtocolFactory] = {}
 
 
-def register_protocol(name: str, factory: ProtocolFactory, replace: bool = False) -> None:
+def register_protocol(name: str, factory: ProtocolFactory) -> None:
     """Register a protocol factory under ``name``.
 
     ``factory`` is called once per node, so each node gets an independent
-    strategy instance.  Re-registering an existing name raises unless
-    ``replace=True``.
+    strategy instance.  Re-registering an existing name raises.
     """
     if not name:
         raise ValueError("protocol name must be non-empty")
-    if name in _PROTOCOLS and not replace:
+    if name in _PROTOCOLS:
         raise ValueError(f"protocol {name!r} is already registered")
     _PROTOCOLS[name] = factory
 

@@ -34,6 +34,10 @@ from repro.core.messages import (
     RequestPayload,
     ServePayload,
     ServedPacket,
+    feed_me_size,
+    propose_size,
+    request_size,
+    serve_size,
 )
 from repro.core.state import PendingRequest
 from repro.network.message import Message, NodeId
@@ -55,7 +59,7 @@ class ThreePhaseGossip(DisseminationProtocol):
         if not targets:
             return
         payload = ProposePayload(packet_ids=(descriptor.packet_id,))
-        size = host.config.sizes.propose_size(1)
+        size = propose_size(1)
         host.send_to_all(targets, PROPOSE, size, payload)
         host.stats.proposes_sent += len(targets)
 
@@ -68,7 +72,7 @@ class ThreePhaseGossip(DisseminationProtocol):
         if not packet_ids or not partners:
             return
         payload = ProposePayload(packet_ids=tuple(packet_ids))
-        size = host.config.sizes.propose_size(len(packet_ids))
+        size = propose_size(len(packet_ids))
         host.send_to_all(partners, PROPOSE, size, payload)
         host.stats.proposes_sent += len(partners)
 
@@ -78,7 +82,7 @@ class ThreePhaseGossip(DisseminationProtocol):
     def on_feed_me_round(self, now: float, targets: List[NodeId]) -> None:
         host = self.host
         payload = FeedMePayload(requester=host.node_id)
-        size = host.config.sizes.feed_me_size()
+        size = feed_me_size()
         host.send_to_all(targets, FEED_ME, size, payload)
         host.stats.feed_me_sent += len(targets)
 
@@ -121,7 +125,7 @@ class ThreePhaseGossip(DisseminationProtocol):
     def _send_request(self, proposer: NodeId, packet_ids: List[PacketId]) -> None:
         host = self.host
         payload = RequestPayload(packet_ids=tuple(packet_ids))
-        size = host.config.sizes.request_size(len(packet_ids))
+        size = request_size(len(packet_ids))
         host.send(proposer, REQUEST, size, payload)
         host.stats.requests_sent += 1
 
@@ -170,7 +174,6 @@ class ThreePhaseGossip(DisseminationProtocol):
         sender = message.sender
         delivered = host.state.delivered
         packet_of = host.schedule.packet
-        serve_size = host.config.sizes.serve_size
         burst: List[Tuple[NodeId, str, int, object]] = []
         for packet_id in message.payload.packet_ids:
             if packet_id not in delivered:

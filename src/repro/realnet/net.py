@@ -38,7 +38,6 @@ from repro.network.bandwidth import BandwidthCap
 from repro.network.latency import LatencyModel
 from repro.network.loss import LossModel
 from repro.network.message import Message, NodeId
-from repro.network.stats import TrafficStats
 from repro.network.transport import DatagramRouter, MessageHandler, Network
 
 from repro.realnet.codec import decode_message, encode_message
@@ -83,8 +82,6 @@ class UdpNetwork(Network, DatagramRouter):
         Substrate physics, applied sender-side by the inherited pipeline.
     plan:
         Port allocation policy; defaults to kernel-assigned loopback ports.
-    stats:
-        Optional shared :class:`TrafficStats`; one is created if omitted.
     """
 
     def __init__(
@@ -93,9 +90,8 @@ class UdpNetwork(Network, DatagramRouter):
         latency_model: LatencyModel,
         loss_model: LossModel,
         plan: Optional[PortPlan] = None,
-        stats: Optional[TrafficStats] = None,
     ) -> None:
-        super().__init__(host, latency_model, loss_model, stats)
+        super().__init__(host, latency_model, loss_model)
         self._plan = plan if plan is not None else PortPlan()
         self._sockets: Dict[NodeId, _NodeSocket] = {}
         self._open = False
@@ -161,7 +157,11 @@ class UdpNetwork(Network, DatagramRouter):
     def _transmit(self, message: Message) -> None:
         sender = self._sockets.get(message.sender)
         receiver = self._sockets.get(message.receiver)
-        if sender is None or sender.transport is None or receiver is None:
+        if receiver is None:
+            # An unregistered receiver: the same observed drop as in simulation.
+            self._deliver(message)
+            return
+        if sender is None or sender.transport is None:
             return
         sender.transport.sendto(encode_message(message), receiver.address)
         self.datagrams_sent += 1

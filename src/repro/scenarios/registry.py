@@ -36,7 +36,7 @@ Shipped scenarios:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.core.session import SessionResult
 from repro.membership.churn import CatastrophicChurn
@@ -50,28 +50,18 @@ ScenarioFactory = Callable[[], ScenarioSpec]
 _SCENARIOS: Dict[str, ScenarioFactory] = {}
 
 
-def register_scenario(
-    factory: Optional[ScenarioFactory] = None, *, replace: bool = False
-) -> Callable:
+def register_scenario(factory: ScenarioFactory) -> ScenarioFactory:
     """Register a spec factory under the name of the spec it produces.
 
-    Usable as a bare decorator (``@register_scenario``) or parameterized
-    (``@register_scenario(replace=True)``) — the latter for iterating on a
-    factory in a notebook or letting a plugin override a shipped scenario.
-    Factories (rather than spec instances) keep registration cheap and
-    mutation-safe.
+    Used as a bare decorator (``@register_scenario``); a name registered
+    twice raises.  Factories (rather than spec instances) keep registration
+    cheap and mutation-safe.
     """
-
-    def _register(fn: ScenarioFactory) -> ScenarioFactory:
-        spec = fn()
-        if spec.name in _SCENARIOS and not replace:
-            raise ValueError(f"scenario {spec.name!r} is already registered")
-        _SCENARIOS[spec.name] = fn
-        return fn
-
-    if factory is None:
-        return _register
-    return _register(factory)
+    spec = factory()
+    if spec.name in _SCENARIOS:
+        raise ValueError(f"scenario {spec.name!r} is already registered")
+    _SCENARIOS[spec.name] = factory
+    return factory
 
 
 def scenario_by_name(name: str) -> ScenarioFactory:

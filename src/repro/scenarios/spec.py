@@ -108,9 +108,10 @@ class ScenarioSpec:
         System size (including the source) and root seed.
     protocol:
         Dissemination protocol name (see :mod:`repro.protocols.registry`).
-    fanout / gossip_period / refresh_every / feed_me_every /
-    retransmit_timeout / max_request_attempts / source_fanout:
-        Protocol knobs, compiled into a :class:`GossipConfig`.
+    fanout / refresh_every / feed_me_every / retransmit_timeout /
+    max_request_attempts / source_fanout:
+        Protocol knobs, compiled into a :class:`GossipConfig` (the gossip
+        period is the constant :data:`repro.core.config.GOSSIP_PERIOD`).
     stream:
         Stream layout; defaults to the scaled-down test stream.
     upload_cap_kbps / max_backlog_seconds / latency_model / base_latency /
@@ -122,8 +123,9 @@ class ScenarioSpec:
     churn / join:
         Optional perturbations (:class:`CatastrophicChurn`,
         :class:`FlashCrowdJoin`).
-    source_uncapped / failure_detection_delay / extra_time:
-        Session-level knobs, forwarded verbatim.
+    failure_detection_delay / extra_time:
+        Session-level knobs, forwarded verbatim (the source is always
+        uncapped, see :class:`~repro.core.session.SessionConfig`).
     telemetry:
         Optional :class:`~repro.telemetry.config.TelemetryConfig`, forwarded
         verbatim; ``None`` (the default) builds no telemetry objects.
@@ -141,7 +143,6 @@ class ScenarioSpec:
     seed: int = 1
     protocol: str = "three-phase"
     fanout: int = 7
-    gossip_period: float = 0.2
     refresh_every: float = 1
     feed_me_every: float = INFINITE
     retransmit_timeout: float = 2.0
@@ -156,7 +157,6 @@ class ScenarioSpec:
     bandwidth_classes: Tuple[BandwidthClass, ...] = ()
     churn: Optional[CatastrophicChurn] = None
     join: Optional[FlashCrowdJoin] = None
-    source_uncapped: bool = True
     failure_detection_delay: float = 5.0
     extra_time: float = 30.0
     telemetry: Optional[TelemetryConfig] = None
@@ -191,7 +191,6 @@ class ScenarioSpec:
         """The protocol knobs as a :class:`GossipConfig`."""
         return GossipConfig(
             fanout=self.fanout,
-            gossip_period=self.gossip_period,
             refresh_every=self.refresh_every,
             feed_me_every=self.feed_me_every,
             retransmit_timeout=self.retransmit_timeout,
@@ -222,7 +221,6 @@ class ScenarioSpec:
                 per_node_caps_kbps=self.per_node_caps(),
             ),
             protocol=self.protocol,
-            source_uncapped=self.source_uncapped,
             churn=self.churn,
             join=self.join,
             failure_detection_delay=self.failure_detection_delay,

@@ -70,7 +70,7 @@ import queue
 import threading
 import traceback
 from multiprocessing import connection as mp_connection
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.session import SessionConfig, SessionResult
@@ -625,19 +625,14 @@ class ShardedRun:
     windows: int
 
 
-def execute_sharded(
-    config: SessionConfig, shards: Optional[int] = None, mode: str = "thread"
-) -> ShardedRun:
+def execute_sharded(config: SessionConfig, mode: str = "thread") -> ShardedRun:
     """Run ``config`` partitioned across shard workers; merge the fragments.
 
     Parameters
     ----------
     config:
-        The session to run.  ``config.shards`` supplies the shard count when
-        the ``shards`` argument is ``None``; if both are given, the argument
-        wins and the config is re-stamped so workers see the same value.
-    shards:
-        Optional shard-count override (must be ``>= 1``).
+        The session to run; ``config.shards`` (must be set, ``>= 1``) is the
+        shard count.
     mode:
         ``"thread"`` (default; no pickling, interleaved execution) or
         ``"process"`` (true parallelism, per-window wire serialization).
@@ -646,27 +641,21 @@ def execute_sharded(
     (:func:`~repro.shard.partition.plan_shards`), and the same plan goes to
     the coordinator, every worker and the merge.
     """
-    num_shards = shards if shards is not None else config.shards
+    num_shards = config.shards
     if num_shards is None:
-        raise ValueError("run_sharded needs a shard count (argument or config.shards)")
-    if num_shards < 1:
-        raise ValueError(f"shards must be >= 1, got {num_shards!r}")
+        raise ValueError("run_sharded needs a shard count (config.shards)")
     if mode not in _LINKS:
         raise ValueError(f"unknown sharded runner mode {mode!r} (thread/process)")
-    if config.shards != num_shards:
-        config = replace(config, shards=num_shards)
     plan = plan_shards(config, num_shards)
     fragments, rounds = _run_workers(config, plan, mode)
     return ShardedRun(merge_shard_results(config, plan, fragments), plan, rounds)
 
 
-def run_sharded(
-    config: SessionConfig, shards: Optional[int] = None, mode: str = "thread"
-) -> SessionResult:
+def run_sharded(config: SessionConfig, mode: str = "thread") -> SessionResult:
     """:func:`execute_sharded`, keeping only the merged result.
 
     Returns the same :class:`~repro.core.session.SessionResult` a scalar
     ``StreamingSession(config).run()`` of the identical config produces —
     byte-identical for any shard count and either mode.
     """
-    return execute_sharded(config, shards, mode).result
+    return execute_sharded(config, mode).result

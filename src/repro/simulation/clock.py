@@ -11,22 +11,12 @@ from repro.simulation.errors import SimulationTimeError
 
 
 class SimulationClock:
-    """A strictly monotonic simulated clock.
-
-    Parameters
-    ----------
-    start_time:
-        Initial value of the clock, in simulated seconds.  Defaults to 0.
-    """
+    """A strictly monotonic simulated clock, starting at 0."""
 
     __slots__ = ("_now",)
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        if start_time < 0.0:
-            raise SimulationTimeError(
-                f"clock cannot start at negative time {start_time!r}"
-            )
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -48,12 +48,12 @@ class Simulator:
     seed:
         Root seed for the RNG registry.  Every random draw in an experiment
         descends from this seed, making runs reproducible.
-    start_time:
-        Initial simulated time (seconds).
+
+    Simulated time starts at 0.
     """
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self._clock = SimulationClock(start_time)
+    def __init__(self, seed: int = 0) -> None:
+        self._clock = SimulationClock()
         self._queue = EventQueue()
         self._rng = RngRegistry(seed)
         self._running = False

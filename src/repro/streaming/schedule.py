@@ -38,8 +38,8 @@ class StreamConfig:
         Length of the stream, in whole windows.  The paper's experiments run
         for a few minutes; the default (20 windows ≈ 29 s at paper rates) is
         sized for simulation turnaround and can be raised per experiment.
-    start_time:
-        Simulated time at which the first packet is published.
+
+    The first packet is published at time 0.
     """
 
     rate_kbps: float = 600.0
@@ -47,7 +47,6 @@ class StreamConfig:
     source_packets_per_window: int = 101
     fec_packets_per_window: int = 9
     num_windows: int = 20
-    start_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rate_kbps <= 0.0:
@@ -60,8 +59,6 @@ class StreamConfig:
             raise ValueError("fec_packets_per_window must be >= 0")
         if self.num_windows < 1:
             raise ValueError(f"num_windows must be >= 1, got {self.num_windows!r}")
-        if self.start_time < 0.0:
-            raise ValueError(f"start_time must be >= 0, got {self.start_time!r}")
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -99,10 +96,10 @@ class StreamConfig:
     @property
     def end_time(self) -> float:
         """Simulated time at which the last packet is published."""
-        return self.start_time + (self.total_packets - 1) * self.packet_interval
+        return (self.total_packets - 1) * self.packet_interval
 
     @classmethod
-    def paper_defaults(cls, num_windows: int = 20, start_time: float = 0.0) -> "StreamConfig":
+    def paper_defaults(cls, num_windows: int = 20) -> "StreamConfig":
         """The exact streaming configuration of the paper (600 kbps, 110/9)."""
         return cls(
             rate_kbps=600.0,
@@ -110,16 +107,10 @@ class StreamConfig:
             source_packets_per_window=101,
             fec_packets_per_window=9,
             num_windows=num_windows,
-            start_time=start_time,
         )
 
     @classmethod
-    def scaled_down(
-        cls,
-        num_windows: int = 12,
-        rate_kbps: float = 600.0,
-        start_time: float = 0.0,
-    ) -> "StreamConfig":
+    def scaled_down(cls, num_windows: int = 12) -> "StreamConfig":
         """A smaller window (22 packets, 2 FEC) keeping the paper's ratios.
 
         Useful for fast tests and benchmarks: the FEC overhead (≈ 9 %) and
@@ -128,12 +119,11 @@ class StreamConfig:
         cheaper for the same stream duration in windows.
         """
         return cls(
-            rate_kbps=rate_kbps,
+            rate_kbps=600.0,
             payload_bytes=1000,
             source_packets_per_window=20,
             fec_packets_per_window=2,
             num_windows=num_windows,
-            start_time=start_time,
         )
 
 
@@ -158,7 +148,7 @@ class StreamSchedule:
                 window_index=window_index,
                 index_in_window=index_in_window,
                 is_fec=index_in_window >= config.source_packets_per_window,
-                publish_time=config.start_time + packet_id * interval,
+                publish_time=packet_id * interval,
                 size_bytes=config.payload_bytes,
             )
             self._packets.append(descriptor)

@@ -112,12 +112,11 @@ def _window_markers(header: TraceHeader) -> List[Dict[str, Any]]:
     try:
         num_windows = int(stream["num_windows"])
         window_duration = float(stream["window_duration"])
-        start_time = float(stream.get("start_time", 0.0))
     except (KeyError, TypeError, ValueError):
         return []
     markers = []
     for window in range(num_windows):
-        deadline = start_time + (window + 1) * window_duration
+        deadline = (window + 1) * window_duration
         markers.append(
             _instant(
                 0,

@@ -64,11 +64,9 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0: counters only go up)."""
-        if amount < 0:
-            raise MetricsError(f"counter {self.name!r} cannot decrease (got {amount!r})")
-        self.value += amount
+    def inc(self) -> None:
+        """Add one."""
+        self.value += 1.0
 
 
 class Histogram:

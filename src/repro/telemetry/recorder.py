@@ -7,9 +7,9 @@ without them attached (pinned by ``tests/telemetry`` and the
 ``telemetry-overhead`` benchmark).
 
 :class:`TraceRecorder` turns the edges into ``repro.telemetry/1`` events;
-:class:`MetricsObserver` updates registry handles (fate counters and the
-histograms that only exist at observation granularity — serialization
-delay, datagram sizes, delivery lag).
+:class:`MetricsObserver` updates registry handles (the two fate counters no
+traffic cell holds, and the histograms that only exist at observation
+granularity — serialization delay, datagram sizes, delivery lag).
 """
 
 from __future__ import annotations
@@ -259,36 +259,27 @@ class TraceRecorder(SessionObserver):
 
 
 class MetricsObserver(SessionObserver):
-    """Updates registry handles from the observer edges.
+    """Updates registry handles from the observer edges; counts no fate twice.
 
     What the session counts anyway — traffic bytes, protocol counters,
     events dispatched — is exported through snapshot-time collectors
-    instead.  Four fate counters are the exception: ``net.datagrams`` with
-    ``fate`` ``accepted``, ``congestion_drop``, ``loss`` and ``delivered``
-    count the same datagrams as the traffic cells ``net.messages_sent``,
-    ``net.messages_dropped_congestion``, ``net.messages_lost_in_flight`` and
-    ``net.messages_received`` (``tests/telemetry/test_accounting.py`` holds
-    each pair equal).
+    instead: ``net.messages_sent``, ``net.messages_dropped_congestion``,
+    ``net.messages_lost_in_flight`` and ``net.messages_received`` are the
+    accepted, congestion-dropped, lost and delivered datagrams.  The
+    observer counts only the two fates no traffic cell holds:
+    ``net.datagrams`` with ``fate`` ``blocked`` (dead sender) and
+    ``dropped_dead`` (dead or unregistered receiver).
 
-    The per-datagram edges write the handles' slots in place — what
-    ``Counter.inc`` and ``Histogram.observe`` do, without the calls.
+    The per-datagram edges write the histograms' slots in place — what
+    ``Histogram.observe`` does, without the call.
     """
 
     def __init__(self, registry: MetricsRegistry, schedule: StreamSchedule) -> None:
         self._publish_times = {
             packet.packet_id: packet.publish_time for packet in schedule.packets()
         }
-        self._fates = {
-            fate: registry.counter("net.datagrams", fate=fate)
-            for fate in (
-                "blocked",
-                "accepted",
-                "congestion_drop",
-                "loss",
-                "delivered",
-                "dropped_dead",
-            )
-        }
+        self._blocked = registry.counter("net.datagrams", fate="blocked")
+        self._dropped_dead = registry.counter("net.datagrams", fate="dropped_dead")
         self._serialization = registry.histogram(
             "net.serialization_delay_seconds", SERIALIZATION_DELAY_BOUNDS
         )
@@ -307,10 +298,9 @@ class MetricsObserver(SessionObserver):
         return histogram
 
     def on_send_blocked(self, message: Message, now: float) -> None:
-        self._fates["blocked"].inc()
+        self._blocked.inc()
 
     def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
-        self._fates["accepted"].value += 1.0
         delay = finish_time - now
         histogram = self._serialization
         histogram.counts[bisect_left(histogram.bounds, delay)] += 1
@@ -322,17 +312,8 @@ class MetricsObserver(SessionObserver):
         histogram.total += 1
         histogram.sum += size
 
-    def on_congestion_drop(self, message: Message, now: float) -> None:
-        self._fates["congestion_drop"].inc()
-
-    def on_in_flight_loss(self, message: Message, now: float) -> None:
-        self._fates["loss"].value += 1.0
-
-    def on_delivered(self, message: Message, now: float) -> None:
-        self._fates["delivered"].value += 1.0
-
     def on_delivery_dropped(self, message: Message, now: float) -> None:
-        self._fates["dropped_dead"].inc()
+        self._dropped_dead.inc()
 
     def on_node_failed(self, node_id: NodeId, now: float) -> None:
         self._failures.inc()

@@ -158,7 +158,6 @@ def session_meta(session) -> Dict[str, object]:
             "window_duration": stream.window_duration,
             "num_windows": stream.num_windows,
             "packets_per_window": stream.packets_per_window,
-            "start_time": stream.start_time,
             "end_time": stream.end_time,
         },
     }

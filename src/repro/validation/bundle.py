@@ -10,10 +10,8 @@ reported, not trusted).
 
 Spec serialization here is deliberately explicit rather than generic
 pickling: bundles are meant to be read by humans, attached to bug reports,
-and uploaded as CI artifacts, so every field is plain JSON.  Only the
-schedule types the fuzzer generates (catastrophic churn, flash crowd joins)
-are supported; serializing a spec holding an exotic schedule raises instead
-of silently dropping the perturbation.
+and uploaded as CI artifacts, so every field is plain JSON.  Churn and join
+are each one class, so each is written as its ``time`` and ``fraction``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.scenarios.spec import BandwidthClass, ScenarioSpec
 from repro.streaming.schedule import StreamConfig
 from repro.telemetry.config import TelemetryConfig
 
-BUNDLE_FORMAT = "repro.validation.bundle/v1"
+BUNDLE_FORMAT = "repro.validation.bundle/v2"
 
 #: Spec fields holding a float, any of which may be infinite: the static
 #: mesh's ``refresh_every``, a disabled ``feed_me_every``, a failure
@@ -48,38 +46,16 @@ def _json_float(value: Any) -> Any:
     return value
 
 
-def _churn_to_dict(schedule: Optional[CatastrophicChurn]) -> Optional[Dict[str, Any]]:
+def _schedule_to_dict(schedule: Any) -> Optional[Dict[str, Any]]:
     if schedule is None:
         return None
-    if isinstance(schedule, CatastrophicChurn):
-        return {"type": "catastrophic", "time": schedule.time, "fraction": schedule.fraction}
-    raise ValueError(f"cannot serialize churn schedule {type(schedule).__name__}")
+    return {"time": schedule.time, "fraction": schedule.fraction}
 
 
-def _churn_from_dict(data: Optional[Dict[str, Any]]) -> Optional[CatastrophicChurn]:
+def _schedule_from_dict(cls: type, data: Optional[Dict[str, Any]]) -> Any:
     if data is None:
         return None
-    kind = data["type"]
-    if kind == "catastrophic":
-        return CatastrophicChurn(time=data["time"], fraction=data["fraction"])
-    raise ValueError(f"unknown churn schedule type {kind!r}")
-
-
-def _join_to_dict(schedule: Optional[FlashCrowdJoin]) -> Optional[Dict[str, Any]]:
-    if schedule is None:
-        return None
-    if isinstance(schedule, FlashCrowdJoin):
-        return {"type": "flash-crowd", "time": schedule.time, "fraction": schedule.fraction}
-    raise ValueError(f"cannot serialize join schedule {type(schedule).__name__}")
-
-
-def _join_from_dict(data: Optional[Dict[str, Any]]) -> Optional[FlashCrowdJoin]:
-    if data is None:
-        return None
-    kind = data["type"]
-    if kind == "flash-crowd":
-        return FlashCrowdJoin(time=data["time"], fraction=data["fraction"])
-    raise ValueError(f"unknown join schedule type {kind!r}")
+    return cls(time=data["time"], fraction=data["fraction"])
 
 
 def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
@@ -87,8 +63,8 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
     data = asdict(spec)
     data["stream"] = asdict(spec.stream)
     data["bandwidth_classes"] = [asdict(cls) for cls in spec.bandwidth_classes]
-    data["churn"] = _churn_to_dict(spec.churn)
-    data["join"] = _join_to_dict(spec.join)
+    data["churn"] = _schedule_to_dict(spec.churn)
+    data["join"] = _schedule_to_dict(spec.join)
     data["telemetry"] = None if spec.telemetry is None else spec.telemetry.to_json_dict()
     for name in _FLOAT_FIELDS:
         data[name] = _json_float(data[name])
@@ -102,8 +78,8 @@ def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
     values["bandwidth_classes"] = tuple(
         BandwidthClass(**cls) for cls in values.get("bandwidth_classes", ())
     )
-    values["churn"] = _churn_from_dict(values.get("churn"))
-    values["join"] = _join_from_dict(values.get("join"))
+    values["churn"] = _schedule_from_dict(CatastrophicChurn, values.get("churn"))
+    values["join"] = _schedule_from_dict(FlashCrowdJoin, values.get("join"))
     telemetry = values.get("telemetry")
     values["telemetry"] = (
         None if telemetry is None else TelemetryConfig.from_json_dict(telemetry)

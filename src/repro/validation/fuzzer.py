@@ -122,7 +122,6 @@ class ScenarioFuzzer:
             seed=rng.randrange(2**31),
             protocol=rng.choice(PROTOCOL_CHOICES),
             fanout=rng.randint(3, 10),
-            gossip_period=0.2,
             refresh_every=rng.choice((1, 2, 4)),
             feed_me_every=rng.choice((INFINITE, 5, 10)),
             retransmit_timeout=rng.uniform(1.0, 3.0),
@@ -136,7 +135,6 @@ class ScenarioFuzzer:
             random_loss=rng.choice(LOSS_CHOICES),
             churn=churn,
             join=join,
-            source_uncapped=True,
             extra_time=rng.uniform(10.0, 20.0),
         )
         return FuzzCase(campaign_seed=self.campaign_seed, index=index, spec=spec)

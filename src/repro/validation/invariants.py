@@ -37,7 +37,7 @@ from repro.metrics.quality import OFFLINE_LAG
 from repro.network.message import Message, NodeId
 from repro.streaming.packets import PacketId
 
-from repro.validation.observers import SessionObserver
+from repro.validation.observers import SessionObserver, attach_session_observer
 
 _REL_EPS = 1e-9
 """Relative float tolerance for budget comparisons (pure-accounting checks
@@ -436,10 +436,7 @@ class InvariantSuite:
             if not invariant.applies_to(session):
                 continue
             invariant.bind(session)
-            session.simulator.add_observer(invariant)
-            session.network.add_observer(invariant)
-            for node in session.nodes.values():
-                node.add_observer(invariant)
+            attach_session_observer(session, invariant)
             self._attached.append(invariant)
         return self
 

@@ -1,35 +1,37 @@
-"""Unit tests for the gossip configuration and message size model."""
+"""Unit tests for the gossip configuration and the message size functions."""
 
 import pytest
 
-from repro.core.config import GossipConfig, MessageSizeModel
+from repro.core.config import GOSSIP_PERIOD, GossipConfig
+from repro.core.messages import feed_me_size, propose_size, request_size, serve_size
 from repro.membership.partners import INFINITE
 
 
-class TestMessageSizeModel:
-    def test_propose_and_request_sizes_grow_with_ids(self):
-        sizes = MessageSizeModel(header_bytes=40, id_bytes=8)
-        assert sizes.propose_size(0) == 40
-        assert sizes.propose_size(10) == 120
-        assert sizes.request_size(3) == 64
+class TestMessageSizes:
+    """40 header bytes, 8 per packet id, 16 of framing per served packet:
+    the bytes every golden file was recorded with."""
 
-    def test_serve_size_includes_payload_and_overhead(self):
-        sizes = MessageSizeModel(header_bytes=40, per_packet_overhead_bytes=16)
-        assert sizes.serve_size(1000) == 1056
-
-    def test_feed_me_size_is_header_only(self):
-        assert MessageSizeModel(header_bytes=40).feed_me_size() == 40
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            MessageSizeModel(header_bytes=0)
+    @pytest.mark.parametrize(
+        "size, args, expected",
+        [
+            pytest.param(propose_size, (1,), 48, id="PROPOSE(1)"),
+            pytest.param(propose_size, (10,), 120, id="PROPOSE(10)"),
+            pytest.param(request_size, (3,), 64, id="REQUEST(3)"),
+            pytest.param(request_size, (101,), 848, id="REQUEST(101)"),
+            pytest.param(serve_size, (1000,), 1056, id="SERVE(1000)"),
+            pytest.param(serve_size, (1,), 57, id="SERVE(1)"),
+            pytest.param(feed_me_size, (), 40, id="FEED_ME"),
+        ],
+    )
+    def test_wire_size(self, size, args, expected):
+        assert size(*args) == expected
 
 
 class TestGossipConfig:
     def test_paper_baseline(self):
         config = GossipConfig()
         assert config.fanout == 7
-        assert config.gossip_period == pytest.approx(0.2)
+        assert GOSSIP_PERIOD == pytest.approx(0.2)
         assert config.refresh_every == 1
         assert config.feed_me_every == INFINITE
         assert config.source_fanout == 7
@@ -41,8 +43,6 @@ class TestGossipConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             GossipConfig(fanout=0)
-        with pytest.raises(ValueError):
-            GossipConfig(gossip_period=0.0)
         with pytest.raises(ValueError):
             GossipConfig(refresh_every=0)
         with pytest.raises(ValueError):

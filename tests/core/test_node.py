@@ -35,12 +35,10 @@ class Harness:
     def __init__(self, num_nodes=5, loss_model=None, **config_overrides):
         defaults = dict(
             fanout=2,
-            gossip_period=0.2,
             refresh_every=1,
             retransmit_timeout=0.5,
             max_request_attempts=2,
             source_fanout=2,
-            desynchronize_rounds=False,
         )
         defaults.update(config_overrides)
         self.config = GossipConfig(**defaults)

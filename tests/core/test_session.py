@@ -1,10 +1,15 @@
 """Integration tests for the streaming session (full system wiring)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.session import SessionConfig, StreamingSession, run_session
 from repro.membership.churn import CatastrophicChurn
 from repro.membership.partners import INFINITE
+from repro.shard import run_sharded
+from repro.shard.partition import plan_shards
+from repro.shard.session import ShardSession
 
 from tests.conftest import small_session_config
 
@@ -165,3 +170,34 @@ class TestSessionLifecycle:
     def test_run_builds_automatically(self):
         result = run_session(small_session_config(num_nodes=5, num_windows=2))
         assert result.schedule.num_windows == 2
+
+
+class TestUncappedSource:
+    """The source uploads without a cap: no 700 kbps cap carries seven stream copies."""
+
+    @staticmethod
+    def _config(shards):
+        return dataclasses.replace(small_session_config(num_nodes=12, num_windows=3), shards=shards)
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["scalar", "2-shard-threads"])
+    def test_only_the_source_limiter_is_unlimited(self, shards):
+        config = self._config(shards)
+        if shards is None:
+            session = StreamingSession(config)
+        else:
+            plan = plan_shards(config, shards)
+            session = ShardSession(config, plan.lookup[config.source_id], plan, channel=None)
+        session.build()
+        limiters = {node_id: session.network.limiter(node_id) for node_id in session.nodes}
+        assert config.source_id in limiters and len(limiters) > 1
+        for node_id, limiter in limiters.items():
+            assert limiter.cap.is_unlimited == (node_id == config.source_id)
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["scalar", "2-shard-threads"])
+    def test_the_source_uploads_past_the_receiver_cap_and_drops_nothing(self, shards):
+        config = self._config(shards)
+        result = run_sharded(config) if shards else run_session(config)
+        source = result.traffic.node(config.source_id)
+        assert source.messages_dropped_congestion == 0
+        upload_kbps = source.bytes_sent * 8.0 / 1000.0 / config.stream.duration
+        assert upload_kbps > 2 * config.network.upload_cap_kbps

@@ -43,7 +43,6 @@ class TestPresets:
         assert stream.packets_per_window == 110
         assert stream.fec_packets_per_window == 9
         gossip = PAPER.session_config().gossip
-        assert gossip.gossip_period == pytest.approx(0.2)
         assert gossip.source_fanout == 7
 
     def test_smoke_scale_is_smaller_than_reduced(self):
@@ -91,7 +90,6 @@ class TestBuilders:
         assert config.gossip.fanout == REDUCED.optimal_fanout
         assert config.network.upload_cap_kbps == pytest.approx(700.0)
         assert config.churn is None
-        assert config.source_uncapped
 
     def test_session_config_overrides(self):
         config = REDUCED.session_config(

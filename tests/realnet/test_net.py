@@ -14,10 +14,12 @@ from repro.network.bandwidth import BandwidthCap
 from repro.network.latency import ConstantLatency
 from repro.network.loss import NoLoss, UniformLoss
 from repro.network.message import Message
+from repro.network.transport import Network
 from repro.realnet.codec import encode_message
 from repro.realnet.host import AsyncioHost
 from repro.realnet.net import UdpNetwork
 from repro.realnet.session import RealNetConfig, RealNetSession
+from repro.simulation.engine import Simulator
 from repro.validation.observers import TransportObserver
 
 from tests.realnet.conftest import SMOKE_TIME_SCALE, realnet_session_config
@@ -92,9 +94,37 @@ class TestHostileInput:
 class _CountingObserver(TransportObserver):
     def __init__(self):
         self.accepted = 0
+        self.dropped = []
 
     def on_send_accepted(self, message, now, finish_time):
         self.accepted += 1
+
+    def on_delivery_dropped(self, message, now):
+        self.dropped.append(message)
+
+
+class TestUnregisteredReceiver:
+    @staticmethod
+    def _send_to_nobody(host, network):
+        network.register(0, lambda message: None)
+        observer = _CountingObserver()
+        network.add_observer(observer)
+        stray = Message(sender=0, receiver=99, kind="xy", size_bytes=64)
+        host.schedule(0.05, network.send, stray)
+        host.run(until=0.5)
+        return observer.accepted, observer.dropped, stray
+
+    def test_the_datagram_meets_the_simulated_fate(self):
+        simulator = Simulator(seed=1)
+        simulated = Network(simulator, ConstantLatency(0.01), NoLoss())
+        accepted, dropped, stray = self._send_to_nobody(simulator, simulated)
+        assert (accepted, dropped) == (1, [stray])
+
+        host = AsyncioHost(seed=1, time_scale=SMOKE_TIME_SCALE)
+        network = UdpNetwork(host, ConstantLatency(0.01), NoLoss())
+        accepted, dropped, stray = self._send_to_nobody(host, network)
+        assert (accepted, dropped) == (1, [stray])
+        assert network.datagrams_sent == 0
 
 
 class TestSharedPipeline:

@@ -1,10 +1,13 @@
 """The spec → config → run funnel: frozen configs, and ``shards`` honoured everywhere.
 
-The digests below were computed at the commit *before* ``SessionBuilder`` was
-deleted — ``SessionBuilder.from_spec(spec).to_config()`` for every registered
-scenario, the builder-composed ``ExperimentScale.session_config`` for each
-scale × variant — so the direct ``SessionConfig(...)`` constructions that
-replaced it are held to the very same field values.
+The digests below first pinned the ``SessionConfig(...)`` constructions that
+replaced ``SessionBuilder`` to the builder's field values, for every
+registered scenario and each scale × variant.  When the gossip period, the
+round desynchronisation flag, the message size model, the stream start time
+and the source-uncapped flag became constants, every value was recomputed on
+the tree before that change with a copy of :func:`canonical` that skipped
+exactly those five field names; the tree after it reproduces them with
+:func:`canonical` as written, so no remaining field value moved.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from repro.streaming.schedule import StreamConfig
 from repro.sweep.executor import run_task
 from repro.sweep.spec import SweepTask
 from repro.sweep.summary import MetricsRequest, summarize
+from repro.validation.fuzzer import ScenarioFuzzer
 from tests.experiments.conftest import TINY
 
 
@@ -44,14 +48,14 @@ def digest(config) -> str:
 
 
 SCENARIO_DIGESTS = {
-    "churn-window": "4718787b402a3322",
-    "eager-push": "58213ba6209103fd",
-    "flash-crowd": "161d7b69df6b329f",
-    "heterogeneous-bandwidth": "da02ef1811577502",
-    "homogeneous": "26aca665a81a75a3",
-    "large-session": "a15e154aaf41fd2a",
-    "lossy-wan": "d2d87bb86f8f7612",
-    "metropolis": "718060c538c46606",
+    "churn-window": "02ba6cb586d31109",
+    "eager-push": "6ce841b12665b36e",
+    "flash-crowd": "962095e08bc8b4e4",
+    "heterogeneous-bandwidth": "4df36b6ad5c3ef34",
+    "homogeneous": "46d29c0a7bb5a257",
+    "large-session": "b66af37a4318d885",
+    "lossy-wan": "55003173ca496697",
+    "metropolis": "3b81d5a8a0a36b73",
 }
 
 VARIANTS = {
@@ -63,22 +67,39 @@ VARIANTS = {
 }
 
 SCALE_DIGESTS = {
-    "smoke/defaults": "9a26ce11ba1a9ab4",
-    "smoke/fanout5-cap1000": "a29bfacbe90fd4ca",
-    "smoke/X2-Y10": "844b795cdf365612",
-    "smoke/churn0.5": "bee2768a3d99582f",
-    "smoke/eager-push": "8ca5fe615f29e4fe",
-    "reduced/defaults": "e02054c352cb1912",
-    "reduced/fanout5-cap1000": "e0afbacacff4a55e",
-    "reduced/X2-Y10": "faca842c9fc4762b",
-    "reduced/churn0.5": "4648f9ab2c936a12",
-    "reduced/eager-push": "2b0b901f3b52eda0",
-    "paper/defaults": "37a52c53c1c1f910",
-    "paper/fanout5-cap1000": "5f12156c67b66a5d",
-    "paper/X2-Y10": "6d97da4e45cbfcf9",
-    "paper/churn0.5": "8382468de28cd93e",
-    "paper/eager-push": "d4429ddea8e3181f",
+    "smoke/defaults": "b5a8647da7e7c7f6",
+    "smoke/fanout5-cap1000": "7ab64850265a4ece",
+    "smoke/X2-Y10": "e3c71454b9bfbd2e",
+    "smoke/churn0.5": "21ef2c69998b6c1a",
+    "smoke/eager-push": "3890ead1181e9fef",
+    "reduced/defaults": "875ae537bf83b7e9",
+    "reduced/fanout5-cap1000": "9b937eeaf0c4debc",
+    "reduced/X2-Y10": "9ae15f2a3ef0bc66",
+    "reduced/churn0.5": "5b5a4c4d9deeca6e",
+    "reduced/eager-push": "a37a59258ee86e49",
+    "paper/defaults": "62798d6f9ba1b1db",
+    "paper/fanout5-cap1000": "25060f2fd049bd11",
+    "paper/X2-Y10": "ff1cd6d0e9ab545c",
+    "paper/churn0.5": "7620bef96f31fcd7",
+    "paper/eager-push": "fe5a4ee0df22d1e3",
 }
+
+
+#: The compiled config of the first ten cases of fuzz campaign 2009, the CI fuzz
+#: job's seed (the nightly job derives its cases the same way): a change to the
+#: fuzzer's draw order moves them.
+FUZZ_2009_DIGESTS = (
+    "0d357e0fac06cf73",
+    "9ec7ac56fc0e3eaa",
+    "d7bdabc3af317577",
+    "5a8ac0255da76a0e",
+    "b3e0d8d52b82ff79",
+    "c643afee7db8aee7",
+    "94276ba2ab69dcea",
+    "d3616790b0ff5cbe",
+    "dd162815de2b4f71",
+    "b0fa7b8f4c59cd32",
+)
 
 
 class TestFrozenConfigs:
@@ -94,6 +115,13 @@ class TestFrozenConfigs:
     def test_scale_config_matches_the_builder_it_replaced(self, scale, variant):
         config = scale.session_config(**VARIANTS[variant])
         assert digest(config) == SCALE_DIGESTS[f"{scale.name}/{variant}"]
+
+    def test_fuzz_campaign_cases_are_frozen(self):
+        fuzzer = ScenarioFuzzer(2009)
+        digests = tuple(
+            digest(fuzzer.derive_case(index).spec.session_config()) for index in range(10)
+        )
+        assert digests == FUZZ_2009_DIGESTS
 
     def test_point_config_is_the_scale_config_of_the_point_knobs(self):
         point = ExperimentPoint(

@@ -44,15 +44,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_scenario(lambda: ScenarioSpec(name="homogeneous"))
 
-    def test_replace_allows_reregistration(self):
-        factory = scenario_by_name("homogeneous")
-        try:
-            marker = lambda: ScenarioSpec(name="homogeneous", seed=12345)  # noqa: E731
-            register_scenario(replace=True)(marker)
-            assert scenario_by_name("homogeneous")().seed == 12345
-        finally:
-            register_scenario(replace=True)(factory)
-
     def test_inert_perturbation_rejected_on_stream_override(self):
         """Overriding the stream without moving the churn/join time fails fast."""
         from repro.streaming.schedule import StreamConfig

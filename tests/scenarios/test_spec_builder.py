@@ -17,7 +17,7 @@ class TestScenarioSpec:
         spec = ScenarioSpec(name="x")
         gossip = spec.gossip_config()
         assert gossip.fanout == spec.fanout
-        assert gossip.gossip_period == spec.gossip_period
+        assert gossip.source_fanout == spec.source_fanout
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

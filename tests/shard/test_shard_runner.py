@@ -450,15 +450,11 @@ class TestRunShardedValidation:
 
     def test_rejects_non_positive_shard_count(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
-            run_sharded(small_config(), shards=0)
+            run_sharded(dataclasses.replace(small_config(), shards=0))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown sharded runner mode"):
             run_sharded(small_config(), mode="fiber")
-
-    def test_argument_overrides_config_shard_count(self):
-        result = run_sharded(small_config(shards=2), shards=1)
-        assert result.config.shards == 1
 
     def test_flash_crowd_joiners_match_scalar_oracle(self):
         """Joiners are started only on their owning shard, at the oracle's instant."""

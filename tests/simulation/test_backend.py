@@ -109,7 +109,9 @@ class TestRunLoop:
         assert simulator.events_processed == 4
 
     def test_an_event_behind_the_clock_is_refused(self):
-        simulator = Simulator(seed=0, start_time=5.0)
+        simulator = Simulator(seed=0)
+        simulator.schedule_at(5.0, lambda: None)
+        simulator.run_until_idle()
         simulator._queue.push(1.0, lambda: None)  # behind schedule_at's guard
         with pytest.raises(SimulationTimeError, match="backwards"):
             simulator.run_until_idle()

@@ -10,24 +10,19 @@ class TestSimulationClock:
     def test_starts_at_zero_by_default(self):
         assert SimulationClock().now == 0.0
 
-    def test_starts_at_custom_time(self):
-        assert SimulationClock(start_time=12.5).now == 12.5
-
-    def test_negative_start_time_rejected(self):
-        with pytest.raises(SimulationTimeError):
-            SimulationClock(start_time=-0.1)
-
     def test_advance_to_moves_forward(self):
         clock = SimulationClock()
         clock.advance_to(3.0)
         assert clock.now == 3.0
 
     def test_advance_to_same_time_is_allowed(self):
-        clock = SimulationClock(start_time=2.0)
+        clock = SimulationClock()
+        clock.advance_to(2.0)
         clock.advance_to(2.0)
         assert clock.now == 2.0
 
     def test_advance_to_past_raises(self):
-        clock = SimulationClock(start_time=5.0)
+        clock = SimulationClock()
+        clock.advance_to(5.0)
         with pytest.raises(SimulationTimeError):
             clock.advance_to(4.999)

@@ -27,7 +27,7 @@ class TestStreamConfig:
 
     def test_end_time(self):
         config = StreamConfig(num_windows=2, source_packets_per_window=3, fec_packets_per_window=1)
-        assert config.end_time == pytest.approx(config.start_time + 7 * config.packet_interval)
+        assert config.end_time == pytest.approx(7 * config.packet_interval)
 
     def test_scaled_down_keeps_fec_ratio_close_to_paper(self):
         scaled = StreamConfig.scaled_down()
@@ -96,9 +96,3 @@ class TestStreamSchedule:
         window = schedule.window(2)
         assert window.publish_start == schedule.packet(window.packet_ids[0]).publish_time
         assert window.publish_end == schedule.packet(window.packet_ids[-1]).publish_time
-
-    def test_start_time_offsets_publish_times(self):
-        schedule = StreamSchedule(
-            StreamConfig(source_packets_per_window=2, fec_packets_per_window=0, num_windows=1, start_time=5.0)
-        )
-        assert schedule.packet(0).publish_time == pytest.approx(5.0)

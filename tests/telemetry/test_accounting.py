@@ -1,4 +1,4 @@
-"""One count, four readings: the writer, its per-kind counts, ``i`` and the file."""
+"""One count, four readings: the writer, its per-kind counts, ``i`` and the file; one count per fate."""
 
 import dataclasses
 
@@ -55,13 +55,16 @@ def test_every_count_of_a_trace_is_the_same_number(options, tmp_path):
         assert set(fates) <= set(sent)
 
 
-#: ``MetricsObserver`` fate counter -> the ``TrafficStats`` cell counting the same datagrams.
-DUPLICATED_FATES = {
-    "net.datagrams{fate=accepted}": "net.messages_sent",
-    "net.datagrams{fate=congestion_drop}": "net.messages_dropped_congestion",
-    "net.datagrams{fate=loss}": "net.messages_lost_in_flight",
-    "net.datagrams{fate=delivered}": "net.messages_received",
-}
+#: The ``TrafficStats`` cells counting accepted, congestion-dropped, lost and delivered datagrams.
+FATE_CELLS = (
+    "net.messages_sent",
+    "net.messages_dropped_congestion",
+    "net.messages_lost_in_flight",
+    "net.messages_received",
+)
+
+#: The only fates ``MetricsObserver`` counts: no traffic cell holds them.
+OBSERVER_FATES = {"net.datagrams{fate=blocked}", "net.datagrams{fate=dropped_dead}"}
 
 
 def _lossy_congested_churned_config():
@@ -78,19 +81,16 @@ def _lossy_congested_churned_config():
 
 
 @pytest.mark.parametrize("shards", [None, 2], ids=["scalar", "2-shard-threads"])
-def test_duplicated_fate_counters_equal_their_traffic_cells(shards):
-    config = _lossy_congested_churned_config()
+def test_fates_are_exported_once(shards):
+    config = dataclasses.replace(_lossy_congested_churned_config(), shards=shards)
     if shards is None:
         snapshots = (run_session(config).telemetry,)
     else:
-        snapshots = run_sharded(config, shards=shards, mode="thread").telemetry
+        snapshots = run_sharded(config, mode="thread").telemetry
     for snapshot in snapshots:
-        for fate, cell in DUPLICATED_FATES.items():
-            assert snapshot.metrics[fate] == snapshot.metrics[cell], (fate, cell)
-    totals = {
-        name: sum(snapshot.metrics[name] for snapshot in snapshots)
-        for name in ("net.datagrams{fate=congestion_drop}", "net.datagrams{fate=loss}")
-    }
+        fates = {name for name in snapshot.metrics if name.startswith("net.datagrams{")}
+        assert fates == OBSERVER_FATES
+    totals = {cell: sum(snapshot.metrics[cell] for snapshot in snapshots) for cell in FATE_CELLS}
     assert all(totals.values()), f"the session must exercise every fate: {totals}"
 
 

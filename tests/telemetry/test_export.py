@@ -13,7 +13,6 @@ HEADER = TraceHeader(
             "window_duration": 2.0,
             "num_windows": 2,
             "packets_per_window": 4,
-            "start_time": 1.0,
             "end_time": 5.0,
         },
     },
@@ -70,8 +69,8 @@ class TestPerfettoEvents:
         events = perfetto_events(HEADER, events_fixture())
         markers = [event for event in events if event.get("cat") == "stream" and "window" in event["name"]]
         assert len(markers) == 2
-        assert markers[0]["ts"] == 3_000_000  # start 1.0 + 1 * window 2.0
-        assert markers[1]["ts"] == 5_000_000
+        assert markers[0]["ts"] == 2_000_000  # 1 * window 2.0
+        assert markers[1]["ts"] == 4_000_000
         assert all(event["s"] == "p" for event in markers)
 
     def test_dispatch_events_are_skipped(self):

@@ -10,7 +10,6 @@ from repro.membership.churn import CatastrophicChurn
 from repro.membership.join import FlashCrowdJoin
 from repro.membership.partners import INFINITE
 from repro.scenarios import build_scenario
-from repro.scenarios.spec import ScenarioSpec
 from repro.streaming.schedule import StreamConfig
 from repro.validation import ReproBundle, ScenarioFuzzer, spec_from_dict, spec_to_dict
 
@@ -74,15 +73,6 @@ class TestSpecSerialization:
             spec = fuzzer.derive_case(index).spec
             assert spec_to_dict(spec_from_dict(spec_to_dict(spec))) == spec_to_dict(spec)
 
-    def test_exotic_schedule_raises_instead_of_dropping(self):
-        class Unserializable:
-            time = 1.0
-
-        stream = StreamConfig.scaled_down(num_windows=6)
-        spec = ScenarioSpec(name="weird", stream=stream, churn=Unserializable())
-        with pytest.raises(ValueError, match="cannot serialize"):
-            spec_to_dict(spec)
-
 
 class TestBundleIo:
     def _bundle(self):
@@ -108,7 +98,7 @@ class TestBundleIo:
     def test_bundle_is_human_readable_json(self, tmp_path):
         path = self._bundle().write(tmp_path / "bundle.json")
         data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["format"] == "repro.validation.bundle/v1"
+        assert data["format"] == "repro.validation.bundle/v2"
         assert data["spec"]["num_nodes"] == 40
 
     def test_foreign_json_is_rejected(self, tmp_path):
@@ -116,3 +106,33 @@ class TestBundleIo:
         path.write_text('{"cell_id": "not-a-bundle"}', encoding="utf-8")
         with pytest.raises(ValueError, match="not a repro bundle"):
             ReproBundle.load(path)
+
+    def test_a_v1_bundle_is_rejected_by_its_format(self, tmp_path):
+        data = self._bundle().to_json_dict()
+        data["format"] = "repro.validation.bundle/v1"
+        data["spec"].update(gossip_period=0.2, source_uncapped=True)  # the v1 spec fields
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ValueError, match="format 'repro.validation.bundle/v1'"):
+            ReproBundle.load(path)
+
+    def test_churn_and_join_bundle_round_trips(self, tmp_path):
+        stream = StreamConfig.scaled_down(num_windows=6)
+        spec = replace(
+            build_scenario("homogeneous"),
+            name="churn-and-join",
+            stream=stream,
+            churn=CatastrophicChurn(time=stream.duration * 0.5, fraction=0.3),
+            join=FlashCrowdJoin(time=stream.duration * 0.4, fraction=0.2),
+        )
+        bundle = ReproBundle(
+            campaign_seed=1, case_index=0, spec=spec, invariant="x", event_index=0, message=""
+        )
+        path = bundle.write(tmp_path / "bundle.json")
+        data = json.loads(path.read_text(encoding="utf-8"))["spec"]
+        assert data["churn"] == {"time": spec.churn.time, "fraction": 0.3}
+        assert data["join"] == {"time": spec.join.time, "fraction": 0.2}
+        loaded = ReproBundle.load(path).spec
+        assert isinstance(loaded.churn, CatastrophicChurn)
+        assert isinstance(loaded.join, FlashCrowdJoin)
+        assert spec_to_dict(loaded) == spec_to_dict(spec)

@@ -240,7 +240,7 @@ KEEP: Tuple[Keep, ...] = (
          ("TraceRecorder._unsent", "TraceRecorder.on_send_blocked",
           "TraceRecorder.on_congestion_drop", "TraceRecorder.on_node_recovered",
           "TraceRecorder.on_feed_me_round", "MetricsObserver.on_send_blocked",
-          "MetricsObserver.on_congestion_drop", "MetricsObserver.on_node_recovered"),
+          "MetricsObserver.on_node_recovered"),
          "the rare trace kinds and fates of docs/observability.md (send_blocked, "
          "drop_congestion, node_recovered, feed_me_round)"),
     Keep(_API, "telemetry/schema.py", ("TraceWriter.append",),
