@@ -636,14 +636,12 @@ def run_wire(ctx: BenchContext) -> dict:
 
         def __init__(self, network) -> None:
             self._network = network
-            self._seq = 0
             self.captured = []
 
         def dispatch(self, message, deliver_time) -> None:
             self._network.schedule_delivery(message, deliver_time)
             if lookup[message.sender] != lookup[message.receiver]:
-                self._seq += 1
-                self.captured.append((deliver_time, message.sender, self._seq, message))
+                self.captured.append((deliver_time, message.sender, message.seq, message))
 
     class _TapSession(StreamingSession):
         def _build_network(self) -> None:

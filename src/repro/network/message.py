@@ -41,6 +41,12 @@ class Message:
         against the sender's cap.
     payload:
         Opaque application payload delivered to the receiver's handler.
+    seq:
+        The datagram's name on every substrate: its sender's
+        ``messages_sent`` count at the instant the upload limiter accepted
+        it, so ``(sender, seq)`` is unique per run.  ``0`` means "not
+        accepted".  ``Network.send_many`` stamps it, the shard wire and the
+        UDP codec carry it; it takes no part in equality or hashing.
     """
 
     sender: NodeId
@@ -48,6 +54,7 @@ class Message:
     kind: str
     size_bytes: int
     payload: Any = field(default=None)
+    seq: int = field(default=0, compare=False)
 
     def __init__(
         self, sender: NodeId, receiver: NodeId, kind: str, size_bytes: int, payload: Any = None
@@ -61,6 +68,7 @@ class Message:
         _set_kind(self, kind)
         _set_size_bytes(self, size_bytes)
         _set_payload(self, payload)
+        stamp_seq(self, 0)
 
     def size_bits(self) -> int:
         """Wire size in bits (used by the bandwidth limiter)."""
@@ -74,3 +82,5 @@ _set_receiver = Message.receiver.__set__
 _set_kind = Message.kind.__set__
 _set_size_bytes = Message.size_bytes.__set__
 _set_payload = Message.payload.__set__
+stamp_seq = Message.seq.__set__
+"""``stamp_seq(message, seq)``: name a datagram once it is accepted, or rebuilt from a wire."""

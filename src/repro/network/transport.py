@@ -36,7 +36,7 @@ from repro.simulation.rng import RngRegistry
 from repro.network.bandwidth import BandwidthCap, UploadLimiter
 from repro.network.latency import ConstantLatency, LatencyModel, PerNodeQualityLatency
 from repro.network.loss import LossModel, NoLoss, UniformLoss
-from repro.network.message import Message, NodeId
+from repro.network.message import Message, NodeId, stamp_seq
 from repro.network.stats import TrafficStats
 
 MessageHandler = Callable[[Message], None]
@@ -326,7 +326,10 @@ class Network:
                 continue
             accepted += 1
             traffic.bytes_sent += size
-            traffic.messages_sent += 1
+            # The sender's send count names the datagram (``Message.seq``).
+            seq = traffic.messages_sent + 1
+            traffic.messages_sent = seq
+            stamp_seq(message, seq)
             traffic.sent_bytes_by_kind[message.kind] += size
             if observers is not None:
                 for observer in observers:

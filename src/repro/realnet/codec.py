@@ -11,10 +11,11 @@ upload limiter charged.
 Layout (network byte order)::
 
     magic   2s   b"RN"
-    version B    2
+    version B    3
     ptag    B    payload tag (:data:`repro.core.messages.PAYLOAD_LAYOUT`)
     sender  I
     receiver I
+    seq     I    the datagram's name beside ``sender`` (``Message.seq``)
     size    I    modeled size_bytes (also the padded datagram length)
     klen    B    length of the kind tag
     kind    {klen}s
@@ -44,14 +45,14 @@ from repro.core.messages import (
     pack_payload,
     unpack_payload,
 )
-from repro.network.message import Message
+from repro.network.message import Message, stamp_seq
 
 from repro.realnet.errors import CodecError
 
 MAGIC = b"RN"
-VERSION = 2
+VERSION = 3
 
-_HEADER = struct.Struct("!2sBBIIIB")
+_HEADER = struct.Struct("!2sBBIIIIB")
 
 MAX_DATAGRAM_BYTES = 65507
 """Hard IPv4 UDP payload ceiling; encodings beyond this cannot be sent."""
@@ -75,6 +76,7 @@ def encode_message(message: Message) -> bytes:
             tag,
             check_u32("sender", message.sender),
             check_u32("receiver", message.receiver),
+            check_u32("seq", message.seq),
             check_u32("size_bytes", message.size_bytes),
             len(kind),
         )
@@ -104,7 +106,7 @@ def decode_message(data: bytes) -> Message:
     """Decode one wire datagram back into a :class:`Message`."""
     if len(data) < _HEADER.size:
         raise CodecError(f"datagram of {len(data)} bytes is shorter than the header")
-    magic, version, tag, sender, receiver, size_bytes, klen = _HEADER.unpack_from(data)
+    magic, version, tag, sender, receiver, seq, size_bytes, klen = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise CodecError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -127,7 +129,7 @@ def decode_message(data: bytes) -> Message:
         if has_blob:
             (length,) = struct.unpack_from("!I", data, offset)
             (blob,) = struct.unpack_from(f"!{length}s", data, offset + 4)
-        return Message(
+        message = Message(
             sender=sender,
             receiver=receiver,
             kind=kind_bytes.decode("utf-8"),
@@ -139,6 +141,8 @@ def decode_message(data: bytes) -> Message:
         # kind that is not UTF-8, an empty id list, a zero size — surfaces as
         # a codec error, never a raw exception, to the receive path.
         raise CodecError(f"cannot decode datagram: {exc}") from exc
+    stamp_seq(message, seq)
+    return message
 
 
 __all__ = ["MAX_DATAGRAM_BYTES", "decode_message", "encode_message"]

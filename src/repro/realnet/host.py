@@ -23,9 +23,14 @@ Sessions are *built* before the event loop exists: node construction arms
 gossip timers and the emitter schedules every publication.  The host
 buffers those pre-start schedules and converts them into ``loop.call_at``
 timers the moment :meth:`run` starts the loop (virtual ``t = 0`` is defined
-as that instant).  ``run(until=...)`` then sleeps until the virtual horizon
-is reached, awaits the registered shutdown hooks (closing UDP transports),
-and cancels whatever is still pending.
+as that instant).  ``run(until=...)`` then waits until the virtual horizon
+is reached, cancels whatever is still pending, and awaits the registered
+shutdown hooks (closing UDP transports).
+
+A callback that raises — a timer or a datagram callback — ends the run:
+the host replaces asyncio's log-and-continue exception handler, keeps the
+first exception, stops at once, runs the shutdown hooks so every socket
+closes, and re-raises that exception from :meth:`run`.
 
 Handles
 -------
@@ -128,6 +133,8 @@ class AsyncioHost:
         self._observers: Optional[List[Any]] = None
         self._startup_hooks: List[LifecycleHook] = []
         self._shutdown_hooks: List[LifecycleHook] = []
+        self._horizon: Optional[asyncio.Future] = None
+        self._failure: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # Host surface: time and randomness
@@ -286,7 +293,8 @@ class AsyncioHost:
         enough that :meth:`repro.core.session.StreamingSession.run` calls
         it without knowing which backend it is on.  ``until`` is mandatory:
         a wall-clock host has no "queue drained" notion to substitute for a
-        horizon.  Returns the number of callbacks executed.
+        horizon.  Returns the number of callbacks executed; re-raises the
+        first exception a callback raised, after the shutdown hooks ran.
 
         Parameters
         ----------
@@ -307,10 +315,14 @@ class AsyncioHost:
         finally:
             self._loop = None
             loop.close()
+        if self._failure is not None:
+            raise self._failure
         return self._events_processed - before
 
     async def _main(self, loop: asyncio.AbstractEventLoop, until: float) -> None:
         self._loop = loop
+        self._horizon = loop.create_future()
+        loop.set_exception_handler(self._on_callback_error)
         for hook in self._startup_hooks:
             await hook()
         self._t0 = loop.time()
@@ -318,13 +330,29 @@ class AsyncioHost:
         for handle in list(self._pending):
             self._activate(handle)
         deadline = self._t0 + until * self._time_scale
-        await asyncio.sleep(max(0.0, deadline - loop.time()))
+        timer = loop.call_at(deadline, self._end_run)
+        await self._horizon
+        timer.cancel()
         self._stopped = True
         self._final_now = max(until, (loop.time() - self._t0) / self._time_scale)
         for handle in list(self._pending):
             handle.cancel()
         for hook in self._shutdown_hooks:
             await hook()
+
+    def _end_run(self) -> None:
+        if not self._horizon.done():
+            self._horizon.set_result(None)
+
+    def _on_callback_error(self, loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        """End the run on the first callback exception (the loop's exception handler)."""
+        error = context.get("exception")
+        if error is None:
+            loop.default_exception_handler(context)
+            return
+        if self._failure is None:
+            self._failure = error
+        self._end_run()
 
 
 __all__ = ["AsyncioHost", "WallClockHandle"]

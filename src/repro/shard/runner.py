@@ -441,7 +441,10 @@ class _ProcessLink:
                 return end.get()
             except EOFError:
                 raise ShardProtocolError(f"shard {shard_id} died without reporting") from None
-        # Sentinel only: the process exited without leaving a message.
+        # Sentinel only: the process exited without leaving a message.  The
+        # sentinel can fire before the exit status is reaped; join first so
+        # the error names the real exit code, not ``None``.
+        worker.join(_ABORT_JOIN_TIMEOUT)
         raise ShardProtocolError(
             f"shard {shard_id} died without reporting (exit code {worker.exitcode})"
         )

@@ -107,7 +107,7 @@ class ShardRouter(DatagramRouter):
     """Routes accepted datagrams: owned receivers locally, the rest batched.
 
     Remote datagrams are appended to a per-destination-shard batch carrying
-    their absolute delivery time plus a monotone per-shard sequence number;
+    their absolute delivery time and their name ``(sender, message.seq)``;
     the receiving shard sorts its merged inbound by ``(deliver_time, sender,
     seq)`` before scheduling, making delivery order independent of how the
     coordinator concatenated the batches.
@@ -117,14 +117,13 @@ class ShardRouter(DatagramRouter):
     through a process pipe.
     """
 
-    __slots__ = ("_network", "_shard_id", "_lookup", "_outbound", "_seq")
+    __slots__ = ("_network", "_shard_id", "_lookup", "_outbound")
 
     def __init__(self, network, shard_id: int, lookup: Sequence[int]) -> None:
         self._network = network
         self._shard_id = shard_id
         self._lookup = lookup
         self._outbound: Dict[int, List[RoutedDatagram]] = {}
-        self._seq = 0
 
     def dispatch(self, message: Message, deliver_time: float) -> None:
         """Deliver locally or queue the message for its destination shard."""
@@ -132,8 +131,7 @@ class ShardRouter(DatagramRouter):
         if dest == self._shard_id:
             self._network.schedule_delivery(message, deliver_time)
             return
-        self._seq += 1
-        datagram = (deliver_time, message.sender, self._seq, message)
+        datagram = (deliver_time, message.sender, message.seq, message)
         batch = self._outbound.get(dest)
         if batch is None:
             self._outbound[dest] = [datagram]

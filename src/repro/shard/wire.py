@@ -48,12 +48,13 @@ from repro.core.messages import (
     pack_payload,
     unpack_payload,
 )
-from repro.network.message import Message
+from repro.network.message import Message, stamp_seq
 
 #: One cross-shard datagram: ``(deliver_time, sender, seq, message)``.
-#: ``seq`` is the origin shard's monotone dispatch counter; since a sender is
-#: owned by exactly one shard, ``(sender, seq)`` is globally unique and the
-#: triple ``(deliver_time, sender, seq)`` is a total order over any batch.
+#: ``seq`` is ``message.seq``, the sender's send count at acceptance, so
+#: ``(sender, seq)`` is globally unique and the triple ``(deliver_time,
+#: sender, seq)`` is a total order over any batch.  Decoding stamps it back
+#: onto the rebuilt message.
 RoutedDatagram = Tuple[float, int, int, Message]
 
 # ----------------------------------------------------------------------
@@ -62,10 +63,10 @@ RoutedDatagram = Tuple[float, int, int, Message]
 # Columns are *adaptively* sized: each batch measures its maxima and picks
 # 1-, 2- or 4-byte widths for the node-id, seq-delta, wire-size, aux-scalar
 # and packet-id columns (a 16-node smoke session pays 1-byte node ids; a
-# metropolis session pays 2).  Sequence numbers — an unbounded lifetime
-# counter — are stored as deltas against the batch minimum, which keeps
-# them narrow forever.  All widths are pure functions of batch content, so
-# encode/decode stays exact and deterministic.
+# metropolis session pays 2).  Sequence numbers — each sender's unbounded
+# send count — are stored as deltas against the batch minimum, which keeps
+# them narrow while senders send at similar rates.  All widths are pure
+# functions of batch content, so encode/decode stays exact and deterministic.
 #
 # Per-datagram head record: ``deliver_time`` f64 (bit-exact, never
 # narrowed), ``sender``, ``seq - seq_base``, ``receiver``, ``size_bytes``,
@@ -130,8 +131,8 @@ class WireBatch:
         Per-batch table of ``Message.kind`` strings; head records index it.
     seq_base:
         The batch's minimum sequence number; head records store deltas
-        against it (sequence numbers are an unbounded lifetime counter, the
-        deltas inside one window stay narrow).
+        against it (sequence numbers are the senders' unbounded send counts,
+        the deltas inside one window stay narrow).
     widths:
         ``(node, seq, size, aux, ids)`` column widths in bytes, each 1, 2
         or 4, chosen from the batch maxima at encode time.
@@ -342,14 +343,10 @@ def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
                 blob = batch.blob[blob_at:blob_end]
                 blob_at = blob_end
             payload = unpack_payload(tag, aux[:scalar_count], packet_ids, blob)
-            out.append(
-                (
-                    deliver_time,
-                    sender,
-                    seq_base + delta,
-                    Message(sender, receiver, kinds[kind_code], size_bytes, payload),
-                )
-            )
+            message = Message(sender, receiver, kinds[kind_code], size_bytes, payload)
+            seq = seq_base + delta
+            stamp_seq(message, seq)
+            out.append((deliver_time, sender, seq, message))
     except (struct.error, IndexError, ValueError) as exc:
         raise WireFormatError(f"corrupt wire batch: {exc}") from exc
     return out

@@ -8,7 +8,7 @@ Turns a ``repro.telemetry/1`` JSONL trace into the JSON object format both
 * every accepted **datagram** becomes a complete (``X``) slice on its
   sender's track spanning the upload-serialization interval, plus a flow
   arrow (``s`` → ``f``) to the tiny slice at its delivery (or loss /
-  dead-receiver drop), keyed by the deterministic datagram seq ``d``;
+  dead-receiver drop), keyed by the datagram's name ``(snd, d)``;
 * congestion drops, blocked sends, protocol rounds, first-time packet
   deliveries and churn transitions become instant (``i``) events on the
   track they concern;
@@ -67,19 +67,20 @@ def _instant(tid: int, ts: float, name: str, cat: str, scope: str = "t", **args)
     return event
 
 
-def _flow(phase: str, flow_id: int, tid: int, ts: float) -> Dict[str, Any]:
-    event = {
+def _flow(phase: str, event: Dict[str, Any], tid: int, ts: float) -> Dict[str, Any]:
+    flow = {
         "ph": phase,
         "pid": _PID,
         "tid": tid,
         "ts": _us(ts),
-        "id": flow_id,
+        # One integer per datagram name: ``d`` fits the u32 the wires carry.
+        "id": event["snd"] << 32 | event["d"],
         "name": "datagram",
         "cat": "flow",
     }
     if phase == "f":
-        event["bp"] = "e"  # bind to the enclosing slice
-    return event
+        flow["bp"] = "e"  # bind to the enclosing slice
+    return flow
 
 
 def _thread_metadata(node_ids: Iterable[int]) -> List[Dict[str, Any]]:
@@ -164,7 +165,7 @@ def perfetto_events(
                     d=event["d"],
                 )
             )
-            body.append(_flow("s", event["d"], sender, time))
+            body.append(_flow("s", event, sender, time))
         elif kind == "deliver_msg":
             receiver = event["rcv"]
             node_ids.add(receiver)
@@ -180,8 +181,7 @@ def perfetto_events(
                     d=event["d"],
                 )
             )
-            if event["d"] >= 0:
-                body.append(_flow("f", event["d"], receiver, time))
+            body.append(_flow("f", event, receiver, time))
         elif kind in ("loss", "drop_dead"):
             receiver = event["rcv"]
             node_ids.add(receiver)
@@ -197,8 +197,7 @@ def perfetto_events(
                     d=event["d"],
                 )
             )
-            if event["d"] >= 0:
-                body.append(_flow("f", event["d"], receiver, time))
+            body.append(_flow("f", event, receiver, time))
         elif kind in ("drop_congestion", "send_blocked"):
             sender = event["snd"]
             node_ids.add(sender)

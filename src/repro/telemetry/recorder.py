@@ -71,18 +71,13 @@ class _JsonTexts(dict):
         return text
 
 
-def _datagram_edge(kind: str, terminal: bool = True) -> Callable[..., None]:
+def _datagram_edge(kind: str) -> Callable[..., None]:
     """The handler of one terminal fate (``snd rcv mk sz d``), or of ``send`` (plus ``fin``)."""
+    is_send = kind == "send"
 
     def on_datagram(
         self: "TraceRecorder", message: Message, now: float, finish_time: Any = None
     ) -> None:
-        if terminal:
-            seq = self._in_flight.pop(id(message), -1)
-        else:
-            seq = self._next_seq
-            self._next_seq = seq + 1
-            self._in_flight[id(message)] = seq
         template = self._templates[kind]
         if template is None:
             return
@@ -94,9 +89,9 @@ def _datagram_edge(kind: str, terminal: bool = True) -> Callable[..., None]:
         held = len(buffer)
         values = (
             writer.flushed + held, writer.time_text, message.sender, message.receiver,
-            self._text[message.kind], message.size_bytes, seq,
+            self._text[message.kind], message.size_bytes, message.seq,
         )
-        if not terminal:
+        if is_send:
             finite = type(finish_time) is float and finish_time - finish_time == 0.0
             values += (repr(finish_time) if finite else json_text(finish_time),)
         buffer.append(template % values)
@@ -110,13 +105,10 @@ def _datagram_edge(kind: str, terminal: bool = True) -> Callable[..., None]:
 class TraceRecorder(SessionObserver):
     """Streams every selected instrumentation edge into a trace writer.
 
-    Datagram events share a **sequence number** (``d``) assigned in
-    acceptance order, linking each ``send`` to its terminal fate.  The
-    ``id(message) -> seq`` map only holds in-flight datagrams — terminal
-    fates pop their entry — so memory stays bounded and recycled object
-    ids cannot alias.  Sequence numbers are assigned even when ``send``
-    events are filtered out, keeping ``d`` stable under any filter
-    combination.
+    Datagram events carry the datagram's name ``(snd, d)``, where ``d`` is
+    ``Message.seq`` — the sender's send count at acceptance, stamped by the
+    transport and carried across shard and UDP wires — linking each
+    ``send`` to its terminal fate on any substrate and under any filter.
 
     The frequent edges (``dispatch``, ``send``, the three fates, ``packet``)
     render their line where they stand (see :class:`TraceWriter`), so it costs
@@ -150,8 +142,6 @@ class TraceRecorder(SessionObserver):
         self._dispatch_seen = 0
         self._fn_text: Dict[Any, str] = {}
         self._text = _JsonTexts()
-        self._next_seq = 0
-        self._in_flight: Dict[int, int] = {}
 
     @property
     def records_dispatch(self) -> bool:
@@ -204,7 +194,7 @@ class TraceRecorder(SessionObserver):
     def on_send_blocked(self, message: Message, now: float) -> None:
         self._unsent("send_blocked", message, now)
 
-    on_send_accepted = _datagram_edge("send", terminal=False)
+    on_send_accepted = _datagram_edge("send")
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
         self._unsent("drop_congestion", message, now)

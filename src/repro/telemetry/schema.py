@@ -42,10 +42,12 @@ kind                extra fields
 ``feed_me_round``   ``n nt`` (feed-me round with nt targets)
 ==================  ====================================================
 
-``d`` is a **datagram sequence number** assigned in acceptance order (not a
-Python ``id()``, which would differ across runs): the same ``d`` links a
-``send`` to its terminal fate, which is what the Perfetto exporter turns
-into flow arrows.
+``(snd, d)`` names a datagram: ``d`` is its sender's send count at the
+instant the upload limiter accepted it (``Message.seq``: 1, 2, 3, ... per
+sender), stamped by the transport and carried across the shard wire and the
+UDP codec.  The same name therefore links a ``send`` to its terminal fate
+whichever substrate — or shard's trace — recorded either line, and the
+Perfetto exporter turns each link into a flow arrow.
 
 Two ways in, one set of bytes out: :meth:`TraceWriter.append` is the general
 path (any kind, any fields, one ``json`` encode per event);
@@ -314,9 +316,25 @@ def validate_trace(path: Union[str, Path]) -> Tuple[TraceHeader, int]:
 
     Checks the header, a contiguous ``i`` sequence, non-decreasing ``t``
     (simulated time is monotone, so any regression means interleaved or
-    corrupt writes) and known event kinds.
+    corrupt writes), known event kinds, and the datagram links:
+
+    * each sender's ``send`` lines carry rising ``d``, so no ``(snd, d)``
+      is on two of them;
+    * a terminal line (``loss``, ``deliver_msg``, ``drop_dead``) whose
+      ``send`` is in the trace resolves it exactly once and agrees with it
+      on ``rcv``, ``mk`` and ``sz``.  Once a whole-run trace has recorded
+      any ``send``, every terminal line must resolve one; a shard's trace
+      (a ``shard`` header) holds only the senders it traces to that, since
+      the others' sends are in their own shards' traces.
+
+    Only lines that carry an integer ``snd`` and ``d`` are linked (this
+    checks no per-kind field lists).  Memory stays bounded by the datagrams
+    in flight plus one count per sender.
     """
     header = read_header(path)
+    fragment = "shard" in header.meta
+    last_sent: Dict[int, int] = {}
+    pending: Dict[Tuple[int, int], Tuple[Any, Any, Any]] = {}
     count = 0
     last_time = float("-inf")
     for event in iter_events(path):
@@ -333,6 +351,29 @@ def validate_trace(path: Union[str, Path]) -> Tuple[TraceHeader, int]:
                 f"{path}: event {count} time {time!r} regresses below {last_time!r}"
             )
         last_time = float(time)
+        name = sender, seq = event.get("snd"), event.get("d")
+        if type(sender) is int and type(seq) is int:
+            fields = (event.get("rcv"), event.get("mk"), event.get("sz"))
+            if kind == "send":
+                if seq <= last_sent.get(sender, -1):
+                    raise TraceError(
+                        f"{path}: event {count} sends {name} after "
+                        f"({sender}, {last_sent[sender]})"
+                    )
+                last_sent[sender] = seq
+                pending[name] = fields
+            elif name in pending:
+                sent = pending.pop(name)
+                if sent != fields:
+                    raise TraceError(
+                        f"{path}: event {count} ({kind}) of datagram {name} has "
+                        f"(rcv, mk, sz) {fields}, its send {sent}"
+                    )
+            elif sender in last_sent or (last_sent and not fragment):
+                raise TraceError(
+                    f"{path}: event {count} ({kind}) of datagram {name} "
+                    "resolves no earlier unresolved send"
+                )
         count += 1
     return header, count
 

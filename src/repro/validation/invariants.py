@@ -169,7 +169,7 @@ class BandwidthCapCompliance(Invariant):
             )
 
 
-def _served_packet_id(message: Message) -> Optional[PacketId]:
+def _packet_carried_by(message: Message) -> Optional[PacketId]:
     """The stream packet a datagram carries, if it carries one (SERVE/PUSH)."""
     payload = message.payload
     if isinstance(payload, ServePayload):
@@ -181,9 +181,10 @@ class PacketConservation(Invariant):
     """No packet materializes out of thin air, and FEC accounting is honest.
 
     Runtime checks: a delivered datagram must be one the transport accepted
-    (identity-matched, delivered at most once; in-flight losses and
-    dead-receiver drops release it), and a non-source node may only deliver
-    a stream packet that arrived in a SERVE/PUSH datagram it received.
+    (matched by its name ``(sender, seq)``, which survives a shard pipe or a
+    UDP socket; delivered at most once; in-flight losses and dead-receiver
+    drops release it), and a non-source node may only deliver a stream
+    packet that arrived in a SERVE/PUSH datagram it received.
 
     Finalize checks: the session's :class:`~repro.metrics.delivery.DeliveryLog`
     must agree with the independently observed delivery edges node by node,
@@ -195,25 +196,22 @@ class PacketConservation(Invariant):
 
     def bind(self, session: StreamingSession) -> None:
         super().bind(session)
-        # Strong references on purpose: keeping accepted messages alive
-        # until their fate resolves means id() cannot be reused while the
-        # entry exists, making the identity check sound.
-        self._in_flight: Dict[int, Message] = {}
+        self._in_flight: Set[Tuple[NodeId, int]] = set()
         self._received_packets: Dict[NodeId, Set[PacketId]] = {}
         self._delivered: Dict[NodeId, Set[PacketId]] = {}
 
     def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
-        self._in_flight[id(message)] = message
+        self._in_flight.add((message.sender, message.seq))
 
     def on_in_flight_loss(self, message: Message, now: float) -> None:
-        self._in_flight.pop(id(message), None)
+        self._in_flight.discard((message.sender, message.seq))
 
     def on_delivery_dropped(self, message: Message, now: float) -> None:
-        self._in_flight.pop(id(message), None)
+        self._in_flight.discard((message.sender, message.seq))
 
     def on_delivered(self, message: Message, now: float) -> None:
-        entry = self._in_flight.pop(id(message), None)
-        if entry is not message:
+        name = (message.sender, message.seq)
+        if name not in self._in_flight:
             self.fail(
                 f"{message.kind!r} datagram delivered to node {message.receiver} "
                 "was never accepted from its sender (forged or double delivery)",
@@ -221,7 +219,8 @@ class PacketConservation(Invariant):
                 receiver=message.receiver,
                 kind=message.kind,
             )
-        packet_id = _served_packet_id(message)
+        self._in_flight.remove(name)
+        packet_id = _packet_carried_by(message)
         if packet_id is not None:
             self._received_packets.setdefault(message.receiver, set()).add(packet_id)
 

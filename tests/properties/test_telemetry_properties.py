@@ -17,7 +17,7 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.network.message import Message
+from repro.network.message import Message, stamp_seq
 from repro.scenarios import available_scenarios, build_scenario
 from repro.scenarios import run_spec
 from repro.sweep.summary import MetricsRequest, summarize
@@ -175,9 +175,11 @@ class TestFastLinesMatchJson:
             recorder.on_event_dispatch(now, message.size_bits, ())
             recorder.on_send_blocked(message, now)
             recorder.on_congestion_drop(message, now)
-            for fate in (
-                recorder.on_in_flight_loss, recorder.on_delivered, recorder.on_delivery_dropped
+            for seq, fate in enumerate(
+                (recorder.on_in_flight_loss, recorder.on_delivered, recorder.on_delivery_dropped),
+                start=1,
             ):
+                stamp_seq(message, seq)  # what the transport does on acceptance
                 recorder.on_send_accepted(message, now, fin)
                 fate(message, now)
             recorder.on_packet_delivered(snd, packet, now, source)
@@ -189,12 +191,12 @@ class TestFastLinesMatchJson:
             ("dispatch", {"fn": "Message.size_bits"}),
             ("send_blocked", datagram),
             ("drop_congestion", datagram),
-            ("send", {**datagram, "d": 0, "fin": fin}),
-            ("loss", {**datagram, "d": 0}),
             ("send", {**datagram, "d": 1, "fin": fin}),
-            ("deliver_msg", {**datagram, "d": 1}),
+            ("loss", {**datagram, "d": 1}),
             ("send", {**datagram, "d": 2, "fin": fin}),
-            ("drop_dead", {**datagram, "d": 2}),
+            ("deliver_msg", {**datagram, "d": 2}),
+            ("send", {**datagram, "d": 3, "fin": fin}),
+            ("drop_dead", {**datagram, "d": 3}),
             ("packet", {"n": snd, "p": packet, "source": source}),
             ("node_failed", {"n": rcv}),
             ("node_recovered", {"n": rcv}),

@@ -11,7 +11,7 @@ from repro.core.messages import (
     ServePayload,
     ServedPacket,
 )
-from repro.network.message import Message
+from repro.network.message import Message, stamp_seq
 from repro.realnet.codec import MAX_DATAGRAM_BYTES, decode_message, encode_message
 from repro.realnet.errors import CodecError
 from tests.wire_strategies import OVERFLOWING_MESSAGES, mutate, six_kind_batch
@@ -27,6 +27,13 @@ class TestRoundTrip:
         out = roundtrip(msg)
         assert (out.sender, out.receiver, out.kind, out.size_bytes) == (3, 9, "feed-me", 64)
         assert out.payload is None
+
+    def test_seq_crosses_the_wire(self):
+        msg = Message(sender=3, receiver=9, kind="feed-me", size_bytes=64)
+        stamp_seq(msg, 4000000000)
+        wire = encode_message(msg)
+        assert len(wire) == 64  # the seq field rides inside the padding
+        assert roundtrip(msg).seq == 4000000000
 
     def test_propose_payload(self):
         msg = Message(
@@ -160,7 +167,7 @@ class TestRobustness:
 
     def test_invalid_utf8_kind_rejected(self):
         wire = bytearray(encode_message(Message(sender=0, receiver=1, kind="xy", size_bytes=64)))
-        wire[17:19] = b"\xff\xfe"  # the kind tag follows the 17-byte header
+        wire[21:23] = b"\xff\xfe"  # the kind tag follows the 21-byte header
         with pytest.raises(CodecError):
             decode_message(bytes(wire))
 

@@ -202,3 +202,27 @@ class TestHandles:
         handle.cancel()
         assert handle.fired
         assert not handle.cancelled
+
+
+class TestCallbackFailure:
+    """A raising callback ends the run instead of being logged and skipped."""
+
+    def test_first_timer_exception_stops_the_run_and_is_reraised(self):
+        host = AsyncioHost(time_scale=FAST)
+        fired, closed = [], []
+
+        def boom(label):
+            raise RuntimeError(label)
+
+        async def shutdown():
+            closed.append(host.now)
+
+        host.add_shutdown_hook(shutdown)
+        host.schedule(0.1, boom, "first")
+        host.schedule(0.2, boom, "second")
+        host.schedule(5.0, fired.append, "after")
+        with pytest.raises(RuntimeError, match="first"):
+            host.run(until=10.0)
+        assert fired == []
+        assert len(closed) == 1, "the shutdown hooks run before the re-raise"
+        assert host.pending_events == 0

@@ -24,7 +24,7 @@ from repro.validation.observers import TransportObserver
 
 from tests.realnet.conftest import SMOKE_TIME_SCALE, realnet_session_config
 
-KIND_OFFSET = 17  # the fixed header; the kind tag starts right after it
+KIND_OFFSET = 21  # the fixed header; the kind tag starts right after it
 
 
 def _hostile_datagrams():

@@ -1,6 +1,7 @@
 """End-to-end tests: a streaming session over real UDP sockets."""
 
 import json
+import socket
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from repro.core.session import StreamingSession
 from repro.realnet.host import AsyncioHost
 from repro.realnet.net import UdpNetwork
+from repro.validation import validate_session
+from repro.validation.observers import SessionObserver, attach_session_observer
 from repro.realnet.session import (
     RealNetConfig,
     RealNetSession,
@@ -101,3 +104,34 @@ class TestTelemetryIntegration:
         header, count = validate_trace(trace_path)
         assert header.meta.get("backend") == "realnet-asyncio"
         assert count > 0
+
+
+class _RaiseOnDelivery(SessionObserver):
+    def on_delivered(self, message, now):
+        raise RuntimeError(f"observer failed on datagram ({message.sender}, {message.seq})")
+
+
+class TestFailuresEndTheRun:
+    def test_a_raising_datagram_callback_ends_the_run_and_frees_every_port(self):
+        session = RealNetSession(
+            realnet_session_config(num_nodes=4, num_windows=1),
+            RealNetConfig(time_scale=SMOKE_TIME_SCALE),
+        )
+        session.build()
+        attach_session_observer(session, _RaiseOnDelivery())
+        addresses = [session.network.address(node_id) for node_id in range(4)]
+        with pytest.raises(RuntimeError, match="observer failed on datagram"):
+            session.run()
+        for address in addresses:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.bind(address)
+
+
+class TestInvariantsOnRealNet:
+    def test_every_default_invariant_holds_on_a_smoke_session(self):
+        session = RealNetSession(
+            realnet_session_config(num_nodes=6, num_windows=2),
+            RealNetConfig(time_scale=SMOKE_TIME_SCALE),
+        )
+        result = validate_session(session)
+        assert result.delivery_ratio() > 0.0

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 import repro.shard.runner as runner_module
-from repro.network.message import Message
+from repro.network.message import Message, stamp_seq
 from repro.scenarios.registry import build_scenario
 from repro.shard.partition import plan_shards
 from repro.shard.runner import (
@@ -48,8 +48,11 @@ def small_config(num_nodes=8, shards=2, seed=3):
     return spec.session_config()
 
 
-def message(sender, receiver):
-    return Message(sender=sender, receiver=receiver, kind="serve", size_bytes=100)
+def message(sender, receiver, seq=0):
+    """A datagram; ``seq`` > 0 names it as the transport does on acceptance."""
+    msg = Message(sender=sender, receiver=receiver, kind="serve", size_bytes=100)
+    stamp_seq(msg, seq)
+    return msg
 
 
 class FakeNetwork:
@@ -76,23 +79,24 @@ class TestShardRouter:
         assert network.delivered == [(1.5, message(0, 1))]
         assert router.flush() == {}
 
-    def test_remote_datagrams_batch_with_monotone_seq(self):
+    def test_remote_datagrams_batch_under_their_names(self):
         network = FakeNetwork()
         router = ShardRouter(network, shard_id=0, lookup=self.LOOKUP)
-        first, second = message(0, 2), message(1, 3)
+        first, second = message(0, 2, seq=7), message(1, 3, seq=1)
         router.dispatch(first, 2.0)
-        router.dispatch(second, 1.0)  # earlier time, later seq: order kept
+        router.dispatch(second, 1.0)  # earlier time, later dispatch: order kept
         assert network.delivered == []
         batches = router.flush()
         assert isinstance(batches[1], WireBatch)
-        assert decoded(batches) == {1: [(2.0, 0, 1, first), (1.0, 1, 2, second)]}
+        assert decoded(batches) == {1: [(2.0, 0, 7, first), (1.0, 1, 1, second)]}
+        # The name crosses the wire on the rebuilt message too.
+        assert [d[3].seq for d in decoded(batches)[1]] == [7, 1]
 
-    def test_flush_clears_but_seq_keeps_counting(self):
+    def test_flush_clears_the_window(self):
         router = ShardRouter(FakeNetwork(), shard_id=0, lookup=self.LOOKUP)
-        router.dispatch(message(0, 2), 1.0)
+        router.dispatch(message(0, 2, seq=1), 1.0)
         assert [seq for _, _, seq, _ in decoded(router.flush())[1]] == [1]
-        router.dispatch(message(0, 3), 2.0)
-        # Seq is a per-shard lifetime counter: uniqueness must span windows.
+        router.dispatch(message(0, 3, seq=2), 2.0)
         assert [seq for _, _, seq, _ in decoded(router.flush())[1]] == [2]
         assert router.flush() == {}
 
@@ -130,9 +134,9 @@ class TestWindowBarrier:
         shard.simulator.schedule_at(2.5, lambda: None)
         shard.network = network
         shard._router = ShardRouter(network, shard_id=0, lookup=[0, 0, 1, 1])
-        outbound = message(0, 2)
+        outbound = message(0, 2, seq=1)
         shard._router.dispatch(outbound, 2.25)
-        early, tie, late = message(3, 1), message(2, 1), message(2, 0)
+        early, tie, late = message(3, 1, seq=1), message(2, 1, seq=4), message(2, 0, seq=5)
         inbound = [
             encode_batch([(3.0, 2, 5, late)]),
             encode_batch([(3.0, 2, 4, tie), (2.75, 3, 1, early)]),

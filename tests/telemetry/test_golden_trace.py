@@ -4,7 +4,10 @@
 of the *same* code.  The digest below was produced by the commit **before**
 the recorder learned to format its lines directly (``json.dumps`` of a dict
 per event), so it pins the bytes against history: whatever the recorder does
-to get faster, these lines may not move.
+to get faster, these lines may not move.  One relabel since: ``d`` became
+the sender's send count (``Message.seq``), and the pinned lines are the old
+ones with each send's ``d`` replaced by its 1-based rank among its sender's
+sends — no other byte moved.
 
 The session is a lossy, congested, churned smoke run, plus one node whose
 network endpoint is failed and later recovered while its timers keep
@@ -27,7 +30,7 @@ from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import EVENT_KINDS, validate_trace
 
 GOLDEN_EVENTS = 18739
-GOLDEN_SHA256 = "62c3899e463e3f498cc479ad4cbea4af61bbc8fc70f88130b9850b00d72f12ab"
+GOLDEN_SHA256 = "a8fa270600a041044f99008639716b0b8b1719111d158964d9c08ed1492c7a13"
 
 #: Endpoint-only outage of one receiver (it is never ``fail()``-ed, so it
 #: keeps trying to send: ``send_blocked``), then its recovery.

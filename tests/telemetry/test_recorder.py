@@ -87,11 +87,12 @@ class TestTraceDeterminism:
         send_seqs = set()
         fate_seqs = set()
         for event in iter_events(path):
+            name = (event.get("snd"), event.get("d"))
             if event["k"] == "send":
-                assert event["d"] not in send_seqs, "datagram seq reused"
-                send_seqs.add(event["d"])
+                assert name not in send_seqs, "datagram name reused"
+                send_seqs.add(name)
             elif event["k"] in ("deliver_msg", "loss", "drop_dead"):
-                fate_seqs.add(event["d"])
+                fate_seqs.add(name)
         # Every terminal fate refers back to an accepted send.
         assert fate_seqs <= send_seqs
         assert len(send_seqs) > 0
