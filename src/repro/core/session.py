@@ -32,7 +32,7 @@ which composes a :class:`SessionConfig` from a named spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.membership.churn import CatastrophicChurn
 from repro.membership.directory import MembershipDirectory
@@ -255,6 +255,10 @@ class StreamingSession:
         self.network: Optional[Network] = None
         self.directory: Optional[MembershipDirectory] = None
         self.schedule: Optional[StreamSchedule] = None
+        #: The nodes this session instantiates and registers: all of them.
+        #: A shard session narrows it to its own slice; the directory and the
+        #: churn/join plans stay whole, replica-identical across shards.
+        self._owned: Sequence[NodeId] = range(config.num_nodes)
         self.nodes: Dict[NodeId, GossipNode] = {}
         self.emitter: Optional[StreamEmitter] = None
         self.deliveries: Optional[DeliveryLog] = None
@@ -283,8 +287,7 @@ class StreamingSession:
         self._build_membership()
         self._build_network()
         self._build_nodes()
-        self._build_churn()
-        self._build_join()
+        self._build_plans()
         self._build_telemetry()
 
     def _create_simulator(self) -> Simulator:
@@ -295,7 +298,7 @@ class StreamingSession:
         config = self.config
         directory = MembershipDirectory(detection_delay=config.failure_detection_delay)
         # Evaluated once: the same tuple keeps the joiners out of the initial
-        # directory here and is what _build_join schedules.
+        # directory here and is what _build_plans schedules.
         if config.join is not None:
             self._late_joiners = config.join.joiners(config.receiver_ids())
         late = set(self._late_joiners)
@@ -318,22 +321,12 @@ class StreamingSession:
         loss = config.network.build_loss(self.simulator.rng, per_sender=per_sender)
         self.network = Network(self.simulator, latency_model=latency, loss_model=loss)
 
-    def _nodes_to_build(self) -> List[NodeId]:
-        """Which nodes this session instantiates and registers.
-
-        The scalar session builds every node; a shard session overrides this
-        to build only the nodes it owns (while still building the full
-        membership directory and perturbation plans, which must be
-        replica-identical across shards).
-        """
-        return list(range(self.config.num_nodes))
-
     def _build_nodes(self) -> None:
         assert self.simulator is not None and self.network is not None
         assert self.directory is not None and self.schedule is not None
         assert self.deliveries is not None
         config = self.config
-        for node_id in self._nodes_to_build():
+        for node_id in self._owned:
             is_source = node_id == config.source_id
             # The source is a well-provisioned node: no 700 kbps cap can carry
             # the ``source_fanout`` copies of the stream it serves.
@@ -357,21 +350,17 @@ class StreamingSession:
         if source is not None:
             self.emitter = StreamEmitter(self.simulator, self.schedule, source.publish)
 
-    def _build_churn(self) -> None:
+    def _build_plans(self) -> None:
+        """Arm the churn and flash-crowd plans (replica-identical on every shard)."""
         assert self.simulator is not None and self.directory is not None
         config = self.config
-        if config.churn is None:
-            return
-        victims = config.churn.victims(
-            self.directory.churn_candidates(protected=[config.source_id]),
-            self.simulator.rng.stream("churn"),
-        )
-        if victims:
-            self.simulator.schedule_at(config.churn.time, self._apply_failures, victims)
-
-    def _build_join(self) -> None:
-        assert self.simulator is not None
-        config = self.config
+        if config.churn is not None:
+            victims = config.churn.victims(
+                self.directory.churn_candidates(protected=[config.source_id]),
+                self.simulator.rng.stream("churn"),
+            )
+            if victims:
+                self.simulator.schedule_at(config.churn.time, self._apply_failures, victims)
         if config.join is not None and self._late_joiners:
             self.simulator.schedule_at(config.join.time, self._apply_joins, self._late_joiners)
 
@@ -414,24 +403,34 @@ class StreamingSession:
     # ------------------------------------------------------------------
     def run(self) -> SessionResult:
         """Build (if needed), run to completion, and return the results."""
+        until = self._start()
+        assert self.simulator is not None
+        try:
+            self.simulator.run(until=until)
+        finally:  # a run that dies keeps its last buffered trace lines: they say why
+            telemetry_snapshot = self._close_telemetry()
+        return self._result(telemetry_snapshot)
+
+    def _start(self) -> float:
+        """Build (if needed), start the nodes and the stream; return the horizon."""
         if not self._built:
             self.build()
-        assert self.simulator is not None and self.schedule is not None
-
+        assert self.schedule is not None
         late = set(self._late_joiners)
         for node_id, node in self.nodes.items():
             if node_id not in late:
                 node.start()
         if self.emitter is not None:  # a shard without the source has none
             self.emitter.start()
+        return self.schedule.config.end_time + self.config.extra_time
 
-        try:
-            self._run_to(self.schedule.config.end_time + self.config.extra_time)
-        finally:  # a run that dies keeps its last buffered trace lines: they say why
-            telemetry_snapshot = (
-                self.telemetry.finalize() if self.telemetry is not None else None
-            )
+    def _close_telemetry(self):
+        """Close the trace and snapshot the metrics (idempotent); ``None`` if unarmed."""
+        return self.telemetry.finalize() if self.telemetry is not None else None
 
+    def _result(self, telemetry_snapshot) -> SessionResult:
+        """The session's outcome as it stands now."""
+        assert self.simulator is not None and self.schedule is not None
         assert self.network is not None and self.deliveries is not None
         return SessionResult(
             config=self.config,
@@ -445,11 +444,6 @@ class StreamingSession:
             late_joiners=list(self._late_joiners),
             telemetry=telemetry_snapshot,
         )
-
-    def _run_to(self, until: float) -> None:
-        """Run the event queue to ``until``; a shard session runs it in windows."""
-        assert self.simulator is not None
-        self.simulator.run(until=until)
 
 
 def run_session(config: SessionConfig) -> SessionResult:

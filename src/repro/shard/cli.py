@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("thread", "process"),
         default="thread",
-        help="worker mode (default: thread)",
+        help="thread: every shard stepped in this thread (default); "
+        "process: one worker process per shard",
     )
     run.add_argument(
         "--parity",

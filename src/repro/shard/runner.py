@@ -50,13 +50,16 @@ event at or below it.
 
 One coordinator loop (``_run_workers``) drives both runner modes: collect
 a report from every shard, answer each with its reply, repeat until the
-round is done, then collect the results; any failure aborts and joins every
-worker before it propagates.  The modes differ only in the *link* the loop
-talks through — start the workers, receive from a shard, send to it,
-translate a worker's error, join:
+round is done, then collect the results; any failure aborts every shard —
+closing its trace where it stopped — and joins every worker before it
+propagates.  Both modes run the same window loop
+(:meth:`~repro.shard.session.ShardSession.open`, ``step``, ``close``) and
+differ only in the *link* the coordinator talks through — start the
+shards, receive from a shard, send to it, join:
 
-* ``thread`` — workers are daemon threads, each shard a queue pair, polled
-  for liveness; a worker's exception is re-raised as is.
+* ``thread`` — every shard session lives in the calling thread; sending a
+  reply steps that shard at once.  No thread is started and nothing is
+  pickled, and a shard's exception propagates as itself.
 * ``process`` — workers are OS processes, each shard a pipe carrying
   pickle-protocol-5 frames, watched with the process sentinel; a worker's
   exception arrives as a :class:`ShardProtocolError` carrying its traceback.
@@ -66,8 +69,6 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import queue
-import threading
 import traceback
 from multiprocessing import connection as mp_connection
 from dataclasses import dataclass
@@ -81,9 +82,9 @@ from repro.streaming.schedule import StreamSchedule
 from repro.shard.partition import ShardPlan, plan_shards
 from repro.shard.session import (
     ShardResult,
+    ShardSession,
     WindowReply,
     WindowReport,
-    run_shard_worker,
     session_horizon,
 )
 from repro.shard.wire import WireBatch, iter_headers
@@ -276,59 +277,52 @@ class _Coordinator:
 # ----------------------------------------------------------------------
 # Links: how the coordinator reaches its workers
 # ----------------------------------------------------------------------
-#: Seconds to wait for worker threads/processes to wind down after an abort.
+#: Seconds to wait for worker processes to wind down after an abort.
 _ABORT_JOIN_TIMEOUT = 5.0
 
-#: Seconds a thread-mode receive waits on a shard's queue between checks
-#: that the worker thread is still alive.
-_LIVENESS_POLL_SECONDS = 0.5
+
+class _InlineLink:
+    """Thread mode: every shard session stepped in the calling thread.
+
+    No thread, no pickling: :meth:`send` runs the shard's next window at
+    once and :meth:`receive` hands back what it reported.  A shard's
+    exception propagates as itself out of :meth:`start` or :meth:`send`.
+    """
+
+    def __init__(self, config: SessionConfig, plan: ShardPlan) -> None:
+        self._sessions = [
+            ShardSession(config, shard_id, plan) for shard_id in range(plan.num_shards)
+        ]
+        self._pending: List[Tuple[str, object]] = []
+
+    def start(self) -> None:
+        for session in self._sessions:
+            self._pending.append(("window", session.open()))
+
+    def receive(self, shard_id: int) -> Tuple[str, object]:
+        return self._pending[shard_id]
+
+    def send(self, shard_id: int, message) -> None:
+        tag, reply = message
+        session = self._sessions[shard_id]
+        if tag == "abort":  # keep its trace whole: close it where the run stopped
+            session._close_telemetry()
+            return
+        report = session.step(reply)
+        self._pending[shard_id] = (
+            ("window", report) if report is not None else ("result", session.close())
+        )
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Nothing to join: no thread or process was started."""
 
 
-class _ShardAborted(BaseException):
-    """Internal: coordinator told this worker to stop (peer failure)."""
-
-
-class _Channel:
-    """A worker's end of its link: ``put`` and ``get`` one message each.
+class _PipeChannel:
+    """Either end of a process-mode pipe, framed as pickle protocol 5.
 
     Every message either way is ``(tag, payload)``: a worker sends
     ``window`` reports and then its ``result`` or an ``error``; the
     coordinator answers each report with ``reply`` or ``abort``.
-    """
-
-    def serve(self, config: SessionConfig, shard_id: int, plan: ShardPlan) -> None:
-        """Run one shard to completion and report how it ended."""
-        try:
-            self.put(("result", run_shard_worker(config, shard_id, plan, self)))
-        except _ShardAborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 — forwarded to the coordinator
-            self.put(("error", self.failure(exc)))
-
-    @staticmethod
-    def failure(exc: BaseException) -> object:
-        return exc  # the exception object itself crosses a thread
-
-    def exchange(self, report: WindowReport) -> WindowReply:
-        """Send one window report and block for the coordinator's reply."""
-        self.put(("window", report))
-        tag, payload = self.get()
-        if tag == "abort":  # another shard failed
-            raise _ShardAborted()
-        return payload
-
-
-class _QueueChannel(_Channel):
-    """Thread mode's worker end: the shard's report queue and reply queue."""
-
-    def __init__(self, reports: "queue.Queue", replies: "queue.Queue") -> None:
-        self.put = reports.put
-        self.get = replies.get
-
-
-class _PipeChannel(_Channel):
-    """Either end of a process-mode pipe, framed as pickle protocol 5.
-
     ``Connection.send`` pickles at the interpreter's default protocol;
     framing explicitly at protocol 5 keeps the compact wire batches' flat
     buffers on the cheapest (out-of-band-capable) encoding on every
@@ -344,62 +338,32 @@ class _PipeChannel(_Channel):
     def get(self):
         return pickle.loads(self.connection.recv_bytes())
 
-    @staticmethod
-    def failure(exc: BaseException) -> str:
-        return traceback.format_exc()  # an exception need not pickle
 
+def _serve_shard(
+    channel: _PipeChannel, config: SessionConfig, shard_id: int, plan: ShardPlan
+) -> None:
+    """Process mode's worker: the shard's window loop, one report per reply.
 
-class _ThreadLink:
-    """Thread mode: daemon worker threads, a queue pair per shard.
-
-    The default: Python threads interleave rather than parallelize, but they
-    add no pickling or process-spawn cost, which keeps the equivalence suite
-    and small sessions fast.
+    An error goes back as its formatted traceback (an exception need not
+    pickle); an abort stops without another message.  Either way the
+    shard's trace is closed whole before the process exits.
     """
-
-    def __init__(self, config: SessionConfig, plan: ShardPlan) -> None:
-        self._reports = [queue.Queue() for _ in range(plan.num_shards)]
-        self._replies = [queue.Queue() for _ in range(plan.num_shards)]
-        self._threads = [
-            threading.Thread(
-                target=_QueueChannel(self._reports[shard_id], self._replies[shard_id]).serve,
-                args=(config, shard_id, plan),
-                daemon=True,
-                name=f"shard-{shard_id}",
-            )
-            for shard_id in range(plan.num_shards)
-        ]
-
-    def start(self) -> None:
-        for thread in self._threads:
-            thread.start()
-
-    def receive(self, shard_id: int) -> Tuple[str, object]:
-        # A thread that dies before its ``try`` (a raising profile hook, say)
-        # never reports; the process-mode sentinel has no thread equivalent,
-        # so poll.  Liveness is read before emptiness: a thread's last
-        # message is queued before it exits, so a dead thread and an empty
-        # queue mean that message will never come.
-        reports = self._reports[shard_id]
-        while True:
-            try:
-                return reports.get(timeout=_LIVENESS_POLL_SECONDS)
-            except queue.Empty:
-                if not self._threads[shard_id].is_alive() and reports.empty():
-                    raise ShardProtocolError(f"shard {shard_id} died without reporting")
-
-    def send(self, shard_id: int, message) -> None:
-        self._replies[shard_id].put(message)
-
-    @staticmethod
-    def error(shard_id: int, payload: BaseException) -> BaseException:
-        # The original worker exception, not a wrapped protocol error: the
-        # caller debugs the actual failure.
-        return payload
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        for thread in self._threads:
-            thread.join(timeout)
+    session = None
+    try:
+        session = ShardSession(config, shard_id, plan)
+        report = session.open()
+        while report is not None:
+            channel.put(("window", report))
+            tag, reply = channel.get()
+            if tag == "abort":  # another shard failed
+                return
+            report = session.step(reply)
+        channel.put(("result", session.close()))
+    except BaseException:  # noqa: BLE001 — forwarded to the coordinator
+        channel.put(("error", traceback.format_exc()))
+    finally:
+        if session is not None:
+            session._close_telemetry()
 
 
 class _ProcessLink:
@@ -416,8 +380,8 @@ class _ProcessLink:
         self._child_ends = [child_end for _, child_end in pipes]
         self._workers = [
             context.Process(
-                target=_PipeChannel(child_end).serve,
-                args=(config, shard_id, plan),
+                target=_serve_shard,
+                args=(_PipeChannel(child_end), config, shard_id, plan),
                 name=f"shard-{shard_id}",
             )
             for shard_id, child_end in enumerate(self._child_ends)
@@ -452,28 +416,26 @@ class _ProcessLink:
     def send(self, shard_id: int, message) -> None:
         self._ends[shard_id].put(message)
 
-    @staticmethod
-    def error(shard_id: int, payload: str) -> BaseException:
-        return ShardProtocolError(f"shard {shard_id} raised:\n{payload}")
-
     def join(self, timeout: Optional[float] = None) -> None:
         for end in self._ends:
             end.connection.close()
         for worker in self._workers:
+            if worker.pid is None:  # start failed before reaching it
+                continue
             worker.join(timeout)
             if worker.is_alive():  # pragma: no cover - stuck worker
                 worker.terminate()
                 worker.join(timeout)
 
 
-_LINKS = {"thread": _ThreadLink, "process": _ProcessLink}
+_LINKS = {"thread": _InlineLink, "process": _ProcessLink}
 
 
 def _receive(link, shard_id: int, expected: str):
     """The payload of the shard's next message, which must be tagged ``expected``."""
     tag, payload = link.receive(shard_id)
-    if tag == "error":
-        raise link.error(shard_id, payload)
+    if tag == "error":  # a process worker's traceback
+        raise ShardProtocolError(f"shard {shard_id} raised:\n{payload}")
     if tag != expected:
         raise ShardProtocolError(f"shard {shard_id} sent {tag!r} where {expected!r} was due")
     return payload
@@ -487,14 +449,14 @@ def _run_workers(
     The one coordinator loop: collect a report from every shard, answer
     each with its reply, repeat until a round is done, then collect the
     results.  Any failure — a worker error, a dead worker, a protocol
-    violation — aborts every worker and joins them before it propagates, so
-    a failed run leaks no thread or process into a long-lived caller.
+    violation — aborts every shard and joins every worker before it
+    propagates, so a failed run leaks no process into a long-lived caller.
     """
     num_shards = plan.num_shards
     coordinator = _Coordinator(plan, session_horizon(config))
     link = _LINKS[mode](config, plan)
-    link.start()
     try:
+        link.start()
         done = False
         while not done:
             reports = [_receive(link, shard_id, "window") for shard_id in range(num_shards)]
@@ -637,8 +599,9 @@ def execute_sharded(config: SessionConfig, mode: str = "thread") -> ShardedRun:
         The session to run; ``config.shards`` (must be set, ``>= 1``) is the
         shard count.
     mode:
-        ``"thread"`` (default; no pickling, interleaved execution) or
-        ``"process"`` (true parallelism, per-window wire serialization).
+        ``"thread"`` (default; every shard stepped in the calling thread, no
+        pickling) or ``"process"`` (true parallelism, per-window wire
+        serialization).
 
     Placement and lookahead are derived here, once
     (:func:`~repro.shard.partition.plan_shards`), and the same plan goes to

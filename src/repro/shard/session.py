@@ -14,7 +14,7 @@ and starts only the :class:`~repro.core.node.GossipNode` objects it owns
 nodes stay on the local event queue; datagrams to remote nodes are diverted
 by :class:`ShardRouter` into the current time window's outbound batch and
 re-scheduled verbatim — same absolute delivery instant — on the receiving
-shard at the next window barrier (:meth:`ShardSession._run_to`).
+shard at the next window barrier (:meth:`ShardSession.step`).
 
 Because the transport's per-datagram randomness runs in per-sender streams
 when :attr:`~repro.core.session.SessionConfig.shards` is set, a datagram's
@@ -157,6 +157,10 @@ class ShardRouter(DatagramRouter):
 class ShardSession(StreamingSession):
     """A :class:`StreamingSession` restricted to one shard's nodes.
 
+    The coordinator drives it one window at a time: :meth:`open` builds,
+    starts and runs the first window, :meth:`step` answers each report with
+    the next, and :meth:`close` hands back the fragment.
+
     Parameters
     ----------
     config:
@@ -168,15 +172,9 @@ class ShardSession(StreamingSession):
         The run's placement and lookahead
         (:func:`repro.shard.partition.plan_shards`), the same object the
         coordinator and every other shard were given.
-    channel:
-        Barrier transport to the coordinator: an object with
-        ``exchange(report: WindowReport) -> WindowReply`` that blocks until
-        every shard has reached its coordinator-issued window bound.
     """
 
-    def __init__(
-        self, config: SessionConfig, shard_id: int, plan: ShardPlan, channel
-    ) -> None:
+    def __init__(self, config: SessionConfig, shard_id: int, plan: ShardPlan) -> None:
         if config.shards is None:
             raise ValueError("ShardSession requires a config with shards set")
         if not 0 <= shard_id < plan.num_shards:
@@ -186,10 +184,10 @@ class ShardSession(StreamingSession):
         super().__init__(config)
         self.shard_id = shard_id
         self.num_shards = plan.num_shards
-        self._channel = channel
         self._plan = plan
         self._owned = plan.groups[shard_id]
         self._router: Optional[ShardRouter] = None
+        self._until = 0.0
 
     # ------------------------------------------------------------------
     # Build overrides (everything else is the scalar build, replicated)
@@ -199,9 +197,6 @@ class ShardSession(StreamingSession):
         assert self.network is not None
         self._router = ShardRouter(self.network, self.shard_id, self._plan.lookup)
         self.network.set_router(self._router)
-
-    def _nodes_to_build(self) -> List[NodeId]:
-        return list(self._owned)
 
     def _build_telemetry(self) -> None:
         # Each shard traces into its own file (suffix ``.shardK``); the trace
@@ -217,47 +212,53 @@ class ShardSession(StreamingSession):
         super()._build_telemetry()
 
     # ------------------------------------------------------------------
-    # Execution: conservative windows, a barrier after each
+    # Execution: conservative windows (Chandy–Misra lookahead)
     # ------------------------------------------------------------------
-    def _run_to(self, until: float) -> None:
-        """Run to ``until`` in the coordinator's windows (Chandy–Misra lookahead).
+    def open(self) -> WindowReport:
+        """Build and start the shard, run its first window and report it.
 
-        A window runs every event strictly below its bound — ``time < bound``
-        is ``time <= the float just below bound`` — so an event exactly at
-        the bound waits for the next window, where cross-shard datagrams due
-        at that instant will have been merged in.  Once the bound reaches
-        the horizon the stretch is inclusive at ``until``, as in a scalar
-        run; a repeated bound runs nothing and barriers again while the
-        other shards catch up.  The first bound, one lookahead from now, is
-        the same on every shard; the coordinator issues the rest.
+        The first bound, one lookahead from now, is the same on every shard;
+        the coordinator issues the rest.
         """
+        self._until = self._start()
         assert self.simulator is not None
-        simulator = self.simulator
-        bound = min(until, simulator.now + self._plan.lookahead)
-        while True:
-            simulator.run(until=until if bound >= until else math.nextafter(bound, -math.inf))
-            bound, done = self._window_barrier(bound)
-            if done:
-                return
+        return self._window(min(self._until, self.simulator.now + self._plan.lookahead))
 
-    def _window_barrier(self, bound: float) -> Tuple[float, bool]:
-        """Report the window run to ``bound``; return the reply's ``(next_bound, done)``."""
-        assert self.simulator is not None and self.network is not None
-        assert self._router is not None
-        report = WindowReport(
+    def step(self, reply: WindowReply) -> Optional[WindowReport]:
+        """Schedule ``reply``'s inbound datagrams, then run and report the next window.
+
+        Returns ``None`` once the reply says the run is done.
+        """
+        assert self.network is not None
+        for deliver_time, _sender, _seq, message in merge_inbound(reply.inbound):
+            self.network.schedule_delivery(message, deliver_time)
+        if reply.done:
+            return None
+        return self._window(reply.next_bound)
+
+    def _window(self, bound: float) -> WindowReport:
+        """Run every event strictly below ``bound`` and report the window.
+
+        ``time < bound`` is ``time <= the float just below bound``, so an
+        event exactly at the bound waits for the next window, where
+        cross-shard datagrams due at that instant will have been merged in.
+        Once the bound reaches the horizon the stretch is inclusive at it, as
+        in a scalar run; a repeated bound runs nothing.
+        """
+        assert self.simulator is not None and self._router is not None
+        simulator = self.simulator
+        until = self._until
+        simulator.run(until=until if bound >= until else math.nextafter(bound, -math.inf))
+        return WindowReport(
             shard_id=self.shard_id,
             bound=bound,
             outbound=self._router.flush(),
-            peek_time=self.simulator._queue.peek_time(),
+            peek_time=simulator._queue.peek_time(),
         )
-        reply = self._channel.exchange(report)
-        for deliver_time, _sender, _seq, message in merge_inbound(reply.inbound):
-            self.network.schedule_delivery(message, deliver_time)
-        return reply.next_bound, reply.done
 
-    def run_shard(self) -> ShardResult:
-        """Run this shard to the session horizon; return its fragment."""
-        result = self.run()
+    def close(self) -> ShardResult:
+        """Close the trace and return this shard's fragment."""
+        result = self._result(self._close_telemetry())
         return ShardResult(
             shard_id=self.shard_id,
             owned=self._owned,
@@ -271,10 +272,3 @@ class ShardSession(StreamingSession):
             end_time=result.end_time,
             telemetry=result.telemetry,
         )
-
-
-def run_shard_worker(
-    config: SessionConfig, shard_id: int, plan: ShardPlan, channel
-) -> ShardResult:
-    """Worker entry point shared by the thread and process runners."""
-    return ShardSession(config, shard_id, plan, channel).run_shard()

@@ -390,8 +390,9 @@ class WireStats:
     Routers report every flushed window into the module-level
     :data:`WIRE_STATS`; the ``sharded-session`` benchmark resets it, runs,
     and reads bytes-per-window / bytes-per-datagram.  Thread-mode runs
-    aggregate across all shards; process-mode workers accumulate in their
-    own processes, so the parent sees zeros (documented in the benchmark).
+    step every shard in the caller, so they aggregate across all shards;
+    process-mode workers accumulate in their own processes, so the parent
+    sees zeros (documented in the benchmark).
     """
 
     __slots__ = ("_lock", "windows", "batches", "datagrams", "wire_bytes")

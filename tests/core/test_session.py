@@ -186,7 +186,7 @@ class TestUncappedSource:
             session = StreamingSession(config)
         else:
             plan = plan_shards(config, shards)
-            session = ShardSession(config, plan.lookup[config.source_id], plan, channel=None)
+            session = ShardSession(config, plan.lookup[config.source_id], plan)
         session.build()
         limiters = {node_id: session.network.limiter(node_id) for node_id in session.nodes}
         assert config.source_id in limiters and len(limiters) > 1

@@ -1,4 +1,4 @@
-"""Unit tests for the shard runner: router, barrier, coordinator, links,
+"""Unit tests for the shard runner: router, window step, coordinator, links,
 merge, entry point.
 
 The equivalence property suite (``tests/properties/test_shard_equivalence``)
@@ -9,7 +9,6 @@ exercises: protocol violations, diverged control planes, worker crashes.
 
 import dataclasses
 import pickle
-import queue
 import threading
 
 import pytest
@@ -19,14 +18,12 @@ from repro.network.message import Message, stamp_seq
 from repro.scenarios.registry import build_scenario
 from repro.shard.partition import plan_shards
 from repro.shard.runner import (
-    _LINKS,
     ShardProtocolError,
-    _Channel,
     _Coordinator,
     _PipeChannel,
-    _QueueChannel,
     _receive,
     _run_workers,
+    _serve_shard,
     execute_sharded,
     merge_shard_results,
     run_sharded,
@@ -112,28 +109,26 @@ class TestShardRouter:
         assert [d[3].receiver for d in batches[2]] == [3]
 
 
-class TestWindowBarrier:
-    """One barrier: report the window just run, schedule the reply's inbound."""
+class TestWindowStep:
+    """One step: schedule the reply's inbound, run the next window, report it."""
 
-    class FakeChannel:
-        def __init__(self, reply):
-            self.reply = reply
-            self.reports = []
-
-        def exchange(self, report):
-            self.reports.append(report)
-            return self.reply
-
-    def test_report_describes_the_window_and_inbound_lands_in_merge_order(self):
-        # Shard 0 of [0, 0, 1, 1], with a bare simulator, router and network
-        # in place of a session build.
-        network = FakeNetwork()
+    def shard(self, network):
+        """Shard 0 of [0, 0, 1, 1]: a bare simulator, router and network in
+        place of a session build, horizon at 10."""
         shard = ShardSession.__new__(ShardSession)
         shard.shard_id = 0
         shard.simulator = Simulator(seed=1)
-        shard.simulator.schedule_at(2.5, lambda: None)
         shard.network = network
         shard._router = ShardRouter(network, shard_id=0, lookup=[0, 0, 1, 1])
+        shard._until = 10.0
+        return shard
+
+    def test_report_describes_the_window_and_inbound_lands_in_merge_order(self):
+        network = FakeNetwork()
+        shard = self.shard(network)
+        ran = []
+        shard.simulator.schedule_at(2.5, ran.append, "in-window")
+        shard.simulator.schedule_at(4.5, ran.append, "next-window")
         outbound = message(0, 2, seq=1)
         shard._router.dispatch(outbound, 2.25)
         early, tie, late = message(3, 1, seq=1), message(2, 1, seq=4), message(2, 0, seq=5)
@@ -141,15 +136,26 @@ class TestWindowBarrier:
             encode_batch([(3.0, 2, 5, late)]),
             encode_batch([(3.0, 2, 4, tie), (2.75, 3, 1, early)]),
         ]
-        shard._channel = self.FakeChannel(WindowReply(next_bound=4.0, done=False, inbound=inbound))
 
-        assert shard._window_barrier(2.0) == (4.0, False)
-        (report,) = shard._channel.reports
-        assert (report.shard_id, report.bound, report.peek_time) == (0, 2.0, 2.5)
+        report = shard.step(WindowReply(next_bound=4.0, done=False, inbound=inbound))
+        assert (report.shard_id, report.bound, report.peek_time) == (0, 4.0, 4.5)
+        assert ran == ["in-window"]
         assert decoded(report.outbound) == {1: [(2.25, 0, 1, outbound)]}
         # (deliver_time, sender, seq) order, whatever order the batches came in.
         assert network.delivered == [(2.75, early), (3.0, tie), (3.0, late)]
         assert shard._router.flush() == {}
+
+    def test_a_done_reply_schedules_its_inbound_and_runs_nothing(self):
+        network = FakeNetwork()
+        shard = self.shard(network)
+        shard.simulator.schedule_at(2.5, lambda: None)
+        datagram = message(3, 1, seq=1)
+        reply = WindowReply(
+            next_bound=10.0, done=True, inbound=[encode_batch([(11.0, 3, 1, datagram)])]
+        )
+        assert shard.step(reply) is None
+        assert network.delivered == [(11.0, datagram)]
+        assert shard.simulator.events_processed == 0
 
 
 def owned_node(config, shard_id, index=0):
@@ -487,11 +493,8 @@ class TestRunShardedValidation:
 
 def _no_shard_workers_left():
     import multiprocessing
-    import threading
 
-    threads = [t for t in threading.enumerate() if t.name.startswith("shard-")]
-    processes = [p for p in multiprocessing.active_children() if p.is_alive()]
-    return threads == [] and processes == []
+    return not [p for p in multiprocessing.active_children() if p.is_alive()]
 
 
 class TestWindowCount:
@@ -517,6 +520,37 @@ class TestWindowCount:
         assert thread.windows * 3 <= clamped_rounds
 
 
+class TestThreadMode:
+    """``thread`` mode starts no thread: one profiler in the caller sees every shard."""
+
+    def test_every_shard_steps_in_the_calling_thread(self, monkeypatch):
+        import cProfile
+        import pstats
+
+        sampled = []
+        real_build = ShardSession.build
+
+        def build_then_sample(self):
+            real_build(self)
+            self.simulator.schedule_at(1.0, lambda: sampled.append(threading.active_count()))
+
+        monkeypatch.setattr(ShardSession, "build", build_then_sample)
+        before = threading.active_count()
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            run_sharded(small_config(), mode="thread")
+        finally:
+            profile.disable()
+        steps = [
+            calls
+            for (filename, _line, name), (_cc, calls, *_rest) in pstats.Stats(profile).stats.items()
+            if name == "step" and filename.endswith("session.py") and "shard" in filename
+        ]
+        assert steps and steps[0] > 0
+        assert sampled == [before, before]
+
+
 class TestLookaheadGuard:
     """A lookahead wider than a real cross-shard delay ends the run with a
     named protocol error — in either mode, with every worker joined."""
@@ -535,95 +569,53 @@ class TestLookaheadGuard:
         assert _no_shard_workers_left()
 
 
+def _fail_on_open(monkeypatch, fail):
+    """Make shard 1 call ``fail()`` as it opens, before its first window."""
+    real = ShardSession.open
+
+    def open_(self):
+        if self.shard_id == 1:
+            fail()
+        return real(self)
+
+    monkeypatch.setattr(ShardSession, "open", open_)
+
+
 class TestWorkerFailure:
-    def test_thread_worker_crash_reraises_original_and_joins(self, monkeypatch):
-        import threading
+    def test_thread_worker_crash_reraises_original(self, monkeypatch):
+        def fail():
+            raise RuntimeError("shard 1 corrupted")
 
-        real = runner_module.run_shard_worker
-
-        def explode(config, shard_id, plan, channel):
-            if shard_id == 1:
-                raise RuntimeError(f"shard {shard_id} corrupted")
-            return real(config, shard_id, plan, channel)
-
-        monkeypatch.setattr(runner_module, "run_shard_worker", explode)
+        _fail_on_open(monkeypatch, fail)
         # The *original* worker exception surfaces, not a wrapped protocol
         # error — the caller debugs the actual failure.
         with pytest.raises(RuntimeError, match="shard 1 corrupted"):
             run_sharded(small_config(), mode="thread")
-        # abort() must join the survivors: a failed run in a long-lived
-        # process (pytest, sweeps) may not leak daemon threads blocked on
-        # queue.get().
-        leaked = [t for t in threading.enumerate() if t.name.startswith("shard-")]
-        assert leaked == []
-
-    def test_thread_that_dies_before_its_try_is_named_and_joined(self, monkeypatch):
-        import sys
-        import threading
-
-        def raise_in_shard_1(frame, event, arg):
-            if threading.current_thread().name == "shard-1":
-                raise RuntimeError("profile hook raised in shard-1")
-
-        outcome = []
-
-        def call():
-            try:
-                run_sharded(small_config(), mode="thread")
-            except BaseException as exc:  # noqa: BLE001 — inspected below
-                outcome.append(exc)
-
-        # The hook's error is reported through excepthook (3.11) or, raised
-        # inside the thread bootstrap itself, unraisablehook (3.12 and later).
-        monkeypatch.setattr(threading, "excepthook", lambda args: None)
-        monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: None)
-        # A watchdog thread, not a bare call: a coordinator with no liveness
-        # check blocks in its inbox forever.
-        caller = threading.Thread(target=call, name="runner", daemon=True)
-        threading.setprofile(raise_in_shard_1)
-        try:
-            caller.start()
-            caller.join(timeout=8.0)
-        finally:
-            threading.setprofile(None)
-        assert not caller.is_alive(), "run_sharded hung on a dead shard thread"
-        assert len(outcome) == 1 and isinstance(outcome[0], ShardProtocolError)
-        assert str(outcome[0]) == "shard 1 died without reporting"
-        leaked = [t for t in threading.enumerate() if t.name.startswith("shard-")]
-        assert leaked == []
+        assert _no_shard_workers_left()
 
     def test_process_worker_death_raises_clean_protocol_error(self, monkeypatch):
         import multiprocessing
         import os
 
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("monkeypatched worker needs fork start method")
-
-        real = runner_module.run_shard_worker
-
-        def die(config, shard_id, plan, channel):
-            if shard_id == 1:
-                os._exit(17)  # simulates an OOM-kill / hard crash
-            return real(config, shard_id, plan, channel)
-
-        monkeypatch.setattr(runner_module, "run_shard_worker", die)
+        _needs_fork("process")
+        _fail_on_open(monkeypatch, lambda: os._exit(17))  # an OOM-kill / hard crash
         with pytest.raises(ShardProtocolError, match="shard 1 died without reporting"):
             run_sharded(small_config(), mode="process")
         # No zombie workers left behind.
         assert not [p for p in multiprocessing.active_children() if p.is_alive()]
 
 
-def _fail_on_third_barrier(monkeypatch, fail):
-    """Make shard 1 call ``fail()`` inside its third ``_window_barrier``."""
-    real = ShardSession._window_barrier
+def _fail_on_third_step(monkeypatch, fail):
+    """Make shard 1 call ``fail()`` as its third ``step`` begins."""
+    real = ShardSession.step
 
-    def barrier(self, bound):
-        self.barriers = getattr(self, "barriers", 0) + 1
-        if self.shard_id == 1 and self.barriers == 3:
+    def step(self, reply):
+        self.steps = getattr(self, "steps", 0) + 1
+        if self.shard_id == 1 and self.steps == 3:
             fail()
-        return real(self, bound)
+        return real(self, reply)
 
-    monkeypatch.setattr(ShardSession, "_window_barrier", barrier)
+    monkeypatch.setattr(ShardSession, "step", step)
 
 
 def _needs_fork(mode):
@@ -635,7 +627,7 @@ def _needs_fork(mode):
 
 class TestMidWindowFailure:
     """A worker failing between windows ends the run through the one abort
-    path: the other worker is parked in its barrier and must be released."""
+    path: the other shard is waiting for its reply and must be released."""
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_raising_worker_is_reported_and_every_worker_joined(self, mode, monkeypatch):
@@ -644,7 +636,7 @@ class TestMidWindowFailure:
         def fail():
             raise RuntimeError("shard 1 corrupted mid-run")
 
-        _fail_on_third_barrier(monkeypatch, fail)
+        _fail_on_third_step(monkeypatch, fail)
         if mode == "thread":
             expected = pytest.raises(RuntimeError, match="shard 1 corrupted mid-run")
         else:
@@ -660,7 +652,7 @@ class TestMidWindowFailure:
         import os
 
         _needs_fork("process")
-        _fail_on_third_barrier(monkeypatch, lambda: os._exit(17))
+        _fail_on_third_step(monkeypatch, lambda: os._exit(17))
         with pytest.raises(
             ShardProtocolError, match=r"shard 1 died without reporting \(exit code 17\)"
         ):
@@ -668,8 +660,8 @@ class TestMidWindowFailure:
         assert _no_shard_workers_left()
 
 
-class ScriptedChannel(_Channel):
-    """A worker's end of a link whose coordinator answers from a script."""
+class ScriptedChannel:
+    """A worker's end of a pipe whose coordinator answers from a script."""
 
     def __init__(self, *answers):
         self.sent = []
@@ -682,6 +674,40 @@ class ScriptedChannel(_Channel):
         return next(self._answers)
 
 
+class ScriptedSession:
+    """Stands in for a :class:`ShardSession`: one report, then its fragment."""
+
+    def __init__(self, config, shard_id, plan):
+        self.steps = []
+        self.telemetry_closed = False
+
+    def open(self):
+        return REPORT
+
+    def step(self, reply):
+        self.steps.append(reply)
+        return None if reply.done else REPORT
+
+    def close(self):
+        self._close_telemetry()
+        return "fragment"
+
+    def _close_telemetry(self):
+        self.telemetry_closed = True
+
+
+def _worker(monkeypatch, session_class=ScriptedSession):
+    """Make the process worker run ``session_class``; return its instances."""
+    sessions = []
+
+    def build(config, shard_id, plan):
+        sessions.append(session_class(config, shard_id, plan))
+        return sessions[-1]
+
+    monkeypatch.setattr(runner_module, "ShardSession", build)
+    return sessions
+
+
 class FakeLink:
     """A coordinator's end of a link that receives scripted messages."""
 
@@ -691,17 +717,6 @@ class FakeLink:
     def receive(self, shard_id):
         return next(self._messages)
 
-    @staticmethod
-    def error(shard_id, payload):
-        return ShardProtocolError(f"shard {shard_id} failed: {payload}")
-
-
-def _worker(monkeypatch, body):
-    """Make every shard worker run ``body(channel)`` instead of a session."""
-    monkeypatch.setattr(
-        runner_module, "run_shard_worker", lambda config, shard_id, plan, channel: body(channel)
-    )
-
 
 REPORT = WindowReport(shard_id=0, bound=1.0, outbound={}, peek_time=None)
 
@@ -709,49 +724,43 @@ REPORT = WindowReport(shard_id=0, bound=1.0, outbound={}, peek_time=None)
 class TestLinks:
     """Both ends of a link, one message at a time, with no session run."""
 
-    def test_exchange_sends_the_report_and_returns_the_reply(self):
-        reply = WindowReply(next_bound=2.0, done=False)
-        channel = ScriptedChannel(("reply", reply))
-        assert channel.exchange(REPORT) is reply
-        assert channel.sent == [("window", REPORT)]
+    def test_a_worker_reports_each_window_and_steps_on_each_reply(self, monkeypatch):
+        sessions = _worker(monkeypatch)
+        more = WindowReply(next_bound=2.0, done=False)
+        done = WindowReply(next_bound=2.0, done=True)
+        channel = ScriptedChannel(("reply", more), ("reply", done))
+        _serve_shard(channel, None, 0, None)
+        assert channel.sent == [("window", REPORT), ("window", REPORT), ("result", "fragment")]
+        assert sessions[0].steps == [more, done]
 
     def test_a_finished_worker_sends_its_result(self, monkeypatch):
-        _worker(monkeypatch, lambda channel: "fragment")
-        channel = ScriptedChannel()
-        channel.serve(None, 0, None)
-        assert channel.sent == [("result", "fragment")]
+        sessions = _worker(monkeypatch)
+        channel = ScriptedChannel(("reply", WindowReply(next_bound=1.0, done=True)))
+        _serve_shard(channel, None, 0, None)
+        assert channel.sent[-1] == ("result", "fragment")
+        assert sessions[0].telemetry_closed
 
     def test_an_aborted_worker_stops_without_another_message(self, monkeypatch):
-        _worker(monkeypatch, lambda channel: channel.exchange(REPORT))
+        sessions = _worker(monkeypatch)
         channel = ScriptedChannel(("abort", None))
-        channel.serve(None, 0, None)
+        _serve_shard(channel, None, 0, None)
         assert channel.sent == [("window", REPORT)]
-
-    def test_a_thread_worker_forwards_its_exception_itself(self, monkeypatch):
-        error = RuntimeError("boom")
-
-        def body(channel):
-            raise error
-
-        _worker(monkeypatch, body)
-        reports = queue.Queue()
-        _QueueChannel(reports, queue.Queue()).serve(None, 0, None)
-        tag, payload = reports.get_nowait()
-        assert tag == "error" and payload is error
-        assert reports.empty()
+        assert sessions[0].steps == []
+        assert sessions[0].telemetry_closed  # its trace still ends whole
 
     def test_a_process_worker_forwards_a_traceback_even_of_an_unpicklable_error(
         self, monkeypatch
     ):
         import multiprocessing
 
-        def body(channel):
-            raise RuntimeError("boom", threading.Lock())
+        class Exploding(ScriptedSession):
+            def open(self):
+                raise RuntimeError("boom", threading.Lock())
 
-        _worker(monkeypatch, body)
+        sessions = _worker(monkeypatch, Exploding)
         coordinator_end, worker_end = multiprocessing.Pipe()
         try:
-            _PipeChannel(worker_end).serve(None, 0, None)
+            _serve_shard(_PipeChannel(worker_end), None, 0, None)
             tag, payload = _PipeChannel(coordinator_end).get()
         finally:
             coordinator_end.close()
@@ -759,6 +768,7 @@ class TestLinks:
         assert tag == "error"
         assert payload.startswith("Traceback (most recent call last):")
         assert "RuntimeError: ('boom', <unlocked _thread.lock object" in payload
+        assert sessions[0].telemetry_closed
 
     def test_pipe_frames_are_pickle_protocol_5(self):
         import multiprocessing
@@ -777,15 +787,6 @@ class TestLinks:
         assert tag == "reply" and (received.next_bound, received.done) == (4.0, False)
         assert [decode_batch(batch) for batch in received.inbound] == [[datagram]]
 
-    def test_thread_link_reraises_the_worker_exception_itself(self):
-        error = RuntimeError("boom")
-        assert _LINKS["thread"].error(1, error) is error
-
-    def test_process_link_wraps_the_traceback_naming_the_shard(self):
-        translated = _LINKS["process"].error(1, "Traceback ...\nRuntimeError: boom\n")
-        assert isinstance(translated, ShardProtocolError)
-        assert str(translated) == "shard 1 raised:\nTraceback ...\nRuntimeError: boom\n"
-
     def test_a_message_out_of_turn_is_a_protocol_error(self):
         assert _receive(FakeLink(("window", REPORT)), 0, "window") is REPORT
         with pytest.raises(
@@ -793,6 +794,7 @@ class TestLinks:
         ):
             _receive(FakeLink(("result", "fragment")), 1, "window")
 
-    def test_an_error_message_raises_the_links_translation(self):
-        with pytest.raises(ShardProtocolError, match=r"^shard 1 failed: boom$"):
-            _receive(FakeLink(("error", "boom")), 1, "window")
+    def test_an_error_message_raises_the_traceback_naming_the_shard(self):
+        with pytest.raises(ShardProtocolError) as raised:
+            _receive(FakeLink(("error", "Traceback ...\nRuntimeError: boom\n")), 1, "window")
+        assert str(raised.value) == "shard 1 raised:\nTraceback ...\nRuntimeError: boom\n"

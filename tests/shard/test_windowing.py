@@ -1,8 +1,8 @@
 """Window-edge unit tests for a shard's conservative window loop.
 
 The multi-shard machinery is only trustworthy if the windowing itself is:
-these tests pin :meth:`ShardSession._run_to` on a bare
-:class:`~repro.simulation.engine.Simulator` with scripted coordinator
+these tests drive :meth:`ShardSession.open` and :meth:`ShardSession.step` on
+a bare :class:`~repro.simulation.engine.Simulator` with scripted coordinator
 replies, no network or session build involved — the strict-bound contract
 (an event exactly at a window bound belongs to the *next* window), the
 inclusive final stretch at ``until``, and a repeated bound that runs nothing.
@@ -11,7 +11,7 @@ inclusive final stretch at ``until``, and a repeated bound that runs nothing.
 import math
 from types import SimpleNamespace
 
-from repro.shard.session import ShardSession
+from repro.shard.session import ShardSession, WindowReply
 from repro.simulation.engine import Simulator
 
 
@@ -19,18 +19,29 @@ class ScriptedShard(ShardSession):
     """The window loop alone: a bare simulator, replies from ``coordinator``.
 
     ``coordinator(bound)`` returns ``(next_bound, done)`` like a window
-    reply; each barrier records the bound and the events processed so far.
+    reply; each report records the bound and the events processed so far.
     """
 
     def __init__(self, simulator, lookahead, coordinator):
         self.simulator = simulator
+        self.shard_id = 0
+        self.network = SimpleNamespace(schedule_delivery=None)
         self._plan = SimpleNamespace(lookahead=lookahead)
+        self._router = SimpleNamespace(flush=dict)
         self._coordinator = coordinator
         self.barriers = []
 
-    def _window_barrier(self, bound):
-        self.barriers.append((bound, self.simulator.events_processed))
-        return self._coordinator(bound)
+    def _start(self):
+        return self.horizon
+
+    def run_to(self, until):
+        """Drive the loop the way the coordinator does, to ``until``."""
+        self.horizon = until
+        report = self.open()
+        while report is not None:
+            self.barriers.append((report.bound, self.simulator.events_processed))
+            next_bound, done = self._coordinator(report.bound)
+            report = self.step(WindowReply(next_bound=next_bound, done=done))
 
 
 def replies(*scripted):
@@ -76,7 +87,7 @@ class TestWindowedRunLoop:
                 return 5.0, False
             return 5.0, True
 
-        ScriptedShard(simulator, 2.0, coordinator)._run_to(5.0)
+        ScriptedShard(simulator, 2.0, coordinator).run_to(5.0)
         assert ran == ["before", "at-bound", "inbound"]
         assert simulator.now == 5.0
 
@@ -88,7 +99,7 @@ class TestWindowedRunLoop:
         simulator.schedule_at(math.nextafter(2.0, -math.inf), ran.append, "just-below")
         simulator.schedule_at(2.0, ran.append, "at-bound")
         shard = ScriptedShard(simulator, 2.0, replies((4.0, False), (4.0, True)))
-        shard._run_to(4.0)
+        shard.run_to(4.0)
         assert shard.barriers == [(2.0, 1), (4.0, 2)]
         assert ran == ["just-below", "at-bound"]
 
@@ -103,7 +114,7 @@ class TestWindowedRunLoop:
 
         simulator.schedule_at(1.0, spawn)
         shard = ScriptedShard(simulator, 2.0, replies((3.0, False), (3.0, True)))
-        shard._run_to(3.0)
+        shard.run_to(3.0)
         assert shard.barriers == [(2.0, 2), (3.0, 3)]
         assert ran == ["parent", "child-below", "child-at-bound"]
 
@@ -113,7 +124,7 @@ class TestWindowedRunLoop:
         simulator = Simulator(seed=1)
         simulator.run(until=3.0)
         shard = ScriptedShard(simulator, 0.25, replies((5.0, False), (5.0, True)))
-        shard._run_to(5.0)
+        shard.run_to(5.0)
         assert [bound for bound, _ in shard.barriers] == [3.25, 5.0]
 
     def test_lookahead_past_the_horizon_makes_one_inclusive_window(self):
@@ -122,7 +133,7 @@ class TestWindowedRunLoop:
         simulator.schedule_at(1.0, ran.append, "at-horizon")
         simulator.schedule_at(1.5, ran.append, "past-horizon")
         shard = ScriptedShard(simulator, 10.0, replies((1.0, True)))
-        shard._run_to(1.0)
+        shard.run_to(1.0)
         assert shard.barriers == [(1.0, 1)]
         assert ran == ["at-horizon"]
         assert simulator.pending_events == 1
@@ -142,7 +153,7 @@ class TestWindowedRunLoop:
         shard = ScriptedShard(simulator, lookahead, coordinator)
         trace = []
         _cascade(simulator, trace)
-        shard._run_to(until)
+        shard.run_to(until)
 
         oracle = Simulator(seed=1)
         oracle_trace = []
@@ -165,7 +176,7 @@ class TestWindowedRunLoop:
         shard = ScriptedShard(
             simulator, 1.0, replies((1.0, False), (2.0, False), (2.0, False), (2.0, True))
         )
-        shard._run_to(2.0)
+        shard.run_to(2.0)
         # A shard parked on a repeated bound barriers again without running.
         assert shard.barriers == [(1.0, 1), (1.0, 1), (2.0, 2), (2.0, 2)]
         assert simulator.pending_events == 1
@@ -173,6 +184,6 @@ class TestWindowedRunLoop:
     def test_empty_queue_executes_nothing(self):
         simulator = Simulator(seed=1)
         shard = ScriptedShard(simulator, 1.0, replies((5.0, False), (5.0, True)))
-        shard._run_to(5.0)
+        shard.run_to(5.0)
         assert shard.barriers == [(1.0, 0), (5.0, 0)]
         assert simulator.now == 5.0

@@ -1,11 +1,11 @@
 """A run that dies half-way leaves a partial but valid trace (ROADMAP 5(a))."""
 
-import threading
+import multiprocessing
 
 import pytest
 
 from repro.core.session import SessionConfig, StreamingSession
-from repro.shard.runner import run_sharded
+from repro.shard.runner import ShardProtocolError, run_sharded
 from repro.shard.session import ShardSession
 from repro.telemetry.cli import main
 from repro.telemetry.config import TelemetryConfig
@@ -52,7 +52,10 @@ class TestAbortedRun:
         assert result.telemetry is session.telemetry.finalize()
         assert result.telemetry.trace_events == validate_trace(tmp_path / "t.jsonl")[1]
 
-    def test_failed_shard_still_closes_its_trace(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_failed_shard_still_closes_its_trace(self, tmp_path, monkeypatch, mode):
+        if mode == "process" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("a monkeypatched process worker needs the fork start method")
         path = tmp_path / "t.jsonl"
         sessions = {}
         real_build = ShardSession.build
@@ -64,9 +67,21 @@ class TestAbortedRun:
                 self.simulator.schedule_at(FAULT_TIME, boom)
 
         monkeypatch.setattr(ShardSession, "build", build_then_arm)
-        with pytest.raises(RuntimeError, match="injected fault"):
-            run_sharded(traced_config(path, shards=2), mode="thread")
-        assert_whole_trace_ending_at_the_fault(
-            f"{path}.shard1", sessions[1].telemetry.writer
-        )
-        assert not [t for t in threading.enumerate() if t.name.startswith("shard-")]
+        failure = "injected fault" if mode == "thread" else r"(?s)shard 1 raised:.*injected fault"
+        with pytest.raises((RuntimeError, ShardProtocolError), match=failure):
+            run_sharded(traced_config(path, shards=2), mode=mode)
+        # Shard 1 failed; shard 0 was healthy and aborted mid-run.  Both
+        # traces are closed and whole, on disk in either mode.
+        for shard_id in (0, 1):
+            _header, count = validate_trace(f"{path}.shard{shard_id}")
+            assert count % 1000, "the lines held in the buffer were flushed"
+            assert main(["summarize", f"{path}.shard{shard_id}"]) == 0
+        last = list(iter_events(f"{path}.shard1"))[-1]
+        assert (last["t"], last["k"], last["fn"]) == (FAULT_TIME, "dispatch", "boom")
+        if mode == "thread":  # the sessions lived here: their writers are closed
+            assert_whole_trace_ending_at_the_fault(
+                f"{path}.shard1", sessions[1].telemetry.writer
+            )
+            with pytest.raises(TraceError, match="closed"):
+                sessions[0].telemetry.writer.append("round", 9.0, n=1, np=1)
+        assert not multiprocessing.active_children()

@@ -138,8 +138,7 @@ PRODUCT_COMMANDS: Tuple[str, ...] = (
     "python -m repro.bench run --scale smoke --filter engine-throughput --profile"
     " --profile-dir {tmp}/profiles --json {tmp}/BENCH_profiled.json",
     # Every example, then every end-to-end workload untraced and with its
-    # per-layer ledger.  ``shard2``'s ledger profiles each shard thread,
-    # which a 3.12 cProfile cannot do (one monitoring tool per process).
+    # per-layer ledger.
     *(f"python {path.relative_to(ROOT)}" for path in sorted((ROOT / "examples").glob("*.py"))),
     *(
         f"python benchmarks/e2e/run.py --workload {workload} --quick"
@@ -148,7 +147,6 @@ PRODUCT_COMMANDS: Tuple[str, ...] = (
     *(
         f"python benchmarks/e2e/run.py --workload {workload} --quick --trace 1"
         for workload in _E2E_WORKLOADS
-        if workload != "shard2"
     ),
 )
 
@@ -198,9 +196,8 @@ KEEP: Tuple[Keep, ...] = (
          "the tests' stepping harness"),
     Keep(_ORACLE, "simulation/event_queue.py", ("EventQueue.pop",),
          "the reference pop that run_loop inlines"),
-    Keep(_ORACLE, "shard/runner.py",
-         ("_Channel.failure", "_PipeChannel.failure", "_ThreadLink.error", "_ProcessLink.error"),
-         "runs only when a shard fails: carries the worker's error to the one abort path"),
+    Keep(_ORACLE, "realnet/host.py", ("AsyncioHost._on_callback_error",),
+         "runs only when a timer or datagram callback raises: ends the run with that error"),
     Keep(_ORACLE, "bench/runner.py", ("BenchmarkSelectionError.__str__",),
          "the CLI's message for a filter that selects nothing"),
     Keep(_ORACLE, "protocols/registry.py", ("available_protocols",),
@@ -249,8 +246,6 @@ KEEP: Tuple[Keep, ...] = (
          "the update method of the registry's histograms (docs/observability.md)"),
     Keep(_API, "telemetry/__init__.py", ("__getattr__",),
          "the lazy exports of repro.telemetry (TraceRecorder, MetricsObserver, ...)"),
-    Keep(_API, "shard/wire.py", ("WireStats.snapshot",),
-         "benchmarks/e2e/workloads.py reads it"),
     Keep(_ACCESSOR, "bench/report.py", ("BenchReport.record_for",), "report round-trip tests"),
     Keep(_ACCESSOR, "bench/spec.py",
          ("Benchmark.metric", "BenchmarkRegistry.names", "BenchmarkRegistry.__len__"),
