@@ -20,7 +20,9 @@ from repro.shard.partition import plan_shards
 from repro.shard.runner import (
     ShardProtocolError,
     _Coordinator,
+    _InlineLink,
     _PipeChannel,
+    _ProcessLink,
     _receive,
     _run_workers,
     _serve_shard,
@@ -747,6 +749,42 @@ class TestLinks:
         assert channel.sent == [("window", REPORT)]
         assert sessions[0].steps == []
         assert sessions[0].telemetry_closed  # its trace still ends whole
+
+    def test_the_inline_link_steps_a_shard_on_send_and_then_holds_its_result(
+        self, monkeypatch
+    ):
+        sessions = _worker(monkeypatch)
+        link = _InlineLink(None, plan_shards(small_config(), 2))
+        link.start()
+        assert [link.receive(shard_id) for shard_id in (0, 1)] == [("window", REPORT)] * 2
+        more = WindowReply(next_bound=2.0, done=False)
+        done = WindowReply(next_bound=2.0, done=True)
+        link.send(1, ("reply", more))
+        assert link.receive(1) == ("window", REPORT)
+        link.send(1, ("reply", done))
+        assert link.receive(1) == ("result", "fragment")
+        assert (sessions[0].steps, sessions[1].steps) == ([], [more, done])
+        assert not sessions[0].telemetry_closed and sessions[1].telemetry_closed
+
+    def test_an_aborted_inline_shard_closes_its_trace_and_steps_no_further(
+        self, monkeypatch
+    ):
+        sessions = _worker(monkeypatch)
+        link = _InlineLink(None, plan_shards(small_config(), 2))
+        link.start()
+        link.send(0, ("abort", None))
+        assert sessions[0].telemetry_closed and sessions[0].steps == []
+        assert link.receive(0) == ("window", REPORT)
+        assert not sessions[1].telemetry_closed
+
+    def test_a_process_link_join_skips_workers_that_never_started(self):
+        link = _ProcessLink(None, plan_shards(small_config(), 2))
+        try:
+            link.join(0.1)  # the abort path after a failed start; must not raise
+        finally:
+            for child_end in link._child_ends:
+                child_end.close()
+        assert all(worker.pid is None for worker in link._workers)
 
     def test_a_process_worker_forwards_a_traceback_even_of_an_unpicklable_error(
         self, monkeypatch
