@@ -12,8 +12,8 @@ Top-level convenience imports::
         StreamConfig, NetworkConfig, CatastrophicChurn, INFINITE,
     )
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured comparison.
+See ``docs/architecture.md`` for the system inventory; the measured figures
+and benchmark reports are written under ``benchmarks/results/``.
 """
 
 from repro.core.config import GossipConfig

@@ -36,7 +36,7 @@ import os
 import platform
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 SCHEMA = "repro.bench/1"
 
@@ -89,13 +89,6 @@ class BenchReport:
     fingerprint: str
     results: List[BenchmarkRecord] = field(default_factory=list)
     host: Dict[str, object] = field(default_factory=host_hints)
-
-    def record_for(self, benchmark: str) -> Optional[BenchmarkRecord]:
-        """The record of one benchmark, or ``None`` when absent."""
-        for record in self.results:
-            if record.benchmark == benchmark:
-                return record
-        return None
 
     def single(self) -> BenchmarkRecord:
         """The sole record of a per-benchmark (baseline) report."""

@@ -110,7 +110,8 @@ def run_selected(
     selected = registry.select(patterns)
     if not selected:
         raise BenchmarkSelectionError(
-            f"no benchmark matches {list(patterns)!r}; registered: {', '.join(registry.names())}"
+            f"no benchmark matches {list(patterns)!r}; registered: "
+            f"{', '.join(benchmark.name for benchmark in registry.select())}"
         )
     ctx = BenchContext(scale_name=scale_name, options=dict(options or {}), verbose=verbose)
     report = BenchReport(scale=scale_name, fingerprint=current_fingerprint())

@@ -143,13 +143,6 @@ class Benchmark:
     metrics: Tuple[Metric, ...]
     tags: Tuple[str, ...] = ()
 
-    def metric(self, name: str) -> Metric:
-        """The spec of one declared metric."""
-        for metric in self.metrics:
-            if metric.name == name:
-                return metric
-        raise KeyError(f"benchmark {self.name!r} declares no metric {name!r}")
-
     def matches(self, pattern: str) -> bool:
         """One ``--filter`` pattern against this benchmark.
 
@@ -185,10 +178,6 @@ class BenchmarkRegistry:
         self._benchmarks[benchmark.name] = benchmark
         return benchmark
 
-    def names(self) -> List[str]:
-        """All registered names, in registration order."""
-        return list(self._benchmarks)
-
     def get(self, name: str) -> Benchmark:
         """Look one benchmark up by exact name."""
         try:
@@ -197,9 +186,6 @@ class BenchmarkRegistry:
             raise KeyError(
                 f"unknown benchmark {name!r}; registered: {', '.join(self._benchmarks)}"
             ) from None
-
-    def __len__(self) -> int:
-        return len(self._benchmarks)
 
     def select(self, patterns: Sequence[str] = ()) -> List[Benchmark]:
         """Benchmarks matching *any* pattern (all of them for no patterns).

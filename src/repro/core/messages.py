@@ -74,9 +74,6 @@ class ProposePayload:
         if not self.packet_ids:
             raise ValueError("a PROPOSE must advertise at least one packet id")
 
-    def __len__(self) -> int:
-        return len(self.packet_ids)
-
 
 @dataclass(frozen=True, slots=True)
 class RequestPayload:
@@ -87,9 +84,6 @@ class RequestPayload:
     def __post_init__(self) -> None:
         if not self.packet_ids:
             raise ValueError("a REQUEST must ask for at least one packet id")
-
-    def __len__(self) -> int:
-        return len(self.packet_ids)
 
 
 @dataclass(frozen=True, slots=True)

@@ -186,11 +186,6 @@ class SessionResult:
         failed = set(self.failed_nodes)
         return [node_id for node_id in self.receivers() if node_id not in failed]
 
-    def initial_survivors(self) -> List[NodeId]:
-        """Survivors that were present from the session start (no joiners)."""
-        late = set(self.late_joiners)
-        return [node_id for node_id in self.survivors() if node_id not in late]
-
     # ------------------------------------------------------------------
     # Analyzers
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ it came from and which packets it may still re-request.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.network.message import NodeId
 from repro.simulation.timers import Timer
@@ -54,15 +54,6 @@ class NodeState:
         """Whether the packet has already been delivered to this node."""
         return packet_id in self.delivered
 
-    def delivery_time(self, packet_id: PacketId) -> Optional[float]:
-        """When the packet was delivered, or ``None`` if it never was."""
-        return self.delivered.get(packet_id)
-
-    @property
-    def delivered_count(self) -> int:
-        """Number of distinct packets delivered so far."""
-        return len(self.delivered)
-
     # ------------------------------------------------------------------
     # Proposal queue (infect-and-die)
     # ------------------------------------------------------------------
@@ -79,21 +70,9 @@ class NodeState:
     # ------------------------------------------------------------------
     # Request bookkeeping
     # ------------------------------------------------------------------
-    def times_requested(self, packet_id: PacketId) -> int:
-        """How many REQUESTs this node has sent for the packet so far."""
-        return self.request_attempts.get(packet_id, 0)
-
     def record_request(self, packet_id: PacketId) -> None:
         """Count one REQUEST sent for the packet."""
         self.request_attempts[packet_id] = self.request_attempts.get(packet_id, 0) + 1
-
-    def never_requested(self, packet_id: PacketId) -> bool:
-        """Whether the packet has not been requested yet (Algorithm 1, line 10)."""
-        return packet_id not in self.request_attempts
-
-    def may_request_again(self, packet_id: PacketId, max_attempts: int) -> bool:
-        """Whether another REQUEST for the packet stays within the ``K`` bound."""
-        return self.times_requested(packet_id) < max_attempts
 
     # ------------------------------------------------------------------
     # Retransmission bookkeeping
@@ -115,10 +94,3 @@ class NodeState:
             pending.cancel()
         self.pending_requests.clear()
 
-    def missing_from(self, packet_ids: Tuple[PacketId, ...]) -> List[PacketId]:
-        """The subset of ``packet_ids`` not yet delivered."""
-        return [packet_id for packet_id in packet_ids if packet_id not in self.delivered]
-
-    def delivered_set(self) -> Set[PacketId]:
-        """A snapshot of all delivered packet ids."""
-        return set(self.delivered)

@@ -9,8 +9,9 @@ Because a 230-node, multi-minute PlanetLab deployment is far beyond what a
 pure-Python packet-level simulation can sweep in reasonable time, every
 generator takes an :class:`ExperimentScale` choosing the system size, stream
 length and parameter grids: ``SMOKE`` (fast, for tests), ``REDUCED`` (the
-default used by the benchmark harness and EXPERIMENTS.md), ``PAPER`` (the
-paper's full 230-node configuration, for users with patience) and
+default used by the benchmark harness, whose reports go to
+``benchmarks/results/``), ``PAPER`` (the paper's full 230-node
+configuration, for users with patience) and
 ``XLARGE`` (1,000 nodes at the paper's stream geometry, served by the
 fast path — see ``python -m repro.bench run --filter large-session``).
 """

@@ -7,7 +7,7 @@ in reasonable time, so experiments are parameterized by a *scale*:
 * :data:`SMOKE` — 30 nodes, short stream; seconds per run.  Used by the test
   suite's integration tests.
 * :data:`REDUCED` — 60 nodes, ≈ 29 s of stream; tens of seconds per run.
-  This is the scale behind ``benchmarks/`` and ``EXPERIMENTS.md``.
+  This is the scale behind ``benchmarks/`` and ``benchmarks/results/``.
 * :data:`PAPER` — the paper's own 230 nodes, 600 kbps, 110-packet windows,
   ≈ 2 minutes of stream.  Provided for completeness; a full figure sweep at
   this scale takes hours of CPU.
@@ -240,7 +240,7 @@ REDUCED = ExperimentScale(
     max_backlog_seconds=10.0,
     extra_time=40.0,
 )
-"""Default scale for benchmarks and EXPERIMENTS.md (≈ 29 s stream, 60 nodes)."""
+"""Default scale for benchmarks and their reports (≈ 29 s stream, 60 nodes)."""
 
 PAPER = ExperimentScale(
     name="paper",

@@ -84,23 +84,8 @@ class MembershipDirectory:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def members(self) -> List[NodeId]:
-        """All registered node ids, including failed ones."""
-        return list(self._members)
-
     def __len__(self) -> int:
         return len(self._members)
-
-    def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._member_set
-
-    def is_failed(self, node_id: NodeId) -> bool:
-        """Whether the node has crashed (regardless of detection)."""
-        return node_id in self._failed_at
-
-    def failed_at(self, node_id: NodeId) -> Optional[float]:
-        """Time at which the node crashed, or ``None`` if it is alive."""
-        return self._failed_at.get(node_id)
 
     def alive_members(self) -> List[NodeId]:
         """Node ids that have not crashed (ground truth, not detection)."""

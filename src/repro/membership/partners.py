@@ -73,27 +73,16 @@ class PartnerSelector:
         self._rng = rng
         self._partners: Optional[List[NodeId]] = None
         self._rounds_since_refresh = 0
-        self._refresh_count = 0
 
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
-    @property
-    def refresh_count(self) -> int:
-        """How many times the partner set has been (re)sampled."""
-        return self._refresh_count
-
-    def current_partners(self) -> List[NodeId]:
-        """The current partner set (empty before the first round)."""
-        return list(self._partners) if self._partners is not None else []
-
     def _sample(self, now: float) -> List[NodeId]:
         candidates = self._directory.selectable(now, exclude=self.node_id)
         if not candidates:
             return []
         count = min(self.fanout, len(candidates))
         sampled = self._rng.sample(candidates, count)
-        self._refresh_count += 1
         return sampled
 
     def partners_for_round(self, now: float) -> List[NodeId]:

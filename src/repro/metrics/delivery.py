@@ -13,14 +13,14 @@ compact per-(node, window) ``array('d')``.  The quality analyzer consumes
 those arrays directly instead of re-walking hundreds of thousands of
 per-delivery dictionary entries per analysis pass, which is what makes
 1,000-node sessions analyzable in milliseconds.  The per-delivery mapping is
-still kept: it backs :meth:`delivery_time`, :meth:`raw` (the reference
-analyzer's input) and duplicate suppression.
+still kept: it backs :meth:`raw` (the reference analyzer's input),
+:meth:`packets_delivered` and duplicate suppression.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from repro.network.message import NodeId
 from repro.streaming.packets import PacketId
@@ -96,21 +96,6 @@ class DeliveryLog:
     def total_deliveries(self) -> int:
         """Total number of (node, packet) deliveries recorded."""
         return self._total_deliveries
-
-    def nodes(self) -> Iterable[NodeId]:
-        """Node ids that delivered at least one packet."""
-        return tuple(self._by_node)
-
-    def deliveries_of(self, node_id: NodeId) -> Dict[PacketId, float]:
-        """Mapping packet id → delivery time for one node (possibly empty)."""
-        return dict(self._by_node.get(node_id, {}))
-
-    def delivery_time(self, node_id: NodeId, packet_id: PacketId) -> Optional[float]:
-        """Delivery time of a packet at a node, or ``None`` if never delivered."""
-        node_log = self._by_node.get(node_id)
-        if node_log is None:
-            return None
-        return node_log.get(packet_id)
 
     def packets_delivered(self, node_id: NodeId) -> int:
         """Number of distinct packets delivered to ``node_id``."""

@@ -107,11 +107,6 @@ class StreamQualityAnalyzer:
     # Basic properties
     # ------------------------------------------------------------------
     @property
-    def nodes(self) -> List[NodeId]:
-        """The nodes covered by this analyzer."""
-        return list(self._nodes)
-
-    @property
     def num_windows(self) -> int:
         """Number of windows in the analyzed stream."""
         return self._schedule.num_windows
@@ -133,14 +128,6 @@ class StreamQualityAnalyzer:
         if math.isinf(lag):
             return True
         return lags[required - 1] <= lag
-
-    def window_critical_lag(self, node_id: NodeId, window_index: int) -> float:
-        """Smallest lag at which the window decodes (``inf`` if it never does)."""
-        lags = self._window_lags[node_id][window_index]
-        required = self.required_packets
-        if len(lags) < required:
-            return math.inf
-        return lags[required - 1]
 
     def _viewable_windows(self, node_id: NodeId, lag: float) -> int:
         finite = self._critical_finite[node_id]
@@ -261,9 +248,3 @@ class StreamQualityAnalyzer:
             fractions.append(count / len(node_list))
         return fractions
 
-    def delivery_ratio(self, node_id: NodeId) -> float:
-        """Fraction of all stream packets ever delivered to ``node_id``."""
-        total = self._schedule.num_packets
-        if total == 0:
-            return 0.0
-        return self._deliveries.packets_delivered(node_id) / total

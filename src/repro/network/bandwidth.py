@@ -58,24 +58,6 @@ class BandwidthCap:
         """An uncapped upload (ideal-network baseline)."""
         return cls(rate_bps=None)
 
-    @property
-    def is_unlimited(self) -> bool:
-        """Whether this cap imposes no constraint."""
-        return self.rate_bps is None
-
-    @property
-    def max_backlog_bytes(self) -> Optional[float]:
-        """Backlog capacity in bytes (``None`` when unlimited)."""
-        if self.rate_bps is None:
-            return None
-        return self.rate_bps * self.max_backlog_seconds / 8.0
-
-    def kbps(self) -> Optional[float]:
-        """The cap expressed in kbps, or ``None`` when unlimited."""
-        if self.rate_bps is None:
-            return None
-        return self.rate_bps / 1000.0
-
 
 class UploadLimiter:
     """Serializes a node's outgoing datagrams at its upload cap rate.
@@ -104,20 +86,6 @@ class UploadLimiter:
         self.bytes_dropped = 0
         self.messages_accepted = 0
         self.messages_dropped = 0
-
-    def backlog_seconds(self, now: float) -> float:
-        """Seconds of queued (not yet serialized) traffic at time ``now``."""
-        return max(0.0, self._busy_until - now)
-
-    def backlog_bytes(self, now: float) -> float:
-        """Bytes of queued traffic at time ``now`` (0 when unlimited)."""
-        if self.cap.rate_bps is None:
-            return 0.0
-        return self.backlog_seconds(now) * self.cap.rate_bps / 8.0
-
-    def is_saturated(self, now: float, threshold_seconds: float = 1.0) -> bool:
-        """Whether the backlog currently exceeds ``threshold_seconds``."""
-        return self.backlog_seconds(now) > threshold_seconds
 
     def enqueue(self, size_bytes: int, now: float) -> Optional[float]:
         """Try to accept a datagram of ``size_bytes`` at time ``now``.

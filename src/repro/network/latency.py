@@ -233,10 +233,6 @@ class PerNodeQualityLatency(LatencyModel):
             node_id: quality_rng.lognormvariate(0.0, quality_sigma) for node_id in node_ids
         }
 
-    def quality(self, node_id: NodeId) -> float:
-        """The node's latency factor (1.0 is average; lower is better)."""
-        return self._quality[node_id]
-
     def sample(self, sender: NodeId, receiver: NodeId) -> float:
         pair_quality = (self._quality[sender] + self._quality[receiver]) / 2.0
         rng = self._sample_rng

@@ -70,10 +70,6 @@ class Message:
         _set_payload(self, payload)
         stamp_seq(self, 0)
 
-    def size_bits(self) -> int:
-        """Wire size in bits (used by the bandwidth limiter)."""
-        return self.size_bytes * 8
-
 
 # The slot descriptors' own setters: ``Message.__setattr__`` raises (frozen),
 # and ``object.__setattr__(self, name, value)`` re-resolves the name per store.

@@ -98,10 +98,6 @@ class TrafficStats:
             raise ValueError(f"traffic cell for node {node_id} is already populated")
         self._per_node[node_id] = cell
 
-    def total_bytes_sent(self) -> int:
-        """Total bytes accepted by all upload limiters."""
-        return sum(traffic.bytes_sent for traffic in self._per_node.values())
-
     def total_congestion_drops(self) -> int:
         """Total messages dropped by upload limiters across all nodes."""
         return sum(

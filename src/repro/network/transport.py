@@ -200,15 +200,6 @@ class Network:
         limiter = UploadLimiter(cap if cap is not None else BandwidthCap.unlimited())
         self._endpoints[node_id] = _Endpoint(handler, limiter)
 
-    def is_registered(self, node_id: NodeId) -> bool:
-        """Whether ``node_id`` has been registered on this network."""
-        return node_id in self._endpoints
-
-    def is_alive(self, node_id: NodeId) -> bool:
-        """Whether ``node_id`` is registered and has not failed."""
-        endpoint = self._endpoints.get(node_id)
-        return endpoint is not None and endpoint.alive
-
     def fail_node(self, node_id: NodeId) -> None:
         """Crash a node: it stops sending and receiving immediately."""
         endpoint = self._endpoints.get(node_id)

@@ -99,8 +99,8 @@ class ThreePhaseGossip(DisseminationProtocol):
 
     # Phase 2: request missing packets ---------------------------------
     # The handlers test Algorithm 1's sets (``state.delivered``,
-    # ``state.request_attempts``) by membership, not through NodeState's
-    # one-line accessors: the tests run once per advertised id.
+    # ``state.request_attempts``) by membership, inline: the tests run once
+    # per advertised id.
     def _handle_propose(self, message: Message) -> None:
         host = self.host
         host.stats.proposals_received += 1

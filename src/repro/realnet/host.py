@@ -80,11 +80,6 @@ class WallClockHandle:
         """Whether :meth:`cancel` has been called."""
         return self._cancelled
 
-    @property
-    def fired(self) -> bool:
-        """Whether the callback has already run."""
-        return self._fired
-
     def cancel(self) -> None:
         """Cancel the scheduled callback (idempotent, also pre-start)."""
         if self._cancelled or self._fired:
@@ -264,13 +259,6 @@ class AsyncioHost:
         if self._observers is None:
             self._observers = []
         self._observers.append(observer)
-
-    def remove_observer(self, observer: Any) -> None:
-        """Unregister a dispatch observer."""
-        if self._observers is not None:
-            self._observers.remove(observer)
-            if not self._observers:
-                self._observers = None
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (UDP endpoints open/close inside the loop)

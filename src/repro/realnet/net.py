@@ -162,6 +162,11 @@ class UdpNetwork(Network, DatagramRouter):
             self._deliver(message)
             return
         if sender is None or sender.transport is None:
+            # The limiter accepted it but no socket can send it: lost in flight.
+            self.stats.record_in_flight_loss(message.sender, message.kind, message.size_bytes)
+            if self._observers is not None:
+                for observer in self._observers:
+                    observer.on_in_flight_loss(message, self._simulator.now)
             return
         sender.transport.sendto(encode_message(message), receiver.address)
         self.datagrams_sent += 1

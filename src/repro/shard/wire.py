@@ -188,14 +188,6 @@ class WireBatch:
             self.blob,
         ) = state
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WireBatch):
-            return NotImplemented
-        return self.__getstate__() == other.__getstate__()
-
     @property
     def nbytes(self) -> int:
         """Serialized payload size: the four columns, kind table and header.

@@ -18,11 +18,6 @@ class SimulationClock:
     def __init__(self) -> None:
         self._now = 0.0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time``.
 

@@ -170,13 +170,6 @@ class Simulator:
             self._observers = []
         self._observers.append(observer)
 
-    def remove_observer(self, observer: Any) -> None:
-        """Unregister a dispatch observer (restores the zero-cost path)."""
-        if self._observers is not None:
-            self._observers.remove(observer)
-            if not self._observers:
-                self._observers = None
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

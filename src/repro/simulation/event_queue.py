@@ -117,9 +117,6 @@ class EventQueue:
         """Number of *live* (non-cancelled) events still queued.  O(1)."""
         return len(self._heap) - self._dead
 
-    def __bool__(self) -> bool:
-        return len(self._heap) > self._dead
-
     @property
     def dead_entries(self) -> int:
         """Cancelled entries currently buried in the heap (diagnostics)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable
+from typing import Dict
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -42,11 +42,6 @@ class RngRegistry:
         self._root_seed = int(root_seed)
         self._streams: Dict[str, random.Random] = {}
 
-    @property
-    def root_seed(self) -> int:
-        """The root seed every stream is derived from."""
-        return self._root_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream registered under ``name``, creating it if needed."""
         existing = self._streams.get(name)
@@ -60,6 +55,3 @@ class RngRegistry:
         """Convenience for per-node streams, e.g. ``node_stream("partners", 17)``."""
         return self.stream(f"{purpose}/node-{node_id}")
 
-    def names(self) -> Iterable[str]:
-        """Names of the streams created so far (for diagnostics)."""
-        return tuple(self._streams)

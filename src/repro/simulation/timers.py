@@ -30,23 +30,12 @@ class Timer:
     ``functools.partial``.
     """
 
-    __slots__ = ("_simulator", "_callback", "_handle", "_fired")
+    __slots__ = ("_simulator", "_callback", "_handle")
 
     def __init__(self, simulator: "Host", callback: Callable[[], None]) -> None:
         self._simulator = simulator
         self._callback = callback
         self._handle: Optional["ScheduledHandle"] = None
-        self._fired = False
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer is currently scheduled and not yet fired."""
-        return self._handle is not None and not self._handle.cancelled and not self._fired
-
-    @property
-    def fired(self) -> bool:
-        """Whether the timer has fired at least once since the last arm."""
-        return self._fired
 
     def arm(self, delay: float) -> None:
         """(Re-)schedule the timer ``delay`` seconds from now.
@@ -54,7 +43,6 @@ class Timer:
         Re-arming an already armed timer cancels the previous schedule.
         """
         self.cancel()
-        self._fired = False
         self._handle = self._simulator.schedule(delay, self._fire)
 
     def cancel(self) -> None:
@@ -65,7 +53,6 @@ class Timer:
 
     def _fire(self) -> None:
         self._handle = None
-        self._fired = True
         self._callback()
 
 
@@ -92,7 +79,6 @@ class PeriodicTimer:
         "_callback",
         "_start_delay",
         "_handle",
-        "_fire_count",
         "_running",
     )
 
@@ -110,18 +96,7 @@ class PeriodicTimer:
         self._callback = callback
         self._start_delay = period if start_delay is None else float(start_delay)
         self._handle: Optional["ScheduledHandle"] = None
-        self._fire_count = 0
         self._running = False
-
-    @property
-    def fire_count(self) -> int:
-        """Number of times the timer has fired since :meth:`start`."""
-        return self._fire_count
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer is active (started and not stopped)."""
-        return self._running
 
     def start(self) -> None:
         """Start the timer.  Starting an already-running timer is a no-op."""
@@ -140,7 +115,6 @@ class PeriodicTimer:
     def _fire(self) -> None:
         if not self._running:
             return
-        self._fire_count += 1
         self._callback()
         if self._running:
             self._handle = self._simulator.schedule(self._period, self._fire)

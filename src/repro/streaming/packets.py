@@ -61,18 +61,15 @@ class WindowDescriptor:
         Index of the window in the stream.
     packet_ids:
         Ids of the packets composing the window, in order.
-    source_packets:
-        Number of data-bearing packets (101 by default).
     required_packets:
-        Minimum number of packets needed to decode (equals
-        ``source_packets`` for an MDS code).
+        Minimum number of packets needed to decode: the window's source
+        (data-bearing) packets, 101 by default, for an MDS code.
     publish_start / publish_end:
         Publish times of the first and last packet of the window.
     """
 
     window_index: int
     packet_ids: Tuple[PacketId, ...]
-    source_packets: int
     required_packets: int
     publish_start: float
     publish_end: float
@@ -88,16 +85,3 @@ class WindowDescriptor:
         if self.publish_end < self.publish_start:
             raise ValueError("publish_end cannot precede publish_start")
 
-    @property
-    def total_packets(self) -> int:
-        """Number of packets in the window (source + FEC)."""
-        return len(self.packet_ids)
-
-    @property
-    def fec_packets(self) -> int:
-        """Number of parity packets in the window."""
-        return self.total_packets - self.source_packets
-
-    def contains(self, packet_id: PacketId) -> bool:
-        """Whether ``packet_id`` belongs to this window."""
-        return self.packet_ids[0] <= packet_id <= self.packet_ids[-1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Set
 
-from repro.streaming.packets import PacketId
+from repro.streaming.packets import PacketId, WindowDescriptor
 from repro.streaming.schedule import StreamSchedule
 
 
@@ -114,9 +114,8 @@ class PlaybackBuffer:
             return
         self._arrivals[packet_id] = arrival_time
 
-    def window_packets_on_time(self, window_index: int) -> int:
+    def _packets_on_time(self, window: WindowDescriptor) -> int:
         """How many packets of a window arrived before their playout deadline."""
-        window = self._schedule.window(window_index)
         on_time = 0
         for packet_id in window.packet_ids:
             arrival = self._arrivals.get(packet_id)
@@ -131,12 +130,11 @@ class PlaybackBuffer:
         """Judge every window of the schedule at this buffer's lag."""
         outcomes: List[WindowPlayback] = []
         for window in self._schedule.windows():
-            on_time = self.window_packets_on_time(window.window_index)
             outcomes.append(
                 WindowPlayback(
                     window_index=window.window_index,
                     deadline=window.publish_end + self.lag,
-                    packets_on_time=on_time,
+                    packets_on_time=self._packets_on_time(window),
                     required_packets=window.required_packets,
                 )
             )

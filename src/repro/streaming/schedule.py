@@ -161,7 +161,6 @@ class StreamSchedule:
                 WindowDescriptor(
                     window_index=window_index,
                     packet_ids=packet_ids,
-                    source_packets=config.source_packets_per_window,
                     required_packets=config.source_packets_per_window,
                     publish_start=self._packet_by_id[packet_ids[0]].publish_time,
                     publish_end=self._packet_by_id[packet_ids[-1]].publish_time,
@@ -182,14 +181,6 @@ class StreamSchedule:
     def packet(self, packet_id: PacketId) -> PacketDescriptor:
         """Descriptor of a specific packet."""
         return self._packet_by_id[packet_id]
-
-    def window(self, window_index: int) -> WindowDescriptor:
-        """Descriptor of a specific window."""
-        return self._windows[window_index]
-
-    def window_of_packet(self, packet_id: PacketId) -> WindowDescriptor:
-        """The window a packet belongs to."""
-        return self._windows[self._packet_by_id[packet_id].window_index]
 
     @property
     def num_packets(self) -> int:

@@ -47,17 +47,6 @@ class StreamEmitter:
         self._schedule = schedule
         self._on_publish = on_publish
         self._started = False
-        self._published_count = 0
-
-    @property
-    def published_count(self) -> int:
-        """How many packets have been published so far."""
-        return self._published_count
-
-    @property
-    def finished(self) -> bool:
-        """Whether every packet of the schedule has been published."""
-        return self._published_count >= self._schedule.num_packets
 
     def start(self) -> None:
         """Schedule all publications.  Calling twice is an error."""
@@ -68,5 +57,5 @@ class StreamEmitter:
             self._simulator.schedule_at(descriptor.publish_time, self._publish, descriptor)
 
     def _publish(self, descriptor: PacketDescriptor) -> None:
-        self._published_count += 1
+        # The scheduled callback, so trace dispatch lines name the emitter.
         self._on_publish(descriptor)

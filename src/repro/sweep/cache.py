@@ -29,29 +29,12 @@ class SummaryCache:
 
     def __init__(self) -> None:
         self._summaries: Dict[ExperimentPoint, PointSummary] = {}
-        self._hits = 0
-        self._misses = 0
-
-    @property
-    def hits(self) -> int:
-        """Number of cache hits so far."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of simulations actually run (or primed entries created)."""
-        return self._misses
-
-    def __len__(self) -> int:
-        return len(self._summaries)
 
     def get(self, scale: ExperimentScale, point: ExperimentPoint) -> PointSummary:
         """The summary for ``point``, running its session serially if needed."""
         cached = self._summaries.get(point)
         if cached is not None:
-            self._hits += 1
             return cached
-        self._misses += 1
         summary = self._compute(scale, point)
         self._summaries[point] = summary
         return summary
@@ -106,21 +89,15 @@ class RecordingCache(SummaryCache):
     def __init__(self) -> None:
         super().__init__()
         self._points: List[ExperimentPoint] = []
-        self._seen = set()
 
     def _compute(self, scale: ExperimentScale, point: ExperimentPoint) -> PointSummary:
-        if point not in self._seen:
-            self._seen.add(point)
-            self._points.append(point)
+        # Called once per point: ``get`` serves every repeat from the memo.
+        self._points.append(point)
         return _PlanningSummary(cell_id=SweepTask(point=point).cell_id, seed=scale.seed + point.seed_offset)
 
     def points(self) -> List[ExperimentPoint]:
         """The recorded points, in first-request order, deduplicated."""
         return list(self._points)
-
-    def tasks(self) -> List[SweepTask]:
-        """The recorded points as patch-free sweep tasks."""
-        return [SweepTask(point=point) for point in self._points]
 
 
 shared_summary_cache = SummaryCache()

@@ -87,7 +87,6 @@ class ResultStore:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self._records: Dict[RecordKey, PointSummary] = {}
-        self._skipped_lines = 0
         self._loaded = False
         self._tail_is_clean = False
 
@@ -97,7 +96,6 @@ class ResultStore:
     def load(self) -> None:
         """Read all intact records from disk (torn/corrupt lines are skipped)."""
         self._records.clear()
-        self._skipped_lines = 0
         self._loaded = True
         if not self.path.exists():
             return
@@ -117,7 +115,6 @@ class ResultStore:
                 except (ValueError, KeyError, TypeError):
                     # A torn line from a killed writer, or foreign content;
                     # resuming reruns that point instead of trusting it.
-                    self._skipped_lines += 1
                     continue
                 self._records[key] = summary
 
@@ -128,15 +125,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        self._ensure_loaded()
-        return len(self._records)
-
-    @property
-    def skipped_lines(self) -> int:
-        """Number of unreadable lines dropped by the last :meth:`load`."""
-        return self._skipped_lines
-
     def get(self, cell_id: str, seed: int, fingerprint: str) -> Optional[PointSummary]:
         """The stored summary for the key, or ``None``."""
         self._ensure_loaded()

@@ -132,13 +132,6 @@ class PointSummary:
     # ------------------------------------------------------------------
     # JSON round-trip (ResultStore records)
     # ------------------------------------------------------------------
-    def metric(self, name: str) -> float:
-        """The value of one persisted telemetry metric by rendered name."""
-        for recorded_name, value in self.metrics:
-            if recorded_name == name:
-                return value
-        raise KeyError(f"summary of {self.cell_id!r} has no metric {name!r}")
-
     def to_json_dict(self) -> Dict[str, object]:
         """A standard-JSON-safe dictionary (``inf`` encoded as a string).
 

@@ -211,9 +211,6 @@ class MetricsRegistry:
                 out[name] = float(value)
         return dict(sorted(out.items()))
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
 
 def _split_rendered(rendered: str) -> Tuple[str, Dict[str, str]]:
     """Invert :func:`render_metric_name` (labels back into a dict)."""

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from repro.network.message import Message, NodeId
 from repro.streaming.packets import PacketId
 from repro.streaming.schedule import StreamSchedule
-from repro.validation.observers import SessionObserver
+from repro.validation.observers import SessionObserver, observe_network_and_nodes
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.schema import _LINE_TEMPLATES, EVENT_KINDS, TraceError, TraceWriter, json_text
@@ -143,10 +143,12 @@ class TraceRecorder(SessionObserver):
         self._fn_text: Dict[Any, str] = {}
         self._text = _JsonTexts()
 
-    @property
-    def records_dispatch(self) -> bool:
-        """Whether the engine's dispatch edge is of any use to this recorder."""
-        return self._templates["dispatch"] is not None
+    def attach(self, session) -> None:
+        """Register on a built session's network and nodes, and on its engine
+        only when dispatch lines are selected: that edge fires once per event."""
+        if self._templates["dispatch"] is not None:
+            session.simulator.add_observer(self)
+        observe_network_and_nodes(session, self)
 
     # ------------------------------------------------------------------
     # Engine edge

@@ -123,11 +123,6 @@ class TraceHeader:
     schema: str
     meta: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def major_version(self) -> int:
-        """The schema's major version number."""
-        return int(self.schema.rpartition("/")[2])
-
 
 class _ClosedBuffer(list):
     """A closed writer's buffer: empty for good, and the first append raises."""

@@ -29,6 +29,7 @@ from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import MetricsObserver, TraceRecorder
 from repro.telemetry.schema import TraceWriter
+from repro.validation.observers import observe_network_and_nodes
 
 
 @dataclass
@@ -39,10 +40,6 @@ class TelemetrySnapshot:
     trace_path: Optional[str] = None
     trace_events: int = 0
     trace_events_by_kind: Dict[str, int] = field(default_factory=dict)
-
-    def metric(self, name: str) -> float:
-        """One metric by rendered name (raises ``KeyError`` when absent)."""
-        return self.metrics[name]
 
 
 class SessionTelemetry:
@@ -56,8 +53,6 @@ class SessionTelemetry:
 
     def attach(self, session) -> "SessionTelemetry":
         """Wire observers and collectors into a **built** session."""
-        from repro.validation.observers import attach_session_observer
-
         if session.simulator is None or session.network is None:
             raise ValueError(
                 "session is not built yet: telemetry attaches to live substrates"
@@ -67,25 +62,21 @@ class SessionTelemetry:
             registry = MetricsRegistry()
             self.registry = registry
             self._wire_collectors(session, registry)
-            metrics = MetricsObserver(registry, schedule=session.schedule)
-            attach_session_observer(session, metrics)
             # It has no dispatch handler: off the edge that fires once per event.
-            session.simulator.remove_observer(metrics)
+            metrics = MetricsObserver(registry, schedule=session.schedule)
+            observe_network_and_nodes(session, metrics)
         if config.trace_path is not None:
             self.writer = TraceWriter(
                 config.trace_path,
                 meta=session_meta(session),
                 flush_every=config.flush_every,
             )
-            recorder = TraceRecorder(
+            TraceRecorder(
                 self.writer,
                 sample_every=config.sample_every,
                 include_kinds=config.include_kinds,
                 exclude_kinds=config.exclude_kinds,
-            )
-            attach_session_observer(session, recorder)
-            if not recorder.records_dispatch:
-                session.simulator.remove_observer(recorder)
+            ).attach(session)
         return self
 
     def _wire_collectors(self, session, registry: MetricsRegistry) -> None:

@@ -408,11 +408,6 @@ class InvariantSuite:
         """Fresh instances of every shipped invariant."""
         return cls([factory() for factory in DEFAULT_INVARIANTS])
 
-    @property
-    def attached(self) -> List[Invariant]:
-        """The checkers actually armed by :meth:`attach`."""
-        return list(self._attached)
-
     def attach(self, session: StreamingSession) -> "InvariantSuite":
         """Bind and register every applicable checker on a built session.
 

@@ -129,6 +129,11 @@ def attach_session_observer(session, observer: SessionObserver) -> None:
             "session is not built yet: call session.build() before attaching observers"
         )
     session.simulator.add_observer(observer)
+    observe_network_and_nodes(session, observer)
+
+
+def observe_network_and_nodes(session, observer) -> None:
+    """Register ``observer`` on a built session's network and nodes, not its engine."""
     session.network.add_observer(observer)
     for node in session.nodes.values():
         node.add_observer(observer)

@@ -62,11 +62,6 @@ class TestRoundTrip:
         data = sample_report().to_json_dict()
         assert data["schema"] == SCHEMA == "repro.bench/1"
 
-    def test_record_lookup(self):
-        report = sample_report()
-        assert report.record_for("figure1").metrics["headline"] == pytest.approx(96.5517, abs=1e-3)
-        assert report.record_for("nope") is None
-
 
 class TestValidation:
     def test_unknown_schema_version_is_rejected(self):

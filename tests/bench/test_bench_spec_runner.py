@@ -82,7 +82,7 @@ class TestRegistry:
     def test_default_suite_registers_all_fourteen(self):
         from repro.bench import default_registry
 
-        names = default_registry().names()
+        names = [benchmark.name for benchmark in default_registry().select()]
         assert len(names) == 14
         assert names[:3] == [
             "engine-throughput",

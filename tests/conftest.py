@@ -7,6 +7,8 @@ per test.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.config import GossipConfig
@@ -15,6 +17,16 @@ from repro.membership.partners import INFINITE
 from repro.network.transport import NetworkConfig
 from repro.simulation.engine import Simulator
 from repro.streaming.schedule import StreamConfig
+
+
+class CountingRandom(random.Random):
+    """A seeded stream that counts the partner samples drawn from it."""
+
+    samples = 0
+
+    def sample(self, population, k, **kwargs):
+        self.samples += 1
+        return super().sample(population, k, **kwargs)
 
 
 @pytest.fixture

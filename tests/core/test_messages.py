@@ -13,8 +13,7 @@ from repro.core.messages import (
 
 class TestProposePayload:
     def test_holds_ids(self):
-        payload = ProposePayload(packet_ids=(1, 2, 3))
-        assert len(payload) == 3
+        assert ProposePayload(packet_ids=(1, 2, 3)).packet_ids == (1, 2, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -23,7 +22,7 @@ class TestProposePayload:
 
 class TestRequestPayload:
     def test_holds_ids(self):
-        assert len(RequestPayload(packet_ids=(9,))) == 1
+        assert RequestPayload(packet_ids=(9,)).packet_ids == (9,)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

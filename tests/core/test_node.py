@@ -13,6 +13,7 @@ from repro.network.message import Message
 from repro.network.transport import Network
 from repro.simulation.engine import Simulator
 from repro.streaming.schedule import StreamConfig, StreamSchedule
+from repro.validation.observers import TransportObserver
 
 
 class ScriptedLoss(LossModel):
@@ -27,6 +28,17 @@ class ScriptedLoss(LossModel):
             self.remaining -= 1
             return True
         return False
+
+
+class _RequestLog(TransportObserver):
+    """Every accepted REQUEST as ``(sender, receiver, packet ids)``."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def on_send_accepted(self, message, now, finish_time):
+        if message.kind == REQUEST:
+            self.sent.append((message.sender, message.receiver, message.payload.packet_ids))
 
 
 class Harness:
@@ -110,8 +122,7 @@ class TestDelivery:
         harness = Harness()
         node = harness.nodes[1]
         node.deliver(1, 2.5)
-        assert node.state.has_delivered(1)
-        assert node.state.delivery_time(1) == 2.5
+        assert node.state.delivered == {1: 2.5}
         assert harness.deliveries == [(1, 1, 2.5)]
 
     def test_duplicate_delivery_is_rejected(self):
@@ -119,8 +130,7 @@ class TestDelivery:
         node = harness.nodes[1]
         node.deliver(1, 2.5)
         node.deliver(1, 3.5)
-        assert node.state.delivery_time(1) == 2.5
-        assert node.state.delivered_count == 1
+        assert node.state.delivered == {1: 2.5}
         assert harness.deliveries == [(1, 1, 2.5)]
 
 
@@ -153,7 +163,38 @@ class TestThreePhaseExchange:
         node.on_message(Message(2, 1, PROPOSE, 48, harness_propose((5,))))
         node.on_message(Message(3, 1, PROPOSE, 48, harness_propose((5,))))
         assert node.stats.requests_sent == 1
-        assert node.state.times_requested(5) == 1
+        assert node.state.request_attempts == {5: 1}
+
+    def test_an_id_advertised_twice_in_one_propose_is_requested_twice(self):
+        harness = Harness(num_nodes=4)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        node.on_message(Message(2, 1, PROPOSE, 56, harness_propose((5, 5))))
+        assert requests.sent == [(1, 2, (5, 5))]
+        assert node.state.request_attempts == {5: 2}
+
+    def test_propose_requests_only_the_missing_ids(self):
+        harness = Harness(num_nodes=4)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        node.deliver(1, 0.0)
+        node.deliver(3, 0.0)
+        node.on_message(Message(2, 1, PROPOSE, 48, harness_propose((1, 2, 3, 4))))
+        assert requests.sent == [(1, 2, (2, 4))]
+        assert node.state.request_attempts == {2: 1, 4: 1}
+
+    def test_a_proposal_of_delivered_ids_requests_nothing(self):
+        harness = Harness(num_nodes=4)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        node.deliver(5, 0.0)
+        node.on_message(Message(2, 1, PROPOSE, 48, harness_propose((5,))))
+        harness.simulator.run(until=5.0)
+        assert requests.sent == []
+        assert node.state.request_attempts == {}
 
     def test_request_is_served_only_for_held_packets(self):
         harness = Harness()
@@ -232,7 +273,7 @@ class TestRetransmission:
         for node_id, node in harness.nodes.items():
             if node_id == 0:
                 continue
-            assert node.state.times_requested(0) <= 3
+            assert node.state.request_attempts.get(0, 0) <= 3
             assert not node.state.has_delivered(0)
 
     def test_no_retransmission_when_disabled(self):
@@ -244,18 +285,42 @@ class TestRetransmission:
         assert total_retries == 0
         for node_id, node in harness.nodes.items():
             if node_id != 0:
-                assert node.state.times_requested(0) <= 1
+                assert node.state.request_attempts.get(0, 0) <= 1
+
+    def test_a_request_nobody_serves_is_sent_exactly_k_times(self):
+        harness = Harness(num_nodes=3, max_request_attempts=2)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        # Node 2 advertises a packet it does not hold: no SERVE ever comes.
+        node.on_message(Message(2, 1, PROPOSE, 48, harness_propose((5,))))
+        harness.simulator.run(until=5.0)
+        assert requests.sent == [(1, 2, (5,)), (1, 2, (5,))]
+        assert node.stats.retransmission_requests_sent == 1
+        assert node.state.request_attempts == {5: 2}
+
+    def test_a_retry_asks_only_for_what_is_still_missing(self):
+        harness = Harness(num_nodes=3, max_request_attempts=3)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        # Node 2 holds packet 5 but not 6: the first REQUEST gets half served.
+        harness.nodes[2].deliver(5, 0.0)
+        node.on_message(Message(2, 1, PROPOSE, 56, harness_propose((5, 6))))
+        harness.simulator.run(until=5.0)
+        assert requests.sent == [(1, 2, (5, 6)), (1, 2, (6,)), (1, 2, (6,))]
+        assert node.state.delivered.keys() == {5}
+        assert node.state.request_attempts == {5: 1, 6: 3}
 
 
 class TestFeedMe:
     def test_feed_me_inserts_requester_into_view(self):
         harness = Harness(num_nodes=10, refresh_every=INFINITE)
         node = harness.nodes[1]
-        node.partners.partners_for_round(0.0)
-        before = set(node.partners.current_partners())
+        before = set(node.partners.partners_for_round(0.0))
         outsider = next(n for n in range(2, 10) if n not in before)
         node.on_message(Message(outsider, 1, FEED_ME, 40, FeedMePayload(requester=outsider)))
-        assert outsider in node.partners.current_partners()
+        assert outsider in node.partners.partners_for_round(0.0)
         assert node.stats.feed_me_received == 1
 
     def test_feed_me_timer_sends_requests(self):

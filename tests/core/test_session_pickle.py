@@ -62,7 +62,7 @@ class TestSessionResultPickle:
     def test_round_trip_preserves_logs_and_counters(self, result):
         clone = pickle.loads(pickle.dumps(result))
         assert clone.deliveries.total_deliveries == result.deliveries.total_deliveries
-        assert clone.traffic.total_bytes_sent() == result.traffic.total_bytes_sent()
+        assert clone.traffic.metrics_view() == result.traffic.metrics_view()
         assert clone.events_processed == result.events_processed
         assert clone.end_time == result.end_time
         for node_id, stats in result.node_stats.items():

@@ -4,24 +4,11 @@ from repro.core.state import NodeState, PendingRequest
 
 
 class TestDelivery:
-    def test_accessors_read_the_delivered_map(self):
+    def test_has_delivered_reads_the_delivered_map(self):
         state = NodeState()
         state.delivered[1] = 2.5
         assert state.has_delivered(1)
-        assert state.delivery_time(1) == 2.5
-        assert state.delivered_count == 1
-
-    def test_delivery_time_of_unknown_packet(self):
-        assert NodeState().delivery_time(9) is None
-
-    def test_delivered_set_snapshot(self):
-        state = NodeState()
-        state.delivered[1] = 0.1
-        state.delivered[2] = 0.2
-        snapshot = state.delivered_set()
-        assert snapshot == {1, 2}
-        snapshot.add(3)
-        assert not state.has_delivered(3)
+        assert not state.has_delivered(2)
 
 
 class TestProposalQueue:
@@ -44,30 +31,11 @@ class TestProposalQueue:
 
 
 class TestRequestBookkeeping:
-    def test_never_requested_initially(self):
-        state = NodeState()
-        assert state.never_requested(5)
-        assert state.times_requested(5) == 0
-
     def test_record_request_increments(self):
         state = NodeState()
         state.record_request(5)
         state.record_request(5)
-        assert state.times_requested(5) == 2
-        assert not state.never_requested(5)
-
-    def test_may_request_again_respects_limit(self):
-        state = NodeState()
-        state.record_request(5)
-        assert state.may_request_again(5, max_attempts=2)
-        state.record_request(5)
-        assert not state.may_request_again(5, max_attempts=2)
-
-    def test_missing_from(self):
-        state = NodeState()
-        state.delivered[1] = 0.0
-        state.delivered[3] = 0.0
-        assert state.missing_from((1, 2, 3, 4)) == [2, 4]
+        assert state.request_attempts == {5: 2}
 
 
 class TestPendingRequests:

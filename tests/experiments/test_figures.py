@@ -18,7 +18,7 @@ from repro.experiments.figures import (
     figure7_churn_unaffected,
     figure8_churn_windows,
 )
-from repro.sweep.cache import SummaryCache
+from repro.sweep.cache import RecordingCache, SummaryCache
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +98,12 @@ class TestFigure7And8:
         for series in result.series:
             assert series.xs() == [fraction * 100.0 for fraction in tiny_scale.churn_grid]
 
-    def test_figure8_shares_runs_with_figure7(self, tiny_scale, cache):
-        misses_before = cache.misses
-        figure7_churn_unaffected(tiny_scale, cache)
-        misses_mid = cache.misses
-        figure8_churn_windows(tiny_scale, cache)
-        assert cache.misses == misses_mid
-        assert misses_mid >= misses_before
+    def test_figure8_shares_runs_with_figure7(self, tiny_scale):
+        recorder = RecordingCache()
+        figure7_churn_unaffected(tiny_scale, recorder)
+        planned = recorder.points()
+        figure8_churn_windows(tiny_scale, recorder)
+        assert recorder.points() == planned
 
     def test_fractional_refresh_labels_render_honestly(self, tiny_scale):
         """Regression: X=0.5 series labels used to truncate to X=0.
@@ -113,8 +112,6 @@ class TestFigure7And8:
         recording cache: the labels must render honestly even for values the
         simulation itself would reject.
         """
-        from repro.sweep.cache import RecordingCache
-
         result = figure7_churn_unaffected(
             tiny_scale, RecordingCache(), churn_fractions=(0.2,), refresh_values=(0.5,)
         )

@@ -8,14 +8,15 @@ from repro.membership.directory import MembershipDirectory
 
 
 class TestMembership:
-    def test_add_and_contains(self):
+    def test_add_registers_in_order(self):
         directory = MembershipDirectory()
         directory.add(1)
         directory.add(2)
-        assert 1 in directory
-        assert 3 not in directory
         assert len(directory) == 2
-        assert directory.members() == [1, 2]
+        assert directory.alive_members() == [1, 2]
+        assert directory.selectable(now=0.0) == [1, 2]
+        with pytest.raises(KeyError):
+            directory.mark_failed(3, time=0.0)
 
     def test_add_all(self):
         directory = MembershipDirectory()
@@ -35,12 +36,13 @@ class TestMembership:
 
 class TestFailures:
     def test_mark_failed_records_time(self):
-        directory = MembershipDirectory()
+        directory = MembershipDirectory(detection_delay=5.0)
         directory.add_all(range(3))
         directory.mark_failed(1, time=10.0)
-        assert directory.is_failed(1)
-        assert directory.failed_at(1) == 10.0
-        assert not directory.is_failed(0)
+        assert directory.alive_members() == [0, 2]
+        # Detection runs off the recorded crash time: visible until 10 + 5.
+        assert directory.selectable(now=14.999) == [0, 1, 2]
+        assert directory.selectable(now=15.0) == [0, 2]
 
     def test_mark_failed_unknown_node_rejected(self):
         directory = MembershipDirectory()
@@ -48,11 +50,12 @@ class TestFailures:
             directory.mark_failed(7, time=1.0)
 
     def test_first_failure_time_is_kept(self):
-        directory = MembershipDirectory()
+        directory = MembershipDirectory(detection_delay=5.0)
         directory.add(1)
         directory.mark_failed(1, time=5.0)
         directory.mark_failed(1, time=9.0)
-        assert directory.failed_at(1) == 5.0
+        assert directory.selectable(now=9.999) == [1]
+        assert directory.selectable(now=10.0) == []
 
     def test_alive_members_excludes_failed(self):
         directory = MembershipDirectory()
@@ -114,38 +117,38 @@ class TestSelectableCache:
     mutation, detection deadlines crossing, time moving backwards)."""
 
     @staticmethod
-    def _fresh_scan(directory, now, exclude=None):
-        """The pre-cache reference implementation."""
-        result = []
-        for node_id in directory.members():
-            if node_id == exclude:
-                continue
-            failed = directory.failed_at(node_id)
-            if failed is not None and now >= failed + directory.detection_delay:
-                continue
-            result.append(node_id)
-        return result
+    def _fresh_scan(members, crashes, delay, now, exclude=None):
+        """The pre-cache scan over the members and crash times a test applied."""
+        return [
+            node_id
+            for node_id in members
+            if node_id != exclude
+            and not (node_id in crashes and now >= crashes[node_id] + delay)
+        ]
 
-    def _assert_matches_scan(self, directory, now, excludes):
+    def _assert_matches_scan(self, directory, members, crashes, now, excludes):
         for exclude in excludes:
             assert directory.selectable(now, exclude) == self._fresh_scan(
-                directory, now, exclude
+                members, crashes, directory.detection_delay, now, exclude
             ), (now, exclude)
 
     def test_cache_tracks_every_mutation_and_deadline(self):
         directory = MembershipDirectory(detection_delay=5.0)
-        directory.add_all(range(8))
+        members, crashes = list(range(8)), {}
+        directory.add_all(members)
         excludes = [None, 0, 3, 7, 99]  # 99: excluding a non-member is a no-op
-        self._assert_matches_scan(directory, 0.0, excludes)
-        self._assert_matches_scan(directory, 0.0, excludes)  # cached hit
+        self._assert_matches_scan(directory, members, crashes, 0.0, excludes)
+        self._assert_matches_scan(directory, members, crashes, 0.0, excludes)  # cached hit
 
-        directory.mark_failed(2, time=1.0)
-        directory.mark_failed(5, time=2.0)
+        for node_id, time in ((2, 1.0), (5, 2.0)):
+            directory.mark_failed(node_id, time=time)
+            crashes[node_id] = time
         for now in (1.0, 3.0, 5.999, 6.0, 6.5, 7.0, 10.0):  # crosses both deadlines
-            self._assert_matches_scan(directory, now, excludes)
+            self._assert_matches_scan(directory, members, crashes, now, excludes)
 
         directory.add(8)
-        self._assert_matches_scan(directory, 10.0, excludes + [8])
+        members.append(8)
+        self._assert_matches_scan(directory, members, crashes, 10.0, excludes + [8])
 
     def test_time_moving_backwards_invalidates(self):
         # Two nodes asking at slightly different times within one round go
@@ -153,8 +156,15 @@ class TestSelectableCache:
         directory = MembershipDirectory(detection_delay=4.0)
         directory.add_all(range(5))
         directory.mark_failed(1, time=0.0)
-        assert directory.selectable(5.0) == self._fresh_scan(directory, 5.0)  # 1 detected
-        assert directory.selectable(3.0) == self._fresh_scan(directory, 3.0)  # 1 visible again
+        assert directory.selectable(5.0) == [0, 2, 3, 4]  # 1 detected
+        assert directory.selectable(3.0) == [0, 1, 2, 3, 4]  # 1 visible again
+
+    def test_a_caller_cannot_edit_the_cached_list(self):
+        directory = MembershipDirectory(detection_delay=5.0)
+        directory.add_all([10, 20, 30])
+        directory.selectable(1.0).append(99)
+        directory.selectable(1.0, exclude=20).append(99)
+        assert directory.selectable(1.0) == [10, 20, 30]
 
     def test_exclusion_preserves_order_and_content(self):
         directory = MembershipDirectory(detection_delay=5.0)

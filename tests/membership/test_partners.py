@@ -7,8 +7,10 @@ import pytest
 from repro.membership.directory import MembershipDirectory
 from repro.membership.partners import INFINITE, PartnerSelector
 
+from tests.conftest import CountingRandom
 
-def make_selector(fanout=3, refresh_every=1, node_id=0, num_nodes=10, seed=1):
+
+def make_selector(fanout=3, refresh_every=1, node_id=0, num_nodes=10, rng=None):
     directory = MembershipDirectory()
     directory.add_all(range(num_nodes))
     selector = PartnerSelector(
@@ -16,7 +18,7 @@ def make_selector(fanout=3, refresh_every=1, node_id=0, num_nodes=10, seed=1):
         directory=directory,
         fanout=fanout,
         refresh_every=refresh_every,
-        rng=random.Random(seed),
+        rng=random.Random(1) if rng is None else rng,
     )
     return selector, directory
 
@@ -63,25 +65,28 @@ class TestSampling:
 
 class TestRefreshRate:
     def test_x_equal_one_changes_every_round(self):
-        selector, __ = make_selector(fanout=3, refresh_every=1, num_nodes=30)
+        rng = CountingRandom(1)
+        selector, __ = make_selector(fanout=3, refresh_every=1, num_nodes=30, rng=rng)
         rounds = [tuple(selector.partners_for_round(now=0.0)) for _ in range(10)]
         assert len(set(rounds)) > 1
-        assert selector.refresh_count == 10
+        assert rng.samples == 10
 
     def test_x_infinite_never_changes(self):
-        selector, __ = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=30)
+        rng = CountingRandom(1)
+        selector, __ = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=30, rng=rng)
         first = selector.partners_for_round(now=0.0)
         for _ in range(20):
             assert selector.partners_for_round(now=0.0) == first
-        assert selector.refresh_count == 1
+        assert rng.samples == 1
 
     def test_x_equal_three_keeps_set_for_three_rounds(self):
-        selector, __ = make_selector(fanout=3, refresh_every=3, num_nodes=30)
+        rng = CountingRandom(1)
+        selector, __ = make_selector(fanout=3, refresh_every=3, num_nodes=30, rng=rng)
         rounds = [tuple(selector.partners_for_round(now=0.0)) for _ in range(9)]
         assert rounds[0] == rounds[1] == rounds[2]
         assert rounds[3] == rounds[4] == rounds[5]
         assert rounds[6] == rounds[7] == rounds[8]
-        assert selector.refresh_count == 3
+        assert rng.samples == 3
 
     def test_static_view_keeps_failed_partner(self):
         selector, directory = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=10)
@@ -105,7 +110,7 @@ class TestFeedMe:
         before = set(selector.partners_for_round(now=0.0))
         new_partner = next(n for n in range(1, 10) if n not in before)
         changed = selector.insert_requester(new_partner, now=0.0)
-        after = set(selector.current_partners())
+        after = set(selector.partners_for_round(now=0.0))
         assert changed
         assert new_partner in after
         assert len(after) == 3
@@ -122,8 +127,16 @@ class TestFeedMe:
 
     def test_insert_before_first_round_initializes_view(self):
         selector, __ = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=10, node_id=0)
-        selector.insert_requester(5, now=0.0)
-        assert 5 in selector.current_partners() or len(selector.current_partners()) == 3
+        assert selector.insert_requester(5, now=0.0)
+        partners = selector.partners_for_round(now=0.0)
+        assert 5 in partners and len(partners) == 3
+
+    def test_a_requester_seeds_an_empty_view(self):
+        # Alone in the directory, the node has nobody to sample.
+        selector, __ = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=1, node_id=0)
+        assert selector.partners_for_round(now=0.0) == []
+        assert selector.insert_requester(5, now=0.0)
+        assert selector.partners_for_round(now=0.0) == [5]
 
     def test_pick_feed_me_targets_excludes_self(self):
         selector, __ = make_selector(fanout=4, node_id=2, num_nodes=12)

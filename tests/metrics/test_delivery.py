@@ -10,7 +10,7 @@ class TestDeliveryLog:
     def test_record_and_query(self):
         log = DeliveryLog(SCHEDULE)
         log.record(1, 10, 2.5)
-        assert log.delivery_time(1, 10) == 2.5
+        assert log.raw() == {1: {10: 2.5}}
         assert log.packets_delivered(1) == 1
         assert log.total_deliveries == 1
 
@@ -18,31 +18,24 @@ class TestDeliveryLog:
         log = DeliveryLog(SCHEDULE)
         log.record(1, 10, 2.5)
         log.record(1, 10, 9.9)
-        assert log.delivery_time(1, 10) == 2.5
+        assert log.raw() == {1: {10: 2.5}}
         assert log.total_deliveries == 1
 
     def test_callable_interface(self):
         log = DeliveryLog(SCHEDULE)
         log(2, 5, 1.0)
-        assert log.delivery_time(2, 5) == 1.0
+        assert log.raw() == {2: {5: 1.0}}
 
-    def test_unknown_queries_return_none_or_zero(self):
+    def test_unknown_queries_return_empty_or_zero(self):
         log = DeliveryLog(SCHEDULE)
-        assert log.delivery_time(1, 1) is None
+        assert log.raw() == {}
         assert log.packets_delivered(1) == 0
 
     def test_nodes_listing(self):
         log = DeliveryLog(SCHEDULE)
         log.record(1, 0, 0.0)
         log.record(3, 0, 0.0)
-        assert set(log.nodes()) == {1, 3}
-
-    def test_deliveries_of_returns_copy(self):
-        log = DeliveryLog(SCHEDULE)
-        log.record(1, 0, 0.0)
-        copy = log.deliveries_of(1)
-        copy[99] = 1.0
-        assert log.delivery_time(1, 99) is None
+        assert set(log.raw()) == {1, 3}
 
     def test_raw_reflects_all_entries(self):
         log = DeliveryLog(SCHEDULE)

@@ -43,7 +43,7 @@ class TestWindowLevel:
 
     def test_window_viewable_with_fec_margin(self, schedule):
         log = DeliveryLog(schedule)
-        window = schedule.window(0)
+        window = schedule.windows()[0]
         for packet_id in window.packet_ids[1:]:  # lose packet 0
             log.record(1, packet_id, schedule.packet(packet_id).publish_time + 0.1)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
@@ -51,27 +51,28 @@ class TestWindowLevel:
 
     def test_window_not_viewable_with_two_losses(self, schedule):
         log = DeliveryLog(schedule)
-        window = schedule.window(0)
+        window = schedule.windows()[0]
         for packet_id in window.packet_ids[2:]:  # lose two packets
             log.record(1, packet_id, schedule.packet(packet_id).publish_time + 0.1)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
         assert not analyzer.window_viewable(1, 0, lag=OFFLINE_LAG)
 
-    def test_window_critical_lag_is_kth_smallest(self, schedule):
+    def test_window_decodes_at_its_kth_smallest_lag(self, schedule):
         log = DeliveryLog(schedule)
-        window = schedule.window(0)
+        window = schedule.windows()[0]
         lags = [0.1, 0.2, 0.3, 0.4, 50.0]
         for packet_id, lag in zip(window.packet_ids, lags):
             log.record(1, packet_id, schedule.packet(packet_id).publish_time + lag)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
         # 4 packets are required; the 4th smallest per-packet lag is 0.4.
-        assert analyzer.window_critical_lag(1, 0) == pytest.approx(0.4)
+        assert analyzer.window_viewable(1, 0, lag=0.4)
+        assert not analyzer.window_viewable(1, 0, lag=0.399)
 
-    def test_window_critical_lag_infinite_when_undecodable(self, schedule):
+    def test_undecodable_window_is_not_viewable_even_offline(self, schedule):
         log = DeliveryLog(schedule)
         log.record(1, 0, 0.1)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
-        assert math.isinf(analyzer.window_critical_lag(1, 0))
+        assert not analyzer.window_viewable(1, 0, lag=OFFLINE_LAG)
 
 
 class TestNodeLevel:
@@ -91,7 +92,7 @@ class TestNodeLevel:
         log = DeliveryLog(schedule)
         # Windows 0 and 1 fully on time; windows 2 and 3 missing entirely.
         for window_index in (0, 1):
-            for packet_id in schedule.window(window_index).packet_ids:
+            for packet_id in schedule.windows()[window_index].packet_ids:
                 log.record(1, packet_id, schedule.packet(packet_id).publish_time + 0.1)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
         assert analyzer.node_jitter(1, lag=1.0) == pytest.approx(0.5)
@@ -106,7 +107,7 @@ class TestNodeLevel:
         log = DeliveryLog(schedule)
         for window_index in range(4):
             delay = 1.0 if window_index < 3 else 30.0
-            for packet_id in schedule.window(window_index).packet_ids:
+            for packet_id in schedule.windows()[window_index].packet_ids:
                 log.record(1, packet_id, schedule.packet(packet_id).publish_time + delay)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
         # 99% of 4 windows rounds up to all 4 windows: the slow one dominates.
@@ -136,7 +137,7 @@ class TestAggregates:
         log_with_uniform_lag(schedule, 1, lag=0.1, log=log)  # all 4 windows
         # Node 2: only windows 0-1 delivered.
         for window_index in (0, 1):
-            for packet_id in schedule.window(window_index).packet_ids:
+            for packet_id in schedule.windows()[window_index].packet_ids:
                 log.record(2, packet_id, schedule.packet(packet_id).publish_time + 0.1)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
         assert analyzer.average_complete_window_ratio(lag=1.0) == pytest.approx(0.75)
@@ -151,12 +152,13 @@ class TestAggregates:
         assert cdf == [0.0, 0.0, 0.5, 1.0]
         assert all(later >= earlier for earlier, later in zip(cdf, cdf[1:]))
 
-    def test_delivery_ratio(self, schedule):
+    def test_a_node_without_deliveries_is_analyzed_as_all_jitter(self, schedule):
         log = DeliveryLog(schedule)
         log_with_uniform_lag(schedule, 1, lag=0.1, log=log)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
-        assert analyzer.delivery_ratio(1) == pytest.approx(1.0)
-        assert analyzer.delivery_ratio(2) == 0.0
+        assert analyzer.node_jitter(1, lag=1.0) == 0.0
+        assert analyzer.node_jitter(2, lag=1.0) == 1.0
+        assert analyzer.critical_lags() == [pytest.approx(0.1), math.inf]
 
     def test_empty_node_list(self, schedule):
         analyzer = StreamQualityAnalyzer(schedule, DeliveryLog(schedule), nodes=[])

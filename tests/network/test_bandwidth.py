@@ -9,22 +9,18 @@ class TestBandwidthCap:
     def test_from_kbps(self):
         cap = BandwidthCap.from_kbps(700)
         assert cap.rate_bps == pytest.approx(700_000.0)
-        assert not cap.is_unlimited
-        assert cap.kbps() == pytest.approx(700.0)
 
     def test_unlimited(self):
-        cap = BandwidthCap.unlimited()
-        assert cap.is_unlimited
-        assert cap.max_backlog_bytes is None
-        assert cap.kbps() is None
+        assert BandwidthCap.unlimited().rate_bps is None
 
     def test_from_kbps_none_is_unlimited(self):
-        assert BandwidthCap.from_kbps(None).is_unlimited
+        assert BandwidthCap.from_kbps(None).rate_bps is None
 
     def test_max_backlog_bytes(self):
-        cap = BandwidthCap.from_kbps(800, max_backlog_seconds=2.0)
+        limiter = UploadLimiter(BandwidthCap.from_kbps(800, max_backlog_seconds=2.0))
         # 800 kbps = 100 kB/s, so 2 s of backlog is 200 kB.
-        assert cap.max_backlog_bytes == pytest.approx(200_000.0)
+        assert limiter.enqueue(200_000, now=0.0) == pytest.approx(2.0)
+        assert limiter.enqueue(1, now=0.0) is None
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -41,6 +37,13 @@ class TestUploadLimiter:
         finish = limiter.enqueue(10_000, now=5.0)
         assert finish == pytest.approx(5.0)
         assert limiter.bytes_accepted == 10_000
+
+    def test_unlimited_cap_counts_every_datagram(self):
+        limiter = UploadLimiter(BandwidthCap.unlimited())
+        for size in (100, 200, 300):
+            assert limiter.enqueue(size, now=1.0) == 1.0
+        assert (limiter.messages_accepted, limiter.bytes_accepted) == (3, 600)
+        assert (limiter.messages_dropped, limiter.bytes_dropped) == (0, 0)
 
     def test_serialization_delay_matches_rate(self):
         # 1000 bytes at 8000 bps take exactly 1 second to serialize.
@@ -76,21 +79,15 @@ class TestUploadLimiter:
         limiter.enqueue(1000, now=0.0)
         limiter.enqueue(1000, now=0.0)
         # At t=1.5 s, half of the second message remains: 0.5 s of backlog.
-        assert limiter.backlog_seconds(1.5) == pytest.approx(0.5)
-        assert limiter.enqueue(1000, now=1.5) is not None
+        assert limiter.enqueue(1000, now=1.5) == pytest.approx(3.0)
 
-    def test_backlog_bytes(self):
+    def test_queued_bytes_count_against_the_backlog(self):
         limiter = UploadLimiter(BandwidthCap(rate_bps=8000.0, max_backlog_seconds=10.0))
         limiter.enqueue(2000, now=0.0)
-        assert limiter.backlog_bytes(0.0) == pytest.approx(2000.0)
-        assert limiter.backlog_bytes(1.0) == pytest.approx(1000.0)
-        assert limiter.backlog_bytes(100.0) == 0.0
-
-    def test_is_saturated(self):
-        limiter = UploadLimiter(BandwidthCap(rate_bps=8000.0, max_backlog_seconds=10.0))
-        limiter.enqueue(8000, now=0.0)  # 8 seconds of backlog
-        assert limiter.is_saturated(0.0, threshold_seconds=1.0)
-        assert not limiter.is_saturated(7.5, threshold_seconds=1.0)
+        # At t=1 s, 1000 bytes (1 s) are still queued: 9 s of room remain.
+        assert limiter.enqueue(9001, now=1.0) is None
+        assert limiter.enqueue(9000, now=1.0) == pytest.approx(11.0)
+        assert limiter.enqueue(1000, now=100.0) == pytest.approx(101.0)
 
     def test_counters_accumulate(self):
         limiter = UploadLimiter(BandwidthCap(rate_bps=8000.0, max_backlog_seconds=1.0))

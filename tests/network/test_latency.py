@@ -92,14 +92,11 @@ class TestFloorBetween:
     def test_per_node_floor_uses_each_groups_best_node(self, rng):
         model = PerNodeQualityLatency(rng, node_ids=list(range(6)), base=0.05, jitter=0.2)
         group_a, group_b = [0, 1, 2], [3, 4, 5]
-        best_a = min(model.quality(node) for node in group_a)
-        best_b = min(model.quality(node) for node in group_b)
+        best_a = min(model.floor_term(node) for node in group_a)
+        best_b = min(model.floor_term(node) for node in group_b)
         assert model.floor_between(group_a, group_b) == max(
             model.minimum, 0.05 * ((best_a + best_b) / 2.0) * (1.0 + -0.2)
         )
-        assert [model.floor_term(node) for node in range(6)] == [
-            model.quality(node) for node in range(6)
-        ]
 
     def test_floor_clamps_to_the_minimum(self, rng):
         model = PerNodeQualityLatency(rng, node_ids=[0, 1], base=0.0001, minimum=0.006)
@@ -158,19 +155,19 @@ class TestPerSenderStreams:
         node_ids = list(range(8))
         shared = PerNodeQualityLatency(RngRegistry(3), node_ids)
         keyed = PerNodeQualityLatency(RngRegistry(3), node_ids, per_sender=True)
-        assert [shared.quality(i) for i in node_ids] == [
-            keyed.quality(i) for i in node_ids
+        assert [shared.floor_term(i) for i in node_ids] == [
+            keyed.floor_term(i) for i in node_ids
         ]
 
 
 class TestPerNodeQualityLatency:
     def test_quality_factors_are_stable_per_node(self, rng):
         model = PerNodeQualityLatency(rng, node_ids=list(range(10)))
-        assert model.quality(3) == model.quality(3)
+        assert model.floor_term(3) == model.floor_term(3)
 
     def test_good_nodes_have_lower_latency_on_average(self, rng):
         model = PerNodeQualityLatency(rng, node_ids=list(range(30)), jitter=0.0)
-        qualities = {node: model.quality(node) for node in range(30)}
+        qualities = {node: model.floor_term(node) for node in range(30)}
         best = min(qualities, key=qualities.get)
         worst = max(qualities, key=qualities.get)
         best_latency = sum(model.sample(best, best) for _ in range(20)) / 20
@@ -184,7 +181,7 @@ class TestPerNodeQualityLatency:
     def test_same_seed_same_qualities(self):
         first = PerNodeQualityLatency(RngRegistry(3), node_ids=list(range(5)))
         second = PerNodeQualityLatency(RngRegistry(3), node_ids=list(range(5)))
-        assert [first.quality(i) for i in range(5)] == [second.quality(i) for i in range(5)]
+        assert [first.floor_term(i) for i in range(5)] == [second.floor_term(i) for i in range(5)]
 
     def test_invalid_parameters_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -14,10 +14,6 @@ class TestMessage:
         assert message.size_bytes == 120
         assert message.payload is None
 
-    def test_size_bits(self):
-        message = Message(sender=0, receiver=1, kind="serve", size_bytes=100)
-        assert message.size_bits() == 800
-
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             Message(sender=0, receiver=1, kind="propose", size_bytes=0)

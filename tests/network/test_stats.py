@@ -68,7 +68,7 @@ class TestTrafficStats:
         stats = TrafficStats()
         stats.node(1).bytes_sent = 10
         stats.node(2).bytes_sent = 20
-        assert stats.total_bytes_sent() == 30
+        assert stats.metrics_view()["net.bytes_sent"] == 30.0
 
 
 class TestMetricsView:
@@ -131,4 +131,4 @@ class TestMetricsView:
         stats.metrics_view()
         assert stats.node(1).bytes_sent == 100
         assert stats.node(2).sent_bytes_by_kind["serve"] == 1000
-        assert stats.total_bytes_sent() == 1100
+        assert sum(traffic.bytes_sent for traffic in stats.raw().values()) == 1100

@@ -33,8 +33,6 @@ class TestRegistration:
         receiver = Recorder(simulator)
         network.register(0, lambda m: None)
         network.register(1, receiver)
-        assert network.is_registered(1)
-        assert network.is_alive(1)
 
         accepted = network.send(Message(sender=0, receiver=1, kind="propose", size_bytes=100))
         assert accepted
@@ -47,9 +45,11 @@ class TestRegistration:
         with pytest.raises(ValueError):
             network.register(0, lambda m: None)
 
-    def test_unregistered_node_is_not_alive(self, simulator):
+    def test_unregistered_node_sends_nothing(self, simulator):
         network = build_network(simulator)
-        assert not network.is_alive(42)
+        network.register(0, lambda m: None)
+        assert not network.send(Message(sender=42, receiver=0, kind="propose", size_bytes=10))
+        assert simulator.pending_events == 0
 
 
 class TestDeliveryTiming:
@@ -148,12 +148,12 @@ class TestFailures:
 class TestNetworkConfig:
     def test_build_cap_uses_default_and_overrides(self):
         config = NetworkConfig(upload_cap_kbps=700.0, per_node_caps_kbps={5: 2000.0})
-        assert config.build_cap(1).kbps() == pytest.approx(700.0)
-        assert config.build_cap(5).kbps() == pytest.approx(2000.0)
+        assert config.build_cap(1).rate_bps == pytest.approx(700_000.0)
+        assert config.build_cap(5).rate_bps == pytest.approx(2_000_000.0)
 
     def test_build_cap_none_is_unlimited(self):
         config = NetworkConfig(upload_cap_kbps=None)
-        assert config.build_cap(1).is_unlimited
+        assert config.build_cap(1).rate_bps is None
 
     def test_build_latency_models(self):
         rng = RngRegistry(1)

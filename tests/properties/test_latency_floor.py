@@ -43,14 +43,18 @@ class _EdgeStream(random.Random):
 class _EdgeRegistry(RngRegistry):
     """Hands out :class:`_EdgeStream` for everything but the quality table."""
 
-    __slots__ = ()
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.seed = seed
 
     def stream(self, name: str) -> random.Random:
         if name.endswith("/quality"):
             return super().stream(name)
         existing = self._streams.get(name)
         if existing is None:
-            existing = self._streams[name] = _EdgeStream(derive_seed(self.root_seed, name))
+            existing = self._streams[name] = _EdgeStream(derive_seed(self.seed, name))
         return existing
 
 
@@ -117,8 +121,8 @@ class TestFloorBetween:
         draw lands exactly on it (shared stream: the first draw is the edge)."""
         latency = _build("per-node", seed, False, jitter, 0.05)
         group_a, group_b = groups
-        best_a = min(group_a, key=latency.quality)
-        best_b = min(group_b, key=latency.quality)
+        best_a = min(group_a, key=latency.floor_term)
+        best_b = min(group_b, key=latency.floor_term)
         assert latency.sample(best_a, best_b) == latency.floor_between(group_a, group_b)
 
     def test_floorless_models_have_no_per_node_term(self):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.membership.directory import MembershipDirectory
 from repro.membership.partners import INFINITE, PartnerSelector
 
+from tests.conftest import CountingRandom
+
 
 @st.composite
 def selector_setup(draw):
@@ -32,7 +34,7 @@ class TestPartnerSelectorProperties:
             assert node_id not in partners
             assert len(partners) == len(set(partners))
             assert len(partners) == min(fanout, num_nodes - 1)
-            assert all(partner in directory for partner in partners)
+            assert set(partners) <= set(range(num_nodes))
 
     @given(selector_setup())
     @settings(deadline=None)
@@ -40,25 +42,26 @@ class TestPartnerSelectorProperties:
         num_nodes, fanout, refresh, node_id, seed, rounds = setup
         directory = MembershipDirectory()
         directory.add_all(range(num_nodes))
-        selector = PartnerSelector(node_id, directory, fanout, refresh, random.Random(seed))
+        rng = CountingRandom(seed)
+        selector = PartnerSelector(node_id, directory, fanout, refresh, rng)
         for _ in range(rounds):
             selector.partners_for_round(now=0.0)
         if refresh == INFINITE:
-            assert selector.refresh_count == 1
+            assert rng.samples == 1
         else:
             expected = -(-rounds // int(refresh))  # ceil division
-            assert selector.refresh_count == expected
+            assert rng.samples == expected
 
     @given(selector_setup(), st.integers(min_value=0, max_value=39))
     @settings(deadline=None)
     def test_insert_requester_preserves_set_size(self, setup, requester):
-        num_nodes, fanout, refresh, node_id, seed, __ = setup
+        # Insertion ignores X; a static view lets the next round read the set.
+        num_nodes, fanout, __, node_id, seed, __ = setup
         directory = MembershipDirectory()
         directory.add_all(range(num_nodes))
-        selector = PartnerSelector(node_id, directory, fanout, refresh, random.Random(seed))
-        selector.partners_for_round(now=0.0)
-        size_before = len(selector.current_partners())
+        selector = PartnerSelector(node_id, directory, fanout, INFINITE, random.Random(seed))
+        size_before = len(selector.partners_for_round(now=0.0))
         selector.insert_requester(requester, now=0.0)
-        partners = selector.current_partners()
+        partners = selector.partners_for_round(now=0.0)
         assert len(partners) in (size_before, size_before + (1 if size_before == 0 else 0))
         assert node_id not in partners

@@ -29,8 +29,8 @@ class TestUploadLimiterProperties:
         cap = BandwidthCap.from_kbps(cap_kbps, max_backlog_seconds=5.0)
         limiter = UploadLimiter(cap)
         for size in sizes:
-            limiter.enqueue(size, now=0.0)
-            assert limiter.backlog_seconds(0.0) <= cap.max_backlog_seconds + 1e-9
+            finish = limiter.enqueue(size, now=0.0)
+            assert finish is None or finish <= cap.max_backlog_seconds + 1e-9
 
     @given(message_sizes, st.floats(min_value=50.0, max_value=5000.0))
     @settings(deadline=None)

@@ -83,7 +83,7 @@ class TestTelemetryPurity:
         snapshot = armed_result.telemetry
         assert snapshot is not None
         assert snapshot.trace_events > 0
-        assert snapshot.metric("engine.events_dispatched") == float(
+        assert snapshot.metrics["engine.events_dispatched"] == float(
             armed_result.events_processed
         )
 
@@ -172,7 +172,7 @@ class TestFastLinesMatchJson:
         datagram = {"snd": snd, "rcv": rcv, "mk": mk, "sz": sz}
         with TraceWriter(path) as writer:
             recorder = TraceRecorder(writer)
-            recorder.on_event_dispatch(now, message.size_bits, ())
+            recorder.on_event_dispatch(now, writer.flush, ())
             recorder.on_send_blocked(message, now)
             recorder.on_congestion_drop(message, now)
             for seq, fate in enumerate(
@@ -188,7 +188,7 @@ class TestFastLinesMatchJson:
             recorder.on_gossip_round(snd, now, [rcv] * 3)
             recorder.on_feed_me_round(snd, now, [])
         expected = [
-            ("dispatch", {"fn": "Message.size_bits"}),
+            ("dispatch", {"fn": "TraceWriter.flush"}),
             ("send_blocked", datagram),
             ("drop_congestion", datagram),
             ("send", {**datagram, "d": 1, "fin": fin}),

@@ -20,6 +20,8 @@ from repro.realnet.host import AsyncioHost
 from repro.realnet.net import UdpNetwork
 from repro.realnet.session import RealNetConfig, RealNetSession
 from repro.simulation.engine import Simulator
+from repro.telemetry.recorder import TraceRecorder
+from repro.telemetry.schema import TraceWriter, iter_events, validate_trace
 from repro.validation.observers import TransportObserver
 
 from tests.realnet.conftest import SMOKE_TIME_SCALE, realnet_session_config
@@ -127,6 +129,48 @@ class TestUnregisteredReceiver:
         assert network.datagrams_sent == 0
 
 
+class _FateObserver(TransportObserver):
+    def __init__(self):
+        self.fates = []
+
+    def on_in_flight_loss(self, message, now):
+        self.fates.append(("loss", message))
+
+    def on_delivered(self, message, now):
+        self.fates.append(("delivered", message))
+
+    def on_delivery_dropped(self, message, now):
+        self.fates.append(("dropped", message))
+
+
+class TestClosedSenderTransport:
+    def test_the_accepted_datagram_is_lost_in_flight(self, tmp_path):
+        host = AsyncioHost(seed=1, time_scale=SMOKE_TIME_SCALE)
+        network = UdpNetwork(host, ConstantLatency(0.01), NoLoss())
+        for node_id in range(2):
+            network.register(node_id, lambda message: None)
+        # Runs after the network's own startup hook opened the endpoints.
+        host.add_startup_hook(network.close)
+        observer = _FateObserver()
+        network.add_observer(observer)
+        path = tmp_path / "closed.jsonl"
+        message = Message(sender=0, receiver=1, kind="serve", size_bytes=500)
+        with TraceWriter(path) as writer:
+            network.add_observer(TraceRecorder(writer))
+            host.schedule(0.05, network.send, message)
+            host.run(until=0.5)
+
+        assert observer.fates == [("loss", message)]
+        stats = network.stats.raw()
+        assert (stats[0].messages_sent, stats[0].messages_lost_in_flight) == (1, 1)
+        assert stats[0].bytes_lost_in_flight == 500
+        assert stats[1].messages_received == 0
+        assert network.datagrams_sent == 0
+        _, events = validate_trace(path)
+        kinds = [event["k"] for event in iter_events(path)]
+        assert (events, kinds) == (2, ["send", "loss"])
+
+
 class TestSharedPipeline:
     @staticmethod
     def _burst_through(observer):
@@ -150,7 +194,6 @@ class TestSharedPipeline:
         state = (
             accepted,
             dict(network.stats.raw()),
-            limiter.backlog_seconds(0.0),
             (limiter.bytes_accepted, limiter.bytes_dropped),
             (limiter.messages_accepted, limiter.messages_dropped),
             host.pending_events,

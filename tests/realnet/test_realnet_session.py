@@ -36,7 +36,7 @@ class TestRealNetSession:
             assert all(t >= 0.0 for t in times)
 
     def test_traffic_stats_recorded(self, realnet_result):
-        assert realnet_result.traffic.total_bytes_sent() > 0
+        assert realnet_result.traffic.metrics_view()["net.bytes_sent"] > 0
 
     def test_sharded_config_rejected(self):
         config = replace(realnet_session_config(), shards=2)

@@ -96,7 +96,7 @@ class TestPlanShards:
         model = model_of(config)
         worst_so_far = 0.0
         for group in plan.groups:
-            qualities = [model.quality(node_id) for node_id in group]
+            qualities = [model.floor_term(node_id) for node_id in group]
             assert min(qualities) >= worst_so_far
             worst_so_far = max(qualities)
         assert [len(group) for group in plan.groups] == [10, 10, 10, 10]

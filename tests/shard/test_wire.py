@@ -38,7 +38,7 @@ def datagram(deliver_time=1.0, sender=0, seq=1, receiver=1, kind="propose", payl
 class TestLayoutLimits:
     def test_empty_batch_round_trips(self):
         encoded = encode_batch([])
-        assert len(encoded) == 0
+        assert encoded.count == 0
         assert encoded.kinds == ()
         assert decode_batch(encoded) == []
 

@@ -111,10 +111,9 @@ class TestPeriodicCallbacks:
             simulator, 0.5, lambda: ticks.append(simulator.now), start_delay=0.0
         )
         timer.start()
-        assert timer.running
         simulator.run(until=2.0)
         # start_delay=0 fires immediately, then every 0.5s: t = 0, .5, 1, 1.5, 2
-        assert timer.fire_count == len(ticks) == 5
+        assert ticks == [0.0, 0.5, 1.0, 1.5, 2.0]
 
     def test_periodic_timer_is_stoppable(self, simulator):
         ticks = []

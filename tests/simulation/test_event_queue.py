@@ -10,7 +10,7 @@ class TestEventQueue:
     def test_empty_queue_has_no_next_time(self):
         queue = EventQueue()
         assert len(queue) == 0
-        assert not queue
+        assert len(queue) == 0
         assert queue.peek_time() is None
         assert queue.pop() is None
 

@@ -44,9 +44,3 @@ class TestRngRegistry:
         draws_a = [registry.node_stream("partners", 1).random() for _ in range(5)]
         draws_b = [registry.node_stream("partners", 2).random() for _ in range(5)]
         assert draws_a != draws_b
-
-    def test_names_lists_created_streams(self):
-        registry = RngRegistry(7)
-        registry.stream("x")
-        registry.stream("y")
-        assert set(registry.names()) == {"x", "y"}

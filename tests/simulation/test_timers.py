@@ -12,7 +12,6 @@ class TestTimer:
         timer.arm(2.0)
         simulator.run_until_idle()
         assert fired == [pytest.approx(2.0)]
-        assert timer.fired
 
     def test_cancel_prevents_firing(self, simulator):
         fired = []
@@ -21,7 +20,6 @@ class TestTimer:
         timer.cancel()
         simulator.run_until_idle()
         assert fired == []
-        assert not timer.fired
 
     def test_rearm_supersedes_previous_schedule(self, simulator):
         fired = []
@@ -31,13 +29,16 @@ class TestTimer:
         simulator.run_until_idle()
         assert fired == [pytest.approx(5.0)]
 
-    def test_armed_reports_state(self, simulator):
-        timer = Timer(simulator, lambda: None)
-        assert not timer.armed
+    def test_an_armed_timer_fires_once(self, simulator):
+        fired = []
+        timer = Timer(simulator, lambda: fired.append(simulator.now))
         timer.arm(1.0)
-        assert timer.armed
+        assert simulator.pending_events == 1
         simulator.run_until_idle()
-        assert not timer.armed
+        timer.cancel()  # after the fire: nothing left to cancel
+        simulator.run_until_idle()
+        assert fired == [pytest.approx(1.0)]
+        assert simulator.pending_events == 0
 
     def test_timer_can_be_armed_again_after_firing(self, simulator):
         fired = []
@@ -56,7 +57,6 @@ class TestPeriodicTimer:
         timer.start()
         simulator.run(until=3.5)
         assert fired == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
-        assert timer.fire_count == 3
 
     def test_custom_start_delay(self, simulator):
         fired = []
@@ -76,14 +76,28 @@ class TestPeriodicTimer:
         timer.stop()
         simulator.run(until=10.0)
         assert len(fired) == 2
-        assert not timer.running
+        assert simulator.pending_events == 0
+
+    def test_stop_inside_the_callback_schedules_nothing_more(self, simulator):
+        fired = []
+
+        def once():
+            fired.append(simulator.now)
+            timer.stop()
+
+        timer = PeriodicTimer(simulator, 1.0, once)
+        timer.start()
+        simulator.run(until=1.5)
+        assert fired == [pytest.approx(1.0)]
+        assert simulator.pending_events == 0
 
     def test_double_start_is_noop(self, simulator):
-        timer = PeriodicTimer(simulator, 1.0, lambda: None)
+        fired = []
+        timer = PeriodicTimer(simulator, 1.0, lambda: fired.append(simulator.now))
         timer.start()
         timer.start()
         simulator.run(until=3.5)
-        assert timer.fire_count == 3
+        assert fired == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
 
     def test_invalid_period_rejected(self, simulator):
         with pytest.raises(ValueError):

@@ -41,24 +41,12 @@ class TestWindowDescriptor:
         defaults = dict(
             window_index=0,
             packet_ids=tuple(range(10)),
-            source_packets=8,
             required_packets=8,
             publish_start=0.0,
             publish_end=1.0,
         )
         defaults.update(overrides)
         return WindowDescriptor(**defaults)
-
-    def test_counts(self):
-        window = self.make()
-        assert window.total_packets == 10
-        assert window.fec_packets == 2
-
-    def test_contains(self):
-        window = self.make()
-        assert window.contains(0)
-        assert window.contains(9)
-        assert not window.contains(10)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):

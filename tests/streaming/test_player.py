@@ -89,13 +89,13 @@ class TestPlaybackBuffer:
 
     def test_window_packets_on_time_counts_deadline(self, schedule):
         buffer = PlaybackBuffer(schedule, lag=1.0)
-        first_window = schedule.window(0)
+        first_window = schedule.windows()[0]
         for offset, packet_id in enumerate(first_window.packet_ids):
             publish = schedule.packet(packet_id).publish_time
             # Every second packet arrives after its deadline.
             arrival = publish + (2.0 if offset % 2 else 0.5)
             buffer.on_packet(packet_id, arrival)
-        assert buffer.window_packets_on_time(0) == 3
+        assert buffer.report().windows[0].packets_on_time == 3
 
     def test_views_stream_respects_threshold(self, schedule):
         buffer = PlaybackBuffer(schedule, lag=1.0)

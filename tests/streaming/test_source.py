@@ -26,7 +26,6 @@ class TestStreamEmitter:
         emitter.start()
         simulator.run_until_idle()
         assert len(published) == schedule.num_packets
-        assert emitter.finished
         for packet_id, time in published:
             assert time == pytest.approx(schedule.packet(packet_id).publish_time)
 
@@ -43,11 +42,12 @@ class TestStreamEmitter:
         with pytest.raises(RuntimeError):
             emitter.start()
 
-    def test_published_count_tracks_progress(self, simulator, schedule):
-        emitter = StreamEmitter(simulator, schedule, lambda d: None)
+    def test_publishes_only_what_is_due(self, simulator, schedule):
+        published = []
+        emitter = StreamEmitter(simulator, schedule, lambda d: published.append(d.packet_id))
         emitter.start()
         simulator.run(until=schedule.config.packet_interval * 2.5)
-        assert emitter.published_count == 3
+        assert published == [0, 1, 2]
 
 
 class TestPublishInstants:
@@ -61,22 +61,24 @@ class TestPublishInstants:
 
     def test_count_at_every_publish_instant_includes_that_packet(self, simulator):
         schedule = StreamSchedule(StreamConfig.paper_defaults(num_windows=2))
-        emitter = StreamEmitter(simulator, schedule, lambda d: None)
+        published = []
+        emitter = StreamEmitter(simulator, schedule, published.append)
         emitter.start()
         for descriptor in schedule.packets():
             simulator.run(until=descriptor.publish_time)
-            assert emitter.published_count == descriptor.packet_id + 1, (
+            assert len(published) == descriptor.packet_id + 1, (
                 f"packet {descriptor.packet_id} published at "
                 f"t={descriptor.publish_time!r} must count itself"
             )
-        assert emitter.finished
+        assert published == schedule.packets()
 
     def test_count_just_before_each_publish_instant_excludes_that_packet(self, simulator):
         schedule = StreamSchedule(StreamConfig.paper_defaults(num_windows=2))
         half_interval = schedule.config.packet_interval / 2.0
-        emitter = StreamEmitter(simulator, schedule, lambda d: None)
+        published = []
+        emitter = StreamEmitter(simulator, schedule, published.append)
         emitter.start()
         for descriptor in schedule.packets():
             simulator.run(until=descriptor.publish_time - half_interval)
-            assert emitter.published_count == descriptor.packet_id
+            assert len(published) == descriptor.packet_id
             simulator.run(until=descriptor.publish_time)

@@ -16,9 +16,10 @@ class TestSummaryCache:
         first = cache.get(sweep_scale, point)
         second = cache.get(sweep_scale, point)
         assert first is second
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert len(cache) == 1
+        recorder = RecordingCache()
+        recorder.get(sweep_scale, point)
+        recorder.get(sweep_scale, point)
+        assert recorder.points() == [point]
 
     def test_scale_mismatch_rejected(self, sweep_scale):
         cache = SummaryCache()
@@ -34,8 +35,7 @@ class TestSummaryCache:
         cache = SummaryCache()
         assert cache.prime(outcome.results) == 2
         summary = cache.get(sweep_scale, tasks[0].point)
-        assert summary is outcome.results[tasks[0]]
-        assert cache.misses == 0  # nothing was computed
+        assert summary is outcome.results[tasks[0]]  # served, not computed
 
     def test_patched_tasks_are_not_primed(self, sweep_scale):
         task = SweepTask(
@@ -43,9 +43,10 @@ class TestSummaryCache:
             patch=(("gossip.source_fanout", 1),),
         )
         outcome = run_sweep(sweep_scale, [task], executor=SerialExecutor())
-        cache = SummaryCache()
-        assert cache.prime(outcome.results) == 0
-        assert len(cache) == 0
+        recorder = RecordingCache()
+        assert recorder.prime(outcome.results) == 0
+        recorder.get(sweep_scale, task.point)
+        assert recorder.points() == [task.point]  # computed: nothing was primed
 
 
 class TestRecordingCache:
@@ -56,6 +57,15 @@ class TestRecordingCache:
         assert [series.label for series in result.series]
         assert all(y == 0.0 for series in result.series for y in series.ys())
         assert len(recorder.points()) == len(sweep_scale.fanout_grid)
+
+    def test_records_each_point_once_in_first_request_order(self, sweep_scale):
+        recorder = RecordingCache()
+        first, second = (
+            ExperimentPoint(scale_name=sweep_scale.name, fanout=fanout) for fanout in (4, 2)
+        )
+        for point in (first, second, first, second):
+            recorder.get(sweep_scale, point)
+        assert recorder.points() == [first, second]
 
     def test_figure_points_matches_generator_requests(self, sweep_scale):
         points = figure_points("figure1", sweep_scale)
@@ -68,13 +78,6 @@ class TestRecordingCache:
     def test_figure_points_unknown_figure(self, sweep_scale):
         with pytest.raises(KeyError):
             figure_points("figure99", sweep_scale)
-
-    def test_tasks_wrap_points_patch_free(self, sweep_scale):
-        recorder = RecordingCache()
-        figure1_fanout_700(sweep_scale, recorder)
-        tasks = recorder.tasks()
-        assert [task.point for task in tasks] == recorder.points()
-        assert all(task.patch == () for task in tasks)
 
     def test_figures_share_overlapping_points(self, sweep_scale):
         """Figure 7 and Figure 8 request identical points (shared runs)."""
@@ -90,4 +93,3 @@ class TestRecordingCache:
         assert all(y == 0.0 for series in result.series for y in series.ys())
         points = recorder.points()
         assert points and len(set(points)) == len(points)
-        assert recorder.misses == len(recorder) == len(points)

@@ -133,5 +133,4 @@ class TestMetricsRegistry:
 
     def test_empty_registry(self):
         registry = MetricsRegistry()
-        assert len(registry) == 0
         assert registry.snapshot() == {}

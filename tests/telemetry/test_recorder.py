@@ -55,11 +55,11 @@ class TestArmedVersusDisarmed:
     def test_snapshot_collectors_agree_with_session_accounting(self):
         result = run_session(small_config(telemetry=TelemetryConfig(metrics=True)))
         snapshot = result.telemetry
-        assert snapshot.metric("engine.events_dispatched") == float(
+        assert snapshot.metrics["engine.events_dispatched"] == float(
             result.events_processed
         )
-        assert snapshot.metric("membership.members") == 8.0
-        assert snapshot.metric("net.bytes_sent") > 0
+        assert snapshot.metrics["membership.members"] == 8.0
+        assert snapshot.metrics["net.bytes_sent"] > 0
 
 
 class TestTraceDeterminism:
@@ -121,6 +121,29 @@ class TestFiltersAndSampling:
         )
         assert "dispatch" not in result.telemetry.trace_events_by_kind
         assert result.telemetry.trace_events_by_kind["send"] > 0
+
+    def test_the_dispatch_filter_leaves_every_other_kind_unchanged(self, tmp_path):
+        """The engine edge only feeds ``dispatch`` lines: with or without it
+        the recorder writes the same lines of every other kind, and alone it
+        writes the same dispatch lines."""
+        paths = [tmp_path / f"{name}.jsonl" for name in ("full", "without", "only")]
+        for path, filters in zip(
+            paths,
+            ({}, {"exclude_kinds": ("dispatch",)}, {"include_kinds": ("dispatch",)}),
+        ):
+            run_session(small_config(telemetry=TelemetryConfig(trace_path=str(path), **filters)))
+
+        def lines(path, dispatch):
+            return [
+                {key: value for key, value in event.items() if key != "i"}
+                for event in iter_events(path)
+                if (event["k"] == "dispatch") == dispatch
+            ]
+
+        full, without, only = paths
+        assert lines(without, dispatch=False) == lines(full, dispatch=False)
+        assert lines(only, dispatch=True) == lines(full, dispatch=True)
+        assert lines(without, dispatch=True) == lines(only, dispatch=False) == []
 
     def test_seq_numbers_stable_under_send_filtering(self, tmp_path):
         """``d`` is assigned at acceptance even when ``send`` lines are

@@ -38,8 +38,7 @@ class TestWriterRoundTrip:
             meta={"seed": 7},
         )
         header = read_header(path)
-        assert header.schema == TRACE_SCHEMA
-        assert header.major_version == 1
+        assert header.schema == TRACE_SCHEMA == "repro.telemetry/1"
         assert header.meta == {"seed": 7}
         events = list(iter_events(path))
         assert [event["i"] for event in events] == [0, 1]

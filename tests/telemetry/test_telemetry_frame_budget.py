@@ -13,13 +13,16 @@ from repro.core.session import SessionConfig, run_session
 from repro.experiments.scale import SMOKE
 from repro.telemetry.config import TelemetryConfig
 
-#: Metrics alone: 15.388758 (15.388977 while four fate counters duplicated
-#: traffic cells, 19.836917 before the handlers wrote the metric slots
-#: themselves); untraced it is 12.751822.
+#: Metrics alone: 15.388731 (15.388758 while attaching added the observer to
+#: the engine and removed it again, 15.388977 while four fate counters
+#: duplicated traffic cells, 19.836917 before the handlers wrote the metric
+#: slots themselves); untraced it is 12.751822.
 METRICS_BUDGET = 16.2
 
-#: Metrics and a full trace: 19.101750 (19.101970 with the duplicated fate
-#: counters, 33.759053 when a line travelled five frames to the buffer).
+#: Metrics and a full trace: 19.101723 (19.101750 with the engine observer
+#: added and removed and the recorder asked whether it records dispatch,
+#: 19.101970 with the duplicated fate counters, 33.759053 when a line
+#: travelled five frames to the buffer).
 TRACED_BUDGET = 20.5
 
 

@@ -75,3 +75,37 @@ class TestDottedNames:
         )
         assert checked > 0
         assert problems == []
+
+
+class TestSourceDocPaths:
+    def test_missing_document_is_reported(self, check_docs, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "real.md").write_text("# Real\n", encoding="utf-8")
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""See ``docs/real.md``.\n\nSee ``DESIGN.md`` and docs/gone.md."""\n',
+            encoding="utf-8",
+        )
+        problems = []
+        assert check_docs.check_source_doc_paths(problems) == 3
+        assert problems == [
+            "src/pkg/mod.py:3: names DESIGN.md, which does not exist",
+            "src/pkg/mod.py:3: names docs/gone.md, which does not exist",
+        ]
+
+    def test_main_reports_a_missing_document(self, check_docs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+        (tmp_path / "README.md").write_text("# Readme\n", encoding="utf-8")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text('"""See EXPERIMENTS.md."""\n', encoding="utf-8")
+        assert check_docs.main() == 1
+        captured = capsys.readouterr()
+        assert "src/mod.py:1: names EXPERIMENTS.md, which does not exist" in captured.err
+        assert "1 document paths in src/ checked, 1 problem(s)" in captured.out
+
+    def test_committed_sources_name_only_documents_that_exist(self, check_docs):
+        problems = []
+        assert check_docs.check_source_doc_paths(problems) > 0
+        assert problems == []

@@ -61,7 +61,7 @@ class TestPublicApi:
             assert hasattr(bench, name), f"repro.bench.__all__ lists {name} but it is missing"
         assert callable(bench.run_selected)
         assert callable(bench.compare_report)
-        assert len(bench.default_registry()) == 14
+        assert len(bench.default_registry().select()) == 14
 
     def test_telemetry_package_importable(self):
         from repro import telemetry

@@ -89,16 +89,6 @@ class TestSimulatorObserver:
         assert seen[0][0] == 1.0
         assert seen[0][2] == ("payload",)
 
-    def test_remove_observer_restores_silence(self):
-        simulator = Simulator(seed=1)
-        observer = RecordingObserver()
-        simulator.add_observer(observer)
-        simulator.remove_observer(observer)
-        simulator.schedule(0.1, lambda: None)
-        simulator.run_until_idle()
-        assert observer.events == []
-        assert simulator._observers is None  # zero-cost path restored
-
 
 class TestTransportObserver:
     def _network(self, simulator, loss=None):

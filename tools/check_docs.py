@@ -24,7 +24,11 @@ Checks, over ``README.md`` and ``docs/*.md``:
    ``repro.shard.partition.plan_shards`` in single backticks) resolves: its
    longest importable module prefix is imported and the rest looked up with
    ``getattr``, so prose naming a deleted module or symbol fails here
-   instead of for the reader.
+   instead of for the reader;
+7. every ``*.md`` path a module under ``src/`` names (say
+   ``docs/performance.md`` in a docstring) exists, relative to the
+   repository root, so code cannot cite a document that was never written
+   or was removed.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
@@ -47,6 +51,7 @@ HEADING = re.compile(r"^(#{1,6})\s+(.*)$")
 BENCH_COMMAND = re.compile(r"repro\.bench\s+(?:run|list)\b(.*)")
 BENCH_FILTER = re.compile(r"--filter[=\s]+(\S+)")
 DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def doc_files() -> List[Path]:
@@ -219,6 +224,21 @@ def check_dotted_names(path: Path, problems: List[str]) -> int:
     return checked
 
 
+def check_source_doc_paths(problems: List[str]) -> int:
+    """Find every ``*.md`` path named under ``src/``; returns how many were checked."""
+    checked = 0
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for name in MD_PATH.findall(line):
+                checked += 1
+                if not (ROOT / name).is_file():
+                    problems.append(
+                        f"{path.relative_to(ROOT)}:{line_number}: names {name}, "
+                        "which does not exist"
+                    )
+    return checked
+
+
 def main() -> int:
     problems: List[str] = []
     blocks = links = filters = names = 0
@@ -228,13 +248,15 @@ def main() -> int:
         links += check_links(path, problems)
         filters += check_bench_filters(path, problems)
         names += check_dotted_names(path, problems)
+    sources = check_source_doc_paths(problems)
     for problem in problems:
         print(problem, file=sys.stderr)
     status = "FAILED" if problems else "ok"
     print(
         f"docs check {status}: {len(files)} files, {blocks} python blocks "
         f"compiled, {links} links resolved, {filters} bench filters selected, "
-        f"{names} repro names resolved, {len(problems)} problem(s)"
+        f"{names} repro names resolved, {sources} document paths in src/ checked, "
+        f"{len(problems)} problem(s)"
     )
     return 1 if problems else 0
 

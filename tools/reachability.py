@@ -246,75 +246,16 @@ KEEP: Tuple[Keep, ...] = (
          "the update method of the registry's histograms (docs/observability.md)"),
     Keep(_API, "telemetry/__init__.py", ("__getattr__",),
          "the lazy exports of repro.telemetry (TraceRecorder, MetricsObserver, ...)"),
-    Keep(_ACCESSOR, "bench/report.py", ("BenchReport.record_for",), "report round-trip tests"),
-    Keep(_ACCESSOR, "bench/spec.py",
-         ("Benchmark.metric", "BenchmarkRegistry.names", "BenchmarkRegistry.__len__"),
-         "registry and baseline consistency tests"),
-    Keep(_ACCESSOR, "core/messages.py", ("ProposePayload.__len__", "RequestPayload.__len__"),
-         "payload tests"),
-    Keep(_ACCESSOR, "core/session.py", ("SessionResult.initial_survivors",), "flash-crowd tests"),
-    Keep(_ACCESSOR, "core/state.py",
-         ("NodeState.delivery_time", "NodeState.delivered_count", "NodeState.times_requested",
-          "NodeState.never_requested", "NodeState.may_request_again", "NodeState.missing_from",
-          "NodeState.delivered_set"),
-         "node-state and protocol tests"),
-    Keep(_ACCESSOR, "membership/directory.py",
-         ("MembershipDirectory.members", "MembershipDirectory.__contains__",
-          "MembershipDirectory.is_failed", "MembershipDirectory.failed_at"),
-         "directory tests"),
-    Keep(_ACCESSOR, "membership/partners.py",
-         ("PartnerSelector.refresh_count", "PartnerSelector.current_partners"), "partner tests"),
-    Keep(_ACCESSOR, "metrics/delivery.py",
-         ("DeliveryLog.total_deliveries", "DeliveryLog.nodes", "DeliveryLog.deliveries_of",
-          "DeliveryLog.delivery_time"),
-         "delivery, shard-merge and observer tests"),
-    Keep(_ACCESSOR, "metrics/quality.py",
-         ("StreamQualityAnalyzer.nodes", "StreamQualityAnalyzer.window_critical_lag",
-          "StreamQualityAnalyzer.delivery_ratio"),
-         "test_quality_fast_path compares them with the reference analyzer"),
-    Keep(_ACCESSOR, "network/bandwidth.py",
-         ("BandwidthCap.is_unlimited", "BandwidthCap.max_backlog_bytes", "BandwidthCap.kbps",
-          "UploadLimiter.backlog_seconds", "UploadLimiter.backlog_bytes",
-          "UploadLimiter.is_saturated"),
-         "limiter tests"),
-    Keep(_ACCESSOR, "network/latency.py", ("PerNodeQualityLatency.quality",), "latency tests"),
-    Keep(_ACCESSOR, "network/message.py", ("Message.size_bits",),
-         "message tests; the telemetry property test names it as a dispatch callback"),
-    Keep(_ACCESSOR, "network/stats.py", ("TrafficStats.total_bytes_sent",),
-         "traffic, protocol and realnet tests"),
-    Keep(_ACCESSOR, "network/transport.py", ("Network.is_registered", "Network.is_alive"),
-         "transport tests"),
-    Keep(_ACCESSOR, "realnet/host.py", ("WallClockHandle.cancelled", "WallClockHandle.fired"),
-         "asyncio host tests"),
-    Keep(_ACCESSOR, "realnet/net.py", ("UdpNetwork.address",), "UDP transport tests"),
-    Keep(_ACCESSOR, "shard/wire.py", ("WireBatch.__len__", "WireBatch.__eq__"), "wire tests"),
-    Keep(_ACCESSOR, "simulation/clock.py", ("SimulationClock.now",), "clock tests"),
-    Keep(_ACCESSOR, "simulation/event_queue.py", ("EventQueue.__bool__", "EventQueue.dead_entries"),
-         "event-queue and cancellation tests"),
-    Keep(_ACCESSOR, "simulation/rng.py", ("RngRegistry.root_seed", "RngRegistry.names"),
-         "RNG and latency-floor tests"),
-    Keep(_ACCESSOR, "simulation/timers.py",
-         ("Timer.armed", "Timer.fired", "PeriodicTimer.fire_count", "PeriodicTimer.running"),
-         "timer tests"),
-    Keep(_ACCESSOR, "streaming/packets.py",
-         ("WindowDescriptor.total_packets", "WindowDescriptor.fec_packets",
-          "WindowDescriptor.contains"),
-         "schedule tests"),
-    Keep(_ACCESSOR, "streaming/schedule.py",
-         ("StreamSchedule.window", "StreamSchedule.window_of_packet"), "schedule tests"),
-    Keep(_ACCESSOR, "streaming/source.py",
-         ("StreamEmitter.published_count", "StreamEmitter.finished"), "emitter tests"),
-    Keep(_ACCESSOR, "sweep/cache.py",
-         ("SummaryCache.hits", "SummaryCache.misses", "SummaryCache.__len__",
-          "RecordingCache.tasks"),
-         "sweep cache tests"),
-    Keep(_ACCESSOR, "sweep/store.py", ("ResultStore.__len__", "ResultStore.skipped_lines"),
-         "result-store tests"),
-    Keep(_ACCESSOR, "sweep/summary.py", ("PointSummary.metric",), "summary tests"),
-    Keep(_ACCESSOR, "telemetry/metrics.py", ("MetricsRegistry.__len__",), "registry tests"),
-    Keep(_ACCESSOR, "telemetry/schema.py", ("TraceHeader.major_version",), "schema tests"),
-    Keep(_ACCESSOR, "telemetry/session.py", ("TelemetrySnapshot.metric",), "telemetry tests"),
-    Keep(_ACCESSOR, "validation/invariants.py", ("InvariantSuite.attached",), "invariant tests"),
+    Keep(_ACCESSOR, "metrics/delivery.py", ("DeliveryLog.total_deliveries",),
+         "a frozen suite calls it: tests/protocols/test_regression.py l.57"),
+    Keep(_ACCESSOR, "realnet/host.py", ("WallClockHandle.cancelled",),
+         "a Protocol declares it: repro.core.host.ScheduledHandle.cancelled"),
+    Keep(_ACCESSOR, "realnet/net.py", ("UdpNetwork.address",),
+         "a mutant only a test through it kills: realnet/net.py:184, the misaddressed "
+         "datagram's return dropped"),
+    Keep(_ACCESSOR, "simulation/event_queue.py", ("EventQueue.dead_entries",),
+         "a mutant only tests through it kill: simulation/event_queue.py:181, "
+         "self.compact() -> pass"),
 )
 """Why each product-unreached definition that stays, stays."""
 
