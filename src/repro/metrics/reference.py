@@ -72,11 +72,6 @@ class ReferenceQualityAnalyzer:
     # Basic properties
     # ------------------------------------------------------------------
     @property
-    def nodes(self) -> List[NodeId]:
-        """The nodes covered by this analyzer."""
-        return list(self._nodes)
-
-    @property
     def num_windows(self) -> int:
         """Number of windows in the analyzed stream."""
         return self._schedule.num_windows
@@ -192,9 +187,3 @@ class ReferenceQualityAnalyzer:
             fractions.append(count / len(node_list))
         return fractions
 
-    def delivery_ratio(self, node_id: NodeId) -> float:
-        """Fraction of all stream packets ever delivered to ``node_id``."""
-        total = self._schedule.num_packets
-        if total == 0:
-            return 0.0
-        return self._deliveries.packets_delivered(node_id) / total

@@ -14,7 +14,7 @@ The pieces:
   on the real backend, returning an ordinary
   :class:`~repro.core.session.SessionResult`;
 * :mod:`~repro.realnet.compare` — the sim-vs-real agreement report;
-* ``python -m repro.realnet run|compare`` — the CLI.
+* ``python -m repro run --realnet`` — the command line (:mod:`repro.cli`).
 
 See ``docs/realnet.md`` for the Host contract, the validation workflow and
 the wall-clock caveats.
@@ -25,12 +25,7 @@ from repro.realnet.errors import CodecError, RealNetError, RealNetStateError
 from repro.realnet.host import AsyncioHost, WallClockHandle
 from repro.realnet.net import UdpNetwork
 from repro.realnet.ports import PortPlan
-from repro.realnet.session import (
-    RealNetConfig,
-    RealNetSession,
-    make_run_id,
-    write_delivery_log,
-)
+from repro.realnet.session import RealNetConfig, RealNetSession
 
 __all__ = [
     "AsyncioHost",
@@ -45,6 +40,4 @@ __all__ = [
     "UdpNetwork",
     "WallClockHandle",
     "compare_backends",
-    "make_run_id",
-    "write_delivery_log",
 ]

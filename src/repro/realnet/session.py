@@ -17,13 +17,10 @@ comparison (:mod:`repro.realnet.compare`) a pure data question.
 
 from __future__ import annotations
 
-import datetime as _datetime
-import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.session import SessionConfig, SessionResult, StreamingSession
+from repro.core.session import SessionConfig, StreamingSession
 
 from repro.realnet.host import AsyncioHost
 from repro.realnet.net import UdpNetwork
@@ -107,70 +104,7 @@ class RealNetSession(StreamingSession):
         )
 
 
-# ----------------------------------------------------------------------
-# Run identity and artifacts (the Snippet-2 harness shape)
-# ----------------------------------------------------------------------
-def make_run_id(seed: int, now: Optional[_datetime.datetime] = None) -> str:
-    """A sortable, human-readable id for one real-network run.
-
-    UTC timestamp plus the seed — two runs launched in the same second
-    with different seeds still get distinct directories.
-    """
-    stamp = now if now is not None else _datetime.datetime.now(_datetime.timezone.utc)
-    return stamp.strftime("%Y%m%dT%H%M%SZ") + f"-s{seed}"
-
-
-def write_delivery_log(result: SessionResult, path: str) -> int:
-    """Write a session's delivery log as one JSONL record per delivery.
-
-    The schema — ``{"node": id, "packet": id, "t": virtual_seconds}`` in
-    ``(t, node, packet)`` order — is backend-independent: a simulated and a
-    real run of the same scenario produce files that differ only in their
-    values, never their shape.  Returns the number of records written.
-    """
-    records = [
-        (time, node_id, packet_id)
-        for node_id, packets in result.deliveries.raw().items()
-        for packet_id, time in packets.items()
-    ]
-    records.sort()
-    with open(path, "w", encoding="utf-8") as fh:
-        for time, node_id, packet_id in records:
-            fh.write(json.dumps({"node": node_id, "packet": packet_id, "t": time}) + "\n")
-    return len(records)
-
-
-def write_run_summary(result: SessionResult, path: str, run_id: str) -> None:
-    """Write the headline metrics of one run as a small JSON document."""
-    summary = {
-        "run_id": run_id,
-        "backend": "realnet-asyncio",
-        "num_nodes": result.config.num_nodes,
-        "seed": result.config.seed,
-        "protocol": result.config.protocol,
-        "delivery_ratio": result.delivery_ratio(),
-        "viewing_pct_10s": result.viewing_percentage(lag=10.0),
-        "events_processed": result.events_processed,
-        "end_time": result.end_time,
-        "failed_nodes": list(result.failed_nodes),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def prepare_run_dir(root: str, run_id: str) -> str:
-    """Create (and return) the artifact directory of one run."""
-    run_dir = os.path.join(root, run_id)
-    os.makedirs(run_dir, exist_ok=True)
-    return run_dir
-
-
 __all__ = [
     "RealNetConfig",
     "RealNetSession",
-    "make_run_id",
-    "prepare_run_dir",
-    "write_delivery_log",
-    "write_run_summary",
 ]

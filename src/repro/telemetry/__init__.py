@@ -15,8 +15,9 @@ The subsystem has four faces:
   :mod:`repro.telemetry.summary`) — Chrome/Perfetto ``trace_event`` JSON
   (per-node tracks, datagram flow arrows, window-deadline markers) and a
   per-session summary table;
-* **CLI** (``python -m repro.telemetry record|summarize|export|diff``) —
-  runs any registered scenario traced and diffs traces by first divergence.
+* **CLI** (``python -m repro.telemetry summarize|export|diff``) — reads
+  traces and diffs them by first divergence; ``python -m repro run
+  --trace PATH`` records one on any substrate.
 
 Arm it by putting a :class:`TelemetryConfig` on a
 :class:`~repro.core.session.SessionConfig` (or a scenario spec)::

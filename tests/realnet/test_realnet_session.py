@@ -11,12 +11,8 @@ from repro.realnet.host import AsyncioHost
 from repro.realnet.net import UdpNetwork
 from repro.validation import validate_session
 from repro.validation.observers import SessionObserver, attach_session_observer
-from repro.realnet.session import (
-    RealNetConfig,
-    RealNetSession,
-    make_run_id,
-    write_delivery_log,
-)
+from repro.cli import write_delivery_log
+from repro.realnet.session import RealNetConfig, RealNetSession
 
 from tests.realnet.conftest import SMOKE_TIME_SCALE, realnet_session_config
 
@@ -69,14 +65,6 @@ class TestDeliveryLogSchema:
         assert len(records) == count
         times = [record["t"] for record in records]
         assert times == sorted(times)
-
-
-class TestRunIdentity:
-    def test_make_run_id_embeds_seed(self):
-        assert make_run_id(42).endswith("-s42")
-
-    def test_run_ids_differ_by_seed(self):
-        assert make_run_id(1) != make_run_id(2)
 
 
 class TestRealNetConfig:

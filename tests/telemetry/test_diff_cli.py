@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.cli import main as run_main
 from repro.telemetry.cli import main
 from repro.telemetry.diff import diff_traces
 from repro.telemetry.schema import TRACE_SCHEMA, TraceWriter
@@ -82,16 +85,16 @@ class TestCli:
 
     def test_record_summarize_export_pipeline(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
-        code = main(
+        code = run_main(
             [
-                "record",
+                "run",
                 "--scenario",
                 "homogeneous",
                 "--nodes",
                 "8",
                 "--seed",
                 "3",
-                "--out",
+                "--trace",
                 str(trace),
                 "--metrics-out",
                 str(tmp_path / "metrics.json"),
@@ -111,14 +114,17 @@ class TestCli:
         exported = trace.with_suffix(".perfetto.json")
         assert json.loads(exported.read_text())["traceEvents"]
 
-    def test_record_rejects_unknown_scenario(self):
-        assert main(["record", "--scenario", "no-such-scenario"]) == 2
+    def test_record_rejects_unknown_scenario(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_main(["run", "--scenario", "no-such-scenario"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'no-such-scenario'" in capsys.readouterr().err
 
     def test_record_trace_only(self, tmp_path):
         trace = tmp_path / "t.jsonl"
-        code = main(
+        code = run_main(
             [
-                "record",
+                "run",
                 "--scenario",
                 "homogeneous",
                 "--nodes",
@@ -126,7 +132,7 @@ class TestCli:
                 "--no-metrics",
                 "--include-kinds",
                 "packet,round",
-                "--out",
+                "--trace",
                 str(trace),
             ]
         )

@@ -109,3 +109,55 @@ class TestSourceDocPaths:
         problems = []
         assert check_docs.check_source_doc_paths(problems) > 0
         assert problems == []
+
+
+class TestCommands:
+    def test_deleted_module_and_subcommand_are_reported(self, check_docs):
+        text = (
+            "python -m repro run --scenario homogeneous\n"
+            "python -m repro.shard run --scenario homogeneous \\\n    --shards 2\n"
+            "python -m repro.telemetry record --scenario homogeneous\n"
+            "python -m repro.telemetry summarize t.jsonl\n"
+            "python -m repro.experiments --list\n"
+        )
+        problems = []
+        assert check_docs.check_commands("doc.md:3", text, problems) == 5
+        assert problems == [
+            "doc.md:3: runs python -m repro.shard, which has no __main__",
+            "doc.md:3: runs python -m repro.telemetry record, which is not one of its "
+            "subcommands (summarize, export, diff)",
+        ]
+
+    def test_main_checks_fenced_blocks_and_workflows(
+        self, check_docs, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(check_docs, "ROOT", tmp_path)
+        (tmp_path / "README.md").write_text(
+            "Run `python -m repro.realnet run` in prose: not checked.\n\n"
+            "```bash\npython -m repro.realnet compare --nodes 8\n```\n",
+            encoding="utf-8",
+        )
+        workflows = tmp_path / ".github" / "workflows"
+        workflows.mkdir(parents=True)
+        (workflows / "ci.yml").write_text(
+            "run: |\n  python -m repro.bench run --scale smoke\n"
+            "  python -m repro.bench replay x.json\n",
+            encoding="utf-8",
+        )
+        assert check_docs.main() == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "README.md:4: runs python -m repro.realnet, which has no __main__",
+            ".github/workflows/ci.yml: runs python -m repro.bench replay, which is not "
+            "one of its subcommands (run, compare, record, list)",
+        ]
+        assert "3 python -m commands resolved, 0 document paths" in captured.out
+
+    def test_committed_commands_all_resolve(self, check_docs):
+        problems = []
+        checked = sum(
+            check_docs.check_commands(where, text, problems)
+            for where, text in check_docs.command_sources()
+        )
+        assert checked > 0
+        assert problems == []

@@ -28,19 +28,30 @@ Checks, over ``README.md`` and ``docs/*.md``:
 7. every ``*.md`` path a module under ``src/`` names (say
    ``docs/performance.md`` in a docstring) exists, relative to the
    repository root, so code cannot cite a document that was never written
-   or was removed.
+   or was removed;
+8. every ``python -m repro…`` command inside a fenced block, and every one
+   in ``.github/workflows/*.yml``, names a runnable module (a package needs
+   a ``__main__``), and when that module's parser has subcommands, the word
+   after the module is one of them, so a command naming a deleted module or
+   subcommand fails here instead of for the reader.  The module's
+   ``__main__`` runs in-process only until it parses its arguments.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import functools
 import importlib
+import importlib.util
 import re
+import runpy
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +63,7 @@ BENCH_COMMAND = re.compile(r"repro\.bench\s+(?:run|list)\b(.*)")
 BENCH_FILTER = re.compile(r"--filter[=\s]+(\S+)")
 DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 MD_PATH = re.compile(r"[\w./-]*\w\.md\b")
+REPRO_COMMAND = re.compile(r"python -m (repro(?:\.\w+)*)[ \t]*([^\s\\]*)")
 
 
 def doc_files() -> List[Path]:
@@ -239,6 +251,69 @@ def check_source_doc_paths(problems: List[str]) -> int:
     return checked
 
 
+class _ParserFound(Exception):
+    """Raised from a patched ``parse_args``: carries the parser it was called on."""
+
+    def __init__(self, parser: argparse.ArgumentParser) -> None:
+        super().__init__(parser.prog)
+        self.parser = parser
+
+
+def _raise_parser(parser: argparse.ArgumentParser, *args, **kwargs):
+    raise _ParserFound(parser)
+
+
+@functools.lru_cache(maxsize=None)
+def module_subcommands(module: str) -> Optional[Tuple[str, ...]]:
+    """The subcommands of ``python -m module``; ``()`` for none, ``None`` if not runnable.
+
+    The module's ``__main__`` runs in-process until its first ``parse_args``
+    call, which raises instead of parsing.
+    """
+    try:
+        spec = importlib.util.find_spec(module)
+        if spec is not None and spec.submodule_search_locations is not None:
+            spec = importlib.util.find_spec(f"{module}.__main__")
+    except ImportError:
+        spec = None
+    if spec is None:
+        return None
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", _raise_parser):
+        try:
+            runpy.run_path(spec.origin, run_name="__main__")
+        except _ParserFound as found:
+            for action in found.parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    return tuple(action.choices)
+    return ()
+
+
+def check_commands(where: str, text: str, problems: List[str]) -> int:
+    """Resolve every ``python -m repro…`` command in ``text``; returns how many were checked."""
+    checked = 0
+    # A command continued with a trailing backslash is one line.
+    for module, word in REPRO_COMMAND.findall(text.replace("\\\n", " ")):
+        checked += 1
+        subcommands = module_subcommands(module)
+        if subcommands is None:
+            problems.append(f"{where}: runs python -m {module}, which has no __main__")
+        elif subcommands and word not in subcommands:
+            problems.append(
+                f"{where}: runs python -m {module} {word}, which is not one of its "
+                f"subcommands ({', '.join(subcommands)})"
+            )
+    return checked
+
+
+def command_sources() -> Iterator[Tuple[str, str]]:
+    """``(location, text)`` of every fenced block and every workflow file."""
+    for path in doc_files():
+        for line_number, _, source in iter_code_blocks(path.read_text(encoding="utf-8")):
+            yield f"{path.relative_to(ROOT)}:{line_number}", source
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        yield f"{path.relative_to(ROOT)}", path.read_text(encoding="utf-8")
+
+
 def main() -> int:
     problems: List[str] = []
     blocks = links = filters = names = 0
@@ -249,14 +324,15 @@ def main() -> int:
         filters += check_bench_filters(path, problems)
         names += check_dotted_names(path, problems)
     sources = check_source_doc_paths(problems)
+    commands = sum(check_commands(where, text, problems) for where, text in command_sources())
     for problem in problems:
         print(problem, file=sys.stderr)
     status = "FAILED" if problems else "ok"
     print(
         f"docs check {status}: {len(files)} files, {blocks} python blocks "
         f"compiled, {links} links resolved, {filters} bench filters selected, "
-        f"{names} repro names resolved, {sources} document paths in src/ checked, "
-        f"{len(problems)} problem(s)"
+        f"{names} repro names resolved, {commands} python -m commands resolved, "
+        f"{sources} document paths in src/ checked, {len(problems)} problem(s)"
     )
     return 1 if problems else 0
 

@@ -78,16 +78,14 @@ PRODUCT_COMMANDS: Tuple[str, ...] = (
     "python -m repro.experiments figure1 --scale smoke --jobs 2 --store {tmp}/ci-sweep.jsonl",
     "python -m repro.experiments figure1 --scale smoke --jobs 2 --store {tmp}/ci-sweep.jsonl"
     " --resume",
-    "python -m repro.telemetry record --scenario homogeneous --scale smoke --nodes 30"
-    " --seed 2009 --out {tmp}/TRACE_ci_smoke.jsonl --metrics-out {tmp}/TRACE_ci_metrics.json",
+    "python -m repro run --scenario homogeneous --scale smoke --nodes 30"
+    " --seed 2009 --trace {tmp}/TRACE_ci_smoke.jsonl --metrics-out {tmp}/TRACE_ci_metrics.json",
     "python -m repro.telemetry summarize {tmp}/TRACE_ci_smoke.jsonl",
     "python -m repro.telemetry export {tmp}/TRACE_ci_smoke.jsonl",
-    "python -m repro.realnet run --scenario homogeneous --nodes 10 --windows 4"
+    "python -m repro run --scenario homogeneous --nodes 10 --windows 3 --realnet"
     " --time-scale 0.25 --seed 2009 --run-dir {tmp}/realnet-smoke --trace"
-    " --assert-delivery-ratio 0.9",
+    " --assert-delivery-ratio 0.9 --parity",
     "python -m repro.telemetry summarize {tmp}/realnet-smoke/*/trace.jsonl",
-    "python -m repro.realnet compare --scenario homogeneous --nodes 10 --windows 3"
-    " --time-scale 0.25 --seed 2009",
     "python -m repro.validation --fuzz 10 --seed 2009 --jobs 2 --bundle-dir {tmp}/fuzz",
     # nightly-fuzz.yml at smoke size.
     "python -m repro.validation --fuzz 10 --seed 20261015 --jobs 2 --bundle-dir {tmp}/fuzz",
@@ -106,32 +104,34 @@ PRODUCT_COMMANDS: Tuple[str, ...] = (
     "python -m repro.experiments --list",
     "python -m repro.experiments ablation:detection-delay ablation:fec"
     " ablation:retransmission ablation:source-fanout --scale smoke --jobs 2",
-    # repro.telemetry: record with every filter, then summarize, export, diff.
-    "python -m repro.telemetry record --scenario churn-window --scale smoke --seed 5"
-    " --sample-every 3 --out {tmp}/churn.jsonl",
-    "python -m repro.telemetry record --scenario flash-crowd --scale smoke"
-    " --include-kinds send,deliver_msg,packet --out {tmp}/flash.jsonl",
-    "python -m repro.telemetry record --scenario lossy-wan --scale smoke"
-    " --exclude-kinds dispatch --no-metrics --out {tmp}/lossy.jsonl",
-    "python -m repro.telemetry record --scenario eager-push --nodes 20"
-    " --out {tmp}/eager.jsonl",
+    # repro run traced with every filter, then repro.telemetry summarize,
+    # export, diff.
+    "python -m repro run --scenario churn-window --scale smoke --seed 5"
+    " --sample-every 3 --trace {tmp}/churn.jsonl",
+    "python -m repro run --scenario flash-crowd --scale smoke"
+    " --include-kinds send,deliver_msg,packet --trace {tmp}/flash.jsonl",
+    "python -m repro run --scenario lossy-wan --scale smoke"
+    " --exclude-kinds dispatch --no-metrics --trace {tmp}/lossy.jsonl",
+    "python -m repro run --scenario eager-push --nodes 20"
+    " --trace {tmp}/eager.jsonl",
     "python -m repro.telemetry summarize {tmp}/churn.jsonl",
     "python -m repro.telemetry summarize {tmp}/lossy.jsonl",
     "python -m repro.telemetry export {tmp}/flash.jsonl --out {tmp}/flash.perfetto.json",
-    "python -m repro.telemetry record --scenario homogeneous --scale smoke --nodes 30"
-    " --seed 2009 --out {tmp}/TRACE_again.jsonl",
+    "python -m repro run --scenario homogeneous --scale smoke --nodes 30"
+    " --seed 2009 --trace {tmp}/TRACE_again.jsonl",
     "python -m repro.telemetry diff {tmp}/TRACE_ci_smoke.jsonl {tmp}/TRACE_again.jsonl",
-    # repro.shard: parity on every scenario, both modes, 2 and 4 shards.
+    # repro run sharded: parity on every scenario, both modes, 2 and 4 shards.
     *(
-        f"python -m repro.shard run --scenario {scenario} --nodes 30 --shards {shards}"
+        f"python -m repro run --scenario {scenario} --nodes 30 --shards {shards}"
         f" --mode {mode} --parity"
         for scenario in _SCENARIOS
         for mode in ("thread", "process")
         for shards in (2, 4)
     ),
-    # repro.realnet, repro.validation and repro.bench beyond the CI lines.
-    "python -m repro.realnet compare --scenario homogeneous --nodes 8 --windows 2"
-    " --time-scale 0.25 --seed 7 --json",
+    # repro run on realnet, repro.validation and repro.bench beyond the CI
+    # lines.
+    "python -m repro run --scenario homogeneous --nodes 8 --windows 2 --realnet"
+    " --time-scale 0.25 --seed 7 --parity --json",
     "python -m repro.validation --list-invariants",
     "python -m repro.bench list",
     "python -m repro.bench record {tmp}/BENCH_smoke.json --baseline-dir {tmp}/baselines",
