@@ -32,7 +32,7 @@ import time
 from dataclasses import fields, replace
 from typing import List, Optional, Tuple
 
-from repro.core.session import SessionConfig, SessionResult, StreamingSession
+from repro.core.session import SessionConfig, SessionResult, StreamingSession, session_horizon
 from repro.experiments.scale import available_scales, scale_by_name
 from repro.metrics.quality import OFFLINE_LAG
 from repro.realnet.compare import DELIVERY_RATIO_TOLERANCE, compare_results
@@ -346,7 +346,7 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print(
         f"scenario={spec.name} nodes={config.num_nodes} seed={config.seed} "
         f"protocol={config.protocol} shards={config.shards} "
-        f"horizon={config.stream.duration + config.extra_time:.1f}s(virtual)"
+        f"horizon={session_horizon(config):.3f}s(virtual)"
     )
 
     started = time.perf_counter()

@@ -24,11 +24,9 @@ from repro.core.messages import (
     PROPOSE,
     REQUEST,
     SERVE,
-    FeedMePayload,
     ProposePayload,
     RequestPayload,
     ServePayload,
-    ServedPacket,
 )
 from repro.core.node import GossipNode, NodeStats
 from repro.core.session import SessionConfig, SessionResult, StreamingSession
@@ -36,7 +34,6 @@ from repro.core.state import NodeState, PendingRequest
 
 __all__ = [
     "FEED_ME",
-    "FeedMePayload",
     "GossipConfig",
     "GossipNode",
     "Host",
@@ -50,7 +47,6 @@ __all__ = [
     "SERVE",
     "ScheduledHandle",
     "ServePayload",
-    "ServedPacket",
     "SessionConfig",
     "SessionResult",
     "StreamingSession",

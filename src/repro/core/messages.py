@@ -5,20 +5,25 @@ used by the ``Y`` proactiveness mechanism:
 
 * ``[PROPOSE, event ids]`` — phase 1, push of packet ids;
 * ``[REQUEST, wanted ids]`` — phase 2, pull of missing packets;
-* ``[SERVE, events]`` — phase 3, push of the actual packet payloads;
-* ``[FEED_ME]`` — a request to be inserted into the receiver's partner set.
+* ``[SERVE, events]`` — phase 3, push of one stream packet;
+* ``[FEED_ME]`` — a request to insert the sender into the receiver's
+  partner set.
 
 The network layer only sees opaque payloads with a ``kind`` string and a wire
 size; these dataclasses are the typed payloads the protocol puts inside, and
 the four ``*_size`` functions give the wire size the upload limiter charges.
-The paper never itemizes header sizes, so they are conventional UDP/IPv4
-figures.
+A payload says nothing the datagram already says: a FEED_ME carries no
+payload (its requester is ``Message.sender``), and a SERVE names only its
+packet id (the packet's size is charged in ``Message.size_bytes``).  On
+either wire format a payload is two parts, uint32 scalars and an optional
+packet-id vector (:data:`PAYLOAD_LAYOUT`).  The paper never itemizes
+header sizes, so they are conventional UDP/IPv4 figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.streaming.packets import PacketId
 
@@ -87,39 +92,15 @@ class RequestPayload:
 
 
 @dataclass(frozen=True, slots=True)
-class ServedPacket:
-    """One stream packet carried inside a SERVE message.
+class ServePayload:
+    """Phase 3: one stream packet, named by its id.
 
-    The simulator normally carries no payload bytes (``payload is None``) and
-    only tracks sizes; end-to-end examples using the real FEC codec set
-    ``payload`` to the encoded shard.
+    The packet's size is the schedule's (``schedule.packet(id).size_bytes``)
+    and is already charged in the datagram's ``size_bytes`` by
+    :func:`serve_size`; the simulator carries no packet content.
     """
 
     packet_id: PacketId
-    size_bytes: int
-    payload: Optional[bytes] = None
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"served packet size must be positive, got {self.size_bytes!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class ServePayload:
-    """Phase 3: the actual packet content."""
-
-    packet: ServedPacket
-
-
-@dataclass(frozen=True, slots=True)
-class FeedMePayload:
-    """Ask the receiver to insert the sender into its partner view."""
-
-    requester: int
-
-    def __post_init__(self) -> None:
-        if self.requester < 0:
-            raise ValueError("requester id must be non-negative")
 
 
 # ----------------------------------------------------------------------
@@ -127,31 +108,21 @@ class FeedMePayload:
 # ----------------------------------------------------------------------
 # Both binary formats — the UDP datagram codec (repro.realnet.codec) and the
 # columnar cross-shard batch (repro.shard.wire) — carry a payload as a tag,
-# a few uint32 scalars, an optional packet-id vector and an optional byte
-# blob.  What each tag carries is decided here, beside the classes; the
-# formats only frame those four parts (header and padding there, adaptive
-# column widths here).
+# a few uint32 scalars and an optional packet-id vector.  What each tag
+# carries is decided here, beside the classes; the formats only frame those
+# two parts (header and padding there, adaptive column widths here).
 
 U32_MAX = 0xFFFFFFFF
 
-(
-    TAG_NONE,
-    TAG_PROPOSE,
-    TAG_REQUEST,
-    TAG_SERVE,
-    TAG_SERVE_BLOB,
-    TAG_FEED_ME,
-) = range(6)
+TAG_NONE, TAG_PROPOSE, TAG_REQUEST, TAG_SERVE = range(4)
 
 PAYLOAD_LAYOUT = {
-    TAG_NONE: (0, False, False),
-    TAG_PROPOSE: (0, True, False),
-    TAG_REQUEST: (0, True, False),
-    TAG_SERVE: (2, False, False),  # packet id, packet size
-    TAG_SERVE_BLOB: (2, False, True),  # packet id, packet size + content
-    TAG_FEED_ME: (1, False, False),  # requester
+    TAG_NONE: (0, False),
+    TAG_PROPOSE: (0, True),
+    TAG_REQUEST: (0, True),
+    TAG_SERVE: (1, False),  # packet id
 }
-"""Per tag: ``(uint32 scalar count, has packet-id vector, has byte blob)``."""
+"""Per tag: ``(uint32 scalar count, has packet-id vector)``."""
 
 
 class EncodeError(ValueError):
@@ -165,14 +136,14 @@ def check_u32(name: str, value: int) -> int:
     return value
 
 
-def pack_payload(payload: object) -> Tuple[int, Tuple[int, ...], Tuple[int, ...], Optional[bytes]]:
-    """Split a payload into ``(tag, scalars, packet_ids, blob)``.
+def pack_payload(payload: object) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """Split a payload into ``(tag, scalars, packet_ids)``.
 
     Raises :class:`EncodeError`, naming the payload type, for a type no tag
     carries and for a field beyond uint32.
     """
     if payload is None:
-        return TAG_NONE, (), (), None
+        return TAG_NONE, (), ()
     kind = type(payload)
     try:
         if kind is ProposePayload or kind is RequestPayload:
@@ -180,22 +151,9 @@ def pack_payload(payload: object) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]
             check_u32("id count", len(packet_ids))
             for packet_id in packet_ids:
                 check_u32("packet id", packet_id)
-            return (TAG_PROPOSE if kind is ProposePayload else TAG_REQUEST), (), packet_ids, None
-        if kind is ServePayload and type(payload.packet) is ServedPacket:
-            packet = payload.packet
-            scalars = (
-                check_u32("served packet id", packet.packet_id),
-                check_u32("served packet size_bytes", packet.size_bytes),
-            )
-            blob = packet.payload
-            if blob is None:
-                return TAG_SERVE, scalars, (), None
-            if type(blob) is not bytes:
-                raise EncodeError(f"served packet content is {type(blob).__name__}, not bytes")
-            check_u32("served packet content length", len(blob))
-            return TAG_SERVE_BLOB, scalars, (), blob
-        if kind is FeedMePayload:
-            return TAG_FEED_ME, (check_u32("requester", payload.requester),), (), None
+            return (TAG_PROPOSE if kind is ProposePayload else TAG_REQUEST), (), packet_ids
+        if kind is ServePayload:
+            return TAG_SERVE, (check_u32("served packet id", payload.packet_id),), ()
     except EncodeError as exc:
         raise EncodeError(f"payload of type {kind.__name__}: {exc}") from None
     raise EncodeError(
@@ -203,13 +161,11 @@ def pack_payload(payload: object) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]
     )
 
 
-def unpack_payload(
-    tag: int, scalars: Tuple[int, ...], packet_ids: Tuple[int, ...], blob: Optional[bytes]
-) -> object:
+def unpack_payload(tag: int, scalars: Tuple[int, ...], packet_ids: Tuple[int, ...]) -> object:
     """Inverse of :func:`pack_payload`; the parts must follow ``PAYLOAD_LAYOUT[tag]``.
 
     Raises ``ValueError`` for an unknown tag and for parts that break a
-    payload invariant (an empty id vector, a zero packet size).
+    payload invariant (an empty id vector).
     """
     if tag == TAG_NONE:
         return None
@@ -217,9 +173,6 @@ def unpack_payload(
         return ProposePayload(packet_ids)
     if tag == TAG_REQUEST:
         return RequestPayload(packet_ids)
-    if tag == TAG_SERVE or tag == TAG_SERVE_BLOB:
-        packet_id, size_bytes = scalars
-        return ServePayload(ServedPacket(packet_id, size_bytes, blob))
-    if tag == TAG_FEED_ME:
-        return FeedMePayload(*scalars)
+    if tag == TAG_SERVE:
+        return ServePayload(*scalars)
     raise ValueError(f"unknown payload tag {tag}")

@@ -148,6 +148,15 @@ class SessionConfig:
         return list(range(1, self.num_nodes))
 
 
+def session_horizon(config: SessionConfig) -> float:
+    """The virtual time a session runs to: the last publish plus ``extra_time``.
+
+    The one owner of the expression: the scalar session, the shard
+    coordinator and ``python -m repro run``'s header line all read it here.
+    """
+    return config.stream.end_time + config.extra_time
+
+
 @dataclass
 class SessionResult:
     """Everything measured during one session."""
@@ -417,7 +426,7 @@ class StreamingSession:
                 node.start()
         if self.emitter is not None:  # a shard without the source has none
             self.emitter.start()
-        return self.schedule.config.end_time + self.config.extra_time
+        return session_horizon(self.config)
 
     def _close_telemetry(self):
         """Close the trace and snapshot the metrics (idempotent); ``None`` if unarmed."""

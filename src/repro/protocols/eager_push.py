@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.core.messages import ServePayload, ServedPacket, serve_size
+from repro.core.messages import ServePayload, serve_size
 from repro.network.message import Message, NodeId
 from repro.protocols.base import DisseminationProtocol
 from repro.streaming.packets import PacketDescriptor, PacketId
@@ -59,11 +59,8 @@ class EagerPush(DisseminationProtocol):
 
     def _push(self, packet_id: PacketId, targets: List[NodeId]) -> None:
         host = self.host
-        descriptor = host.schedule.packet(packet_id)
-        served = ServedPacket(packet_id=packet_id, size_bytes=descriptor.size_bytes)
-        payload = ServePayload(packet=served)
-        size = serve_size(descriptor.size_bytes)
-        host.send_to_all(targets, PUSH, size, payload)
+        size = serve_size(host.schedule.packet(packet_id).size_bytes)
+        host.send_to_all(targets, PUSH, size, ServePayload(packet_id))
         host.stats.serves_sent += len(targets)
         host.stats.packets_served += len(targets)
 
@@ -75,9 +72,9 @@ class EagerPush(DisseminationProtocol):
 
     def _handle_push(self, message: Message) -> None:
         host = self.host
-        packet = message.payload.packet
-        if host.state.has_delivered(packet.packet_id):
+        packet_id = message.payload.packet_id
+        if host.state.has_delivered(packet_id):
             host.stats.duplicate_serves_received += 1
             return
-        host.deliver(packet.packet_id, host.now)
-        host.state.queue_for_proposal(packet.packet_id)
+        host.deliver(packet_id, host.now)
+        host.state.queue_for_proposal(packet_id)

@@ -29,11 +29,9 @@ from repro.core.messages import (
     PROPOSE,
     REQUEST,
     SERVE,
-    FeedMePayload,
     ProposePayload,
     RequestPayload,
     ServePayload,
-    ServedPacket,
     feed_me_size,
     propose_size,
     request_size,
@@ -81,9 +79,7 @@ class ThreePhaseGossip(DisseminationProtocol):
     # ------------------------------------------------------------------
     def on_feed_me_round(self, now: float, targets: List[NodeId]) -> None:
         host = self.host
-        payload = FeedMePayload(requester=host.node_id)
-        size = feed_me_size()
-        host.send_to_all(targets, FEED_ME, size, payload)
+        host.send_to_all(targets, FEED_ME, feed_me_size(), None)
         host.stats.feed_me_sent += len(targets)
 
     # ------------------------------------------------------------------
@@ -178,10 +174,8 @@ class ThreePhaseGossip(DisseminationProtocol):
         for packet_id in message.payload.packet_ids:
             if packet_id not in delivered:
                 continue
-            descriptor = packet_of(packet_id)
-            served = ServedPacket(packet_id, descriptor.size_bytes)
-            size = serve_size(descriptor.size_bytes)
-            burst.append((sender, SERVE, size, ServePayload(served)))
+            size = serve_size(packet_of(packet_id).size_bytes)
+            burst.append((sender, SERVE, size, ServePayload(packet_id)))
         if burst:
             host.send_many(burst)
             host.stats.serves_sent += len(burst)
@@ -189,7 +183,7 @@ class ThreePhaseGossip(DisseminationProtocol):
 
     def _handle_serve(self, message: Message) -> None:
         host = self.host
-        packet_id = message.payload.packet.packet_id
+        packet_id = message.payload.packet_id
         if packet_id in host.state.delivered:
             host.stats.duplicate_serves_received += 1
             return
@@ -199,4 +193,4 @@ class ThreePhaseGossip(DisseminationProtocol):
     def _handle_feed_me(self, message: Message) -> None:
         host = self.host
         host.stats.feed_me_received += 1
-        host.partners.insert_requester(message.payload.requester, host.now)
+        host.partners.insert_requester(message.sender, host.now)

@@ -11,7 +11,7 @@ upload limiter charged.
 Layout (network byte order)::
 
     magic   2s   b"RN"
-    version B    3
+    version B    4
     ptag    B    payload tag (:data:`repro.core.messages.PAYLOAD_LAYOUT`)
     sender  I
     receiver I
@@ -23,9 +23,8 @@ Layout (network byte order)::
 
 What a tag carries is the one payload table beside the payload classes
 (:func:`repro.core.messages.pack_payload`); this module only frames the
-parts, in table order: each scalar ``I``; for a tag with a packet-id vector,
-count ``H`` then count × ``I``; for a tag with a blob, length ``I`` then the
-raw bytes.
+parts, in table order: each scalar ``I``, then, for a tag with a packet-id
+vector, count ``H`` then count × ``I``.
 
 A message whose encoding is *larger* than its modeled size (tiny modeled
 sizes with huge id lists — not produced by the shipped protocols) is sent
@@ -50,7 +49,7 @@ from repro.network.message import Message, stamp_seq
 from repro.realnet.errors import CodecError
 
 MAGIC = b"RN"
-VERSION = 3
+VERSION = 4
 
 _HEADER = struct.Struct("!2sBBIIIIB")
 
@@ -69,7 +68,7 @@ def encode_message(message: Message) -> bytes:
     if len(kind) > 255:
         raise CodecError(f"kind tag too long to encode: {message.kind!r}")
     try:
-        tag, scalars, packet_ids, blob = pack_payload(message.payload)
+        tag, scalars, packet_ids = pack_payload(message.payload)
         header = _HEADER.pack(
             MAGIC,
             VERSION,
@@ -83,14 +82,10 @@ def encode_message(message: Message) -> bytes:
     except EncodeError as exc:
         raise CodecError(f"cannot encode datagram: {exc}") from exc
     parts = [header, kind, struct.pack(f"!{len(scalars)}I", *scalars)]
-    _, has_ids, has_blob = PAYLOAD_LAYOUT[tag]
-    if has_ids:
+    if PAYLOAD_LAYOUT[tag][1]:
         if len(packet_ids) > 0xFFFF:
             raise CodecError(f"id count {len(packet_ids)} exceeds the u16 count field")
         parts.append(struct.pack(f"!H{len(packet_ids)}I", len(packet_ids), *packet_ids))
-    if has_blob:
-        parts.append(struct.pack("!I", len(blob)))
-        parts.append(blob)
     wire = b"".join(parts)
     if len(wire) < message.size_bytes:
         wire = wire + b"\x00" * (message.size_bytes - len(wire))
@@ -114,9 +109,8 @@ def decode_message(data: bytes) -> Message:
     layout = PAYLOAD_LAYOUT.get(tag)
     if layout is None:
         raise CodecError(f"unknown payload tag {tag}")
-    scalar_count, has_ids, has_blob = layout
+    scalar_count, has_ids = layout
     packet_ids: Tuple[int, ...] = ()
-    blob = None
     try:
         (kind_bytes,) = struct.unpack_from(f"!{klen}s", data, _HEADER.size)
         offset = _HEADER.size + klen
@@ -125,21 +119,17 @@ def decode_message(data: bytes) -> Message:
         if has_ids:
             (count,) = struct.unpack_from("!H", data, offset)
             packet_ids = struct.unpack_from(f"!{count}I", data, offset + 2)
-            offset += 2 + 4 * count
-        if has_blob:
-            (length,) = struct.unpack_from("!I", data, offset)
-            (blob,) = struct.unpack_from(f"!{length}s", data, offset + 4)
         message = Message(
             sender=sender,
             receiver=receiver,
             kind=kind_bytes.decode("utf-8"),
             size_bytes=size_bytes,
-            payload=unpack_payload(tag, scalars, packet_ids, blob),
+            payload=unpack_payload(tag, scalars, packet_ids),
         )
     except (struct.error, ValueError) as exc:
         # What a crafted datagram can reach — a field running off the end, a
-        # kind that is not UTF-8, an empty id list, a zero size — surfaces as
-        # a codec error, never a raw exception, to the receive path.
+        # kind that is not UTF-8, an empty id list — surfaces as a codec
+        # error, never a raw exception, to the receive path.
         raise CodecError(f"cannot decode datagram: {exc}") from exc
     stamp_seq(message, seq)
     return message

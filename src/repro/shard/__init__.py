@@ -25,12 +25,7 @@ from repro.shard.runner import (
     merge_shard_results,
     run_sharded,
 )
-from repro.shard.session import (
-    ShardResult,
-    ShardRouter,
-    ShardSession,
-    session_horizon,
-)
+from repro.shard.session import ShardResult, ShardRouter, ShardSession
 from repro.shard.wire import (
     WireBatch,
     WireFormatError,
@@ -54,5 +49,4 @@ __all__ = [
     "partition_nodes",
     "plan_shards",
     "run_sharded",
-    "session_horizon",
 ]

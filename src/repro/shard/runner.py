@@ -74,7 +74,7 @@ from multiprocessing import connection as mp_connection
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.session import SessionConfig, SessionResult
+from repro.core.session import SessionConfig, SessionResult, session_horizon
 from repro.metrics.delivery import DeliveryLog
 from repro.network.stats import TrafficStats
 from repro.streaming.schedule import StreamSchedule
@@ -85,7 +85,6 @@ from repro.shard.session import (
     ShardSession,
     WindowReply,
     WindowReport,
-    session_horizon,
 )
 from repro.shard.wire import WireBatch, iter_headers
 

@@ -45,11 +45,6 @@ from repro.shard.wire import (
 )
 
 
-def session_horizon(config: SessionConfig) -> float:
-    """The run's ``until`` — the same expression the scalar session uses."""
-    return config.stream.end_time + config.extra_time
-
-
 @dataclass
 class WindowReport:
     """What one shard tells the coordinator at a window barrier.

@@ -10,11 +10,10 @@ the pickler.  At metropolis scale that tax dominated the cross-shard path
 This module replaces the object batch with a *columnar* encoding,
 :class:`WireBatch`: per-datagram head records packed into one ``struct``
 array (``deliver_time``, ``sender``, ``seq``, ``receiver``, ``size_bytes``,
-kind code, payload tag), tag scalars in an aux column, packet-id vectors in
-an id column, and served packet contents in a blob column.
-Integer columns are adaptively 1/2/4 bytes wide from the batch maxima, and
+kind code, payload tag), tag scalars in an aux column and packet-id vectors
+in an id column.  Integer columns are adaptively 1/2/4 bytes wide from the batch maxima, and
 sequence numbers are delta-encoded against the batch minimum — a smoke-scale
-batch pays ~15 bytes of head per datagram, not a pickled object graph.  Four
+batch pays ~15 bytes of head per datagram, not a pickled object graph.  Three
 flat ``bytes`` objects cross the process boundary per batch — pickling them
 is a length-prefixed memcpy.  The process link ships them with pickle
 protocol 5 framing (:class:`repro.shard.runner._PipeChannel`); the buffers
@@ -27,9 +26,8 @@ values, same payload dataclasses — so the receiving shard's event stream is
 byte-identical to what the pickled batch produced.  The shard-equivalence
 property suite pins this end to end; ``tests/properties`` pins
 ``decode(encode(batch)) == batch`` directly, over every protocol message
-kind.  Payloads are the four :mod:`repro.core.messages` classes or ``None``,
-split into tag, scalars, id vector and blob by that module's one payload
-table (which :mod:`repro.realnet.codec` frames too); anything else is
+kind.  Payloads are the three :mod:`repro.core.messages` classes or ``None``,
+split into tag, scalars and id vector by that module's one payload table (which :mod:`repro.realnet.codec` frames too); anything else is
 refused at encode time with a :class:`WireFormatError`, so decoding never
 unpickles bytes that crossed a process boundary.
 """
@@ -78,8 +76,7 @@ _WIDTH_CODES = {1: "B", 2: "H", 4: "I"}
 # What each payload tag carries is :data:`repro.core.messages.PAYLOAD_LAYOUT`
 # (shared with :mod:`repro.realnet.codec`).  Its aux-column footprint is the
 # tag's scalars, then the id count if it has a packet-id vector (the ids go
-# to the id column), then the byte length if it has a blob (the bytes go to
-# the blob column).
+# to the id column).
 
 
 def _width_for(maximum: int) -> int:
@@ -136,13 +133,13 @@ class WireBatch:
     widths:
         ``(node, seq, size, aux, ids)`` column widths in bytes, each 1, 2
         or 4, chosen from the batch maxima at encode time.
-    head / aux / ids / blob:
-        The four flat buffers (fixed head records, tag scalars, packet-id
-        vectors, payload bytes).  All plain ``bytes`` — pickling a
-        :class:`WireBatch` costs four memcpys regardless of batch size.
+    head / aux / ids:
+        The three flat buffers (fixed head records, tag scalars, packet-id
+        vectors).  All plain ``bytes`` — pickling a :class:`WireBatch`
+        costs three memcpys regardless of batch size.
     """
 
-    __slots__ = ("count", "kinds", "seq_base", "widths", "head", "aux", "ids", "blob")
+    __slots__ = ("count", "kinds", "seq_base", "widths", "head", "aux", "ids")
 
     def __init__(
         self,
@@ -153,7 +150,6 @@ class WireBatch:
         head: bytes,
         aux: bytes,
         ids: bytes,
-        blob: bytes,
     ) -> None:
         self.count = count
         self.kinds = kinds
@@ -162,19 +158,9 @@ class WireBatch:
         self.head = head
         self.aux = aux
         self.ids = ids
-        self.blob = blob
 
     def __getstate__(self):
-        return (
-            self.count,
-            self.kinds,
-            self.seq_base,
-            self.widths,
-            self.head,
-            self.aux,
-            self.ids,
-            self.blob,
-        )
+        return (self.count, self.kinds, self.seq_base, self.widths, self.head, self.aux, self.ids)
 
     def __setstate__(self, state) -> None:
         (
@@ -185,12 +171,11 @@ class WireBatch:
             self.head,
             self.aux,
             self.ids,
-            self.blob,
         ) = state
 
     @property
     def nbytes(self) -> int:
-        """Serialized payload size: the four columns, kind table and header.
+        """Serialized payload size: the three columns, kind table and header.
 
         The constant accounts for the batch-level scalars (count, seq base,
         five width bytes) as they cross the wire inside the pickle frame.
@@ -199,7 +184,6 @@ class WireBatch:
             len(self.head)
             + len(self.aux)
             + len(self.ids)
-            + len(self.blob)
             + sum(len(kind) for kind in self.kinds)
             + 16
         )
@@ -208,7 +192,7 @@ class WireBatch:
 def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
     """Pack a window's routed datagrams into one :class:`WireBatch`.
 
-    Protocol payloads (PROPOSE / REQUEST / SERVE / FEED_ME and ``None``)
+    Protocol payloads (PROPOSE / REQUEST / SERVE, and a FEED_ME's ``None``)
     take the typed tags; any other payload, and any field beyond uint32,
     raises :class:`WireFormatError` naming it.
 
@@ -217,7 +201,6 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
     """
     kind_codes: Dict[str, int] = {}
     staged = []  # (deliver_time, sender, seq, receiver, size, kind, tag, aux_tuple, pids)
-    blob_column = bytearray()
     max_node = max_size = max_aux = max_id = 0
     seq_base = min((datagram[2] for datagram in datagrams), default=0)
     max_seq_delta = 0
@@ -233,14 +216,10 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
             receiver = check_u32("receiver", message.receiver)
             size_bytes = check_u32("size_bytes", message.size_bytes)
             delta = check_u32("seq delta", seq - seq_base)
-            tag, aux, pids, blob = pack_payload(message.payload)
-            _, has_ids, has_blob = PAYLOAD_LAYOUT[tag]
-            if has_ids:
+            tag, aux, pids = pack_payload(message.payload)
+            if PAYLOAD_LAYOUT[tag][1]:
                 aux += (len(pids),)
                 max_id = max(max_id, *pids)
-            if has_blob:
-                aux += (len(blob),)
-                blob_column += blob
             if aux:
                 max_aux = max(max_aux, *aux)
             max_node = max(max_node, sender, receiver)
@@ -282,7 +261,6 @@ def encode_batch(datagrams: Sequence[RoutedDatagram]) -> WireBatch:
         bytes(head),
         bytes(aux_column),
         bytes(ids_column),
-        bytes(blob_column),
     )
 
 
@@ -304,7 +282,6 @@ def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
     ids_code = _WIDTH_CODES[ids_width]
     aux_at = 0
     ids_at = 0
-    blob_at = 0
     try:
         for (
             deliver_time,
@@ -318,23 +295,16 @@ def decode_batch(batch: WireBatch) -> List[RoutedDatagram]:
             layout = PAYLOAD_LAYOUT.get(tag)
             if layout is None:
                 raise ValueError(f"unknown payload tag {tag}")
-            scalar_count, has_ids, has_blob = layout
-            aux_count = scalar_count + has_ids + has_blob
+            scalar_count, has_ids = layout
+            aux_count = scalar_count + has_ids
             aux = aux_structs[aux_count].unpack_from(aux_column, aux_at)
             aux_at += aux_count * aux_width
             packet_ids: Tuple[int, ...] = ()
-            blob = None
             if has_ids:
                 count = aux[scalar_count]
                 packet_ids = struct.unpack_from(f"<{count}{ids_code}", batch.ids, ids_at)
                 ids_at += ids_width * count
-            if has_blob:
-                blob_end = blob_at + aux[-1]
-                if blob_end > len(batch.blob):
-                    raise ValueError("blob column shorter than the declared lengths")
-                blob = batch.blob[blob_at:blob_end]
-                blob_at = blob_end
-            payload = unpack_payload(tag, aux[:scalar_count], packet_ids, blob)
+            payload = unpack_payload(tag, aux[:scalar_count], packet_ids)
             message = Message(sender, receiver, kinds[kind_code], size_bytes, payload)
             seq = seq_base + delta
             stamp_seq(message, seq)
@@ -374,17 +344,17 @@ def merge_inbound(batches: Iterable[WireBatch]) -> List[RoutedDatagram]:
 
 
 # ----------------------------------------------------------------------
-# Instrumentation (read by the sharded-session benchmark)
+# Instrumentation (read by the end-to-end benchmark's ledger)
 # ----------------------------------------------------------------------
 class WireStats:
     """Process-local accumulator of encoded cross-shard traffic.
 
     Routers report every flushed window into the module-level
-    :data:`WIRE_STATS`; the ``sharded-session`` benchmark resets it, runs,
-    and reads bytes-per-window / bytes-per-datagram.  Thread-mode runs
-    step every shard in the caller, so they aggregate across all shards;
-    process-mode workers accumulate in their own processes, so the parent
-    sees zeros (documented in the benchmark).
+    :data:`WIRE_STATS`.  Nothing in the package reads it: the thread-mode
+    ledger of ``benchmarks/e2e/workloads.py`` resets it, runs, and reads
+    bytes per datagram.  Thread-mode runs step every shard in the caller,
+    so they aggregate across all shards; process-mode workers accumulate in
+    their own processes, so a process-mode parent reads zeros.
     """
 
     __slots__ = ("_lock", "windows", "batches", "datagrams", "wire_bytes")

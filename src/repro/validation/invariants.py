@@ -173,7 +173,7 @@ def _packet_carried_by(message: Message) -> Optional[PacketId]:
     """The stream packet a datagram carries, if it carries one (SERVE/PUSH)."""
     payload = message.payload
     if isinstance(payload, ServePayload):
-        return payload.packet.packet_id
+        return payload.packet_id
     return None
 
 
@@ -325,7 +325,7 @@ class ProtocolConformance(Invariant):
                     proposer=message.receiver,
                 )
         elif message.kind == SERVE:
-            packet_id = message.payload.packet.packet_id
+            packet_id = message.payload.packet_id
             requested = self._requested.get((message.sender, message.receiver), set())
             if packet_id not in requested:
                 self.fail(

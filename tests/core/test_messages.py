@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.messages import (
-    FeedMePayload,
+    TAG_SERVE,
     ProposePayload,
     RequestPayload,
     ServePayload,
-    ServedPacket,
+    pack_payload,
+    unpack_payload,
 )
 
 
@@ -29,30 +30,13 @@ class TestRequestPayload:
             RequestPayload(packet_ids=())
 
 
-class TestServedPacket:
-    def test_defaults_to_no_payload(self):
-        packet = ServedPacket(packet_id=4, size_bytes=1000)
-        assert packet.payload is None
-
-    def test_payload_carried(self):
-        packet = ServedPacket(packet_id=4, size_bytes=4, payload=b"abcd")
-        assert packet.payload == b"abcd"
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            ServedPacket(packet_id=4, size_bytes=0)
-
-
 class TestServePayload:
-    def test_wraps_packet(self):
-        packet = ServedPacket(packet_id=1, size_bytes=10)
-        assert ServePayload(packet=packet).packet is packet
+    def test_names_its_packet_and_nothing_else(self):
+        payload = ServePayload(packet_id=4)
+        assert payload.packet_id == 4
+        assert ServePayload.__slots__ == ("packet_id",)
 
-
-class TestFeedMePayload:
-    def test_requester_recorded(self):
-        assert FeedMePayload(requester=5).requester == 5
-
-    def test_negative_requester_rejected(self):
-        with pytest.raises(ValueError):
-            FeedMePayload(requester=-1)
+    def test_packs_to_one_scalar(self):
+        parts = pack_payload(ServePayload(4))
+        assert parts == (TAG_SERVE, (4,), ())
+        assert unpack_payload(*parts) == ServePayload(4)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import GossipConfig
-from repro.core.messages import FEED_ME, PROPOSE, REQUEST, SERVE, FeedMePayload
+from repro.core.messages import FEED_ME, PROPOSE, REQUEST, SERVE
 from repro.core.node import GossipNode
 from repro.membership.directory import MembershipDirectory
 from repro.membership.partners import INFINITE
@@ -30,15 +30,27 @@ class ScriptedLoss(LossModel):
         return False
 
 
-class _RequestLog(TransportObserver):
+class _SendLog(TransportObserver):
+    """Every accepted datagram of one ``kind``."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.messages = []
+
+    def on_send_accepted(self, message, now, finish_time):
+        if message.kind == self.kind:
+            self.messages.append(message)
+
+
+class _RequestLog(_SendLog):
     """Every accepted REQUEST as ``(sender, receiver, packet ids)``."""
 
     def __init__(self) -> None:
-        self.sent = []
+        super().__init__(REQUEST)
 
-    def on_send_accepted(self, message, now, finish_time):
-        if message.kind == REQUEST:
-            self.sent.append((message.sender, message.receiver, message.payload.packet_ids))
+    @property
+    def sent(self):
+        return [(m.sender, m.receiver, m.payload.packet_ids) for m in self.messages]
 
 
 class Harness:
@@ -206,23 +218,34 @@ class TestThreePhaseExchange:
         assert holder.stats.serves_sent == 1
         assert holder.stats.packets_served == 1
 
+    def test_serve_names_its_packet_and_charges_the_schedule_size(self):
+        harness = Harness()
+        serves = _SendLog(SERVE)
+        harness.network.add_observer(serves)
+        holder = harness.nodes[1]
+        holder.deliver(3, 0.0)
+        from repro.core.messages import RequestPayload, ServePayload, serve_size
+
+        holder.on_message(Message(2, 1, REQUEST, 48, RequestPayload(packet_ids=(3,))))
+        (serve,) = serves.messages
+        assert serve.payload == ServePayload(packet_id=3)
+        assert serve.size_bytes == serve_size(harness.schedule.packet(3).size_bytes)
+
     def test_served_packet_queued_for_next_proposal(self):
         harness = Harness()
         node = harness.nodes[1]
-        from repro.core.messages import ServePayload, ServedPacket
+        from repro.core.messages import ServePayload
 
-        node.on_message(
-            Message(2, 1, SERVE, 1056, ServePayload(ServedPacket(packet_id=7, size_bytes=1000)))
-        )
+        node.on_message(Message(2, 1, SERVE, 1056, ServePayload(packet_id=7)))
         assert node.state.has_delivered(7)
         assert 7 in node.state.events_to_propose
 
     def test_duplicate_serve_counted_not_redelivered(self):
         harness = Harness()
         node = harness.nodes[1]
-        from repro.core.messages import ServePayload, ServedPacket
+        from repro.core.messages import ServePayload
 
-        serve = Message(2, 1, SERVE, 1056, ServePayload(ServedPacket(packet_id=7, size_bytes=1000)))
+        serve = Message(2, 1, SERVE, 1056, ServePayload(packet_id=7))
         node.on_message(serve)
         node.on_message(serve)
         assert node.stats.duplicate_serves_received == 1
@@ -234,11 +257,9 @@ class TestInfectAndDie:
         harness = Harness(num_nodes=6, fanout=2)
         node = harness.nodes[1]
         node.start()
-        from repro.core.messages import ServePayload, ServedPacket
+        from repro.core.messages import ServePayload
 
-        node.on_message(
-            Message(2, 1, SERVE, 1056, ServePayload(ServedPacket(packet_id=3, size_bytes=1000)))
-        )
+        node.on_message(Message(2, 1, SERVE, 1056, ServePayload(packet_id=3)))
         harness.simulator.run(until=1.0)
         proposes_after_first_round = node.stats.proposes_sent
         harness.simulator.run(until=3.0)
@@ -319,7 +340,7 @@ class TestFeedMe:
         node = harness.nodes[1]
         before = set(node.partners.partners_for_round(0.0))
         outsider = next(n for n in range(2, 10) if n not in before)
-        node.on_message(Message(outsider, 1, FEED_ME, 40, FeedMePayload(requester=outsider)))
+        node.on_message(Message(outsider, 1, FEED_ME, 40))
         assert outsider in node.partners.partners_for_round(0.0)
         assert node.stats.feed_me_received == 1
 
@@ -330,6 +351,15 @@ class TestFeedMe:
         harness.simulator.run(until=1.0)
         # Y=2 with a 0.2 s period: one feed-me burst every 0.4 s.
         assert node.stats.feed_me_sent >= harness.config.fanout
+
+    def test_feed_me_carries_nothing_but_its_sender(self):
+        harness = Harness(num_nodes=10, feed_me_every=2, refresh_every=INFINITE)
+        feed_mes = _SendLog(FEED_ME)
+        harness.network.add_observer(feed_mes)
+        harness.nodes[1].start()
+        harness.simulator.run(until=1.0)
+        assert feed_mes.messages
+        assert {(m.sender, m.payload) for m in feed_mes.messages} == {(1, None)}
 
     def test_no_feed_me_when_disabled(self):
         harness = Harness(num_nodes=10)

@@ -4,9 +4,9 @@ The compact cross-shard encoding (:mod:`repro.shard.wire`) claims *exact*
 reconstruction — same delivery floats, same ``Message`` field values, same
 payload dataclasses — because the shard parity contract is byte-identity,
 not approximation.  This suite drives the claim with hypothesis over every
-protocol payload shape (PROPOSE / REQUEST / SERVE with and without payload
-bytes / FEED_ME / bare ``None``), checks that a foreign payload type is
-refused by name rather than pickled, and checks the two batch-level
+protocol payload shape (PROPOSE / REQUEST / SERVE, and the bare ``None`` a
+FEED_ME carries), checks that a foreign payload type is refused by name
+rather than pickled, and checks the two batch-level
 guarantees the runner builds on: pickling a
 :class:`~repro.shard.wire.WireBatch` is lossless, and ``merge_inbound``
 reproduces the total order ``(deliver_time, sender, seq)`` no matter how a
@@ -125,7 +125,7 @@ class TestHostileInput:
     @settings(max_examples=300, deadline=None)
     @given(
         batch=batches,
-        column=st.sampled_from(("head", "aux", "ids", "blob")),
+        column=st.sampled_from(("head", "aux", "ids")),
         seed=st.integers(0, 2**32),
         rounds=st.integers(1, 4),
     )

@@ -4,17 +4,12 @@ import random
 
 import pytest
 
-from repro.core.messages import (
-    FeedMePayload,
-    ProposePayload,
-    RequestPayload,
-    ServePayload,
-    ServedPacket,
-)
+from repro.core.messages import ProposePayload, RequestPayload, ServePayload
 from repro.network.message import Message, stamp_seq
 from repro.realnet.codec import MAX_DATAGRAM_BYTES, decode_message, encode_message
 from repro.realnet.errors import CodecError
-from tests.wire_strategies import OVERFLOWING_MESSAGES, mutate, six_kind_batch
+from tests.realnet.conftest import retired_datagrams
+from tests.wire_strategies import OVERFLOWING_MESSAGES, every_tag_batch, mutate
 
 
 def roundtrip(message: Message) -> Message:
@@ -73,44 +68,17 @@ class TestRoundTrip:
         with pytest.raises(CodecError):
             decode_message(bytes(wire))
 
-    def test_serve_payload_without_raw_bytes(self):
-        msg = Message(
-            sender=4,
-            receiver=6,
-            kind="serve",
-            size_bytes=1100,
-            payload=ServePayload(packet=ServedPacket(packet_id=42, size_bytes=1000)),
-        )
+    def test_serve_payload(self):
+        msg = Message(sender=4, receiver=6, kind="serve", size_bytes=1100, payload=ServePayload(42))
         out = roundtrip(msg)
-        assert out.payload.packet.packet_id == 42
-        assert out.payload.packet.size_bytes == 1000
-        assert out.payload.packet.payload is None
+        assert out.payload == ServePayload(42)
+        assert out.size_bytes == 1100
 
-    def test_serve_payload_with_raw_bytes(self):
-        raw = bytes(range(256)) * 2
-        msg = Message(
-            sender=4,
-            receiver=6,
-            kind="serve",
-            size_bytes=1100,
-            payload=ServePayload(
-                packet=ServedPacket(packet_id=1, size_bytes=len(raw), payload=raw)
-            ),
-        )
+    def test_feed_me_is_its_sender(self):
+        # A FEED_ME carries no payload: the requester is the datagram's sender.
+        msg = Message(sender=8, receiver=0, kind="feed-me", size_bytes=40)
         out = roundtrip(msg)
-        assert out.payload.packet.payload == raw
-
-    def test_feed_me_payload(self):
-        msg = Message(
-            sender=8,
-            receiver=0,
-            kind="feed-me",
-            size_bytes=80,
-            payload=FeedMePayload(requester=8),
-        )
-        out = roundtrip(msg)
-        assert isinstance(out.payload, FeedMePayload)
-        assert out.payload.requester == 8
+        assert (out.sender, out.kind, out.payload) == (8, "feed-me", None)
 
 
 class TestSizeHonesty:
@@ -129,17 +97,9 @@ class TestSizeHonesty:
         assert decode_message(wire).size_bytes == 1
 
     def test_udp_ceiling_enforced(self):
-        raw = b"x" * (MAX_DATAGRAM_BYTES + 100)
-        msg = Message(
-            sender=0,
-            receiver=1,
-            kind="serve",
-            size_bytes=100,
-            payload=ServePayload(
-                packet=ServedPacket(packet_id=0, size_bytes=len(raw), payload=raw)
-            ),
-        )
-        with pytest.raises(CodecError):
+        # Padding to the modeled size would exceed the UDP payload ceiling.
+        msg = Message(0, 1, "serve", MAX_DATAGRAM_BYTES + 1, ServePayload(0))
+        with pytest.raises(CodecError, match="above the UDP ceiling"):
             encode_message(msg)
 
 
@@ -164,6 +124,18 @@ class TestRobustness:
         wire[2] = 99
         with pytest.raises(CodecError):
             decode_message(bytes(wire))
+
+    @pytest.mark.parametrize(
+        ("name", "error"),
+        [
+            ("tag-4", "unknown payload tag 4"),
+            ("tag-5", "unknown payload tag 5"),
+            ("version-3", "unsupported wire version 3"),
+        ],
+    )
+    def test_retired_payload_shapes_rejected(self, name, error):
+        with pytest.raises(CodecError, match=error):
+            decode_message(retired_datagrams()[name])
 
     def test_invalid_utf8_kind_rejected(self):
         wire = bytearray(encode_message(Message(sender=0, receiver=1, kind="xy", size_bytes=64)))
@@ -192,7 +164,7 @@ class TestRobustness:
 
     def test_mutated_datagrams_raise_only_codec_error(self):
         rng = random.Random(2009)
-        datagrams = [encode_message(message) for *_, message in six_kind_batch()]
+        datagrams = [encode_message(message) for *_, message in every_tag_batch()]
         for _ in range(5000):
             data = rng.choice(datagrams)
             for _ in range(rng.randrange(1, 4)):

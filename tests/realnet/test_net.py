@@ -10,6 +10,7 @@ state as the observed per-datagram one.
 import random
 import socket
 
+from repro.core.session import session_horizon
 from repro.network.bandwidth import BandwidthCap
 from repro.network.latency import ConstantLatency
 from repro.network.loss import NoLoss, UniformLoss
@@ -24,20 +25,27 @@ from repro.telemetry.recorder import TraceRecorder
 from repro.telemetry.schema import TraceWriter, iter_events, validate_trace
 from repro.validation.observers import TransportObserver
 
-from tests.realnet.conftest import SMOKE_TIME_SCALE, realnet_session_config
+from tests.realnet.conftest import (
+    SMOKE_TIME_SCALE,
+    realnet_session_config,
+    retired_datagrams,
+)
 
 KIND_OFFSET = 21  # the fixed header; the kind tag starts right after it
 
 
 def _hostile_datagrams():
-    """Six datagrams node 1's socket must refuse, one defect each."""
+    """Nine datagrams node 1's socket must refuse, one defect each."""
     good = encode_message(Message(sender=0, receiver=1, kind="xy", size_bytes=64))
     bad_magic = b"XX" + good[2:]
     bad_version = good[:2] + bytes([99]) + good[3:]
     unknown_tag = good[:3] + bytes([200]) + good[4:]
     bad_utf8 = good[:KIND_OFFSET] + b"\xff\xfe" + good[KIND_OFFSET + 2:]
     for_node_0 = encode_message(Message(sender=1, receiver=0, kind="xy", size_bytes=64))
-    return [good[:5], bad_magic, bad_version, unknown_tag, bad_utf8, for_node_0]
+    return [
+        good[:5], bad_magic, bad_version, unknown_tag, bad_utf8, for_node_0,
+        *retired_datagrams().values(),
+    ]
 
 
 class TestHostileInput:
@@ -58,7 +66,7 @@ class TestHostileInput:
 
         host.schedule(0.05, spray)
         host.run(until=0.5)
-        assert network.decode_errors == 6
+        assert network.decode_errors == 9
         assert received == [good]
         assert network.datagrams_received == 1
 
@@ -69,7 +77,7 @@ class TestHostileInput:
         )
         session.build()
         host, network = session.simulator, session.network
-        horizon = session.schedule.config.end_time + session.config.extra_time
+        horizon = session_horizon(session.config)
         period = 0.25
         rng = random.Random(5)
         sprayed = []

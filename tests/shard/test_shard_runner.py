@@ -14,6 +14,7 @@ import threading
 import pytest
 
 import repro.shard.runner as runner_module
+from repro.core.session import session_horizon
 from repro.network.message import Message, stamp_seq
 from repro.scenarios.registry import build_scenario
 from repro.shard.partition import plan_shards
@@ -35,7 +36,6 @@ from repro.shard.session import (
     ShardSession,
     WindowReply,
     WindowReport,
-    session_horizon,
 )
 from repro.shard.wire import WireBatch, decode_batch, encode_batch
 from repro.simulation.engine import Simulator

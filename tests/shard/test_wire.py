@@ -13,12 +13,7 @@ import random
 
 import pytest
 
-from repro.core.messages import (
-    FeedMePayload,
-    ProposePayload,
-    ServedPacket,
-    ServePayload,
-)
+from repro.core.messages import ProposePayload, ServePayload
 from repro.network.message import Message
 from repro.shard.wire import (
     WireBatch,
@@ -27,7 +22,7 @@ from repro.shard.wire import (
     decode_batch,
     encode_batch,
 )
-from tests.wire_strategies import OVERFLOWING_MESSAGES, mutate, six_kind_batch
+from tests.wire_strategies import OVERFLOWING_MESSAGES, every_tag_batch, mutate
 
 
 def datagram(deliver_time=1.0, sender=0, seq=1, receiver=1, kind="propose", payload=None):
@@ -66,11 +61,14 @@ class TestLayoutLimits:
         with pytest.raises(WireFormatError, match="256 distinct message kinds"):
             encode_batch(batch)
 
-    def test_corrupt_tag_rejected_on_decode(self):
-        encoded = encode_batch([datagram()])
+    # Tags 4 and 5 once framed a SERVE with content bytes and a FEED_ME's
+    # requester; no encoder writes them now.
+    @pytest.mark.parametrize("tag", [4, 5, 200])
+    def test_corrupt_tag_rejected_on_decode(self, tag):
+        encoded = encode_batch([datagram(kind="serve", payload=ServePayload(7))])
         # The payload tag is the last byte of the (single) head record.
         head = bytearray(encoded.head)
-        head[-1] = 200
+        head[-1] = tag
         corrupt = WireBatch(
             encoded.count,
             encoded.kinds,
@@ -79,18 +77,17 @@ class TestLayoutLimits:
             bytes(head),
             encoded.aux,
             encoded.ids,
-            encoded.blob,
         )
-        with pytest.raises(WireFormatError, match="unknown payload tag"):
+        with pytest.raises(WireFormatError, match=f"unknown payload tag {tag}"):
             decode_batch(corrupt)
 
     def test_mutated_columns_raise_only_wire_format_error(self):
         rng = random.Random(2009)
-        batch = six_kind_batch()
+        batch = every_tag_batch()
         assert decode_batch(encode_batch(batch)) == batch
         for _ in range(5000):
             encoded = encode_batch(batch)
-            column = rng.choice(("head", "aux", "ids", "blob"))
+            column = rng.choice(("head", "aux", "ids"))
             data = getattr(encoded, column)
             for _ in range(rng.randrange(1, 4)):
                 data = mutate(data, rng)
@@ -119,15 +116,15 @@ class TestPayloadTags:
         with pytest.raises(WireFormatError, match=f"payload of type {type(payload).__name__}"):
             encode_batch([datagram(kind="custom", payload=payload)])
 
-    def test_serve_with_and_without_payload_bytes(self):
-        with_bytes = datagram(
-            seq=1, kind="serve", payload=ServePayload(ServedPacket(7, 1200, b"x" * 32))
-        )
-        without = datagram(
-            seq=2, kind="serve", payload=ServePayload(ServedPacket(8, 1200))
-        )
-        batch = [with_bytes, without]
-        assert decode_batch(encode_batch(batch)) == batch
+    def test_serve_and_feed_me_round_trip(self):
+        batch = [
+            datagram(seq=1, kind="serve", payload=ServePayload(7)),
+            datagram(seq=2, kind="feed-me"),
+        ]
+        encoded = encode_batch(batch)
+        assert decode_batch(encoded) == batch
+        # One aux scalar (the served packet id) and no id vector for either.
+        assert (encoded.aux, encoded.ids) == (bytes([7]), b"")
 
 
 class TestWireStats:
@@ -180,7 +177,7 @@ class TestSizeClaim:
                             receiver,
                             "serve",
                             1340,
-                            ServePayload(ServedPacket(seq, 1340)),
+                            ServePayload(seq),
                         ),
                     )
                 )
@@ -190,7 +187,7 @@ class TestSizeClaim:
                         0.7 + seq * 0.01,
                         sender,
                         seq,
-                        Message(sender, receiver, "feed-me", 64, FeedMePayload(sender)),
+                        Message(sender, receiver, "feed-me", 64),
                     )
                 )
         encoded = encode_batch(batch)

@@ -11,8 +11,9 @@ path moves it; see docs/performance.md, "Frame diet".
 from repro.bench.suite import frames_per_event
 from repro.experiments.scale import SMOKE
 
-#: ``frames_per_event(SMOKE.session_config())`` is 12.751822 (73,012
-#: events); it was 25.600888 before the frame diet.  Rounded up to one
+#: ``frames_per_event(SMOKE.session_config())`` is 12.398962 (73,012
+#: events; 12.751822 while a SERVE built two payload objects and a FEED_ME
+#: one); it was 25.600888 before the frame diet.  Rounded up to one
 #: decimal so a stray frame per hundred events still fits, a frame per
 #: PROPOSE id or per datagram does not.
 BUDGET = 12.9

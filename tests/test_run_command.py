@@ -176,6 +176,13 @@ class TestEverySubstrate:
         one = (run_dirs["shards1"] / "delivery.jsonl").read_bytes()
         assert one and one == (run_dirs["shards2"] / "delivery.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("extra", [[], ["--shards", "2"]], ids=["scalar", "sharded"])
+    def test_the_header_horizon_is_where_the_session_stops(self, extra, tmp_path, capsys):
+        assert main([*SIM_ARGS, *extra, "--run-dir", str(tmp_path)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        summary = json.loads((_run_dir(tmp_path) / "summary.json").read_text())
+        assert _field(header, "horizon") == f"{summary['end_time']:.3f}s(virtual)"
+
 
 class TestRunDirectories:
     def test_a_taken_run_id_gets_a_fresh_directory(self, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.messages import SERVE, ServePayload, ServedPacket
+from repro.core.messages import SERVE, ServePayload
 from repro.network.bandwidth import UploadLimiter
 from repro.network.message import Message
 from repro.scenarios import build_scenario
@@ -102,7 +102,7 @@ class TestPacketConservationInvariant:
             receiver=5,
             kind=SERVE,
             size_bytes=1040,
-            payload=ServePayload(packet=ServedPacket(packet_id=0, size_bytes=1000)),
+            payload=ServePayload(packet_id=0),
         )
         # Inject a datagram straight into delivery, bypassing send():
         # "every received shard was sent" must fire.
@@ -130,7 +130,7 @@ class TestProtocolConformanceInvariant:
         # The stream's last packet is published ~17 s in; at t = 1 s nobody
         # can have legitimately requested it yet.
         future_packet = session.schedule.num_packets - 1
-        payload = ServePayload(packet=ServedPacket(packet_id=future_packet, size_bytes=1000))
+        payload = ServePayload(packet_id=future_packet)
 
         def rogue_serve():
             node.send(7, SERVE, 1040, payload)

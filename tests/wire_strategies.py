@@ -16,17 +16,14 @@ from repro.core.messages import (
     PROPOSE,
     REQUEST,
     SERVE,
-    FeedMePayload,
     ProposePayload,
     RequestPayload,
-    ServedPacket,
     ServePayload,
 )
 from repro.network.message import Message
 
 U32_MAX = 0xFFFFFFFF
 node_ids = st.integers(min_value=0, max_value=U32_MAX)
-sizes = st.integers(min_value=1, max_value=U32_MAX)
 seqs = st.integers(min_value=0, max_value=U32_MAX)
 times = st.floats(allow_nan=False)
 packet_id_tuples = st.lists(node_ids, min_size=1, max_size=8).map(tuple)
@@ -35,16 +32,7 @@ payloads = st.one_of(
     st.none(),
     st.builds(ProposePayload, packet_ids=packet_id_tuples),
     st.builds(RequestPayload, packet_ids=packet_id_tuples),
-    st.builds(
-        ServePayload,
-        st.builds(
-            ServedPacket,
-            packet_id=node_ids,
-            size_bytes=sizes,
-            payload=st.one_of(st.none(), st.binary(max_size=64)),
-        ),
-    ),
-    st.builds(FeedMePayload, requester=node_ids),
+    st.builds(ServePayload, packet_id=node_ids),
 )
 
 foreign_payloads = st.one_of(
@@ -81,15 +69,14 @@ def routed_datagrams(draw):
 batches = st.lists(routed_datagrams(), max_size=24)
 
 
-def six_kind_batch():
-    """One routed datagram per payload tag (``None``, PROPOSE, REQUEST, both SERVEs, FEED_ME)."""
+def every_tag_batch():
+    """One routed datagram per payload tag, plus a FEED_ME (``None``, like any untagged kind)."""
     tagged = [
         (PROPOSE, None),
         (PROPOSE, ProposePayload((3, 70_000, 9))),
         (REQUEST, RequestPayload((70_000,))),
-        (SERVE, ServePayload(ServedPacket(7, 1200))),
-        (SERVE, ServePayload(ServedPacket(8, 1200, b"content-bytes"))),
-        (FEED_ME, FeedMePayload(5)),
+        (SERVE, ServePayload(7)),
+        (FEED_ME, None),
     ]
     return [
         (0.25 * seq, 5, seq, Message(5, 300 + seq, kind, 100 + seq, payload))
@@ -126,13 +113,7 @@ OVERFLOWING_MESSAGES = [
     ),
     pytest.param(
         "served packet id",
-        Message(0, 1, SERVE, 100, ServePayload(ServedPacket(2**33, 10))),
+        Message(0, 1, SERVE, 100, ServePayload(2**33)),
         id="served-packet-id",
     ),
-    pytest.param(
-        "served packet size_bytes",
-        Message(0, 1, SERVE, 100, ServePayload(ServedPacket(1, 2**32))),
-        id="served-packet-size",
-    ),
-    pytest.param("requester", Message(0, 1, FEED_ME, 100, FeedMePayload(2**32)), id="requester"),
 ]
