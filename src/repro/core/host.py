@@ -83,6 +83,14 @@ class Host(Protocol):
         """Run ``callback(*args)`` at absolute host time ``time``."""
         ...
 
+    def reserve(self, delay: float) -> Any:
+        """Take (as an opaque slot) the place in event order ``schedule(delay)`` would."""
+        ...
+
+    def schedule_reserved(self, slot: Any, callback: EventCallback, *args: Any) -> ScheduledHandle:
+        """Run ``callback(*args)`` at the place :meth:`reserve` took."""
+        ...
+
     def cancel(self, handle: Any) -> None:
         """Cancel a previously scheduled callback; ``None`` is ignored."""
         ...

@@ -9,17 +9,18 @@ Mirrors the sets of Algorithm 1:
 * ``requestedEvents`` → :attr:`NodeState.request_attempts` (we keep a count,
   not just membership, to enforce the ``K``-attempts retransmission bound).
 
-:class:`PendingRequest` tracks one armed retransmission timer: the proposal
-it came from and which packets it may still re-request.
+:class:`PendingRequest` is one armed retransmission and the event slot it
+reserved; a node's pendings share one timeout, so arm order is deadline order.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.core.host import ScheduledHandle
 from repro.network.message import NodeId
-from repro.simulation.timers import Timer
 from repro.streaming.packets import PacketId
 
 
@@ -29,13 +30,7 @@ class PendingRequest:
 
     proposer: NodeId
     packet_ids: Tuple[PacketId, ...]
-    timer: Optional[Timer] = None
-    retries_sent: int = 0
-
-    def cancel(self) -> None:
-        """Disarm the retransmission timer."""
-        if self.timer is not None:
-            self.timer.cancel()
+    slot: Any  # the host's reserved place in event order
 
 
 @dataclass(slots=True)
@@ -45,7 +40,8 @@ class NodeState:
     delivered: Dict[PacketId, float] = field(default_factory=dict)
     events_to_propose: List[PacketId] = field(default_factory=list)
     request_attempts: Dict[PacketId, int] = field(default_factory=dict)
-    pending_requests: List[PendingRequest] = field(default_factory=list)
+    pending_requests: Deque[PendingRequest] = field(default_factory=deque)
+    retransmission: Optional[ScheduledHandle] = None  # the front pending's queued event
 
     # ------------------------------------------------------------------
     # Delivery
@@ -77,20 +73,9 @@ class NodeState:
     # ------------------------------------------------------------------
     # Retransmission bookkeeping
     # ------------------------------------------------------------------
-    def add_pending(self, pending: PendingRequest) -> None:
-        """Track an armed retransmission."""
-        self.pending_requests.append(pending)
-
-    def remove_pending(self, pending: PendingRequest) -> None:
-        """Forget a retransmission that fired or was cancelled."""
-        try:
-            self.pending_requests.remove(pending)
-        except ValueError:
-            pass
-
     def cancel_all_pending(self) -> None:
-        """Disarm every retransmission timer (node shutdown)."""
-        for pending in self.pending_requests:
-            pending.cancel()
+        """Disarm every retransmission (node shutdown)."""
+        if self.retransmission is not None:
+            self.retransmission.cancel()
+            self.retransmission = None
         self.pending_requests.clear()
-

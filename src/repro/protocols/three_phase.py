@@ -6,7 +6,7 @@ monolithic node engine:
 * **phase 1** — on every gossip round, push the ids delivered since the last
   round (infect-and-die) to the round's partners as a PROPOSE;
 * **phase 2** — on receiving a PROPOSE, request every id not yet delivered
-  and never requested before; optionally arm a retransmission timer that
+  and never requested before; optionally arm a retransmission that
   re-requests ids still missing after a timeout, up to ``K`` attempts;
 * **phase 3** — on receiving a REQUEST, serve the packets actually held.
 
@@ -21,7 +21,6 @@ to the pre-refactor engine (pinned by ``tests/protocols/test_regression.py``).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 from repro.core.messages import (
@@ -40,7 +39,6 @@ from repro.core.messages import (
 from repro.core.state import PendingRequest
 from repro.network.message import Message, NodeId
 from repro.protocols.base import DisseminationProtocol
-from repro.simulation.timers import Timer
 from repro.streaming.packets import PacketDescriptor, PacketId
 
 
@@ -137,31 +135,46 @@ class ThreePhaseGossip(DisseminationProtocol):
             and (packet_id not in attempts or attempts[packet_id] < max_attempts)
         ]
 
+    # Only a node's front pending is queued; the front ones whose ids are all
+    # delivered or exhausted (both only grow: a no-op fire) are dropped unqueued.
     def _arm_retransmission(self, proposer: NodeId, packet_ids: Tuple[PacketId, ...]) -> None:
         host = self.host
         if not self._retryable(packet_ids):
             return
-        pending = PendingRequest(proposer=proposer, packet_ids=tuple(packet_ids))
-        timer = Timer(host.simulator, partial(self._on_retransmit_timeout, pending))
-        pending.timer = timer
-        timer.arm(host.config.retransmit_timeout)
-        host.state.add_pending(pending)
+        state = host.state
+        slot = host.simulator.reserve(host.config.retransmit_timeout)
+        state.pending_requests.append(PendingRequest(proposer, tuple(packet_ids), slot))
+        if state.retransmission is None:
+            self._queue_front_pending()
 
-    def _on_retransmit_timeout(self, pending: PendingRequest) -> None:
+    def _queue_front_pending(self) -> None:
+        state = self.host.state
+        pending_requests = state.pending_requests
+        while pending_requests and not self._retryable(pending_requests[0].packet_ids):
+            pending_requests.popleft()
+        if pending_requests:
+            state.retransmission = self.host.simulator.schedule_reserved(
+                pending_requests[0].slot, self._on_retransmit_timeout
+            )
+
+    def _on_retransmit_timeout(self) -> None:
         host = self.host
-        host.state.remove_pending(pending)
+        state = host.state
+        pending = state.pending_requests.popleft()
+        state.retransmission = None
         if not host.alive:
             return
         missing = self._retryable(pending.packet_ids)
-        if not missing:
-            return
-        for packet_id in missing:
-            host.state.record_request(packet_id)
-        self._send_request(pending.proposer, missing)
-        host.stats.retransmission_requests_sent += 1
-        # Another retry may still be allowed for some of these packets; keep
-        # a timer armed so the node eventually exhausts its K attempts.
-        self._arm_retransmission(pending.proposer, pending.packet_ids)
+        if missing:
+            for packet_id in missing:
+                state.record_request(packet_id)
+            self._send_request(pending.proposer, missing)
+            host.stats.retransmission_requests_sent += 1
+            # Another retry may still be allowed for some of these packets;
+            # keep one armed so the node eventually exhausts its K attempts.
+            self._arm_retransmission(pending.proposer, pending.packet_ids)
+        if state.retransmission is None:
+            self._queue_front_pending()
 
     # Phase 3: serve requested packets ----------------------------------
     def _handle_request(self, message: Message) -> None:

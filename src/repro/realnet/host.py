@@ -1,10 +1,11 @@
 """The wall-clock host: asyncio timers behind the simulator's interface.
 
 :class:`AsyncioHost` implements the :class:`~repro.core.host.Host` surface
-— ``now`` / ``rng`` / ``schedule`` / ``schedule_at`` / ``cancel`` plus the
-observer and accounting extras the telemetry layer reads — on top of a real
-asyncio event loop, so :class:`~repro.core.node.GossipNode`, the timers,
-the stream emitter and the churn and join callbacks run on it *unchanged*.
+— ``now`` / ``rng`` / ``schedule`` / ``schedule_at`` / ``reserve`` /
+``schedule_reserved`` / ``cancel`` plus the observer and accounting extras
+the telemetry layer reads — on top of a real asyncio event loop, so
+:class:`~repro.core.node.GossipNode`, the timers, the stream emitter and
+the churn and join callbacks run on it *unchanged*.
 
 Time model
 ----------
@@ -189,6 +190,18 @@ class AsyncioHost:
         possible instead of raising.
         """
         return self._schedule_virtual(max(time, self.now), callback, args)
+
+    def reserve(self, delay: float) -> float:
+        """Return the virtual time ``schedule(delay, ...)`` would run at (its only order)."""
+        if delay < 0.0:
+            raise ValueError(f"cannot reserve with negative delay {delay!r}")
+        return self.now + delay
+
+    def schedule_reserved(
+        self, slot: float, callback: EventCallback, *args: Any
+    ) -> WallClockHandle:
+        """Run ``callback(*args)`` at the virtual time :meth:`reserve` returned."""
+        return self.schedule_at(slot, callback, *args)
 
     def schedule_fire_and_forget(self, delay: float, callback: EventCallback, *args: Any) -> None:
         """Like :meth:`schedule` but discards the handle (simulator parity)."""

@@ -11,8 +11,8 @@ The kernel is deliberately small and dependency-free:
   of timestamped callbacks with deterministic FIFO tie-breaking.
 * :class:`Simulator` — the event loop: ``schedule`` / ``schedule_at`` /
   ``run`` / ``run_until_idle``.
-* :class:`Timer` and :class:`PeriodicTimer` — higher-level timer helpers used
-  by the gossip protocol (gossip period, retransmission timers).
+* :class:`PeriodicTimer` — the fixed-period tick behind every node's gossip
+  and FEED_ME rounds.
 * :class:`RngRegistry` — named, deterministically derived random streams so
   that every experiment is reproducible from a single seed.
 
@@ -26,7 +26,7 @@ from repro.simulation.errors import SimulationError, SimulationTimeError
 from repro.simulation.event_queue import EventHandle, EventQueue, ScheduledEvent
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RngRegistry, derive_seed
-from repro.simulation.timers import PeriodicTimer, Timer
+from repro.simulation.timers import PeriodicTimer
 
 __all__ = [
     "EventHandle",
@@ -38,6 +38,5 @@ __all__ = [
     "SimulationError",
     "SimulationTimeError",
     "Simulator",
-    "Timer",
     "derive_seed",
 ]

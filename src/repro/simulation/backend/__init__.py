@@ -28,11 +28,10 @@ def run_loop(simulator, until: Optional[float], max_events: Optional[int]) -> in
 
     :meth:`EventQueue.pop` and :meth:`SimulationClock.advance_to` are inlined
     here — a method call each per event is 3–4 % of a session — so this
-    function shares the queue's invariants: the heap list is only ever
-    mutated in place (a callback may cancel or compact it while the loop
-    holds the reference), ``_dead`` counts the cancelled entries
-    still in it, and a popped handle is detached so a later ``cancel()``
-    cannot touch that count.
+    function shares the queue's invariants: the heap list is never rebound
+    (the loop holds it across callbacks), ``_dead`` counts the cancelled
+    entries still in it, and a popped handle is detached so a later
+    ``cancel()`` cannot touch that count.
     """
     queue = simulator._queue
     heap = queue._heap

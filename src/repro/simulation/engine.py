@@ -2,11 +2,13 @@
 
 :class:`Simulator` owns the clock, the event queue and the RNG registry.  All
 other components (transport, gossip nodes, churn and join callbacks, probes)
-hold a reference to the simulator and interact with it through three verbs:
+hold a reference to the simulator and interact with it through a few verbs:
 
 * ``schedule(delay, callback, *args)`` — run ``callback`` after ``delay``
   simulated seconds;
 * ``schedule_at(time, callback, *args)`` — run at an absolute instant;
+* ``reserve(delay)``, later ``schedule_reserved(slot, callback, *args)`` —
+  ``schedule`` split in two, so an event that never runs is never queued;
 * ``now`` — the current simulated time.
 
 Running the simulation is ``run(until=...)`` or ``run_until_idle()``; both
@@ -30,7 +32,7 @@ event; what a registered no-op observer costs on top is ``noop_slowdown`` of
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.simulation.backend import run_loop
 from repro.simulation.clock import SimulationClock
@@ -108,6 +110,25 @@ class Simulator:
         entry = (time, queue._sequence, callback, args, handle)
         heapq.heappush(queue._heap, _new_event(ScheduledEvent, entry))
         queue._sequence += 1
+        return handle
+
+    def reserve(self, delay: float) -> Tuple[float, int]:
+        """Take the ``(time, sequence)`` key ``schedule(delay, ...)`` would take; queue nothing."""
+        if delay < 0.0:
+            raise SimulationTimeError(f"cannot reserve with negative delay {delay!r}")
+        self._queue._sequence += 1
+        return (self._clock._now + delay, self._queue._sequence - 1)
+
+    def schedule_reserved(
+        self, slot: Tuple[float, int], callback: EventCallback, *args: Any
+    ) -> EventHandle:
+        """Queue ``callback(*args)`` under a :meth:`reserve` key: it pops where it would have."""
+        time, sequence = slot
+        if time < self._clock._now:
+            raise SimulationTimeError(f"reserved slot at {time!r} is before now")
+        handle = EventHandle(time=time, sequence=sequence, _queue=self._queue)
+        entry = (time, sequence, callback, args, handle)
+        heapq.heappush(self._queue._heap, _new_event(ScheduledEvent, entry))
         return handle
 
     def schedule_at(self, time: float, callback: EventCallback, *args: Any) -> EventHandle:

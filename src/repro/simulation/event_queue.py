@@ -8,21 +8,14 @@ and must not depend on hash ordering or heap tie-breaking accidents.
 Cancellation is *lazy*: cancelling an event marks its handle and the event is
 skipped when it reaches the top of the heap, which makes cancellation O(1).
 What gets cancelled is churn, not served requests: a failing node stops its
-gossip timers and disarms its pending retransmissions
-(:meth:`~repro.core.state.NodeState.cancel_all_pending`).  The protocol does
-**not** cancel a retransmission timer when the packets it guards arrive: every
-armed timer of a live node fires and re-requests what is still missing,
-usually nothing (at the paper's operating point 23,333 of 23,333 fire, 15.5 %
-of all events, and 652 re-request anything; docs/performance.md records
-cancel-on-serve as a measured follow-up).
+gossip timers and its one queued retransmission
+(:meth:`~repro.core.state.NodeState.cancel_all_pending`); the rest of a
+node's retransmissions only hold keys (``Simulator.reserve``).
 
-A mass failure leaves its dead entries buried in the heap until their
-timestamps surface, each taxing every push and pop with extra sift work, so
-the queue keeps a **live counter** — cancelled handles report back, making
-``len()`` O(1) — and **compacts** the heap (filters the dead entries out and
-re-heapifies) once they outnumber the live ones; without churn neither ever
-runs.  Compaction never changes pop order: the heap order is the *total*
-order ``(time, sequence)``, so rebuilding from any subset pops identically.
+Cancelled handles report back to a **live counter**, so ``len()`` is O(1).
+The dead entries stay until their timestamps surface: a failed node leaves
+at most three, each due within one period of its timer, so the queue does
+not compact (docs/performance.md, "Tried and removed").
 
 Heap entries are :class:`ScheduledEvent` named tuples.  The sequence number
 is unique per queue, so tuple comparison always resolves within the
@@ -35,7 +28,8 @@ deliveries are never cancelled) without allocating a cancellation handle.
 The dispatch loop (:func:`repro.simulation.backend.run_loop`) inlines
 :meth:`EventQueue.pop`, and the simulator's relative-delay scheduling verbs
 inline :meth:`EventQueue.push` / :meth:`EventQueue.push_unhandled`; both
-rely on the invariants spelled out there.
+rely on the invariants spelled out there, as do ``Simulator.reserve`` /
+``schedule_reserved``, which split :meth:`EventQueue.push` in two.
 """
 
 from __future__ import annotations
@@ -47,9 +41,6 @@ from typing import Any, Callable, NamedTuple, Optional
 from repro.simulation.errors import SimulationTimeError
 
 EventCallback = Callable[..., None]
-
-COMPACTION_MIN_DEAD = 64
-"""Never compact below this many dead entries (tiny heaps aren't worth it)."""
 
 
 @dataclass(slots=True)
@@ -69,7 +60,7 @@ class EventHandle:
         queue = self._queue
         if queue is not None:
             self._queue = None
-            queue._note_cancelled()
+            queue._dead += 1
 
     @property
     def cancelled(self) -> bool:
@@ -116,11 +107,6 @@ class EventQueue:
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events still queued.  O(1)."""
         return len(self._heap) - self._dead
-
-    @property
-    def dead_entries(self) -> int:
-        """Cancelled entries currently buried in the heap (diagnostics)."""
-        return self._dead
 
     def push(self, time: float, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at simulated ``time``.
@@ -173,26 +159,3 @@ class EventQueue:
         while heap and heap[0].handle.cancelled:
             heapq.heappop(heap)
             self._dead -= 1
-
-    def _note_cancelled(self) -> None:
-        """A live handle was cancelled; compact once the dead dominate."""
-        self._dead += 1
-        if self._dead >= COMPACTION_MIN_DEAD and self._dead * 2 > len(self._heap):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors.
-
-        Safe at any point: heap order is the total order ``(time,
-        sequence)``, so the rebuilt heap pops in exactly the same order the
-        lazy queue would have.
-        """
-        if self._dead == 0:
-            return
-        # In-place rebuild: dispatch loops hold a direct reference to the
-        # heap list across callbacks (and a callback can trigger compaction
-        # via cancel), so the list object's identity must never change.
-        heap = self._heap
-        heap[:] = [event for event in heap if not event.handle.cancelled]
-        heapq.heapify(heap)
-        self._dead = 0

@@ -1,18 +1,10 @@
-"""Timer helpers built on top of the simulator's event queue.
+"""The periodic timer behind every node's gossip and FEED_ME rounds.
 
-The gossip protocol uses two kinds of timers:
-
-* the **gossip timer** — a fixed-period tick on every node that triggers a
-  gossip round (``PeriodicTimer``);
-* **retransmission timers** — one-shot timers armed when a node requests
-  packets (``Timer``).  They are not cancelled when the packets arrive:
-  each fires once and re-requests whatever is still missing (usually
-  nothing); only a node failure cancels them.
-
-Both are written against the :class:`~repro.core.host.Host` surface
-(``schedule`` returning a cancellable handle), so the same timer objects
-drive nodes on the discrete-event simulator and on the real-network asyncio
-backend (:mod:`repro.realnet`) unchanged.
+It is written against the :class:`~repro.core.host.Host` surface
+(``schedule`` returning a cancellable handle), so it drives nodes on the
+simulator and on the real-network asyncio backend (:mod:`repro.realnet`)
+unchanged.  Retransmissions need no timer object (:meth:`Host.reserve
+<repro.core.host.Host.reserve>`).
 """
 
 from __future__ import annotations
@@ -21,39 +13,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # imported for type hints only: core sits above this layer
     from repro.core.host import Host, ScheduledHandle
-
-
-class Timer:
-    """A one-shot, cancellable, re-armable timer.
-
-    The callback receives no arguments; bind state with a closure or
-    ``functools.partial``.
-    """
-
-    __slots__ = ("_simulator", "_callback", "_handle")
-
-    def __init__(self, simulator: "Host", callback: Callable[[], None]) -> None:
-        self._simulator = simulator
-        self._callback = callback
-        self._handle: Optional["ScheduledHandle"] = None
-
-    def arm(self, delay: float) -> None:
-        """(Re-)schedule the timer ``delay`` seconds from now.
-
-        Re-arming an already armed timer cancels the previous schedule.
-        """
-        self.cancel()
-        self._handle = self._simulator.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Cancel the timer if it is armed; no-op otherwise."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        self._handle = None
-        self._callback()
 
 
 class PeriodicTimer:

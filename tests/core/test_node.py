@@ -333,6 +333,49 @@ class TestRetransmission:
         assert node.state.delivered.keys() == {5}
         assert node.state.request_attempts == {5: 1, 6: 3}
 
+    def test_a_pending_served_before_its_deadline_dispatches_no_event(self):
+        harness = Harness(num_nodes=4, max_request_attempts=2)
+        dispatched = _DispatchTimes()
+        harness.simulator.add_observer(dispatched)
+        node = harness.nodes[1]
+        harness.nodes[3].deliver(6, 0.0)
+        # Node 2 never serves packet 5, so the pending armed first fires;
+        # node 3 serves packet 6 long before the second pending's deadline.
+        node.on_message(Message(2, 1, PROPOSE, 48, harness_propose((5,))))
+        harness.simulator.schedule(
+            0.1, node.on_message, Message(3, 1, PROPOSE, 48, harness_propose((6,)))
+        )
+        harness.simulator.run(until=5.0)
+        first_deadline = 0.0 + harness.config.retransmit_timeout
+        second_deadline = 0.1 + harness.config.retransmit_timeout
+        assert node.state.delivered[6] < second_deadline
+        assert first_deadline in dispatched.times
+        assert second_deadline not in dispatched.times
+
+    def test_proposals_delivered_at_one_instant_retry_in_arm_order(self):
+        harness = Harness(num_nodes=4, max_request_attempts=2)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        # Nobody holds packets 5 and 6: both PROPOSEs leave a retry armed.
+        node.on_message(Message(2, 1, PROPOSE, 48, harness_propose((5,))))
+        node.on_message(Message(3, 1, PROPOSE, 48, harness_propose((6,))))
+        pending = list(node.state.pending_requests)
+        assert [p.proposer for p in pending] == [2, 3]
+        assert pending[0].slot < pending[1].slot
+        harness.simulator.run(until=5.0)
+        assert requests.sent == [(1, 2, (5,)), (1, 3, (6,))] * 2
+
+
+class _DispatchTimes:
+    """The time of every event the simulator dispatches."""
+
+    def __init__(self) -> None:
+        self.times = []
+
+    def on_event_dispatch(self, time, callback, args):
+        self.times.append(time)
+
 
 class TestFeedMe:
     def test_feed_me_inserts_requester_into_view(self):
@@ -386,6 +429,24 @@ class TestFailure:
         node.fail()
         harness.simulator.run(until=2.0)
         assert node.stats.proposes_sent == 0
+
+    def test_fail_leaves_no_retransmission_queued(self):
+        harness = Harness(num_nodes=5, max_request_attempts=3)
+        requests = _RequestLog()
+        harness.network.add_observer(requests)
+        node = harness.nodes[1]
+        for step, proposer in enumerate((2, 3, 4)):
+            message = Message(proposer, 1, PROPOSE, 48, harness_propose((5 + step,)))
+            harness.simulator.schedule(0.1 * step, node.on_message, message)
+        harness.simulator.run(until=0.3)
+        assert len(node.state.pending_requests) == 3
+        # Three retransmissions armed, one queued: the front one.
+        assert harness.simulator.pending_events == 1
+        node.fail()
+        assert harness.simulator.pending_events == 0
+        assert not node.state.pending_requests
+        harness.simulator.run_until_idle()
+        assert len(requests.sent) == 3
 
     def test_unknown_message_kind_rejected(self):
         harness = Harness()

@@ -39,30 +39,21 @@ class TestRequestBookkeeping:
 
 
 class TestPendingRequests:
-    def test_add_and_remove(self):
+    def test_a_fresh_state_has_nothing_pending(self):
         state = NodeState()
-        pending = PendingRequest(proposer=3, packet_ids=(1, 2))
-        state.add_pending(pending)
-        assert pending in state.pending_requests
-        state.remove_pending(pending)
-        assert pending not in state.pending_requests
-
-    def test_remove_unknown_pending_is_noop(self):
-        state = NodeState()
-        state.remove_pending(PendingRequest(proposer=3, packet_ids=(1,)))
+        assert not state.pending_requests
+        assert state.retransmission is None
 
     def test_cancel_all_pending_disarms_timers(self, simulator):
-        from repro.simulation.timers import Timer
-
         state = NodeState()
         fired = []
         for index in range(3):
-            pending = PendingRequest(proposer=index, packet_ids=(index,))
-            timer = Timer(simulator, lambda: fired.append(1))
-            timer.arm(1.0)
-            pending.timer = timer
-            state.add_pending(pending)
+            slot = simulator.reserve(1.0)
+            state.pending_requests.append(PendingRequest(index, (index,), slot))
+        front = state.pending_requests[0].slot
+        state.retransmission = simulator.schedule_reserved(front, fired.append, 0)
         state.cancel_all_pending()
         simulator.run_until_idle()
         assert fired == []
-        assert state.pending_requests == []
+        assert not state.pending_requests
+        assert state.retransmission is None

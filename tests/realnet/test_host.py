@@ -148,6 +148,29 @@ class TestRun:
         assert fired == ["a", "b"]
 
 
+class TestReservedSlots:
+    def test_a_reserved_slot_keeps_its_virtual_time(self):
+        # Slower than FAST: tens of wall milliseconds between the three
+        # instants, so a late wake-up cannot reorder them.
+        host = AsyncioHost(time_scale=0.1)
+        fired = []
+        slot = host.reserve(0.2)
+        handles = []
+
+        def promote():
+            handles.append(host.schedule_reserved(slot, fired.append, "a"))
+
+        host.schedule(0.05, promote)
+        host.schedule(0.4, fired.append, "b")
+        host.run(until=0.5)
+        assert fired == ["a", "b"]
+        assert handles[0].virtual_time == 0.2
+
+    def test_reserve_negative_delay_rejected(self):
+        with pytest.raises(ValueError):
+            AsyncioHost().reserve(-0.1)
+
+
 class _StampRecorder:
     def __init__(self):
         self.stamps = []

@@ -1,15 +1,22 @@
-"""Cancellation edge cases: the live counter and compaction stay consistent.
+"""Cancellation edge cases: the live counter stays consistent.
 
-The event queue keeps an O(1) live counter (cancelled handles report back)
-and compacts the heap once dead entries dominate.  These tests drive every
-awkward cancellation path — ``cancel(None)``, double-cancel, cancel after
-the event already fired, cancel *from inside* a running event — and assert
-``Simulator.pending_events`` / the queue's dead-entry accounting never
-drift, including across threshold-triggered compactions.
+The event queue keeps an O(1) live counter (cancelled handles report back).
+These tests drive every awkward cancellation path — ``cancel(None)``,
+double-cancel, cancel after the event already fired, cancel *from inside* a
+running event, mass cancellation — and assert ``Simulator.pending_events``
+and the dead entries left in the heap never drift.
 """
 
 from repro.simulation.engine import Simulator
-from repro.simulation.event_queue import COMPACTION_MIN_DEAD, EventQueue
+from repro.simulation.event_queue import EventQueue
+
+#: How many events a mass cancellation test schedules per unit.
+MASS = 64
+
+
+def dead_entries(queue: EventQueue) -> int:
+    """Cancelled entries still in the heap: heap length minus live count."""
+    return len(queue._heap) - len(queue)
 
 
 class TestCancelNone:
@@ -30,7 +37,7 @@ class TestDoubleCancel:
         assert simulator.pending_events == 1
         simulator.cancel(handle)  # second cancel must not double-count
         assert simulator.pending_events == 1
-        assert simulator._queue.dead_entries == 1
+        assert dead_entries(simulator._queue) == 1
         assert simulator.run_until_idle() == 1
         assert simulator.pending_events == 0
 
@@ -42,13 +49,13 @@ class TestDoubleCancel:
             handle.cancel()
             handle.cancel()
         assert len(queue) == 5
-        assert queue.dead_entries == 5
+        assert dead_entries(queue) == 5
         popped = 0
         while queue.pop() is not None:
             popped += 1
         assert popped == 5
         assert len(queue) == 0
-        assert queue.dead_entries == 0
+        assert dead_entries(queue) == 0
 
 
 class TestCancelAfterFire:
@@ -63,7 +70,7 @@ class TestCancelAfterFire:
         # the dead-entry counter (the handle was detached at pop time).
         simulator.cancel(handle)
         assert simulator.pending_events == 1
-        assert simulator._queue.dead_entries == 0
+        assert dead_entries(simulator._queue) == 0
         assert simulator.run_until_idle() == 1
 
 
@@ -107,29 +114,28 @@ class TestCancelDuringDispatch:
         simulator.run_until_idle()
         assert fired == ["ran", "later"]
         assert simulator.pending_events == 0
-        assert simulator._queue.dead_entries == 0
+        assert dead_entries(simulator._queue) == 0
 
 
-class TestCancellationWithCompaction:
-    def test_mass_cancellation_triggers_compaction_and_preserves_order(self):
+class TestMassCancellation:
+    def test_mass_cancellation_preserves_order(self):
         simulator = Simulator(seed=1)
         queue = simulator._queue
         fired = []
         handles = []
-        total = 4 * COMPACTION_MIN_DEAD
+        total = 4 * MASS
         for i in range(total):
             handles.append(simulator.schedule(float(i + 1), fired.append, i))
-        # Cancel ~75%: crosses both compaction conditions (>= minimum and
-        # dead entries outnumbering live ones).
-        for handle in handles[: 3 * COMPACTION_MIN_DEAD]:
+        # Cancel 75 %: the dead entries outnumber the live ones.
+        for handle in handles[: 3 * MASS]:
             simulator.cancel(handle)
-        assert queue.dead_entries < COMPACTION_MIN_DEAD  # compaction ran
-        assert simulator.pending_events == COMPACTION_MIN_DEAD
+        assert dead_entries(queue) == 3 * MASS
+        assert simulator.pending_events == MASS
         executed = simulator.run_until_idle()
-        assert executed == COMPACTION_MIN_DEAD
-        assert fired == list(range(3 * COMPACTION_MIN_DEAD, total))
+        assert executed == MASS
+        assert fired == list(range(3 * MASS, total))
 
-    def test_cancel_during_dispatch_keeps_counter_consistent_across_compaction(self):
+    def test_a_cancel_wave_during_dispatch_keeps_the_counter_consistent(self):
         simulator = Simulator(seed=1)
         fired = []
         victims = []
@@ -139,14 +145,14 @@ class TestCancellationWithCompaction:
                 simulator.cancel(handle)
 
         simulator.schedule(0.5, cancel_wave)
-        total = 3 * COMPACTION_MIN_DEAD
+        total = 3 * MASS
         for i in range(total):
             victims.append(simulator.schedule(1.0 + i, fired.append, i))
         survivors = [simulator.schedule(1000.0 + i, fired.append, total + i) for i in range(5)]
         simulator.run_until_idle()
         assert fired == [total + i for i in range(len(survivors))]
         assert simulator.pending_events == 0
-        assert simulator._queue.dead_entries == 0
+        assert dead_entries(simulator._queue) == 0
 
     def test_pending_events_matches_queue_len_throughout(self):
         simulator = Simulator(seed=1)

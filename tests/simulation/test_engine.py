@@ -47,6 +47,41 @@ class TestScheduling:
         simulator.cancel(None)
 
 
+class TestReservedSlots:
+    def test_a_reserved_slot_keeps_its_place(self, simulator):
+        fired = []
+        slot = simulator.reserve(1.0)
+        simulator.schedule(1.0, fired.append, "b")
+        simulator.schedule_reserved(slot, fired.append, "a")
+        simulator.run_until_idle()
+        assert fired == ["a", "b"]
+
+    def test_a_slot_scheduled_later_runs_at_its_reserved_time(self, simulator):
+        fired = []
+        slot = simulator.reserve(2.0)
+        simulator.schedule(1.0, lambda: simulator.schedule_reserved(slot, fired.append, "a"))
+        simulator.schedule(2.0, fired.append, "b")
+        simulator.run_until_idle()
+        assert fired == ["a", "b"]
+        assert simulator.now == 2.0
+
+    def test_an_unscheduled_slot_costs_no_event(self, simulator):
+        simulator.reserve(1.0)
+        assert simulator.pending_events == 0
+        assert simulator.run_until_idle() == 0
+
+    def test_reserve_negative_delay_raises(self, simulator):
+        with pytest.raises(SimulationTimeError):
+            simulator.reserve(-0.1)
+
+    def test_a_passed_slot_is_rejected(self, simulator):
+        slot = simulator.reserve(0.5)
+        simulator.schedule(1.0, lambda: None)
+        simulator.run_until_idle()
+        with pytest.raises(SimulationTimeError):
+            simulator.schedule_reserved(slot, lambda: None)
+
+
 class TestRun:
     def test_run_until_limit_advances_clock_to_limit(self, simulator):
         simulator.schedule(1.0, lambda: None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulation.errors import SimulationTimeError
-from repro.simulation.event_queue import COMPACTION_MIN_DEAD, EventQueue
+from repro.simulation.event_queue import EventQueue
 
 
 class TestEventQueue:
@@ -73,7 +73,7 @@ class TestEventQueue:
         assert len(queue) == 3
 
 
-class TestLiveCounterAndCompaction:
+class TestLiveCounter:
     def test_len_is_constant_time_counter(self):
         """__len__ must not scan the heap: it reads a maintained counter."""
         queue = EventQueue()
@@ -107,68 +107,25 @@ class TestLiveCounterAndCompaction:
         doomed.cancel()  # double-cancel after discard: still harmless
         assert len(queue) == 1
 
-    def test_threshold_compaction_bounds_dead_entries(self):
-        queue = EventQueue()
-        # Far-future events that will be cancelled (dead timers) plus a few
-        # live ones.  Without compaction the heap would retain every one of
-        # the dead entries until its timestamp surfaced; with it, the dead
-        # never outnumber max(threshold, live events).
-        doomed = [queue.push(1000.0 + i, lambda: None) for i in range(10 * COMPACTION_MIN_DEAD)]
-        live = [queue.push(float(i), lambda: None) for i in range(5)]
-        for handle in doomed:
-            handle.cancel()
-            assert queue.dead_entries <= max(COMPACTION_MIN_DEAD, len(queue))
-        assert len(queue) == len(live)
-        assert len(queue._heap) <= COMPACTION_MIN_DEAD + len(live)
-        # An explicit compact always finishes the job.
-        queue.compact()
-        assert len(queue._heap) == len(live)
-        assert queue.dead_entries == 0
-
-    def test_compaction_preserves_pop_order(self):
+    def test_cancellation_preserves_pop_order(self):
         import random
 
         rng = random.Random(5)
         queue = EventQueue()
         handles = []
-        for _ in range(3 * COMPACTION_MIN_DEAD):
+        for _ in range(192):
             handles.append(queue.push(rng.uniform(0.0, 100.0), lambda: None))
         expected = sorted(
             ((h.time, h.sequence) for h in handles if h.sequence % 3 == 0),
         )
         for handle in handles:
-            if handle.sequence % 3 != 0:  # cancel 2/3: triggers compaction
+            if handle.sequence % 3 != 0:  # cancel 2/3
                 handle.cancel()
         popped = []
         while queue:
             event = queue.pop()
             popped.append((event.time, event.sequence))
         assert popped == expected
-
-    def test_explicit_compact_is_idempotent(self):
-        queue = EventQueue()
-        keep = queue.push(1.0, lambda: None)
-        drop = queue.push(2.0, lambda: None)
-        drop.cancel()
-        queue.compact()
-        queue.compact()
-        assert len(queue) == 1
-        assert queue._heap[0].handle is keep
-
-    def test_compact_preserves_heap_list_identity(self):
-        """Dispatch loops hold a direct reference to the heap list across
-        callbacks; compaction must rebuild it in place, never rebind it."""
-        queue = EventQueue()
-        heap_before = queue._heap
-        doomed = [queue.push(100.0 + i, lambda: None) for i in range(2 * COMPACTION_MIN_DEAD)]
-        queue.push(1.0, lambda: None)
-        for handle in doomed:
-            handle.cancel()  # crosses the threshold: triggers compaction
-        assert queue.dead_entries < len(doomed)  # compaction did fire
-        queue.compact()
-        assert queue._heap is heap_before
-        assert queue.dead_entries == 0
-        assert len(queue) == 1
 
 
 class TestPushUnhandled:

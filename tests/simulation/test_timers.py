@@ -1,53 +1,8 @@
-"""Unit tests for one-shot and periodic timers."""
+"""Unit tests for the periodic timer."""
 
 import pytest
 
-from repro.simulation.timers import PeriodicTimer, Timer
-
-
-class TestTimer:
-    def test_fires_after_delay(self, simulator):
-        fired = []
-        timer = Timer(simulator, lambda: fired.append(simulator.now))
-        timer.arm(2.0)
-        simulator.run_until_idle()
-        assert fired == [pytest.approx(2.0)]
-
-    def test_cancel_prevents_firing(self, simulator):
-        fired = []
-        timer = Timer(simulator, lambda: fired.append(1))
-        timer.arm(1.0)
-        timer.cancel()
-        simulator.run_until_idle()
-        assert fired == []
-
-    def test_rearm_supersedes_previous_schedule(self, simulator):
-        fired = []
-        timer = Timer(simulator, lambda: fired.append(simulator.now))
-        timer.arm(1.0)
-        timer.arm(5.0)
-        simulator.run_until_idle()
-        assert fired == [pytest.approx(5.0)]
-
-    def test_an_armed_timer_fires_once(self, simulator):
-        fired = []
-        timer = Timer(simulator, lambda: fired.append(simulator.now))
-        timer.arm(1.0)
-        assert simulator.pending_events == 1
-        simulator.run_until_idle()
-        timer.cancel()  # after the fire: nothing left to cancel
-        simulator.run_until_idle()
-        assert fired == [pytest.approx(1.0)]
-        assert simulator.pending_events == 0
-
-    def test_timer_can_be_armed_again_after_firing(self, simulator):
-        fired = []
-        timer = Timer(simulator, lambda: fired.append(simulator.now))
-        timer.arm(1.0)
-        simulator.run_until_idle()
-        timer.arm(1.0)
-        simulator.run_until_idle()
-        assert fired == [pytest.approx(1.0), pytest.approx(2.0)]
+from repro.simulation.timers import PeriodicTimer
 
 
 class TestPeriodicTimer:

@@ -7,7 +7,13 @@ per event), so it pins the bytes against history: whatever the recorder does
 to get faster, these lines may not move.  One relabel since: ``d`` became
 the sender's send count (``Message.seq``), and the pinned lines are the old
 ones with each send's ``d`` replaced by its 1-based rank among its sender's
-sends — no other byte moved.
+sends — no other byte moved.  One removal since: when a node queued only its
+front live retransmission (18,739 → 17,868 lines, ``dispatch`` 6,430 →
+5,559), the pinned lines became the old ones without 871 ``dispatch`` lines
+of ``Timer._fire`` — each one followed directly by another ``dispatch``, a
+fire that did nothing — with ``i`` renumbered and the surviving
+``Timer._fire`` renamed ``ThreePhaseGossip._on_retransmit_timeout``; no
+other line moved.
 
 The session is a lossy, congested, churned smoke run, plus one node whose
 network endpoint is failed and later recovered while its timers keep
@@ -29,8 +35,8 @@ from repro.telemetry.cli import main
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import EVENT_KINDS, validate_trace
 
-GOLDEN_EVENTS = 18739
-GOLDEN_SHA256 = "a8fa270600a041044f99008639716b0b8b1719111d158964d9c08ed1492c7a13"
+GOLDEN_EVENTS = 17868
+GOLDEN_SHA256 = "e89b342140f41d64df9e8db20148f31edd44c1b29847b59044b1fd726638a293"
 
 #: Endpoint-only outage of one receiver (it is never ``fail()``-ed, so it
 #: keeps trying to send: ``send_blocked``), then its recovery.

@@ -253,9 +253,6 @@ KEEP: Tuple[Keep, ...] = (
     Keep(_ACCESSOR, "realnet/net.py", ("UdpNetwork.address",),
          "a mutant only a test through it kills: realnet/net.py:184, the misaddressed "
          "datagram's return dropped"),
-    Keep(_ACCESSOR, "simulation/event_queue.py", ("EventQueue.dead_entries",),
-         "a mutant only tests through it kill: simulation/event_queue.py:181, "
-         "self.compact() -> pass"),
 )
 """Why each product-unreached definition that stays, stays."""
 
