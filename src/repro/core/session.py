@@ -271,6 +271,10 @@ class StreamingSession:
         # Churn and join firings: a sharded run replicates them on every
         # shard, and the merge subtracts the copies from the event count.
         self._control_events = 0
+        # Gossip timers running on this simulator: one per started, live
+        # node, each holding exactly one queued tick.  A shard compares it
+        # with its queue length to spot a queue of gossip ticks alone.
+        self._gossip_timers = 0
         self.telemetry = None  # SessionTelemetry once built with an armed config
 
     # ------------------------------------------------------------------
@@ -382,6 +386,7 @@ class StreamingSession:
             node = self.nodes.get(node_id)
             if node is not None:
                 node.fail()
+                self._gossip_timers -= 1
 
     def _build_telemetry(self) -> None:
         config = self.config
@@ -401,6 +406,7 @@ class StreamingSession:
             node = self.nodes.get(node_id)  # a shard starts only the joiners it owns
             if node is not None:
                 node.start()
+                self._gossip_timers += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -424,6 +430,7 @@ class StreamingSession:
         for node_id, node in self.nodes.items():
             if node_id not in late:
                 node.start()
+                self._gossip_timers += 1
         if self.emitter is not None:  # a shard without the source has none
             self.emitter.start()
         return session_horizon(self.config)

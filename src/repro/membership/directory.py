@@ -15,7 +15,7 @@ crashed node stops being returned by :meth:`selectable`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.message import NodeId
 
@@ -44,8 +44,8 @@ class MembershipDirectory:
         # 1,000 nodes.  The selectable set only changes when membership
         # mutates (version bump) or when a crashed node crosses its
         # detection deadline (the cache records the earliest such deadline),
-        # so between those instants the scan result is reused and per-node
-        # exclusion becomes two C-level list slices.
+        # so between those instants the scan result is reused and a node's
+        # own entry is skipped by position (``selectable_base``).
         self._version = 0
         self._cache_version = -1
         self._cache_now = 0.0
@@ -96,12 +96,27 @@ class MembershipDirectory:
 
         A crashed node remains selectable until ``detection_delay`` seconds
         after its crash, then disappears from every node's candidate set.
+        The list is :meth:`selectable_base` with ``exclude`` cut out, so it
+        is element-for-element identical to a fresh scan (partner sampling
+        consumes it in order, so even the ordering is part of the
+        determinism contract).
+        """
+        base, position = self.selectable_base(now, exclude)
+        return base[:position] + base[position + 1 :]
 
-        The result is served from a cache keyed on the membership version
-        and the earliest pending detection deadline; exclusion is cut out of
-        the cached list by position, so the returned list is element-for-
-        element identical to a fresh scan (partner sampling consumes it in
-        order, so even the ordering is part of the determinism contract).
+    def selectable_base(
+        self, now: float, exclude: Optional[NodeId] = None
+    ) -> Tuple[List[NodeId], int]:
+        """The cached selectable list at ``now`` and ``exclude``'s index in it.
+
+        The index is ``len(base)`` when ``exclude`` is absent (or ``None``),
+        so ``base[:position] + base[position + 1:]`` is the candidate list
+        either way.  ``base`` is the cache itself, shared by every caller
+        until membership mutates or a detection deadline passes: read it,
+        never mutate it.
+
+        The cache is keyed on the membership version and the earliest
+        pending detection deadline.
         """
         if (
             self._cache_version != self._version
@@ -110,12 +125,7 @@ class MembershipDirectory:
         ):
             self._rebuild_selectable_cache(now)
         base = self._cache_base
-        if exclude is None:
-            return base[:]
-        position = self._cache_index.get(exclude)
-        if position is None:
-            return base[:]
-        return base[:position] + base[position + 1 :]
+        return base, self._cache_index.get(exclude, len(base))
 
     def _rebuild_selectable_cache(self, now: float) -> None:
         """Recompute the selectable base list and its validity window."""

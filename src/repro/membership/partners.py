@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.network.message import NodeId
 
@@ -78,12 +78,52 @@ class PartnerSelector:
     # Selection
     # ------------------------------------------------------------------
     def _sample(self, now: float) -> List[NodeId]:
-        candidates = self._directory.selectable(now, exclude=self.node_id)
-        if not candidates:
-            return []
-        count = min(self.fanout, len(candidates))
-        sampled = self._rng.sample(candidates, count)
-        return sampled
+        """``min(f, n)`` distinct uniformly random candidates, drawn as stdlib does.
+
+        The candidates are the directory's selectable list without this
+        node (``n`` of them).  The result, and every draw it takes from the
+        stream, are exactly those of ``rng.sample(candidates, min(f, n))``
+        on CPython 3.10–3.13, written out on ``rng.getrandbits`` — the one
+        primitive stdlib's ``sample`` draws through — so the fixed-seed
+        goldens hold.  Both of stdlib's branches are here: a partial
+        Fisher–Yates over a pool when ``n`` is at most ``setsize``, a
+        rejection set above it.  Candidate ``j`` is read from the shared
+        cached list around this node's position instead of from a copy, and
+        the pool is virtual: ``moved`` holds only the slots a draw has
+        overwritten.  One frame: the sampler runs on every gossip round.
+        """
+        base, position = self._directory.selectable_base(now, self.node_id)
+        n = len(base)
+        if position < n:
+            n -= 1
+        k = self.fanout if self.fanout < n else n
+        getrandbits = self._rng.getrandbits
+        result: List[NodeId] = []
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        if n <= setsize:
+            moved: Dict[int, int] = {}
+            for i in range(k):
+                remaining = n - i
+                bits = remaining.bit_length()
+                j = getrandbits(bits)
+                while j >= remaining:
+                    j = getrandbits(bits)
+                picked = moved.get(j, j)
+                result.append(base[picked] if picked < position else base[picked + 1])
+                last = remaining - 1
+                moved[j] = moved.get(last, last)
+        else:
+            selected = set()
+            bits = n.bit_length()
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                result.append(base[j] if j < position else base[j + 1])
+        return result
 
     def partners_for_round(self, now: float) -> List[NodeId]:
         """Partners to gossip to for the round starting at ``now``.
@@ -135,8 +175,4 @@ class PartnerSelector:
     # ------------------------------------------------------------------
     def pick_feed_me_targets(self, now: float) -> List[NodeId]:
         """``f`` uniformly random nodes to send a feed-me request to."""
-        candidates = self._directory.selectable(now, exclude=self.node_id)
-        if not candidates:
-            return []
-        count = min(self.fanout, len(candidates))
-        return self._rng.sample(candidates, count)
+        return self._sample(now)

@@ -82,6 +82,9 @@ class DisseminationProtocol(ABC):
     * the handlers of :meth:`message_handlers` — a datagram of that kind
       arrived for this node (an unknown kind is the host's ``ValueError``);
     * :meth:`on_fail` — the node crashed (release protocol-owned timers).
+
+    :meth:`quiet` is a query, not a hook: a sharded run asks it when a
+    shard's queue holds nothing but gossip ticks.
     """
 
     name: ClassVar[str] = "abstract"
@@ -122,3 +125,14 @@ class DisseminationProtocol(ABC):
 
     def on_fail(self) -> None:
         """The node crashed.  Default: nothing beyond the host's cleanup."""
+
+    def quiet(self) -> bool:
+        """Whether this node's gossip rounds send nothing until a datagram arrives.
+
+        A shard whose queue holds only gossip ticks of quiet nodes cannot
+        send before another shard sends to it, so the coordinator need not
+        hold it at the barrier (:class:`~repro.shard.session.WindowReport`).
+        Answering ``True`` wrongly ends a sharded run in a lookahead
+        violation.  Default: ``False``, never claimed.
+        """
+        return False

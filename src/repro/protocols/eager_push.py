@@ -57,6 +57,10 @@ class EagerPush(DisseminationProtocol):
         for packet_id in packet_ids:
             self._push(packet_id, partners)
 
+    def quiet(self) -> bool:
+        """Quiet while no packet arrived since the last round: it would push nothing."""
+        return not self.host.state.events_to_propose
+
     def _push(self, packet_id: PacketId, targets: List[NodeId]) -> None:
         host = self.host
         size = serve_size(host.schedule.packet(packet_id).size_bytes)

@@ -72,6 +72,10 @@ class ThreePhaseGossip(DisseminationProtocol):
         host.send_to_all(partners, PROPOSE, size, payload)
         host.stats.proposes_sent += len(partners)
 
+    def quiet(self) -> bool:
+        """Quiet while no packet arrived since the last round: it would propose nothing."""
+        return not self.host.state.events_to_propose
+
     # ------------------------------------------------------------------
     # Feed-me round (the Y mechanism, sending side)
     # ------------------------------------------------------------------

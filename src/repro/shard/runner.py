@@ -11,37 +11,45 @@ the same bound ``min(until, t_min + lookahead)`` where ``t_min`` is the
 global earliest pending-event time.  That is correct but pessimistic: shard
 ``k`` cannot be influenced before
 
-* ``min_{j != k} p_j + lookahead`` — another shard's earliest pending event
-  sends a datagram that needs at least one cross-shard hop, or
-* ``p_k + 2 * lookahead`` — shard ``k``'s *own* earliest event is reflected
+* ``min_{j != k} p_j + lookahead`` — another shard's earliest send needs
+  at least one cross-shard hop, or
+* ``p_k + 2 * lookahead`` — shard ``k``'s *own* earliest send is reflected
   back through some other shard (one hop out, one hop back; longer chains
   arrive later and are dominated by these two terms),
 
-where ``p_j`` is shard ``j``'s earliest pending time *including* the
-datagrams routed to it this round, and ``lookahead`` (``L`` below) is the
-plan's greatest lower bound on the delay of any datagram that *crosses*
-shards (:func:`repro.shard.partition.plan_shards`) — wider than the
-transport's global minimum latency, which intra-shard hops may still
-undercut.  The argument only ever counts cross-shard hops: a chain from an
-event on shard ``j`` to shard ``k`` crosses a shard boundary at least once
-(twice when ``j == k`` and it leaves at all), every crossing costs ``>= L``,
-and the intra-shard hops in between cost ``>= 0`` — so multi-hop chains stay
-dominated whatever the hops inside a shard cost.  Each shard therefore gets its own bound
-``min(until, min_{j != k} p_j + L, p_k + 2L)`` — never smaller than the old
-common bound (both terms are ``>= t_min + L``), and strictly wider for the
-shard that holds the globally earliest work whenever the other shards are
-quiet.  When cross-shard traffic is sparse this cuts the number of barrier
-rounds; a single-shard run needs no barriers at all and jumps straight to
-the horizon.  The coordinator records the bound it issues to each shard and
-verifies the next round's reports against them.
+where ``p_j`` is the earliest instant at which shard ``j`` can *send*: the
+earlier of its earliest pending event and the earliest datagram routed to
+it this round.  In the drain, a shard whose queue holds only the gossip
+ticks of quiet nodes reports no pending event (``WindowReport.peek_time``
+is ``None``): such a tick sends nothing, and only a delivery — the routed
+datagrams, already counted — gives a node something to propose.  ``lookahead`` (``L``
+below) is the plan's greatest lower bound on the delay of any datagram
+that *crosses* shards (:func:`repro.shard.partition.plan_shards`) — wider
+than the transport's global minimum latency, which intra-shard hops may
+still undercut.  The argument only ever counts cross-shard hops: a chain
+from a send on shard ``j`` to shard ``k`` crosses a shard boundary at least
+once (twice when ``j == k`` and it leaves at all), every crossing costs
+``>= L``, and the intra-shard hops in between cost ``>= 0`` — so multi-hop
+chains stay dominated whatever the hops inside a shard cost.  Each shard
+therefore gets its own bound ``min(until, min_{j != k} p_j + L, p_k + 2L)``
+— never smaller than the old common bound (both terms are ``>= t_min +
+L``), and strictly wider for the shard that holds the globally earliest
+work whenever the other shards are quiet.  When cross-shard traffic is
+sparse this cuts the number of barrier rounds; a single-shard run needs no
+barriers at all and jumps straight to the horizon, and so does every shard
+once none can send: the drain after the stream, where every gossip timer
+still fires with nothing to propose, is one window, not a round per
+interleaved timer.  The coordinator records the bound it issues to each
+shard and verifies the next round's reports against them.
 
 Every quantity in the formula is derived from the config once, before any
 worker starts (placement, lookahead, horizon), or reported by the workers
 (peeks, batch delivery times), so workers in other processes reach
 bit-identical window sequences with no shared memory.  The coordinator also
-checks the one assumption the proof rests on: a datagram due below the bound
-its destination shard has already executed means the lookahead was too wide,
-and ends the run with an error naming both shards.
+checks the assumptions the proof rests on: a datagram due below the bound
+its destination shard has already executed means the lookahead was too wide
+(or a shard reported no pending event while it could still send), and ends
+the run with an error naming both shards.
 
 Once a shard's bound reaches the horizon it enters the *drain loop*: it
 executes inclusively up to ``until`` and keeps exchanging until a round
@@ -217,9 +225,9 @@ class _Coordinator:
                 ):
                     earliest_inbound[dest] = earliest
 
-        # Effective earliest pending time per shard: its own queue peek plus
-        # anything just routed to it.  This is the quantity the widening
-        # proof (module docstring) is stated over.
+        # Earliest possible send per shard: its own peek (``None`` while it
+        # holds only silent ticks) or anything just routed to it.  This is
+        # the quantity the widening proof (module docstring) is stated over.
         pending: List[Optional[float]] = []
         for report in by_shard:
             candidates = [

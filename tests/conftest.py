@@ -19,14 +19,14 @@ from repro.simulation.engine import Simulator
 from repro.streaming.schedule import StreamConfig
 
 
-class CountingRandom(random.Random):
-    """A seeded stream that counts the partner samples drawn from it."""
-
-    samples = 0
-
-    def sample(self, population, k, **kwargs):
-        self.samples += 1
-        return super().sample(population, k, **kwargs)
+def state_after_samples(seed: int, candidates, count: int, calls: int):
+    """The state of ``random.Random(seed)`` after ``calls`` stdlib draws of
+    ``sample(candidates, count)``: what a partner selector's stream must
+    hold after that many refreshes."""
+    rng = random.Random(seed)
+    for _ in range(calls):
+        rng.sample(candidates, count)
+    return rng.getstate()
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from repro.membership.directory import MembershipDirectory
 from repro.membership.partners import INFINITE, PartnerSelector
 
-from tests.conftest import CountingRandom
+from tests.conftest import state_after_samples
 
 
 def make_selector(fanout=3, refresh_every=1, node_id=0, num_nodes=10, rng=None):
@@ -64,29 +64,34 @@ class TestSampling:
 
 
 class TestRefreshRate:
+    """Each refresh takes exactly the draws of one stdlib ``sample`` call:
+    the stream's state after the rounds pins how many refreshes ran."""
+
+    CANDIDATES = list(range(1, 30))  # node 0's view of a 30-node directory
+
     def test_x_equal_one_changes_every_round(self):
-        rng = CountingRandom(1)
+        rng = random.Random(1)
         selector, __ = make_selector(fanout=3, refresh_every=1, num_nodes=30, rng=rng)
         rounds = [tuple(selector.partners_for_round(now=0.0)) for _ in range(10)]
         assert len(set(rounds)) > 1
-        assert rng.samples == 10
+        assert rng.getstate() == state_after_samples(1, self.CANDIDATES, 3, 10)
 
     def test_x_infinite_never_changes(self):
-        rng = CountingRandom(1)
+        rng = random.Random(1)
         selector, __ = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=30, rng=rng)
         first = selector.partners_for_round(now=0.0)
         for _ in range(20):
             assert selector.partners_for_round(now=0.0) == first
-        assert rng.samples == 1
+        assert rng.getstate() == state_after_samples(1, self.CANDIDATES, 3, 1)
 
     def test_x_equal_three_keeps_set_for_three_rounds(self):
-        rng = CountingRandom(1)
+        rng = random.Random(1)
         selector, __ = make_selector(fanout=3, refresh_every=3, num_nodes=30, rng=rng)
         rounds = [tuple(selector.partners_for_round(now=0.0)) for _ in range(9)]
         assert rounds[0] == rounds[1] == rounds[2]
         assert rounds[3] == rounds[4] == rounds[5]
         assert rounds[6] == rounds[7] == rounds[8]
-        assert rng.samples == 3
+        assert rng.getstate() == state_after_samples(1, self.CANDIDATES, 3, 3)
 
     def test_static_view_keeps_failed_partner(self):
         selector, directory = make_selector(fanout=3, refresh_every=INFINITE, num_nodes=10)

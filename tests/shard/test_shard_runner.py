@@ -116,9 +116,12 @@ class TestWindowStep:
 
     def shard(self, network):
         """Shard 0 of [0, 0, 1, 1]: a bare simulator, router and network in
-        place of a session build, horizon at 10."""
+        place of a session build (no nodes, so no gossip timers), horizon at 10."""
         shard = ShardSession.__new__(ShardSession)
         shard.shard_id = 0
+        shard.nodes = {}
+        shard._gossip_timers = 0
+        shard._stream_end = 0.0
         shard.simulator = Simulator(seed=1)
         shard.network = network
         shard._router = ShardRouter(network, shard_id=0, lookup=[0, 0, 1, 1])
@@ -520,6 +523,70 @@ class TestWindowCount:
         merged = merge_shard_results(config, clamped, fragments)
         assert merged.events_processed == thread.result.events_processed
         assert thread.windows * 3 <= clamped_rounds
+
+
+class TestQuietRounds:
+    """A shard holding only quiet gossip ticks in the drain reports no peek:
+    nothing it holds can send until a datagram arrives, so the drain after
+    the stream is granted in one window instead of a barrier round per tick."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Every coordinator round's reports."""
+        seen = []
+        real = _Coordinator.replies
+
+        def replies(self, reports):
+            seen.append(list(reports))
+            return real(self, reports)
+
+        monkeypatch.setattr(_Coordinator, "replies", replies)
+        return seen
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_quiet_rounds_stop_holding_the_barrier(self, mode, rounds):
+        run = execute_sharded(small_config(), mode=mode)
+        moved = [
+            any(batch.count for report in reports for batch in report.outbound.values())
+            for reports in rounds
+        ]
+        # 752 rounds, 583 of them moving nothing, while every quiet tick
+        # held the barrier; the drain now takes the last two.
+        assert run.windows == len(moved) == 196
+        assert moved.count(False) == 27
+        assert moved[-3:] == [True, False, False]
+        assert run.result.events_processed == 8226
+
+    def test_a_quiet_spell_during_the_stream_is_not_reported(self, rounds):
+        # The shard without the source is quiet until the first packet
+        # reaches it; reporting that would put the windows out of step.
+        config = small_config()
+        execute_sharded(config)
+        during = [
+            report
+            for reports in rounds
+            for report in reports
+            if report.bound <= config.stream.end_time
+        ]
+        assert during and all(report.peek_time is not None for report in during)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_feed_me_ticks_keep_every_window(self, mode):
+        # A FEED_ME tick sends: a shard running FEED_ME timers is never silent.
+        spec = build_scenario("homogeneous", num_nodes=8, seed=3, shards=2, feed_me_every=4)
+        assert execute_sharded(spec.session_config(), mode=mode).windows == 805
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_a_shard_claiming_silence_while_it_sends_trips_the_guard(self, mode, monkeypatch):
+        _needs_fork(mode)
+        monkeypatch.setattr(ShardSession, "silent", lambda self: True)
+        config = small_config()
+        with pytest.raises(
+            ShardProtocolError,
+            match=r"lookahead violated: shard \d sent shard \d datagram #\d+ due at ",
+        ):
+            _run_workers(config, plan_shards(config, 2), mode)
+        assert _no_shard_workers_left()
 
 
 class TestThreadMode:

@@ -188,6 +188,9 @@ KEEP: Tuple[Keep, ...] = (
          ("ConstantLatency.min_latency", "UniformLatency.min_latency"),
          "the min_latency family: shard/partition.py reads it, the partition tests use it "
          "as the global-floor oracle"),
+    Keep(_ORACLE, "membership/directory.py", ("MembershipDirectory.selectable",),
+         "the candidate list, copied out: the directory tests pin the cache against a "
+         "fresh scan through it, the sampler tests draw stdlib's sample from it"),
     Keep(_ORACLE, "shard/partition.py", ("_no_floor_term",),
          "the hash-only placement the partition tests compare sorted placement with"),
     Keep(_ORACLE, "network/transport.py", ("Network.send",),
@@ -216,6 +219,8 @@ KEEP: Tuple[Keep, ...] = (
     Keep(_ORACLE, "telemetry/schema.py",
          ("_ClosedBuffer", "TraceWriter._abandon", "TraceWriter.__enter__", "TraceWriter.__exit__"),
          "keeps a trace whole and closed after a handler exception or a full disk"),
+    Keep(_API, "protocols/base.py", ("DisseminationProtocol.quiet",),
+         "docs/sharding.md, Silent shards: the answer of a protocol that does not override it"),
     Keep(_API, "sweep/aggregate.py", (),
          "docs/architecture.md, Parallel sweeps: aggregate and aggregate_table"),
     Keep(_API, "sweep/spec.py", ("SweepGrid", "SweepSpec"),
