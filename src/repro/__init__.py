@@ -40,7 +40,6 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.simulation.engine import Simulator
-from repro.streaming.fec import ReedSolomonCode, WindowCodec
 from repro.streaming.schedule import StreamConfig, StreamSchedule
 from repro.telemetry.config import TelemetryConfig
 
@@ -60,7 +59,6 @@ __all__ = [
     "NetworkConfig",
     "NodeStats",
     "OFFLINE_LAG",
-    "ReedSolomonCode",
     "ScenarioSpec",
     "SessionConfig",
     "SessionResult",
@@ -71,7 +69,6 @@ __all__ = [
     "StreamingSession",
     "TelemetryConfig",
     "ThreePhaseGossip",
-    "WindowCodec",
     "available_protocols",
     "available_scenarios",
     "register_protocol",

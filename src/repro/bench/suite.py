@@ -11,8 +11,8 @@ with the fourteen benchmarks the repo tracks:
   near 1x), metrics and traced sessions against a disabled one;
 * ``figure1`` … ``figure8`` — regeneration of each paper figure, with the
   paper-shape checks of :mod:`repro.bench.figure_checks` asserted inline;
-* ``large-session`` — the fast-path flagship: metrics/codec stages timed
-  in-process against their pinned reference implementations;
+* ``large-session`` — the fast-path flagship: the metrics stage timed
+  in-process against its pinned reference implementation;
 * ``sharded-session`` — the conservative time-window runner vs the scalar
   oracle: identity-gated event counts, delivery checksums and windows;
 * ``wire`` — the compact cross-shard wire format vs pickled batches on
@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import random
 import sys
 import tempfile
 import time
@@ -366,15 +365,12 @@ def _figure_benchmark(figure_id: str, description: str) -> Benchmark:
 
 
 # ----------------------------------------------------------------------
-# large-session (fast path vs pinned references)
+# large-session (fast path vs the pinned reference)
 # ----------------------------------------------------------------------
-#: (num_nodes, num_windows, codec_windows) per scale; None = scenario default.
-#: The smoke codec stage keeps 4 windows on purpose: the gated speedup
-#: ratios need timed intervals well above scheduler-noise scale (tens of
-#: milliseconds), and the session itself — not the stages — dominates cost.
+#: (num_nodes, num_windows) per scale; None = scenario default.
 LARGE_SESSION_SIZES = {
-    "smoke": (100, 4, 4),
-    "reduced": (150, 8, 4),
+    "smoke": (100, 4),
+    "reduced": (150, 8),
 }
 
 
@@ -409,58 +405,12 @@ def measure_metrics_stage(result) -> dict:
     return {"fast_seconds": fast_seconds, "reference_seconds": reference_seconds}
 
 
-def measure_codec_stage(stream: StreamConfig, windows_timed: int, seed: int = 7) -> dict:
-    """Encode + max-erasure decode of real-geometry windows, bulk vs scalar."""
-    from repro.streaming.fec import ReedSolomonCode, reference_decode, reference_encode
-
-    rng = random.Random(seed)
-    code = ReedSolomonCode(stream.source_packets_per_window, stream.fec_packets_per_window)
-    window_payloads = [
-        [
-            bytes(rng.randrange(256) for _ in range(stream.payload_bytes))
-            for _ in range(stream.source_packets_per_window)
-        ]
-        for _ in range(windows_timed)
-    ]
-    erasures = [
-        set(rng.sample(range(code.total_shards), code.parity_shards))
-        for _ in range(windows_timed)
-    ]
-
-    def erase(codeword, erased):
-        return {i: s for i, s in enumerate(codeword) if i not in erased}
-
-    def fast_pass() -> list:
-        return [
-            code.decode(erase(list(data) + code.encode(data), erased))
-            for data, erased in zip(window_payloads, erasures)
-        ]
-
-    def reference_pass() -> list:
-        return [
-            reference_decode(code, erase(list(data) + reference_encode(code, data), erased))
-            for data, erased in zip(window_payloads, erasures)
-        ]
-
-    fast_seconds, fast_out = best_seconds(fast_pass)
-    reference_seconds, reference_out = best_seconds(reference_pass)
-
-    if fast_out != reference_out or any(
-        out != data for out, data in zip(fast_out, window_payloads)
-    ):
-        raise AssertionError("bulk codec diverged from the scalar reference implementation")
-    return {"fast_seconds": fast_seconds, "reference_seconds": reference_seconds}
-
-
 def run_large_session(ctx: BenchContext) -> dict:
     from repro.scenarios import build_scenario, run_spec
 
-    default_nodes, default_windows, default_codec = LARGE_SESSION_SIZES.get(
-        ctx.scale_name, (None, None, 4)
-    )
+    default_nodes, default_windows = LARGE_SESSION_SIZES.get(ctx.scale_name, (None, None))
     num_nodes = ctx.option_int("nodes", default_nodes)
     num_windows = ctx.option_int("windows", default_windows)
-    codec_windows = ctx.option_int("codec_windows", default_codec)
 
     overrides = {}
     if num_nodes is not None:
@@ -471,25 +421,13 @@ def run_large_session(ctx: BenchContext) -> dict:
     ctx.log(f"    session: {spec.describe()}")
 
     result = run_spec(spec)
-    metrics_stage = measure_metrics_stage(result)
-    codec_stage = measure_codec_stage(spec.stream, codec_windows)
-
-    def speedup(stage: dict) -> float:
-        return stage["reference_seconds"] / stage["fast_seconds"] if stage["fast_seconds"] else 0.0
-
-    fast_total = metrics_stage["fast_seconds"] + codec_stage["fast_seconds"]
-    reference_total = metrics_stage["reference_seconds"] + codec_stage["reference_seconds"]
-    combined = reference_total / fast_total if fast_total > 0 else 0.0
-    ctx.log(
-        f"    speedups vs references: metrics {speedup(metrics_stage):.1f}x, "
-        f"codec {speedup(codec_stage):.1f}x, combined {combined:.1f}x (identical results)"
-    )
+    stage = measure_metrics_stage(result)
+    speedup = stage["reference_seconds"] / stage["fast_seconds"] if stage["fast_seconds"] else 0.0
+    ctx.log(f"    metrics speedup vs the reference: {speedup:.1f}x (identical results)")
     return {
         "events_processed": float(result.events_processed),
         "delivery_ratio": result.delivery_ratio(),
-        "metrics_speedup": speedup(metrics_stage),
-        "codec_speedup": speedup(codec_stage),
-        "combined_stage_speedup": combined,
+        "metrics_speedup": speedup,
         "identical_results": 1.0,
     }
 
@@ -760,15 +698,13 @@ def register_all(registry=None) -> None:
     registry.register(
         Benchmark(
             name="large-session",
-            description="fast-path flagship: metrics/codec stages vs pinned references",
+            description="fast-path flagship: the metrics stage vs its pinned reference",
             run=run_large_session,
-            tags=("fastpath", "codec", "metrics", "scale"),
+            tags=("fastpath", "metrics", "scale"),
             metrics=(
                 Metric("events_processed", kind="identity", unit="events"),
                 Metric("delivery_ratio", kind="identity"),
                 Metric("metrics_speedup", kind="ratio", tolerance=0.7, unit="x"),
-                Metric("codec_speedup", kind="ratio", tolerance=0.6, unit="x"),
-                Metric("combined_stage_speedup", kind="ratio", tolerance=0.6, unit="x"),
                 Metric("identical_results", kind="identity"),
             ),
         )

@@ -218,7 +218,7 @@ def large_session() -> ScenarioSpec:
         description=(
             "1,000 nodes streaming the paper's 600 kbps / 101+9-window "
             "geometry: the literature's evaluation size, served by the "
-            "metrics/codec/event-queue fast path."
+            "metrics fast path."
         ),
         num_nodes=1000,
         stream=StreamConfig.paper_defaults(num_windows=12),

@@ -27,8 +27,6 @@ class PacketDescriptor:
         Index of the FEC window this packet belongs to.
     index_in_window:
         Position within the window (0..109 with default parameters).
-    is_fec:
-        Whether this is one of the parity packets of its window.
     publish_time:
         Simulated time at which the source publishes the packet.
     size_bytes:
@@ -38,7 +36,6 @@ class PacketDescriptor:
     packet_id: PacketId
     window_index: int
     index_in_window: int
-    is_fec: bool
     publish_time: float
     size_bytes: int
 

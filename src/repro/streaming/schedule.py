@@ -147,7 +147,6 @@ class StreamSchedule:
                 packet_id=packet_id,
                 window_index=window_index,
                 index_in_window=index_in_window,
-                is_fec=index_in_window >= config.source_packets_per_window,
                 publish_time=packet_id * interval,
                 size_bytes=config.payload_bytes,
             )

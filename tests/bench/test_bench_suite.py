@@ -16,9 +16,8 @@ from repro.bench.figure_checks import FigureCheckSkipped
 from repro.bench.runner import run_benchmark
 from repro.bench.spec import BenchContext, default_registry
 from repro.membership.partners import INFINITE
-from repro.streaming.schedule import StreamConfig
 
-TINY = {"nodes": "12", "windows": "2", "codec_windows": "1"}
+TINY = {"nodes": "12", "windows": "2"}
 
 
 def run_tiny(name):
@@ -53,26 +52,10 @@ class TestBenchmarksAtTinySize:
         metrics = run_tiny("large-session")
         assert metrics["identical_results"] == 1.0
         assert metrics["events_processed"] > 0
-        assert all(metrics[key] > 0 for key in ("metrics_speedup", "codec_speedup"))
+        assert metrics["metrics_speedup"] > 0
 
 
 class TestStageReferences:
-    STREAM = StreamConfig(
-        rate_kbps=600.0, payload_bytes=32, source_packets_per_window=6,
-        fec_packets_per_window=2, num_windows=1,
-    )
-
-    def test_codec_stage_times_both_sides(self):
-        stage = suite.measure_codec_stage(self.STREAM, windows_timed=2)
-        assert stage["fast_seconds"] > 0 and stage["reference_seconds"] > 0
-
-    def test_codec_stage_rejects_a_diverged_reference(self, monkeypatch):
-        import repro.streaming.fec as fec
-
-        monkeypatch.setattr(fec, "reference_encode", lambda code, data: [bytes(32)] * 2)
-        with pytest.raises(AssertionError, match="bulk codec diverged"):
-            suite.measure_codec_stage(self.STREAM, windows_timed=1)
-
     def test_metrics_stage_rejects_a_diverged_reference(self, monkeypatch):
         from repro.metrics.reference import ReferenceQualityAnalyzer
 

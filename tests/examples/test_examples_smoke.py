@@ -5,7 +5,7 @@ this module holds the promise.  Every script honours the
 ``REPRO_EXAMPLE_SMOKE`` environment variable (smaller swarms, fewer stream
 windows, shorter sweeps), so the whole set executes in seconds while still
 driving the real code paths end to end — scenario registry, session
-wiring, metrics reporting, the FEC codec and the real-network backend.
+wiring, metrics reporting and the real-network backend.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _smoke_env() -> dict:
 def test_every_example_is_covered():
     names = {path.stem for path in EXAMPLES}
     # The scripts the documentation points at must exist and be picked up.
-    assert {"quickstart", "realnet_quickstart", "fec_codec_roundtrip"} <= names
+    assert {"quickstart", "realnet_quickstart"} <= names
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)

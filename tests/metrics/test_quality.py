@@ -98,6 +98,15 @@ class TestNodeLevel:
         assert analyzer.node_jitter(1, lag=1.0) == pytest.approx(0.5)
         assert analyzer.node_complete_window_ratio(1, lag=1.0) == pytest.approx(0.5)
 
+    def test_jitter_of_exactly_max_jitter_still_views(self, schedule):
+        log = DeliveryLog(schedule)
+        for window_index in (0, 1, 2):  # window 3 of 4 missing: jitter 0.25
+            for packet_id in schedule.windows()[window_index].packet_ids:
+                log.record(1, packet_id, schedule.packet(packet_id).publish_time + 0.1)
+        analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
+        assert analyzer.node_views_stream(1, lag=1.0, max_jitter=0.25)
+        assert not analyzer.node_views_stream(1, lag=1.0, max_jitter=0.24)
+
     def test_node_critical_lag_with_uniform_delay(self, schedule):
         log = log_with_uniform_lag(schedule, 1, lag=3.0)
         analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1])
@@ -151,6 +160,13 @@ class TestAggregates:
         cdf = analyzer.lag_cdf(grid)
         assert cdf == [0.0, 0.0, 0.5, 1.0]
         assert all(later >= earlier for earlier, later in zip(cdf, cdf[1:]))
+
+    def test_lag_cdf_counts_a_node_at_its_exact_critical_lag(self, schedule):
+        log = DeliveryLog(schedule)
+        log_with_uniform_lag(schedule, 1, lag=2.0, log=log)
+        log_with_uniform_lag(schedule, 2, lag=8.0, log=log)
+        analyzer = StreamQualityAnalyzer(schedule, log, nodes=[1, 2])
+        assert analyzer.lag_cdf(sorted(analyzer.critical_lags())) == [0.5, 1.0]
 
     def test_a_node_without_deliveries_is_analyzed_as_all_jitter(self, schedule):
         log = DeliveryLog(schedule)

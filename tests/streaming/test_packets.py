@@ -8,30 +8,29 @@ from repro.streaming.packets import PacketDescriptor, WindowDescriptor
 class TestPacketDescriptor:
     def test_valid_descriptor(self):
         packet = PacketDescriptor(
-            packet_id=5, window_index=0, index_in_window=5, is_fec=False,
+            packet_id=5, window_index=0, index_in_window=5,
             publish_time=0.5, size_bytes=1000,
         )
         assert packet.packet_id == 5
-        assert not packet.is_fec
 
     def test_negative_ids_rejected(self):
         with pytest.raises(ValueError):
             PacketDescriptor(
-                packet_id=-1, window_index=0, index_in_window=0, is_fec=False,
+                packet_id=-1, window_index=0, index_in_window=0,
                 publish_time=0.0, size_bytes=1000,
             )
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             PacketDescriptor(
-                packet_id=0, window_index=0, index_in_window=0, is_fec=False,
+                packet_id=0, window_index=0, index_in_window=0,
                 publish_time=0.0, size_bytes=0,
             )
 
     def test_negative_publish_time_rejected(self):
         with pytest.raises(ValueError):
             PacketDescriptor(
-                packet_id=0, window_index=0, index_in_window=0, is_fec=False,
+                packet_id=0, window_index=0, index_in_window=0,
                 publish_time=-0.1, size_bytes=10,
             )
 

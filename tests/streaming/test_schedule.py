@@ -82,11 +82,6 @@ class TestStreamSchedule:
         assert window.packet_ids == tuple(range(7, 14))
         assert schedule.packet(8).window_index == 1
 
-    def test_fec_flags(self, schedule):
-        window_packets = [schedule.packet(packet_id) for packet_id in schedule.windows()[0].packet_ids]
-        fec_flags = [packet.is_fec for packet in window_packets]
-        assert fec_flags == [False] * 5 + [True] * 2
-
     def test_required_packets_equals_source_count(self, schedule):
         assert all(window.required_packets == 5 for window in schedule.windows())
 

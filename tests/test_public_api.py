@@ -19,7 +19,7 @@ class TestPublicApi:
 
     def test_substrate_types_exposed(self):
         assert callable(repro.BandwidthCap)
-        assert callable(repro.ReedSolomonCode)
+        assert callable(repro.StreamSchedule)
         assert callable(repro.CatastrophicChurn)
         assert callable(repro.StreamConfig)
 
