@@ -55,6 +55,14 @@ class TestWindowDescriptor:
         with pytest.raises(ValueError):
             self.make(required_packets=11)
 
+    def test_zero_required_rejected(self):
+        with pytest.raises(ValueError):
+            self.make(required_packets=0)
+
+    def test_window_without_parity_needs_every_packet(self):
+        window = self.make(required_packets=10)
+        assert window.required_packets == len(window.packet_ids)
+
     def test_publish_bounds_checked(self):
         with pytest.raises(ValueError):
             self.make(publish_start=2.0, publish_end=1.0)
