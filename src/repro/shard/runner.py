@@ -3,58 +3,44 @@
 The coordinator is deliberately thin: it never inspects simulation state,
 only window bookkeeping.  Each round it gathers one :class:`WindowReport`
 per shard, forwards the pre-split outbound batches to their destination
-shards (validating every datagram's routing on the way), and computes each
-shard's next window bound from the reported peek times.
+shards (validating every datagram's routing on the way), and issues every
+shard the same next window bound.
 
-**Adaptive window widening.**  The original runner advanced every shard to
-the same bound ``min(until, t_min + lookahead)`` where ``t_min`` is the
-global earliest pending-event time.  That is correct but pessimistic: shard
-``k`` cannot be influenced before
-
-* ``min_{j != k} p_j + lookahead`` — another shard's earliest send needs
-  at least one cross-shard hop, or
-* ``p_k + 2 * lookahead`` — shard ``k``'s *own* earliest send is reflected
-  back through some other shard (one hop out, one hop back; longer chains
-  arrive later and are dominated by these two terms),
-
-where ``p_j`` is the earliest instant at which shard ``j`` can *send*: the
-earlier of its earliest pending event and the earliest datagram routed to
-it this round.  In the drain, a shard whose queue holds only the gossip
-ticks of quiet nodes reports no pending event (``WindowReport.peek_time``
-is ``None``): such a tick sends nothing, and only a delivery — the routed
-datagrams, already counted — gives a node something to propose.  ``lookahead`` (``L``
-below) is the plan's greatest lower bound on the delay of any datagram
-that *crosses* shards (:func:`repro.shard.partition.plan_shards`) — wider
-than the transport's global minimum latency, which intra-shard hops may
-still undercut.  The argument only ever counts cross-shard hops: a chain
-from a send on shard ``j`` to shard ``k`` crosses a shard boundary at least
-once (twice when ``j == k`` and it leaves at all), every crossing costs
-``>= L``, and the intra-shard hops in between cost ``>= 0`` — so multi-hop
-chains stay dominated whatever the hops inside a shard cost.  Each shard
-therefore gets its own bound ``min(until, min_{j != k} p_j + L, p_k + 2L)``
-— never smaller than the old common bound (both terms are ``>= t_min +
-L``), and strictly wider for the shard that holds the globally earliest
-work whenever the other shards are quiet.  When cross-shard traffic is
-sparse this cuts the number of barrier rounds; a single-shard run needs no
-barriers at all and jumps straight to the horizon, and so does every shard
-once none can send: the drain after the stream, where every gossip timer
-still fires with nothing to propose, is one window, not a round per
-interleaved timer.  The coordinator records the bound it issues to each
-shard and verifies the next round's reports against them.
+**The window bound.**  Every shard has run each event strictly below the
+common bound ``B``.  Let ``t_min`` be the earliest instant any shard can
+*send*: the earliest of the shards' pending events and of the datagrams
+routed this round.  A shard whose queue holds only the gossip ticks of
+quiet nodes reports no pending event (``WindowReport.peek_time`` is
+``None``): such a tick sends nothing, and only a delivery — the routed
+datagrams, already counted — gives a node something to propose.
+``lookahead`` (``L`` below) is the plan's greatest lower bound on the delay
+of any datagram that *crosses* shards
+(:func:`repro.shard.partition.plan_shards`) — wider than the transport's
+global minimum latency, which intra-shard hops may still undercut.
+Nothing is sent before ``t_min``, and a datagram sent at or after it to
+another shard is due at or after ``t_min + L``; a longer chain crosses at
+least once and only adds hops.  So every shard may run every event below
+the next bound ``min(until, t_min + L)`` (Chandy–Misra lookahead in one
+synchronous window, Lubachevsky's bounded lag).  The bound never falls:
+every peek and every routed datagram is at or after ``B``.  A single-shard
+run needs no barriers at all and jumps straight to the horizon, and so does
+every shard once none can send: the drain after the stream, where every
+gossip timer still fires with nothing to propose, is one window.  The
+first bound, ``min(until, L)``, every shard computes alone; the
+coordinator verifies every report against the bound it expects.
 
 Every quantity in the formula is derived from the config once, before any
 worker starts (placement, lookahead, horizon), or reported by the workers
 (peeks, batch delivery times), so workers in other processes reach
 bit-identical window sequences with no shared memory.  The coordinator also
-checks the assumptions the proof rests on: a datagram due below the bound
-its destination shard has already executed means the lookahead was too wide
-(or a shard reported no pending event while it could still send), and ends
-the run with an error naming both shards.
+checks the assumptions the argument rests on: a datagram due below the
+bound its destination shard has already executed means the lookahead was
+too wide (or a shard reported no pending event while it could still send),
+and ends the run with an error naming both shards.
 
-Once a shard's bound reaches the horizon it enters the *drain loop*: it
-executes inclusively up to ``until`` and keeps exchanging until a round
-moves no datagrams, every shard is at the horizon, and no shard holds an
-event at or below it.
+Once the bound reaches the horizon the shards enter the *drain loop*:
+they execute inclusively up to ``until`` and keep exchanging until a round
+moves no datagrams and no shard holds an event at or below the horizon.
 
 One coordinator loop (``_run_workers``) drives both runner modes: collect
 a report from every shard, answer each with its reply, repeat until the
@@ -109,43 +95,33 @@ class _Coordinator:
         self._lookup = plan.lookup
         self._until = until
         self._lookahead = plan.lookahead
-        #: Bounds issued last round, by shard id (``None`` until round one —
-        #: the first bound is computed identically by every shard).
-        self._issued: Optional[List[float]] = None
+        #: The bound every shard's next report must carry; the first, one
+        #: lookahead from the start, each shard computes alone.
+        self._bound = min(until, plan.lookahead)
         self.rounds = 0
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def _check_bounds(self, reports: List[WindowReport]) -> None:
-        if self._issued is None:
-            bound = reports[0].bound
-            for report in reports:
-                if report.bound != bound:
-                    raise ShardProtocolError(
-                        f"window bounds diverged: shard {report.shard_id} is at "
-                        f"{report.bound!r}, shard {reports[0].shard_id} at {bound!r}"
-                    )
-            return
         for report in reports:
-            issued = self._issued[report.shard_id]
-            if report.bound != issued:
+            if report.bound != self._bound:
                 raise ShardProtocolError(
                     f"window bounds diverged: shard {report.shard_id} reported "
-                    f"bound {report.bound!r}, coordinator issued {issued!r}"
+                    f"bound {report.bound!r}, coordinator issued {self._bound!r}"
                 )
 
     def _validate_batch(
-        self, report: WindowReport, dest: int, batch: WireBatch, executed: List[float]
+        self, report: WindowReport, dest: int, batch: WireBatch
     ) -> Optional[float]:
         """Check one outbound batch; return its earliest delivery time.
 
         A corrupted or misrouted batch must surface as a diagnosable
         :class:`ShardProtocolError` naming the shard and datagram, never as
         a bare ``IndexError``/``KeyError`` from the lookup table — and a
-        datagram due before ``executed[dest]``, the bound its destination has
-        already run to, as a lookahead violation here rather than a
-        ``SimulationTimeError`` inside that worker.
+        datagram due before the bound every shard has already run to, as a
+        lookahead violation here rather than a ``SimulationTimeError``
+        inside that worker.
         """
         num_nodes = len(self._lookup)
         if not isinstance(dest, int) or not 0 <= dest < self._num_shards:
@@ -158,7 +134,7 @@ class _Coordinator:
                 f"shard {report.shard_id} routed a batch to itself; local "
                 f"datagrams must never reach the coordinator"
             )
-        dest_bound = executed[dest]
+        dest_bound = self._bound
         earliest: Optional[float] = None
         for index, (deliver_time, sender, _seq, receiver) in enumerate(
             iter_headers(batch)
@@ -195,7 +171,7 @@ class _Coordinator:
     # One round
     # ------------------------------------------------------------------
     def replies(self, reports: List[WindowReport]) -> List[WindowReply]:
-        """One coordination round: route batches, pick per-shard next bounds."""
+        """One coordination round: route batches, pick the next common bound."""
         if len(reports) != self._num_shards:
             raise ShardProtocolError(
                 f"expected {self._num_shards} window reports, got {len(reports)}"
@@ -208,76 +184,36 @@ class _Coordinator:
         self._check_bounds(reports)
         self.rounds += 1
 
-        by_shard = sorted(reports, key=lambda report: report.shard_id)
-        executed = [report.bound for report in by_shard]
+        # Earliest instant any shard can send: a peek (``None`` while a shard
+        # holds only silent ticks) or a datagram routed this round.
+        t_min = min(
+            (report.peek_time for report in reports if report.peek_time is not None),
+            default=None,
+        )
         inbound: List[List[WireBatch]] = [[] for _ in range(self._num_shards)]
-        earliest_inbound: List[Optional[float]] = [None] * self._num_shards
         moved = False
         for report in reports:
             for dest, batch in report.outbound.items():
                 if batch.count == 0:
                     continue
-                earliest = self._validate_batch(report, dest, batch, executed)
+                earliest = self._validate_batch(report, dest, batch)
                 moved = True
                 inbound[dest].append(batch)
-                if earliest is not None and (
-                    earliest_inbound[dest] is None or earliest < earliest_inbound[dest]
-                ):
-                    earliest_inbound[dest] = earliest
-
-        # Earliest possible send per shard: its own peek (``None`` while it
-        # holds only silent ticks) or anything just routed to it.  This is
-        # the quantity the widening proof (module docstring) is stated over.
-        pending: List[Optional[float]] = []
-        for report in by_shard:
-            candidates = [
-                time
-                for time in (report.peek_time, earliest_inbound[report.shard_id])
-                if time is not None
-            ]
-            pending.append(min(candidates) if candidates else None)
+                if earliest is not None and (t_min is None or earliest < t_min):
+                    t_min = earliest
 
         until = self._until
-        t_min = min((time for time in pending if time is not None), default=None)
-        at_horizon = all(report.bound == until for report in reports)
-        if at_horizon and not moved and (t_min is None or t_min > until):
-            # Drain loop complete: nothing moved, every shard sits at the
-            # horizon, and all remaining events lie strictly past it (they
-            # stay pending, exactly as in a scalar run).
-            self._issued = [until] * self._num_shards
-            return [
-                WindowReply(next_bound=until, done=True, inbound=inbound[shard_id])
-                for shard_id in range(self._num_shards)
-            ]
-
-        lookahead = self._lookahead
-        next_bounds: List[float] = []
-        for shard_id in range(self._num_shards):
-            others = min(
-                (
-                    time
-                    for other, time in enumerate(pending)
-                    if other != shard_id and time is not None
-                ),
-                default=None,
-            )
-            own = pending[shard_id]
-            horizon_candidates: List[float] = []
-            if others is not None:
-                horizon_candidates.append(others + lookahead)
-            if own is not None and self._num_shards > 1:
-                horizon_candidates.append(own + 2.0 * lookahead)
-            bound = until if not horizon_candidates else min(until, min(horizon_candidates))
-            # The widening proof guarantees monotonicity; the max() keeps a
-            # shard that already ran its inclusive horizon stretch from ever
-            # being handed a smaller bound again.
-            next_bounds.append(max(bound, executed[shard_id]))
-        self._issued = next_bounds
+        # The drain loop is complete when nothing moved, every shard sits at
+        # the horizon, and all remaining events lie strictly past it (they
+        # stay pending, exactly as in a scalar run).
+        done = self._bound == until and not moved and (t_min is None or t_min > until)
+        if done or t_min is None or self._num_shards == 1:
+            self._bound = until
+        else:
+            self._bound = min(until, t_min + self._lookahead)
         return [
-            WindowReply(
-                next_bound=next_bounds[shard_id], done=False, inbound=inbound[shard_id]
-            )
-            for shard_id in range(self._num_shards)
+            WindowReply(next_bound=self._bound, done=done, inbound=batches)
+            for batches in inbound
         ]
 
 

@@ -60,9 +60,8 @@ class WindowReport:
     outbound: Dict[int, WireBatch]
     #: Earliest instant this shard can send: its earliest pending local
     #: event after the window, or ``None`` when nothing it holds can send
-    #: until a datagram arrives — an empty queue, or in the drain one
-    #: holding only the gossip ticks of quiet nodes
-    #: (:meth:`ShardSession.silent`).
+    #: until a datagram arrives — an empty queue, or one holding only the
+    #: gossip ticks of quiet nodes (:meth:`ShardSession.silent`).
     peek_time: Optional[float]
 
 
@@ -187,7 +186,6 @@ class ShardSession(StreamingSession):
         self._owned = plan.groups[shard_id]
         self._router: Optional[ShardRouter] = None
         self._until = 0.0
-        self._stream_end = config.stream.end_time
 
     # ------------------------------------------------------------------
     # Build overrides (everything else is the scalar build, replicated)
@@ -257,7 +255,7 @@ class ShardSession(StreamingSession):
         )
 
     def silent(self) -> bool:
-        """Whether nothing queued here can send until a datagram arrives, in the drain.
+        """Whether nothing queued here can send until a datagram arrives.
 
         True when the queue holds only gossip ticks and every live owned
         node is :meth:`~repro.protocols.base.DisseminationProtocol.quiet`:
@@ -266,19 +264,9 @@ class ShardSession(StreamingSession):
         the queue length against the running gossip timers (one live tick
         each): any delivery, publication, queued retransmission, churn or
         join firing, or FEED_ME tick in the queue breaks the equality.
-
-        Only the drain — from the stream's last publication on — counts.
-        A quiet spell during the stream ends within a few lookaheads, and
-        reporting it would shift the shards' windows out of step for the
-        rest of the stream: the coordinator grants the silent shard one
-        lookahead past the other's peek and the other two past its own,
-        after which they leapfrog, one shard running two lookaheads of
-        work per round while the other waits (docs/sharding.md, "Why
-        only the drain").
         """
         assert self.simulator is not None
-        simulator = self.simulator
-        if simulator.pending_events != self._gossip_timers or simulator.now < self._stream_end:
+        if self.simulator.pending_events != self._gossip_timers:
             return False
         for node in self.nodes.values():
             if node.alive and not node.protocol.quiet():

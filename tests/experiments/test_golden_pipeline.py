@@ -1,10 +1,9 @@
 """Golden pinning of the metrics/figure pipeline against the pre-fast-path code.
 
-The fast-path PR (incremental delivery-lag accumulation, one-pass quality
-analysis, bulk GF(256) codec, event-queue compaction) must be *bit-for-bit*
-invisible in the results: the golden files under ``tests/golden/`` were
-generated with the pre-PR pipeline and every later revision has to reproduce
-them byte-identically.
+The metrics fast path (incremental delivery-lag accumulation, one-pass
+quality analysis) must be *bit-for-bit* invisible in the results: the golden
+files under ``tests/golden/`` were generated with the pipeline that preceded
+it and every later revision has to reproduce them byte-identically.
 
 Three artifacts are pinned:
 

@@ -9,6 +9,7 @@ exercises: protocol violations, diverged control planes, worker crashes.
 
 import dataclasses
 import pickle
+import re
 import threading
 
 import pytest
@@ -121,7 +122,6 @@ class TestWindowStep:
         shard.shard_id = 0
         shard.nodes = {}
         shard._gossip_timers = 0
-        shard._stream_end = 0.0
         shard.simulator = Simulator(seed=1)
         shard.network = network
         shard._router = ShardRouter(network, shard_id=0, lookup=[0, 0, 1, 1])
@@ -174,6 +174,10 @@ class TestCoordinator:
         plan = plan_shards(config, config.shards)
         return _Coordinator(plan, session_horizon(config)), config
 
+    def first_bound(self, config):
+        """The bound every shard opens with: one lookahead from the start."""
+        return min(session_horizon(config), plan_shards(config, config.shards).lookahead)
+
     def report(self, shard_id, bound, outbound=None, peek=None):
         """A window report; ``outbound`` maps shard id to a datagram list."""
         return WindowReport(
@@ -203,111 +207,128 @@ class TestCoordinator:
             coordinator.replies([self.report(0, 1.0), self.report(0, 1.0)])
 
     def test_diverged_bounds_rejected(self):
-        coordinator, _ = self.coordinator()
-        with pytest.raises(ShardProtocolError, match="bounds diverged"):
-            coordinator.replies([self.report(0, 1.0), self.report(1, 1.5)])
+        coordinator, config = self.coordinator()
+        first = self.first_bound(config)
+        with pytest.raises(ShardProtocolError, match="bounds diverged: shard 1 reported"):
+            coordinator.replies([self.report(0, first), self.report(1, first + 0.5)])
 
     def test_report_must_echo_the_issued_bound(self):
         coordinator, config = self.coordinator()
-        first = coordinator.replies(
-            [self.report(0, 1.0, peek=5.0), self.report(1, 1.0, peek=5.0)]
+        first = self.first_bound(config)
+        replies = coordinator.replies(
+            [self.report(0, first, peek=5.0), self.report(1, first, peek=5.0)]
         )
         with pytest.raises(ShardProtocolError, match="coordinator issued"):
             coordinator.replies(
                 [
-                    self.report(0, first[0].next_bound + 0.5),
-                    self.report(1, first[1].next_bound),
+                    self.report(0, replies[0].next_bound + 0.5),
+                    self.report(1, replies[1].next_bound),
                 ]
             )
 
-    def test_bounds_widen_per_shard_beyond_global_minimum(self):
+    def test_every_shard_gets_one_bound_past_the_earliest_peek(self):
         coordinator, config = self.coordinator()
         lookahead = plan_shards(config, config.shards).lookahead
         until = session_horizon(config)
+        first = self.first_bound(config)
         replies = coordinator.replies(
-            [self.report(0, 1.0, peek=7.0), self.report(1, 1.0, peek=5.0)]
+            [self.report(0, first, peek=7.0), self.report(1, first, peek=5.0)]
         )
-        old_common_bound = min(until, 5.0 + lookahead)
-        # Shard 0 is constrained by shard 1's earlier event (one hop away);
-        # shard 1 only by shard 0's event (one hop) or its own reflected
-        # traffic (two hops) — so its window is wider than the old global
-        # bound ever allowed.
-        assert replies[0].next_bound == min(until, 5.0 + lookahead, 7.0 + 2 * lookahead)
-        assert replies[1].next_bound == min(until, 7.0 + lookahead, 5.0 + 2 * lookahead)
-        assert replies[1].next_bound > old_common_bound
+        # Nothing sends before 5.0, and nothing sent then crosses in less
+        # than a lookahead: both shards may run up to 5.0 + L.
+        assert [reply.next_bound for reply in replies] == [min(until, 5.0 + lookahead)] * 2
         assert not any(reply.done for reply in replies)
 
-    def test_in_flight_datagram_caps_the_receiver_bound(self):
+    def test_in_flight_datagram_sets_the_earliest_send(self):
         coordinator, config = self.coordinator()
         lookahead = plan_shards(config, config.shards).lookahead
         until = session_horizon(config)
+        first = self.first_bound(config)
         datagram = self.cross_datagram(config, deliver_time=2.0)
         replies = coordinator.replies(
             [
-                self.report(0, 1.0, outbound={1: [datagram]}, peek=9.0),
-                self.report(1, 1.0),
+                self.report(0, first, outbound={1: [datagram]}, peek=9.0),
+                self.report(1, first),
             ]
         )
-        # The in-flight datagram makes 2.0 shard 1's effective pending time.
-        assert replies[0].next_bound == min(until, 2.0 + lookahead, 9.0 + 2 * lookahead)
-        assert replies[1].next_bound == min(until, 9.0 + lookahead, 2.0 + 2 * lookahead)
+        # Shard 1 is silent, but the datagram routed to it can make it send
+        # at 2.0: that is the earliest send of the round, for both shards.
+        assert [reply.next_bound for reply in replies] == [min(until, 2.0 + lookahead)] * 2
+
+    def test_a_silent_shard_is_bound_by_the_other_shards_peek(self):
+        coordinator, config = self.coordinator()
+        lookahead = plan_shards(config, config.shards).lookahead
+        until = session_horizon(config)
+        first = self.first_bound(config)
+        replies = coordinator.replies(
+            [self.report(0, first, peek=None), self.report(1, first, peek=5.0)]
+        )
+        assert [reply.next_bound for reply in replies] == [min(until, 5.0 + lookahead)] * 2
 
     def test_single_shard_jumps_to_horizon_despite_pending_events(self):
         config = small_config(shards=1)
         coordinator = _Coordinator(plan_shards(config, 1), session_horizon(config))
-        replies = coordinator.replies([self.report(0, 1.0, peek=2.0)])
+        replies = coordinator.replies([self.report(0, self.first_bound(config), peek=2.0)])
         # No other shard can ever influence it: one window to the horizon.
         assert replies[0].next_bound == session_horizon(config)
 
     def test_datagrams_route_to_receiver_shard(self):
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         to_one = self.cross_datagram(config)
         replies = coordinator.replies(
-            [self.report(0, 1.0, outbound={1: [to_one]}), self.report(1, 1.0)]
+            [self.report(0, first, outbound={1: [to_one]}), self.report(1, first)]
         )
         assert replies[0].inbound == []
         assert [decode_batch(batch) for batch in replies[1].inbound] == [[to_one]]
 
     def test_batches_forwarded_without_decoding(self):
         coordinator, config = self.coordinator()
-        report = self.report(0, 1.0, outbound={1: [self.cross_datagram(config)]})
-        replies = coordinator.replies([report, self.report(1, 1.0)])
+        first = self.first_bound(config)
+        report = self.report(0, first, outbound={1: [self.cross_datagram(config)]})
+        replies = coordinator.replies([report, self.report(1, first)])
         assert replies[1].inbound[0] is report.outbound[1]
 
     def test_unknown_receiver_named_in_error(self):
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         sender = owned_node(config, 0)
         bogus = (2.0, sender, 1, message(sender, 999))
         with pytest.raises(ShardProtocolError, match="unknown receiver 999"):
             coordinator.replies(
-                [self.report(0, 1.0, outbound={1: [bogus]}), self.report(1, 1.0)]
+                [self.report(0, first, outbound={1: [bogus]}), self.report(1, first)]
             )
 
     def test_misrouted_batch_named_in_error(self):
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         sender = owned_node(config, 0)
         local = owned_node(config, 0, index=1)
         misrouted = (2.0, sender, 1, message(sender, local))
         with pytest.raises(ShardProtocolError, match="misrouted datagram #0"):
             coordinator.replies(
-                [self.report(0, 1.0, outbound={1: [misrouted]}), self.report(1, 1.0)]
+                [self.report(0, first, outbound={1: [misrouted]}), self.report(1, first)]
             )
 
     def test_datagram_due_inside_an_executed_window_names_both_shards(self):
-        # Both shards have already run everything below 3.0; a datagram
-        # due at 2.5 can only mean the lookahead was too wide.
+        # Both shards have already run everything below the first bound; a
+        # datagram due halfway there can only mean the lookahead was too wide.
         coordinator, config = self.coordinator()
-        on_time = self.cross_datagram(config, deliver_time=3.0, seq=1)
-        late = self.cross_datagram(config, deliver_time=2.5, seq=2)
+        first = self.first_bound(config)
+        due = first / 2
+        on_time = self.cross_datagram(config, deliver_time=first, seq=1)
+        late = self.cross_datagram(config, deliver_time=due, seq=2)
         with pytest.raises(
             ShardProtocolError,
-            match=r"lookahead violated: shard 0 sent shard 1 datagram #1 "
-            r"due at 2\.5, 0\.5s before the bound 3\.0",
+            match=re.escape(
+                f"lookahead violated: shard 0 sent shard 1 datagram #1 "
+                f"due at {due!r}, {first - due!r}s before the bound {first!r}"
+            ),
         ):
             coordinator.replies(
                 [
-                    self.report(0, 3.0, outbound={1: [on_time, late]}),
-                    self.report(1, 3.0),
+                    self.report(0, first, outbound={1: [on_time, late]}),
+                    self.report(1, first),
                 ]
             )
 
@@ -315,53 +336,61 @@ class TestCoordinator:
         # The window is half open: an event at the bound belongs to the next
         # window, so a delivery landing exactly on it is still safe.
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         replies = coordinator.replies(
             [
                 self.report(
-                    0, 3.0, outbound={1: [self.cross_datagram(config, deliver_time=3.0)]}
+                    0, first, outbound={1: [self.cross_datagram(config, deliver_time=first)]}
                 ),
-                self.report(1, 3.0),
+                self.report(1, first),
             ]
         )
         assert len(replies[1].inbound) == 1
 
     def test_foreign_sender_rejected(self):
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         intruder = owned_node(config, 1)  # shard 0 reporting shard 1's node
         receiver = owned_node(config, 1, index=1)
         forged = (2.0, intruder, 1, message(intruder, receiver))
         with pytest.raises(ShardProtocolError, match="does not own"):
             coordinator.replies(
-                [self.report(0, 1.0, outbound={1: [forged]}), self.report(1, 1.0)]
+                [self.report(0, first, outbound={1: [forged]}), self.report(1, first)]
             )
 
     def test_invalid_destination_shard_rejected(self):
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         datagram = self.cross_datagram(config)
         with pytest.raises(ShardProtocolError, match="invalid shard 5"):
             coordinator.replies(
-                [self.report(0, 1.0, outbound={5: [datagram]}), self.report(1, 1.0)]
+                [self.report(0, first, outbound={5: [datagram]}), self.report(1, first)]
             )
 
     def test_self_addressed_batch_rejected(self):
         coordinator, config = self.coordinator()
+        first = self.first_bound(config)
         sender = owned_node(config, 0)
         local = owned_node(config, 0, index=1)
         datagram = (2.0, sender, 1, message(sender, local))
         with pytest.raises(ShardProtocolError, match="itself"):
             coordinator.replies(
-                [self.report(0, 1.0, outbound={0: [datagram]}), self.report(1, 1.0)]
+                [self.report(0, first, outbound={0: [datagram]}), self.report(1, first)]
             )
 
     def test_empty_system_jumps_straight_to_horizon(self):
         coordinator, config = self.coordinator()
-        replies = coordinator.replies([self.report(0, 1.0), self.report(1, 1.0)])
+        first = self.first_bound(config)
+        replies = coordinator.replies([self.report(0, first), self.report(1, first)])
         assert all(reply.next_bound == session_horizon(config) for reply in replies)
         assert not any(reply.done for reply in replies)
 
     def test_drain_finishes_only_when_idle(self):
         coordinator, config = self.coordinator()
         until = session_horizon(config)
+        first = self.first_bound(config)
+        # No shard can send: both are sent to the horizon.
+        coordinator.replies([self.report(0, first), self.report(1, first)])
         # Still moving a datagram at the horizon: not done.
         moving = coordinator.replies(
             [
@@ -525,23 +554,46 @@ class TestWindowCount:
         assert thread.windows * 3 <= clamped_rounds
 
 
+@pytest.fixture
+def rounds(monkeypatch):
+    """Every coordinator round's reports."""
+    seen = []
+    real = _Coordinator.replies
+
+    def replies(self, reports):
+        seen.append(list(reports))
+        return real(self, reports)
+
+    monkeypatch.setattr(_Coordinator, "replies", replies)
+    return seen
+
+
+class TestLockstep:
+    """The coordinator issues one bound per round: every shard runs the same window."""
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_every_report_of_a_round_carries_the_same_bound(self, shards, mode, rounds):
+        run = execute_sharded(small_config(shards=shards), mode=mode)
+        assert len(rounds) == run.windows > 2
+        assert all(len({report.bound for report in reports}) == 1 for reports in rounds)
+        bounds = [reports[0].bound for reports in rounds]
+        assert bounds == sorted(bounds)
+
+    def test_a_single_shard_runs_its_first_window_then_the_horizon(self, rounds):
+        config = small_config(shards=1)
+        run = execute_sharded(config)
+        assert [reports[0].bound for reports in rounds] == [
+            plan_shards(config, 1).lookahead,
+            session_horizon(config),
+        ]
+        assert run.windows == 2
+
+
 class TestQuietRounds:
-    """A shard holding only quiet gossip ticks in the drain reports no peek:
-    nothing it holds can send until a datagram arrives, so the drain after
-    the stream is granted in one window instead of a barrier round per tick."""
-
-    @pytest.fixture
-    def rounds(self, monkeypatch):
-        """Every coordinator round's reports."""
-        seen = []
-        real = _Coordinator.replies
-
-        def replies(self, reports):
-            seen.append(list(reports))
-            return real(self, reports)
-
-        monkeypatch.setattr(_Coordinator, "replies", replies)
-        return seen
+    """A shard holding only quiet gossip ticks reports no peek: nothing it
+    holds can send until a datagram arrives, so the drain after the stream
+    is granted in one window instead of a barrier round per tick."""
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_quiet_rounds_stop_holding_the_barrier(self, mode, rounds):
@@ -552,29 +604,34 @@ class TestQuietRounds:
         ]
         # 752 rounds, 583 of them moving nothing, while every quiet tick
         # held the barrier; the drain now takes the last two.
-        assert run.windows == len(moved) == 196
-        assert moved.count(False) == 27
-        assert moved[-3:] == [True, False, False]
+        assert run.windows == len(moved) == 205
+        assert moved.count(False) == 31
+        assert moved[-3:] == [False, False, False]
         assert run.result.events_processed == 8226
 
-    def test_a_quiet_spell_during_the_stream_is_not_reported(self, rounds):
-        # The shard without the source is quiet until the first packet
-        # reaches it; reporting that would put the windows out of step.
+    def test_a_silent_report_during_the_stream_is_accepted(self, rounds):
+        # A shard can fall quiet while the stream runs; with one bound for
+        # every shard its silence cannot put the windows out of step.
+        from repro.core.session import StreamingSession
+
         config = small_config()
-        execute_sharded(config)
+        result = run_sharded(config)
         during = [
             report
             for reports in rounds
             for report in reports
             if report.bound <= config.stream.end_time
         ]
-        assert during and all(report.peek_time is not None for report in during)
+        assert any(report.peek_time is None for report in during)
+        oracle = StreamingSession(config).run()
+        assert result.deliveries.raw() == oracle.deliveries.raw()
+        assert result.events_processed == oracle.events_processed
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_feed_me_ticks_keep_every_window(self, mode):
         # A FEED_ME tick sends: a shard running FEED_ME timers is never silent.
         spec = build_scenario("homogeneous", num_nodes=8, seed=3, shards=2, feed_me_every=4)
-        assert execute_sharded(spec.session_config(), mode=mode).windows == 805
+        assert execute_sharded(spec.session_config(), mode=mode).windows == 938
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_a_shard_claiming_silence_while_it_sends_trips_the_guard(self, mode, monkeypatch):

@@ -27,7 +27,6 @@ class ScriptedShard(ShardSession):
         self.shard_id = 0
         self.nodes = {}  # no nodes, no gossip timers: silent only when empty
         self._gossip_timers = 0
-        self._stream_end = 0.0
         self.network = SimpleNamespace(schedule_delivery=None)
         self._plan = SimpleNamespace(lookahead=lookahead)
         self._router = SimpleNamespace(flush=dict)
