@@ -25,6 +25,7 @@ called by the :class:`repro.streaming.StreamEmitter` for every packet, as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,7 @@ from repro.streaming.packets import PacketDescriptor, PacketId
 from repro.streaming.schedule import StreamSchedule
 
 from repro.core.config import GOSSIP_PERIOD, GossipConfig
-from repro.core.host import Host
+from repro.core.host import Host, ScheduledHandle
 from repro.core.state import NodeState
 
 DeliveryListener = Callable[[NodeId, PacketId, float], None]
@@ -143,6 +144,7 @@ class GossipNode:
             refresh_every=config.refresh_every,
             rng=self._partner_rng,
         )
+        self.partners.catch_up = self.catch_up
         # The source proposes every packet to ``source_fanout`` nodes; its
         # target set obeys the same view refresh rate X as everybody else's
         # (Algorithm 1 routes publish() through the same selectNodes()).
@@ -158,12 +160,20 @@ class GossipNode:
                 rng=simulator.rng.node_stream("source-targets", node_id),
             )
 
-        start_delay = simulator.rng.node_stream("round-phase", node_id).uniform(
+        self._start_delay = simulator.rng.node_stream("round-phase", node_id).uniform(
             0.0, GOSSIP_PERIOD
         )
-        self._gossip_timer = PeriodicTimer(
-            simulator, GOSSIP_PERIOD, self._on_gossip_round, start_delay=start_delay
-        )
+        # The gossip tick.  Infect-and-die: a tick with nothing to propose
+        # only draws its partners, so after every tick the node *parks*: it
+        # reserves the key the tick's re-arm would take and queues nothing.
+        # ``_next_tick`` is the instant of the next tick, queued or not (the
+        # float sums ``t += GOSSIP_PERIOD`` a periodic timer would produce;
+        # infinite before start and after failure), ``_tick_slot`` its
+        # reserved key while no replay has moved past it, ``_tick`` the
+        # queued tick while the node has something to propose.
+        self._next_tick = INFINITE
+        self._tick_slot: Any = None
+        self._tick: Optional[ScheduledHandle] = None
 
         self._feed_me_timer: Optional[PeriodicTimer] = None
         if config.feed_me_every != INFINITE:
@@ -191,19 +201,40 @@ class GossipNode:
         return self.simulator.now
 
     def start(self) -> None:
-        """Start the node's timers.  Must be called once per experiment."""
-        self._gossip_timer.start()
+        """Start the node's timers.  Must be called once per experiment.
+
+        The first gossip tick, ``round-phase`` seconds from now, is parked
+        like every later one (:meth:`wake`).
+        """
+        simulator = self.simulator
+        self._tick_slot = simulator.reserve(self._start_delay)
+        self._next_tick = simulator.now + self._start_delay
+        if self.state.events_to_propose:  # served before it started
+            self.wake()
         if self._feed_me_timer is not None:
             self._feed_me_timer.start()
 
     def fail(self) -> None:
         """Crash the node: stop all activity immediately (churn)."""
         self._alive = False
-        self._gossip_timer.stop()
+        # Ticks skipped before the crash count as rounds; nothing reads their draws.
+        self._count_ticks_through(math.nextafter(self.simulator.now, -math.inf))
+        self._next_tick = INFINITE
+        if self._tick is not None:
+            self._tick.cancel()
+            self._tick = None
         if self._feed_me_timer is not None:
             self._feed_me_timer.stop()
         self.protocol.on_fail()
         self.state.cancel_all_pending()
+
+    def finish(self) -> None:
+        """The session ended at ``now``: count the skipped ticks up to it, undrawn.
+
+        Makes ``stats.gossip_rounds`` the number of ticks a timer firing every
+        period would have run.
+        """
+        self._count_ticks_through(self.simulator.now)
 
     # ------------------------------------------------------------------
     # Source role
@@ -234,8 +265,6 @@ class GossipNode:
     # Timer ticks
     # ------------------------------------------------------------------
     def _on_gossip_round(self) -> None:
-        if not self._alive:
-            return
         now = self.simulator.now
         self.stats.gossip_rounds += 1
         partners = self.partners.partners_for_round(now)
@@ -243,6 +272,65 @@ class GossipNode:
             for observer in self._observers:
                 observer.on_gossip_round(self.node_id, now, partners)
         self.protocol.on_gossip_round(now, partners)
+        # The protocol drained events_to_propose: park, taking the key the
+        # timer's re-arm would take and queueing nothing.
+        simulator = self.simulator
+        self._tick_slot = simulator.reserve(GOSSIP_PERIOD)
+        self._next_tick = simulator.now + GOSSIP_PERIOD
+        self._tick = None
+
+    def wake(self) -> None:
+        """Queue the next gossip tick: the node has something to propose again.
+
+        Protocols call it when ``state.events_to_propose`` turns non-empty.
+        Before the reserved instant the tick takes the key its periodic
+        re-arm would have taken; later, the skipped ticks are replayed
+        (:meth:`catch_up`) and the next one is queued at its instant.
+        """
+        if self._next_tick == INFINITE:  # not started
+            return
+        simulator = self.simulator
+        if self._next_tick < simulator.now:
+            self.catch_up(simulator.now)
+        if self._tick_slot is None:
+            self._tick = simulator.schedule_at(self._next_tick, self._on_gossip_round)
+        else:
+            self._tick = simulator.schedule_reserved(self._tick_slot, self._on_gossip_round)
+
+    def catch_up(self, now: float) -> None:
+        """Replay the partner draws of the ticks skipped before ``now``.
+
+        Each skipped tick at ``t`` calls ``partners_for_round(t)``, as it
+        would have when it ran, so every later draw of the partner stream is
+        unchanged.  Called before anything else reads that stream: the wake,
+        a FEED_ME round or receipt (:attr:`PartnerSelector.catch_up`), and a
+        membership change the directory cannot date (a flash-crowd join).
+        """
+        t = self._next_tick
+        if t >= now:
+            return
+        partners_for_round = self.partners.partners_for_round
+        rounds = 0
+        while t < now:
+            partners_for_round(t)
+            rounds += 1
+            t += GOSSIP_PERIOD
+        self.stats.gossip_rounds += rounds
+        self._next_tick = t
+        self._tick_slot = None
+
+    def _count_ticks_through(self, end: float) -> None:
+        """Count the skipped ticks at or before ``end`` as rounds, drawing nothing."""
+        t = self._next_tick
+        if t > end:
+            return
+        rounds = 0
+        while t <= end:
+            rounds += 1
+            t += GOSSIP_PERIOD
+        self.stats.gossip_rounds += rounds
+        self._next_tick = t
+        self._tick_slot = None
 
     def _on_feed_me_round(self) -> None:
         if not self._alive:
@@ -280,8 +368,9 @@ class GossipNode:
         ``observer.on_packet_delivered(node_id, packet_id, time, is_source)``
         fires on every *first-time* delivery, before the delivery listener
         (see :class:`repro.validation.observers.DeliveryObserver`), and
-        ``on_gossip_round`` / ``on_feed_me_round`` fire at every protocol
-        timer tick (:class:`repro.validation.observers.ProtocolObserver`) —
+        ``on_gossip_round`` / ``on_feed_me_round`` fire at every gossip tick
+        that runs (a parked node's skipped ticks fire none) and every FEED_ME
+        tick (:class:`repro.validation.observers.ProtocolObserver`) —
         observers must implement all three, typically by subclassing
         :class:`~repro.validation.observers.SessionObserver`.  With no
         observers each edge pays one ``is None`` test.

@@ -271,10 +271,6 @@ class StreamingSession:
         # Churn and join firings: a sharded run replicates them on every
         # shard, and the merge subtracts the copies from the event count.
         self._control_events = 0
-        # Gossip timers running on this simulator: one per started, live
-        # node, each holding exactly one queued tick.  A shard compares it
-        # with its queue length to spot a queue of gossip ticks alone.
-        self._gossip_timers = 0
         self.telemetry = None  # SessionTelemetry once built with an armed config
 
     # ------------------------------------------------------------------
@@ -386,7 +382,6 @@ class StreamingSession:
             node = self.nodes.get(node_id)
             if node is not None:
                 node.fail()
-                self._gossip_timers -= 1
 
     def _build_telemetry(self) -> None:
         config = self.config
@@ -399,14 +394,18 @@ class StreamingSession:
         self.telemetry = SessionTelemetry(config.telemetry).attach(self)
 
     def _apply_joins(self, joiners: Tuple[NodeId, ...]) -> None:
-        assert self.directory is not None
+        assert self.directory is not None and self.simulator is not None
         self._control_events += 1
+        # A parked node replays its skipped ticks on the membership they saw:
+        # unlike a failure, an addition carries no time the directory can honour.
+        now = self.simulator.now
+        for node in self.nodes.values():
+            node.catch_up(now)
         for node_id in joiners:
             self.directory.add(node_id)
             node = self.nodes.get(node_id)  # a shard starts only the joiners it owns
             if node is not None:
                 node.start()
-                self._gossip_timers += 1
 
     # ------------------------------------------------------------------
     # Execution
@@ -417,6 +416,7 @@ class StreamingSession:
         assert self.simulator is not None
         try:
             self.simulator.run(until=until)
+            self._finish_nodes()
         finally:  # a run that dies keeps its last buffered trace lines: they say why
             telemetry_snapshot = self._close_telemetry()
         return self._result(telemetry_snapshot)
@@ -430,10 +430,14 @@ class StreamingSession:
         for node_id, node in self.nodes.items():
             if node_id not in late:
                 node.start()
-                self._gossip_timers += 1
         if self.emitter is not None:  # a shard without the source has none
             self.emitter.start()
         return session_horizon(self.config)
+
+    def _finish_nodes(self) -> None:
+        """Count every node's skipped gossip ticks up to the end: results and metrics read them."""
+        for node in self.nodes.values():
+            node.finish()
 
     def _close_telemetry(self):
         """Close the trace and snapshot the metrics (idempotent); ``None`` if unarmed."""

@@ -15,6 +15,7 @@ crashed node stops being returned by :meth:`selectable`.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.message import NodeId
@@ -43,13 +44,16 @@ class MembershipDirectory:
         # — O(n²) work per round across the system, the dominant cost at
         # 1,000 nodes.  The selectable set only changes when membership
         # mutates (version bump) or when a crashed node crosses its
-        # detection deadline (the cache records the earliest such deadline),
-        # so between those instants the scan result is reused and a node's
-        # own entry is skipped by position (``selectable_base``).
+        # detection deadline, so between two such instants the scan result
+        # is reused and a node's own entry is skipped by position
+        # (``selectable_base``).  The window runs from the latest deadline
+        # at or before the rebuild's ``now`` to the earliest after it: a node
+        # replaying the partner draws of skipped gossip rounds asks about
+        # past instants, which are answered from the same cache.
         self._version = 0
         self._cache_version = -1
-        self._cache_now = 0.0
-        self._cache_deadline = 0.0  # cache valid for now in [_cache_now, _cache_deadline)
+        self._cache_from = 0.0
+        self._cache_deadline = 0.0  # cache valid for now in [_cache_from, _cache_deadline)
         self._cache_base: List[NodeId] = []
         self._cache_index: Dict[NodeId, int] = {}
 
@@ -115,12 +119,12 @@ class MembershipDirectory:
         until membership mutates or a detection deadline passes: read it,
         never mutate it.
 
-        The cache is keyed on the membership version and the earliest
-        pending detection deadline.
+        The cache is keyed on the membership version and valid between
+        the two detection deadlines around the ``now`` it was built at.
         """
         if (
             self._cache_version != self._version
-            or now < self._cache_now
+            or now < self._cache_from
             or now >= self._cache_deadline
         ):
             self._rebuild_selectable_cache(now)
@@ -133,13 +137,16 @@ class MembershipDirectory:
         failed_at = self._failed_at
         base: List[NodeId] = []
         index: Dict[NodeId, int] = {}
-        deadline = float("inf")
+        valid_from = -math.inf
+        deadline = math.inf
         if failed_at:
             for node_id in self._members:
                 failed_time = failed_at.get(node_id)
                 if failed_time is not None:
                     detected_at = failed_time + detection_delay
                     if now >= detected_at:
+                        if detected_at > valid_from:
+                            valid_from = detected_at
                         continue
                     if detected_at < deadline:
                         deadline = detected_at
@@ -149,7 +156,7 @@ class MembershipDirectory:
             base = list(self._members)
             index = {node_id: position for position, node_id in enumerate(base)}
         self._cache_version = self._version
-        self._cache_now = now
+        self._cache_from = valid_from
         self._cache_deadline = deadline
         self._cache_base = base
         self._cache_index = index

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.network.message import NodeId
 
@@ -73,6 +73,10 @@ class PartnerSelector:
         self._rng = rng
         self._partners: Optional[List[NodeId]] = None
         self._rounds_since_refresh = 0
+        #: Called as ``catch_up(now)`` before a FEED_ME draw or insertion
+        #: reads the stream: the owner first replays the rounds it skipped
+        #: (:meth:`repro.core.node.GossipNode.catch_up`).
+        self.catch_up: Optional[Callable[[float], None]] = None
 
     # ------------------------------------------------------------------
     # Selection
@@ -159,6 +163,8 @@ class PartnerSelector:
         """
         if requester == self.node_id:
             return False
+        if self.catch_up is not None:
+            self.catch_up(now)
         if self._partners is None:
             self._partners = self._sample(now)
         if not self._partners:
@@ -175,4 +181,6 @@ class PartnerSelector:
     # ------------------------------------------------------------------
     def pick_feed_me_targets(self, now: float) -> List[NodeId]:
         """``f`` uniformly random nodes to send a feed-me request to."""
+        if self.catch_up is not None:
+            self.catch_up(now)
         return self._sample(now)

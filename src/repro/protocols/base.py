@@ -64,6 +64,8 @@ class ProtocolHost(Protocol):
 
     def deliver(self, packet_id: int, time: float) -> None: ...
 
+    def wake(self) -> None: ...
+
 
 class DisseminationProtocol(ABC):
     """Strategy deciding what a node sends and how it reacts to datagrams.
@@ -75,16 +77,18 @@ class DisseminationProtocol(ABC):
 
     * :meth:`on_publish` — the source published a packet; it has already been
       delivered locally and ``targets`` are the source-fanout recipients;
-    * :meth:`on_gossip_round` — one gossip period elapsed; ``partners`` is
-      this round's partner set (already refreshed per the ``X`` policy);
+    * :meth:`on_gossip_round` — a gossip tick of a node with ids to propose;
+      ``partners`` is this round's partner set (already refreshed per the
+      ``X`` policy);
     * :meth:`on_feed_me_round` — ``Y`` periods elapsed; ``targets`` are the
       uniformly random feed-me recipients;
     * the handlers of :meth:`message_handlers` — a datagram of that kind
       arrived for this node (an unknown kind is the host's ``ValueError``);
     * :meth:`on_fail` — the node crashed (release protocol-owned timers).
 
-    :meth:`quiet` is a query, not a hook: a sharded run asks it when a
-    shard's queue holds nothing but gossip ticks.
+    A gossip round comes only while the node has something to propose: a
+    strategy that adds the first id to ``state.events_to_propose`` calls
+    ``host.wake()``, and a round drains the list (infect-and-die).
     """
 
     name: ClassVar[str] = "abstract"
@@ -110,7 +114,7 @@ class DisseminationProtocol(ABC):
 
     @abstractmethod
     def on_gossip_round(self, now: float, partners: List[NodeId]) -> None:
-        """One gossip period elapsed; decide what to send to ``partners``."""
+        """A gossip tick with ids to propose; decide what to send to ``partners``."""
 
     def on_feed_me_round(self, now: float, targets: List[NodeId]) -> None:
         """``Y`` gossip periods elapsed.  Default: the mechanism is unused."""
@@ -125,14 +129,3 @@ class DisseminationProtocol(ABC):
 
     def on_fail(self) -> None:
         """The node crashed.  Default: nothing beyond the host's cleanup."""
-
-    def quiet(self) -> bool:
-        """Whether this node's gossip rounds send nothing until a datagram arrives.
-
-        A shard whose queue holds only gossip ticks of quiet nodes cannot
-        send before another shard sends to it, so the coordinator need not
-        hold it at the barrier (:class:`~repro.shard.session.WindowReport`).
-        Answering ``True`` wrongly ends a sharded run in a lookahead
-        violation.  Default: ``False``, never claimed.
-        """
-        return False

@@ -57,10 +57,6 @@ class EagerPush(DisseminationProtocol):
         for packet_id in packet_ids:
             self._push(packet_id, partners)
 
-    def quiet(self) -> bool:
-        """Quiet while no packet arrived since the last round: it would push nothing."""
-        return not self.host.state.events_to_propose
-
     def _push(self, packet_id: PacketId, targets: List[NodeId]) -> None:
         host = self.host
         size = serve_size(host.schedule.packet(packet_id).size_bytes)
@@ -81,4 +77,6 @@ class EagerPush(DisseminationProtocol):
             host.stats.duplicate_serves_received += 1
             return
         host.deliver(packet_id, host.now)
+        if not host.state.events_to_propose:
+            host.wake()
         host.state.queue_for_proposal(packet_id)

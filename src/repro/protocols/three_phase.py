@@ -72,10 +72,6 @@ class ThreePhaseGossip(DisseminationProtocol):
         host.send_to_all(partners, PROPOSE, size, payload)
         host.stats.proposes_sent += len(partners)
 
-    def quiet(self) -> bool:
-        """Quiet while no packet arrived since the last round: it would propose nothing."""
-        return not self.host.state.events_to_propose
-
     # ------------------------------------------------------------------
     # Feed-me round (the Y mechanism, sending side)
     # ------------------------------------------------------------------
@@ -205,7 +201,10 @@ class ThreePhaseGossip(DisseminationProtocol):
             host.stats.duplicate_serves_received += 1
             return
         host.deliver(packet_id, host.simulator.now)
-        host.state.events_to_propose.append(packet_id)
+        to_propose = host.state.events_to_propose
+        if not to_propose:
+            host.wake()
+        to_propose.append(packet_id)
 
     def _handle_feed_me(self, message: Message) -> None:
         host = self.host

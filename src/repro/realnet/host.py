@@ -20,8 +20,8 @@ this property.
 
 Lifecycle
 ---------
-Sessions are *built* before the event loop exists: node construction arms
-gossip timers and the emitter schedules every publication.  The host
+Sessions are *built* before the event loop exists: node start-up arms the
+FEED_ME timers and the emitter schedules every publication.  The host
 buffers those pre-start schedules and converts them into ``loop.call_at``
 timers the moment :meth:`run` starts the loop (virtual ``t = 0`` is defined
 as that instant).  ``run(until=...)`` then waits until the virtual horizon

@@ -9,10 +9,11 @@ shard the same next window bound.
 **The window bound.**  Every shard has run each event strictly below the
 common bound ``B``.  Let ``t_min`` be the earliest instant any shard can
 *send*: the earliest of the shards' pending events and of the datagrams
-routed this round.  A shard whose queue holds only the gossip ticks of
-quiet nodes reports no pending event (``WindowReport.peek_time`` is
-``None``): such a tick sends nothing, and only a delivery — the routed
-datagrams, already counted — gives a node something to propose.
+routed this round.  A node with nothing to propose queues no gossip tick,
+so a shard whose nodes all wait for a datagram has an empty queue and
+reports no pending event (``WindowReport.peek_time`` is ``None``): only a
+delivery — the routed datagrams, already counted — gives a node something
+to propose.
 ``lookahead`` (``L`` below) is the plan's greatest lower bound on the delay
 of any datagram that *crosses* shards
 (:func:`repro.shard.partition.plan_shards`) — wider than the transport's
@@ -24,8 +25,8 @@ the next bound ``min(until, t_min + L)`` (Chandy–Misra lookahead in one
 synchronous window, Lubachevsky's bounded lag).  The bound never falls:
 every peek and every routed datagram is at or after ``B``.  A single-shard
 run needs no barriers at all and jumps straight to the horizon, and so does
-every shard once none can send: the drain after the stream, where every
-gossip timer still fires with nothing to propose, is one window.  The
+every shard once none can send: the drain after the stream, where no node
+has anything to propose, is one window.  The
 first bound, ``min(until, L)``, every shard computes alone; the
 coordinator verifies every report against the bound it expects.
 

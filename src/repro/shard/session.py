@@ -59,9 +59,10 @@ class WindowReport:
     bound: float
     outbound: Dict[int, WireBatch]
     #: Earliest instant this shard can send: its earliest pending local
-    #: event after the window, or ``None`` when nothing it holds can send
-    #: until a datagram arrives — an empty queue, or one holding only the
-    #: gossip ticks of quiet nodes (:meth:`ShardSession.silent`).
+    #: event after the window, or ``None`` when its queue is empty — a node
+    #: with nothing to propose queues no gossip tick
+    #: (:meth:`~repro.core.node.GossipNode.wake`), so nothing it holds can
+    #: send until a datagram arrives.
     peek_time: Optional[float]
 
 
@@ -251,30 +252,12 @@ class ShardSession(StreamingSession):
             shard_id=self.shard_id,
             bound=bound,
             outbound=self._router.flush(),
-            peek_time=None if self.silent() else simulator._queue.peek_time(),
+            peek_time=simulator._queue.peek_time(),
         )
-
-    def silent(self) -> bool:
-        """Whether nothing queued here can send until a datagram arrives.
-
-        True when the queue holds only gossip ticks and every live owned
-        node is :meth:`~repro.protocols.base.DisseminationProtocol.quiet`:
-        such a tick draws its partners and sends nothing, and only a
-        delivery gives a node something to propose.  The O(1) precheck is
-        the queue length against the running gossip timers (one live tick
-        each): any delivery, publication, queued retransmission, churn or
-        join firing, or FEED_ME tick in the queue breaks the equality.
-        """
-        assert self.simulator is not None
-        if self.simulator.pending_events != self._gossip_timers:
-            return False
-        for node in self.nodes.values():
-            if node.alive and not node.protocol.quiet():
-                return False
-        return True
 
     def close(self) -> ShardResult:
         """Close the trace and return this shard's fragment."""
+        self._finish_nodes()
         result = self._result(self._close_telemetry())
         return ShardResult(
             shard_id=self.shard_id,

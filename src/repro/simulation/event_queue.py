@@ -8,7 +8,7 @@ and must not depend on hash ordering or heap tie-breaking accidents.
 Cancellation is *lazy*: cancelling an event marks its handle and the event is
 skipped when it reaches the top of the heap, which makes cancellation O(1).
 What gets cancelled is churn, not served requests: a failing node stops its
-gossip timers and its one queued retransmission
+queued gossip tick, its FEED_ME timer and its one queued retransmission
 (:meth:`~repro.core.state.NodeState.cancel_all_pending`); the rest of a
 node's retransmissions only hold keys (``Simulator.reserve``).
 

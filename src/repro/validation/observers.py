@@ -94,8 +94,10 @@ class DeliveryObserver:
 class ProtocolObserver:
     """Watches protocol-phase ticks at gossip nodes.
 
-    These edges fire once per node per timer tick (every 0.2 s of simulated
-    time by default) — orders of magnitude cooler than the dispatch or
+    These edges fire once per node per tick that runs: every FEED_ME tick,
+    and every gossip tick of a node with something to propose (at most one
+    per 0.2 s of simulated time; a parked node's skipped ticks fire none) —
+    orders of magnitude cooler than the dispatch or
     datagram edges — and carry the partner/target draws the node is about
     to hand its dissemination strategy.  Observers must not mutate the
     sequences they receive.

@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.core.config import GossipConfig
-from repro.core.messages import FEED_ME, PROPOSE, REQUEST, SERVE
+from repro.core.config import GOSSIP_PERIOD, GossipConfig
+from repro.core.messages import FEED_ME, PROPOSE, REQUEST, SERVE, ServePayload, feed_me_size
 from repro.core.node import GossipNode
 from repro.membership.directory import MembershipDirectory
-from repro.membership.partners import INFINITE
+from repro.membership.partners import INFINITE, PartnerSelector
 from repro.network.latency import ConstantLatency
 from repro.network.loss import LossModel
 from repro.network.message import Message
 from repro.network.transport import Network
 from repro.simulation.engine import Simulator
+from repro.simulation.rng import RngRegistry
 from repro.streaming.schedule import StreamConfig, StreamSchedule
-from repro.validation.observers import TransportObserver
+from repro.validation.observers import SessionObserver, TransportObserver
 
 
 class ScriptedLoss(LossModel):
@@ -272,6 +273,7 @@ class TestInfectAndDie:
         node.start()
         harness.simulator.run(until=2.0)
         assert node.stats.proposes_sent == 0
+        node.finish()
         assert node.stats.gossip_rounds >= 9
 
 
@@ -458,3 +460,125 @@ def harness_propose(packet_ids):
     from repro.core.messages import ProposePayload
 
     return ProposePayload(packet_ids=tuple(packet_ids))
+
+
+class _Rounds(SessionObserver):
+    """Every gossip tick that runs, as ``(node, time, partners)``."""
+
+    def __init__(self) -> None:
+        self.rounds = []
+
+    def on_gossip_round(self, node_id, now, partners):
+        self.rounds.append((node_id, now, list(partners)))
+
+
+def serve(receiver, packet_id):
+    return Message(2, receiver, SERVE, 1056, ServePayload(packet_id=packet_id))
+
+
+def tick_instants(node_id, start, end, seed=3):
+    """The instants a timer firing every period from the node's phase runs at."""
+    t = start + RngRegistry(seed).node_stream("round-phase", node_id).uniform(0.0, GOSSIP_PERIOD)
+    instants = []
+    while t <= end:
+        instants.append(t)
+        t += GOSSIP_PERIOD
+    return instants
+
+
+class TestParkedTick:
+    """A node queues its gossip tick only while it has something to propose."""
+
+    def test_a_node_with_nothing_to_propose_queues_no_tick(self):
+        harness = Harness(num_nodes=4)
+        simulator, node = harness.simulator, harness.nodes[1]
+        observer = _Rounds()
+        node.add_observer(observer)
+        node.start()
+        assert simulator.pending_events == 0
+        simulator.run(until=2.0)
+        assert simulator.events_processed == 0
+        node.on_message(serve(1, 7))
+        assert simulator.pending_events == 1  # the next tick
+        simulator.run(until=4.0)
+        assert len(observer.rounds) == 1
+        assert node.stats.proposes_sent == harness.config.fanout
+        assert not node.state.events_to_propose
+        assert simulator.pending_events == 0  # parked again
+
+    def test_a_wake_before_the_reserved_instant_pops_at_the_timer_key(self):
+        # The tick takes the key a timer armed at start would have taken: after
+        # an event queued for its instant before start, before one queued after.
+        harness = Harness(num_nodes=4)
+        simulator, node = harness.simulator, harness.nodes[1]
+        (first,) = tick_instants(1, 0.0, GOSSIP_PERIOD)
+        seen = []
+        observer = _Rounds()
+        node.add_observer(observer)
+        simulator.schedule_at(first, lambda: seen.append(("before start", len(observer.rounds))))
+        node.start()
+        simulator.schedule_at(first, lambda: seen.append(("after start", len(observer.rounds))))
+        node.on_message(serve(1, 7))
+        simulator.run(until=first)
+        assert seen == [("before start", 0), ("after start", 1)]
+        assert [(n, t) for n, t, _ in observer.rounds] == [(1, first)]
+
+    @pytest.mark.parametrize("refresh_every", [1, 2, INFINITE])
+    @pytest.mark.parametrize("inside", ["nothing", "feed-me round", "feed-me receipt", "failure"])
+    def test_replayed_ticks_draw_what_a_timer_would_have(self, refresh_every, inside):
+        feed_me_every = 3 if inside == "feed-me round" else INFINITE
+        harness = Harness(num_nodes=6, refresh_every=refresh_every, feed_me_every=feed_me_every)
+        simulator, node = harness.simulator, harness.nodes[1]
+        observer = _Rounds()
+        node.add_observer(observer)
+        reference_rng = RngRegistry(3).node_stream("partners", 1)
+        reference = PartnerSelector(
+            node_id=1,
+            directory=harness.directory,
+            fanout=harness.config.fanout,
+            refresh_every=refresh_every,
+            rng=reference_rng,
+        )
+        end = 3.5
+        expected = {}
+        for t in tick_instants(1, 0.0, end):
+            simulator.schedule_at(t, lambda t=t: expected.__setitem__(t, reference.partners_for_round(t)))
+        if inside == "feed-me round":
+            period = feed_me_every * GOSSIP_PERIOD
+            t = period
+            while t <= end:
+                simulator.schedule_at(t, reference.pick_feed_me_targets, t)
+                t += period
+        elif inside == "feed-me receipt":
+            feed_me = Message(3, 1, FEED_ME, feed_me_size(), None)
+            simulator.schedule_at(1.05, node.on_message, feed_me)
+            simulator.schedule_at(1.05, reference.insert_requester, 3, 1.05)
+        elif inside == "failure":  # detected at 1.5, inside the stretch 0 – 2.5
+            simulator.schedule_at(0.5, harness.nodes[4].fail)
+            simulator.schedule_at(0.5, harness.directory.mark_failed, 4, 0.5)
+        node.start()
+        # Parked from its phase to 2.5, then kept awake for a few rounds.
+        for packet_id, t in enumerate((2.5, 2.75, 3.0)):
+            simulator.schedule_at(t, node.on_message, serve(1, packet_id))
+        simulator.run(until=end)
+        assert len(observer.rounds) == 3
+        assert [partners for _, _, partners in observer.rounds] == [
+            expected[t] for _, t, _ in observer.rounds
+        ]
+        node.catch_up(end)
+        assert simulator.rng.node_stream("partners", 1).getstate() == reference_rng.getstate()
+        node.finish()
+        assert node.stats.gossip_rounds == len(expected)
+
+    def test_a_node_failing_while_parked_counts_its_ticks_and_draws_nothing(self):
+        harness = Harness(num_nodes=4)
+        simulator, node = harness.simulator, harness.nodes[1]
+        untouched = RngRegistry(3).node_stream("partners", 1).getstate()
+        node.start()
+        simulator.schedule_at(1.03, node.fail)
+        simulator.run(until=3.0)
+        node.on_message(serve(1, 7))  # dead: ignored, no tick queued
+        node.finish()
+        assert node.stats.gossip_rounds == len(tick_instants(1, 0.0, 1.03))
+        assert simulator.rng.node_stream("partners", 1).getstate() == untouched
+        assert simulator.pending_events == 0

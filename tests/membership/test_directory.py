@@ -159,6 +159,25 @@ class TestSelectableCache:
         assert directory.selectable(5.0) == [0, 2, 3, 4]  # 1 detected
         assert directory.selectable(3.0) == [0, 1, 2, 3, 4]  # 1 visible again
 
+    def test_a_past_now_is_answered_from_the_cache_between_two_deadlines(self):
+        # A parked node replays its skipped rounds at past instants: between
+        # the latest detection at or before the rebuild and the next one, the
+        # cached base list answers them without a rebuild.
+        directory = MembershipDirectory(detection_delay=1.0)
+        members, crashes = list(range(10)), {3: 2.0, 5: 4.0}  # detected at 3.0, 5.0
+        directory.add_all(members)
+        for node_id, time in crashes.items():
+            directory.mark_failed(node_id, time=time)
+        base, _ = directory.selectable_base(4.5)
+        for now in (3.0, 3.5, 4.0, 4.999):
+            assert directory.selectable_base(now)[0] is base, now
+        assert base == self._fresh_scan(members, crashes, 1.0, 4.5)
+        for now in (2.999, 0.0, 5.0, 7.0, 3.0, 4.5, 2.5):
+            assert directory.selectable_base(now)[0] == self._fresh_scan(
+                members, crashes, 1.0, now
+            ), now
+        assert directory.selectable_base(2.5)[0] is directory.selectable_base(-1.0)[0]
+
     def test_a_caller_cannot_edit_the_cached_list(self):
         directory = MembershipDirectory(detection_delay=5.0)
         directory.add_all([10, 20, 30])

@@ -11,19 +11,27 @@ that is a bug, not a baseline to re-pin, unless a PR deliberately changes
 the protocol and says so.
 """
 
+import dataclasses
 import hashlib
 
 from repro.core.config import GossipConfig
 from repro.core.session import SessionConfig, StreamingSession
 from repro.network.transport import NetworkConfig
 from repro.streaming.schedule import StreamConfig
+from repro.telemetry.config import TelemetryConfig
 
 # Captured from the pre-refactor seed implementation (monolithic GossipNode),
 # commit 1193003, with the exact configuration below.  The event count was
 # 11956 while every armed retransmission was queued and fired; queueing only
 # each node's front live one drops 1,901 no-op fires and moves nothing else.
+# It was 10055 while every node's gossip timer fired every period; queueing a
+# tick only while the node has something to propose drops the 1,958 quiet
+# ones and moves nothing else.
 SEED_TOTAL_DELIVERIES = 3515
-SEED_EVENTS_PROCESSED = 10055
+SEED_EVENTS_PROCESSED = 8097
+# Gossip ticks over every node, counted while each node's timer fired every
+# period; a parked node counts the ticks it skipped, so the sum stays put.
+SEED_GOSSIP_ROUNDS = 2237
 SEED_DELIVERY_LOG_SHA256 = "b3eedd82bbc021800daf5eff624146824310272c250de9d9201e12123d968cc3"
 
 
@@ -66,3 +74,11 @@ class TestSeedRegression:
         config.protocol = "three-phase"
         named = StreamingSession(config).run()
         assert delivery_log_digest(default) == delivery_log_digest(named)
+
+    def test_gossip_rounds_count_every_period_in_the_result_and_the_metrics(self):
+        config = dataclasses.replace(seed_pinned_config(), telemetry=TelemetryConfig(metrics=True))
+        result = StreamingSession(config).run()
+        rounds = sum(stats.gossip_rounds for stats in result.node_stats.values())
+        assert rounds == SEED_GOSSIP_ROUNDS
+        assert result.telemetry.metrics["proto.gossip_rounds"] == SEED_GOSSIP_ROUNDS
+        assert delivery_log_digest(result) == SEED_DELIVERY_LOG_SHA256

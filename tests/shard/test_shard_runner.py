@@ -117,11 +117,9 @@ class TestWindowStep:
 
     def shard(self, network):
         """Shard 0 of [0, 0, 1, 1]: a bare simulator, router and network in
-        place of a session build (no nodes, so no gossip timers), horizon at 10."""
+        place of a session build (no nodes), horizon at 10."""
         shard = ShardSession.__new__(ShardSession)
         shard.shard_id = 0
-        shard.nodes = {}
-        shard._gossip_timers = 0
         shard.simulator = Simulator(seed=1)
         shard.network = network
         shard._router = ShardRouter(network, shard_id=0, lookup=[0, 0, 1, 1])
@@ -591,9 +589,10 @@ class TestLockstep:
 
 
 class TestQuietRounds:
-    """A shard holding only quiet gossip ticks reports no peek: nothing it
-    holds can send until a datagram arrives, so the drain after the stream
-    is granted in one window instead of a barrier round per tick."""
+    """A node with nothing to propose queues no gossip tick, so a shard
+    whose nodes all wait for a datagram has an empty queue and reports no
+    peek: the drain after the stream is granted in one window instead of a
+    barrier round per tick."""
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_quiet_rounds_stop_holding_the_barrier(self, mode, rounds):
@@ -603,15 +602,19 @@ class TestQuietRounds:
             for reports in rounds
         ]
         # 752 rounds, 583 of them moving nothing, while every quiet tick
-        # held the barrier; the drain now takes the last two.
-        assert run.windows == len(moved) == 205
-        assert moved.count(False) == 31
+        # held the barrier; 205 (31) while a queue of quiet ticks alone was
+        # spotted by asking the protocols; the drain takes the last three.
+        assert run.windows == len(moved) == 199
+        assert moved.count(False) == 26
         assert moved[-3:] == [False, False, False]
-        assert run.result.events_processed == 8226
+        assert run.result.events_processed == 7031
 
-    def test_a_silent_report_during_the_stream_is_accepted(self, rounds):
-        # A shard can fall quiet while the stream runs; with one bound for
-        # every shard its silence cannot put the windows out of step.
+    def test_a_parked_shard_reports_no_peek_and_the_run_matches_the_scalar_oracle(
+        self, rounds
+    ):
+        # While the stream runs a shard can hold nothing but parked nodes:
+        # its queue is empty, and with one bound for every shard its silence
+        # cannot put the windows out of step.
         from repro.core.session import StreamingSession
 
         config = small_config()
@@ -626,21 +629,30 @@ class TestQuietRounds:
         oracle = StreamingSession(config).run()
         assert result.deliveries.raw() == oracle.deliveries.raw()
         assert result.events_processed == oracle.events_processed
+        assert result.node_stats == oracle.node_stats
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_feed_me_ticks_keep_every_window(self, mode):
-        # A FEED_ME tick sends: a shard running FEED_ME timers is never silent.
+        # A FEED_ME tick sends, so it is always queued and always peeked.
         spec = build_scenario("homogeneous", num_nodes=8, seed=3, shards=2, feed_me_every=4)
-        assert execute_sharded(spec.session_config(), mode=mode).windows == 938
+        assert execute_sharded(spec.session_config(), mode=mode).windows == 360
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_a_shard_claiming_silence_while_it_sends_trips_the_guard(self, mode, monkeypatch):
         _needs_fork(mode)
-        monkeypatch.setattr(ShardSession, "silent", lambda self: True)
+        real = ShardSession._window
+
+        def hide_shard_0(self, bound):
+            report = real(self, bound)
+            if self.shard_id == 0:
+                report.peek_time = None
+            return report
+
+        monkeypatch.setattr(ShardSession, "_window", hide_shard_0)
         config = small_config()
         with pytest.raises(
             ShardProtocolError,
-            match=r"lookahead violated: shard \d sent shard \d datagram #\d+ due at ",
+            match=r"lookahead violated: shard 0 sent shard 1 datagram #\d+ due at ",
         ):
             _run_workers(config, plan_shards(config, 2), mode)
         assert _no_shard_workers_left()

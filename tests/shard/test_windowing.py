@@ -25,8 +25,6 @@ class ScriptedShard(ShardSession):
     def __init__(self, simulator, lookahead, coordinator):
         self.simulator = simulator
         self.shard_id = 0
-        self.nodes = {}  # no nodes, no gossip timers: silent only when empty
-        self._gossip_timers = 0
         self.network = SimpleNamespace(schedule_delivery=None)
         self._plan = SimpleNamespace(lookahead=lookahead)
         self._router = SimpleNamespace(flush=dict)

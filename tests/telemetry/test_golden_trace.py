@@ -13,7 +13,14 @@ front live retransmission (18,739 → 17,868 lines, ``dispatch`` 6,430 →
 of ``Timer._fire`` — each one followed directly by another ``dispatch``, a
 fire that did nothing — with ``i`` renumbered and the surviving
 ``Timer._fire`` renamed ``ThreePhaseGossip._on_retransmit_timeout``; no
-other line moved.
+other line moved.  A second removal: when a node queued a gossip tick only
+while it had something to propose (17,868 → 17,398 lines, ``dispatch``
+5,559 → 5,324, ``round`` 432 → 197), the pinned lines became the old ones
+without the 235 ticks whose ``round`` line was followed directly by the
+next ``dispatch`` — a tick that sent nothing — each losing its ``dispatch``
+and its ``round`` line, with ``i`` renumbered and the 197 surviving tick
+``dispatch`` lines' ``PeriodicTimer._fire`` renamed
+``GossipNode._on_gossip_round``; no other line moved.
 
 The session is a lossy, congested, churned smoke run, plus one node whose
 network endpoint is failed and later recovered while its timers keep
@@ -35,8 +42,8 @@ from repro.telemetry.cli import main
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import EVENT_KINDS, validate_trace
 
-GOLDEN_EVENTS = 17868
-GOLDEN_SHA256 = "e89b342140f41d64df9e8db20148f31edd44c1b29847b59044b1fd726638a293"
+GOLDEN_EVENTS = 17398
+GOLDEN_SHA256 = "cb9800aa1f61e5ab787789265f4a702fc0ac722011f4398bd10b7bcdcd6c391f"
 
 #: Endpoint-only outage of one receiver (it is never ``fail()``-ed, so it
 #: keeps trying to send: ``send_blocked``), then its recovery.

@@ -221,8 +221,6 @@ KEEP: Tuple[Keep, ...] = (
     Keep(_ORACLE, "telemetry/schema.py",
          ("_ClosedBuffer", "TraceWriter._abandon", "TraceWriter.__enter__", "TraceWriter.__exit__"),
          "keeps a trace whole and closed after a handler exception or a full disk"),
-    Keep(_API, "protocols/base.py", ("DisseminationProtocol.quiet",),
-         "docs/sharding.md, Silent shards: the answer of a protocol that does not override it"),
     Keep(_API, "sweep/aggregate.py", (),
          "docs/architecture.md, Parallel sweeps: aggregate and aggregate_table"),
     Keep(_API, "sweep/spec.py", ("SweepGrid", "SweepSpec"),
