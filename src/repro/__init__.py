@@ -16,32 +16,28 @@ See ``docs/architecture.md`` for the system inventory; the measured figures
 and benchmark reports are written under ``benchmarks/results/``.
 """
 
-from repro.core.config import GossipConfig
-from repro.core.node import GossipNode, NodeStats
-from repro.core.session import SessionConfig, SessionResult, StreamingSession, run_session
-from repro.membership.churn import CatastrophicChurn
-from repro.membership.join import FlashCrowdJoin
-from repro.membership.partners import INFINITE
-from repro.metrics.quality import OFFLINE_LAG, StreamQualityAnalyzer
-from repro.network.bandwidth import BandwidthCap
-from repro.network.transport import Network, NetworkConfig
-from repro.protocols import (
-    DisseminationProtocol,
-    EagerPush,
-    ThreePhaseGossip,
-    available_protocols,
-    register_protocol,
-)
-from repro.scenarios import (
-    BandwidthClass,
-    ScenarioSpec,
-    available_scenarios,
-    register_scenario,
-    run_scenario,
-)
-from repro.simulation.engine import Simulator
-from repro.streaming.schedule import StreamConfig, StreamSchedule
-from repro.telemetry.config import TelemetryConfig
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.config": ("GossipConfig",),
+    "repro.core.node": ("GossipNode", "NodeStats"),
+    "repro.core.session": ("SessionConfig", "SessionResult", "StreamingSession", "run_session"),
+    "repro.membership.churn": ("CatastrophicChurn",),
+    "repro.membership.join": ("FlashCrowdJoin",),
+    "repro.membership.partners": ("INFINITE",),
+    "repro.metrics.quality": ("OFFLINE_LAG", "StreamQualityAnalyzer"),
+    "repro.network.bandwidth": ("BandwidthCap",),
+    "repro.network.transport": ("Network", "NetworkConfig"),
+    "repro.protocols.base": ("DisseminationProtocol",),
+    "repro.protocols.eager_push": ("EagerPush",),
+    "repro.protocols.registry": ("available_protocols", "register_protocol"),
+    "repro.protocols.three_phase": ("ThreePhaseGossip",),
+    "repro.scenarios.registry": ("available_scenarios", "register_scenario", "run_scenario"),
+    "repro.scenarios.spec": ("BandwidthClass", "ScenarioSpec"),
+    "repro.simulation.engine": ("Simulator",),
+    "repro.streaming.schedule": ("StreamConfig", "StreamSchedule"),
+    "repro.telemetry.config": ("TelemetryConfig",),
+})
 
 __version__ = "1.0.0"
 

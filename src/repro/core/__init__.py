@@ -17,20 +17,24 @@ Public API sketch::
     print(result.quality.viewing_ratio(lag=10.0))
 """
 
-from repro.core.config import GossipConfig
-from repro.core.host import Host, ScheduledHandle
-from repro.core.messages import (
-    FEED_ME,
-    PROPOSE,
-    REQUEST,
-    SERVE,
-    ProposePayload,
-    RequestPayload,
-    ServePayload,
-)
-from repro.core.node import GossipNode, NodeStats
-from repro.core.session import SessionConfig, SessionResult, StreamingSession
-from repro.core.state import NodeState, PendingRequest
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.core.config": ("GossipConfig",),
+    "repro.core.host": ("Host", "ScheduledHandle"),
+    "repro.core.messages": (
+        "FEED_ME",
+        "PROPOSE",
+        "REQUEST",
+        "SERVE",
+        "ProposePayload",
+        "RequestPayload",
+        "ServePayload",
+    ),
+    "repro.core.node": ("GossipNode", "NodeStats"),
+    "repro.core.session": ("SessionConfig", "SessionResult", "StreamingSession"),
+    "repro.core.state": ("NodeState", "PendingRequest"),
+})
 
 __all__ = [
     "FEED_ME",

@@ -16,28 +16,32 @@ configuration, for users with patience) and
 fast path — see ``python -m repro.bench run --filter large-session``).
 """
 
-from repro.experiments.figures import (
-    FigureResult,
-    figure_points,
-    figure1_fanout_700,
-    figure2_lag_cdf,
-    figure3_fanout_relaxed_caps,
-    figure4_bandwidth_usage,
-    figure5_refresh_rate,
-    figure6_feedme_rate,
-    figure7_churn_unaffected,
-    figure8_churn_windows,
-)
-from repro.experiments.runner import ExperimentPoint, format_rate, run_point
-from repro.experiments.scale import (
-    METROPOLIS,
-    PAPER,
-    REDUCED,
-    SMOKE,
-    XLARGE,
-    ExperimentScale,
-    scale_by_name,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.experiments.figures": (
+        "FigureResult",
+        "figure_points",
+        "figure1_fanout_700",
+        "figure2_lag_cdf",
+        "figure3_fanout_relaxed_caps",
+        "figure4_bandwidth_usage",
+        "figure5_refresh_rate",
+        "figure6_feedme_rate",
+        "figure7_churn_unaffected",
+        "figure8_churn_windows",
+    ),
+    "repro.experiments.runner": ("ExperimentPoint", "format_rate", "run_point"),
+    "repro.experiments.scale": (
+        "METROPOLIS",
+        "PAPER",
+        "REDUCED",
+        "SMOKE",
+        "XLARGE",
+        "ExperimentScale",
+        "scale_by_name",
+    ),
+})
 
 __all__ = [
     "ExperimentPoint",

@@ -17,10 +17,14 @@ the paper studies and the churn schedule used in Section 4.3:
   *joining* mid-stream, kept out of the directory until their join time.
 """
 
-from repro.membership.churn import CatastrophicChurn
-from repro.membership.directory import MembershipDirectory
-from repro.membership.join import FlashCrowdJoin
-from repro.membership.partners import INFINITE, PartnerSelector
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.membership.churn": ("CatastrophicChurn",),
+    "repro.membership.directory": ("MembershipDirectory",),
+    "repro.membership.join": ("FlashCrowdJoin",),
+    "repro.membership.partners": ("INFINITE", "PartnerSelector"),
+})
 
 __all__ = [
     "CatastrophicChurn",

@@ -16,10 +16,14 @@ This package turns the raw observations collected during a run — the
 :class:`~repro.network.stats.TrafficStats` — into those quantities.
 """
 
-from repro.metrics.bandwidth import BandwidthUsage
-from repro.metrics.delivery import DeliveryLog
-from repro.metrics.quality import OFFLINE_LAG, StreamQualityAnalyzer
-from repro.metrics.report import Series, format_series_table, format_table
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.metrics.bandwidth": ("BandwidthUsage",),
+    "repro.metrics.delivery": ("DeliveryLog",),
+    "repro.metrics.quality": ("OFFLINE_LAG", "StreamQualityAnalyzer"),
+    "repro.metrics.report": ("Series", "format_series_table", "format_table"),
+})
 
 __all__ = [
     "BandwidthUsage",

@@ -19,18 +19,22 @@ This package reproduces that substrate in simulation:
   used to reproduce the paper's bandwidth-usage figure (Figure 4).
 """
 
-from repro.network.bandwidth import BandwidthCap, UploadLimiter
-from repro.network.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    PerNodeQualityLatency,
-    UniformLatency,
-)
-from repro.network.loss import LossModel, NoLoss, UniformLoss
-from repro.network.message import Message
-from repro.network.stats import NodeTraffic, TrafficStats
-from repro.network.transport import Network, NetworkConfig
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.network.bandwidth": ("BandwidthCap", "UploadLimiter"),
+    "repro.network.latency": (
+        "ConstantLatency",
+        "LatencyModel",
+        "LogNormalLatency",
+        "PerNodeQualityLatency",
+        "UniformLatency",
+    ),
+    "repro.network.loss": ("LossModel", "NoLoss", "UniformLoss"),
+    "repro.network.message": ("Message",),
+    "repro.network.stats": ("NodeTraffic", "TrafficStats"),
+    "repro.network.transport": ("Network", "NetworkConfig"),
+})
 
 __all__ = [
     "BandwidthCap",

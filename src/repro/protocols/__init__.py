@@ -17,15 +17,19 @@ declarative::
     result = run_session(SessionConfig(num_nodes=40, protocol="eager-push"))
 """
 
-from repro.protocols.base import DisseminationProtocol, ProtocolHost
-from repro.protocols.eager_push import PUSH, EagerPush
-from repro.protocols.registry import (
-    available_protocols,
-    create_protocol,
-    protocol_factory,
-    register_protocol,
-)
-from repro.protocols.three_phase import ThreePhaseGossip
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.protocols.base": ("DisseminationProtocol", "ProtocolHost"),
+    "repro.protocols.eager_push": ("PUSH", "EagerPush"),
+    "repro.protocols.registry": (
+        "available_protocols",
+        "create_protocol",
+        "protocol_factory",
+        "register_protocol",
+    ),
+    "repro.protocols.three_phase": ("ThreePhaseGossip",),
+})
 
 __all__ = [
     "DisseminationProtocol",

@@ -20,12 +20,16 @@ See ``docs/realnet.md`` for the Host contract, the validation workflow and
 the wall-clock caveats.
 """
 
-from repro.realnet.compare import BackendComparison, MetricDelta, compare_backends
-from repro.realnet.errors import CodecError, RealNetError, RealNetStateError
-from repro.realnet.host import AsyncioHost, WallClockHandle
-from repro.realnet.net import UdpNetwork
-from repro.realnet.ports import PortPlan
-from repro.realnet.session import RealNetConfig, RealNetSession
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.realnet.compare": ("BackendComparison", "MetricDelta", "compare_backends"),
+    "repro.realnet.errors": ("CodecError", "RealNetError", "RealNetStateError"),
+    "repro.realnet.host": ("AsyncioHost", "WallClockHandle"),
+    "repro.realnet.net": ("UdpNetwork",),
+    "repro.realnet.ports": ("PortPlan",),
+    "repro.realnet.session": ("RealNetConfig", "RealNetSession"),
+})
 
 __all__ = [
     "AsyncioHost",

@@ -14,11 +14,13 @@ on.
 
 from __future__ import annotations
 
-import socket
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.network.message import NodeId
+
+if TYPE_CHECKING:
+    import socket
 
 Address = Tuple[str, int]
 
@@ -50,6 +52,8 @@ def bind_node_socket(plan: PortPlan, node_id: NodeId) -> socket.socket:
     The socket is non-blocking (as ``create_datagram_endpoint`` requires)
     and already bound, so its port is reserved from this moment on.
     """
+    import socket
+
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
         port = 0 if plan.base_port is None else plan.base_port + node_id

@@ -18,13 +18,13 @@ comparison (:mod:`repro.realnet.compare`) a pure data question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.session import SessionConfig, StreamingSession
-
-from repro.realnet.host import AsyncioHost
-from repro.realnet.net import UdpNetwork
 from repro.realnet.ports import PortPlan
+
+if TYPE_CHECKING:
+    from repro.realnet.host import AsyncioHost
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,8 @@ class RealNetSession(StreamingSession):
 
     def _create_simulator(self) -> AsyncioHost:
         """The wall-clock host every substrate schedules on."""
+        from repro.realnet.host import AsyncioHost  # asyncio loads with the first session
+
         return AsyncioHost(seed=self.config.seed, time_scale=self.realnet.time_scale)
 
     def _build_network(self) -> None:
@@ -91,6 +93,8 @@ class RealNetSession(StreamingSession):
         repeated realnet runs statistically aligned with each other and
         with the sharded simulator's draw discipline.
         """
+        from repro.realnet.net import UdpNetwork
+
         assert self.simulator is not None
         config = self.config
         node_ids = list(range(config.num_nodes))

@@ -21,20 +21,24 @@ Custom scenarios are plain spec factories::
                             latency_model="constant", random_loss=0.0)
 """
 
-from repro.scenarios.registry import (
-    available_scenarios,
-    build_scenario,
-    register_scenario,
-    run_scenario,
-    scenario_by_name,
-)
-from repro.scenarios.spec import (
-    BandwidthClass,
-    ScenarioSpec,
-    assign_bandwidth_classes,
-    build_session,
-    run_spec,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.scenarios.registry": (
+        "available_scenarios",
+        "build_scenario",
+        "register_scenario",
+        "run_scenario",
+        "scenario_by_name",
+    ),
+    "repro.scenarios.spec": (
+        "BandwidthClass",
+        "ScenarioSpec",
+        "assign_bandwidth_classes",
+        "build_session",
+        "run_spec",
+    ),
+})
 
 __all__ = [
     "BandwidthClass",

@@ -17,21 +17,20 @@ config.  Sharding changes how a session executes, never what it computes.
 registered scenario at 1, 2 and 4 shards.
 """
 
-from repro.shard.partition import ShardPlan, partition_nodes, plan_shards
-from repro.shard.runner import (
-    ShardedRun,
-    ShardProtocolError,
-    execute_sharded,
-    merge_shard_results,
-    run_sharded,
-)
-from repro.shard.session import ShardResult, ShardRouter, ShardSession
-from repro.shard.wire import (
-    WireBatch,
-    WireFormatError,
-    decode_batch,
-    encode_batch,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.shard.partition": ("ShardPlan", "partition_nodes", "plan_shards"),
+    "repro.shard.runner": (
+        "ShardedRun",
+        "ShardProtocolError",
+        "execute_sharded",
+        "merge_shard_results",
+        "run_sharded",
+    ),
+    "repro.shard.session": ("ShardResult", "ShardRouter", "ShardSession"),
+    "repro.shard.wire": ("WireBatch", "WireFormatError", "decode_batch", "encode_batch"),
+})
 
 __all__ = [
     "ShardPlan",

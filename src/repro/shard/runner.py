@@ -62,10 +62,7 @@ shards, receive from a shard, send to it, join:
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import traceback
-from multiprocessing import connection as mp_connection
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -277,9 +274,13 @@ class _PipeChannel:
         self.connection = connection
 
     def put(self, message) -> None:
+        import pickle
+
         self.connection.send_bytes(pickle.dumps(message, protocol=5))
 
     def get(self):
+        import pickle
+
         return pickle.loads(self.connection.recv_bytes())
 
 
@@ -318,6 +319,8 @@ class _ProcessLink:
     """
 
     def __init__(self, config: SessionConfig, plan: ShardPlan) -> None:
+        import multiprocessing  # loaded by the first process-mode run only
+
         context = multiprocessing.get_context()
         pipes = [context.Pipe() for _ in range(plan.num_shards)]
         self._ends = [_PipeChannel(parent_end) for parent_end, _ in pipes]
@@ -341,9 +344,11 @@ class _ProcessLink:
         # cannot be trusted to surface a dead worker, because with the fork
         # start method sibling workers inherit (and keep open) this pipe's
         # write end, so the parent's recv would block forever.
+        import multiprocessing.connection
+
         end = self._ends[shard_id]
         worker = self._workers[shard_id]
-        ready = mp_connection.wait([end.connection, worker.sentinel])
+        ready = multiprocessing.connection.wait([end.connection, worker.sentinel])
         if end.connection in ready or end.connection.poll(0):
             try:
                 return end.get()

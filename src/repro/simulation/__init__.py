@@ -21,12 +21,16 @@ sharded run drives it through :meth:`Simulator.run`, one conservative
 window at a time.
 """
 
-from repro.simulation.clock import SimulationClock
-from repro.simulation.errors import SimulationError, SimulationTimeError
-from repro.simulation.event_queue import EventHandle, EventQueue, ScheduledEvent
-from repro.simulation.engine import Simulator
-from repro.simulation.rng import RngRegistry, derive_seed
-from repro.simulation.timers import PeriodicTimer
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.simulation.clock": ("SimulationClock",),
+    "repro.simulation.errors": ("SimulationError", "SimulationTimeError"),
+    "repro.simulation.event_queue": ("EventHandle", "EventQueue", "ScheduledEvent"),
+    "repro.simulation.engine": ("Simulator",),
+    "repro.simulation.rng": ("RngRegistry", "derive_seed"),
+    "repro.simulation.timers": ("PeriodicTimer",),
+})
 
 __all__ = [
     "EventHandle",

@@ -17,10 +17,14 @@ small Reed–Solomon oracle).  This package provides:
   reporting which windows were viewable and which were jittered.
 """
 
-from repro.streaming.packets import PacketDescriptor, WindowDescriptor
-from repro.streaming.player import PlaybackBuffer, PlaybackReport
-from repro.streaming.schedule import StreamConfig, StreamSchedule
-from repro.streaming.source import StreamEmitter
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.streaming.packets": ("PacketDescriptor", "WindowDescriptor"),
+    "repro.streaming.player": ("PlaybackBuffer", "PlaybackReport"),
+    "repro.streaming.schedule": ("StreamConfig", "StreamSchedule"),
+    "repro.streaming.source": ("StreamEmitter",),
+})
 
 __all__ = [
     "PacketDescriptor",

@@ -26,33 +26,37 @@ Typical use::
     print(aggregate_table(aggregate(outcome.results)))
 """
 
-from repro.sweep.aggregate import (
-    CellAggregate,
-    Stat,
-    aggregate,
-    aggregate_table,
-    stat_of,
-    t_quantile_975,
-)
-from repro.sweep.cache import RecordingCache, SummaryCache, shared_summary_cache
-from repro.sweep.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    SweepOutcome,
-    apply_patch,
-    compute_summary,
-    make_executor,
-    run_sweep,
-    run_task,
-)
-from repro.sweep.spec import ConfigPatch, SweepGrid, SweepSpec, SweepTask, dedupe_tasks
-from repro.sweep.store import (
-    ResultStore,
-    code_fingerprint,
-    run_fingerprint,
-    scale_fingerprint,
-)
-from repro.sweep.summary import MetricsRequest, PointSummary, summarize
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.sweep.aggregate": (
+        "CellAggregate",
+        "Stat",
+        "aggregate",
+        "aggregate_table",
+        "stat_of",
+        "t_quantile_975",
+    ),
+    "repro.sweep.cache": ("RecordingCache", "SummaryCache", "shared_summary_cache"),
+    "repro.sweep.executor": (
+        "ParallelExecutor",
+        "SerialExecutor",
+        "SweepOutcome",
+        "apply_patch",
+        "compute_summary",
+        "make_executor",
+        "run_sweep",
+        "run_task",
+    ),
+    "repro.sweep.spec": ("ConfigPatch", "SweepGrid", "SweepSpec", "SweepTask", "dedupe_tasks"),
+    "repro.sweep.store": (
+        "ResultStore",
+        "code_fingerprint",
+        "run_fingerprint",
+        "scale_fingerprint",
+    ),
+    "repro.sweep.summary": ("MetricsRequest", "PointSummary", "summarize"),
+})
 
 __all__ = [
     "CellAggregate",

@@ -35,55 +35,41 @@ session is byte-identical to a disarmed one, and two equal configs+seeds
 produce identical traces modulo the header (both pinned in
 ``tests/telemetry``).
 
-The session-facing classes (:class:`SessionTelemetry`,
-:class:`TelemetrySnapshot`, :class:`TraceRecorder`, :class:`MetricsObserver`)
-are re-exported lazily: eagerly importing them here would close an import
-cycle back through :mod:`repro.core.session`, which carries the
-:class:`TelemetryConfig` field.
+Every name here resolves on first access (:mod:`repro._lazy`): importing
+:mod:`repro.telemetry.config`, which :mod:`repro.core.session` does for its
+:class:`TelemetryConfig` field, loads neither the trace readers nor the
+session-facing classes, whose eager import would close a cycle back
+through :mod:`repro.core.session`.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.diff import TraceDiff, diff_traces
-from repro.telemetry.export import export_perfetto, perfetto_events
-from repro.telemetry.metrics import (
-    Collector,
-    Counter,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-    render_metric_name,
-)
-from repro.telemetry.schema import (
-    EVENT_KINDS,
-    TRACE_SCHEMA,
-    TraceError,
-    TraceHeader,
-    TraceWriter,
-    iter_events,
-    read_header,
-    validate_trace,
-)
-from repro.telemetry.summary import TraceSummary, summarize_trace
-
-_LAZY = {
-    "MetricsObserver": "repro.telemetry.recorder",
-    "SessionTelemetry": "repro.telemetry.session",
-    "TelemetrySnapshot": "repro.telemetry.session",
-    "TraceRecorder": "repro.telemetry.recorder",
-    "callback_name": "repro.telemetry.recorder",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.telemetry' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
+__getattr__ = lazy_exports(globals(), {
+    "repro.telemetry.config": ("TelemetryConfig",),
+    "repro.telemetry.diff": ("TraceDiff", "diff_traces"),
+    "repro.telemetry.export": ("export_perfetto", "perfetto_events"),
+    "repro.telemetry.metrics": (
+        "Collector",
+        "Counter",
+        "Histogram",
+        "MetricsError",
+        "MetricsRegistry",
+        "render_metric_name",
+    ),
+    "repro.telemetry.recorder": ("MetricsObserver", "TraceRecorder", "callback_name"),
+    "repro.telemetry.schema": (
+        "EVENT_KINDS",
+        "TRACE_SCHEMA",
+        "TraceError",
+        "TraceHeader",
+        "TraceWriter",
+        "iter_events",
+        "read_header",
+        "validate_trace",
+    ),
+    "repro.telemetry.session": ("SessionTelemetry", "TelemetrySnapshot"),
+    "repro.telemetry.summary": ("TraceSummary", "summarize_trace"),
+})
 
 __all__ = [
     "Collector",

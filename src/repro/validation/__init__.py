@@ -20,35 +20,39 @@ Command line::
     python -m repro.validation --replay results/fuzz/fuzz-7-42.json
 """
 
-from repro.validation.bundle import ReproBundle, spec_from_dict, spec_to_dict
-from repro.validation.fuzzer import (
-    FuzzCase,
-    FuzzOutcome,
-    ReplayReport,
-    ScenarioFuzzer,
-    replay_bundle,
-    run_fuzz_case,
-)
-from repro.validation.invariants import (
-    DEFAULT_INVARIANTS,
-    BandwidthCapCompliance,
-    ChurnHygiene,
-    EventTimeMonotonicity,
-    Invariant,
-    InvariantSuite,
-    InvariantViolation,
-    PacketConservation,
-    ProtocolConformance,
-    validate_session,
-)
-from repro.validation.observers import (
-    DeliveryObserver,
-    ProtocolObserver,
-    SessionObserver,
-    SimulationObserver,
-    TransportObserver,
-    attach_session_observer,
-)
+from repro._lazy import lazy_exports
+
+__getattr__ = lazy_exports(globals(), {
+    "repro.validation.bundle": ("ReproBundle", "spec_from_dict", "spec_to_dict"),
+    "repro.validation.fuzzer": (
+        "FuzzCase",
+        "FuzzOutcome",
+        "ReplayReport",
+        "ScenarioFuzzer",
+        "replay_bundle",
+        "run_fuzz_case",
+    ),
+    "repro.validation.invariants": (
+        "DEFAULT_INVARIANTS",
+        "BandwidthCapCompliance",
+        "ChurnHygiene",
+        "EventTimeMonotonicity",
+        "Invariant",
+        "InvariantSuite",
+        "InvariantViolation",
+        "PacketConservation",
+        "ProtocolConformance",
+        "validate_session",
+    ),
+    "repro.validation.observers": (
+        "DeliveryObserver",
+        "ProtocolObserver",
+        "SessionObserver",
+        "SimulationObserver",
+        "TransportObserver",
+        "attach_session_observer",
+    ),
+})
 
 __all__ = [
     "BandwidthCapCompliance",

@@ -19,6 +19,26 @@ from repro.simulation.engine import Simulator
 from repro.streaming.schedule import StreamConfig
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "meanfield: the mean-field reach oracle (about 160 sessions); "
+        "deselected unless -m selects it",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """A run without ``-m``, tier-1 among them, leaves the ``meanfield`` tests out."""
+    if config.getoption("markexpr"):
+        return
+    kept, deselected = [], []
+    for item in items:
+        (deselected if item.get_closest_marker("meanfield") else kept).append(item)
+    if deselected:
+        config.hook.pytest_deselected(items=deselected)
+        items[:] = kept
+
+
 def state_after_samples(seed: int, candidates, count: int, calls: int):
     """The state of ``random.Random(seed)`` after ``calls`` stdlib draws of
     ``sample(candidates, count)``: what a partner selector's stream must

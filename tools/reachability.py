@@ -71,7 +71,8 @@ _E2E_WORKLOADS = ("paper230", "stressed120", "telemetry", "shard2", "realnet")
 # the interpreter running the audit.  Each line runs through the shell, so
 # globs expand as in the CI job it copies.
 PRODUCT_COMMANDS: Tuple[str, ...] = (
-    # ci.yml, job by job (``tests`` is TIER1 below, ``lint`` is not Python).
+    # ci.yml, job by job (``tests`` is TIER1 below, ``mean-field`` a test run
+    # outside it, ``lint`` is not Python).
     "python tools/check_docs.py",
     "python -m repro.bench run --scale smoke --json {tmp}/BENCH_smoke.json",
     "python -m repro.bench compare {tmp}/BENCH_smoke.json",
@@ -249,8 +250,6 @@ KEEP: Tuple[Keep, ...] = (
          "docs/observability.md: the general any-kind path"),
     Keep(_API, "telemetry/metrics.py", ("Histogram.observe",),
          "the update method of the registry's histograms (docs/observability.md)"),
-    Keep(_API, "telemetry/__init__.py", ("__getattr__",),
-         "the lazy exports of repro.telemetry (TraceRecorder, MetricsObserver, ...)"),
     Keep(_ACCESSOR, "metrics/delivery.py", ("DeliveryLog.total_deliveries",),
          "a frozen suite calls it: tests/protocols/test_regression.py l.57"),
     Keep(_ACCESSOR, "realnet/host.py", ("WallClockHandle.cancelled",),
