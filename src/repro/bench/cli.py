@@ -78,14 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="benchmark-specific override (e.g. nodes=40, windows=4); repeatable",
     )
-    run.add_argument(
-        "--record-baseline",
-        action="store_true",
-        help="freeze this run's records as the new baselines",
-    )
-    run.add_argument(
-        "--baseline-dir", metavar="DIR", help="baseline root (default: benchmarks/baselines)"
-    )
     run.add_argument("--quiet", action="store_true", help="suppress per-benchmark progress")
     run.add_argument(
         "--profile",
@@ -147,10 +139,6 @@ def _cmd_run(args) -> int:
     if args.json:
         path = report.write(args.json)
         print(f"report written to {path}")
-    if args.record_baseline:
-        store = BaselineStore(args.baseline_dir)
-        written = store.record(report)
-        print(f"recorded {len(written)} baseline(s) under {store.root}")
     return 0
 
 

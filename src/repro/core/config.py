@@ -73,8 +73,3 @@ class GossipConfig:
             )
         if self.source_fanout < 1:
             raise ValueError(f"source_fanout must be >= 1, got {self.source_fanout!r}")
-
-    @property
-    def retransmission_enabled(self) -> bool:
-        """Whether packets may be requested more than once."""
-        return self.max_request_attempts > 1

@@ -34,7 +34,6 @@ from repro.membership.partners import INFINITE, PartnerSelector
 from repro.network.message import Message, NodeId
 from repro.network.transport import Network
 from repro.protocols.base import DisseminationProtocol
-from repro.simulation.timers import PeriodicTimer
 from repro.streaming.packets import PacketDescriptor, PacketId
 from repro.streaming.schedule import StreamSchedule
 
@@ -175,12 +174,10 @@ class GossipNode:
         self._tick_slot: Any = None
         self._tick: Optional[ScheduledHandle] = None
 
-        self._feed_me_timer: Optional[PeriodicTimer] = None
-        if config.feed_me_every != INFINITE:
-            feed_me_period = config.feed_me_every * GOSSIP_PERIOD
-            self._feed_me_timer = PeriodicTimer(
-                simulator, feed_me_period, self._on_feed_me_round, start_delay=feed_me_period
-            )
+        # The FEED_ME round, every ``feed_me_every`` gossip periods from
+        # start (never when infinite): it re-arms itself after each round.
+        self._feed_me_period = config.feed_me_every * GOSSIP_PERIOD
+        self._feed_me: Optional[ScheduledHandle] = None
 
         # Bind last: strategies may inspect the full ProtocolHost surface
         # (partners, timers) from an overridden bind().
@@ -211,8 +208,8 @@ class GossipNode:
         self._next_tick = simulator.now + self._start_delay
         if self.state.events_to_propose:  # served before it started
             self.wake()
-        if self._feed_me_timer is not None:
-            self._feed_me_timer.start()
+        if self._feed_me_period != INFINITE:
+            self._feed_me = simulator.schedule(self._feed_me_period, self._on_feed_me_round)
 
     def fail(self) -> None:
         """Crash the node: stop all activity immediately (churn)."""
@@ -223,8 +220,9 @@ class GossipNode:
         if self._tick is not None:
             self._tick.cancel()
             self._tick = None
-        if self._feed_me_timer is not None:
-            self._feed_me_timer.stop()
+        if self._feed_me is not None:
+            self._feed_me.cancel()
+            self._feed_me = None
         self.protocol.on_fail()
         self.state.cancel_all_pending()
 
@@ -333,14 +331,14 @@ class GossipNode:
         self._tick_slot = None
 
     def _on_feed_me_round(self) -> None:
-        if not self._alive:
-            return
-        now = self.simulator.now
+        simulator = self.simulator
+        now = simulator.now
         targets = self.partners.pick_feed_me_targets(now)
         if self._observers is not None:
             for observer in self._observers:
                 observer.on_feed_me_round(self.node_id, now, targets)
         self.protocol.on_feed_me_round(now, targets)
+        self._feed_me = simulator.schedule(self._feed_me_period, self._on_feed_me_round)
 
     # ------------------------------------------------------------------
     # Message handling

@@ -113,7 +113,7 @@ class ThreePhaseGossip(DisseminationProtocol):
                 attempts[packet_id] = attempts[packet_id] + 1 if packet_id in attempts else 1
             self._send_request(sender, wanted)
 
-        if host.config.retransmission_enabled:
+        if host.config.max_request_attempts > 1:  # K = 1: nothing is ever requested again
             self._arm_retransmission(sender, packet_ids)
 
     def _send_request(self, proposer: NodeId, packet_ids: List[PacketId]) -> None:

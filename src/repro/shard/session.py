@@ -252,7 +252,7 @@ class ShardSession(StreamingSession):
             shard_id=self.shard_id,
             bound=bound,
             outbound=self._router.flush(),
-            peek_time=simulator._queue.peek_time(),
+            peek_time=simulator.peek_time(),
         )
 
     def close(self) -> ShardResult:

@@ -27,9 +27,13 @@ byte-identical to what the pickled batch produced.  The shard-equivalence
 property suite pins this end to end; ``tests/properties`` pins
 ``decode(encode(batch)) == batch`` directly, over every protocol message
 kind.  Payloads are the three :mod:`repro.core.messages` classes or ``None``,
-split into tag, scalars and id vector by that module's one payload table (which :mod:`repro.realnet.codec` frames too); anything else is
-refused at encode time with a :class:`WireFormatError`, so decoding never
-unpickles bytes that crossed a process boundary.
+split into tag, scalars and id vector by that module's one payload table
+(which :mod:`repro.realnet.codec` frames too); anything else is refused at
+encode time with a :class:`WireFormatError`.  Decoding rebuilds every
+payload from the ``struct`` columns, never from a pickled object.  The pipe
+itself frames each ``(tag, message)`` with pickle
+(:class:`repro.shard.runner._PipeChannel`), and only between the run's own
+coordinator and worker processes.
 """
 
 from __future__ import annotations

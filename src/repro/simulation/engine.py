@@ -1,6 +1,6 @@
-"""The simulation event loop.
+"""The simulation event loop: one heap, one clock value, one dispatch loop.
 
-:class:`Simulator` owns the clock, the event queue and the RNG registry.  All
+:class:`Simulator` owns the clock, the event heap and the RNG registry.  All
 other components (transport, gossip nodes, churn and join callbacks, probes)
 hold a reference to the simulator and interact with it through a few verbs:
 
@@ -11,11 +11,32 @@ hold a reference to the simulator and interact with it through a few verbs:
   ``schedule`` split in two, so an event that never runs is never queued;
 * ``now`` — the current simulated time.
 
-Running the simulation is ``run(until=...)`` or ``run_until_idle()``; both
-drive the one dispatch loop, :func:`repro.simulation.backend.run_loop`.  A
+Running the simulation is ``run(until=...)`` or ``run_until_idle()``.  A
 shard of a sharded run (:class:`repro.shard.session.ShardSession`) calls
 ``run`` once per conservative time window, with ``until`` just below the
-window's bound.
+window's bound, and reads :meth:`Simulator.peek_time` after it.
+
+The heap
+--------
+Events run in ``(time, sequence)`` order: the sequence number is unique per
+simulator, so two events scheduled for the same instant fire in the order
+they were scheduled, whatever hash ordering or heap tie-breaking would do.
+Heap entries are :class:`ScheduledEvent` named tuples built with one
+``tuple.__new__`` call, so every comparison resolves within the ``(time,
+sequence)`` prefix in C and the callback is never compared.
+
+Cancellation is lazy: :meth:`EventHandle.cancel` marks the handle and counts
+one dead entry, and the entry is discarded when it reaches the top of the
+heap, so ``pending_events`` is O(1).  What gets cancelled is churn: a failing
+node stops its queued gossip tick, its FEED_ME round and its one queued
+retransmission, so the dead entries stay few and the heap never compacts
+(docs/performance.md, "Tried and removed").  A popped handle is detached, so
+a later ``cancel()`` of an event that already ran cannot touch the count.
+Fire-and-forget events (datagram deliveries, scheduled by the million and
+never cancelled) share one never-cancelled sentinel handle.
+
+The verbs and the loop below build, push and pop entries inline — a method
+call per event is 3–4 % of a session (docs/performance.md, "Frame diet").
 
 Observers
 ---------
@@ -32,18 +53,68 @@ event; what a registered no-op observer costs on top is ``noop_slowdown`` of
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
-from repro.simulation.backend import run_loop
-from repro.simulation.clock import SimulationClock
 from repro.simulation.errors import SimulationStateError, SimulationTimeError
-from repro.simulation.event_queue import EventCallback, EventHandle, EventQueue, ScheduledEvent
-from repro.simulation.event_queue import _NEVER_CANCELLED, _new_event  # push, inlined below
 from repro.simulation.rng import RngRegistry
+
+EventCallback = Callable[..., None]
+
+
+@dataclass(slots=True)
+class EventHandle:
+    """Handle returned when scheduling an event, used to cancel it."""
+
+    time: float
+    sequence: int
+    _cancelled: bool = field(default=False, repr=False)
+    _simulator: Optional["Simulator"] = field(default=None, repr=False)
+
+    def cancel(self) -> None:
+        """Mark the event as cancelled; the simulator will skip it."""
+        if self._cancelled:
+            return
+        self._cancelled = True
+        simulator = self._simulator
+        if simulator is not None:
+            self._simulator = None
+            simulator._dead += 1
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` has been called on this handle."""
+        return self._cancelled
+
+
+#: Shared handle for fire-and-forget events.  It is never exposed to callers
+#: and can never be cancelled, so one instance serves every unhandled event.
+_NEVER_CANCELLED = EventHandle(time=-1.0, sequence=-1)
+
+
+class ScheduledEvent(NamedTuple):
+    """Heap entry pairing a handle with its callback.
+
+    A named tuple so heap comparisons are plain C tuple comparisons; the
+    unique ``sequence`` guarantees ordering resolves before the
+    non-comparable ``callback`` field is ever reached.
+    """
+
+    time: float
+    sequence: int
+    callback: EventCallback
+    args: tuple = ()
+    handle: EventHandle = None  # type: ignore[assignment]
+
+
+#: ``_new_event(ScheduledEvent, (time, sequence, callback, args, handle))``
+#: builds a heap entry in one C call; ``ScheduledEvent(...)`` itself is a
+#: generated Python ``__new__`` wrapping this same call, one frame per event.
+_new_event = tuple.__new__
 
 
 class Simulator:
-    """Discrete-event simulator: clock + event queue + named RNG streams.
+    """Discrete-event simulator: clock + event heap + named RNG streams.
 
     Parameters
     ----------
@@ -51,12 +122,14 @@ class Simulator:
         Root seed for the RNG registry.  Every random draw in an experiment
         descends from this seed, making runs reproducible.
 
-    Simulated time starts at 0.
+    Simulated time starts at 0 and only moves forward.
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._clock = SimulationClock()
-        self._queue = EventQueue()
+        self._now = 0.0
+        self._heap: List[ScheduledEvent] = []  # never rebound: run() holds it
+        self._sequence = 0
+        self._dead = 0  # cancelled entries still in the heap
         self._rng = RngRegistry(seed)
         self._running = False
         self._events_processed = 0
@@ -70,7 +143,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._clock._now  # flattened: this property is read per send
+        return self._now
 
     @property
     def rng(self) -> RngRegistry:
@@ -90,7 +163,15 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still queued."""
-        return len(self._queue)
+        return len(self._heap) - self._dead
+
+    def peek_time(self) -> Optional[float]:
+        """Timestamp of the next live event, or ``None`` if none is queued."""
+        heap = self._heap
+        while heap and heap[0].handle._cancelled:
+            heapq.heappop(heap)
+            self._dead -= 1
+        return heap[0].time if heap else None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -103,41 +184,44 @@ class Simulator:
         """
         if delay < 0.0:
             raise SimulationTimeError(f"cannot schedule with negative delay {delay!r}")
-        # EventQueue.push inlined, as run_loop inlines pop (now + delay >= 0).
-        queue = self._queue
-        time = self._clock._now + delay
-        handle = EventHandle(time=time, sequence=queue._sequence, _queue=queue)
-        entry = (time, queue._sequence, callback, args, handle)
-        heapq.heappush(queue._heap, _new_event(ScheduledEvent, entry))
-        queue._sequence += 1
+        time = self._now + delay
+        handle = EventHandle(time=time, sequence=self._sequence, _simulator=self)
+        entry = (time, self._sequence, callback, args, handle)
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
+        self._sequence += 1
         return handle
 
     def reserve(self, delay: float) -> Tuple[float, int]:
         """Take the ``(time, sequence)`` key ``schedule(delay, ...)`` would take; queue nothing."""
         if delay < 0.0:
             raise SimulationTimeError(f"cannot reserve with negative delay {delay!r}")
-        self._queue._sequence += 1
-        return (self._clock._now + delay, self._queue._sequence - 1)
+        self._sequence += 1
+        return (self._now + delay, self._sequence - 1)
 
     def schedule_reserved(
         self, slot: Tuple[float, int], callback: EventCallback, *args: Any
     ) -> EventHandle:
         """Queue ``callback(*args)`` under a :meth:`reserve` key: it pops where it would have."""
         time, sequence = slot
-        if time < self._clock._now:
+        if time < self._now:
             raise SimulationTimeError(f"reserved slot at {time!r} is before now")
-        handle = EventHandle(time=time, sequence=sequence, _queue=self._queue)
+        handle = EventHandle(time=time, sequence=sequence, _simulator=self)
         entry = (time, sequence, callback, args, handle)
-        heapq.heappush(self._queue._heap, _new_event(ScheduledEvent, entry))
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
         return handle
 
     def schedule_at(self, time: float, callback: EventCallback, *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._clock._now:
+        if time < self._now:
             raise SimulationTimeError(
-                f"cannot schedule at {time!r}, which is before now ({self._clock._now!r})"
+                f"cannot schedule at {time!r}, which is before now ({self._now!r})"
             )
-        return self._queue.push(time, callback, *args)
+        time = float(time)
+        handle = EventHandle(time=time, sequence=self._sequence, _simulator=self)
+        entry = (time, self._sequence, callback, args, handle)
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
+        self._sequence += 1
+        return handle
 
     def schedule_fire_and_forget(self, delay: float, callback: EventCallback, *args: Any) -> None:
         """Schedule ``callback(*args)`` ``delay`` seconds from now, uncancellably.
@@ -149,11 +233,9 @@ class Simulator:
         """
         if delay < 0.0:
             raise SimulationTimeError(f"cannot schedule with negative delay {delay!r}")
-        # EventQueue.push_unhandled inlined, like push in schedule().
-        queue = self._queue
-        entry = (self._clock._now + delay, queue._sequence, callback, args, _NEVER_CANCELLED)
-        heapq.heappush(queue._heap, _new_event(ScheduledEvent, entry))
-        queue._sequence += 1
+        entry = (self._now + delay, self._sequence, callback, args, _NEVER_CANCELLED)
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
+        self._sequence += 1
 
     def schedule_fire_and_forget_at(
         self, time: float, callback: EventCallback, *args: Any
@@ -165,11 +247,13 @@ class Simulator:
         a round trip through a relative delay (which would not survive float
         arithmetic bit-exactly).
         """
-        if time < self._clock._now:
+        if time < self._now:
             raise SimulationTimeError(
-                f"cannot schedule at {time!r}, which is before now ({self._clock._now!r})"
+                f"cannot schedule at {time!r}, which is before now ({self._now!r})"
             )
-        self._queue.push_unhandled(time, callback, *args)
+        entry = (float(time), self._sequence, callback, args, _NEVER_CANCELLED)
+        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
+        self._sequence += 1
 
     def cancel(self, handle: Optional[EventHandle]) -> None:
         """Cancel a previously scheduled event.  ``None`` is accepted and ignored."""
@@ -196,41 +280,70 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next event.  Returns ``False`` if none remained."""
-        return run_loop(self, None, 1) == 1
+        return self.run(max_events=1) == 1
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Run events in timestamp order.
+        """Run events in ``(time, sequence)`` order.
 
         Parameters
         ----------
         until:
             Stop once the next event would be strictly after this time, and
             advance the clock to exactly ``until``.  ``None`` runs until the
-            queue is empty.
+            heap is empty.
         max_events:
             Optional safety valve: stop after executing this many events.
+            A run it stops leaves the clock at the last event run, since an
+            event due by ``until`` is still queued.
 
         Returns
         -------
         int
             The number of events executed by this call.
 
-        The dispatch loop itself is :func:`repro.simulation.backend.run_loop`;
-        this method owns the re-entrancy guard and the final clock advance.
+        This is the only place an event is popped and its callback called:
+        discard cancelled heads, stop at the horizon or the event budget,
+        pop, advance the clock, count, show the event to the observers, call.
         """
         if self._running:
             raise SimulationStateError("Simulator.run() called re-entrantly from an event")
         self._running = True
+        heap = self._heap
+        heappop = heapq.heappop
+        executed = 0
         try:
-            executed = run_loop(self, until, max_events)
+            while True:
+                while heap and heap[0].handle._cancelled:
+                    heappop(heap)
+                    self._dead -= 1
+                if not heap:
+                    break
+                time = heap[0].time
+                if until is not None and time > until:
+                    break
+                if max_events is not None and executed == max_events:
+                    return executed  # an event is due by ``until``: the clock stays
+                event = heappop(heap)
+                event.handle._simulator = None
+                if time < self._now:
+                    raise SimulationTimeError(
+                        f"cannot move clock backwards from {self._now!r} to {time!r}"
+                    )
+                self._now = time
+                self._events_processed += 1
+                executed += 1
+                if self._observers is not None:
+                    for observer in self._observers:
+                        observer.on_event_dispatch(time, event.callback, event.args)
+                event.callback(*event.args)
         finally:
             self._running = False
-        if until is not None and self._clock._now < until:
-            self._clock.advance_to(until)
+        if until is not None and self._now < until:
+            self._now = float(until)
         return executed
 
     def run_until_idle(self, max_events: Optional[int] = None) -> int:

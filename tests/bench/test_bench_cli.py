@@ -114,7 +114,7 @@ class TestCommittedBaselines:
             for benchmark in default_registry().select()
             if not (root / f"BENCH_{benchmark.name}.json").exists()
         ]
-        assert missing == [], f"run `python -m repro.bench run --record-baseline` for {missing}"
+        assert missing == [], f"run `python -m repro.bench record <report>` for {missing}"
 
     def test_committed_baselines_parse_and_declare_known_metrics(self):
         from repro.bench import default_baseline_root, default_registry

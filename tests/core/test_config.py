@@ -36,10 +36,6 @@ class TestGossipConfig:
         assert config.feed_me_every == INFINITE
         assert config.source_fanout == 7
 
-    def test_retransmission_enabled_flag(self):
-        assert GossipConfig(max_request_attempts=2).retransmission_enabled
-        assert not GossipConfig(max_request_attempts=1).retransmission_enabled
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             GossipConfig(fanout=0)

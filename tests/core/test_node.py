@@ -406,6 +406,26 @@ class TestFeedMe:
         assert feed_mes.messages
         assert {(m.sender, m.payload) for m in feed_mes.messages} == {(1, None)}
 
+    def test_rounds_run_every_period_until_the_node_fails(self):
+        class Rounds(SessionObserver):
+            def __init__(self):
+                self.times = []
+
+            def on_feed_me_round(self, node_id, time, targets):
+                self.times.append(time)
+
+        harness = Harness(num_nodes=10, feed_me_every=2, refresh_every=INFINITE)
+        node = harness.nodes[1]
+        rounds = Rounds()
+        node.add_observer(rounds)
+        node.start()
+        harness.simulator.schedule_at(1.3, node.fail)
+        harness.simulator.run(until=3.0)
+        period = 2 * GOSSIP_PERIOD
+        # Each round re-arms one period after it ran; the failure cancels the next.
+        assert rounds.times == [period, period + period, period + period + period]
+        assert harness.simulator.pending_events == 0
+
     def test_no_feed_me_when_disabled(self):
         harness = Harness(num_nodes=10)
         node = harness.nodes[1]

@@ -403,7 +403,7 @@ class TestOneSendPipeline:
             "accepted": accepted,
             "deliveries": sorted(
                 (event.time, event.sequence, event.args[0].receiver)
-                for event in simulator._queue._heap
+                for event in simulator._heap
             ),
             "dispatched": router.dispatched if routed else None,
             "loss_stream": rng.stream("loss/uniform" + suffix).getstate(),

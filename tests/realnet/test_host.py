@@ -24,6 +24,15 @@ class TestHostContract:
         handle = host.schedule(1.0, lambda: None)
         assert isinstance(handle, ScheduledHandle)
 
+    def test_simulator_handle_satisfies_scheduled_handle_protocol(self):
+        simulator = Simulator(seed=1)
+        handle = simulator.schedule(1.0, lambda: None)
+        assert isinstance(handle, ScheduledHandle)
+        assert not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled
+        assert simulator.pending_events == 0
+
     def test_backend_name(self):
         assert AsyncioHost().backend_name == "realnet-asyncio"
 

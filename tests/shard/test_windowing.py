@@ -80,7 +80,7 @@ class TestWindowedRunLoop:
             if bound == 2.0:
                 # The bound event is still pending, due for the next window...
                 assert ran == ["before"]
-                assert simulator._queue.peek_time() == 2.0
+                assert simulator.peek_time() == 2.0
                 # ...where a cross-shard datagram due at that very instant
                 # can still be merged in.
                 simulator.schedule_fire_and_forget_at(2.0, ran.append, "inbound")
@@ -145,7 +145,7 @@ class TestWindowedRunLoop:
         def coordinator(bound):
             # Single-shard coordinator logic: jump past the next pending
             # event, cap at the horizon, finish once drained at the horizon.
-            peek = simulator._queue.peek_time()
+            peek = simulator.peek_time()
             if bound < until:
                 return (until if peek is None else min(until, peek + lookahead)), False
             return until, peek is None or peek > until

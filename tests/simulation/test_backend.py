@@ -1,15 +1,14 @@
 """The one dispatch loop: ordering, cancellation, observers, budgets.
 
-:func:`repro.simulation.backend.run_loop` inlines the queue pop, so its
-edges are pinned here directly — same-instant siblings cancelling each
-other, zero-delay reschedules, ``clear()`` from a callback, the observer
-edge, exact event budgets — together with what is built on it:
-``Simulator.step()`` and the loop's name in trace headers.
+:meth:`Simulator.run` pops the heap inline, so its edges are pinned here
+directly — same-instant siblings cancelling each other, zero-delay
+reschedules, the observer edge, exact event budgets — together with what is
+built on it: ``Simulator.step()`` and the loop's name in trace headers.
 """
 
 import pytest
 
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import EventHandle, ScheduledEvent, Simulator
 from repro.simulation.errors import SimulationTimeError
 
 
@@ -108,11 +107,22 @@ class TestRunLoop:
         assert simulator.run(max_events=0) == 0
         assert simulator.events_processed == 4
 
+    def test_a_run_its_budget_stops_keeps_the_clock_at_its_last_event(self):
+        simulator = Simulator(seed=0)
+        fired = []
+        simulator.schedule_at(1.0, fired.append, "a")
+        simulator.schedule_at(2.0, fired.append, "b")
+        assert simulator.run(until=5.0, max_events=1) == 1
+        assert simulator.now == 1.0  # "b" is due by 5.0: the clock may not pass it
+        assert simulator.run(until=5.0) == 1
+        assert (fired, simulator.now) == (["a", "b"], 5.0)
+
     def test_an_event_behind_the_clock_is_refused(self):
         simulator = Simulator(seed=0)
         simulator.schedule_at(5.0, lambda: None)
         simulator.run_until_idle()
-        simulator._queue.push(1.0, lambda: None)  # behind schedule_at's guard
+        # Every verb refuses the past: plant an entry behind the clock directly.
+        simulator._heap.append(ScheduledEvent(1.0, -1, lambda: None, (), EventHandle(1.0, -1)))
         with pytest.raises(SimulationTimeError, match="backwards"):
             simulator.run_until_idle()
 

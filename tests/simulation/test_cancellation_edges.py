@@ -1,6 +1,6 @@
 """Cancellation edge cases: the live counter stays consistent.
 
-The event queue keeps an O(1) live counter (cancelled handles report back).
+The simulator keeps an O(1) live counter (cancelled handles report back).
 These tests drive every awkward cancellation path — ``cancel(None)``,
 double-cancel, cancel after the event already fired, cancel *from inside* a
 running event, mass cancellation — and assert ``Simulator.pending_events``
@@ -8,15 +8,14 @@ and the dead entries left in the heap never drift.
 """
 
 from repro.simulation.engine import Simulator
-from repro.simulation.event_queue import EventQueue
 
 #: How many events a mass cancellation test schedules per unit.
 MASS = 64
 
 
-def dead_entries(queue: EventQueue) -> int:
+def dead_entries(simulator: Simulator) -> int:
     """Cancelled entries still in the heap: heap length minus live count."""
-    return len(queue._heap) - len(queue)
+    return len(simulator._heap) - simulator.pending_events
 
 
 class TestCancelNone:
@@ -37,25 +36,33 @@ class TestDoubleCancel:
         assert simulator.pending_events == 1
         simulator.cancel(handle)  # second cancel must not double-count
         assert simulator.pending_events == 1
-        assert dead_entries(simulator._queue) == 1
+        assert dead_entries(simulator) == 1
         assert simulator.run_until_idle() == 1
         assert simulator.pending_events == 0
 
     def test_many_double_cancels_never_drive_the_counter_negative(self):
-        queue = EventQueue()
-        handles = [queue.push(float(i), lambda: None) for i in range(10)]
+        simulator = Simulator(seed=1)
+        handles = [simulator.schedule_at(float(i), lambda: None) for i in range(10)]
         for handle in handles[:5]:
             handle.cancel()
             handle.cancel()
             handle.cancel()
-        assert len(queue) == 5
-        assert dead_entries(queue) == 5
-        popped = 0
-        while queue.pop() is not None:
-            popped += 1
-        assert popped == 5
-        assert len(queue) == 0
-        assert dead_entries(queue) == 0
+        assert simulator.pending_events == 5
+        assert dead_entries(simulator) == 5
+        assert simulator.run_until_idle() == 5
+        assert simulator.pending_events == 0
+        assert dead_entries(simulator) == 0
+
+    def test_peek_time_discards_a_cancelled_head(self):
+        simulator = Simulator(seed=1)
+        assert simulator.peek_time() is None
+        doomed = simulator.schedule_at(1.0, lambda: None)
+        simulator.schedule_at(5.0, lambda: None)
+        doomed.cancel()
+        assert simulator.peek_time() == 5.0
+        assert (simulator.pending_events, dead_entries(simulator)) == (1, 0)
+        doomed.cancel()  # double-cancel after the discard: still harmless
+        assert simulator.pending_events == 1
 
 
 class TestCancelAfterFire:
@@ -70,7 +77,7 @@ class TestCancelAfterFire:
         # the dead-entry counter (the handle was detached at pop time).
         simulator.cancel(handle)
         assert simulator.pending_events == 1
-        assert dead_entries(simulator._queue) == 0
+        assert dead_entries(simulator) == 0
         assert simulator.run_until_idle() == 1
 
 
@@ -114,13 +121,12 @@ class TestCancelDuringDispatch:
         simulator.run_until_idle()
         assert fired == ["ran", "later"]
         assert simulator.pending_events == 0
-        assert dead_entries(simulator._queue) == 0
+        assert dead_entries(simulator) == 0
 
 
 class TestMassCancellation:
     def test_mass_cancellation_preserves_order(self):
         simulator = Simulator(seed=1)
-        queue = simulator._queue
         fired = []
         handles = []
         total = 4 * MASS
@@ -129,7 +135,7 @@ class TestMassCancellation:
         # Cancel 75 %: the dead entries outnumber the live ones.
         for handle in handles[: 3 * MASS]:
             simulator.cancel(handle)
-        assert dead_entries(queue) == 3 * MASS
+        assert dead_entries(simulator) == 3 * MASS
         assert simulator.pending_events == MASS
         executed = simulator.run_until_idle()
         assert executed == MASS
@@ -152,9 +158,9 @@ class TestMassCancellation:
         simulator.run_until_idle()
         assert fired == [total + i for i in range(len(survivors))]
         assert simulator.pending_events == 0
-        assert dead_entries(simulator._queue) == 0
+        assert dead_entries(simulator) == 0
 
-    def test_pending_events_matches_queue_len_throughout(self):
+    def test_pending_events_tracks_every_cancel(self):
         simulator = Simulator(seed=1)
         handles = [simulator.schedule(float(i + 1), lambda: None) for i in range(200)]
         expected_live = 200
@@ -163,6 +169,5 @@ class TestMassCancellation:
                 simulator.cancel(handle)
                 expected_live -= 1
             assert simulator.pending_events == expected_live
-            assert simulator.pending_events == len(simulator._queue)
         executed = simulator.run_until_idle()
         assert executed == expected_live

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simulation.engine import Simulator
 from repro.simulation.errors import SimulationStateError, SimulationTimeError
-from repro.simulation.timers import PeriodicTimer
 
 
 class TestScheduling:
@@ -137,30 +136,7 @@ class TestRun:
         assert simulator.step() is False
 
 
-class TestPeriodicCallbacks:
-    """The PeriodicTimer idiom that replaced the old call_every() shim."""
-
-    def test_periodic_timer_fires_on_schedule(self, simulator):
-        ticks = []
-        timer = PeriodicTimer(
-            simulator, 0.5, lambda: ticks.append(simulator.now), start_delay=0.0
-        )
-        timer.start()
-        simulator.run(until=2.0)
-        # start_delay=0 fires immediately, then every 0.5s: t = 0, .5, 1, 1.5, 2
-        assert ticks == [0.0, 0.5, 1.0, 1.5, 2.0]
-
-    def test_periodic_timer_is_stoppable(self, simulator):
-        ticks = []
-        timer = PeriodicTimer(
-            simulator, 0.5, lambda: ticks.append(simulator.now), start_delay=0.0
-        )
-        timer.start()
-        simulator.run(until=1.0)
-        timer.stop()
-        simulator.run(until=5.0)
-        assert len(ticks) == 3
-
+class TestFireAndForgetAt:
     def test_fire_and_forget_at_schedules_at_absolute_time(self, simulator):
         times = []
         simulator.schedule_fire_and_forget_at(2.5, lambda: times.append(simulator.now))

@@ -20,7 +20,11 @@ without the 235 ticks whose ``round`` line was followed directly by the
 next ``dispatch`` — a tick that sent nothing — each losing its ``dispatch``
 and its ``round`` line, with ``i`` renumbered and the 197 surviving tick
 ``dispatch`` lines' ``PeriodicTimer._fire`` renamed
-``GossipNode._on_gossip_round``; no other line moved.
+``GossipNode._on_gossip_round``; no other line moved.  One more relabel:
+when the node re-armed its FEED_ME round itself instead of through a
+periodic timer object, the pinned lines became the old ones with the 32
+``dispatch`` lines' ``PeriodicTimer._fire`` renamed
+``GossipNode._on_feed_me_round``; no other byte moved.
 
 The session is a lossy, congested, churned smoke run, plus one node whose
 network endpoint is failed and later recovered while its timers keep
@@ -43,7 +47,7 @@ from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import EVENT_KINDS, validate_trace
 
 GOLDEN_EVENTS = 17398
-GOLDEN_SHA256 = "cb9800aa1f61e5ab787789265f4a702fc0ac722011f4398bd10b7bcdcd6c391f"
+GOLDEN_SHA256 = "48f2f13fb06daaa66634dd0bd98bf2948b4446072d4245ad46c43ce05df2351c"
 
 #: Endpoint-only outage of one receiver (it is never ``fail()``-ed, so it
 #: keeps trying to send: ``send_blocked``), then its recovery.

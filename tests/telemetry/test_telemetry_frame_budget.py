@@ -14,16 +14,19 @@ from repro.core.session import SessionConfig, run_session
 from repro.experiments.scale import SMOKE
 from repro.telemetry.config import TelemetryConfig
 
-#: Metrics alone: 17.096628 (56,195 events; 16.537970 over 59,994 while
+#: Metrics alone: 16.758341 (56,195 events; 17.077747 while every PROPOSE
+#: read a config property, 17.096628 while ``schedule_at`` called the event
+#: queue's push, 16.537970 over 59,994 while
 #: every quiet gossip tick fired, 15.035871 over 73,012 while
 #: every armed retransmission was queued and fired, 15.388731 while a SERVE
 #: built two payload objects, 15.388758 while attaching added the observer
 #: to the engine and removed it again, 15.388977 while four fate counters
 #: duplicated traffic cells, 19.836917 before the handlers wrote the metric
-#: slots themselves); untraced it is 13.738197.  Rounded up to one decimal.
+#: slots themselves); untraced it is 13.399929.  Rounded up to one decimal.
 METRICS_BUDGET = 17.1
 
-#: Metrics and a full trace: 21.485933 (20.839434 while every quiet gossip
+#: Metrics and a full trace: 21.147647 (21.467052 with the config property,
+#: 21.485933 with the event queue's push too, 20.839434 while every quiet gossip
 #: tick fired, 18.748863 while every retransmission fired, 19.101723 with two payload objects per SERVE, 19.101750 with the
 #: engine observer added and removed and the recorder asked whether it
 #: records dispatch, 19.101970 with the duplicated fate counters, 33.759053
@@ -31,7 +34,8 @@ METRICS_BUDGET = 17.1
 #: decimal.
 TRACED_BUDGET = 21.5
 
-#: Total frames of each session (960,745 and 1,207,402) stay under what they
+#: Total frames of each session (941,735 and 1,188,392; 960,745 and
+#: 1,207,402 with the config property and the event queue's push) stay under what they
 #: were while every quiet gossip tick fired (992,179 and 1,250,241; 1,097,799
 #: and 1,368,892 while every retransmission fired): the no-op events that
 #: went were cheaper than the average event, so frames per event rose, and

@@ -58,7 +58,7 @@ class TestDottedNames:
         monkeypatch.setattr(check_docs, "ROOT", tmp_path)
         doc = tmp_path / "doc.md"
         doc.write_text(
-            "The loop is `repro.simulation.backend.run_loop`; a host is a\n"
+            "The loop is `repro.simulation.engine.Simulator.run`; a host is a\n"
             "`repro.core.host.Host`.  Windows ran in `repro.simulation.backend.sharded`.\n",
             encoding="utf-8",
         )

@@ -118,8 +118,8 @@ def test_every_package_resolves_its_exports_from_a_table_of_its_all():
         assert set(defining_modules(init)) - {"lazy_exports"} == declared_names(init) - {
             "__version__"
         }, package_name(init)
-    # bench binds its suite module for itself; simulation.backend is code.
-    assert eager == ["repro.bench", "repro.simulation.backend"]
+    # bench binds its suite module for itself.
+    assert eager == ["repro.bench"]
 
 
 def test_a_session_import_loads_no_substrate_it_does_not_run():

@@ -200,8 +200,6 @@ KEEP: Tuple[Keep, ...] = (
          "the tests' one-datagram reference path into send_many"),
     Keep(_ORACLE, "simulation/engine.py", ("Simulator.step", "Simulator.run_until_idle"),
          "the tests' stepping harness"),
-    Keep(_ORACLE, "simulation/event_queue.py", ("EventQueue.pop",),
-         "the reference pop that run_loop inlines"),
     Keep(_ORACLE, "realnet/host.py", ("AsyncioHost._on_callback_error",),
          "runs only when a timer or datagram callback raises: ends the run with that error"),
     Keep(_ORACLE, "bench/runner.py", ("BenchmarkSelectionError.__str__",),
@@ -252,6 +250,8 @@ KEEP: Tuple[Keep, ...] = (
          "the update method of the registry's histograms (docs/observability.md)"),
     Keep(_ACCESSOR, "metrics/delivery.py", ("DeliveryLog.total_deliveries",),
          "a frozen suite calls it: tests/protocols/test_regression.py l.57"),
+    Keep(_ACCESSOR, "simulation/engine.py", ("EventHandle.cancelled",),
+         "a Protocol declares it: repro.core.host.ScheduledHandle.cancelled"),
     Keep(_ACCESSOR, "realnet/host.py", ("WallClockHandle.cancelled",),
          "a Protocol declares it: repro.core.host.ScheduledHandle.cancelled"),
     Keep(_ACCESSOR, "realnet/net.py", ("UdpNetwork.address",),
