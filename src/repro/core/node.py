@@ -338,7 +338,8 @@ class GossipNode:
             for observer in self._observers:
                 observer.on_feed_me_round(self.node_id, now, targets)
         self.protocol.on_feed_me_round(now, targets)
-        self._feed_me = simulator.schedule(self._feed_me_period, self._on_feed_me_round)
+        if self._alive:  # fail() inside the round found no queued round to cancel
+            self._feed_me = simulator.schedule(self._feed_me_period, self._on_feed_me_round)
 
     # ------------------------------------------------------------------
     # Message handling

@@ -36,6 +36,12 @@ class TestGossipConfig:
         assert config.feed_me_every == INFINITE
         assert config.source_fanout == 7
 
+    def test_feed_me_period_is_a_whole_number_of_rounds(self):
+        for feed_me_every in (0, 1.5):
+            with pytest.raises(ValueError):
+                GossipConfig(feed_me_every=feed_me_every)
+        assert GossipConfig(feed_me_every=3).feed_me_every == 3
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             GossipConfig(fanout=0)

@@ -379,6 +379,19 @@ class _DispatchTimes:
         self.times.append(time)
 
 
+class _FeedMeRounds(SessionObserver):
+    """The instant of every FEED_ME round; ``on_round()`` runs inside each."""
+
+    def __init__(self, on_round=None) -> None:
+        self.times = []
+        self.on_round = on_round
+
+    def on_feed_me_round(self, node_id, time, targets):
+        self.times.append(time)
+        if self.on_round is not None:
+            self.on_round()
+
+
 class TestFeedMe:
     def test_feed_me_inserts_requester_into_view(self):
         harness = Harness(num_nodes=10, refresh_every=INFINITE)
@@ -424,6 +437,53 @@ class TestFeedMe:
         period = 2 * GOSSIP_PERIOD
         # Each round re-arms one period after it ran; the failure cancels the next.
         assert rounds.times == [period, period + period, period + period + period]
+        assert harness.simulator.pending_events == 0
+
+    def test_rounds_fire_at_running_sums_of_the_period(self):
+        harness = Harness(num_nodes=10, feed_me_every=2, refresh_every=INFINITE)
+        node = harness.nodes[1]
+        rounds = _FeedMeRounds()
+        node.add_observer(rounds)
+        node.start()
+        harness.simulator.run(until=10.0)
+        period = 2 * GOSSIP_PERIOD
+        expected, t = [], period
+        while t <= 10.0:
+            expected.append(t)
+            t += period
+        assert rounds.times == expected
+
+    def test_the_first_round_is_one_period_after_start(self):
+        harness = Harness(num_nodes=10, feed_me_every=2, refresh_every=INFINITE)
+        node = harness.nodes[1]
+        rounds = _FeedMeRounds()
+        node.add_observer(rounds)
+        harness.simulator.run(until=0.75)
+        node.start()
+        harness.simulator.run(until=2.0)
+        period = 2 * GOSSIP_PERIOD
+        assert rounds.times[:2] == [0.75 + period, 0.75 + period + period]
+
+    def test_a_node_failed_before_its_first_round_runs_none(self):
+        harness = Harness(num_nodes=10, feed_me_every=2, refresh_every=INFINITE)
+        node = harness.nodes[1]
+        rounds = _FeedMeRounds()
+        node.add_observer(rounds)
+        node.start()
+        harness.simulator.schedule_at(0.1, node.fail)
+        harness.simulator.run(until=3.0)
+        assert rounds.times == []
+        assert node.stats.feed_me_sent == 0
+        assert harness.simulator.pending_events == 0
+
+    def test_failing_inside_a_round_schedules_nothing_more(self):
+        harness = Harness(num_nodes=10, feed_me_every=2, refresh_every=INFINITE)
+        node = harness.nodes[1]
+        rounds = _FeedMeRounds(on_round=node.fail)
+        node.add_observer(rounds)
+        node.start()
+        harness.simulator.run(until=3.0)
+        assert rounds.times == [2 * GOSSIP_PERIOD]
         assert harness.simulator.pending_events == 0
 
     def test_no_feed_me_when_disabled(self):

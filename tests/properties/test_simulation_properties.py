@@ -154,6 +154,38 @@ class TestSimulatorMatchesKeyModel:
         assert simulator.pending_events == 0
 
 
+class TestEventQueueProperties:
+    """The heap over arbitrary float instants, where the model test draws a few delays."""
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=100))
+    def test_events_always_pop_in_nondecreasing_time_order(self, times):
+        simulator = Simulator(seed=1)
+        popped = []
+        for time in times:
+            simulator.schedule_at(time, lambda: popped.append(simulator.now))
+        assert simulator.run_until_idle() == len(times)
+        assert popped == sorted(popped)
+        assert len(popped) == len(times)
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=1, max_size=50),
+        st.data(),
+    )
+    def test_cancellation_never_loses_other_events(self, times, data):
+        simulator = Simulator(seed=1)
+        fired = []
+        handles = [
+            simulator.schedule_at(time, fired.append, index) for index, time in enumerate(times)
+        ]
+        to_cancel = data.draw(
+            st.sets(st.integers(min_value=0, max_value=len(times) - 1), max_size=len(times))
+        )
+        for index in to_cancel:
+            handles[index].cancel()
+        assert simulator.run_until_idle() == len(times) - len(to_cancel)
+        assert sorted(fired) == [i for i in range(len(times)) if i not in to_cancel]
+
+
 class TestSimulatorProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), max_size=50))
     @settings(deadline=None)

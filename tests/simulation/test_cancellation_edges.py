@@ -160,7 +160,7 @@ class TestMassCancellation:
         assert simulator.pending_events == 0
         assert dead_entries(simulator) == 0
 
-    def test_pending_events_tracks_every_cancel(self):
+    def test_pending_events_matches_queue_len_throughout(self):
         simulator = Simulator(seed=1)
         handles = [simulator.schedule(float(i + 1), lambda: None) for i in range(200)]
         expected_live = 200
@@ -169,5 +169,8 @@ class TestMassCancellation:
                 simulator.cancel(handle)
                 expected_live -= 1
             assert simulator.pending_events == expected_live
+            assert simulator.pending_events == sum(
+                1 for event in simulator._heap if not event.handle.cancelled
+            )
         executed = simulator.run_until_idle()
         assert executed == expected_live
