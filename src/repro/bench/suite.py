@@ -128,21 +128,22 @@ def run_once(config: SessionConfig) -> SessionResult:
     return StreamingSession(config).run()
 
 
-def frames_per_event(config: SessionConfig) -> float:
-    """Named-function frames executed under ``src/repro`` per simulated event.
+def frames_by_module(config: SessionConfig) -> Tuple[Dict[str, int], int]:
+    """Named-function frames executed under ``src/repro``, per module, and the events.
 
-    A work counter: a function of the code and the config alone, identical on
-    every host and interpreter (comprehension, lambda and generated
-    ``<string>`` frames are left out — 3.12 inlines the first).
+    Returns ``({"core.node": frames, ...}, events_processed)`` for one run of
+    ``config``: where :func:`frames_per_event`'s work goes, module by module
+    (comprehension, lambda and generated ``<string>`` frames are left out,
+    as there).
     """
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
-    frames = 0
+    by_file: Dict[str, int] = {}
 
     def on_profile_event(frame, event, arg) -> None:
-        nonlocal frames
         code = frame.f_code
         if event == "call" and code.co_name[0] != "<" and code.co_filename.startswith(package_root):
-            frames += 1
+            path = code.co_filename
+            by_file[path] = by_file.get(path, 0) + 1
 
     def counted_run() -> int:
         sys.setprofile(on_profile_event)  # this thread only, and it ends with the run
@@ -150,7 +151,24 @@ def frames_per_event(config: SessionConfig) -> float:
 
     with ThreadPoolExecutor(max_workers=1) as pool:  # a ``run --profile`` keeps its profiler
         events = pool.submit(counted_run).result()
-    return frames / events
+    by_module: Dict[str, int] = {}
+    for path, frames in by_file.items():
+        module = os.path.splitext(path[len(package_root):])[0].replace(os.sep, ".")
+        module = module[: -len(".__init__")] if module.endswith(".__init__") else module
+        by_module[module] = by_module.get(module, 0) + frames
+    return by_module, events
+
+
+def frames_per_event(config: SessionConfig) -> float:
+    """Named-function frames executed under ``src/repro`` per simulated event.
+
+    A work counter: a function of the code and the config alone, identical on
+    every host and interpreter (comprehension, lambda and generated
+    ``<string>`` frames are left out — 3.12 inlines the first).  The sum of
+    :func:`frames_by_module` over the events.
+    """
+    by_module, events = frames_by_module(config)
+    return sum(by_module.values()) / events
 
 
 def _engine_size(ctx: BenchContext) -> tuple:

@@ -9,23 +9,27 @@ used by the ``Y`` proactiveness mechanism:
 * ``[FEED_ME]`` — a request to insert the sender into the receiver's
   partner set.
 
+The eager-push baseline's ``[PUSH, event]`` carries what a SERVE does.
+
 The network layer only sees opaque payloads with a ``kind`` string and a wire
 size; these dataclasses are the typed payloads the protocol puts inside, and
 the four ``*_size`` functions give the wire size the upload limiter charges.
 A payload says nothing the datagram already says: a FEED_ME carries no
 payload (its requester is ``Message.sender``), and a SERVE names only its
-packet id (the packet's size is charged in ``Message.size_bytes``).  On
-either wire format a payload is two parts, uint32 scalars and an optional
-packet-id vector (:data:`PAYLOAD_LAYOUT`).  The paper never itemizes
+packet id (the packet's size is charged in ``Message.size_bytes``), so
+one pair of size and payload per packet (:func:`serve_table`) serves every
+copy.  On either wire format a payload is two parts, uint32 scalars and an
+optional packet-id vector (:data:`PAYLOAD_LAYOUT`); :data:`KIND_PAYLOAD`
+names the payload type of each kind.  The paper never itemizes
 header sizes, so they are conventional UDP/IPv4 figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Iterable, Tuple
 
-from repro.streaming.packets import PacketId
+from repro.streaming.packets import PacketDescriptor, PacketId
 
 PROPOSE = "propose"
 """Message kind tag for phase-1 id announcements."""
@@ -38,6 +42,10 @@ SERVE = "serve"
 
 FEED_ME = "feed-me"
 """Message kind tag for the Y-mechanism view-insertion requests."""
+
+PUSH = "push"
+"""Message kind tag for the eager-push baseline's full-packet pushes
+(:mod:`repro.protocols.eager_push`)."""
 
 HEADER_BYTES = 40
 """Fixed per-datagram overhead (IP + UDP + application header)."""
@@ -97,10 +105,29 @@ class ServePayload:
 
     The packet's size is the schedule's (``schedule.packet(id).size_bytes``)
     and is already charged in the datagram's ``size_bytes`` by
-    :func:`serve_size`; the simulator carries no packet content.
+    :func:`serve_size`; the simulator carries no packet content.  Frozen,
+    so one instance per packet (:func:`serve_table`) is shared by every
+    datagram that serves it.
     """
 
     packet_id: PacketId
+
+
+ServeTable = Tuple[Tuple[int, ServePayload], ...]
+"""Per packet id (its index), the wire size and the payload of its SERVE."""
+
+
+def serve_table(packets: Iterable[PacketDescriptor]) -> ServeTable:
+    """One immutable ``(serve_size, ServePayload)`` pair per packet.
+
+    ``packets`` are a schedule's (:meth:`StreamSchedule.packets`), whose ids
+    run 0, 1, 2, ... in order, so the table is indexed by packet id.  Every
+    SERVE (and eager-push PUSH) of a packet carries the same pair, so
+    serving one builds no payload and computes no size.
+    """
+    return tuple(
+        (serve_size(packet.size_bytes), ServePayload(packet.packet_id)) for packet in packets
+    )
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +150,17 @@ PAYLOAD_LAYOUT = {
     TAG_SERVE: (1, False),  # packet id
 }
 """Per tag: ``(uint32 scalar count, has packet-id vector)``."""
+
+KIND_PAYLOAD: Dict[str, type] = {
+    PROPOSE: ProposePayload,
+    REQUEST: RequestPayload,
+    SERVE: ServePayload,
+    PUSH: ServePayload,
+    FEED_ME: type(None),
+}
+"""The payload type each shipped message kind carries; a datagram of one of
+these kinds with another payload is malformed (the realnet receiver counts
+and drops it)."""
 
 
 class EncodeError(ValueError):

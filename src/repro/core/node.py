@@ -4,10 +4,13 @@ A :class:`GossipNode` owns the per-node machinery and talks to three
 substrates:
 
 * the **network** (:class:`repro.network.Network`) to send datagrams and to
-  receive them via :meth:`on_message`;
+  receive them: the node is registered with its protocol's per-kind handler
+  table (:attr:`GossipNode.message_handlers`), which the transport calls
+  directly while the node's endpoint is alive;
 * the **membership directory** through its :class:`PartnerSelector`, which
   implements the fanout and the view refresh rate ``X``;
-* the **stream schedule**, used to look up packet sizes when serving.
+* the stream's per-packet **SERVE table**
+  (:func:`repro.core.messages.serve_table`), read when serving.
 
 What the node actually *sends* is decided by a pluggable
 :class:`~repro.protocols.base.DisseminationProtocol` strategy: the host fires
@@ -35,10 +38,10 @@ from repro.network.message import Message, NodeId
 from repro.network.transport import Network
 from repro.protocols.base import DisseminationProtocol
 from repro.streaming.packets import PacketDescriptor, PacketId
-from repro.streaming.schedule import StreamSchedule
 
 from repro.core.config import GOSSIP_PERIOD, GossipConfig
 from repro.core.host import Host, ScheduledHandle
+from repro.core.messages import ServeTable
 from repro.core.state import NodeState
 
 DeliveryListener = Callable[[NodeId, PacketId, float], None]
@@ -85,8 +88,12 @@ class GossipNode:
     ----------
     node_id:
         This node's identifier (must be registered on the network).
-    simulator / network / directory / schedule:
+    simulator / network / directory:
         The substrates the node runs on.
+    serves:
+        Per packet id, the ``(size_bytes, payload)`` of the SERVE carrying
+        it (:func:`repro.core.messages.serve_table`): a session builds one
+        table from its schedule and every node shares it.
     config:
         Protocol knobs (fanout, X, Y, retransmission).
     delivery_listener:
@@ -108,7 +115,7 @@ class GossipNode:
         simulator: Host,
         network: Network,
         directory: MembershipDirectory,
-        schedule: StreamSchedule,
+        serves: ServeTable,
         config: GossipConfig,
         delivery_listener: Optional[DeliveryListener] = None,
         is_source: bool = False,
@@ -122,7 +129,7 @@ class GossipNode:
         self.simulator = simulator
         self._network = network
         self._directory = directory
-        self.schedule = schedule  # packet sizes and publish times
+        self.serves = serves  # every SERVE's size and payload, by packet id
         self._delivery_listener = delivery_listener
         self.state = NodeState()
         self.stats = NodeStats()
@@ -182,7 +189,9 @@ class GossipNode:
         # Bind last: strategies may inspect the full ProtocolHost surface
         # (partners, timers) from an overridden bind().
         protocol.bind(self)
-        self._message_handlers = protocol.message_handlers()
+        #: The protocol's handler per message kind: the session registers
+        #: this table as the node's transport endpoint.
+        self.message_handlers = protocol.message_handlers()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -212,7 +221,14 @@ class GossipNode:
             self._feed_me = simulator.schedule(self._feed_me_period, self._on_feed_me_round)
 
     def fail(self) -> None:
-        """Crash the node: stop all activity immediately (churn)."""
+        """Crash the node: stop all activity immediately (churn).
+
+        The node's transport endpoint goes dead first
+        (:meth:`repro.network.Network.fail_node`, which fires the
+        ``on_node_failed`` edge): nothing is delivered to it, or sent by
+        it, from here on.
+        """
+        self._network.fail_node(self.node_id)
         self._alive = False
         # Ticks skipped before the crash count as rounds; nothing reads their draws.
         self._count_ticks_through(math.nextafter(self.simulator.now, -math.inf))
@@ -345,15 +361,18 @@ class GossipNode:
     # Message handling
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
-        """Entry point called by the network when a datagram is delivered.
+        """Hand one datagram to the node, past the transport.
 
-        Calls the protocol's handler for ``message.kind``
-        (:meth:`~repro.protocols.base.DisseminationProtocol.message_handlers`).
+        Ignores it once the node has failed; else calls the protocol's
+        handler for ``message.kind`` and raises ``ValueError`` for a kind
+        without one, as a delivery through the node's endpoint would.  The
+        session registers :attr:`message_handlers` itself, so a delivery
+        costs no frame here.
         """
         if not self._alive:
             return
         try:
-            handler = self._message_handlers[message.kind]
+            handler = self.message_handlers[message.kind]
         except KeyError:
             raise ValueError(f"node {self.node_id}: unknown message kind {message.kind!r}") from None
         handler(message)

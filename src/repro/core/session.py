@@ -51,6 +51,7 @@ from repro.streaming.source import StreamEmitter
 from repro.telemetry.config import TelemetryConfig
 
 from repro.core.config import GossipConfig
+from repro.core.messages import serve_table
 from repro.core.node import GossipNode, NodeStats
 
 
@@ -330,6 +331,7 @@ class StreamingSession:
         assert self.directory is not None and self.schedule is not None
         assert self.deliveries is not None
         config = self.config
+        serves = serve_table(self.schedule.packets())  # one table, shared by every node
         for node_id in self._owned:
             is_source = node_id == config.source_id
             # The source is a well-provisioned node: no 700 kbps cap can carry
@@ -340,14 +342,14 @@ class StreamingSession:
                 simulator=self.simulator,
                 network=self.network,
                 directory=self.directory,
-                schedule=self.schedule,
+                serves=serves,
                 config=config.gossip,
                 delivery_listener=self.deliveries.record,
                 is_source=is_source,
                 protocol=create_protocol(config.protocol),
             )
             self.nodes[node_id] = node
-            self.network.register(node_id, node.on_message, cap)
+            self.network.register(node_id, node.message_handlers, cap)
         # Only the session holding the source drives the stream (in a sharded
         # run, the shard owning it): its publications must exist exactly once.
         source = self.nodes.get(config.source_id)
@@ -369,16 +371,15 @@ class StreamingSession:
             self.simulator.schedule_at(config.join.time, self._apply_joins, self._late_joiners)
 
     def _apply_failures(self, victims: Tuple[NodeId, ...]) -> None:
-        assert self.network is not None and self.directory is not None and self.simulator is not None
+        assert self.directory is not None and self.simulator is not None
         self._control_events += 1
         now = self.simulator.now
         for node_id in victims:
             # The directory and failure bookkeeping cover every node; a shard
-            # session holds (and crashes) only the nodes it owns, and
-            # fail_node is a no-op for an id the transport never registered.
+            # session holds (and crashes) only the nodes it owns, and a node
+            # that fails takes its transport endpoint down with it.
             self._failed_nodes.append(node_id)
             self.directory.mark_failed(node_id, now)
-            self.network.fail_node(node_id)
             node = self.nodes.get(node_id)
             if node is not None:
                 node.fail()

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from heapq import heappush
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import ScheduledEvent, Simulator
 from repro.simulation.rng import RngRegistry
 
 from repro.network.bandwidth import BandwidthCap, UploadLimiter
@@ -41,19 +42,41 @@ from repro.network.stats import TrafficStats
 
 MessageHandler = Callable[[Message], None]
 
+#: ``_new_entry(ScheduledEvent, (time, sequence, callback, args, handle))``
+#: builds a simulator heap entry in one C call (see :attr:`Simulator.inline_queue`).
+_new_entry = tuple.__new__
+
+
+class _EveryKind(dict):
+    """The handler table of an endpoint registered with one callable: it takes every kind."""
+
+    def __init__(self, handler: MessageHandler) -> None:
+        super().__init__()
+        self.handler = handler
+
+    def __missing__(self, kind: str) -> MessageHandler:
+        return self.handler
+
+    def __contains__(self, kind: object) -> bool:
+        return True
+
 
 class _Endpoint:
-    """One registered node: handler, upload limiter and liveness.
+    """One registered node: its handler per message kind, upload limiter and liveness.
 
     Grouping the three into a single slotted record keeps the per-datagram
     fast path at one dictionary lookup per side (sender, receiver) instead
-    of three, which is visible at millions of sends per session.
+    of three, which is visible at millions of sends per session.  ``alive``
+    is the node's one liveness flag on the delivery path: a crashed
+    :class:`~repro.core.node.GossipNode` clears it itself
+    (:meth:`Network.fail_node`), so a delivery calls the kind's handler
+    directly, with no per-node frame in between.
     """
 
-    __slots__ = ("handler", "limiter", "alive")
+    __slots__ = ("handlers", "limiter", "alive")
 
-    def __init__(self, handler: MessageHandler, limiter: UploadLimiter) -> None:
-        self.handler = handler
+    def __init__(self, handlers: Mapping[str, MessageHandler], limiter: UploadLimiter) -> None:
+        self.handlers = handlers
         self.limiter = limiter
         self.alive = True
 
@@ -161,9 +184,11 @@ class Network:
     Parameters
     ----------
     simulator:
-        The discrete-event simulator used for timing — or any host with its
-        ``now`` / ``schedule_fire_and_forget[_at]`` surface (the realnet
-        subclass passes its asyncio host).
+        The discrete-event simulator used for timing.  A network with a
+        router (:meth:`set_router`) uses only its ``now`` and whatever the
+        router schedules, so the realnet subclass passes its asyncio host;
+        without one, deliveries are pushed onto
+        :attr:`Simulator.inline_queue`.
     latency_model / loss_model:
         Substrate behaviour; see :mod:`repro.network.latency` and
         :mod:`repro.network.loss`.
@@ -191,17 +216,30 @@ class Network:
     def register(
         self,
         node_id: NodeId,
-        handler: MessageHandler,
+        handlers: Union[Mapping[str, MessageHandler], MessageHandler],
         cap: Optional[BandwidthCap] = None,
     ) -> None:
-        """Attach an endpoint.  ``cap`` defaults to unlimited upload."""
+        """Attach an endpoint.  ``cap`` defaults to unlimited upload.
+
+        ``handlers`` maps each message kind the node understands to its
+        handler (a protocol's
+        :meth:`~repro.protocols.base.DisseminationProtocol.message_handlers`):
+        a delivery calls ``handlers[message.kind](message)``, and a kind
+        without a handler raises ``ValueError``.  A single callable is
+        adapted, once, into a table that gives it every kind.
+        """
         if node_id in self._endpoints:
             raise ValueError(f"node {node_id} is already registered")
+        if callable(handlers):
+            handlers = _EveryKind(handlers)
         limiter = UploadLimiter(cap if cap is not None else BandwidthCap.unlimited())
-        self._endpoints[node_id] = _Endpoint(handler, limiter)
+        self._endpoints[node_id] = _Endpoint(handlers, limiter)
 
     def fail_node(self, node_id: NodeId) -> None:
-        """Crash a node: it stops sending and receiving immediately."""
+        """Crash a node's endpoint: it stops sending and receiving immediately.
+
+        :meth:`repro.core.node.GossipNode.fail` calls it for its own node.
+        """
         endpoint = self._endpoints.get(node_id)
         if endpoint is not None:
             endpoint.alive = False
@@ -211,7 +249,12 @@ class Network:
                     observer.on_node_failed(node_id, now)
 
     def recover_node(self, node_id: NodeId) -> None:
-        """Bring a previously failed node back (its state is untouched)."""
+        """Bring a previously failed endpoint back (its state is untouched).
+
+        A transport outage, not a restart: a node that crashed itself
+        (:meth:`repro.core.node.GossipNode.fail`) has no timers left, and
+        the datagrams it receives again reach its handlers.
+        """
         endpoint = self._endpoints.get(node_id)
         if endpoint is not None:
             endpoint.alive = True
@@ -301,9 +344,11 @@ class Network:
         is_lost = self._loss.is_lost
         latency_sample = self._latency.sample
         router = self._router
-        # Deliveries are scheduled by the million and never cancelled:
-        # fire-and-forget scheduling skips the per-event handle allocation.
-        schedule = self._simulator.schedule_fire_and_forget
+        if router is None:
+            # Deliveries are scheduled by the million and never cancelled:
+            # each is pushed here, as ``schedule_fire_and_forget`` would push
+            # it, without that frame.  A routed host has no heap to resolve.
+            heap, sequence, never_cancelled = self._simulator.inline_queue
         deliver = self._deliver
         accepted = 0
         for message in messages:
@@ -333,11 +378,10 @@ class Network:
                 continue
             delay = (finish_time - now) + latency_sample(sender, message.receiver)
             if router is not None:
-                # ``now`` is the clock value schedule_fire_and_forget would
-                # add ``delay`` to, so the router sees the exact instant.
                 router.dispatch(message, now + delay)
             else:
-                schedule(delay, deliver, message)
+                entry = (now + delay, next(sequence), deliver, (message,), never_cancelled)
+                heappush(heap, _new_entry(ScheduledEvent, entry))
         return accepted
 
     def _deliver(self, message: Message) -> None:
@@ -359,4 +403,8 @@ class Network:
             # the delivery that caused it as already having happened.
             for observer in self._observers:
                 observer.on_delivered(message, self._simulator.now)
-        endpoint.handler(message)
+        try:
+            handler = endpoint.handlers[message.kind]
+        except KeyError:
+            raise ValueError(f"node {receiver}: unknown message kind {message.kind!r}") from None
+        handler(message)

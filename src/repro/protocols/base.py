@@ -28,11 +28,11 @@ from repro.streaming.packets import PacketDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import GossipConfig
+    from repro.core.messages import ServeTable
     from repro.core.node import NodeStats
     from repro.core.state import NodeState
     from repro.membership.partners import PartnerSelector
     from repro.simulation.engine import Simulator
-    from repro.streaming.schedule import StreamSchedule
 
 
 @runtime_checkable
@@ -44,6 +44,7 @@ class ProtocolHost(Protocol):
     config: "GossipConfig"
     state: "NodeState"
     stats: "NodeStats"
+    serves: "ServeTable"
 
     @property
     def alive(self) -> bool: ...
@@ -53,9 +54,6 @@ class ProtocolHost(Protocol):
 
     @property
     def now(self) -> float: ...
-
-    @property
-    def schedule(self) -> "StreamSchedule": ...
 
     @property
     def partners(self) -> "PartnerSelector": ...
@@ -83,7 +81,8 @@ class DisseminationProtocol(ABC):
     * :meth:`on_feed_me_round` — ``Y`` periods elapsed; ``targets`` are the
       uniformly random feed-me recipients;
     * the handlers of :meth:`message_handlers` — a datagram of that kind
-      arrived for this node (an unknown kind is the host's ``ValueError``);
+      arrived for this live node (the transport calls them directly; an
+      unknown kind is its ``ValueError``);
     * :meth:`on_fail` — the node crashed (release protocol-owned timers).
 
     A gossip round comes only while the node has something to propose: a
@@ -123,7 +122,8 @@ class DisseminationProtocol(ABC):
     def message_handlers(self) -> Dict[str, Callable[[Message], None]]:
         """The datagram kinds this strategy understands, each with its handler.
 
-        Read once, after :meth:`bind`; while the node is alive the host calls
+        Read once, after :meth:`bind`; the node's transport endpoint holds
+        the table and, while the node is alive, calls
         ``handlers[message.kind](message)`` for every datagram that arrives.
         """
 

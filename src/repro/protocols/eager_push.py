@@ -25,13 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.core.messages import ServePayload, serve_size
+from repro.core.messages import PUSH
 from repro.network.message import Message, NodeId
 from repro.protocols.base import DisseminationProtocol
 from repro.streaming.packets import PacketDescriptor, PacketId
-
-PUSH = "push"
-"""Message kind tag for eager full-payload pushes."""
 
 
 class EagerPush(DisseminationProtocol):
@@ -59,8 +56,8 @@ class EagerPush(DisseminationProtocol):
 
     def _push(self, packet_id: PacketId, targets: List[NodeId]) -> None:
         host = self.host
-        size = serve_size(host.schedule.packet(packet_id).size_bytes)
-        host.send_to_all(targets, PUSH, size, ServePayload(packet_id))
+        size, payload = host.serves[packet_id]
+        host.send_to_all(targets, PUSH, size, payload)
         host.stats.serves_sent += len(targets)
         host.stats.packets_served += len(targets)
 

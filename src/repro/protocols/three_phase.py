@@ -30,11 +30,9 @@ from repro.core.messages import (
     SERVE,
     ProposePayload,
     RequestPayload,
-    ServePayload,
     feed_me_size,
     propose_size,
     request_size,
-    serve_size,
 )
 from repro.core.state import PendingRequest
 from repro.network.message import Message, NodeId
@@ -113,8 +111,19 @@ class ThreePhaseGossip(DisseminationProtocol):
                 attempts[packet_id] = attempts[packet_id] + 1 if packet_id in attempts else 1
             self._send_request(sender, wanted)
 
-        if host.config.max_request_attempts > 1:  # K = 1: nothing is ever requested again
-            self._arm_retransmission(sender, packet_ids)
+        max_attempts = host.config.max_request_attempts
+        if max_attempts > 1:  # K = 1: nothing is ever requested again
+            # ``_arm_retransmission`` inline: arm if some id may be requested
+            # again.  Every id not delivered is in ``attempts`` by now, with
+            # the count the requests above left (2 for an id advertised twice).
+            for packet_id in packet_ids:
+                if packet_id not in delivered and attempts[packet_id] < max_attempts:
+                    state = host.state
+                    slot = host.simulator.reserve(host.config.retransmit_timeout)
+                    state.pending_requests.append(PendingRequest(sender, tuple(packet_ids), slot))
+                    if state.retransmission is None:
+                        self._queue_front_pending()
+                    break
 
     def _send_request(self, proposer: NodeId, packet_ids: List[PacketId]) -> None:
         host = self.host
@@ -182,13 +191,13 @@ class ThreePhaseGossip(DisseminationProtocol):
         host.stats.requests_received += 1
         sender = message.sender
         delivered = host.state.delivered
-        packet_of = host.schedule.packet
+        serves = host.serves
         burst: List[Tuple[NodeId, str, int, object]] = []
         for packet_id in message.payload.packet_ids:
             if packet_id not in delivered:
                 continue
-            size = serve_size(packet_of(packet_id).size_bytes)
-            burst.append((sender, SERVE, size, ServePayload(packet_id)))
+            size, payload = serves[packet_id]
+            burst.append((sender, SERVE, size, payload))
         if burst:
             host.send_many(burst)
             host.stats.serves_sent += len(burst)

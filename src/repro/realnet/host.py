@@ -203,10 +203,6 @@ class AsyncioHost:
         """Run ``callback(*args)`` at the virtual time :meth:`reserve` returned."""
         return self.schedule_at(slot, callback, *args)
 
-    def schedule_fire_and_forget(self, delay: float, callback: EventCallback, *args: Any) -> None:
-        """Like :meth:`schedule` but discards the handle (simulator parity)."""
-        self.schedule(delay, callback, *args)
-
     def schedule_fire_and_forget_at(self, time: float, callback: EventCallback, *args: Any) -> None:
         """Like :meth:`schedule_at` but discards the handle."""
         self.schedule_at(time, callback, *args)

@@ -25,8 +25,10 @@ What stays genuinely *real*: the payload bytes cross the kernel (padded to
 their modeled size, see :mod:`repro.realnet.codec`), delivery order and
 socket backpressure are the operating system's, and a dropped datagram is
 gone — there is no global event queue to fall back on.  A socket is also
-untrusted input: a datagram that does not decode, or that names a receiver
-other than the socket's owner, is counted in ``decode_errors`` and dropped.
+untrusted input: a datagram that does not decode, that names a receiver
+other than the socket's owner, whose kind the receiver has no handler for,
+or whose payload is not its kind's (:data:`repro.core.messages.KIND_PAYLOAD`)
+is counted in ``decode_errors`` and dropped.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, Optional
 
+from repro.core.messages import KIND_PAYLOAD
 from repro.network.bandwidth import BandwidthCap
 from repro.network.latency import LatencyModel
 from repro.network.loss import LossModel
@@ -180,6 +183,15 @@ class UdpNetwork(Network, DatagramRouter):
         if message.receiver != node_id:
             # Delivery keys on ``message.receiver``: without this a crafted
             # datagram could reach any node's handler through any port.
+            self.decode_errors += 1
+            return
+        kind = message.kind
+        payload_type = KIND_PAYLOAD.get(kind)
+        if kind not in self._endpoints[node_id].handlers or (
+            payload_type is not None and type(message.payload) is not payload_type
+        ):
+            # Well-formed but meaningless to the receiver: a handler would
+            # raise (an unknown kind) or misread the payload.
             self.decode_errors += 1
             return
         self.datagrams_received += 1

@@ -9,6 +9,8 @@ hold a reference to the simulator and interact with it through a few verbs:
 * ``schedule_at(time, callback, *args)`` — run at an absolute instant;
 * ``reserve(delay)``, later ``schedule_reserved(slot, callback, *args)`` —
   ``schedule`` split in two, so an event that never runs is never queued;
+* ``schedule_fire_and_forget_at(time, callback, *args)`` — ``schedule_at``
+  with no handle, for the shard and socket routers' deliveries;
 * ``now`` — the current simulated time.
 
 Running the simulation is ``run(until=...)`` or ``run_until_idle()``.  A
@@ -36,7 +38,8 @@ Fire-and-forget events (datagram deliveries, scheduled by the million and
 never cancelled) share one never-cancelled sentinel handle.
 
 The verbs and the loop below build, push and pop entries inline — a method
-call per event is 3–4 % of a session (docs/performance.md, "Frame diet").
+call per event is 3–4 % of a session (docs/performance.md, "Frame diet") —
+and so does the transport for its deliveries (:attr:`Simulator.inline_queue`).
 
 Observers
 ---------
@@ -53,6 +56,7 @@ event; what a registered no-op observer costs on top is ``noop_slowdown`` of
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
@@ -123,12 +127,20 @@ class Simulator:
         descends from this seed, making runs reproducible.
 
     Simulated time starts at 0 and only moves forward.
+
+    ``inline_queue`` is ``(heap, sequence, never_cancelled)``: the state
+    every verb pushes onto, for the one caller that queues without a verb's
+    frame (``Network.send_many``, one datagram delivery per accepted send).
+    Its push is :meth:`schedule_fire_and_forget_at`'s, inline:
+    ``heapq.heappush(heap, tuple.__new__(ScheduledEvent, (time,
+    next(sequence), callback, args, never_cancelled)))`` with ``time >=
+    now``, so it takes its key from the same counter as every verb.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._heap: List[ScheduledEvent] = []  # never rebound: run() holds it
-        self._sequence = 0
+        self._sequence = itertools.count()  # ``next()`` is a C call, not a frame
         self._dead = 0  # cancelled entries still in the heap
         self._rng = RngRegistry(seed)
         self._running = False
@@ -136,6 +148,7 @@ class Simulator:
         # ``None`` (not an empty list) when nobody watches: the dispatch hot
         # path then pays exactly one attribute load + identity test per event.
         self._observers: Optional[List[Any]] = None
+        self.inline_queue = (self._heap, self._sequence, _NEVER_CANCELLED)
 
     # ------------------------------------------------------------------
     # Time and randomness
@@ -185,18 +198,17 @@ class Simulator:
         if delay < 0.0:
             raise SimulationTimeError(f"cannot schedule with negative delay {delay!r}")
         time = self._now + delay
-        handle = EventHandle(time=time, sequence=self._sequence, _simulator=self)
-        entry = (time, self._sequence, callback, args, handle)
+        sequence = next(self._sequence)
+        handle = EventHandle(time=time, sequence=sequence, _simulator=self)
+        entry = (time, sequence, callback, args, handle)
         heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
-        self._sequence += 1
         return handle
 
     def reserve(self, delay: float) -> Tuple[float, int]:
         """Take the ``(time, sequence)`` key ``schedule(delay, ...)`` would take; queue nothing."""
         if delay < 0.0:
             raise SimulationTimeError(f"cannot reserve with negative delay {delay!r}")
-        self._sequence += 1
-        return (self._now + delay, self._sequence - 1)
+        return (self._now + delay, next(self._sequence))
 
     def schedule_reserved(
         self, slot: Tuple[float, int], callback: EventCallback, *args: Any
@@ -217,31 +229,19 @@ class Simulator:
                 f"cannot schedule at {time!r}, which is before now ({self._now!r})"
             )
         time = float(time)
-        handle = EventHandle(time=time, sequence=self._sequence, _simulator=self)
-        entry = (time, self._sequence, callback, args, handle)
+        sequence = next(self._sequence)
+        handle = EventHandle(time=time, sequence=sequence, _simulator=self)
+        entry = (time, sequence, callback, args, handle)
         heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
-        self._sequence += 1
         return handle
-
-    def schedule_fire_and_forget(self, delay: float, callback: EventCallback, *args: Any) -> None:
-        """Schedule ``callback(*args)`` ``delay`` seconds from now, uncancellably.
-
-        Like :meth:`schedule` but returns no handle and allocates none: every
-        fire-and-forget event shares one never-cancelled sentinel.  Used on
-        the hottest scheduling path (datagram deliveries, which are scheduled
-        by the million and never cancelled).
-        """
-        if delay < 0.0:
-            raise SimulationTimeError(f"cannot schedule with negative delay {delay!r}")
-        entry = (self._now + delay, self._sequence, callback, args, _NEVER_CANCELLED)
-        heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
-        self._sequence += 1
 
     def schedule_fire_and_forget_at(
         self, time: float, callback: EventCallback, *args: Any
     ) -> None:
-        """Absolute-time variant of :meth:`schedule_fire_and_forget`.
+        """Schedule ``callback(*args)`` at absolute ``time``, uncancellably.
 
+        Like :meth:`schedule_at` but returns no handle and allocates none:
+        every fire-and-forget event shares one never-cancelled sentinel.
         Used by the datagram router seam: a delivery time computed on one
         shard must be re-scheduled *verbatim* on the receiving shard, without
         a round trip through a relative delay (which would not survive float
@@ -251,9 +251,8 @@ class Simulator:
             raise SimulationTimeError(
                 f"cannot schedule at {time!r}, which is before now ({self._now!r})"
             )
-        entry = (float(time), self._sequence, callback, args, _NEVER_CANCELLED)
+        entry = (float(time), next(self._sequence), callback, args, _NEVER_CANCELLED)
         heapq.heappush(self._heap, _new_event(ScheduledEvent, entry))
-        self._sequence += 1
 
     def cancel(self, handle: Optional[EventHandle]) -> None:
         """Cancel a previously scheduled event.  ``None`` is accepted and ignored."""

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.core.config import GOSSIP_PERIOD, GossipConfig
-from repro.core.messages import FEED_ME, PROPOSE, REQUEST, SERVE, ServePayload, feed_me_size
+from repro.core.messages import (
+    FEED_ME,
+    PROPOSE,
+    REQUEST,
+    SERVE,
+    ServePayload,
+    feed_me_size,
+    serve_table,
+)
 from repro.core.node import GossipNode
 from repro.membership.directory import MembershipDirectory
 from repro.membership.partners import INFINITE, PartnerSelector
@@ -84,13 +92,14 @@ class Harness:
         )
         self.deliveries = []
         self.nodes = {}
+        serves = serve_table(self.schedule.packets())
         for node_id in range(num_nodes):
             node = GossipNode(
                 node_id=node_id,
                 simulator=self.simulator,
                 network=self.network,
                 directory=self.directory,
-                schedule=self.schedule,
+                serves=serves,
                 config=self.config,
                 delivery_listener=lambda n, p, t: self.deliveries.append((n, p, t)),
                 is_source=(node_id == 0),
@@ -367,6 +376,45 @@ class TestRetransmission:
         assert pending[0].slot < pending[1].slot
         harness.simulator.run(until=5.0)
         assert requests.sent == [(1, 2, (5,)), (1, 3, (6,))] * 2
+
+
+class TestProposeArmsRetransmission:
+    """Whether one PROPOSE leaves a retransmission armed: an id that may be requested again.
+
+    An earlier PROPOSE of packet 9 is armed and queued first, so an entry the
+    PROPOSE under test arms stays behind it (an unretryable front is dropped).
+    """
+
+    @staticmethod
+    def armed_after(packet_ids, max_request_attempts, delivered=(), requested=()):
+        harness = Harness(num_nodes=4, max_request_attempts=max_request_attempts)
+        node = harness.nodes[1]
+        for packet_id in delivered:
+            node.deliver(packet_id, 0.0)
+        for packet_id in requested:
+            node.state.record_request(packet_id)
+        node.on_message(Message(3, 1, PROPOSE, 48, harness_propose((9,))))
+        node.on_message(Message(2, 1, PROPOSE, 56, harness_propose(packet_ids)))
+        armed = [pending.packet_ids for pending in node.state.pending_requests]
+        assert armed[0] == (9,)
+        return armed[1:]
+
+    def test_an_id_advertised_twice_at_k_2_reaches_k_and_arms_nothing(self):
+        assert self.armed_after((5, 5), max_request_attempts=2) == []
+
+    def test_an_id_advertised_twice_at_k_3_arms_one(self):
+        assert self.armed_after((5, 5), max_request_attempts=3) == [(5, 5)]
+
+    def test_only_delivered_ids_arm_nothing(self):
+        assert self.armed_after((5, 6), max_request_attempts=3, delivered=(5, 6)) == []
+
+    def test_ids_requested_under_k_times_arm_one(self):
+        armed = self.armed_after((5, 6), max_request_attempts=3, delivered=(5,), requested=(6,))
+        assert armed == [(5, 6)]
+
+    def test_ids_requested_k_times_arm_nothing(self):
+        armed = self.armed_after((6,), max_request_attempts=2, requested=(6, 6))
+        assert armed == []
 
 
 class _DispatchTimes:

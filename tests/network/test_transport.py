@@ -51,6 +51,25 @@ class TestRegistration:
         assert not network.send(Message(sender=42, receiver=0, kind="propose", size_bytes=10))
         assert simulator.pending_events == 0
 
+    def test_a_handler_table_gets_each_kind_to_its_handler(self, simulator):
+        network = build_network(simulator)
+        proposals, serves = Recorder(simulator), Recorder(simulator)
+        network.register(0, lambda m: None)
+        network.register(1, {"propose": proposals, "serve": serves})
+        network.send(Message(sender=0, receiver=1, kind="serve", size_bytes=10))
+        network.send(Message(sender=0, receiver=1, kind="propose", size_bytes=10))
+        simulator.run_until_idle()
+        assert [m.kind for m, _ in proposals.received] == ["propose"]
+        assert [m.kind for m, _ in serves.received] == ["serve"]
+
+    def test_a_kind_without_a_handler_raises_naming_node_and_kind(self, simulator):
+        network = build_network(simulator)
+        network.register(0, lambda m: None)
+        network.register(1, {"propose": lambda m: None})
+        network.send(Message(sender=0, receiver=1, kind="bogus", size_bytes=10))
+        with pytest.raises(ValueError, match="node 1: unknown message kind 'bogus'"):
+            simulator.run_until_idle()
+
 
 class TestDeliveryTiming:
     def test_latency_applied(self, simulator):

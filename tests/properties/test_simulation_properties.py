@@ -2,11 +2,12 @@
 
 The scheduling verbs are checked against a sorted-list model of the live
 ``(time, sequence)`` keys.  Whatever sequence of ``schedule``,
-``schedule_at``, ``schedule_fire_and_forget(_at)``, ``reserve`` followed by
-``schedule_reserved``, ``cancel`` (from the outside or from inside a running
-callback) and ``run`` is drawn, the simulator dispatches exactly the model's
-keys in the model's order, and ``pending_events`` and ``peek_time`` agree
-with the model.
+``schedule_at``, ``schedule_fire_and_forget_at``, ``reserve`` followed by
+``schedule_reserved``, a datagram sent through a :class:`Network` on the
+same simulator (whose delivery the transport pushes itself), ``cancel``
+(from the outside or from inside a running callback) and ``run`` is drawn,
+the simulator dispatches exactly the model's keys in the model's order, and
+``pending_events`` and ``peek_time`` agree with the model.
 """
 
 import bisect
@@ -14,6 +15,9 @@ import bisect
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network.latency import ConstantLatency
+from repro.network.message import Message
+from repro.network.transport import Network
 from repro.simulation.engine import Simulator
 from repro.simulation.errors import SimulationTimeError
 
@@ -27,8 +31,8 @@ VICTIM = st.none() | INDEX
 OPS = st.one_of(
     st.tuples(st.just("schedule"), DELAYS, VICTIM),
     st.tuples(st.just("schedule_at"), DELAYS, VICTIM),
-    st.tuples(st.just("fire_and_forget"), DELAYS, VICTIM),
     st.tuples(st.just("fire_and_forget_at"), DELAYS, VICTIM),
+    st.tuples(st.just("send"), DELAYS, VICTIM),
     st.tuples(st.just("reserve"), DELAYS),
     st.tuples(st.just("schedule_reserved"), INDEX, VICTIM),
     st.tuples(st.just("cancel"), INDEX),
@@ -91,6 +95,12 @@ class TestSimulatorMatchesKeyModel:
             dispatched.append(key)
             simulator.cancel(victim)
 
+        # A datagram from node 0 to node 1 is delivered one latency later.
+        latency = ConstantLatency(0.0)
+        network = Network(simulator, latency_model=latency)
+        network.register(0, lambda message: None)
+        network.register(1, lambda message: callback(*message.payload))
+
         def victim_of(index):
             if index is None or not handles:
                 return None, None
@@ -137,8 +147,10 @@ class TestSimulatorMatchesKeyModel:
                     handle = simulator.schedule(delay, callback, key, victim)
                 elif verb == "schedule_at":
                     handle = simulator.schedule_at(key[0], callback, key, victim)
-                elif verb == "fire_and_forget":
-                    handle = simulator.schedule_fire_and_forget(delay, callback, key, victim)
+                elif verb == "send":
+                    latency.delay = delay
+                    assert network.send(Message(0, 1, "key", 40, (key, victim)))
+                    handle = None
                 else:
                     handle = simulator.schedule_fire_and_forget_at(key[0], callback, key, victim)
                 if handle is not None:

@@ -148,11 +148,11 @@ class TestRun:
         assert handle.cancelled
         assert host.pending_events == 0
 
-    def test_fire_and_forget_variants(self):
+    def test_fire_and_forget_at_returns_no_handle(self):
         host = AsyncioHost(time_scale=FAST)
         fired = []
-        host.schedule_fire_and_forget(0.1, fired.append, "a")
-        host.schedule_fire_and_forget_at(0.2, fired.append, "b")
+        assert host.schedule_fire_and_forget_at(0.2, fired.append, "b") is None
+        host.schedule_at(0.1, fired.append, "a")
         host.run(until=0.5)
         assert fired == ["a", "b"]
 

@@ -10,6 +10,7 @@ state as the observed per-datagram one.
 import random
 import socket
 
+from repro.core.messages import PROPOSE, SERVE, RequestPayload
 from repro.core.session import session_horizon
 from repro.network.bandwidth import BandwidthCap
 from repro.network.latency import ConstantLatency
@@ -98,6 +99,32 @@ class TestHostileInput:
         result = session.run()
         assert sprayed
         assert network.decode_errors == len(sprayed)
+        assert result.delivery_ratio() >= 0.9
+
+    def test_a_kind_without_a_handler_or_with_a_foreign_payload_does_not_end_a_session(self):
+        # Each decodes: a kind no node handles, a SERVE carrying a REQUEST's
+        # payload and a PROPOSE carrying none.
+        session = RealNetSession(
+            realnet_session_config(num_nodes=4, num_windows=1),
+            RealNetConfig(time_scale=SMOKE_TIME_SCALE),
+        )
+        session.build()
+        host, network = session.simulator, session.network
+        hostile = [
+            Message(sender=2, receiver=1, kind="bogus", size_bytes=64),
+            Message(sender=2, receiver=1, kind=SERVE, size_bytes=64, payload=RequestPayload((3,))),
+            Message(sender=2, receiver=1, kind=PROPOSE, size_bytes=64, payload=None),
+        ]
+
+        def spray():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as outsider:
+                for message in hostile:
+                    outsider.sendto(encode_message(message), network.address(1))
+
+        host.schedule(0.25, spray)
+        result = session.run()
+        assert network.decode_errors == len(hostile)
+        assert result.node_stats[1].proposals_received > 0
         assert result.delivery_ratio() >= 0.9
 
 

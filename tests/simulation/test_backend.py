@@ -35,7 +35,7 @@ def _build_workload(simulator, trace):
         doomed = {}
         simulator.schedule_at(base + 0.5, cancel_sibling, doomed, f"canceller-{step}")
         doomed["handle"] = simulator.schedule_at(base + 0.5, record, f"doomed-{step}")
-        simulator.schedule_fire_and_forget(base + 0.75, record, f"fire-{step}")
+        simulator.schedule_fire_and_forget_at(base + 0.75, record, f"fire-{step}")
 
 
 class _Watcher:
@@ -148,14 +148,15 @@ class TestRunLoop:
 
 
 class TestFireAndForget:
-    def test_negative_delay_rejected(self, simulator):
+    def test_a_time_before_now_rejected(self, simulator):
+        simulator.run(until=1.0)
         with pytest.raises(SimulationTimeError):
-            simulator.schedule_fire_and_forget(-0.1, lambda: None)
+            simulator.schedule_fire_and_forget_at(0.9, lambda: None)
 
     def test_runs_like_schedule(self, simulator):
         fired = []
-        simulator.schedule_fire_and_forget(1.0, fired.append, "a")
+        simulator.schedule_fire_and_forget_at(1.0, fired.append, "a")
         simulator.schedule(1.0, fired.append, "b")
-        simulator.schedule_fire_and_forget(0.5, fired.append, "c")
+        simulator.schedule_fire_and_forget_at(0.5, fired.append, "c")
         simulator.run_until_idle()
         assert fired == ["c", "a", "b"]

@@ -146,6 +146,6 @@ class TestPushUnhandled:
 
     def test_unhandled_events_count(self, simulator):
         simulator.schedule_fire_and_forget_at(1.0, lambda: None)
-        simulator.schedule_fire_and_forget(2.0, lambda: None)
+        simulator.schedule_fire_and_forget_at(2.0, lambda: None)
         assert simulator.pending_events == 2
         assert simulator.run_until_idle() == 2

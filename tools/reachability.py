@@ -198,6 +198,12 @@ KEEP: Tuple[Keep, ...] = (
          "the hash-only placement the partition tests compare sorted placement with"),
     Keep(_ORACLE, "network/transport.py", ("Network.send",),
          "the tests' one-datagram reference path into send_many"),
+    Keep(_ORACLE, "core/node.py", ("GossipNode.on_message",),
+         "the node tests' direct-delivery path: one datagram handed to one node past the "
+         "transport, behind the node's own liveness flag"),
+    Keep(_ORACLE, "streaming/schedule.py", ("StreamSchedule.packet",),
+         "the descriptor by id: the online player (streaming/player.py, kept above) reads "
+         "its deadlines through it"),
     Keep(_ORACLE, "simulation/engine.py", ("Simulator.step", "Simulator.run_until_idle"),
          "the tests' stepping harness"),
     Keep(_ORACLE, "realnet/host.py", ("AsyncioHost._on_callback_error",),
@@ -233,8 +239,8 @@ KEEP: Tuple[Keep, ...] = (
          "the Host interface of docs/architecture.md (now, rng, schedule, schedule_at, cancel)"),
     Keep(_API, "realnet/host.py", ("AsyncioHost.cancel",),
          "the Host interface of docs/architecture.md (now, rng, schedule, schedule_at, cancel)"),
-    Keep(_API, "realnet/host.py", ("AsyncioHost.schedule_fire_and_forget",),
-         "Network.send_many looks it up on every host"),
+    Keep(_API, "network/transport.py", ("_EveryKind",),
+         "Network.register's one-callable form (docs/performance.md, Frame diet, step 5)"),
     Keep(_API, "network/transport.py", ("Network.recover_node",),
          "the only source of the node_recovered trace kind (docs/observability.md)"),
     Keep(_API, "telemetry/recorder.py",
@@ -261,7 +267,7 @@ KEEP: Tuple[Keep, ...] = (
 """Why each product-unreached definition that stays, stays."""
 
 UNSEEN: Dict[Tuple[str, str], str] = {
-    ("bench/suite.py", "frames_per_event.<locals>.on_profile_event"):
+    ("bench/suite.py", "frames_by_module.<locals>.on_profile_event"):
         "a sys.setprofile callback: no monitoring event fires inside a profile hook",
 }
 """Product code the recorder cannot see, counted as product-reached."""
