@@ -389,8 +389,9 @@ class Network:
         endpoint = self._endpoints.get(receiver)
         if endpoint is None or not endpoint.alive:
             if self._observers is not None:
+                now = self._simulator.now
                 for observer in self._observers:
-                    observer.on_delivery_dropped(message, self._simulator.now)
+                    observer.on_delivery_dropped(message, now)
             return
         traffic = self.stats._per_node[receiver]
         size = message.size_bytes
@@ -401,8 +402,9 @@ class Network:
             # Observers fire before the handler: anything the handler sends
             # in reaction (e.g. a SERVE answering this REQUEST) must observe
             # the delivery that caused it as already having happened.
+            now = self._simulator.now
             for observer in self._observers:
-                observer.on_delivered(message, self._simulator.now)
+                observer.on_delivered(message, now)
         try:
             handler = endpoint.handlers[message.kind]
         except KeyError:

@@ -168,8 +168,9 @@ class UdpNetwork(Network, DatagramRouter):
             # The limiter accepted it but no socket can send it: lost in flight.
             self.stats.record_in_flight_loss(message.sender, message.kind, message.size_bytes)
             if self._observers is not None:
+                now = self._simulator.now
                 for observer in self._observers:
-                    observer.on_in_flight_loss(message, self._simulator.now)
+                    observer.on_in_flight_loss(message, now)
             return
         sender.transport.sendto(encode_message(message), receiver.address)
         self.datagrams_sent += 1

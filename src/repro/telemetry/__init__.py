@@ -11,6 +11,8 @@ The subsystem has four faces:
   :mod:`repro.telemetry.recorder`) — a versioned (``repro.telemetry/1``)
   streaming JSONL trace of the dispatch / datagram-fate / delivery /
   protocol-phase edges, with bounded memory, sampling and per-kind filters;
+  the session keeps records and a child process renders the lines
+  (:mod:`repro.telemetry.render`);
 * **exporters** (:mod:`repro.telemetry.export` /
   :mod:`repro.telemetry.summary`) — Chrome/Perfetto ``trace_event`` JSON
   (per-node tracks, datagram flow arrows, window-deadline markers) and a

@@ -24,7 +24,8 @@ from repro.streaming.schedule import StreamSchedule
 from repro.validation.observers import SessionObserver, observe_network_and_nodes
 
 from repro.telemetry.metrics import Histogram, MetricsRegistry
-from repro.telemetry.schema import _LINE_TEMPLATES, EVENT_KINDS, TraceError, TraceWriter, json_text
+from repro.telemetry.render import json_text
+from repro.telemetry.schema import _LINE_TEMPLATES, EVENT_KINDS, TraceError, TraceWriter
 
 #: Bucket bounds (seconds) for the upload-serialization delay histogram:
 #: a 1 kB datagram at 700 kbps serializes in ~11 ms, so the buckets bracket
@@ -71,35 +72,23 @@ class _JsonTexts(dict):
         return text
 
 
-def _datagram_edge(kind: str) -> Callable[..., None]:
-    """The handler of one terminal fate (``snd rcv mk sz d``), or of ``send`` (plus ``fin``)."""
-    is_send = kind == "send"
+def _fate_edge(kind: str) -> Callable[[Any, Message, float], None]:
+    """The handler of one terminal fate of a datagram (``snd rcv mk sz d``)."""
 
-    def on_datagram(
-        self: "TraceRecorder", message: Message, now: float, finish_time: Any = None
-    ) -> None:
+    def on_fate(self: "TraceRecorder", message: Message, now: float) -> None:
         template = self._templates[kind]
         if template is None:
             return
         writer = self._writer
-        if now is not writer.time:
-            finite = type(now) is float and now - now == 0.0
-            writer.time, writer.time_text = now, repr(now) if finite else json_text(now)
         buffer = writer.buffer
-        held = len(buffer)
-        values = (
-            writer.flushed + held, writer.time_text, message.sender, message.receiver,
-            self._text[message.kind], message.size_bytes, message.seq,
-        )
-        if is_send:
-            finite = type(finish_time) is float and finish_time - finish_time == 0.0
-            values += (repr(finish_time) if finite else json_text(finish_time),)
-        buffer.append(template % values)
-        writer.counts[kind] += 1
-        if held + 1 >= writer.flush_every:
+        buffer.append((
+            template, now, message.sender, message.receiver, self._text[message.kind],
+            message.size_bytes, message.seq,
+        ))
+        if len(buffer) >= writer.flush_every:
             writer.flush()
 
-    return on_datagram
+    return on_fate
 
 
 class TraceRecorder(SessionObserver):
@@ -111,9 +100,11 @@ class TraceRecorder(SessionObserver):
     ``send`` to its terminal fate on any substrate and under any filter.
 
     The frequent edges (``dispatch``, ``send``, the three fates, ``packet``)
-    render their line where they stand (see :class:`TraceWriter`), so it costs
-    one Python frame from the substrate's observer loop; the rare edges call
-    ``TraceWriter.write``.  A second frame per line is what the copies buy off.
+    append their record to the writer's buffer where they stand (see
+    :class:`TraceWriter`), so a line costs one Python frame from the
+    substrate's observer loop and no rendering: the writer's render child
+    makes the line.  The rare edges call ``TraceWriter.write``.  A second
+    frame per line is what the copies buy off.
     """
 
     def __init__(
@@ -173,14 +164,9 @@ class TraceRecorder(SessionObserver):
             if function is not None and len(self._fn_text) < _FN_TEXT_LIMIT:
                 self._fn_text[function] = text
         writer = self._writer
-        if time is not writer.time:
-            finite = type(time) is float and time - time == 0.0
-            writer.time, writer.time_text = time, repr(time) if finite else json_text(time)
         buffer = writer.buffer
-        held = len(buffer)
-        buffer.append(template % (writer.flushed + held, writer.time_text, text))
-        writer.counts["dispatch"] += 1
-        if held + 1 >= writer.flush_every:
+        buffer.append((template, time, text))
+        if len(buffer) >= writer.flush_every:
             writer.flush()
 
     # ------------------------------------------------------------------
@@ -196,14 +182,25 @@ class TraceRecorder(SessionObserver):
     def on_send_blocked(self, message: Message, now: float) -> None:
         self._unsent("send_blocked", message, now)
 
-    on_send_accepted = _datagram_edge("send")
+    def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
+        template = self._templates["send"]
+        if template is None:
+            return
+        writer = self._writer
+        buffer = writer.buffer
+        buffer.append((
+            template, now, message.sender, message.receiver, self._text[message.kind],
+            message.size_bytes, message.seq, finish_time,
+        ))
+        if len(buffer) >= writer.flush_every:
+            writer.flush()
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
         self._unsent("drop_congestion", message, now)
 
-    on_in_flight_loss = _datagram_edge("loss")
-    on_delivered = _datagram_edge("deliver_msg")
-    on_delivery_dropped = _datagram_edge("drop_dead")
+    on_in_flight_loss = _fate_edge("loss")
+    on_delivered = _fate_edge("deliver_msg")
+    on_delivery_dropped = _fate_edge("drop_dead")
 
     def on_node_failed(self, node_id: NodeId, now: float) -> None:
         if self._templates["node_failed"] is not None:
@@ -223,15 +220,9 @@ class TraceRecorder(SessionObserver):
         if template is None:
             return
         writer = self._writer
-        if time is not writer.time:
-            finite = type(time) is float and time - time == 0.0
-            writer.time, writer.time_text = time, repr(time) if finite else json_text(time)
         buffer = writer.buffer
-        held = len(buffer)
-        index, source = writer.flushed + held, self._text[is_source]
-        buffer.append(template % (index, writer.time_text, node_id, packet_id, source))
-        writer.counts["packet"] += 1
-        if held + 1 >= writer.flush_every:
+        buffer.append((template, time, node_id, packet_id, self._text[is_source]))
+        if len(buffer) >= writer.flush_every:
             writer.flush()
 
     # ------------------------------------------------------------------

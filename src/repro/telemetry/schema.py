@@ -18,7 +18,7 @@ wall-clock fields.
 
 Event lines are compact objects with three universal keys —
 
-* ``i``  contiguous event index (assigned by the writer),
+* ``i``  contiguous event index (assigned by the writer's render child),
 * ``t``  simulated time in seconds,
 * ``k``  event kind (one of :data:`EVENT_KINDS`)
 
@@ -50,20 +50,28 @@ whichever substrate — or shard's trace — recorded either line, and the
 Perfetto exporter turns each link into a flow arrow.
 
 Two ways in, one set of bytes out: :meth:`TraceWriter.append` is the general
-path (any kind, any fields, one ``json`` encode per event);
-:meth:`TraceWriter.write` renders a known kind from a pre-built template, and
-the recorder's frequent edges fill that same template themselves.
+path (any kind, any fields, one ``json`` encode per event into a template of
+its own); :meth:`TraceWriter.write` records a known kind against its
+pre-built template, and the recorder's frequent edges append that same record
+themselves.  Either way the session process keeps records, and the writer's
+render child (:mod:`repro.telemetry.render`) makes the lines.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import defaultdict
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, IO, Iterator, List, Optional, Tuple, Union
+
+from repro.telemetry import render as render_module
+from repro.telemetry.render import count_templates, json_text, kind_of
+
+if TYPE_CHECKING:
+    import subprocess
 
 TRACE_SCHEMA = "repro.telemetry/1"
 """Schema tag of traces this code writes."""
@@ -97,20 +105,6 @@ _LINE_TEMPLATES: Dict[str, str] = {
     for kind, fields in EVENT_FIELDS.items()
 }
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def json_text(value: Any) -> str:
-    """Compact ``json.dumps(value)`` of one field value, byte for byte.
-
-    Finite floats are their ``repr`` (what ``json`` emits for them); anything
-    else — strings, bools, ``NaN``, infinities, foreign types — is left to
-    ``json`` itself.
-    """
-    if type(value) is float and value - value == 0.0:
-        return repr(value)
-    return _encode(value)
-
 
 class TraceError(ValueError):
     """A trace file violates the schema (or is not a trace at all)."""
@@ -131,23 +125,42 @@ class _ClosedBuffer(list):
         super().__init__()
         self._path = path
 
-    def append(self, line: str) -> None:
+    def append(self, record: Tuple[Any, ...]) -> None:
         raise TraceError(f"trace writer for {self._path} is closed")
+
+
+def _tally(counts: Dict[str, int], per_template: Dict[str, int]) -> None:
+    """Add lines counted per template to ``counts`` per kind."""
+    for template, count in per_template.items():
+        kind = kind_of(template)
+        counts[kind] = counts.get(kind, 0) + count
+
+
+#: How far the render child may fall behind, in batches of ``flush_every``
+#: records, before a flush waits for it: enough to cover its start-up.
+LAG_BATCHES = 16
 
 
 class TraceWriter:
     """Streams events to a JSONL trace with bounded memory.
 
-    The header is written on construction; events are buffered and flushed
-    every ``flush_every`` lines (and on :meth:`close`), so an arbitrarily
-    long session holds at most ``flush_every`` encoded lines in memory.
-    The writer assigns the contiguous ``i`` index — callers supply events
-    without it.
+    The header is written on construction.  An event is held as a record,
+    ``(template, t, *values)`` (:mod:`repro.telemetry.render`): no line is
+    rendered in the session process.  Every ``flush_every`` records (and on
+    :meth:`close`) a flush queues them as one batch for the writer's render
+    child, started at the first flush, which numbers the lines (the
+    contiguous ``i`` index — callers supply events without it) and renders
+    them.  One message is at the child at a time: the batches queued while it
+    works go together once its answer is back.  The writer owns the file and
+    writes each batch's bytes, one write per batch, as it collects them; it
+    waits for the child only at :meth:`close` or when more than
+    :data:`LAG_BATCHES` batches are not yet on disk.  So the file trails the
+    records by fewer than ``(LAG_BATCHES + 2) * flush_every`` lines, and the
+    writer holds no more records than that.
 
     The recorder's frequent edges do what :meth:`write` does, on the same
-    state and without the call: the next index is ``flushed + len(buffer)``,
-    ``time`` / ``time_text`` memoise the last clock reading and its JSON, a
-    stored line bumps ``counts[kind]``, and ``flush_every`` held lines flush.
+    state and without the call: they append a record to ``buffer`` and flush
+    when it holds ``flush_every``.
     """
 
     def __init__(
@@ -162,93 +175,164 @@ class TraceWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.flush_every = flush_every
         self.buffer: list = []
-        self.flushed = 0  # event lines on disk
-        self.counts: Dict[str, int] = defaultdict(int)
-        self.time, self.time_text = None, "null"
+        self._queued: List[list] = []  # flushed batches that wait for the child
+        self._in_flight: List[list] = []  # the batches the child renders now
+        self._on_disk: Dict[str, int] = {}  # event lines per kind in the file
+        self._child: Optional["subprocess.Popen[bytes]"] = None
         self._file: Optional[IO[bytes]] = open(self.path, "wb")
-        header = (_encode({"schema": TRACE_SCHEMA, "meta": dict(meta or {})}) + "\n").encode()
+        header = (json_text({"schema": TRACE_SCHEMA, "meta": dict(meta or {})}) + "\n").encode()
         self._file.write(header)
         self._file.flush()
+
+    def _held(self) -> List[list]:
+        return [*self._in_flight, *self._queued, self.buffer]
 
     @property
     def events_written(self) -> int:
         """Events appended so far (header excluded)."""
-        return self.flushed + len(self.buffer)
+        return sum(self._on_disk.values()) + sum(map(len, self._held()))
 
     @property
     def counts_by_kind(self) -> Dict[str, int]:
         """Per-kind event counts so far."""
-        return {kind: count for kind, count in self.counts.items() if count}
+        counts = dict(self._on_disk)
+        for records in self._held():
+            _tally(counts, count_templates(records))
+        return {kind: count for kind, count in counts.items() if count}
 
     def append(self, kind: str, time: float, **fields) -> None:
-        """Append one event; ``i`` is assigned here."""
-        buffer = self.buffer
-        event = {"i": self.flushed + len(buffer), "t": time, "k": kind}
+        """Append one event; ``i`` is assigned by the render child."""
+        event = {"k": kind}
         event.update(fields)
-        buffer.append(_encode(event))
-        self.counts[kind] += 1
+        template = '{"i":%d,"t":%s,' + json_text(event)[1:].replace("%", "%%")
+        buffer = self.buffer
+        buffer.append((template, time))
         if len(buffer) >= self.flush_every:
             self.flush()
 
     def write(self, kind: str, time: float, *values) -> None:
         """Append one event of a known kind from its field values, in order.
 
-        One ``%``-template per kind instead of a dict and a ``json`` encode
-        per event.  ``values`` follow ``EVENT_FIELDS[kind]``, an ``int`` as it
-        is and anything else as its :func:`json_text`, so the line is byte for
-        byte the one :meth:`append` would write.  The recorder's rare kinds
-        come through here; its frequent ones render the same template inline.
+        ``values`` follow ``EVENT_FIELDS[kind]``: an ``int`` as it is (and the
+        last one, ``fin``, may be a ``float``), anything else as its
+        :func:`json_text`, so the line is byte for byte the one :meth:`append`
+        would write.  The recorder's rare kinds come through here; its
+        frequent ones append the same record inline.
         """
-        if time is not self.time:  # two lines in three repeat the last clock reading
-            self.time, self.time_text = time, json_text(time)
         buffer = self.buffer
-        buffer.append(
-            _LINE_TEMPLATES[kind] % (self.flushed + len(buffer), self.time_text, *values)
-        )
-        self.counts[kind] += 1
+        buffer.append((_LINE_TEMPLATES[kind], time, *values))
         if len(buffer) >= self.flush_every:
             self.flush()
 
     def flush(self) -> None:
-        """Write buffered lines through to disk (so a live trace is tailable).
+        """Queue the buffered records for the render child; write what it has answered.
 
         A flush that fails — ``OSError`` from a full disk, an interrupt in the
-        middle of the write — **drops its buffer and closes the writer**: the
-        file is cut back to the end of the last whole flush, ``events_written``
-        / ``counts_by_kind`` fall back to what is on disk, and the error is
+        middle of a write, a render child that is gone (:class:`TraceError`)
+        — **drops its records and closes the writer**: the file is cut back to
+        the end of the last whole write, ``events_written`` /
+        ``counts_by_kind`` fall back to what is on disk, and the error is
         raised once — a later :meth:`close` is a no-op, not a second failure
         (or a second copy) of the same lines.
         """
         if self._file is None:
             raise TraceError(f"trace writer for {self.path} is closed")
-        buffer = self.buffer
-        if buffer:
-            whole = self._file.tell()  # nothing is pending: every write is flushed
+        batch = self.buffer
+        if batch:
+            self.buffer = []
+            self._queued.append(batch)
+            self._collect(wait=len(self._in_flight) + len(self._queued) > LAG_BATCHES)
+
+    def close(self) -> None:
+        """Flush, write every answer, reap the render child and close the file (idempotent)."""
+        if self._file is None:
+            return
+        if self.buffer:
+            self._queued.append(self.buffer)
+            self.buffer = []
+        if self._in_flight or self._queued:
+            # A collect that fails has closed the writer itself, and raises.
+            self._collect(wait=True)  # the answer in flight, if any; sends the rest
+            self._collect(wait=True)  # the answer to the rest
+        self._stop_child(kill=False)
+        self._file.close()
+        self._file, self.buffer = None, _ClosedBuffer(self.path)
+
+    def _collect(self, wait: bool) -> None:
+        """Take the child's answer if it is back (or ``wait`` for it); send what is queued."""
+        import marshal
+        import select
+
+        whole = self._file.tell()  # nothing is pending: every write is flushed
+        try:
+            answer = ()
+            child = self._child or self._start_child()
             try:
-                self._file.write(("\n".join(buffer) + "\n").encode("utf-8"))
+                if self._in_flight and (wait or select.select([child.stdout], [], [], 0)[0]):
+                    answer, self._in_flight = marshal.load(child.stdout), []
+            except (OSError, EOFError, ValueError) as error:
+                raise self._child_gone() from error
+            if not self._in_flight and self._queued:
+                # The framing repro.telemetry.render reads: length, then data.
+                data = marshal.dumps(self._queued)
+                try:
+                    child.stdin.write(len(data).to_bytes(8, "little") + data)
+                    child.stdin.flush()
+                except OSError as error:
+                    raise self._child_gone() from error
+                self._in_flight, self._queued = self._queued, []
+            for data, per_template in answer:  # one write per batch
+                self._file.write(data)
                 self._file.flush()
-            except BaseException:
-                self._abandon(whole)
-                raise
-            self.flushed += len(buffer)
-            buffer.clear()
+                whole += len(data)
+                _tally(self._on_disk, per_template)
+        except BaseException:
+            self._abandon(whole)
+            raise
+
+    def _start_child(self) -> "subprocess.Popen[bytes]":
+        import subprocess
+
+        self._child = subprocess.Popen(
+            [sys.executable, "-I", "-S", render_module.__file__],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            start_new_session=True,  # a Ctrl-C reaches the session, not its child
+        )
+        return self._child
+
+    def _child_gone(self) -> TraceError:
+        import subprocess
+
+        try:
+            code = self._child.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            code = None
+        return TraceError(
+            f"the render child of trace {self.path} stopped (exit code {code}); "
+            "the file holds the lines of its last whole write"
+        )
+
+    def _stop_child(self, kill: bool) -> None:
+        child, self._child = self._child, None
+        if child is None:
+            return
+        if kill:
+            with suppress(OSError):
+                child.kill()
+        for pipe in (child.stdin, child.stdout):
+            with suppress(OSError):  # a dead child's stdin may still hold a batch
+                pipe.close()
+        child.wait()
 
     def _abandon(self, whole: int) -> None:
-        for line in self.buffer:
-            self.counts[json.loads(line)["k"]] -= 1
         file, self._file, self.buffer = self._file, None, _ClosedBuffer(self.path)
+        self._in_flight, self._queued = [], []
+        self._stop_child(kill=True)
         with suppress(OSError):  # bytes of the failed write may still be pending
             file.close()
         with suppress(OSError):
             os.truncate(self.path, whole)
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if self._file is None:
-            return
-        self.flush()  # a flush that fails has closed the writer itself
-        self._file.close()
-        self._file, self.buffer = None, _ClosedBuffer(self.path)
 
     def __enter__(self) -> "TraceWriter":
         return self

@@ -10,6 +10,7 @@ from repro.telemetry.cli import main
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import (
     EVENT_KINDS,
+    LAG_BATCHES,
     TRACE_SCHEMA,
     TraceError,
     TraceWriter,
@@ -55,14 +56,18 @@ class TestWriterRoundTrip:
             assert writer.counts_by_kind == {"round": 2, "packet": 1}
 
     def test_flush_every_bounds_buffering(self, tmp_path):
+        """The file trails the records by less than ``LAG_BATCHES + 2`` batches."""
         path = tmp_path / "t.jsonl"
         writer = TraceWriter(path, flush_every=2)
-        writer.append("round", 0.0, n=1, np=1)
-        # One buffered line: only the header is on disk yet.
-        assert len(path.read_text().strip().splitlines()) == 1
-        writer.append("round", 0.1, n=2, np=1)
-        assert len(path.read_text().strip().splitlines()) == 3
+        behind = []
+        for n in range(1, 101):
+            writer.append("round", n / 10, n=n, np=1)
+            on_disk = len(path.read_text().strip().splitlines()) - 1
+            assert on_disk % 2 == 0, "one write per batch"
+            behind.append(n - on_disk)
+        assert max(behind) < (LAG_BATCHES + 2) * 2
         writer.close()
+        assert validate_trace(path)[1] == 100
         writer.close()  # idempotent
 
     def test_append_after_close_raises_at_once(self, tmp_path):

@@ -33,7 +33,8 @@ METRICS_BUDGET = 13.4
 #: handlers cost frames on top of it.
 UNTRACED_BUDGET = 10.0
 
-#: Metrics and a full trace: 17.717626 (21.147647 with the datagram path's
+#: Metrics and a full trace: 16.799858 (17.717626 while a delivery read the
+#: simulator's clock once per observer, 21.147647 with the datagram path's
 #: forwarding frames, 21.467052 with the config property too, 21.485933 with
 #: the event queue's push too, 20.839434 while every quiet gossip tick fired,
 #: 18.748863 while every retransmission fired, 19.101723 with two payload
@@ -41,15 +42,17 @@ UNTRACED_BUDGET = 10.0
 #: and the recorder asked whether it records dispatch, 19.101970 with the
 #: duplicated fate counters, 33.759053 when a line travelled five frames to
 #: the buffer).  Rounded up to one decimal.
-TRACED_BUDGET = 17.8
+TRACED_BUDGET = 16.8
 
-#: Total frames of each session (748,985 and 995,642) stay under what they
-#: were with the datagram path's forwarding frames (941,735 and 1,188,392;
-#: 992,179 and 1,250,241 while every quiet gossip tick fired, 1,097,799 and
-#: 1,368,892 while every retransmission fired): a total that rose would show
-#: even where frames per event did not.
+#: Total frames of each session (748,985 and 944,068) stay under what they
+#: were before the last change that moved them: the metrics session's with
+#: the datagram path's forwarding frames (941,735; 992,179 while every quiet
+#: gossip tick fired, 1,097,799 while every retransmission fired), the traced
+#: session's while a delivery read the clock once per observer (995,642;
+#: 1,188,392 with the forwarding frames, 1,250,241 and 1,368,892 before).
+#: A total that rose would show even where frames per event did not.
 METRICS_FRAMES_BEFORE = 941_735
-TRACED_FRAMES_BEFORE = 1_188_392
+TRACED_FRAMES_BEFORE = 995_642
 
 
 def armed(telemetry: TelemetryConfig):

@@ -32,6 +32,9 @@ NEVER_LOADED_BY_A_SESSION_IMPORT = (
     "repro.realnet.compare",
     "repro.experiments.figures",
     "repro.telemetry.schema",
+    "repro.telemetry.render",
+    "subprocess",
+    "pickle",
 )
 
 _CHECK = """

@@ -224,8 +224,10 @@ KEEP: Tuple[Keep, ...] = (
          ("TelemetryConfig.to_json_dict", "TelemetryConfig.from_json_dict"),
          "the telemetry field of a repro bundle"),
     Keep(_ORACLE, "telemetry/schema.py",
-         ("_ClosedBuffer", "TraceWriter._abandon", "TraceWriter.__enter__", "TraceWriter.__exit__"),
-         "keeps a trace whole and closed after a handler exception or a full disk"),
+         ("_ClosedBuffer", "TraceWriter._abandon", "TraceWriter._child_gone",
+          "TraceWriter.__enter__", "TraceWriter.__exit__"),
+         "keeps a trace whole and closed after a handler exception, a full disk or a "
+         "lost render child"),
     Keep(_API, "sweep/aggregate.py", (),
          "docs/architecture.md, Parallel sweeps: aggregate and aggregate_table"),
     Keep(_API, "sweep/spec.py", ("SweepGrid", "SweepSpec"),
@@ -269,6 +271,12 @@ KEEP: Tuple[Keep, ...] = (
 UNSEEN: Dict[Tuple[str, str], str] = {
     ("bench/suite.py", "frames_by_module.<locals>.on_profile_event"):
         "a sys.setprofile callback: no monitoring event fires inside a profile hook",
+    ("telemetry/render.py", "main"):
+        "the trace writer's render child runs it; started with -I -S, the child "
+        "never loads the recording hook",
+    ("telemetry/render.py", "render"):
+        "the trace writer's render child runs it; started with -I -S, the child "
+        "never loads the recording hook",
 }
 """Product code the recorder cannot see, counted as product-reached."""
 
