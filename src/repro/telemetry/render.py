@@ -5,32 +5,24 @@ A traced session keeps each event as a **record**, ``(template, t,
 simulated time, and the field values in line order.  A value is an ``int``
 or JSON text already (``str``); the last may be a ``float``, as a ``send``'s
 ``fin`` is.  :func:`render` numbers the lines, renders ``t`` and that
-``float`` through :func:`json_text` and fills the templates.  It is the only
+``float`` as :func:`json_text` does and fills the templates.  It is the only
 place a line's bytes are made, so :func:`json_text` lives here and
 :mod:`repro.telemetry.schema` imports it.
 
 Run as a script, this module is the child a
 :class:`~repro.telemetry.schema.TraceWriter` starts at its first flush,
-``python -I -S render.py``.  It reads messages from its standard input
-until end of file, each a list of batches of records in :mod:`marshal`
-format behind its length in 8 little-endian bytes, and answers each with a
-list of ``(bytes, lines per template)``, a pair per batch, in bare
-:mod:`marshal` format (the answer is a few objects, which ``marshal.load``
-reads from a pipe quickly; a batch is thousands).  The child keeps the line
-count across batches, since they arrive in order; the session process
-writes the bytes to the file.  The child imports ``os`` and nothing else
-the interpreter has not loaded at start-up, until a value needs ``json``:
-its start-up is on the session's clock whenever the host has no idle core.
+``python -I -S render.py``.  It reads batches of records from its standard
+input until end of file, each in :mod:`marshal` format behind its length in
+8 little-endian bytes, and answers each the same way with ``(bytes, lines
+per template)``.  The child keeps the line count across batches, since they
+arrive in order; the session process writes the bytes to the file.  The
+child imports nothing the interpreter has not loaded at start-up, until a
+value needs ``json``: its start-up is on the session's clock whenever the
+host has no idle core.
 """
 
-from __future__ import annotations
-
 import marshal
-import os
 import sys
-
-#: Every template opens with the same keys; the JSON string after them is the kind.
-_KIND_AT = len('{"i":%d,"t":%s,"k":')
 
 
 def _encode(value: object) -> str:
@@ -55,42 +47,49 @@ def json_text(value: object) -> str:
 
 
 def render(records: list, index: int) -> bytes:
-    """The lines of ``records``, numbered from ``index``, as UTF-8 bytes."""
-    lines: list[str] = []
+    """The lines of ``records``, numbered from ``index``, as UTF-8 bytes.
+
+    ``%s`` writes a finite float as its ``repr``, which is its JSON text, so
+    only a last value that is a ``NaN`` or an infinity goes through
+    :func:`json_text`.
+    """
+    lines: list = []
     append = lines.append
     last, time_text = None, "null"
     for index, record in enumerate(records, index):
         time = record[1]
-        # Equal floats share a repr, except 0.0 and -0.0 (and 1 and 1.0).
-        if time != last or not time or type(time) is not float:
-            last, time_text = time, json_text(time)
+        if time is not last:
+            # Equal values share a text only as non-zero floats: 0.0 and
+            # -0.0 differ, as do 1, 1.0 and True.
+            if time != last or not time or type(time) is not float or type(last) is not float:
+                time_text = json_text(time)
+            last = time
         fin = record[-1]
-        if type(fin) is float and len(record) > 2:
-            append(record[0] % (index, time_text, *record[2:-1], json_text(fin)))
+        if type(fin) is float and fin - fin and len(record) > 2:
+            append(record[0] % ((index, time_text) + record[2:-1] + (json_text(fin),)))
         else:
-            append(record[0] % (index, time_text, *record[2:]))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+            append(record[0] % ((index, time_text) + record[2:]))
+    append("")
+    return "\n".join(lines).encode("utf-8")
 
 
-def count_templates(records: list) -> dict[str, int]:
+def count_templates(records: list) -> dict:
     """Lines per template in ``records``, in order of first appearance."""
-    counts: dict[str, int] = {}
+    counts: dict = {}
     for record in records:
         template = record[0]
         counts[template] = counts.get(template, 0) + 1
     return counts
 
 
-def kind_of(template: str) -> str:
-    """The kind a template's lines carry."""
-    import json
-
-    # A template escapes its literal ``%`` signs, the kind's among them.
-    return json.JSONDecoder().raw_decode(template, _KIND_AT)[0].replace("%%", "%")
+def frame(message: object) -> bytes:
+    """``message`` in :mod:`marshal` format behind its length in 8 little-endian bytes."""
+    data = marshal.dumps(message)
+    return len(data).to_bytes(8, "little") + data
 
 
 def _receive(pipe) -> object:
-    """One message: its length in 8 little-endian bytes, then :mod:`marshal` data."""
+    """One :func:`frame` from ``pipe``; ``EOFError`` at its end."""
     head = pipe.read(8)
     size = int.from_bytes(head, "little")
     data = pipe.read(size)
@@ -99,26 +98,27 @@ def _receive(pipe) -> object:
     return marshal.loads(data)
 
 
-def main() -> int:
-    """Answer every message on standard input until it closes."""
-    if hasattr(os, "SCHED_BATCH"):
+def main() -> None:
+    """Answer every batch on standard input until it closes, then exit."""
+    import posix
+
+    if hasattr(posix, "SCHED_BATCH"):
         # Woken by a batch, a normal task preempts the session that wrote it
         # on its own core; a batch task waits for a free one.
-        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        posix.sched_setscheduler(0, posix.SCHED_BATCH, posix.sched_param(0))
     source, sink = sys.stdin.buffer, sys.stdout.buffer
     index = 0
     while True:
         try:
-            batches = _receive(source)
+            records = _receive(source)
         except EOFError:
-            return 0
-        answer = []
-        for records in batches:
-            answer.append((render(records, index), count_templates(records)))
-            index += len(records)
-        marshal.dump(answer, sink)
+            # Every answer is flushed: the session waits for this exit, not
+            # for an interpreter shutdown.
+            posix._exit(0)
+        sink.write(frame((render(records, index), count_templates(records))))
         sink.flush()
+        index += len(records)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

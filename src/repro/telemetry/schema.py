@@ -50,8 +50,8 @@ whichever substrate — or shard's trace — recorded either line, and the
 Perfetto exporter turns each link into a flow arrow.
 
 Two ways in, one set of bytes out: :meth:`TraceWriter.append` is the general
-path (any kind, any fields, one ``json`` encode per event into a template of
-its own); :meth:`TraceWriter.write` records a known kind against its
+path (any kind, any fields, one ``json`` encode of the fields per event into
+a template per kind); :meth:`TraceWriter.write` records a known kind against its
 pre-built template, and the recorder's frequent edges append that same record
 themselves.  Either way the session process keeps records, and the writer's
 render child (:mod:`repro.telemetry.render`) makes the lines.
@@ -60,15 +60,17 @@ render child (:mod:`repro.telemetry.render`) makes the lines.
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import sys
+from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, IO, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, IO, Iterator, List, Optional, Tuple, Union
 
 from repro.telemetry import render as render_module
-from repro.telemetry.render import count_templates, json_text, kind_of
+from repro.telemetry.render import count_templates, frame, json_text
 
 if TYPE_CHECKING:
     import subprocess
@@ -129,16 +131,19 @@ class _ClosedBuffer(list):
         raise TraceError(f"trace writer for {self._path} is closed")
 
 
-def _tally(counts: Dict[str, int], per_template: Dict[str, int]) -> None:
-    """Add lines counted per template to ``counts`` per kind."""
-    for template, count in per_template.items():
-        kind = kind_of(template)
-        counts[kind] = counts.get(kind, 0) + count
+#: template -> the kind its lines carry; :meth:`TraceWriter.append` adds its own.
+_KINDS: Dict[str, str] = {template: kind for kind, template in _LINE_TEMPLATES.items()}
 
+#: kind -> the template :meth:`TraceWriter.append` fills with the encoded fields.
+_APPEND_TEMPLATES: Dict[str, str] = {}
 
 #: How far the render child may fall behind, in batches of ``flush_every``
 #: records, before a flush waits for it: enough to cover its start-up.
 LAG_BATCHES = 16
+
+#: What the pipes to and from the render child hold, where the host allows:
+#: an answer to a batch (about 100 kB at ``flush_every=1000``) fits whole.
+_PIPE_BYTES = 1 << 20
 
 
 class TraceWriter:
@@ -147,16 +152,15 @@ class TraceWriter:
     The header is written on construction.  An event is held as a record,
     ``(template, t, *values)`` (:mod:`repro.telemetry.render`): no line is
     rendered in the session process.  Every ``flush_every`` records (and on
-    :meth:`close`) a flush queues them as one batch for the writer's render
+    :meth:`close`) a flush sends them as one batch to the writer's render
     child, started at the first flush, which numbers the lines (the
     contiguous ``i`` index — callers supply events without it) and renders
-    them.  One message is at the child at a time: the batches queued while it
-    works go together once its answer is back.  The writer owns the file and
-    writes each batch's bytes, one write per batch, as it collects them; it
-    waits for the child only at :meth:`close` or when more than
-    :data:`LAG_BATCHES` batches are not yet on disk.  So the file trails the
-    records by fewer than ``(LAG_BATCHES + 2) * flush_every`` lines, and the
-    writer holds no more records than that.
+    them.  A flush blocks on neither pipe: it gives the child what its pipe
+    takes and writes each answer that is back to the file, one write per
+    batch.  It waits for the child only when more than :data:`LAG_BATCHES`
+    batches are unanswered, and :meth:`close` waits for all of them.  So
+    the file trails the records by at most ``(LAG_BATCHES + 1) *
+    flush_every`` lines, and the writer holds no more records than that.
 
     The recorder's frequent edges do what :meth:`write` does, on the same
     state and without the call: they append a record to ``buffer`` and flush
@@ -175,8 +179,10 @@ class TraceWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.flush_every = flush_every
         self.buffer: list = []
-        self._queued: List[list] = []  # flushed batches that wait for the child
-        self._in_flight: List[list] = []  # the batches the child renders now
+        self._sent: Deque[list] = deque()  # batches sent to the child, not answered yet
+        self._outbox = bytearray()  # framed batches the child's pipe has not taken yet
+        self._inbox = bytearray()  # answer bytes read, short of a whole answer
+        self._chunk = memoryview(b"")  # what one read takes: a pipeful, once the child runs
         self._on_disk: Dict[str, int] = {}  # event lines per kind in the file
         self._child: Optional["subprocess.Popen[bytes]"] = None
         self._file: Optional[IO[bytes]] = open(self.path, "wb")
@@ -184,29 +190,28 @@ class TraceWriter:
         self._file.write(header)
         self._file.flush()
 
-    def _held(self) -> List[list]:
-        return [*self._in_flight, *self._queued, self.buffer]
-
     @property
     def events_written(self) -> int:
         """Events appended so far (header excluded)."""
-        return sum(self._on_disk.values()) + sum(map(len, self._held()))
+        return sum(self._on_disk.values()) + sum(map(len, self._sent)) + len(self.buffer)
 
     @property
     def counts_by_kind(self) -> Dict[str, int]:
         """Per-kind event counts so far."""
         counts = dict(self._on_disk)
-        for records in self._held():
+        for records in (*self._sent, self.buffer):
             _tally(counts, count_templates(records))
-        return {kind: count for kind, count in counts.items() if count}
+        return counts
 
     def append(self, kind: str, time: float, **fields) -> None:
         """Append one event; ``i`` is assigned by the render child."""
-        event = {"k": kind}
-        event.update(fields)
-        template = '{"i":%d,"t":%s,' + json_text(event)[1:].replace("%", "%%")
+        kind = fields.pop("k", kind)  # a field named ``k`` names the kind
+        template = _APPEND_TEMPLATES.get(kind)
+        if template is None:
+            template = '{"i":%d,"t":%s,"k":' + json_text(kind).replace("%", "%%") + "%s}"
+            _APPEND_TEMPLATES[kind], _KINDS[template] = template, kind
         buffer = self.buffer
-        buffer.append((template, time))
+        buffer.append((template, time, "," + json_text(fields)[1:-1] if fields else ""))
         if len(buffer) >= self.flush_every:
             self.flush()
 
@@ -225,7 +230,7 @@ class TraceWriter:
             self.flush()
 
     def flush(self) -> None:
-        """Queue the buffered records for the render child; write what it has answered.
+        """Send the buffered records to the render child; write what it has answered.
 
         A flush that fails — ``OSError`` from a full disk, an interrupt in the
         middle of a write, a render child that is gone (:class:`TraceError`)
@@ -240,66 +245,100 @@ class TraceWriter:
         batch = self.buffer
         if batch:
             self.buffer = []
-            self._queued.append(batch)
-            self._collect(wait=len(self._in_flight) + len(self._queued) > LAG_BATCHES)
+            self._send(batch)
+            self._trade(until=LAG_BATCHES)
 
     def close(self) -> None:
         """Flush, write every answer, reap the render child and close the file (idempotent)."""
         if self._file is None:
             return
         if self.buffer:
-            self._queued.append(self.buffer)
+            self._send(self.buffer)
             self.buffer = []
-        if self._in_flight or self._queued:
-            # A collect that fails has closed the writer itself, and raises.
-            self._collect(wait=True)  # the answer in flight, if any; sends the rest
-            self._collect(wait=True)  # the answer to the rest
+        if self._sent:
+            self._trade(until=0)  # a trade that fails has closed the writer, and raises
         self._stop_child(kill=False)
         self._file.close()
         self._file, self.buffer = None, _ClosedBuffer(self.path)
 
-    def _collect(self, wait: bool) -> None:
-        """Take the child's answer if it is back (or ``wait`` for it); send what is queued."""
-        import marshal
+    def _send(self, batch: list) -> None:
+        self._sent.append(batch)
+        self._outbox += frame(batch)
+
+    def _trade(self, until: int) -> None:
+        """Give the child what its pipe takes and write each answer that is back.
+
+        Blocks, on both pipes at once, only while more than ``until`` batches
+        are unanswered.
+        """
         import select
 
         whole = self._file.tell()  # nothing is pending: every write is flushed
         try:
-            answer = ()
             child = self._child or self._start_child()
-            try:
-                if self._in_flight and (wait or select.select([child.stdout], [], [], 0)[0]):
-                    answer, self._in_flight = marshal.load(child.stdout), []
-            except (OSError, EOFError, ValueError) as error:
-                raise self._child_gone() from error
-            if not self._in_flight and self._queued:
-                # The framing repro.telemetry.render reads: length, then data.
-                data = marshal.dumps(self._queued)
+            to_child, from_child = child.stdin.fileno(), child.stdout.fileno()
+            while True:
+                waiting = len(self._sent) > until
                 try:
-                    child.stdin.write(len(data).to_bytes(8, "little") + data)
-                    child.stdin.flush()
-                except OSError as error:
+                    readable, writable, _ = select.select(
+                        [from_child], [to_child] if self._outbox else [], [],
+                        None if waiting else 0,
+                    )
+                    if writable:
+                        del self._outbox[:os.write(to_child, self._outbox)]
+                    if readable:
+                        # Into a buffer of the writer's own: a fresh one per read
+                        # costs a page fault per 4 kB.
+                        size = os.readv(from_child, [self._chunk])
+                        if not size:
+                            raise EOFError("the render child closed its answers")
+                        self._inbox += self._chunk[:size]
+                    answers = self._answers()
+                except (OSError, EOFError, ValueError) as error:
                     raise self._child_gone() from error
-                self._in_flight, self._queued = self._queued, []
-            for data, per_template in answer:  # one write per batch
-                self._file.write(data)
-                self._file.flush()
-                whole += len(data)
-                _tally(self._on_disk, per_template)
+                for data, per_template in answers:  # one write per batch
+                    self._file.write(data)
+                    self._file.flush()
+                    whole += len(data)
+                    self._sent.popleft()
+                    _tally(self._on_disk, per_template)
+                if not waiting:
+                    return
         except BaseException:
             self._abandon(whole)
             raise
 
+    def _answers(self) -> List[Tuple[bytes, Dict[str, int]]]:
+        """The whole answers in the inbox, in order, taken out of it."""
+        inbox, answers = self._inbox, []
+        while len(inbox) >= 8:
+            end = 8 + int.from_bytes(inbox[:8], "little")
+            if len(inbox) < end:
+                break
+            answers.append(marshal.loads(inbox[8:end]))
+            del inbox[:end]
+        return answers
+
     def _start_child(self) -> "subprocess.Popen[bytes]":
+        import fcntl
         import subprocess
 
-        self._child = subprocess.Popen(
+        self._child = child = subprocess.Popen(
             [sys.executable, "-I", "-S", render_module.__file__],
+            bufsize=0,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             start_new_session=True,  # a Ctrl-C reaches the session, not its child
         )
-        return self._child
+        set_pipe_size = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
+        if set_pipe_size is not None:
+            for pipe in (child.stdin, child.stdout):
+                with suppress(OSError):  # over the user's pipe quota: the default size
+                    fcntl.fcntl(pipe.fileno(), set_pipe_size, _PIPE_BYTES)
+        os.set_blocking(child.stdin.fileno(), False)
+        _keep_off_this_cpu(child.pid)
+        self._chunk = memoryview(bytearray(_PIPE_BYTES))
+        return child
 
     def _child_gone(self) -> TraceError:
         import subprocess
@@ -321,13 +360,15 @@ class TraceWriter:
             with suppress(OSError):
                 child.kill()
         for pipe in (child.stdin, child.stdout):
-            with suppress(OSError):  # a dead child's stdin may still hold a batch
+            with suppress(OSError):
                 pipe.close()
         child.wait()
 
     def _abandon(self, whole: int) -> None:
         file, self._file, self.buffer = self._file, None, _ClosedBuffer(self.path)
-        self._in_flight, self._queued = [], []
+        self._sent.clear()
+        self._outbox.clear()
+        self._inbox.clear()
         self._stop_child(kill=True)
         with suppress(OSError):  # bytes of the failed write may still be pending
             file.close()
@@ -339,6 +380,33 @@ class TraceWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _keep_off_this_cpu(pid: int) -> None:
+    """Let process ``pid`` run on this thread's CPUs except the one it runs on now.
+
+    A pipe write wakes its reader on the writer's CPU when the writer runs
+    there alone (a synchronous wake-up): the render child, woken by every
+    batch, would share the session's CPU while another one idles.  Where
+    the host does not say which CPU this is (not Linux), or the thread has
+    one CPU, ``pid`` keeps them all.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as handle:
+            # The 39th field, ``processor``: the 37th after the command name.
+            here = int(handle.read().rsplit(b")", 1)[1].split()[36])
+        elsewhere = os.sched_getaffinity(0) - {here}
+        if elsewhere:
+            os.sched_setaffinity(pid, elsewhere)
+    except (AttributeError, IndexError, OSError, ValueError):
+        pass
+
+
+def _tally(counts: Dict[str, int], per_template: Dict[str, int]) -> None:
+    """Add lines counted per template to ``counts`` per kind."""
+    for template, count in per_template.items():
+        kind = _KINDS[template]
+        counts[kind] = counts.get(kind, 0) + count
 
 
 # ----------------------------------------------------------------------

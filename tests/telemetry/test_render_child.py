@@ -154,6 +154,23 @@ def test_a_killed_child_ends_the_run_with_a_trace_error(tmp_path, no_child_left)
         writer.append("round", 9.0, n=1, np=1)
 
 
+def test_the_child_may_run_on_every_cpu_but_the_sessions(tmp_path, no_child_left):
+    """A batch written to the pipe would wake the child on the session's own CPU."""
+    def own_children():
+        return {pid for pid, (parent, _argv) in _processes().items() if parent == os.getpid()}
+
+    writer = TraceWriter(tmp_path / "t.jsonl", flush_every=1)
+    try:
+        before = own_children()
+        writer.write("round", 0.0, 1, 1)
+        # Its placement is set as it starts, maybe before it runs the module.
+        (child,) = own_children() - before
+        ours = os.sched_getaffinity(0)
+        assert os.sched_getaffinity(child) < ours or len(ours) == 1
+    finally:
+        writer.close()
+
+
 @pytest.mark.parametrize("first", [0, 1], ids=["opened-first-closes-first", "last-first"])
 def test_two_writers_in_one_process_close_in_either_order(tmp_path, first, no_child_left):
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -56,7 +56,7 @@ class TestWriterRoundTrip:
             assert writer.counts_by_kind == {"round": 2, "packet": 1}
 
     def test_flush_every_bounds_buffering(self, tmp_path):
-        """The file trails the records by less than ``LAG_BATCHES + 2`` batches."""
+        """The file trails the records by less than ``LAG_BATCHES + 1`` batches."""
         path = tmp_path / "t.jsonl"
         writer = TraceWriter(path, flush_every=2)
         behind = []
@@ -65,10 +65,33 @@ class TestWriterRoundTrip:
             on_disk = len(path.read_text().strip().splitlines()) - 1
             assert on_disk % 2 == 0, "one write per batch"
             behind.append(n - on_disk)
-        assert max(behind) < (LAG_BATCHES + 2) * 2
+        assert max(behind) < (LAG_BATCHES + 1) * 2
         writer.close()
         assert validate_trace(path)[1] == 100
         writer.close()  # idempotent
+
+    def test_equal_times_of_other_types_keep_their_own_text(self, tmp_path):
+        """``1`` and ``1.0`` (or ``True``) are equal, but their JSON is not."""
+        path = tmp_path / "t.jsonl"
+        times = [1, 1.0, True, 1.0, 0.0, -0.0, 0, 2.5, 2.5]
+        with TraceWriter(path) as writer:
+            for n, time in enumerate(times):
+                writer.write("round", time, n, 1)
+        assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == [
+            '"t":' + json.dumps(time) for time in times
+        ]
+
+    def test_append_fills_one_template_per_kind(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        events = [("50%", 0.5, {"a": "%d"}), ("50%", 0.5, {}), ("round", 0.6, {"n": 1, "np": 2})]
+        with TraceWriter(path) as writer:
+            for kind, time, fields in events:
+                writer.append(kind, time, **fields)
+            assert writer.counts_by_kind == {"50%": 2, "round": 1}
+        assert path.read_text().splitlines()[1:] == [
+            json.dumps({"i": i, "t": time, "k": kind, **fields}, separators=(",", ":"))
+            for i, (kind, time, fields) in enumerate(events)
+        ]
 
     def test_append_after_close_raises_at_once(self, tmp_path):
         """A closed writer used to buffer and count up to ``flush_every - 1``

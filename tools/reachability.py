@@ -277,6 +277,9 @@ UNSEEN: Dict[Tuple[str, str], str] = {
     ("telemetry/render.py", "render"):
         "the trace writer's render child runs it; started with -I -S, the child "
         "never loads the recording hook",
+    ("telemetry/render.py", "_receive"):
+        "the trace writer's render child runs it; started with -I -S, the child "
+        "never loads the recording hook",
 }
 """Product code the recorder cannot see, counted as product-reached."""
 
