@@ -19,8 +19,6 @@ never call ``__getattr__`` again.
 from __future__ import annotations
 
 import importlib
-import sys
-import types
 from typing import Any, Callable, Dict, Mapping, Sequence
 
 
@@ -30,19 +28,13 @@ def lazy_exports(
     """Return the ``__getattr__`` that resolves ``table``'s names for ``namespace``.
 
     ``namespace`` is the package's ``globals()``; ``table`` maps each
-    defining module to the names the package exports from it.
-
-    A name can also be the name of its defining submodule: the function
-    ``aggregate`` of ``repro.sweep.aggregate``.  Importing a submodule binds
-    the module object under its name in the package, where a lookup finds
-    it and never reaches ``__getattr__``.  Such a package's module class
-    binds the export in the module's place instead, so the name means the
-    function whichever import comes first, as it did when the package
-    imported it eagerly.
+    defining module to the names the package exports from it.  No name may
+    also be the name of a submodule: importing a submodule binds the module
+    object under its name in the package, where a lookup finds it and never
+    reaches ``__getattr__``.
     """
     package = namespace["__name__"]
     owners = {name: module for module, names in table.items() for name in names}
-    shadowed = {name for name, module in owners.items() if module == f"{package}.{name}"}
 
     def __getattr__(name: str) -> Any:
         module = owners.get(name)
@@ -51,13 +43,4 @@ def lazy_exports(
         value = namespace[name] = getattr(importlib.import_module(module), name)
         return value
 
-    if shadowed:
-
-        class Package(types.ModuleType):
-            def __setattr__(self, name: str, value: Any) -> None:
-                if name in shadowed and isinstance(value, types.ModuleType):
-                    value = getattr(value, name)
-                super().__setattr__(name, value)
-
-        sys.modules[package].__class__ = Package
     return __getattr__

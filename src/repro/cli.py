@@ -17,8 +17,9 @@ scalar one, and ``--realnet`` runs real asyncio UDP sockets on localhost
 ``--run-dir`` writes ``delivery.jsonl`` and ``summary.json`` (plus the trace,
 under a bare ``--trace``) into a fresh per-run directory.  ``--parity`` runs
 the scalar oracle of the same config: a simulated run must match it in every
-compared summary field, a real one within ``--tolerance`` on the delivery
-ratio (:mod:`repro.realnet.compare`).
+compared summary field, a real one within
+:data:`~repro.realnet.compare.DELIVERY_RATIO_TOLERANCE` on the delivery ratio.
+A trace records every event kind and every dispatch.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.shard.runner import execute_sharded
 from repro.sweep.summary import MetricsRequest, summarize
 from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.schema import EVENT_KINDS
 
 
 def _positive_int(value: str) -> int:
@@ -57,7 +57,7 @@ def _positive_int(value: str) -> int:
 
 
 def _positive_float(value: str) -> float:
-    """Argparse type for strictly positive floats (time scale, tolerance)."""
+    """Argparse type for strictly positive floats (time scale, delivery ratio)."""
     try:
         parsed = float(value)
     except ValueError:
@@ -65,11 +65,6 @@ def _positive_float(value: str) -> float:
     if parsed <= 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {parsed}")
     return parsed
-
-
-def _kinds(value: str) -> Tuple[str, ...]:
-    """Argparse type for a comma-separated list of trace event kinds."""
-    return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,23 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("--metrics-out", metavar="PATH",
         help="write the metrics snapshot as JSON (a list, one per shard, for 2+ shards)")
     add("--no-metrics", action="store_true", help="trace only, skip the metrics registry")
-    add("--sample-every", type=_positive_int, default=1, metavar="N",
-        help="keep every N-th dispatch event (default: 1 = all)")
-    add("--include-kinds", type=_kinds, metavar="K1,K2",
-        help=f"only trace these event kinds (known: {','.join(EVENT_KINDS)})")
-    add("--exclude-kinds", type=_kinds, default=(), metavar="K1,K2",
-        help="trace everything except these kinds")
-    add("--flush-every", type=_positive_int, default=1000, metavar="N",
-        help="buffered trace lines between disk writes (default: 1000)")
 
     add("--assert-delivery-ratio", type=_positive_float, metavar="RATIO",
         help="exit 1 unless the delivery ratio reaches RATIO")
     add("--parity", action="store_true",
         help="also run the scalar oracle: a simulated run must match it field by "
-        "field, a realnet run within --tolerance on the delivery ratio")
-    add("--tolerance", type=_positive_float, default=DELIVERY_RATIO_TOLERANCE,
-        help=f"realnet --parity: gate on |sim - real| delivery ratio "
-        f"(default {DELIVERY_RATIO_TOLERANCE})")
+        f"field, a realnet run within {DELIVERY_RATIO_TOLERANCE} on the delivery ratio")
     add("--json", action="store_true",
         help="realnet --parity: print the comparison as JSON instead of a table")
     return parser
@@ -284,7 +268,7 @@ def _parity(
     _report("scalar oracle", oracle, oracle_wall)
 
     if args.realnet:
-        report = compare_results(config, oracle, result, tolerance=args.tolerance)
+        report = compare_results(config, oracle, result)
         if args.json:
             print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         else:
@@ -335,12 +319,7 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             trace_path = os.path.join(run_dir, "trace.jsonl")
     if trace_path is not None or args.metrics_out is not None:
         spec = replace(spec, telemetry=TelemetryConfig(
-            metrics=not args.no_metrics,
-            trace_path=trace_path,
-            sample_every=args.sample_every,
-            include_kinds=args.include_kinds,
-            exclude_kinds=args.exclude_kinds,
-            flush_every=args.flush_every,
+            metrics=not args.no_metrics, trace_path=trace_path
         ))
     config = spec.session_config()
     print(

@@ -67,7 +67,6 @@ class BackendComparison:
     sim: PointSummary
     real: PointSummary
     deltas: List[MetricDelta] = field(default_factory=list)
-    tolerance: float = DELIVERY_RATIO_TOLERANCE
 
     def metric(self, name: str) -> MetricDelta:
         """One delta by metric name (raises ``KeyError`` when absent)."""
@@ -82,8 +81,8 @@ class BackendComparison:
         return self.metric("delivery_ratio")
 
     def passed(self) -> bool:
-        """Whether the delivery-ratio delta is within the tolerance."""
-        return self.delivery_delta.within(self.tolerance)
+        """Whether the delivery-ratio delta is within :data:`DELIVERY_RATIO_TOLERANCE`."""
+        return self.delivery_delta.within(DELIVERY_RATIO_TOLERANCE)
 
     def to_json_dict(self) -> Dict[str, object]:
         """A plain-JSON rendering of the report (for CI artifacts)."""
@@ -91,7 +90,7 @@ class BackendComparison:
             "num_nodes": self.config.num_nodes,
             "seed": self.config.seed,
             "protocol": self.config.protocol,
-            "tolerance": self.tolerance,
+            "tolerance": DELIVERY_RATIO_TOLERANCE,
             "passed": self.passed(),
             "metrics": [
                 {"name": d.name, "sim": d.sim, "real": d.real, "delta": d.delta}
@@ -111,7 +110,7 @@ class BackendComparison:
         verdict = "PASS" if self.passed() else "FAIL"
         lines.append(
             f"delivery-ratio gate: |{self.delivery_delta.delta:+.4f}| "
-            f"<= {self.tolerance} -> {verdict}"
+            f"<= {DELIVERY_RATIO_TOLERANCE} -> {verdict}"
         )
         return "\n".join(lines)
 
@@ -142,9 +141,7 @@ def _deltas(sim: PointSummary, real: PointSummary) -> List[MetricDelta]:
 
 
 def compare_backends(
-    config: SessionConfig,
-    realnet: Optional[RealNetConfig] = None,
-    tolerance: float = DELIVERY_RATIO_TOLERANCE,
+    config: SessionConfig, realnet: Optional[RealNetConfig] = None
 ) -> BackendComparison:
     """Run ``config`` on the simulator and on real UDP, report the deltas.
 
@@ -154,20 +151,19 @@ def compare_backends(
         The scenario to run on both backends (``shards`` must be ``None``).
     realnet:
         Real-backend knobs (time scale, ports).
-    tolerance:
-        Gate on the delivery-ratio delta; defaults to the documented
-        :data:`DELIVERY_RATIO_TOLERANCE`.
+
+    The report passes when the delivery-ratio delta is within
+    :data:`DELIVERY_RATIO_TOLERANCE`.
     """
     sim_result = StreamingSession(config).run()
     real_result = RealNetSession(config, realnet).run()
-    return compare_results(config, sim_result, real_result, tolerance)
+    return compare_results(config, sim_result, real_result)
 
 
 def compare_results(
     config: SessionConfig,
     sim_result: SessionResult,
     real_result: SessionResult,
-    tolerance: float = DELIVERY_RATIO_TOLERANCE,
 ) -> BackendComparison:
     """The deltas of two finished runs of ``config``: simulated, then real."""
     request = _comparison_request()
@@ -178,7 +174,6 @@ def compare_results(
         sim=sim_summary,
         real=real_summary,
         deltas=_deltas(sim_summary, real_summary),
-        tolerance=tolerance,
     )
 
 

@@ -283,7 +283,7 @@ class AsyncioHost:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Drive the event loop until virtual time ``until``.
 
         Mirrors :meth:`repro.simulation.engine.Simulator.run` closely
@@ -297,9 +297,6 @@ class AsyncioHost:
         ----------
         until:
             Virtual-time horizon at which the run stops.
-        max_events:
-            Accepted for interface parity; the wall-clock host stops on the
-            horizon only.
         """
         if until is None:
             raise RealNetStateError("AsyncioHost.run() requires an explicit until= horizon")

@@ -29,7 +29,7 @@ Typical use::
 from repro._lazy import lazy_exports
 
 __getattr__ = lazy_exports(globals(), {
-    "repro.sweep.aggregate": (
+    "repro.sweep.stats": (
         "CellAggregate",
         "Stat",
         "aggregate",

@@ -10,7 +10,7 @@ The subsystem has four faces:
 * **tracing** (:mod:`repro.telemetry.schema` /
   :mod:`repro.telemetry.recorder`) — a versioned (``repro.telemetry/1``)
   streaming JSONL trace of the dispatch / datagram-fate / delivery /
-  protocol-phase edges, with bounded memory, sampling and per-kind filters;
+  protocol-phase edges, every kind and every dispatch, with bounded memory;
   the session keeps records and a child process renders the lines
   (:mod:`repro.telemetry.render`);
 * **exporters** (:mod:`repro.telemetry.export` /

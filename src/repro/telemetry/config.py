@@ -16,7 +16,7 @@ JSON for repro bundles (:mod:`repro.validation.bundle`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -30,41 +30,13 @@ class TelemetryConfig:
         session and snapshot it into the result
         (:attr:`~repro.core.session.SessionResult.telemetry`).
     trace_path:
-        Write a ``repro.telemetry/1`` JSONL trace to this path (``None``
-        disables tracing).  The writer streams with bounded memory.
-    sample_every:
-        Keep every N-th ``dispatch`` event in the trace (the engine edge
-        fires once per simulation event and dominates trace volume; all
-        other kinds are always recorded when selected, because datagram
-        flow ids must stay complete).
-    include_kinds / exclude_kinds:
-        Per-kind trace filters over
-        :data:`~repro.telemetry.schema.EVENT_KINDS`.  ``include_kinds=None``
-        selects every kind; ``exclude_kinds`` is subtracted afterwards.
-    flush_every:
-        Buffered trace lines between writes to disk.
+        Write a ``repro.telemetry/1`` JSONL trace of every event kind and
+        every dispatch to this path (``None`` disables tracing).  The
+        writer streams with bounded memory.
     """
 
     metrics: bool = True
     trace_path: Optional[str] = None
-    sample_every: int = 1
-    include_kinds: Optional[Tuple[str, ...]] = None
-    exclude_kinds: Tuple[str, ...] = ()
-    flush_every: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every!r}")
-        if self.flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {self.flush_every!r}")
-        from repro.telemetry.schema import EVENT_KINDS
-
-        selected = () if self.include_kinds is None else self.include_kinds
-        unknown = (set(selected) | set(self.exclude_kinds)) - set(EVENT_KINDS)
-        if unknown:
-            raise ValueError(
-                f"unknown trace event kinds {sorted(unknown)}; known: {list(EVENT_KINDS)}"
-            )
 
     @property
     def armed(self) -> bool:
@@ -76,29 +48,12 @@ class TelemetryConfig:
     # ------------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, Any]:
         """A plain-JSON dictionary capturing every field."""
-        return {
-            "metrics": self.metrics,
-            "trace_path": self.trace_path,
-            "sample_every": self.sample_every,
-            "include_kinds": (
-                None if self.include_kinds is None else list(self.include_kinds)
-            ),
-            "exclude_kinds": list(self.exclude_kinds),
-            "flush_every": self.flush_every,
-        }
+        return {"metrics": self.metrics, "trace_path": self.trace_path}
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "TelemetryConfig":
-        """Rebuild a config from :meth:`to_json_dict` output."""
-        include = data.get("include_kinds")
-        return cls(
-            metrics=bool(data.get("metrics", True)),
-            trace_path=data.get("trace_path"),
-            sample_every=int(data.get("sample_every", 1)),
-            include_kinds=None if include is None else tuple(str(k) for k in include),
-            exclude_kinds=tuple(str(k) for k in data.get("exclude_kinds", ())),
-            flush_every=int(data.get("flush_every", 1000)),
-        )
+        """Rebuild a config from :meth:`to_json_dict` output (other keys are ignored)."""
+        return cls(metrics=bool(data.get("metrics", True)), trace_path=data.get("trace_path"))
 
 
 __all__ = ["TelemetryConfig"]

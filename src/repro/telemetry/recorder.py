@@ -16,16 +16,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from repro.network.message import Message, NodeId
 from repro.streaming.packets import PacketId
 from repro.streaming.schedule import StreamSchedule
 from repro.validation.observers import SessionObserver, observe_network_and_nodes
 
+from repro.telemetry import schema
 from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.render import json_text
-from repro.telemetry.schema import _LINE_TEMPLATES, EVENT_KINDS, TraceError, TraceWriter
+from repro.telemetry.schema import _LINE_TEMPLATES, TraceWriter
 
 #: Bucket bounds (seconds) for the upload-serialization delay histogram:
 #: a 1 kB datagram at 700 kbps serializes in ~11 ms, so the buckets bracket
@@ -74,30 +75,33 @@ class _JsonTexts(dict):
 
 def _fate_edge(kind: str) -> Callable[[Any, Message, float], None]:
     """The handler of one terminal fate of a datagram (``snd rcv mk sz d``)."""
+    template = _LINE_TEMPLATES[kind]
 
     def on_fate(self: "TraceRecorder", message: Message, now: float) -> None:
-        template = self._templates[kind]
-        if template is None:
-            return
         writer = self._writer
         buffer = writer.buffer
         buffer.append((
             template, now, message.sender, message.receiver, self._text[message.kind],
             message.size_bytes, message.seq,
         ))
-        if len(buffer) >= writer.flush_every:
+        if len(buffer) >= schema.FLUSH_EVERY:
             writer.flush()
 
     return on_fate
 
 
+_DISPATCH = _LINE_TEMPLATES["dispatch"]
+_SEND = _LINE_TEMPLATES["send"]
+_PACKET = _LINE_TEMPLATES["packet"]
+
+
 class TraceRecorder(SessionObserver):
-    """Streams every selected instrumentation edge into a trace writer.
+    """Streams every instrumentation edge into a trace writer.
 
     Datagram events carry the datagram's name ``(snd, d)``, where ``d`` is
     ``Message.seq`` — the sender's send count at acceptance, stamped by the
     transport and carried across shard and UDP wires — linking each
-    ``send`` to its terminal fate on any substrate and under any filter.
+    ``send`` to its terminal fate on any substrate.
 
     The frequent edges (``dispatch``, ``send``, the three fates, ``packet``)
     append their record to the writer's buffer where they stand (see
@@ -107,50 +111,20 @@ class TraceRecorder(SessionObserver):
     frame per line is what the copies buy off.
     """
 
-    def __init__(
-        self,
-        writer: TraceWriter,
-        sample_every: int = 1,
-        include_kinds: Optional[Sequence[str]] = None,
-        exclude_kinds: Sequence[str] = (),
-    ) -> None:
-        if sample_every < 1:
-            raise TraceError(f"sample_every must be >= 1, got {sample_every!r}")
-        wanted = set(EVENT_KINDS) if include_kinds is None else set(include_kinds)
-        unknown = (wanted | set(exclude_kinds)) - set(EVENT_KINDS)
-        if unknown:
-            raise TraceError(
-                f"unknown trace event kinds {sorted(unknown)}; known: {list(EVENT_KINDS)}"
-            )
-        wanted -= set(exclude_kinds)
-        # The filter is resolved here, once: every kind gets its line
-        # template, or ``None`` when it is filtered out.
-        self._templates: Dict[str, Optional[str]] = {
-            kind: _LINE_TEMPLATES[kind] if kind in wanted else None for kind in EVENT_KINDS
-        }
+    def __init__(self, writer: TraceWriter) -> None:
         self._writer = writer
-        self._sample_every = sample_every
-        self._dispatch_seen = 0
         self._fn_text: Dict[Any, str] = {}
         self._text = _JsonTexts()
 
     def attach(self, session) -> None:
-        """Register on a built session's network and nodes, and on its engine
-        only when dispatch lines are selected: that edge fires once per event."""
-        if self._templates["dispatch"] is not None:
-            session.simulator.add_observer(self)
+        """Register on a built session's engine, network and nodes."""
+        session.simulator.add_observer(self)
         observe_network_and_nodes(session, self)
 
     # ------------------------------------------------------------------
     # Engine edge
     # ------------------------------------------------------------------
     def on_event_dispatch(self, time: float, callback: Any, args: Tuple[Any, ...]) -> None:
-        template = self._templates["dispatch"]
-        if template is None:
-            return
-        self._dispatch_seen += 1
-        if (self._dispatch_seen - 1) % self._sample_every:
-            return
         # Bound methods (every callback the substrates schedule) are made
         # afresh per event; the function under them names them all.  Any
         # other callable is its own key, if it can be one.
@@ -165,34 +139,30 @@ class TraceRecorder(SessionObserver):
                 self._fn_text[function] = text
         writer = self._writer
         buffer = writer.buffer
-        buffer.append((template, time, text))
-        if len(buffer) >= writer.flush_every:
+        buffer.append((_DISPATCH, time, text))
+        if len(buffer) >= schema.FLUSH_EVERY:
             writer.flush()
 
     # ------------------------------------------------------------------
     # Transport edges
     # ------------------------------------------------------------------
     def _unsent(self, kind: str, message: Message, now: float) -> None:
-        if self._templates[kind] is not None:
-            kind_text = self._text[message.kind]
-            self._writer.write(
-                kind, now, message.sender, message.receiver, kind_text, message.size_bytes
-            )
+        self._writer.write(
+            kind, now, message.sender, message.receiver, self._text[message.kind],
+            message.size_bytes,
+        )
 
     def on_send_blocked(self, message: Message, now: float) -> None:
         self._unsent("send_blocked", message, now)
 
     def on_send_accepted(self, message: Message, now: float, finish_time: float) -> None:
-        template = self._templates["send"]
-        if template is None:
-            return
         writer = self._writer
         buffer = writer.buffer
         buffer.append((
-            template, now, message.sender, message.receiver, self._text[message.kind],
+            _SEND, now, message.sender, message.receiver, self._text[message.kind],
             message.size_bytes, message.seq, finish_time,
         ))
-        if len(buffer) >= writer.flush_every:
+        if len(buffer) >= schema.FLUSH_EVERY:
             writer.flush()
 
     def on_congestion_drop(self, message: Message, now: float) -> None:
@@ -203,12 +173,10 @@ class TraceRecorder(SessionObserver):
     on_delivery_dropped = _fate_edge("drop_dead")
 
     def on_node_failed(self, node_id: NodeId, now: float) -> None:
-        if self._templates["node_failed"] is not None:
-            self._writer.write("node_failed", now, node_id)
+        self._writer.write("node_failed", now, node_id)
 
     def on_node_recovered(self, node_id: NodeId, now: float) -> None:
-        if self._templates["node_recovered"] is not None:
-            self._writer.write("node_recovered", now, node_id)
+        self._writer.write("node_recovered", now, node_id)
 
     # ------------------------------------------------------------------
     # Delivery edge
@@ -216,13 +184,10 @@ class TraceRecorder(SessionObserver):
     def on_packet_delivered(
         self, node_id: NodeId, packet_id: PacketId, time: float, is_source: bool
     ) -> None:
-        template = self._templates["packet"]
-        if template is None:
-            return
         writer = self._writer
         buffer = writer.buffer
-        buffer.append((template, time, node_id, packet_id, self._text[is_source]))
-        if len(buffer) >= writer.flush_every:
+        buffer.append((_PACKET, time, node_id, packet_id, self._text[is_source]))
+        if len(buffer) >= schema.FLUSH_EVERY:
             writer.flush()
 
     # ------------------------------------------------------------------
@@ -231,14 +196,12 @@ class TraceRecorder(SessionObserver):
     def on_gossip_round(
         self, node_id: NodeId, time: float, partners: Sequence[NodeId]
     ) -> None:
-        if self._templates["round"] is not None:
-            self._writer.write("round", time, node_id, len(partners))
+        self._writer.write("round", time, node_id, len(partners))
 
     def on_feed_me_round(
         self, node_id: NodeId, time: float, targets: Sequence[NodeId]
     ) -> None:
-        if self._templates["feed_me_round"] is not None:
-            self._writer.write("feed_me_round", time, node_id, len(targets))
+        self._writer.write("feed_me_round", time, node_id, len(targets))
 
 
 class MetricsObserver(SessionObserver):

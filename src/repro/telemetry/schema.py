@@ -27,7 +27,7 @@ Event lines are compact objects with three universal keys —
 ==================  ====================================================
 kind                extra fields
 ==================  ====================================================
-``dispatch``        ``fn`` (callback qualname) — sampling applies
+``dispatch``        ``fn`` (callback qualname)
 ``send``            ``snd rcv mk sz d fin`` (datagram seq + serialization
                     finish time)
 ``send_blocked``    ``snd rcv mk sz`` (sender dead, nothing entered)
@@ -137,12 +137,17 @@ _KINDS: Dict[str, str] = {template: kind for kind, template in _LINE_TEMPLATES.i
 #: kind -> the template :meth:`TraceWriter.append` fills with the encoded fields.
 _APPEND_TEMPLATES: Dict[str, str] = {}
 
-#: How far the render child may fall behind, in batches of ``flush_every``
-#: records, before a flush waits for it: enough to cover its start-up.
+#: Records a writer buffers before it sends them to its render child as one
+#: batch (docs/observability.md: 10,000 is within noise of this).
+FLUSH_EVERY = 1000
+
+#: How far the render child may fall behind, in batches of
+#: :data:`FLUSH_EVERY` records, before a flush waits for it: enough to cover
+#: its start-up.
 LAG_BATCHES = 16
 
 #: What the pipes to and from the render child hold, where the host allows:
-#: an answer to a batch (about 100 kB at ``flush_every=1000``) fits whole.
+#: an answer to a batch (about 100 kB at :data:`FLUSH_EVERY`) fits whole.
 _PIPE_BYTES = 1 << 20
 
 
@@ -151,7 +156,7 @@ class TraceWriter:
 
     The header is written on construction.  An event is held as a record,
     ``(template, t, *values)`` (:mod:`repro.telemetry.render`): no line is
-    rendered in the session process.  Every ``flush_every`` records (and on
+    rendered in the session process.  Every :data:`FLUSH_EVERY` records (and on
     :meth:`close`) a flush sends them as one batch to the writer's render
     child, started at the first flush, which numbers the lines (the
     contiguous ``i`` index — callers supply events without it) and renders
@@ -160,24 +165,16 @@ class TraceWriter:
     batch.  It waits for the child only when more than :data:`LAG_BATCHES`
     batches are unanswered, and :meth:`close` waits for all of them.  So
     the file trails the records by at most ``(LAG_BATCHES + 1) *
-    flush_every`` lines, and the writer holds no more records than that.
+    FLUSH_EVERY`` lines, and the writer holds no more records than that.
 
     The recorder's frequent edges do what :meth:`write` does, on the same
     state and without the call: they append a record to ``buffer`` and flush
-    when it holds ``flush_every``.
+    when it holds :data:`FLUSH_EVERY`.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        meta: Optional[Dict[str, Any]] = None,
-        flush_every: int = 1000,
-    ) -> None:
-        if flush_every < 1:
-            raise TraceError(f"flush_every must be >= 1, got {flush_every!r}")
+    def __init__(self, path: Union[str, Path], meta: Optional[Dict[str, Any]] = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.flush_every = flush_every
         self.buffer: list = []
         self._sent: Deque[list] = deque()  # batches sent to the child, not answered yet
         self._outbox = bytearray()  # framed batches the child's pipe has not taken yet
@@ -212,7 +209,7 @@ class TraceWriter:
             _APPEND_TEMPLATES[kind], _KINDS[template] = template, kind
         buffer = self.buffer
         buffer.append((template, time, "," + json_text(fields)[1:-1] if fields else ""))
-        if len(buffer) >= self.flush_every:
+        if len(buffer) >= FLUSH_EVERY:
             self.flush()
 
     def write(self, kind: str, time: float, *values) -> None:
@@ -226,7 +223,7 @@ class TraceWriter:
         """
         buffer = self.buffer
         buffer.append((_LINE_TEMPLATES[kind], time, *values))
-        if len(buffer) >= self.flush_every:
+        if len(buffer) >= FLUSH_EVERY:
             self.flush()
 
     def flush(self) -> None:

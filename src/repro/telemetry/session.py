@@ -66,17 +66,8 @@ class SessionTelemetry:
             metrics = MetricsObserver(registry, schedule=session.schedule)
             observe_network_and_nodes(session, metrics)
         if config.trace_path is not None:
-            self.writer = TraceWriter(
-                config.trace_path,
-                meta=session_meta(session),
-                flush_every=config.flush_every,
-            )
-            TraceRecorder(
-                self.writer,
-                sample_every=config.sample_every,
-                include_kinds=config.include_kinds,
-                exclude_kinds=config.exclude_kinds,
-            ).attach(session)
+            self.writer = TraceWriter(config.trace_path, meta=session_meta(session))
+            TraceRecorder(self.writer).attach(session)
         return self
 
     def _wire_collectors(self, session, registry: MetricsRegistry) -> None:

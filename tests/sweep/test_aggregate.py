@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.experiments.runner import ExperimentPoint
-from repro.sweep.aggregate import Stat, aggregate, aggregate_table, stat_of, t_quantile_975
+from repro.sweep.stats import Stat, aggregate, aggregate_table, stat_of, t_quantile_975
 from repro.sweep.spec import SweepTask
 from repro.sweep.summary import PointSummary
 

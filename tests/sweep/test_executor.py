@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.session import SessionConfig
 from repro.experiments.runner import ExperimentPoint
-from repro.sweep.aggregate import aggregate, aggregate_table
+from repro.sweep.stats import aggregate, aggregate_table
 from repro.sweep.executor import (
     ParallelExecutor,
     SerialExecutor,

@@ -9,28 +9,18 @@ from repro.experiments.scale import SMOKE
 from repro.membership.churn import CatastrophicChurn
 from repro.shard import run_sharded
 from repro.telemetry import recorder as recorder_module
+from repro.telemetry import schema
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import iter_events
 
-#: Every filter / sampling combination ``test_recorder.py`` drives.
-COMBINATIONS = [
-    {},
-    {"metrics": True},
-    {"include_kinds": ("packet", "round")},
-    {"exclude_kinds": ("dispatch",)},
-    {"exclude_kinds": ("send",)},
-    {"sample_every": 10},
-    {"sample_every": 10, "exclude_kinds": ("packet",), "flush_every": 7},
-]
 FATES = ("deliver_msg", "loss", "drop_dead")
 
 
-@pytest.mark.parametrize("options", COMBINATIONS, ids=repr)
-def test_every_count_of_a_trace_is_the_same_number(options, tmp_path):
+@pytest.mark.parametrize("flush_every", [1000, 7])
+def test_every_count_of_a_trace_is_the_same_number(flush_every, tmp_path, monkeypatch):
+    monkeypatch.setattr(schema, "FLUSH_EVERY", flush_every)
     path = tmp_path / "t.jsonl"
-    config = SessionConfig(
-        num_nodes=8, seed=11, telemetry=TelemetryConfig(trace_path=str(path), **options)
-    )
+    config = SessionConfig(num_nodes=8, seed=11, telemetry=TelemetryConfig(trace_path=str(path)))
     snapshot = run_session(config).telemetry
     events = list(iter_events(path))
     assert events, "an empty trace would make every equality below vacuous"
@@ -50,12 +40,12 @@ def test_every_count_of_a_trace_is_the_same_number(options, tmp_path):
     fates = [(event["snd"], event["d"]) for event in events if event["k"] in FATES]
     assert len(set(fates)) == len(fates), "one terminal fate per datagram"
     assert all(seq >= 1 for _, seq in fates), "every fate carries an accepted name"
-    if sent:
-        counts = {}
-        for sender, seq in sent:
-            counts[sender] = counts.get(sender, 0) + 1
-            assert seq == counts[sender], "d is the sender's send count"
-        assert set(fates) <= set(sent)
+    assert sent, "a full trace records every send"
+    counts = {}
+    for sender, seq in sent:
+        counts[sender] = counts.get(sender, 0) + 1
+        assert seq == counts[sender], "d is the sender's send count"
+    assert set(fates) <= set(sent)
 
 
 #: The ``TrafficStats`` cells counting accepted, congestion-dropped, lost and delivered datagrams.

@@ -130,8 +130,6 @@ class TestCli:
                 "--nodes",
                 "6",
                 "--no-metrics",
-                "--include-kinds",
-                "packet,round",
                 "--trace",
                 str(trace),
             ]
@@ -140,4 +138,4 @@ class TestCli:
         from repro.telemetry.schema import iter_events
 
         kinds = {event["k"] for event in iter_events(trace)}
-        assert kinds <= {"packet", "round"}
+        assert {"dispatch", "send", "packet", "round"} <= kinds

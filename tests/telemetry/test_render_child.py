@@ -18,7 +18,7 @@ import pytest
 from repro.core.session import StreamingSession
 from repro.shard.runner import ShardProtocolError, run_sharded
 from repro.shard.session import ShardSession
-from repro.telemetry import render
+from repro.telemetry import render, schema
 from repro.telemetry.schema import TraceError, TraceWriter, iter_events, validate_trace
 from tests.telemetry.test_failure_paths import FAULT_TIME, boom, traced_config
 from tests.telemetry.test_schema import _FullDisk
@@ -154,12 +154,13 @@ def test_a_killed_child_ends_the_run_with_a_trace_error(tmp_path, no_child_left)
         writer.append("round", 9.0, n=1, np=1)
 
 
-def test_the_child_may_run_on_every_cpu_but_the_sessions(tmp_path, no_child_left):
+def test_the_child_may_run_on_every_cpu_but_the_sessions(tmp_path, no_child_left, monkeypatch):
     """A batch written to the pipe would wake the child on the session's own CPU."""
     def own_children():
         return {pid for pid, (parent, _argv) in _processes().items() if parent == os.getpid()}
 
-    writer = TraceWriter(tmp_path / "t.jsonl", flush_every=1)
+    monkeypatch.setattr(schema, "FLUSH_EVERY", 1)
+    writer = TraceWriter(tmp_path / "t.jsonl")
     try:
         before = own_children()
         writer.write("round", 0.0, 1, 1)
@@ -172,9 +173,12 @@ def test_the_child_may_run_on_every_cpu_but_the_sessions(tmp_path, no_child_left
 
 
 @pytest.mark.parametrize("first", [0, 1], ids=["opened-first-closes-first", "last-first"])
-def test_two_writers_in_one_process_close_in_either_order(tmp_path, first, no_child_left):
+def test_two_writers_in_one_process_close_in_either_order(
+    tmp_path, first, no_child_left, monkeypatch
+):
+    monkeypatch.setattr(schema, "FLUSH_EVERY", 100)
     paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
-    writers = [TraceWriter(path, flush_every=100) for path in paths]
+    writers = [TraceWriter(path) for path in paths]
     for n in range(2500):
         for number, writer in enumerate(writers):
             writer.write("round", n / 10, number, n)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.session import SessionConfig, StreamingSession
 from repro.telemetry.cli import main
+from repro.telemetry import schema
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.schema import (
     EVENT_KINDS,
@@ -20,8 +21,8 @@ from repro.telemetry.schema import (
 )
 
 
-def write_trace(path, events, meta=None, flush_every=1000):
-    with TraceWriter(path, meta=meta, flush_every=flush_every) as writer:
+def write_trace(path, events, meta=None):
+    with TraceWriter(path, meta=meta) as writer:
         for kind, time, fields in events:
             writer.append(kind, time, **fields)
     return path
@@ -55,10 +56,11 @@ class TestWriterRoundTrip:
             assert writer.events_written == 3
             assert writer.counts_by_kind == {"round": 2, "packet": 1}
 
-    def test_flush_every_bounds_buffering(self, tmp_path):
+    def test_flush_every_bounds_buffering(self, tmp_path, monkeypatch):
         """The file trails the records by less than ``LAG_BATCHES + 1`` batches."""
+        monkeypatch.setattr(schema, "FLUSH_EVERY", 2)
         path = tmp_path / "t.jsonl"
-        writer = TraceWriter(path, flush_every=2)
+        writer = TraceWriter(path)
         behind = []
         for n in range(1, 101):
             writer.append("round", n / 10, n=n, np=1)
@@ -94,7 +96,7 @@ class TestWriterRoundTrip:
         ]
 
     def test_append_after_close_raises_at_once(self, tmp_path):
-        """A closed writer used to buffer and count up to ``flush_every - 1``
+        """A closed writer used to buffer and count up to ``FLUSH_EVERY - 1``
         events that could never reach the file, raising only on the flush."""
         path = tmp_path / "t.jsonl"
         writer = TraceWriter(path)

@@ -136,9 +136,17 @@ def test_every_export_is_its_defining_modules_object_before_and_after_every_impo
 
 
 def test_every_export_is_its_defining_modules_object_when_submodules_come_first():
-    # Importing repro.sweep.aggregate binds the module under the name of its
-    # function ``aggregate`` in repro.sweep before anything resolves it.
+    # Importing a submodule binds it in its package before anything resolves
+    # the package's exports.
     assert check_bindings("import_every_submodule()\nwrong = misbound()") == []
+
+
+def test_no_package_exports_the_name_of_one_of_its_submodules():
+    # Importing that submodule would bind the module under the export's name.
+    for init in PACKAGE_INITS:
+        submodules = {path.stem for path in init.parent.glob("*.py")}
+        submodules |= {path.parent.name for path in init.parent.glob("*/__init__.py")}
+        assert declared_names(init) & submodules == set(), package_name(init)
 
 
 def test_an_unknown_name_is_an_attribute_error():

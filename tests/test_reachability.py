@@ -6,10 +6,12 @@ interpreter, so a stale ``KEEP`` entry or command line fails tier-1 instead
 of waiting for the next multi-minute audit.
 """
 
+import importlib
 import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -261,3 +263,23 @@ def test_product_commands_name_what_the_repo_has(reachability):
     examples = {path.name for path in (ROOT / "examples").glob("*.py")}
     listed = {Path(c.split()[1]).name for c in reachability.PRODUCT_COMMANDS if "examples/" in c}
     assert listed == examples
+
+
+#: The module whose ``build_parser()`` parses each ``python -m`` command line.
+PARSERS = {"repro": "repro.cli", "repro.telemetry": "repro.telemetry.cli",
+           "repro.bench": "repro.bench.cli"}
+
+
+def test_product_command_lines_parse(reachability, tmp_path):
+    parsed = set()
+    for command in reachability.PRODUCT_COMMANDS:
+        words = shlex.split(command.replace("{tmp}", str(tmp_path)))
+        if words[1] != "-m" or words[2] not in PARSERS:
+            continue
+        parser = importlib.import_module(PARSERS[words[2]]).build_parser()
+        try:
+            parser.parse_args(words[3:])
+        except SystemExit:
+            pytest.fail(f"{command!r} does not parse")
+        parsed.add(words[2])
+    assert parsed == set(PARSERS)

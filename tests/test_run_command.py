@@ -275,6 +275,15 @@ class TestArguments:
     def test_a_command_is_required(self, capsys):
         self._usage_error([], capsys)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--tolerance", "0.5"), ("--sample-every", "3"), ("--include-kinds", "send"),
+         ("--exclude-kinds", "send"), ("--flush-every", "7")],
+    )
+    def test_the_trace_and_the_parity_gate_take_no_options(self, option, value, capsys):
+        err = self._usage_error([*SIM_ARGS, option, value], capsys)
+        assert f"unrecognized arguments: {option}" in err
+
 
 class TestModuleEntryPoints:
     def _python_m(self, *argv):

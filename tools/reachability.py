@@ -105,14 +105,13 @@ PRODUCT_COMMANDS: Tuple[str, ...] = (
     "python -m repro.experiments --list",
     "python -m repro.experiments ablation:detection-delay ablation:fec"
     " ablation:retransmission ablation:source-fanout --scale smoke --jobs 2",
-    # repro run traced with every filter, then repro.telemetry summarize,
-    # export, diff.
+    # repro run traced on four more scenarios, one without metrics, then
+    # repro.telemetry summarize, export, diff.
     "python -m repro run --scenario churn-window --scale smoke --seed 5"
-    " --sample-every 3 --trace {tmp}/churn.jsonl",
-    "python -m repro run --scenario flash-crowd --scale smoke"
-    " --include-kinds send,deliver_msg,packet --trace {tmp}/flash.jsonl",
-    "python -m repro run --scenario lossy-wan --scale smoke"
-    " --exclude-kinds dispatch --no-metrics --trace {tmp}/lossy.jsonl",
+    " --trace {tmp}/churn.jsonl",
+    "python -m repro run --scenario flash-crowd --scale smoke --trace {tmp}/flash.jsonl",
+    "python -m repro run --scenario lossy-wan --scale smoke --no-metrics"
+    " --trace {tmp}/lossy.jsonl",
     "python -m repro run --scenario eager-push --nodes 20"
     " --trace {tmp}/eager.jsonl",
     "python -m repro.telemetry summarize {tmp}/churn.jsonl",
@@ -228,7 +227,7 @@ KEEP: Tuple[Keep, ...] = (
           "TraceWriter.__enter__", "TraceWriter.__exit__"),
          "keeps a trace whole and closed after a handler exception, a full disk or a "
          "lost render child"),
-    Keep(_API, "sweep/aggregate.py", (),
+    Keep(_API, "sweep/stats.py", (),
          "docs/architecture.md, Parallel sweeps: aggregate and aggregate_table"),
     Keep(_API, "sweep/spec.py", ("SweepGrid", "SweepSpec"),
          "docs/architecture.md, Parallel sweeps"),
