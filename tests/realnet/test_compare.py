@@ -1,5 +1,7 @@
 """Tests for the sim-vs-real comparison report."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.realnet.compare import (
@@ -64,3 +66,17 @@ class TestCompareBackends:
         text = comparison.format_text()
         assert "delivery_ratio" in text
         assert "PASS" in text
+
+    @pytest.mark.parametrize(
+        "gap, passed",
+        [(DELIVERY_RATIO_TOLERANCE, True), (2 * DELIVERY_RATIO_TOLERANCE, False)],
+        ids=["at-the-bound", "past-the-bound"],
+    )
+    def test_delivery_ratio_tolerance_is_the_gate(self, comparison, gap, passed):
+        # sim = 0 keeps |real - sim| exactly ``gap`` in floating point.
+        deltas = [MetricDelta("delivery_ratio", sim=0.0, real=gap)]
+        report = replace(comparison, deltas=deltas)
+        assert report.passed() is passed
+        assert report.to_json_dict()["passed"] is passed
+        assert report.to_json_dict()["tolerance"] == DELIVERY_RATIO_TOLERANCE
+        assert report.format_text().endswith("PASS" if passed else "FAIL")

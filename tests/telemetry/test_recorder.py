@@ -1,5 +1,6 @@
 """Recorder purity and determinism: armed telemetry never changes a run."""
 
+import dataclasses
 import json
 from functools import partial
 
@@ -97,12 +98,26 @@ class TestTraceDeterminism:
         assert fate_seqs <= send_seqs
         assert len(send_seqs) > 0
 
+    def test_a_trace_records_every_dispatch(self, tmp_path):
+        """Dispatches are neither sampled nor filtered: one line per event."""
+        path = tmp_path / "t.jsonl"
+        result = run_session(small_config(telemetry=TelemetryConfig(trace_path=str(path))))
+        dispatches = sum(1 for event in iter_events(path) if event["k"] == "dispatch")
+        assert dispatches == result.telemetry.trace_events_by_kind["dispatch"]
+        assert dispatches == result.events_processed > 0
+
 
 class TestTelemetryConfig:
     def test_armed_property(self):
         assert TelemetryConfig(metrics=True).armed
         assert TelemetryConfig(metrics=False, trace_path="x.jsonl").armed
         assert not TelemetryConfig(metrics=False).armed
+
+    def test_the_config_is_metrics_and_a_trace_path(self):
+        assert [field.name for field in dataclasses.fields(TelemetryConfig)] == [
+            "metrics",
+            "trace_path",
+        ]
 
     def test_json_round_trip(self):
         config = TelemetryConfig(metrics=False, trace_path="out.jsonl")

@@ -56,6 +56,18 @@ class TestWriterRoundTrip:
             assert writer.events_written == 3
             assert writer.counts_by_kind == {"round": 2, "packet": 1}
 
+    def test_a_writer_sends_a_batch_every_flush_every_records(self, tmp_path):
+        """Every trace is batched alike: the size is a constant, not an option."""
+        assert schema.FLUSH_EVERY == 1000
+        with TraceWriter(tmp_path / "t.jsonl") as writer:
+            for n in range(1, schema.FLUSH_EVERY):
+                writer.append("round", n / 10, n=n, np=1)
+            assert len(writer.buffer) == schema.FLUSH_EVERY - 1
+            writer.append("round", 100.0, n=schema.FLUSH_EVERY, np=1)
+            assert writer.buffer == []
+            assert writer.events_written == schema.FLUSH_EVERY
+        assert validate_trace(tmp_path / "t.jsonl")[1] == schema.FLUSH_EVERY
+
     def test_flush_every_bounds_buffering(self, tmp_path, monkeypatch):
         """The file trails the records by less than ``LAG_BATCHES + 1`` batches."""
         monkeypatch.setattr(schema, "FLUSH_EVERY", 2)
